@@ -74,7 +74,8 @@ CONSTANTS = FamilyConstants()
 
 
 def _require_negative(u: float) -> None:
-    if u >= 0.0:
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not u < 0.0:
         raise ValueError(f"explicit profile requires u < 0, got u = {u:g}")
 
 
@@ -490,8 +491,10 @@ def build_profile(kind: str, c: Optional[float] = None,
         the explicit kind and to the first grid point for the implicit
         kind.
 
-    The quadratures are evaluated by adaptive Simpson straight from the
-    anchor to each grid point, so no error accumulates across the grid.
+    Explicit Psi samples come from the closed form :func:`psi_explicit`,
+    the same values ``psi_at`` returns.  The quadratures are evaluated by
+    adaptive Simpson straight from the anchor to each grid point, so no
+    error accumulates across the grid.
     """
     if u_grid is None:
         raise ValueError("u_grid is required")
@@ -507,12 +510,9 @@ def build_profile(kind: str, c: Optional[float] = None,
         if grid[-1] >= 0.0:
             raise ValueError("explicit profiles live on u < 0")
         c0 = psi_anchor(anchor)
-        a = CONSTANTS.a1
         theta = np.array([theta_explicit(x) for x in grid])
         f = np.array([f_explicit(x) for x in grid])
-        psi = np.array([adaptive_simpson(lambda s: math.tanh(2.0 * a * s),
-                                         anchor, x, tol=SIMPSON_TOL)
-                        for x in grid])
+        psi = np.array([psi_explicit(x, c0) for x in grid])
         phi1 = np.array([_phi1_explicit_quad(x, anchor, c0) for x in grid])
         phi2 = np.array([_phi2_explicit_quad(x, anchor, c0) for x in grid])
         return ProfileSolution(kind=EXPLICIT, u=grid, theta=theta, f=f,

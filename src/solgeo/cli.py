@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -57,6 +58,12 @@ class RunConfig:
     as_json: bool = False
 
     def validate(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, (int, float))
+                                          and math.isfinite(value)):
+                raise UsageError(f"{name} must be a finite number, "
+                                 f"got {value!r}")
         if self.kind not in (EXPLICIT, IMPLICIT):
             raise UsageError(f"unknown family kind {self.kind!r}")
         if self.variant not in ("x1", "x2"):
@@ -84,6 +91,8 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
+_FLOAT_FIELDS = ("c", "u_min", "u_max", "v_min", "v_max", "u0", "theta_start",
+                 "step")
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
@@ -229,6 +238,8 @@ def _parse_point(text: str) -> Point:
         x, y, z = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"bad point {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, (x, y, z))):
+        raise UsageError(f"point coordinates must be finite, got {text!r}")
     return Point(x, y, z)
 
 
@@ -249,6 +260,8 @@ def _parse_plane(text: str, base: Point) -> tuple:
             values = np.array([float(c) for c in comps])
         except ValueError as exc:
             raise UsageError(f"bad plane vector {token!r}: {exc}") from exc
+        if not np.all(np.isfinite(values)):
+            raise UsageError(f"plane vector {token!r} must be finite")
         return TangentVector(base, values, FRAME)
 
     return vector(parts[0]), vector(parts[1])

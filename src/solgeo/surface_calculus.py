@@ -10,6 +10,9 @@ the two fourth-order surface equations:
 * normal residual Delta f - f |A|^2 - f <trace R(., xi) ., xi> -- zero
   exactly on biharmonic ones.
 
+Every quantity at a point is read from one :class:`LocalGeometry` record;
+the module functions are thin views on it.
+
 Sign conventions: the shape operator is A = -(nabla xi)^T, the second
 fundamental form satisfies II(X, Y) = <AX, Y> = <nabla_X Y, xi>, and the
 mean curvature is f = trace(A) / 2.
@@ -37,6 +40,7 @@ __all__ = [
     "ShapeData",
     "AdaptedFrameSample",
     "ScalarField",
+    "LocalGeometry",
     "SurfacePatch",
     "fundamental_forms",
     "shape_data",
@@ -121,59 +125,228 @@ class ScalarField:
     dvv: Optional[Callable[[float, float], float]] = None
 
 
-@dataclass(frozen=True)
-class _PointData:
-    point: Point
-    du_c: np.ndarray
-    dv_c: np.ndarray
-    du_f: np.ndarray
-    dv_f: np.ndarray
-    xi_f: np.ndarray
-    first: np.ndarray
+class _computed_once:
+    """A lazily set attribute: the first read computes the value and stores
+    it on the instance, shadowing this descriptor.  Unlike
+    ``functools.cached_property`` it takes no lock; recomputation is pure."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
-def _to_frame(point_arr: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    ez = math.exp(point_arr[2])
-    return np.array([ez * coords[0], coords[1] / ez, coords[2]])
+class LocalGeometry:
+    """Local extrinsic geometry of ``patch`` at the parameter point ``(u, v)``.
 
+    The constructor evaluates the position and first partials, the unit
+    normal and the first fundamental form.  Every other attribute is
+    computed on first access and kept, so one record evaluates each patch
+    handle at most once and each derived quantity exactly once.
 
-def _point_data(patch: SurfacePatch, u: float, v: float) -> _PointData:
-    pos = patch.position(u, v)
-    du_c = patch.du(u, v)
-    dv_c = patch.dv(u, v)
-    du_f = _to_frame(pos, du_c)
-    dv_f = _to_frame(pos, dv_c)
-    cross = np.cross(du_f, dv_f)
-    norm = np.linalg.norm(cross)
-    scale = np.linalg.norm(du_f) * np.linalg.norm(dv_f)
-    if norm <= 1e-10 * max(scale, 1e-30):
-        raise DegenerateParametrizationError(
-            f"parametrization of {patch.name!r} degenerates at "
-            f"(u, v) = ({u:g}, {v:g})")
-    xi_f = patch.orientation * cross / norm
-    first = np.array([[np.dot(du_f, du_f), np.dot(du_f, dv_f)],
-                      [np.dot(du_f, dv_f), np.dot(dv_f, dv_f)]])
-    return _PointData(Point.from_array(pos), du_c, dv_c, du_f, dv_f, xi_f,
-                      first)
+    Basis conventions: names ending in ``_c`` hold coordinate components
+    (d/dx, d/dy, d/dz) and names ending in ``_f`` hold frame components
+    (E1, E2, E3), as does ``curvature_trace``.  ``first``, ``second``,
+    ``A``, ``dh``, ``gradient_h`` and ``residual`` are in the parameter
+    basis (d/du, d/dv).
 
+    Raises
+    ------
+    DegenerateParametrizationError
+        If the partials fail to span a plane at the point.
+    """
 
-def _second_form(patch: SurfacePatch, u: float, v: float,
-                 data: _PointData) -> np.ndarray:
-    gamma = christoffel(data.point)
-    pos = data.point.as_array()
-    firsts = (data.du_c, data.dv_c)
-    seconds = ((patch.duu(u, v), patch.duv(u, v)),
-               (patch.duv(u, v), patch.dvv(u, v)))
-    second = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            # Coordinate components of the ambient derivative of d_j along d_i.
-            nab = seconds[i][j] + np.einsum("kab,a,b->k", gamma, firsts[i],
-                                            firsts[j])
-            second[i, j] = float(np.dot(_to_frame(pos, nab), data.xi_f))
-    # Enforce exact symmetry; the two mixed entries differ only by round-off.
-    second[0, 1] = second[1, 0] = 0.5 * (second[0, 1] + second[1, 0])
-    return second
+    def __init__(self, patch: SurfacePatch, u: float, v: float):
+        self.patch, self.u, self.v = patch, u, v
+        pos = patch.position(u, v)
+        self._ez = math.exp(pos[2])
+        self.du_c = patch.du(u, v)
+        self.dv_c = patch.dv(u, v)
+        self.du_f = du_f = self.to_frame(self.du_c)
+        self.dv_f = dv_f = self.to_frame(self.dv_c)
+        cross = np.cross(du_f, dv_f)
+        norm = np.linalg.norm(cross)
+        scale = np.linalg.norm(du_f) * np.linalg.norm(dv_f)
+        if norm <= 1e-10 * max(scale, 1e-30):
+            raise DegenerateParametrizationError(
+                f"parametrization of {patch.name!r} degenerates at "
+                f"(u, v) = ({u:g}, {v:g})")
+        self.xi_f = patch.orientation * cross / norm
+        self.first = np.array([[np.dot(du_f, du_f), np.dot(du_f, dv_f)],
+                               [np.dot(du_f, dv_f), np.dot(dv_f, dv_f)]])
+        self.point = Point.from_array(pos)
+
+    def to_frame(self, coords: np.ndarray) -> np.ndarray:
+        """Frame components of a vector given in coordinates at this point."""
+        ez = self._ez
+        return np.array([ez * coords[0], coords[1] / ez, coords[2]])
+
+    def param_coefficients(self, vec_f: np.ndarray) -> np.ndarray:
+        """Parameter-basis coefficients of the tangential part of ``vec_f``."""
+        return np.linalg.solve(self.first,
+                               np.array([float(np.dot(vec_f, self.du_f)),
+                                         float(np.dot(vec_f, self.dv_f))]))
+
+    def metric_norm(self, coeffs: np.ndarray) -> float:
+        """Length of a tangent vector given in the parameter basis."""
+        return math.sqrt(float(coeffs @ self.first @ coeffs))
+
+    @_computed_once
+    def second(self) -> np.ndarray:
+        patch, u, v = self.patch, self.u, self.v
+        gamma = christoffel(self.point)
+        firsts = (self.du_c, self.dv_c)
+        duv = patch.duv(u, v)
+        seconds = ((patch.duu(u, v), duv), (duv, patch.dvv(u, v)))
+        second = np.empty((2, 2))
+        for i in range(2):
+            for j in range(2):
+                # Coordinates of the ambient derivative of d_j along d_i.
+                nab = seconds[i][j] + np.einsum("kab,a,b->k", gamma,
+                                                firsts[i], firsts[j])
+                second[i, j] = float(np.dot(self.to_frame(nab), self.xi_f))
+        # Exact symmetry; the mixed entries differ only by round-off.
+        second[0, 1] = second[1, 0] = 0.5 * (second[0, 1] + second[1, 0])
+        return second
+
+    @_computed_once
+    def A(self) -> np.ndarray:
+        return np.linalg.solve(self.first, self.second)
+
+    @_computed_once
+    def h(self) -> float:
+        return 0.5 * float(np.trace(self.A))
+
+    @_computed_once
+    def K(self) -> float:
+        ambient = sectional_curvature(
+            TangentVector(self.point, self.du_f, FRAME),
+            TangentVector(self.point, self.dv_f, FRAME))
+        return ambient + float(np.linalg.det(self.A))
+
+    @_computed_once
+    def principal_curvatures(self) -> np.ndarray:
+        return scipy.linalg.eigh(self.second, self.first, eigvals_only=True)
+
+    @_computed_once
+    def dh(self) -> np.ndarray:
+        """Differential of the mean curvature: the patch handles when both
+        exist, otherwise central differences of f at neighbouring points."""
+        patch, u, v = self.patch, self.u, self.v
+        if patch.mean_curvature_du is not None \
+                and patch.mean_curvature_dv is not None:
+            return np.array([float(patch.mean_curvature_du(u, v)),
+                             float(patch.mean_curvature_dv(u, v))])
+        return np.array([
+            float(central_diff(lambda s: _mean_curvature_value(patch, s, v),
+                               u, patch.fd_step)),
+            float(central_diff(lambda t: _mean_curvature_value(patch, u, t),
+                               v, patch.fd_step)),
+        ])
+
+    @_computed_once
+    def gradient_h(self) -> np.ndarray:
+        return np.linalg.solve(self.first, self.dh)
+
+    @_computed_once
+    def curvature_trace(self) -> np.ndarray:
+        """trace R(., xi) . over an orthonormal tangent basis obtained by
+        Gram-Schmidt on the parameter partials."""
+        t1 = self.du_f / np.linalg.norm(self.du_f)
+        w = self.dv_f - np.dot(self.dv_f, t1) * t1
+        t2 = w / np.linalg.norm(w)
+        return (curvature_components(t1, self.xi_f, t1)
+                + curvature_components(t2, self.xi_f, t2))
+
+    @_computed_once
+    def residual(self) -> np.ndarray:
+        """A(grad f) + f grad f + f (trace R(., xi) .)^T."""
+        trace = self.curvature_trace
+        tangential = trace - np.dot(trace, self.xi_f) * self.xi_f
+        gradient = self.gradient_h
+        return (self.A @ gradient + self.h * gradient
+                + self.h * self.param_coefficients(tangential))
+
+    @_computed_once
+    def surface_christoffel(self) -> np.ndarray:
+        """Christoffel symbols of the induced metric, Gamma[k, i, j]."""
+        patch, u, v = self.patch, self.u, self.v
+        d_first = np.stack([
+            central_diff(lambda s: LocalGeometry(patch, s, v).first, u,
+                         patch.fd_step),
+            central_diff(lambda t: LocalGeometry(patch, u, t).first, v,
+                         patch.fd_step),
+        ])
+        inv = np.linalg.inv(self.first)
+        # t[l, i, j] = dI[i, l, j] + dI[j, l, i] - dI[l, i, j], summed over
+        # l from 0.0 in index order, term for term as the scalar formula.
+        t = d_first.transpose(1, 0, 2) + d_first.transpose(1, 2, 0) - d_first
+        return 0.5 * (0.0 + inv[:, :1, None] * t[0] + inv[:, 1:, None] * t[1])
+
+    def adapted_frame(self, x1_coefficients=None) -> AdaptedFrameSample:
+        """The adapted frame at this point; see :func:`adapted_frame`."""
+        if x1_coefficients is not None:
+            raw = np.asarray(x1_coefficients(self.u, self.v)
+                             if callable(x1_coefficients) else x1_coefficients,
+                             dtype=float)
+        else:
+            raw = self.gradient_h
+            if self.metric_norm(raw) <= GRADIENT_THRESHOLD:
+                raise CmcDegenerateError(
+                    f"|grad f| below {GRADIENT_THRESHOLD:g} on "
+                    f"{self.patch.name!r} at (u, v) = ({self.u:g}, "
+                    f"{self.v:g}); supply x1_coefficients explicitly")
+        norm = self.metric_norm(raw)
+        if norm == 0.0:
+            raise ValueError("explicit X1 coefficients are zero")
+        c1 = raw / norm
+        x1_f = c1[0] * self.du_f + c1[1] * self.dv_f
+        x2_f = np.cross(self.xi_f, x1_f)
+        c2 = self.param_coefficients(x2_f)
+        return AdaptedFrameSample(
+            x1=TangentVector(self.point, x1_f, FRAME),
+            x2=TangentVector(self.point, x2_f, FRAME),
+            xi=TangentVector(self.point, self.xi_f, FRAME),
+            theta=math.atan2(self.xi_f[2], x1_f[2]),
+            beta=math.atan2(x2_f[1], x2_f[0]), h=self.h,
+            lambda1=float((self.A @ c1) @ self.first @ c1),
+            lambda2=float((self.A @ c2) @ self.first @ c2),
+            e3_defect=float(x2_f[2]))
+
+    def laplacian(self, field) -> float:
+        """Surface Laplacian of ``field``; see :func:`laplace_beltrami`."""
+        fld = field if isinstance(field, ScalarField) else ScalarField(field)
+        patch, u, v = self.patch, self.u, self.v
+        phi_u = (fld.du(u, v) if fld.du is not None else
+                 float(central_diff(lambda s: fld.value(s, v), u,
+                                    patch.fd_step)))
+        phi_v = (fld.dv(u, v) if fld.dv is not None else
+                 float(central_diff(lambda t: fld.value(u, t), v,
+                                    patch.fd_step)))
+        phi_uu = (fld.duu(u, v) if fld.duu is not None else
+                  float(central_diff2(lambda s: fld.value(s, v), u,
+                                      patch.fd_step2)))
+        phi_vv = (fld.dvv(u, v) if fld.dvv is not None else
+                  float(central_diff2(lambda t: fld.value(u, t), v,
+                                      patch.fd_step2)))
+        phi_uv = (fld.duv(u, v) if fld.duv is not None else
+                  float(mixed_diff(fld.value, u, v, patch.fd_step2)))
+
+        grad = (phi_u, phi_v)
+        hess = np.array([[phi_uu, phi_uv], [phi_uv, phi_vv]])
+        gamma = self.surface_christoffel
+        inv = np.linalg.inv(self.first)
+        total = 0.0
+        for i in range(2):
+            for j in range(2):
+                correction = (gamma[0, i, j] * grad[0]
+                              + gamma[1, i, j] * grad[1])
+                total += inv[i, j] * (hess[i, j] - correction)
+        return float(total)
 
 
 def fundamental_forms(patch: SurfacePatch, u: float,
@@ -185,31 +358,15 @@ def fundamental_forms(patch: SurfacePatch, u: float,
     DegenerateParametrizationError
         If the partials fail to span a plane at the point.
     """
-    data = _point_data(patch, u, v)
-    second = _second_form(patch, u, v, data)
-    normal = TangentVector(data.point, data.xi_f, FRAME)
-    return FundamentalForms(data.first, second, normal)
+    geo = LocalGeometry(patch, u, v)
+    return FundamentalForms(geo.first, geo.second,
+                            TangentVector(geo.point, geo.xi_f, FRAME))
 
 
 def _mean_curvature_value(patch: SurfacePatch, u: float, v: float) -> float:
     if patch.mean_curvature is not None:
         return float(patch.mean_curvature(u, v))
-    data = _point_data(patch, u, v)
-    second = _second_form(patch, u, v, data)
-    return 0.5 * float(np.trace(np.linalg.solve(data.first, second)))
-
-
-def _mean_curvature_differential(patch: SurfacePatch, u: float,
-                                 v: float) -> np.ndarray:
-    if patch.mean_curvature_du is not None and patch.mean_curvature_dv is not None:
-        return np.array([float(patch.mean_curvature_du(u, v)),
-                         float(patch.mean_curvature_dv(u, v))])
-    return np.array([
-        float(central_diff(lambda s: _mean_curvature_value(patch, s, v), u,
-                           patch.fd_step)),
-        float(central_diff(lambda t: _mean_curvature_value(patch, u, t), v,
-                           patch.fd_step)),
-    ])
+    return LocalGeometry(patch, u, v).h
 
 
 def shape_data(patch: SurfacePatch, u: float, v: float) -> ShapeData:
@@ -220,36 +377,9 @@ def shape_data(patch: SurfacePatch, u: float, v: float) -> ShapeData:
     the patch's analytic mean-curvature handles; without them it costs a
     finite-difference pass over neighbouring shape computations.
     """
-    data = _point_data(patch, u, v)
-    second = _second_form(patch, u, v, data)
-    A = np.linalg.solve(data.first, second)
-    h = 0.5 * float(np.trace(A))
-    ambient = sectional_curvature(
-        TangentVector(data.point, data.du_f, FRAME),
-        TangentVector(data.point, data.dv_f, FRAME))
-    K = ambient + float(np.linalg.det(A))
-    dh = _mean_curvature_differential(patch, u, v)
-    gradient = np.linalg.solve(data.first, dh)
-    principal = scipy.linalg.eigh(second, data.first, eigvals_only=True)
-    return ShapeData(A, h, K, gradient, principal)
-
-
-def _x1_coefficients(patch: SurfacePatch, u: float, v: float,
-                     shape: ShapeData, data: _PointData,
-                     override) -> np.ndarray:
-    if override is not None:
-        raw = np.asarray(override(u, v) if callable(override) else override,
-                         dtype=float)
-    else:
-        raw = shape.gradient_h
-        if math.sqrt(float(raw @ data.first @ raw)) <= GRADIENT_THRESHOLD:
-            raise CmcDegenerateError(
-                f"|grad f| below {GRADIENT_THRESHOLD:g} on {patch.name!r} at "
-                f"(u, v) = ({u:g}, {v:g}); supply x1_coefficients explicitly")
-    norm = math.sqrt(float(raw @ data.first @ raw))
-    if norm == 0.0:
-        raise ValueError("explicit X1 coefficients are zero")
-    return raw / norm
+    geo = LocalGeometry(patch, u, v)
+    return ShapeData(geo.A, geo.h, geo.K, geo.gradient_h,
+                     geo.principal_curvatures)
 
 
 def adapted_frame(patch: SurfacePatch, u: float, v: float,
@@ -265,47 +395,7 @@ def adapted_frame(patch: SurfacePatch, u: float, v: float,
     orients beta consistently with the two immersion variants of the
     biconservative family.
     """
-    data = _point_data(patch, u, v)
-    second = _second_form(patch, u, v, data)
-    A = np.linalg.solve(data.first, second)
-    h = 0.5 * float(np.trace(A))
-    dh = _mean_curvature_differential(patch, u, v)
-    gradient = np.linalg.solve(data.first, dh)
-    ambient = sectional_curvature(
-        TangentVector(data.point, data.du_f, FRAME),
-        TangentVector(data.point, data.dv_f, FRAME))
-    shape = ShapeData(A, h, ambient + float(np.linalg.det(A)), gradient,
-                      scipy.linalg.eigh(second, data.first, eigvals_only=True))
-
-    c1 = _x1_coefficients(patch, u, v, shape, data, x1_coefficients)
-    x1_f = c1[0] * data.du_f + c1[1] * data.dv_f
-    x2_f = np.cross(data.xi_f, x1_f)
-    theta = math.atan2(data.xi_f[2], x1_f[2])
-    beta = math.atan2(x2_f[1], x2_f[0])
-
-    lambda1 = float((A @ c1) @ data.first @ c1)
-    c2 = np.linalg.solve(data.first,
-                         np.array([np.dot(x2_f, data.du_f),
-                                   np.dot(x2_f, data.dv_f)]))
-    lambda2 = float((A @ c2) @ data.first @ c2)
-
-    return AdaptedFrameSample(
-        x1=TangentVector(data.point, x1_f, FRAME),
-        x2=TangentVector(data.point, x2_f, FRAME),
-        xi=TangentVector(data.point, data.xi_f, FRAME),
-        theta=theta, beta=beta, h=h,
-        lambda1=lambda1, lambda2=lambda2,
-        e3_defect=float(x2_f[2]))
-
-
-def _curvature_trace(data: _PointData) -> np.ndarray:
-    """Frame components of trace R(., xi) . over an orthonormal tangent
-    basis obtained by Gram-Schmidt on the parameter partials."""
-    t1 = data.du_f / np.linalg.norm(data.du_f)
-    w = data.dv_f - np.dot(data.dv_f, t1) * t1
-    t2 = w / np.linalg.norm(w)
-    return (curvature_components(t1, data.xi_f, t1)
-            + curvature_components(t2, data.xi_f, t2))
+    return LocalGeometry(patch, u, v).adapted_frame(x1_coefficients)
 
 
 def biconservative_residual(patch: SurfacePatch, u: float,
@@ -316,50 +406,7 @@ def biconservative_residual(patch: SurfacePatch, u: float,
     ``sqrt(r @ I @ r)`` with the first form ``I`` at the same point.  Zero
     (to discretization error) exactly on biconservative patches.
     """
-    data = _point_data(patch, u, v)
-    second = _second_form(patch, u, v, data)
-    A = np.linalg.solve(data.first, second)
-    h = 0.5 * float(np.trace(A))
-    dh = _mean_curvature_differential(patch, u, v)
-    gradient = np.linalg.solve(data.first, dh)
-
-    trace = _curvature_trace(data)
-    tangential = trace - np.dot(trace, data.xi_f) * data.xi_f
-    trace_coeffs = np.linalg.solve(data.first,
-                                   np.array([np.dot(tangential, data.du_f),
-                                             np.dot(tangential, data.dv_f)]))
-    return A @ gradient + h * gradient + h * trace_coeffs
-
-
-def _first_form_at(patch: SurfacePatch, u: float, v: float) -> np.ndarray:
-    return _point_data(patch, u, v).first
-
-
-def _surface_christoffel(patch: SurfacePatch, u: float,
-                         v: float) -> np.ndarray:
-    """Christoffel symbols of the induced metric, Gamma[k, i, j]."""
-    first = _first_form_at(patch, u, v)
-    d_first = np.stack([
-        central_diff(lambda s: _first_form_at(patch, s, v), u, patch.fd_step),
-        central_diff(lambda t: _first_form_at(patch, u, t), v, patch.fd_step),
-    ])
-    inv = np.linalg.inv(first)
-    gamma = np.zeros((2, 2, 2))
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                acc = 0.0
-                for l in range(2):
-                    acc += inv[k, l] * (d_first[i, l, j] + d_first[j, l, i]
-                                        - d_first[l, i, j])
-                gamma[k, i, j] = 0.5 * acc
-    return gamma
-
-
-def _as_scalar_field(field) -> ScalarField:
-    if isinstance(field, ScalarField):
-        return field
-    return ScalarField(value=field)
+    return LocalGeometry(patch, u, v).residual
 
 
 def laplace_beltrami(patch: SurfacePatch,
@@ -371,30 +418,7 @@ def laplace_beltrami(patch: SurfacePatch,
     present; anything missing is filled by central differences, which makes
     the result second-order accurate in the patch's difference steps.
     """
-    fld = _as_scalar_field(field)
-    phi_u = (fld.du(u, v) if fld.du is not None else
-             float(central_diff(lambda s: fld.value(s, v), u, patch.fd_step)))
-    phi_v = (fld.dv(u, v) if fld.dv is not None else
-             float(central_diff(lambda t: fld.value(u, t), v, patch.fd_step)))
-    phi_uu = (fld.duu(u, v) if fld.duu is not None else
-              float(central_diff2(lambda s: fld.value(s, v), u,
-                                  patch.fd_step2)))
-    phi_vv = (fld.dvv(u, v) if fld.dvv is not None else
-              float(central_diff2(lambda t: fld.value(u, t), v,
-                                  patch.fd_step2)))
-    phi_uv = (fld.duv(u, v) if fld.duv is not None else
-              float(mixed_diff(fld.value, u, v, patch.fd_step2)))
-
-    grad = (phi_u, phi_v)
-    hess = np.array([[phi_uu, phi_uv], [phi_uv, phi_vv]])
-    gamma = _surface_christoffel(patch, u, v)
-    inv = np.linalg.inv(_first_form_at(patch, u, v))
-    total = 0.0
-    for i in range(2):
-        for j in range(2):
-            correction = gamma[0, i, j] * grad[0] + gamma[1, i, j] * grad[1]
-            total += inv[i, j] * (hess[i, j] - correction)
-    return float(total)
+    return LocalGeometry(patch, u, v).laplacian(field)
 
 
 def biharmonic_normal_residual(patch: SurfacePatch, u: float, v: float,
@@ -409,20 +433,12 @@ def biharmonic_normal_residual(patch: SurfacePatch, u: float, v: float,
     obstruction.
     """
     if field is None:
-        field = ScalarField(
-            value=(patch.mean_curvature if patch.mean_curvature is not None
-                   else (lambda s, t: _mean_curvature_value(patch, s, t))),
-            du=patch.mean_curvature_du, dv=patch.mean_curvature_dv)
-    fld = _as_scalar_field(field)
-
-    data = _point_data(patch, u, v)
-    second = _second_form(patch, u, v, data)
-    A = np.linalg.solve(data.first, second)
-    h = 0.5 * float(np.trace(A))
-    norm_A_sq = float(np.trace(A @ A))
-    normal_trace = float(np.dot(_curvature_trace(data), data.xi_f))
-    lap = laplace_beltrami(patch, fld, u, v)
-    return lap - h * norm_A_sq - h * normal_trace
+        field = ScalarField(lambda s, t: _mean_curvature_value(patch, s, t),
+                            patch.mean_curvature_du, patch.mean_curvature_dv)
+    geo = LocalGeometry(patch, u, v)
+    norm_A_sq = float(np.trace(geo.A @ geo.A))
+    normal_trace = float(np.dot(geo.curvature_trace, geo.xi_f))
+    return geo.laplacian(field) - geo.h * norm_A_sq - geo.h * normal_trace
 
 
 def codazzi_residual(patch: SurfacePatch, u: float, v: float,
@@ -435,18 +451,14 @@ def codazzi_residual(patch: SurfacePatch, u: float, v: float,
     with the induced-metric Christoffel symbols.
     """
     z = np.asarray(z_coeffs, dtype=float)
-    data = _point_data(patch, u, v)
-    second = _second_form(patch, u, v, data)
-    gamma = _surface_christoffel(patch, u, v)
-
-    def sigma_at(s: float, t: float) -> np.ndarray:
-        d = _point_data(patch, s, t)
-        return _second_form(patch, s, t, d)
-
+    geo = LocalGeometry(patch, u, v)
+    second, gamma = geo.second, geo.surface_christoffel
     basis = np.eye(2)
     d_sigma = [
-        central_diff(lambda s: sigma_at(s, v), u, patch.fd_step),
-        central_diff(lambda t: sigma_at(u, t), v, patch.fd_step),
+        central_diff(lambda s: LocalGeometry(patch, s, v).second, u,
+                     patch.fd_step),
+        central_diff(lambda t: LocalGeometry(patch, u, t).second, v,
+                     patch.fd_step),
     ]
 
     def nabla_sigma(i: int, y: np.ndarray) -> float:
@@ -456,7 +468,7 @@ def codazzi_residual(patch: SurfacePatch, u: float, v: float,
         dz = gamma[:, i, :] @ z
         return lead - float(dy @ second @ z) - float(y @ second @ dz)
 
-    z_f = z[0] * data.du_f + z[1] * data.dv_f
-    lhs = float(np.dot(curvature_components(data.du_f, data.dv_f, z_f),
-                       data.xi_f))
+    z_f = z[0] * geo.du_f + z[1] * geo.dv_f
+    lhs = float(np.dot(curvature_components(geo.du_f, geo.dv_f, z_f),
+                       geo.xi_f))
     return lhs - (nabla_sigma(0, basis[1]) - nabla_sigma(1, basis[0]))

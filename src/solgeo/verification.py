@@ -34,18 +34,14 @@ from .biconservative_family import (CONSTANTS, EXPLICIT, ProfileSolution,
 from .exact_poly import (IntPolynomial, coefficients_as_strings,
                          nonexistence_combination, obstruction_cubic,
                          obstruction_quintic, real_roots_interval)
-from .numerics import central_diff
 from .patch import SurfacePatch
 from .sol_space import (FRAME, Point, TangentVector, canonical_leaf,
                         christoffel, covariant_derivative, curvature_tensor,
                         curvature_tensor_fd, frame_connection, frame_vector,
                         metric_at, sectional_curvature)
-from .surface_calculus import (CmcDegenerateError, ScalarField, adapted_frame,
-                               biconservative_residual,
-                               biharmonic_normal_residual,
-                               laplace_beltrami, shape_data)
-from .surface_calculus import (_curvature_trace, _mean_curvature_differential,
-                               _point_data, _to_frame)
+from .surface_calculus import (CmcDegenerateError, LocalGeometry, ScalarField,
+                               biharmonic_normal_residual, fundamental_forms,
+                               shape_data)
 
 __all__ = [
     "CheckReport",
@@ -165,12 +161,6 @@ def _grid_context(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray,
 # -- adapted-frame identity machinery ------------------------------------
 
 
-def _param_coefficients(data, vec_frame: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(data.first,
-                           np.array([float(np.dot(vec_frame, data.du_f)),
-                                     float(np.dot(vec_frame, data.dv_f))]))
-
-
 @dataclass(frozen=True)
 class _FramePointEval:
     """All identity ingredients at one parameter point.
@@ -178,7 +168,8 @@ class _FramePointEval:
     Directional derivatives of theta, beta and of the X1 field are taken
     along the parameter lines and contracted with the frame's
     parameter-basis coefficients; covariant corrections use the ambient
-    Christoffel symbols at the surface point.
+    Christoffel symbols at the surface point.  ``stencil`` holds the
+    records at (u + step, v), (u - step, v), (u, v + step), (u, v - step).
     """
 
     theta: float
@@ -196,6 +187,7 @@ class _FramePointEval:
     x2_frame: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
+    stencil: Tuple[LocalGeometry, ...]
 
     def tangential_norm(self, vec: np.ndarray) -> float:
         """Length of the projection onto the (X1, X2) tangent plane."""
@@ -203,37 +195,38 @@ class _FramePointEval:
                           float(np.dot(vec, self.x2_frame)))
 
 
+def _stencil_rates(values, step: float):
+    """(d/du, d/dv) by central differences over the four stencil values."""
+    east, west, north, south = values
+    return (east - west) / (2.0 * step), (north - south) / (2.0 * step)
+
+
 def _frame_point_eval(patch: SurfacePatch, u: float, v: float,
                       override, step: float) -> _FramePointEval:
-    center = adapted_frame(patch, u, v, override)
-    east = adapted_frame(patch, u + step, v, override)
-    west = adapted_frame(patch, u - step, v, override)
-    north = adapted_frame(patch, u, v + step, override)
-    south = adapted_frame(patch, u, v - step, override)
+    geo = LocalGeometry(patch, u, v)
+    center = geo.adapted_frame(override)
+    stencil = tuple(LocalGeometry(patch, s, t) for s, t in (
+        (u + step, v), (u - step, v), (u, v + step), (u, v - step)))
+    frames = [g.adapted_frame(override) for g in stencil]
 
-    data = _point_data(patch, u, v)
-    c1 = _param_coefficients(data, center.x1.components)
-    c2 = _param_coefficients(data, center.x2.components)
+    c1 = geo.param_coefficients(center.x1.components)
+    c2 = geo.param_coefficients(center.x2.components)
 
-    dth_du = (east.theta - west.theta) / (2.0 * step)
-    dth_dv = (north.theta - south.theta) / (2.0 * step)
-    dbe_du = (east.beta - west.beta) / (2.0 * step)
-    dbe_dv = (north.beta - south.beta) / (2.0 * step)
+    dth_du, dth_dv = _stencil_rates([f.theta for f in frames], step)
+    dbe_du, dbe_dv = _stencil_rates([f.beta for f in frames], step)
 
     def x1_coord(sample):
         return sample.x1.in_coordinates().components
 
-    dx1_du = (x1_coord(east) - x1_coord(west)) / (2.0 * step)
-    dx1_dv = (x1_coord(north) - x1_coord(south)) / (2.0 * step)
+    dx1_du, dx1_dv = _stencil_rates([x1_coord(f) for f in frames], step)
     w0 = x1_coord(center)
-    gamma = christoffel(data.point)
-    pos = data.point.as_array()
+    gamma = christoffel(geo.point)
 
     def nabla_x1(coeffs):
         dw = coeffs[0] * dx1_du + coeffs[1] * dx1_dv
-        direction = coeffs[0] * data.du_c + coeffs[1] * data.dv_c
+        direction = coeffs[0] * geo.du_c + coeffs[1] * geo.dv_c
         out = dw + np.einsum("kij,i,j->k", gamma, direction, w0)
-        return _to_frame(pos, out)
+        return geo.to_frame(out)
 
     return _FramePointEval(
         theta=center.theta, beta=center.beta, h=center.h,
@@ -244,7 +237,7 @@ def _frame_point_eval(patch: SurfacePatch, u: float, v: float,
         x2_beta=c2[0] * dbe_du + c2[1] * dbe_dv,
         nab1=nabla_x1(c1), nab2=nabla_x1(c2),
         x1_frame=center.x1.components, x2_frame=center.x2.components,
-        c1=c1, c2=c2)
+        c1=c1, c2=c2, stencil=stencil)
 
 
 def _identity_residuals(e: _FramePointEval) -> np.ndarray:
@@ -295,10 +288,8 @@ def check_frame_identities(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
     ]
 
 
-def _gradient_norm(patch: SurfacePatch, u: float, v: float) -> float:
-    data = _point_data(patch, u, v)
-    dh = _mean_curvature_differential(patch, u, v)
-    return math.sqrt(float(dh @ np.linalg.solve(data.first, dh)))
+def _gradient_norm(geo: LocalGeometry) -> float:
+    return math.sqrt(float(geo.dh @ geo.gradient_h))
 
 
 def check_angle_constraints(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
@@ -344,11 +335,10 @@ def check_angle_constraints(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
                     float(np.dot(e.nab2, e.x2_frame)) - kappa))
                 max_lambda2 = max(max_lambda2, abs(e.lambda2 - sign * s))
 
-                grad_dv = e.c2[0] * central_diff(
-                    lambda s_: _gradient_norm(patch, s_, v), u, step) \
-                    + e.c2[1] * central_diff(
-                        lambda t_: _gradient_norm(patch, u, t_), v, step)
-                max_mixed = max(max_mixed, abs(grad_dv))
+                # X2(|grad f|) from the stencil's own records.
+                g_du, g_dv = _stencil_rates(
+                    [_gradient_norm(g) for g in e.stencil], step)
+                max_mixed = max(max_mixed, abs(e.c2[0] * g_du + e.c2[1] * g_dv))
     except CmcDegenerateError as exc:
         ids = ["angle_cos_nonvanishing", "angle_sin_nonvanishing",
                "angle_theta_x1_derivative", "angle_theta_x2_derivative",
@@ -430,9 +420,8 @@ def rotated_leaf_fixture() -> Tuple[SurfacePatch, np.ndarray]:
 
 
 def _residual_norm(patch: SurfacePatch, u: float, v: float) -> float:
-    r = biconservative_residual(patch, u, v)
-    first = _point_data(patch, u, v).first
-    return math.sqrt(float(r @ first @ r))
+    geo = LocalGeometry(patch, u, v)
+    return geo.metric_norm(geo.residual)
 
 
 def check_cmc_rigidity(fixtures: Optional[Sequence[SurfacePatch]] = None,
@@ -462,9 +451,10 @@ def check_cmc_rigidity(fixtures: Optional[Sequence[SurfacePatch]] = None,
         max_f = 0.0
         for u in us:
             for v in vs:
-                max_grad = max(max_grad, _gradient_norm(patch, u, v))
-                max_res = max(max_res, _residual_norm(patch, u, v))
-                max_f = max(max_f, abs(shape_data(patch, u, v).h))
+                geo = LocalGeometry(patch, u, v)
+                max_grad = max(max_grad, _gradient_norm(geo))
+                max_res = max(max_res, geo.metric_norm(geo.residual))
+                max_f = max(max_f, abs(geo.h))
         cmc = max_grad <= 1e-6
         residual_zero = max_res <= 1e-8
         if cmc and residual_zero:
@@ -540,17 +530,16 @@ def check_biharmonic_obstruction(profile: ProfileSolution) -> List[CheckReport]:
     max_trace = 0.0
     max_residual_route = 0.0
     for u in sub_u:
-        data = _point_data(patch, u, v0)
-        sd = shape_data(patch, u, v0)
+        geo = LocalGeometry(patch, u, v0)
         fv = profile.f_at(u)
         sv = math.sin(profile.theta_at(u))
-        lap = laplace_beltrami(patch, f_field, u, v0)
+        lap = geo.laplacian(f_field)
         max_surface_route = max(max_surface_route,
                                 abs(lap - _laplacian_closed(u)))
-        norm_a_sq = float(np.trace(sd.A @ sd.A))
+        norm_a_sq = float(np.trace(geo.A @ geo.A))
         max_norm_a = max(max_norm_a, abs(
             norm_a_sq - (4.0 * fv * fv + 4.0 * fv * sv + 2.0 * sv * sv)))
-        trace_on_normal = float(np.dot(_curvature_trace(data), data.xi_f))
+        trace_on_normal = float(np.dot(geo.curvature_trace, geo.xi_f))
         max_trace = max(max_trace, abs(trace_on_normal - 2.0 * sv * sv))
         residual = biharmonic_normal_residual(patch, u, v0, f_field)
         required = 4.0 * fv * (fv * fv + fv * sv + sv * sv)
@@ -648,9 +637,9 @@ def check_polynomial_obstruction() -> CheckReport:
                          abs(lead))
     roots = real_roots_interval(combo, Fraction(0), bound)
 
-    mpmath.mp.dps = 50
-    g_star = (mpmath.sqrt(13) - 1) / 6
-    value_at_gstar = combo.evaluate(g_star)
+    with mpmath.workdps(50):
+        g_star = (mpmath.sqrt(13) - 1) / 6
+        value_at_gstar = combo.evaluate(g_star)
 
     max_error = float(max(coeff_mismatch, degree_mismatch, cancel))
     context = {
@@ -746,8 +735,6 @@ def _ambient_reports(seed: int) -> List[CheckReport]:
 
 
 def _leaf_reports() -> List[CheckReport]:
-    from .surface_calculus import fundamental_forms
-
     reports = []
     for kind, level in (("x_const", 0.3), ("y_const", -0.2)):
         patch = canonical_leaf(kind, level)

@@ -12,7 +12,8 @@ from solgeo.biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
                                           f_second_explicit, family_surface,
                                           gaussian_curvature_closed_form,
                                           integrate_implicit_profile,
-                                          profile_to_csv, solve_f,
+                                          profile_to_csv, psi_anchor,
+                                          psi_explicit, solve_f,
                                           theta_explicit,
                                           theta_prime_explicit)
 from solgeo.numerics import central_diff
@@ -245,6 +246,23 @@ def test_build_profile_validations():
                       theta_start=1.4)
     with pytest.raises(ValueError):
         build_profile("affine")
+
+
+def test_explicit_forms_reject_nan():
+    for form in (theta_explicit, theta_prime_explicit, f_explicit,
+                 f_prime_explicit, f_second_explicit, psi_explicit,
+                 psi_anchor, gaussian_curvature_closed_form):
+        with pytest.raises(ValueError):
+            form(math.nan)
+    with pytest.raises(ValueError):
+        build_profile(EXPLICIT, u_grid=np.linspace(-2.0, -0.5, 4),
+                      u0=math.nan)
+
+
+def test_explicit_psi_samples_are_the_closed_form(explicit_profile):
+    p = explicit_profile
+    for k, u in enumerate(p.u):
+        assert p.psi[k] == p.psi_at(u)
 
 
 def test_build_profile_implicit_clips_to_halt():

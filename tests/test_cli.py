@@ -165,6 +165,18 @@ def test_config_unknown_key(tmp_path, capsys):
     ["generate", "--kind", "implicit", "--u-min", "0", "--u-max", "1",
      "--c", "-2"],
     ["profile", "--step", "-1"],
+    ["profile", "--kind", "implicit", "--u-min", "0", "--u-max", "0.5",
+     "--c", "nan"],
+    ["profile", "--kind", "implicit", "--u-min", "0", "--u-max", "0.5",
+     "--theta-start=nan"],
+    ["profile", "--kind", "implicit", "--u-min", "0", "--u-max", "0.5",
+     "--step", "nan"],
+    ["generate", "--u0=nan"],
+    ["generate", "--u-min=-inf"],
+    ["generate", "--v-max", "inf"],
+    ["curvature", "--point", "nan,0,0"],
+    ["curvature", "--point=0,-inf,0"],
+    ["curvature", "--plane", "1:nan:0,E3"],
 ])
 def test_validation_exit_codes(argv, capsys):
     assert run(argv) == 2

@@ -1,11 +1,14 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from solgeo.sol_space import canonical_leaf
-from solgeo.surface_calculus import (CmcDegenerateError, ScalarField,
-                                     adapted_frame, biconservative_residual,
+from solgeo.sol_space import TangentVector, canonical_leaf
+from solgeo.surface_calculus import (CmcDegenerateError, LocalGeometry,
+                                     ScalarField, adapted_frame,
+                                     biconservative_residual,
                                      biharmonic_normal_residual,
                                      codazzi_residual, fundamental_forms,
                                      laplace_beltrami, shape_data)
@@ -113,3 +116,47 @@ def test_biharmonic_normal_residual_frozen_value(patch_x1, explicit_profile):
 def test_codazzi_residual_small_on_family(patch_x1):
     for z_coeffs in ((1.0, 0.0), (0.0, 1.0), (0.3, -0.8)):
         assert abs(codazzi_residual(patch_x1, -1.5, 0.1, z_coeffs)) < 1e-6
+
+
+def test_local_geometry_reads_each_handle_once(patch_x1):
+    calls = Counter()
+
+    def counted(name, handle):
+        def wrapper(u, v):
+            calls[name, u, v] += 1
+            return handle(u, v)
+        return wrapper
+
+    patch = dataclasses.replace(
+        patch_x1, immersion=counted("position", patch_x1.immersion),
+        d_u=counted("du", patch_x1.d_u), d_v=counted("dv", patch_x1.d_v),
+        d_uu=counted("duu", patch_x1.d_uu), d_uv=counted("duv", patch_x1.d_uv),
+        d_vv=counted("dvv", patch_x1.d_vv))
+    u, v = -1.0, 0.3
+    geo = LocalGeometry(patch, u, v)
+    for name in ("first", "second", "A", "h", "K", "principal_curvatures",
+                 "dh", "gradient_h", "curvature_trace", "residual",
+                 "surface_christoffel"):
+        getattr(geo, name)
+    frame = geo.adapted_frame()
+    geo.laplacian(lambda s, t: s * s + t)
+    assert {key[0] for key in calls if key[1:] == (u, v)} \
+        == {"position", "du", "dv", "duu", "duv", "dvv"}
+    assert max(calls.values()) == 1
+
+    sd = shape_data(patch, u, v)
+    assert np.array_equal(sd.A, geo.A)
+    assert sd.h == geo.h and sd.K == geo.K
+    assert np.array_equal(sd.gradient_h, geo.gradient_h)
+    assert np.array_equal(sd.principal_curvatures, geo.principal_curvatures)
+    assert np.array_equal(biconservative_residual(patch, u, v), geo.residual)
+    forms = fundamental_forms(patch, u, v)
+    assert np.array_equal(forms.first, geo.first)
+    assert np.array_equal(forms.second, geo.second)
+    view = adapted_frame(patch, u, v)
+    for field in dataclasses.fields(view):
+        a, b = getattr(view, field.name), getattr(frame, field.name)
+        if isinstance(a, TangentVector):
+            assert np.array_equal(a.components, b.components)
+        else:
+            assert a == b

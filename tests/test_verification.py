@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -138,6 +139,15 @@ def test_polynomial_obstruction_report():
     assert "constant_factor" in ctx
     # 50-digit evaluation at the positive quadratic root is far from zero
     assert abs(float(ctx["value_at_positive_quadratic_root"])) > 100.0
+
+
+def test_polynomial_suite_leaves_mpmath_precision():
+    with mpmath.workdps(20):
+        reports = run_suite("polynomial")
+        assert mpmath.mp.dps == 20
+    ctx = reports[0].as_dict()["context"]
+    assert ctx["value_at_positive_quadratic_root"] \
+        == "-558.473171767851653576281875324"
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)

@@ -12,23 +12,31 @@ implemented:
   (f - a1 sin theta)^{6 a2} = c (f - a2 sin theta)^{6 a1} at every angle;
   the profile is integrated numerically from theta' = -2 f.
 
-From a profile the quadratures Psi = int cos(theta), Phi1 = -int sin(theta)
-e^{Psi} and Phi2 = int sin(theta) e^{-Psi} build the two immersion
-variants: one with the first horizontal direction tangent, one with the
-second.
+From a profile the quadratures Psi = int cos(theta) and
+Phi1 = -int sin(theta) e^{Psi} build the two immersion variants: one with
+the first horizontal direction tangent, one with the second.  On the
+explicit kind both quadratures have closed forms: Psi is elementary, and
+with p = (1 - 3 a1)/4 and w = e^{4 a1 u} the substitution u -> w turns
+Phi1 into an incomplete beta integral,
+
+    Phi1(u) = -(e^{c0} / (2 a1)) [G(u) - G(u0)],
+    G(u) = e^{(2 a1 - 1) u} / p * 2F1(p, 2p; p + 1; -e^{4 a1 u}),
+
+which uses (2 a1 - 1)/(4 a1) = p and 1 - 1/(2 a1) = 2p, both consequences
+of 3 a1^2 + a1 - 1 = 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import hyp2f1
 
-from .numerics import SIMPSON_TOL, adaptive_simpson, hermite_eval, rk4_step
+from .numerics import adaptive_simpson, hermite_eval, rk4_step
 from .patch import SurfacePatch
 
 __all__ = [
@@ -51,6 +59,7 @@ __all__ = [
     "integrate_implicit_profile",
     "build_profile",
     "family_surface",
+    "family_vertices",
     "profile_to_csv",
 ]
 
@@ -150,6 +159,28 @@ def psi_anchor(u0: float) -> float:
     return u0 - math.log1p(math.exp(4.0 * a * u0)) / (2.0 * a)
 
 
+_P = (1.0 - 3.0 * CONSTANTS.a1) / 4.0
+
+
+def _phi1_primitive(u: float) -> float:
+    # G(u) of the module docstring, with w^p written as e^{(2 a1 - 1) u}
+    # so that it never underflows on u < 0.
+    a = CONSTANTS.a1
+    return (math.exp((2.0 * a - 1.0) * u) / _P
+            * float(hyp2f1(_P, 2.0 * _P, _P + 1.0, -math.exp(4.0 * a * u))))
+
+
+def _phi1_explicit(u: float, u0: float, c0: float) -> float:
+    """Closed-form Phi1(u) = -int_{u0}^{u} sin(theta) e^{Psi}; see the
+    module docstring."""
+    _require_negative(u)
+    try:
+        return -(math.exp(c0) / (2.0 * CONSTANTS.a1)) \
+            * (_phi1_primitive(u) - _phi1_primitive(u0))
+    except OverflowError:
+        raise ValueError(f"Phi1 overflows at u = {u:g}") from None
+
+
 def gaussian_curvature_closed_form(u: float) -> float:
     """Gaussian curvature of the explicit family, K = -cos^2 theta - 2 f sin theta.
 
@@ -203,11 +234,12 @@ def f_prime_implicit(theta: float, f: float) -> float:
 
 @dataclass(frozen=True)
 class ProfileSolution:
-    """Sampled profile (u, theta, f, Psi, Phi1, Phi2) of one family member.
+    """Sampled profile (u, theta, f, Psi, Phi1) of one family member.
 
-    ``u`` is strictly increasing; Psi and both Phi quadratures vanish at
-    the anchor ``u0``.  For the explicit kind the dense evaluators below
-    use the closed forms; for the implicit kind they use cubic Hermite
+    ``u`` is strictly increasing; Psi and Phi1 vanish at the anchor ``u0``.
+    For the explicit kind the dense evaluators below use the closed forms,
+    Phi1 included (see the module docstring), and every sample equals its
+    dense value exactly; for the implicit kind they use cubic Hermite
     interpolation through the stored samples, whose slopes are known
     exactly from the ODE, so dense accuracy is O(spacing^4).
     """
@@ -218,7 +250,6 @@ class ProfileSolution:
     f: np.ndarray
     psi: np.ndarray
     phi1: np.ndarray
-    phi2: np.ndarray
     u0: float
     c0: float = 0.0
     c: Optional[float] = None
@@ -228,7 +259,7 @@ class ProfileSolution:
     def __post_init__(self):
         if self.kind not in (EXPLICIT, IMPLICIT):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        for name in ("u", "theta", "f", "psi", "phi1", "phi2"):
+        for name in ("u", "theta", "f", "psi", "phi1"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=float))
         if not np.all(np.diff(self.u) > 0.0):
@@ -289,7 +320,7 @@ class ProfileSolution:
 
     def phi1_at(self, u: float) -> float:
         if self.kind == EXPLICIT:
-            return _phi1_explicit_quad(u, self.u0, self.c0)
+            return _phi1_explicit(u, self.u0, self.c0)
         return self._hermite(u, self.phi1, -np.sin(self.theta) * np.exp(self.psi))
 
     def phi1_prime_at(self, u: float) -> float:
@@ -300,19 +331,6 @@ class ProfileSolution:
         return (math.exp(self.psi_at(u)) * math.cos(theta)
                 * (2.0 * self.f_at(u) - math.sin(theta)))
 
-    def phi2_at(self, u: float) -> float:
-        if self.kind == EXPLICIT:
-            return _phi2_explicit_quad(u, self.u0, self.c0)
-        return self._hermite(u, self.phi2, np.sin(self.theta) * np.exp(-self.psi))
-
-    def phi2_prime_at(self, u: float) -> float:
-        return math.sin(self.theta_at(u)) * math.exp(-self.psi_at(u))
-
-    def phi2_second_at(self, u: float) -> float:
-        theta = self.theta_at(u)
-        return (-math.exp(-self.psi_at(u)) * math.cos(theta)
-                * (2.0 * self.f_at(u) + math.sin(theta)))
-
     # -- derived columns -------------------------------------------------
 
     def gaussian_curvature(self) -> np.ndarray:
@@ -322,8 +340,7 @@ class ProfileSolution:
 
     @property
     def samples(self) -> np.ndarray:
-        """Array of rows (u, theta, f, Psi, Phi) with Phi the first-variant
-        quadrature Phi1."""
+        """Array of rows (u, theta, f, Psi, Phi1)."""
         return np.column_stack((self.u, self.theta, self.f, self.psi,
                                 self.phi1))
 
@@ -337,22 +354,6 @@ class SurfaceSelector:
     def __post_init__(self):
         if self.variant not in ("x1", "x2"):
             raise ValueError(f"unknown surface variant {self.variant!r}")
-
-
-@lru_cache(maxsize=None)
-def _phi1_explicit_quad(u: float, u0: float, c0: float) -> float:
-    a = CONSTANTS.a1
-    return -adaptive_simpson(
-        lambda s: _sech(2.0 * a * s) * math.exp(psi_explicit(s, c0)),
-        u0, u, tol=SIMPSON_TOL)
-
-
-@lru_cache(maxsize=None)
-def _phi2_explicit_quad(u: float, u0: float, c0: float) -> float:
-    a = CONSTANTS.a1
-    return adaptive_simpson(
-        lambda s: _sech(2.0 * a * s) * math.exp(-psi_explicit(s, c0)),
-        u0, u, tol=SIMPSON_TOL)
 
 
 def _march_theta(c: float, theta_start: float, u_span: float, step: float):
@@ -417,8 +418,8 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
     first constraint violation, whichever comes first; the reason is
     recorded in ``halt_reason``.
 
-    Quadratures Psi, Phi1, Phi2 are accumulated per step with adaptive
-    Simpson on Hermite-dense theta, anchored to zero at u = 0.
+    The quadratures Psi and Phi1 are accumulated per step with adaptive
+    Simpson on Hermite-dense theta (and Psi), anchored to zero at u = 0.
     """
     if u_span <= 0.0:
         raise ValueError("u_span must be positive")
@@ -462,11 +463,9 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
 
     phi1 = accumulate(lambda s: -math.sin(theta_dense(s))
                       * math.exp(psi_dense(s)))
-    phi2 = accumulate(lambda s: math.sin(theta_dense(s))
-                      * math.exp(-psi_dense(s)))
 
     return ProfileSolution(kind=IMPLICIT, u=u, theta=theta, f=f, psi=psi,
-                           phi1=phi1, phi2=phi2, u0=0.0, c0=0.0, c=c,
+                           phi1=phi1, u0=0.0, c0=0.0, c=c,
                            halt_reason=reason, theta_error_estimate=estimate)
 
 
@@ -487,14 +486,15 @@ def build_profile(kind: str, c: Optional[float] = None,
         Strictly increasing sample points; negative for the explicit kind,
         nonnegative for the implicit one.
     u0:
-        Quadrature anchor with Psi(u0) = Phi(u0) = 0.  Defaults to -1 for
+        Quadrature anchor with Psi(u0) = Phi1(u0) = 0.  Defaults to -1 for
         the explicit kind and to the first grid point for the implicit
         kind.
 
-    Explicit Psi samples come from the closed form :func:`psi_explicit`,
-    the same values ``psi_at`` returns.  The quadratures are evaluated by
-    adaptive Simpson straight from the anchor to each grid point, so no
-    error accumulates across the grid.
+    Explicit samples come from the closed forms, the same values the dense
+    evaluators return: Psi from :func:`psi_explicit` and Phi1 from the
+    hypergeometric form in the module docstring, so no quadrature runs and
+    no error accumulates across the grid.  Implicit samples are the
+    integrated profile's dense values, shifted to vanish at the anchor.
     """
     if u_grid is None:
         raise ValueError("u_grid is required")
@@ -513,11 +513,9 @@ def build_profile(kind: str, c: Optional[float] = None,
         theta = np.array([theta_explicit(x) for x in grid])
         f = np.array([f_explicit(x) for x in grid])
         psi = np.array([psi_explicit(x, c0) for x in grid])
-        phi1 = np.array([_phi1_explicit_quad(x, anchor, c0) for x in grid])
-        phi2 = np.array([_phi2_explicit_quad(x, anchor, c0) for x in grid])
+        phi1 = np.array([_phi1_explicit(x, anchor, c0) for x in grid])
         return ProfileSolution(kind=EXPLICIT, u=grid, theta=theta, f=f,
-                               psi=psi, phi1=phi1, phi2=phi2, u0=anchor,
-                               c0=c0)
+                               psi=psi, phi1=phi1, u0=anchor, c0=c0)
 
     if kind == IMPLICIT:
         if c is None or theta_start is None:
@@ -539,16 +537,31 @@ def build_profile(kind: str, c: Optional[float] = None,
         f = np.array([full.f_at(x) for x in usable])
         psi_anchor_val = full.psi_at(anchor)
         phi1_anchor_val = full.phi1_at(anchor)
-        phi2_anchor_val = full.phi2_at(anchor)
         psi = np.array([full.psi_at(x) - psi_anchor_val for x in usable])
         phi1 = np.array([full.phi1_at(x) - phi1_anchor_val for x in usable])
-        phi2 = np.array([full.phi2_at(x) - phi2_anchor_val for x in usable])
         return ProfileSolution(kind=IMPLICIT, u=usable, theta=theta, f=f,
-                               psi=psi, phi1=phi1, phi2=phi2, u0=anchor,
+                               psi=psi, phi1=phi1, u0=anchor,
                                c0=0.0, c=c, halt_reason=full.halt_reason,
                                theta_error_estimate=full.theta_error_estimate)
 
     raise ValueError(f"unknown profile kind {kind!r}")
+
+
+def _variant_of(selector: Union[SurfaceSelector, str]) -> str:
+    if isinstance(selector, SurfaceSelector):
+        return selector.variant
+    return SurfaceSelector(str(selector)).variant
+
+
+def _layout(variant: str):
+    """Place (Phi1, Psi, v) in ambient coordinates for one variant.
+
+    The one statement of the x1/x2 layout: the immersion, its u-partials
+    (with v = 0) and :func:`family_vertices` all go through it.
+    """
+    if variant == "x1":
+        return lambda phi1, psi, v: (v, phi1, psi)
+    return lambda phi1, psi, v: (phi1, v, -psi)
 
 
 def family_surface(profile: ProfileSolution,
@@ -560,51 +573,50 @@ def family_surface(profile: ProfileSolution,
     contains the first horizontal frame field.  Variant ``x2`` is the
     image of x1 under the ambient isometry (x, y, z) -> (y, x, -z), i.e.
     (u, v) -> (Phi1(u), v, -Psi(u)); the swap also flips the sign case of
-    the scalar profile ODE, which is why x2 is generated from the
-    reflected data rather than from the Phi2 quadrature of this profile
-    (that literal substitution does not satisfy the tangential equation).
+    the scalar profile ODE, so x2 reuses this profile's Phi1 and Psi
+    through the reflection.
 
     All first and second partials and the mean curvature f(u) come from
     the profile's closed derivative relations, so downstream curvature
     computations are finite-difference-free unless explicitly stripped.
     """
-    variant = selector.variant if isinstance(selector, SurfaceSelector) \
-        else SurfaceSelector(str(selector)).variant
+    variant = _variant_of(selector)
+    place = _layout(variant)
+    ruling = (1.0, 0.0, 0.0) if variant == "x1" else (0.0, 1.0, 0.0)
     v_lo, v_hi = float(v_range[0]), float(v_range[1])
     domain = ((float(profile.u[0]), float(profile.u[-1])), (v_lo, v_hi))
     zero = np.zeros(3)
-
-    if variant == "x1":
-        patch = SurfacePatch(
-            immersion=lambda u, v: np.array([v, profile.phi1_at(u),
-                                             profile.psi_at(u)]),
-            d_u=lambda u, v: np.array([0.0, profile.phi1_prime_at(u),
-                                       profile.psi_prime_at(u)]),
-            d_v=lambda u, v: np.array([1.0, 0.0, 0.0]),
-            d_uu=lambda u, v: np.array([0.0, profile.phi1_second_at(u),
-                                        profile.psi_second_at(u)]),
-            d_uv=lambda u, v: zero,
-            d_vv=lambda u, v: zero,
-            mean_curvature=lambda u, v: profile.f_at(u),
-            mean_curvature_du=lambda u, v: profile.f_prime_at(u),
-            mean_curvature_dv=lambda u, v: 0.0,
-            domain=domain, name=f"family_x1_{profile.kind}")
-        return patch
-
     return SurfacePatch(
-        immersion=lambda u, v: np.array([profile.phi1_at(u), v,
-                                         -profile.psi_at(u)]),
-        d_u=lambda u, v: np.array([profile.phi1_prime_at(u), 0.0,
-                                   -profile.psi_prime_at(u)]),
-        d_v=lambda u, v: np.array([0.0, 1.0, 0.0]),
-        d_uu=lambda u, v: np.array([profile.phi1_second_at(u), 0.0,
-                                    -profile.psi_second_at(u)]),
+        immersion=lambda u, v: np.array(place(profile.phi1_at(u),
+                                              profile.psi_at(u), v)),
+        d_u=lambda u, v: np.array(place(profile.phi1_prime_at(u),
+                                        profile.psi_prime_at(u), 0.0)),
+        d_v=lambda u, v: np.array(ruling),
+        d_uu=lambda u, v: np.array(place(profile.phi1_second_at(u),
+                                         profile.psi_second_at(u), 0.0)),
         d_uv=lambda u, v: zero,
         d_vv=lambda u, v: zero,
         mean_curvature=lambda u, v: profile.f_at(u),
         mean_curvature_du=lambda u, v: profile.f_prime_at(u),
         mean_curvature_dv=lambda u, v: 0.0,
-        domain=domain, name=f"family_x2_{profile.kind}")
+        domain=domain, name=f"family_{variant}_{profile.kind}")
+
+
+def family_vertices(profile: ProfileSolution,
+                    selector: Union[SurfaceSelector, str],
+                    vs: Sequence[float]) -> Iterator[Tuple[float, float,
+                                                           float]]:
+    """Stream the points of one immersion variant over ``profile.u`` x
+    ``vs``, u-major, read from the profile's Phi1 and Psi samples.
+
+    Each point equals ``family_surface(profile, selector).position(u, v)``
+    at a sample u exactly, without evaluating the profile again.
+    """
+    place = _layout(_variant_of(selector))
+    rulings = [float(v) for v in vs]
+    return (place(phi1, psi, v)
+            for phi1, psi in zip(profile.phi1.tolist(), profile.psi.tolist())
+            for v in rulings)
 
 
 def profile_to_csv(profile: ProfileSolution, path: Optional[str] = None) -> str:

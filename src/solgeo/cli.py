@@ -15,14 +15,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .biconservative_family import (EXPLICIT, IMPLICIT, ProfileSolution,
                                     build_profile, family_surface,
-                                    profile_to_csv)
-from .patch import SurfacePatch
+                                    family_vertices, profile_to_csv)
 from .sol_space import (FRAME, DegeneratePlaneError, Point, TangentVector,
                         curvature_tensor, frame_vector, sectional_curvature)
 from .verification import SUITE_NAMES, reports_to_json, run_suite
@@ -64,6 +63,10 @@ class RunConfig:
                                           and math.isfinite(value)):
                 raise UsageError(f"{name} must be a finite number, "
                                  f"got {value!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
         if self.kind not in (EXPLICIT, IMPLICIT):
             raise UsageError(f"unknown family kind {self.kind!r}")
         if self.variant not in ("x1", "x2"):
@@ -93,6 +96,7 @@ class RunConfig:
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)} - {"command"}
 _FLOAT_FIELDS = ("c", "u_min", "u_max", "v_min", "v_max", "u0", "theta_start",
                  "step")
+_INT_FIELDS = ("nu", "nv", "seed")
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
@@ -127,72 +131,45 @@ def _build_family_profile(config: RunConfig) -> ProfileSolution:
                          theta_start=config.theta_start, step=config.step)
 
 
-def _mesh_lines_obj(patch: SurfacePatch, us: np.ndarray,
-                    vs: np.ndarray) -> List[str]:
-    lines = [f"# {patch.name}", f"# grid {len(us)} {len(vs)}"]
-    for u in us:
-        for v in vs:
-            x, y, z = patch.position(float(u), float(v))
-            lines.append(f"v {x:.12f} {y:.12f} {z:.12f}")
-    nv = len(vs)
-
-    def vertex(i: int, j: int) -> int:
-        return i * nv + j + 1
-
-    for i in range(len(us) - 1):
+def _mesh_lines(fmt: str, name: str, nu: int, nv: int,
+                vertices: Iterable[Tuple[float, float, float]]
+                ) -> Iterator[str]:
+    """Lines of an OBJ or ASCII PLY mesh over an ``nu`` x ``nv`` grid of
+    u-major ``vertices``, two triangles per grid cell."""
+    n_faces = 2 * (nu - 1) * (nv - 1)
+    if fmt == "obj":
+        yield f"# {name}"
+        yield f"# grid {nu} {nv}"
+        vertex_prefix, face_prefix, base = "v ", "f ", 1
+    else:
+        yield from ("ply", "format ascii 1.0", f"comment {name}",
+                    f"element vertex {nu * nv}",
+                    "property float x", "property float y",
+                    "property float z", f"element face {n_faces}",
+                    "property list uchar int vertex_indices", "end_header")
+        vertex_prefix, face_prefix, base = "", "3 ", 0
+    for x, y, z in vertices:
+        yield f"{vertex_prefix}{x:.12f} {y:.12f} {z:.12f}"
+    for i in range(nu - 1):
         for j in range(nv - 1):
-            a, b = vertex(i, j), vertex(i + 1, j)
-            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    return lines
-
-
-def _mesh_lines_ply(patch: SurfacePatch, us: np.ndarray,
-                    vs: np.ndarray) -> List[str]:
-    n_vertices = len(us) * len(vs)
-    n_faces = 2 * (len(us) - 1) * (len(vs) - 1)
-    lines = ["ply", "format ascii 1.0", f"comment {patch.name}",
-             f"element vertex {n_vertices}",
-             "property float x", "property float y", "property float z",
-             f"element face {n_faces}",
-             "property list uchar int vertex_indices", "end_header"]
-    for u in us:
-        for v in vs:
-            x, y, z = patch.position(float(u), float(v))
-            lines.append(f"{x:.12f} {y:.12f} {z:.12f}")
-    nv = len(vs)
-
-    def vertex(i: int, j: int) -> int:
-        return i * nv + j
-
-    for i in range(len(us) - 1):
-        for j in range(nv - 1):
-            a, b = vertex(i, j), vertex(i + 1, j)
-            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
-            lines.append(f"3 {a} {b} {c}")
-            lines.append(f"3 {a} {c} {d}")
-    return lines
+            a, b = i * nv + j + base, (i + 1) * nv + j + base
+            c, d = b + 1, a + 1
+            yield f"{face_prefix}{a} {b} {c}"
+            yield f"{face_prefix}{a} {c} {d}"
 
 
 def cmd_generate(config: RunConfig) -> int:
     profile = _build_family_profile(config)
-    patch = family_surface(profile, config.variant,
-                           v_range=(config.v_min, config.v_max))
-    us = profile.u
+    name = family_surface(profile, config.variant).name
     vs = np.linspace(config.v_min, config.v_max, config.nv)
-    if config.format == "obj":
-        lines = _mesh_lines_obj(patch, us, vs)
-        default_name = f"family_{config.variant}.obj"
-    else:
-        lines = _mesh_lines_ply(patch, us, vs)
-        default_name = f"family_{config.variant}.ply"
-    path = config.output or default_name
+    nu, nv = len(profile.u), len(vs)
+    lines = _mesh_lines(config.format, name, nu, nv,
+                        family_vertices(profile, config.variant, vs))
+    path = config.output or f"family_{config.variant}.{config.format}"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-    n_vertices = len(us) * len(vs)
-    n_faces = 2 * (len(us) - 1) * (len(vs) - 1)
-    print(f"wrote {path}: {n_vertices} vertices, {n_faces} triangles")
+        handle.writelines(line + "\n" for line in lines)
+    print(f"wrote {path}: {nu * nv} vertices, "
+          f"{2 * (nu - 1) * (nv - 1)} triangles")
     return 0
 
 

@@ -89,7 +89,8 @@ class IntPolynomial:
 
     def evaluate(self, x):
         """Horner evaluation; exact for int/Fraction x, and usable with
-        float or mpmath arguments."""
+        float or ``decimal.Decimal`` arguments (the latter to the current
+        decimal context's precision)."""
         acc = self.coefficients[-1] * (x ** 0)
         for c in reversed(self.coefficients[:-1]):
             acc = acc * x + c

@@ -10,6 +10,7 @@ from solgeo.biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
                                           build_profile, f_explicit,
                                           f_prime_explicit, f_prime_implicit,
                                           f_second_explicit, family_surface,
+                                          family_vertices,
                                           gaussian_curvature_closed_form,
                                           integrate_implicit_profile,
                                           profile_to_csv, psi_anchor,
@@ -19,21 +20,17 @@ from solgeo.biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
 from solgeo.numerics import central_diff
 
 # 40-digit reference values (adaptive Gauss-Legendre for the quadratures,
-# anchored at u0 = -1): columns theta, f, Psi, Phi1, Phi2.
+# anchored at u0 = -1): columns theta, f, Psi, Phi1.
 ORACLE = {
     -4.0: (3.079631100303538816, 0.026890120078212097,
-           2.814402759748696390, 2.571668350624391519,
-           -0.449851283134168364),
+           2.814402759748696390, 2.571668350624391519),
     -2.0: (2.793080119938342865, 0.148299355671356867,
-           0.848438031312653260, 0.752940336430151208,
-           -0.371085926606726292),
-    -1.0: (2.347062254032765164, 0.309858529205785760, 0.0, 0.0, 0.0),
+           0.848438031312653260, 0.752940336430151208),
+    -1.0: (2.347062254032765164, 0.309858529205785760, 0.0, 0.0),
     -0.5: (1.992016289707103781, 0.396300357435310086,
-           -0.283306533087743215, -0.349645159010202401,
-           0.481149025066478195),
+           -0.283306533087743215, -0.349645159010202401),
     -0.01: (1.579481388524919558, 0.434242167888013564,
-            -0.388577883232505925, -0.683450969556217777,
-            1.157687942755013326),
+            -0.388577883232505925, -0.683450969556217777),
 }
 
 K_ORACLE = {
@@ -67,17 +64,16 @@ def test_constants():
 
 @pytest.mark.parametrize("u", sorted(ORACLE))
 def test_theta_f_against_oracle(u):
-    theta, f, _, _, _ = ORACLE[u]
+    theta, f, _, _ = ORACLE[u]
     assert abs(theta_explicit(u) - theta) < 1e-14
     assert abs(f_explicit(u) - f) < 1e-15
 
 
 @pytest.mark.parametrize("u", sorted(ORACLE))
 def test_quadratures_against_oracle(explicit_profile, u):
-    _, _, psi, phi1, phi2 = ORACLE[u]
+    _, _, psi, phi1 = ORACLE[u]
     assert abs(explicit_profile.psi_at(u) - psi) < 1e-12
     assert abs(explicit_profile.phi1_at(u) - phi1) < 1e-12
-    assert abs(explicit_profile.phi2_at(u) - phi2) < 1e-12
 
 
 @pytest.mark.parametrize("u", sorted(K_ORACLE))
@@ -127,20 +123,38 @@ def test_psi_and_phi_derivatives(explicit_profile):
         assert abs(p.psi_second_at(u) - 2.0 * f * math.sin(th)) < 1e-13
         psi = p.psi_at(u)
         assert abs(p.phi1_prime_at(u) + math.sin(th) * math.exp(psi)) < 1e-12
-        assert abs(p.phi2_prime_at(u)
-                   - math.sin(th) * math.exp(-psi)) < 1e-12
-        # second derivatives against finite differences of the first
+        # second derivative against finite differences of the first
         fd = central_diff(p.phi1_prime_at, u, 1e-6)
         assert abs(p.phi1_second_at(u) - fd) < 1e-8
-        fd = central_diff(p.phi2_prime_at, u, 1e-6)
-        assert abs(p.phi2_second_at(u) - fd) < 1e-8
 
 
 def test_psi_anchor(explicit_profile):
     assert explicit_profile.u0 == -1.0
     assert abs(explicit_profile.psi_at(-1.0)) < 1e-15
     assert abs(explicit_profile.phi1_at(-1.0)) < 1e-15
-    assert abs(explicit_profile.phi2_at(-1.0)) < 1e-15
+
+
+def test_phi1_closed_form_between_simpson_nodes(explicit_profile):
+    # a node of linspace(-7, -0.001, 300), off the fixture's grid
+    u = -0.1180401337792647
+    assert abs(explicit_profile.phi1_at(u) + 0.6101795413533483731) < 1e-13
+
+
+def test_explicit_phi1_far_from_the_anchor():
+    profile = build_profile(EXPLICIT, u_grid=[-200.0, -10.0, -1.0])
+    for got, want in zip(profile.phi1[:2], (1222482445899.575309425,
+                                            12.00635386042802220948)):
+        assert abs(got - want) < 1e-13 * want
+    assert profile.phi1[2] == 0.0
+    # Phi1 itself exceeds double range below u = -5390 or so
+    with pytest.raises(ValueError, match="overflows"):
+        profile.phi1_at(-6000.0)
+
+
+def test_explicit_profile_rejects_rounded_angle():
+    # theta rounds to pi at u = -100 and u = -67, so it stops decreasing
+    with pytest.raises(ValueError, match="angle must decrease"):
+        build_profile(EXPLICIT, u_grid=np.linspace(-100.0, -1.0, 4))
 
 
 def test_samples_matrix(explicit_profile):
@@ -224,7 +238,7 @@ def test_profile_solution_validation():
     u = np.array([0.0, 1.0])
     good = dict(kind=IMPLICIT, u=u, theta=np.array([2.2, 2.1]),
                 f=np.array([1.0, 1.1]), psi=np.zeros(2), phi1=np.zeros(2),
-                phi2=np.zeros(2), u0=0.0, c=1.0)
+                u0=0.0, c=1.0)
     ProfileSolution(**good)
     with pytest.raises(ValueError):
         ProfileSolution(**{**good, "u": np.array([1.0, 0.0])})
@@ -314,6 +328,32 @@ def test_mirrored_variant_swaps_roles(explicit_profile):
     assert b[0] == pytest.approx(a[1], abs=1e-15)
     assert b[1] == pytest.approx(a[0], abs=1e-15)
     assert b[2] == pytest.approx(-a[2], abs=1e-15)
+
+
+@pytest.mark.parametrize("variant", ["x1", "x2"])
+@pytest.mark.parametrize("kind,u0", [(EXPLICIT, None), (EXPLICIT, -2.0),
+                                     (IMPLICIT, None), (IMPLICIT, 0.1)])
+def test_family_vertices_are_patch_positions(variant, kind, u0):
+    if kind == EXPLICIT:
+        profile = build_profile(EXPLICIT, u_grid=np.linspace(-3.0, -0.01, 9),
+                                u0=u0)
+    else:
+        profile = build_profile(IMPLICIT, c=1.0, theta_start=2.2, u0=u0,
+                                u_grid=np.linspace(0.0, 0.25, 9))
+    vs = np.linspace(-1.0, 1.0, 5)
+    patch = family_surface(profile, variant)
+
+    def exact(points):
+        # repr keeps the sign of zero, which the mesh text shows
+        return [tuple(repr(float(x)) for x in point) for point in points]
+
+    expected = exact(patch.position(float(u), float(v))
+                     for u in profile.u for v in vs)
+    assert exact(family_vertices(profile, variant, vs)) == expected
+    assert exact(family_vertices(profile, SurfaceSelector(variant),
+                                 vs)) == expected
+    with pytest.raises(ValueError):
+        family_vertices(profile, "x3", vs)
 
 
 def test_profile_to_csv_layout(explicit_profile):

@@ -157,6 +157,17 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", [{"nu": "abc"}, {"nv": 2.5},
+                                    {"seed": "7"}, {"seed": False}])
+def test_config_integer_fields(tmp_path, capsys, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert run(["generate", "--config", str(cfg),
+                "--output", str(tmp_path / "mesh.obj")]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "mesh.obj").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--u-min", "1", "--u-max", "-1"],
     ["generate", "--nu", "1"],

@@ -1,7 +1,14 @@
-"""No solgeo module imports another module's private (underscore) names."""
+"""No solgeo module imports another module's private (underscore) names,
+and the package imports exactly the third-party packages it declares."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "solgeo"
 
@@ -25,3 +32,31 @@ def test_no_cross_module_private_imports():
     assert paths
     offences = [line for path in paths for line in _private_imports(path)]
     assert offences == []
+
+
+def _third_party_imports():
+    names = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return sorted(names - set(sys.stdlib_module_names) - {"solgeo"})
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = PACKAGE_DIR.parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    declared = sorted(re.split(r"[\s<>=!~\[;]", requirement, maxsplit=1)[0]
+                      for requirement in project["dependencies"])
+    assert _third_party_imports() == declared
+
+
+def test_import_loads_no_mpmath():
+    code = "import sys, solgeo; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,7 +1,7 @@
+import decimal
 import json
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -141,10 +141,10 @@ def test_polynomial_obstruction_report():
     assert abs(float(ctx["value_at_positive_quadratic_root"])) > 100.0
 
 
-def test_polynomial_suite_leaves_mpmath_precision():
-    with mpmath.workdps(20):
-        reports = run_suite("polynomial")
-        assert mpmath.mp.dps == 20
+def test_polynomial_suite_leaves_decimal_precision():
+    precision = decimal.getcontext().prec
+    reports = run_suite("polynomial")
+    assert decimal.getcontext().prec == precision
     ctx = reports[0].as_dict()["context"]
     assert ctx["value_at_positive_quadratic_root"] \
         == "-558.473171767851653576281875324"

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
-from .numerics import adaptive_simpson, hermite_eval, rk4_step
+from .numerics import hermite_basis, hermite_eval
 from .patch import SurfacePatch
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "IMPLICIT",
     "FamilyConstants",
     "CONSTANTS",
+    "ProfileAngleError",
     "ProfileSolution",
     "SurfaceSelector",
     "theta_explicit",
@@ -232,6 +233,16 @@ def f_prime_implicit(theta: float, f: float) -> float:
     return -f * math.sin(2.0 * theta) / (3.0 * f + math.sin(theta))
 
 
+class ProfileAngleError(ValueError):
+    """The sampled angle of a profile does not decrease strictly.
+
+    On the explicit kind this happens where adjacent grid points give the
+    same double: theta rounds to pi below about u = -42, and above that
+    close samples can still round together (points 1.75e-3 apart do near
+    u = -35).
+    """
+
+
 @dataclass(frozen=True)
 class ProfileSolution:
     """Sampled profile (u, theta, f, Psi, Phi1) of one family member.
@@ -242,6 +253,10 @@ class ProfileSolution:
     dense value exactly; for the implicit kind they use cubic Hermite
     interpolation through the stored samples, whose slopes are known
     exactly from the ODE, so dense accuracy is O(spacing^4).
+
+    The angle must decrease strictly from sample to sample (theta' = -2 f
+    with f > 0); a profile that breaks this raises
+    :class:`ProfileAngleError`, naming the first sample where it stops.
     """
 
     kind: str
@@ -268,33 +283,48 @@ class ProfileSolution:
             raise ValueError("explicit profiles live on u < 0")
         if np.any(self.f <= 0.0):
             raise ValueError("profile mean curvature must stay positive")
-        if not np.all(np.diff(self.theta) < 0.0):
-            raise ValueError("profile angle must decrease strictly")
+        stalls = np.flatnonzero(~(np.diff(self.theta) < 0.0))
+        if stalls.size:
+            k = int(stalls[0])
+            u_prev, u_stop = map(float, self.u[k:k + 2])
+            t_prev, t_stop = map(float, self.theta[k:k + 2])
+            raise ProfileAngleError(
+                f"profile angle must decrease strictly, but it stops at "
+                f"u = {u_stop!r}: theta = {t_stop!r} there and {t_prev!r} "
+                f"at the previous sample u = {u_prev!r}"
+                + ("; the two samples round to the same double"
+                   if t_stop == t_prev else ""))
         if self.kind == IMPLICIT and not np.all(np.diff(self.f) > 0.0):
             raise ValueError("implicit profile requires increasing f "
                              "(theta'' < 0)")
         if self.kind == IMPLICIT:
-            slopes = np.array([f_prime_implicit(t, fv)
-                               for t, fv in zip(self.theta, self.f)])
-            object.__setattr__(self, "_f_slopes", slopes)
+            # The Hermite slope of each column, from the ODE, computed once.
+            slopes = {
+                "theta": -2.0 * self.f,
+                "f": np.array([f_prime_implicit(t, fv)
+                               for t, fv in zip(self.theta, self.f)]),
+                "psi": np.cos(self.theta),
+                "phi1": -np.sin(self.theta) * np.exp(self.psi),
+            }
+            object.__setattr__(self, "_slopes", slopes)
 
     # -- dense evaluation ------------------------------------------------
 
-    def _hermite(self, u: float, values: np.ndarray,
-                 slopes: np.ndarray) -> float:
+    def _hermite(self, u: float, column: str) -> float:
         if len(self.u) < 2:
             raise ValueError("need at least two samples for dense evaluation")
-        return float(hermite_eval(u, self.u, values, slopes))
+        return float(hermite_eval(u, self.u, getattr(self, column),
+                                  self._slopes[column]))
 
     def theta_at(self, u: float) -> float:
         if self.kind == EXPLICIT:
             return theta_explicit(u)
-        return self._hermite(u, self.theta, -2.0 * self.f)
+        return self._hermite(u, "theta")
 
     def f_at(self, u: float) -> float:
         if self.kind == EXPLICIT:
             return f_explicit(u)
-        return self._hermite(u, self.f, self._f_slopes)
+        return self._hermite(u, "f")
 
     def f_prime_at(self, u: float) -> float:
         if self.kind == EXPLICIT:
@@ -310,7 +340,7 @@ class ProfileSolution:
     def psi_at(self, u: float) -> float:
         if self.kind == EXPLICIT:
             return psi_explicit(u, self.c0)
-        return self._hermite(u, self.psi, np.cos(self.theta))
+        return self._hermite(u, "psi")
 
     def psi_prime_at(self, u: float) -> float:
         return math.cos(self.theta_at(u))
@@ -321,7 +351,7 @@ class ProfileSolution:
     def phi1_at(self, u: float) -> float:
         if self.kind == EXPLICIT:
             return _phi1_explicit(u, self.u0, self.c0)
-        return self._hermite(u, self.phi1, -np.sin(self.theta) * np.exp(self.psi))
+        return self._hermite(u, "phi1")
 
     def phi1_prime_at(self, u: float) -> float:
         return -math.sin(self.theta_at(u)) * math.exp(self.psi_at(u))
@@ -357,53 +387,94 @@ class SurfaceSelector:
 
 
 def _march_theta(c: float, theta_start: float, u_span: float, step: float):
-    """Fixed-step fourth-order march of theta' = -2 f(theta; c).
+    """Fixed-step classical Runge-Kutta march of theta' = -2 f(theta; c).
 
-    Returns node lists and the halt reason.  Constraint monitors run on
-    every accepted state, in this order: the angle leaving the quadrant
-    (sin theta cos theta reaching 0), the slope constraint theta' < 0
-    (f > 0), and the concavity constraint theta'' < 0 (f' > 0).
+    Returns node lists and the halt reason.  ``f`` is solved once per
+    angle: the value at an accepted sample is checked, stored and reused
+    as the next step's first stage, so a step costs four root solves.
+    Constraint monitors run on every accepted state, in this order: the
+    angle leaving the quadrant (sin theta cos theta reaching 0, checked
+    before solving), the slope constraint theta' < 0 (f > 0), and the
+    concavity constraint theta'' < 0 (f' > 0).
     """
 
-    def rhs(_u: float, state: np.ndarray) -> np.ndarray:
-        return np.array([-2.0 * solve_f(float(state[0]), c)])
-
-    def violates(theta: float):
-        if math.sin(theta) <= 0.0 or math.cos(theta) >= 0.0:
-            return "angle_degenerate"
-        f = solve_f(theta, c)
+    def violates(theta: float, f: float):
         if f <= 0.0:
             return "theta_prime_nonnegative"
         if f_prime_implicit(theta, f) <= 0.0:
             return "theta_second_nonnegative"
         return None
 
-    us = [0.0]
-    thetas = [theta_start]
-    fs = [solve_f(theta_start, c)]
-    reason = violates(theta_start)
+    def leaves_quadrant(theta: float) -> bool:
+        return math.sin(theta) <= 0.0 or math.cos(theta) >= 0.0
+
+    theta = theta_start
+    f = solve_f(theta, c)
+    us, thetas, fs = [0.0], [theta], [f]
+    reason = ("angle_degenerate" if leaves_quadrant(theta)
+              else violates(theta, f))
     if reason is not None:
         return us, thetas, fs, reason
 
     n_full = int(math.floor(u_span / step + 1e-9))
     remainder = u_span - n_full * step
     sizes = [step] * n_full + ([remainder] if remainder > 1e-10 * step else [])
-    state = np.array([theta_start])
     u = 0.0
     reason = "span_exhausted"
     for h in sizes:
-        state_new = rk4_step(rhs, u, state, h)
-        theta_new = float(state_new[0])
-        found = violates(theta_new)
+        k1 = -2.0 * f
+        k2 = -2.0 * solve_f(theta + 0.5 * h * k1, c)
+        k3 = -2.0 * solve_f(theta + 0.5 * h * k2, c)
+        k4 = -2.0 * solve_f(theta + h * k3, c)
+        theta_new = theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if leaves_quadrant(theta_new):
+            reason = "angle_degenerate"
+            break
+        f_new = solve_f(theta_new, c)
+        found = violates(theta_new, f_new)
         if found is not None:
             reason = found
             break
         u += h
-        state = state_new
+        theta, f = theta_new, f_new
         us.append(u)
-        thetas.append(theta_new)
-        fs.append(solve_f(theta_new, c))
+        thetas.append(theta)
+        fs.append(f)
     return us, thetas, fs, reason
+
+
+# The 8-node Gauss-Legendre rule on [-1, 1] for the per-step quadratures
+# of Psi and Phi1, and the Hermite basis at its nodes in a step's unit
+# parameter t = (x + 1) / 2.  The values are numpy.polynomial.legendre.
+# leggauss(8) exactly (tests compare them); calling it here would load
+# numpy's LAPACK on import, which costs about 1 MB of resident memory.
+_GAUSS_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362])
+_GAUSS_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
+_GAUSS_BASIS = hermite_basis(0.5 * (_GAUSS_NODES + 1.0))
+
+
+def _hermite_at_gauss_nodes(u: np.ndarray, values: np.ndarray,
+                            slopes: np.ndarray) -> np.ndarray:
+    """The Hermite cubic of every step u[k] -> u[k+1] at the Gauss nodes,
+    one row per step."""
+    h = np.diff(u)[:, None]
+    h00, h10, h01, h11 = _GAUSS_BASIS
+    return (h00 * values[:-1, None] + h10 * h * slopes[:-1, None]
+            + h01 * values[1:, None] + h11 * h * slopes[1:, None])
+
+
+def _cumulative_gauss(u: np.ndarray, integrand: np.ndarray) -> np.ndarray:
+    """Running integral from u[0] of an integrand given at the Gauss nodes
+    of every step."""
+    half_steps = 0.5 * np.diff(u)
+    return np.concatenate(([0.0],
+                           np.cumsum(half_steps * (integrand @ _GAUSS_WEIGHTS))))
 
 
 def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
@@ -418,8 +489,10 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
     first constraint violation, whichever comes first; the reason is
     recorded in ``halt_reason``.
 
-    The quadratures Psi and Phi1 are accumulated per step with adaptive
-    Simpson on Hermite-dense theta (and Psi), anchored to zero at u = 0.
+    The quadratures Psi = int cos(theta) and Phi1 = -int sin(theta) e^{Psi}
+    are anchored to zero at u = 0 and integrated over every step with an
+    8-node Gauss-Legendre rule on the Hermite cubics of theta (slope -2 f)
+    and of Psi (slope cos theta), the same cubics the dense evaluators use.
     """
     if u_span <= 0.0:
         raise ValueError("u_span must be positive")
@@ -439,30 +512,10 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
             # Order-4 halving: the coarse-run error is about diff * 16/15.
             estimate = max(diffs) / 15.0
 
-    theta_slope = -2.0 * f
-    f_slope = np.array([f_prime_implicit(t, fv) for t, fv in zip(theta, f)])
-
-    def theta_dense(s: float) -> float:
-        return float(hermite_eval(s, u, theta, theta_slope))
-
-    def f_dense(s: float) -> float:
-        return float(hermite_eval(s, u, f, f_slope))
-
-    def accumulate(integrand) -> np.ndarray:
-        out = np.zeros(len(u))
-        for k in range(len(u) - 1):
-            out[k + 1] = out[k] + adaptive_simpson(integrand, u[k], u[k + 1],
-                                                   tol=1e-13)
-        return out
-
-    psi = accumulate(lambda s: math.cos(theta_dense(s)))
-    psi_slope = np.cos(theta)
-
-    def psi_dense(s: float) -> float:
-        return float(hermite_eval(s, u, psi, psi_slope))
-
-    phi1 = accumulate(lambda s: -math.sin(theta_dense(s))
-                      * math.exp(psi_dense(s)))
+    theta_nodes = _hermite_at_gauss_nodes(u, theta, -2.0 * f)
+    psi = _cumulative_gauss(u, np.cos(theta_nodes))
+    psi_nodes = _hermite_at_gauss_nodes(u, psi, np.cos(theta))
+    phi1 = _cumulative_gauss(u, -np.sin(theta_nodes) * np.exp(psi_nodes))
 
     return ProfileSolution(kind=IMPLICIT, u=u, theta=theta, f=f, psi=psi,
                            phi1=phi1, u0=0.0, c0=0.0, c=c,

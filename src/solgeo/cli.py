@@ -19,9 +19,10 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .biconservative_family import (EXPLICIT, IMPLICIT, ProfileSolution,
-                                    build_profile, family_surface,
-                                    family_vertices, profile_to_csv)
+from .biconservative_family import (EXPLICIT, IMPLICIT, ProfileAngleError,
+                                    ProfileSolution, build_profile,
+                                    family_surface, family_vertices,
+                                    profile_to_csv)
 from .sol_space import (FRAME, DegeneratePlaneError, Point, TangentVector,
                         curvature_tensor, frame_vector, sectional_curvature)
 from .verification import SUITE_NAMES, reports_to_json, run_suite
@@ -348,7 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         return _DISPATCH[config.command](config)
-    except UsageError as exc:
+    except (UsageError, ProfileAngleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegeneratePlaneError as exc:

@@ -126,32 +126,12 @@ def nonexistence_combination() -> IntPolynomial:
 
 
 def _sturm_chain(p: List[Fraction]) -> List[List[Fraction]]:
-    def degree(q):
-        return len(q) - 1
-
-    def rem(a, b):
-        a = a[:]
-        while len(a) >= len(b) and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            shift = len(a) - len(b)
-            factor = a[-1] / b[-1]
-            for i, c in enumerate(b):
-                a[i + shift] -= factor * c
-            while len(a) > 1 and a[-1] == 0:
-                a.pop()
-            if degree(a) < degree(b):
-                break
-        return a
-
     chain = [p]
     deriv = [k * c for k, c in enumerate(p)][1:]
     if deriv:
         chain.append(deriv)
-    while degree(chain[-1]) > 0:
-        r = rem(chain[-2][:], chain[-1])
-        r = [-c for c in r]
+    while len(chain[-1]) > 1:
+        r = [-c for c in _poly_divmod(chain[-2], chain[-1])[1]]
         if all(c == 0 for c in r):
             break
         chain.append(r)
@@ -176,19 +156,8 @@ def _eval_chain(chain, x: Fraction) -> int:
 def _squarefree(coeffs: List[Fraction]) -> List[Fraction]:
     # Divide out gcd(p, p') so Sturm counts distinct roots.
     def poly_gcd(a, b):
-        a, b = a[:], b[:]
         while any(c != 0 for c in b):
-            r = a[:]
-            while len(r) >= len(b):
-                if r[-1] == 0:
-                    r.pop()
-                    continue
-                shift = len(r) - len(b)
-                factor = r[-1] / b[-1]
-                for i, c in enumerate(b):
-                    r[i + shift] -= factor * c
-                while len(r) > 1 and r[-1] == 0:
-                    r.pop()
+            r = _poly_divmod(a, b)[1]
             a, b = b, r if any(c != 0 for c in r) else [Fraction(0)]
         return a
 

@@ -1,9 +1,10 @@
-"""Shared numerical kernels: central differences, adaptive Simpson
-quadrature, a classical fourth-order one-step integrator, and piecewise
-cubic Hermite evaluation.
+"""Shared numerical kernels: central differences and piecewise cubic
+Hermite evaluation.
 
-The step sizes and tolerances used package-wide live here so that every
-module differentiates and integrates the same way.
+The finite-difference step sizes used package-wide live here so that every
+module differentiates the same way.  The Hermite basis is written once and
+serves both the scalar evaluator and the implicit profile's per-step
+quadrature rule.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import numpy as np
 # derivative levels and needs a coarser step.
 DEFAULT_FD_STEP = 1e-5
 CURVATURE_FD_STEP = 1e-4
-
-# Default absolute tolerance for adaptive Simpson quadrature.
-SIMPSON_TOL = 1e-10
 
 
 def central_diff(func: Callable[[float], object], x: float,
@@ -56,47 +54,16 @@ def mixed_diff(func: Callable[[float, float], object], x: float, y: float,
     return (pp - pm - mp + mm) / (4.0 * step * step)
 
 
-def _simpson_recurse(func, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = func(lm)
-    frm = func(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    # Factor 15 from the order-4 error model of Simpson halving.
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return (_simpson_recurse(func, a, fa, m, fm, lm, flm, left, half, depth - 1)
-            + _simpson_recurse(func, m, fm, b, fb, rm, frm, right, half, depth - 1))
+def hermite_basis(t):
+    """Cubic Hermite basis (h00, h10, h01, h11) at ``t`` in [0, 1].
 
-
-def adaptive_simpson(func: Callable[[float], float], a: float, b: float,
-                     tol: float = SIMPSON_TOL, max_depth: int = 48) -> float:
-    """Integrate ``func`` over [a, b] to absolute tolerance ``tol``.
-
-    Standard adaptive Simpson with Richardson correction on accepted
-    panels.  ``a > b`` integrates backwards with the usual sign.
+    ``t`` may be a float or an array.  A cubic with values y0, y1 and
+    slopes m0, m1 at the ends of a step of length h is
+    h00 y0 + h10 h m0 + h01 y1 + h11 h m1.
     """
-    if a == b:
-        return 0.0
-    fa = func(a)
-    fb = func(b)
-    m = 0.5 * (a + b)
-    fm = func(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_recurse(func, a, fa, b, fb, m, fm, whole, tol, max_depth)
-
-
-def rk4_step(rhs: Callable[[float, np.ndarray], np.ndarray], u: float,
-             state: np.ndarray, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of size ``h``."""
-    k1 = np.asarray(rhs(u, state), dtype=float)
-    k2 = np.asarray(rhs(u + 0.5 * h, state + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(rhs(u + 0.5 * h, state + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(rhs(u + h, state + h * k3), dtype=float)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    omt = 1.0 - t
+    return ((1.0 + 2.0 * t) * omt * omt, t * omt * omt,
+            t * t * (3.0 - 2.0 * t), t * t * (t - 1.0))
 
 
 def hermite_eval(u: float, nodes: np.ndarray, values: np.ndarray,
@@ -110,11 +77,6 @@ def hermite_eval(u: float, nodes: np.ndarray, values: np.ndarray,
     i = int(np.searchsorted(nodes, u, side="right")) - 1
     i = min(max(i, 0), len(nodes) - 2)
     h = nodes[i + 1] - nodes[i]
-    t = (u - nodes[i]) / h
-    omt = 1.0 - t
-    h00 = (1.0 + 2.0 * t) * omt * omt
-    h10 = t * omt * omt
-    h01 = t * t * (3.0 - 2.0 * t)
-    h11 = t * t * (t - 1.0)
+    h00, h10, h01, h11 = hermite_basis((u - nodes[i]) / h)
     return (h00 * values[i] + h10 * h * slopes[i]
             + h01 * values[i + 1] + h11 * h * slopes[i + 1])

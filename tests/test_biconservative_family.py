@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from solgeo import biconservative_family
 from solgeo.biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
                                           ProfileSolution, SurfaceSelector,
                                           build_profile, f_explicit,
@@ -17,7 +19,7 @@ from solgeo.biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
                                           psi_explicit, solve_f,
                                           theta_explicit,
                                           theta_prime_explicit)
-from solgeo.numerics import central_diff
+from solgeo.numerics import central_diff, hermite_eval
 
 # 40-digit reference values (adaptive Gauss-Legendre for the quadratures,
 # anchored at u0 = -1): columns theta, f, Psi, Phi1.
@@ -205,6 +207,69 @@ def test_implicit_march(implicit_solution):
     assert np.all(np.diff(sol.f) > 0)
     assert sol.theta_error_estimate is not None
     assert sol.theta_error_estimate < 1e-10
+
+
+def test_march_order_four():
+    # theta at u = 0.2 from steps h and h/2, against a run at h/8
+    reference = integrate_implicit_profile(1.0, 2.2, 0.2, 0.0025).theta[-1]
+    errors = []
+    for step in (0.02, 0.01):
+        sol = integrate_implicit_profile(1.0, 2.2, 0.2, step)
+        assert sol.halt_reason == "span_exhausted"
+        assert abs(sol.u[-1] - 0.2) < 1e-12
+        errors.append(abs(sol.theta[-1] - reference))
+    assert math.log2(errors[0] / errors[1]) > 3.8
+
+
+def test_solve_f_once_per_angle(monkeypatch):
+    calls = []
+
+    def counted(theta, c):
+        calls.append(theta)
+        return solve_f(theta, c)
+
+    monkeypatch.setattr(biconservative_family, "solve_f", counted)
+    fine = integrate_implicit_profile(1.0, 2.2, 1.5, 1e-3)
+    monkeypatch.undo()
+    # the Richardson march at twice the step, run on its own
+    coarse = integrate_implicit_profile(1.0, 2.2, 1.5, 2e-3)
+    # Both marches stop at a step whose new angle leaves the quadrant, so
+    # each attempts one step per stored sample.  A march solves once at
+    # theta_start, three times per attempted step (stages 2-4) and once at
+    # every new angle inside the quadrant, which is 4 per attempted step.
+    assert fine.halt_reason == coarse.halt_reason == "angle_degenerate"
+    attempted = len(fine.u) + len(coarse.u)
+    assert len(calls) == 4 * attempted
+
+
+def test_gauss_rule_is_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(biconservative_family._GAUSS_NODES, nodes)
+    assert np.array_equal(biconservative_family._GAUSS_WEIGHTS, weights)
+
+
+@pytest.mark.parametrize("c,theta_start,step", [(1.0, 2.2, 1e-3),
+                                                (100.0, 3.1, 0.2)])
+def test_implicit_quadratures_match_quad(c, theta_start, step):
+    # Psi and Phi1 integrate cos(theta) and -sin(theta) e^Psi over the
+    # Hermite cubics of theta and Psi, step by step
+    sol = integrate_implicit_profile(c, theta_start, 1.5, step)
+    assert len(sol.u) > 5
+
+    def theta(s):
+        return hermite_eval(s, sol.u, sol.theta, -2.0 * sol.f)
+
+    def psi(s):
+        return hermite_eval(s, sol.u, sol.psi, np.cos(sol.theta))
+
+    steps = list(zip(sol.u[:-1], sol.u[1:]))
+    d_psi = [quad(lambda s: math.cos(theta(s)), a, b, epsabs=1e-15)[0]
+             for a, b in steps]
+    d_phi1 = [quad(lambda s: -math.sin(theta(s)) * math.exp(psi(s)), a, b,
+                   epsabs=1e-15)[0] for a, b in steps]
+    assert sol.psi[0] == sol.phi1[0] == 0.0
+    assert np.max(np.abs(np.cumsum(d_psi) - sol.psi[1:])) < 1e-15
+    assert np.max(np.abs(np.cumsum(d_phi1) - sol.phi1[1:])) < 1e-15
 
 
 def test_implicit_dense_output_consistent(implicit_solution):

@@ -188,10 +188,25 @@ def test_config_integer_fields(tmp_path, capsys, values):
     ["curvature", "--point", "nan,0,0"],
     ["curvature", "--point=0,-inf,0"],
     ["curvature", "--plane", "1:nan:0,E3"],
+    ["generate", "--u-min", "-100"],
+    ["generate", "--u-min", "-35", "--nu", "20000"],
 ])
 def test_validation_exit_codes(argv, capsys):
     assert run(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_explicit_grid_where_theta_stops_decreasing(tmp_path, capsys):
+    mesh = tmp_path / "mesh.obj"
+    assert run(["generate", "--u-min", "-100", "--output", str(mesh)]) == 2
+    err = capsys.readouterr().err
+    assert "stops at u = -98.41285714285715" in err
+    assert "round to the same double" in err
+    assert not mesh.exists()
+    # two samples, -100 and -0.01, still decrease
+    assert run(["generate", "--u-min", "-100", "--nu", "2",
+                "--output", str(mesh)]) == 0
+    assert mesh.exists()
 
 
 def test_runtime_failure_exit_code(capsys):

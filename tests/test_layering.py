@@ -1,5 +1,7 @@
 """No solgeo module imports another module's private (underscore) names,
-and the package imports exactly the third-party packages it declares."""
+every public kernel in ``solgeo.numerics`` has a caller elsewhere in the
+package, and the package imports exactly the third-party packages it
+declares."""
 
 import ast
 import os
@@ -32,6 +34,24 @@ def test_no_cross_module_private_imports():
     assert paths
     offences = [line for path in paths for line in _private_imports(path)]
     assert offences == []
+
+
+def test_every_numerics_kernel_has_a_caller():
+    tree = ast.parse((PACKAGE_DIR / "numerics.py").read_text(encoding="utf-8"))
+    kernels = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")}
+    assert kernels
+    imported = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level == 1 and node.module == "numerics")
+                    or node.module == "solgeo.numerics"):
+                imported.update(alias.name for alias in node.names)
+    assert sorted(kernels - imported) == []
 
 
 def _third_party_imports():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from solgeo.numerics import (adaptive_simpson, central_diff, central_diff2,
-                             hermite_eval, mixed_diff, rk4_step)
+from solgeo.numerics import (central_diff, central_diff2, hermite_basis,
+                             hermite_eval, mixed_diff)
 
 
 def test_central_diff_scalar():
@@ -25,35 +25,13 @@ def test_mixed_diff():
     assert abs(got - math.cos(0.4) * math.exp(-0.3)) < 1e-7
 
 
-@pytest.mark.parametrize("func,a,b,exact", [
-    (math.sin, 0.0, math.pi, 2.0),
-    (math.exp, 0.0, 1.0, math.e - 1.0),
-    (lambda x: 1.0 / (1.0 + x * x), -1.0, 1.0, math.pi / 2.0),
-])
-def test_adaptive_simpson(func, a, b, exact):
-    assert abs(adaptive_simpson(func, a, b, 1e-10) - exact) < 1e-10
-
-
-def test_adaptive_simpson_reversed_interval():
-    forward = adaptive_simpson(math.exp, 0.0, 1.0, 1e-12)
-    backward = adaptive_simpson(math.exp, 1.0, 0.0, 1e-12)
-    assert abs(forward + backward) < 1e-12
-
-
-def test_rk4_order_four():
-    def rhs(_t, y):
-        return y
-
-    errors = []
-    for h in (0.1, 0.05):
-        y = np.array([1.0])
-        t = 0.0
-        for _ in range(round(1.0 / h)):
-            y = rk4_step(rhs, t, y, h)
-            t += h
-        errors.append(abs(y[0] - math.e))
-    order = math.log2(errors[0] / errors[1])
-    assert order > 3.8
+def test_hermite_basis_array_matches_scalar():
+    t = np.linspace(0.0, 1.0, 11)
+    columns = hermite_basis(t)
+    for k, tk in enumerate(t):
+        assert tuple(col[k] for col in columns) == hermite_basis(float(tk))
+    h00, h10, h01, h11 = columns
+    assert np.allclose(h00 + h01, 1.0, rtol=0.0, atol=1e-15)
 
 
 def test_hermite_eval_reproduces_cubics():

@@ -395,7 +395,9 @@ def _march_theta(c: float, theta_start: float, u_span: float, step: float):
     Constraint monitors run on every accepted state, in this order: the
     angle leaving the quadrant (sin theta cos theta reaching 0, checked
     before solving), the slope constraint theta' < 0 (f > 0), and the
-    concavity constraint theta'' < 0 (f' > 0).
+    concavity constraint theta'' < 0 (f' > 0).  A stage angle with
+    sin theta <= 0 has no f on the branch, so it also halts the march
+    with ``angle_degenerate``.
     """
 
     def violates(theta: float, f: float):
@@ -420,27 +422,30 @@ def _march_theta(c: float, theta_start: float, u_span: float, step: float):
     remainder = u_span - n_full * step
     sizes = [step] * n_full + ([remainder] if remainder > 1e-10 * step else [])
     u = 0.0
-    reason = "span_exhausted"
     for h in sizes:
         k1 = -2.0 * f
-        k2 = -2.0 * solve_f(theta + 0.5 * h * k1, c)
-        k3 = -2.0 * solve_f(theta + 0.5 * h * k2, c)
-        k4 = -2.0 * solve_f(theta + h * k3, c)
+        if math.sin(stage := theta + 0.5 * h * k1) <= 0.0:
+            return us, thetas, fs, "angle_degenerate"
+        k2 = -2.0 * solve_f(stage, c)
+        if math.sin(stage := theta + 0.5 * h * k2) <= 0.0:
+            return us, thetas, fs, "angle_degenerate"
+        k3 = -2.0 * solve_f(stage, c)
+        if math.sin(stage := theta + h * k3) <= 0.0:
+            return us, thetas, fs, "angle_degenerate"
+        k4 = -2.0 * solve_f(stage, c)
         theta_new = theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if leaves_quadrant(theta_new):
-            reason = "angle_degenerate"
-            break
+            return us, thetas, fs, "angle_degenerate"
         f_new = solve_f(theta_new, c)
-        found = violates(theta_new, f_new)
-        if found is not None:
-            reason = found
-            break
+        reason = violates(theta_new, f_new)
+        if reason is not None:
+            return us, thetas, fs, reason
         u += h
         theta, f = theta_new, f_new
         us.append(u)
         thetas.append(theta)
         fs.append(f)
-    return us, thetas, fs, reason
+    return us, thetas, fs, "span_exhausted"
 
 
 # The 8-node Gauss-Legendre rule on [-1, 1] for the per-step quadratures

@@ -90,6 +90,11 @@ class RunConfig:
             if self.c <= 0:
                 raise UsageError("the integration constant c must be "
                                  "positive")
+            # the march's own quadrant rule for its starting angle
+            if math.sin(self.theta_start) <= 0 \
+                    or math.cos(self.theta_start) >= 0:
+                raise UsageError("theta_start must lie in (pi/2, pi), got "
+                                 f"{self.theta_start!r}")
         if self.suite not in SUITE_NAMES + ("all",):
             raise UsageError(f"unknown suite {self.suite!r}")
 

@@ -19,10 +19,6 @@ Immersion = Callable[[float, float], np.ndarray]
 VectorHandle = Callable[[float, float], np.ndarray]
 ScalarHandle = Callable[[float, float], float]
 
-# Second-order difference quotients sit at a different truncation/round-off
-# optimum than first-order ones.
-SECOND_ORDER_FD_STEP = 1e-4
-
 
 @dataclass(frozen=True)
 class SurfacePatch:
@@ -38,6 +34,10 @@ class SurfacePatch:
     orientation:
         ``+1`` or ``-1``; flips the unit normal so constructors can realize
         a chosen mean-curvature sign.
+    fd_step:
+        Central-difference step of the first-partial fallbacks.  Missing
+        second partials are differenced with the kernels' default step
+        ``numerics.CURVATURE_FD_STEP``.
     d_u .. d_vv:
         Optional analytic first and second partials of the immersion.
     mean_curvature, mean_curvature_du, mean_curvature_dv:
@@ -52,7 +52,6 @@ class SurfacePatch:
     name: str = "patch"
     orientation: int = 1
     fd_step: float = DEFAULT_FD_STEP
-    fd_step2: float = SECOND_ORDER_FD_STEP
     d_u: Optional[VectorHandle] = None
     d_v: Optional[VectorHandle] = None
     d_uu: Optional[VectorHandle] = None
@@ -85,17 +84,17 @@ class SurfacePatch:
     def duu(self, u: float, v: float) -> np.ndarray:
         if self.d_uu is not None:
             return np.asarray(self.d_uu(u, v), dtype=float)
-        return central_diff2(lambda s: self.immersion(s, v), u, self.fd_step2)
+        return central_diff2(lambda s: self.immersion(s, v), u)
 
     def dvv(self, u: float, v: float) -> np.ndarray:
         if self.d_vv is not None:
             return np.asarray(self.d_vv(u, v), dtype=float)
-        return central_diff2(lambda t: self.immersion(u, t), v, self.fd_step2)
+        return central_diff2(lambda t: self.immersion(u, t), v)
 
     def duv(self, u: float, v: float) -> np.ndarray:
         if self.d_uv is not None:
             return np.asarray(self.d_uv(u, v), dtype=float)
-        return mixed_diff(self.immersion, u, v, self.fd_step2)
+        return mixed_diff(self.immersion, u, v)
 
     def grid(self, nu: int, nv: int) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform parameter samples over the domain, ``nu`` by ``nv``."""

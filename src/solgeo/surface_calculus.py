@@ -171,7 +171,8 @@ class LocalGeometry:
         cross = np.cross(du_f, dv_f)
         norm = np.linalg.norm(cross)
         scale = np.linalg.norm(du_f) * np.linalg.norm(dv_f)
-        if norm <= 1e-10 * max(scale, 1e-30):
+        # written so that a NaN partial is degenerate too
+        if not norm > 1e-10 * max(scale, 1e-30):
             raise DegenerateParametrizationError(
                 f"parametrization of {patch.name!r} degenerates at "
                 f"(u, v) = ({u:g}, {v:g})")
@@ -328,13 +329,11 @@ class LocalGeometry:
                  float(central_diff(lambda t: fld.value(u, t), v,
                                     patch.fd_step)))
         phi_uu = (fld.duu(u, v) if fld.duu is not None else
-                  float(central_diff2(lambda s: fld.value(s, v), u,
-                                      patch.fd_step2)))
+                  float(central_diff2(lambda s: fld.value(s, v), u)))
         phi_vv = (fld.dvv(u, v) if fld.dvv is not None else
-                  float(central_diff2(lambda t: fld.value(u, t), v,
-                                      patch.fd_step2)))
+                  float(central_diff2(lambda t: fld.value(u, t), v)))
         phi_uv = (fld.duv(u, v) if fld.duv is not None else
-                  float(mixed_diff(fld.value, u, v, patch.fd_step2)))
+                  float(mixed_diff(fld.value, u, v)))
 
         grad = (phi_u, phi_v)
         hess = np.array([[phi_uu, phi_uv], [phi_uv, phi_vv]])

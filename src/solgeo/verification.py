@@ -7,6 +7,11 @@ reversed: the reported error is the shortfall below a required floor, so a
 fixture that is supposed to violate a property *passes* its control check
 by violating it decisively.
 
+A NaN at any evaluated point fails its check.  Each check evaluates its
+grid once into a float array and reduces it with ``np.max``/``np.min``,
+which propagate NaN (Python's ``max``/``min`` drop it), and a NaN error
+or shortfall compares as a failure.
+
 Suites (``run_suite``): ``ambient`` for the model space, ``frames`` for
 the adapted-frame identities and CMC rigidity evidence, ``family`` for the
 profile ODEs and the tangential residual, ``biharmonic`` for the
@@ -16,9 +21,11 @@ sign obstruction, ``polynomial`` for the exact integer identity, and
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -140,8 +147,8 @@ def _bounded_away(check_id: str, observed: float, floor: float,
     """Pass iff ``observed >= floor``; the error is the shortfall."""
     context = dict(context, observed=float(observed),
                    required_floor=float(floor))
-    return CheckReport.from_error(check_id, max(0.0, floor - observed), 0.0,
-                                  context)
+    return CheckReport.from_error(check_id, np.maximum(0.0, floor - observed),
+                                  0.0, context)
 
 
 def _suffixed(base: str, label: str) -> str:
@@ -156,6 +163,13 @@ def _grid_context(patch: SurfacePatch, us: np.ndarray, vs: np.ndarray,
            "grid": [int(len(us)), int(len(vs))]}
     ctx.update(extra)
     return ctx
+
+
+def _grid_rows(row, us: Sequence[float], vs: Sequence[float]) -> np.ndarray:
+    """``row(u, v)`` at every point of ``us x vs`` in u-major order, as a
+    float array with one entry (or one row) per point."""
+    return np.array([row(u, v) for u, v in itertools.product(us, vs)],
+                    dtype=float)
 
 
 # -- adapted-frame identity machinery ------------------------------------
@@ -258,6 +272,42 @@ def _identity_residuals(e: _FramePointEval) -> np.ndarray:
     ])
 
 
+@dataclass(frozen=True)
+class _FrameGrid:
+    """``_frame_point_eval`` at every grid point (u-major), or the reason
+    the patch has no adapted frame."""
+
+    patch: SurfacePatch
+    us: np.ndarray
+    vs: np.ndarray
+    evals: Tuple[_FramePointEval, ...] = ()
+    skipped: Optional[str] = None
+
+
+def _frame_grid(patch: SurfacePatch, grid: Tuple[int, int],
+                override) -> _FrameGrid:
+    us, vs = patch.grid(*grid)
+    try:
+        evals = tuple(_frame_point_eval(patch, u, v, override, patch.fd_step)
+                      for u, v in itertools.product(us, vs))
+    except CmcDegenerateError as exc:
+        return _FrameGrid(patch, us, vs, skipped=str(exc))
+    return _FrameGrid(patch, us, vs, evals)
+
+
+def _frame_identity_reports(fg: _FrameGrid, label: str,
+                            tolerance: float) -> List[CheckReport]:
+    ids = [_suffixed(f"frame_identity_{k}", label) for k in range(1, 9)]
+    if fg.skipped is not None:
+        return [CheckReport.skipped_report(cid, fg.skipped) for cid in ids]
+    maxima = np.max(np.abs([_identity_residuals(e) for e in fg.evals]),
+                    axis=0)
+    ctx = _grid_context(fg.patch, fg.us, fg.vs, fd_step=fg.patch.fd_step)
+    return [CheckReport.from_error(cid, err, tolerance,
+                                   dict(ctx, statement=statement))
+            for cid, err, statement in zip(ids, maxima, IDENTITY_STATEMENTS)]
+
+
 def check_frame_identities(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
                            x1_coefficients=None, label: str = "",
                            tolerance: float = 1e-7) -> List[CheckReport]:
@@ -267,29 +317,58 @@ def check_frame_identities(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
     On a CMC-degenerate patch (no gradient direction and no explicit
     ``x1_coefficients``) all eight reports are skipped with the reason.
     """
-    us, vs = patch.grid(*grid)
-    step = patch.fd_step
-    try:
-        maxima = np.zeros(8)
-        for u in us:
-            for v in vs:
-                e = _frame_point_eval(patch, u, v, x1_coefficients, step)
-                maxima = np.maximum(maxima, np.abs(_identity_residuals(e)))
-    except CmcDegenerateError as exc:
-        return [CheckReport.skipped_report(
-            _suffixed(f"frame_identity_{k}", label), str(exc))
-            for k in range(1, 9)]
-    ctx = _grid_context(patch, us, vs, fd_step=step)
-    return [
-        CheckReport.from_error(
-            _suffixed(f"frame_identity_{k}", label), maxima[k - 1], tolerance,
-            dict(ctx, statement=IDENTITY_STATEMENTS[k - 1]))
-        for k in range(1, 9)
-    ]
+    return _frame_identity_reports(
+        _frame_grid(patch, grid, x1_coefficients), label, tolerance)
 
 
 def _gradient_norm(geo: LocalGeometry) -> float:
     return math.sqrt(float(geo.dh @ geo.gradient_h))
+
+
+ANGLE_CHECK_IDS = (
+    "angle_cos_nonvanishing", "angle_sin_nonvanishing",
+    "angle_theta_x1_derivative", "angle_theta_x2_derivative",
+    "angle_x1_autoparallel", "angle_mixed_f_derivative",
+    "angle_lambda2_sign", "angle_x2_x1_derivative")
+
+
+def _angle_row(e: _FramePointEval, sign: float, step: float):
+    """The eight angle-check quantities at one point, in
+    ``ANGLE_CHECK_IDS`` order; the first two are floors, the rest errors."""
+    s, c = math.sin(e.theta), math.cos(e.theta)
+    # X2(|grad f|) from the stencil's own records.
+    g_du, g_dv = _stencil_rates([_gradient_norm(g) for g in e.stencil], step)
+    return (abs(c), abs(s), abs(e.x1_theta + 2.0 * e.h), abs(e.x2_theta),
+            e.tangential_norm(e.nab1),
+            abs(e.c2[0] * g_du + e.c2[1] * g_dv),
+            abs(e.lambda2 - sign * s),
+            # nabla_X2 X1 against -sign cos(theta) X2
+            math.hypot(float(np.dot(e.nab2, e.x1_frame)),
+                       float(np.dot(e.nab2, e.x2_frame)) + sign * c))
+
+
+def _angle_reports(fg: _FrameGrid, variant: str,
+                   label: str) -> List[CheckReport]:
+    ids = [_suffixed(cid, label) for cid in ANGLE_CHECK_IDS]
+    if fg.skipped is not None:
+        return [CheckReport.skipped_report(cid, fg.skipped) for cid in ids]
+    sign = -1.0 if variant == "x1" else 1.0
+    step = fg.patch.fd_step
+    rows = np.array([_angle_row(e, sign, step) for e in fg.evals])
+    lowest = np.min(rows[:, :2], axis=0)
+    largest = np.max(rows[:, 2:], axis=0)
+    ctx = _grid_context(fg.patch, fg.us, fg.vs, fd_step=step, variant=variant)
+    statements = ("X1(theta) = -2 f", "X2(theta) = 0",
+                  "nabla_X1 X1 = 0 in the surface connection",
+                  "X2(X1(f)) = 0", f"lambda2 = {sign:+.0f} sin(theta)",
+                  f"nabla_X2 X1 = {-sign:+.0f} cos(theta) X2")
+    tolerances = (1e-7, 1e-7, 1e-7, 1e-6, 1e-9, 1e-7)
+    return ([_bounded_away(cid, observed, 1e-6, ctx)
+             for cid, observed in zip(ids[:2], lowest)]
+            + [CheckReport.from_error(cid, err, tol,
+                                      dict(ctx, statement=statement))
+               for cid, err, tol, statement in zip(ids[2:], largest,
+                                                   tolerances, statements)])
 
 
 def check_angle_constraints(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
@@ -306,73 +385,7 @@ def check_angle_constraints(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
     """
     if variant not in ("x1", "x2"):
         raise ValueError(f"unknown variant {variant!r}")
-    us, vs = patch.grid(*grid)
-    step = patch.fd_step
-    sign = -1.0 if variant == "x1" else 1.0
-
-    min_cos = math.inf
-    min_sin = math.inf
-    max_theta_x1 = 0.0
-    max_theta_x2 = 0.0
-    max_autoparallel = 0.0
-    max_mixed = 0.0
-    max_lambda2 = 0.0
-    max_nab2 = 0.0
-    try:
-        for u in us:
-            for v in vs:
-                e = _frame_point_eval(patch, u, v, None, step)
-                s, c = math.sin(e.theta), math.cos(e.theta)
-                min_cos = min(min_cos, abs(c))
-                min_sin = min(min_sin, abs(s))
-                max_theta_x1 = max(max_theta_x1, abs(e.x1_theta + 2.0 * e.h))
-                max_theta_x2 = max(max_theta_x2, abs(e.x2_theta))
-                max_autoparallel = max(max_autoparallel,
-                                       e.tangential_norm(e.nab1))
-                kappa = (-sign) * c
-                max_nab2 = max(max_nab2, math.hypot(
-                    float(np.dot(e.nab2, e.x1_frame)),
-                    float(np.dot(e.nab2, e.x2_frame)) - kappa))
-                max_lambda2 = max(max_lambda2, abs(e.lambda2 - sign * s))
-
-                # X2(|grad f|) from the stencil's own records.
-                g_du, g_dv = _stencil_rates(
-                    [_gradient_norm(g) for g in e.stencil], step)
-                max_mixed = max(max_mixed, abs(e.c2[0] * g_du + e.c2[1] * g_dv))
-    except CmcDegenerateError as exc:
-        ids = ["angle_cos_nonvanishing", "angle_sin_nonvanishing",
-               "angle_theta_x1_derivative", "angle_theta_x2_derivative",
-               "angle_x1_autoparallel", "angle_mixed_f_derivative",
-               "angle_lambda2_sign", "angle_x2_x1_derivative"]
-        return [CheckReport.skipped_report(_suffixed(cid, label), str(exc))
-                for cid in ids]
-
-    ctx = _grid_context(patch, us, vs, fd_step=step, variant=variant)
-    return [
-        _bounded_away(_suffixed("angle_cos_nonvanishing", label), min_cos,
-                      1e-6, ctx),
-        _bounded_away(_suffixed("angle_sin_nonvanishing", label), min_sin,
-                      1e-6, ctx),
-        CheckReport.from_error(_suffixed("angle_theta_x1_derivative", label),
-                               max_theta_x1, 1e-7,
-                               dict(ctx, statement="X1(theta) = -2 f")),
-        CheckReport.from_error(_suffixed("angle_theta_x2_derivative", label),
-                               max_theta_x2, 1e-7,
-                               dict(ctx, statement="X2(theta) = 0")),
-        CheckReport.from_error(_suffixed("angle_x1_autoparallel", label),
-                               max_autoparallel, 1e-7,
-                               dict(ctx, statement="nabla_X1 X1 = 0 in the "
-                                                   "surface connection")),
-        CheckReport.from_error(_suffixed("angle_mixed_f_derivative", label),
-                               max_mixed, 1e-6,
-                               dict(ctx, statement="X2(X1(f)) = 0")),
-        CheckReport.from_error(
-            _suffixed("angle_lambda2_sign", label), max_lambda2, 1e-9,
-            dict(ctx, statement=f"lambda2 = {sign:+.0f} sin(theta)")),
-        CheckReport.from_error(
-            _suffixed("angle_x2_x1_derivative", label), max_nab2, 1e-7,
-            dict(ctx, statement=f"nabla_X2 X1 = {-sign:+.0f} cos(theta) X2")),
-    ]
+    return _angle_reports(_frame_grid(patch, grid, None), variant, label)
 
 
 # -- CMC rigidity fixtures ------------------------------------------------
@@ -433,7 +446,8 @@ def check_cmc_rigidity(fixtures: Optional[Sequence[SurfacePatch]] = None,
     tangential residual vanishes (below 1e-8), then |f| itself must be
     below tolerance.  Fixtures that are not CMC or not biconservative are
     consistent by themselves (they witness no counterexample) and the
-    report records their defect sizes.
+    report records their defect sizes.  A NaN anywhere on the grid leaves
+    the fixture ``undetermined`` with a NaN error, which fails.
     """
     if fixtures is None:
         fixtures = [
@@ -443,25 +457,23 @@ def check_cmc_rigidity(fixtures: Optional[Sequence[SurfacePatch]] = None,
             vertical_cylinder_fixture(),
             graph_patch_fixture(),
         ]
+
+    def row(patch: SurfacePatch, u: float, v: float):
+        geo = LocalGeometry(patch, u, v)
+        return (_gradient_norm(geo), geo.metric_norm(geo.residual), abs(geo.h))
+
     reports = []
     for patch in fixtures:
         us, vs = patch.grid(*grid)
-        max_grad = 0.0
-        max_res = 0.0
-        max_f = 0.0
-        for u in us:
-            for v in vs:
-                geo = LocalGeometry(patch, u, v)
-                max_grad = max(max_grad, _gradient_norm(geo))
-                max_res = max(max_res, geo.metric_norm(geo.residual))
-                max_f = max(max_f, abs(geo.h))
-        cmc = max_grad <= 1e-6
-        residual_zero = max_res <= 1e-8
-        if cmc and residual_zero:
-            classification = "cmc_biconservative"
-            err = max_f
+        maxima = np.max(_grid_rows(partial(row, patch), us, vs), axis=0)
+        max_grad, max_res, max_f = maxima
+        if np.isnan(maxima).any():
+            classification, err = "undetermined", math.nan
+        elif max_grad <= 1e-6 and max_res <= 1e-8:
+            classification, err = "cmc_biconservative", max_f
         else:
-            classification = "not_cmc" if not cmc else "not_biconservative"
+            classification = ("not_cmc" if max_grad > 1e-6
+                              else "not_biconservative")
             err = 0.0
         reports.append(CheckReport.from_error(
             f"cmc_rigidity_{patch.name}", err, 1e-8,
@@ -523,28 +535,25 @@ def check_biharmonic_obstruction(profile: ProfileSolution) -> List[CheckReport]:
         duv=lambda u, v: 0.0,
         dvv=lambda u, v: 0.0)
 
-    sub_u = us[:: max(1, len(us) // 8)]
-    v0 = 0.25
-    max_surface_route = 0.0
-    max_norm_a = 0.0
-    max_trace = 0.0
-    max_residual_route = 0.0
-    for u in sub_u:
-        geo = LocalGeometry(patch, u, v0)
+    def row(u: float, v: float):
+        geo = LocalGeometry(patch, u, v)
         fv = profile.f_at(u)
         sv = math.sin(profile.theta_at(u))
-        lap = geo.laplacian(f_field)
-        max_surface_route = max(max_surface_route,
-                                abs(lap - _laplacian_closed(u)))
+        lap = _laplacian_closed(u)
         norm_a_sq = float(np.trace(geo.A @ geo.A))
-        max_norm_a = max(max_norm_a, abs(
-            norm_a_sq - (4.0 * fv * fv + 4.0 * fv * sv + 2.0 * sv * sv)))
         trace_on_normal = float(np.dot(geo.curvature_trace, geo.xi_f))
-        max_trace = max(max_trace, abs(trace_on_normal - 2.0 * sv * sv))
-        residual = biharmonic_normal_residual(patch, u, v0, f_field)
+        residual = biharmonic_normal_residual(patch, u, v, f_field)
         required = 4.0 * fv * (fv * fv + fv * sv + sv * sv)
-        max_residual_route = max(max_residual_route, abs(
-            residual - (_laplacian_closed(u) - required)))
+        return (abs(geo.laplacian(f_field) - lap),
+                abs(norm_a_sq
+                    - (4.0 * fv * fv + 4.0 * fv * sv + 2.0 * sv * sv)),
+                abs(trace_on_normal - 2.0 * sv * sv),
+                abs(residual - (lap - required)))
+
+    sub_u = us[:: max(1, len(us) // 8)]
+    v0 = 0.25
+    (max_surface_route, max_norm_a, max_trace,
+     max_residual_route) = np.max(_grid_rows(row, sub_u, [v0]), axis=0)
 
     ctx = {"profile_kind": profile.kind,
            "u_range": [float(us[0]), float(us[-1])],
@@ -674,57 +683,51 @@ def _ambient_reports(seed: int) -> List[CheckReport]:
                 "sectional_e2_e3": (2, 3, -1.0),
                 "sectional_e1_e2": (1, 2, 1.0)}
     reports = []
-    values = {}
     for cid, (i, j, target) in expected.items():
-        worst = 0.0
-        for p in pts:
-            k = sectional_curvature(frame_vector(p, i), frame_vector(p, j))
-            worst = max(worst, abs(k - target))
-        values[cid] = target
+        worst = np.max([abs(sectional_curvature(frame_vector(p, i),
+                                                frame_vector(p, j)) - target)
+                        for p in pts])
         reports.append(CheckReport.from_error(
             f"ambient_{cid}", worst, 1e-12,
             {"points": len(pts), "seed": seed, "expected": target}))
 
-    worst = 0.0
-    for _ in range(50):
+    def oracle_error():
         p = Point(*rng.uniform(-2.0, 2.0, size=3))
         x, y, z = (TangentVector(p, rng.uniform(-1.0, 1.0, size=3), FRAME)
                    for _ in range(3))
         closed = curvature_tensor(x, y, z).components
         fd = curvature_tensor_fd(x, y, z).in_frame().components
-        worst = max(worst, float(np.max(np.abs(closed - fd))))
+        return np.abs(closed - fd)
+
+    worst = np.max([oracle_error() for _ in range(50)])
     reports.append(CheckReport.from_error(
         "ambient_curvature_fd_oracle", worst, 1e-6,
         {"triples": 50, "fd_step": 1e-4, "seed": seed}))
 
-    worst = 0.0
-    ortho = 0.0
-    for p in pts:
-        worst = max(worst, abs(metric_at(p).determinant - 1.0))
-        G = metric_at(p).matrix
-        for i in range(1, 4):
-            for j in range(1, 4):
-                vi = frame_vector(p, i).in_coordinates().components
-                vj = frame_vector(p, j).in_coordinates().components
-                ortho = max(ortho, abs(float(vi @ G @ vj)
-                                       - (1.0 if i == j else 0.0)))
+    def metric_row(p):
+        metric = metric_at(p)
+        frame = [frame_vector(p, i).in_coordinates().components
+                 for i in range(1, 4)]
+        return [abs(metric.determinant - 1.0)] + [
+            abs(float(vi @ metric.matrix @ vj) - (1.0 if i == j else 0.0))
+            for i, vi in enumerate(frame) for j, vj in enumerate(frame)]
+
+    rows = np.array([metric_row(p) for p in pts])
     reports.append(CheckReport.from_error(
-        "ambient_metric_determinant", worst, 1e-12,
+        "ambient_metric_determinant", np.max(rows[:, 0]), 1e-12,
         {"points": len(pts), "seed": seed}))
     reports.append(CheckReport.from_error(
-        "ambient_frame_orthonormality", ortho, 1e-12,
+        "ambient_frame_orthonormality", np.max(rows[:, 1:]), 1e-12,
         {"points": len(pts), "seed": seed}))
 
-    worst = 0.0
-    for _ in range(10):
-        p = Point(*rng.uniform(-2.0, 2.0, size=3))
-        for i in range(1, 4):
-            for j in range(1, 4):
-                field = (lambda jj: lambda q: frame_vector(q, jj))(j)
-                numeric = covariant_derivative(field, frame_vector(p, i))
-                table = frame_connection(i, j)
-                worst = max(worst, float(np.max(np.abs(
-                    numeric.in_frame().components - table))))
+    def connection_error(p):
+        return [np.abs(covariant_derivative(
+                    lambda q, j=j: frame_vector(q, j), frame_vector(p, i))
+                    .in_frame().components - frame_connection(i, j))
+                for i in range(1, 4) for j in range(1, 4)]
+
+    worst = np.max([connection_error(Point(*rng.uniform(-2.0, 2.0, size=3)))
+                    for _ in range(10)])
     reports.append(CheckReport.from_error(
         "ambient_connection_table", worst, 1e-8,
         {"points": 10, "seed": seed,
@@ -740,11 +743,9 @@ def _leaf_reports() -> List[CheckReport]:
     for kind, level in (("x_const", 0.3), ("y_const", -0.2)):
         patch = canonical_leaf(kind, level)
         us, vs = patch.grid(7, 7)
-        worst = 0.0
-        for u in us:
-            for v in vs:
-                forms = fundamental_forms(patch, u, v)
-                worst = max(worst, float(np.max(np.abs(forms.second))))
+        worst = np.max(_grid_rows(
+            lambda u, v: np.max(np.abs(fundamental_forms(patch, u, v).second)),
+            us, vs))
         reports.append(CheckReport.from_error(
             f"leaf_totally_geodesic_{kind}", worst, 1e-9,
             _grid_context(patch, us, vs,
@@ -752,18 +753,14 @@ def _leaf_reports() -> List[CheckReport]:
 
     patch = canonical_leaf("z_const", 0.15)
     us, vs = patch.grid(7, 7)
-    worst_h = 0.0
-    worst_k = 0.0
-    worst_eig = 0.0
-    for u in us:
-        for v in vs:
-            sd = shape_data(patch, u, v)
-            worst_h = max(worst_h, abs(sd.h))
-            worst_k = max(worst_k, abs(sd.K))
-            worst_eig = max(worst_eig,
-                            float(np.max(np.abs(
-                                np.sort(sd.principal_curvatures)
-                                - np.array([-1.0, 1.0])))))
+
+    def z_row(u: float, v: float):
+        sd = shape_data(patch, u, v)
+        return (abs(sd.h), abs(sd.K),
+                np.max(np.abs(np.sort(sd.principal_curvatures)
+                              - np.array([-1.0, 1.0]))))
+
+    worst_h, worst_k, worst_eig = np.max(_grid_rows(z_row, us, vs), axis=0)
     ctx = _grid_context(patch, us, vs)
     reports.append(CheckReport.from_error(
         "leaf_z_mean_curvature", worst_h, 1e-10,
@@ -788,24 +785,25 @@ def _frames_reports(seed: int) -> List[CheckReport]:
     profile = _default_explicit_profile()
     px1 = family_surface(profile, "x1")
     px2 = family_surface(profile, "x2")
+    # One frame evaluation per grid point serves both checks.
+    grids = {"x1": _frame_grid(px1, (9, 5), None),
+             "x2": _frame_grid(px2, (9, 5), None)}
     reports = []
-    reports += check_frame_identities(px1, (9, 5), label="x1")
-    reports += check_frame_identities(px2, (9, 5), label="x2")
-    reports += check_angle_constraints(px1, (9, 5), variant="x1", label="x1")
-    reports += check_angle_constraints(px2, (9, 5), variant="x2", label="x2")
+    for label, fg in grids.items():
+        reports += _frame_identity_reports(fg, label, 1e-7)
+    for label, fg in grids.items():
+        reports += _angle_reports(fg, label, label)
     reports += check_cmc_rigidity()
 
     # Negative controls: these fixtures are supposed to violate the
     # properties, and the control passes only if they do so decisively.
     leaf, coeffs = rotated_leaf_fixture()
     us, vs = leaf.grid(3, 3)
-    min_res = math.inf
-    for u in us:
-        for v in vs:
-            e = _frame_point_eval(leaf, u, v, coeffs, leaf.fd_step)
-            min_res = min(min_res, abs(_identity_residuals(e)[1]))
+    sin2beta = _grid_rows(lambda u, v: _identity_residuals(_frame_point_eval(
+        leaf, u, v, coeffs, leaf.fd_step))[1], us, vs)
     reports.append(_bounded_away(
-        "negative_control_rotated_leaf_sin2beta", min_res, 0.5,
+        "negative_control_rotated_leaf_sin2beta", np.min(np.abs(sin2beta)),
+        0.5,
         _grid_context(leaf, us, vs,
                       statement="a diagonally forced X1 must break "
                                 "X2(theta) = -sin(2 beta)",
@@ -813,10 +811,7 @@ def _frames_reports(seed: int) -> List[CheckReport]:
 
     graph = graph_patch_fixture()
     us, vs = graph.grid(8, 8)
-    max_res = 0.0
-    for u in us:
-        for v in vs:
-            max_res = max(max_res, _residual_norm(graph, u, v))
+    max_res = np.max(_grid_rows(partial(_residual_norm, graph), us, vs))
     reports.append(_bounded_away(
         "negative_control_graph_residual", max_res, 1e-3,
         _grid_context(graph, us, vs,
@@ -833,19 +828,19 @@ def _family_reports(seed: int) -> List[CheckReport]:
     reports = []
 
     dense = np.linspace(-4.0, -1e-3, 257)
-    worst = max(abs(theta_prime_explicit(u) + 2.0 * f_explicit(u))
-                for u in dense)
+    worst = np.max([abs(theta_prime_explicit(u) + 2.0 * f_explicit(u))
+                    for u in dense])
     reports.append(CheckReport.from_error(
         "family_theta_ode_explicit", worst, 1e-12,
         {"samples": len(dense), "u_range": [-4.0, -1e-3],
          "statement": "theta' + 2 f = 0, two evaluation routes"}))
 
-    worst = 0.0
-    for u in dense:
+    def scalar_ode(u: float) -> float:
         f, fp = f_explicit(u), f_prime_explicit(u)
         th = theta_explicit(u)
-        worst = max(worst, abs(3.0 * f * fp + fp * math.sin(th)
-                               + f * math.sin(2.0 * th)))
+        return abs(3.0 * f * fp + fp * math.sin(th) + f * math.sin(2.0 * th))
+
+    worst = np.max([scalar_ode(u) for u in dense])
     reports.append(CheckReport.from_error(
         "family_scalar_ode_explicit", worst, 1e-8,
         {"samples": len(dense),
@@ -859,17 +854,14 @@ def _family_reports(seed: int) -> List[CheckReport]:
         {"samples": len(profile.u),
          "statement": "sign(Psi') = sign(cos(theta)) between samples"}))
 
+    def shape_row(u: float, v: float):
+        sd = shape_data(px1, u, v)
+        return (abs(sd.h - f_explicit(u)),
+                abs(sd.K - gaussian_curvature_closed_form(u)), sd.K)
+
     sub_u = profile.u[::8]
-    worst_h = 0.0
-    worst_k = 0.0
-    max_k = -math.inf
-    for u in sub_u:
-        for v in (-0.5, 0.25):
-            sd = shape_data(px1, u, v)
-            worst_h = max(worst_h, abs(sd.h - f_explicit(u)))
-            worst_k = max(worst_k,
-                          abs(sd.K - gaussian_curvature_closed_form(u)))
-            max_k = max(max_k, sd.K)
+    worst_h, worst_k, max_k = np.max(
+        _grid_rows(shape_row, sub_u, (-0.5, 0.25)), axis=0)
     reports.append(CheckReport.from_error(
         "family_mean_curvature_match", worst_h, 1e-8,
         {"samples": len(sub_u) * 2,
@@ -885,10 +877,7 @@ def _family_reports(seed: int) -> List[CheckReport]:
 
     for label, patch in (("x1", px1), ("x2", px2)):
         us, vs = patch.grid(64, 16)
-        worst = 0.0
-        for u in us:
-            for v in vs:
-                worst = max(worst, _residual_norm(patch, u, v))
+        worst = np.max(_grid_rows(partial(_residual_norm, patch), us, vs))
         reports.append(CheckReport.from_error(
             f"family_biconservative_residual_{label}", worst, 1e-6,
             _grid_context(patch, us, vs,
@@ -897,20 +886,15 @@ def _family_reports(seed: int) -> List[CheckReport]:
 
     stripped = px1.without_curvature_handles()
     steps = (0.02, 0.01, 0.005)
-    errors = []
     us = np.linspace(-3.5, -0.5, 8)
     vs = np.linspace(-0.8, 0.8, 5)
-    for step in steps:
-        patch = stripped.with_fd_step(step)
-        worst = 0.0
-        for u in us:
-            for v in vs:
-                worst = max(worst, _residual_norm(patch, u, v))
-        errors.append(worst)
+    errors = [float(np.max(_grid_rows(
+        partial(_residual_norm, stripped.with_fd_step(step)), us, vs)))
+        for step in steps]
     orders = [math.log2(errors[i] / errors[i + 1])
               for i in range(len(errors) - 1)]
     reports.append(_bounded_away(
-        "family_residual_fd_convergence", min(orders), 1.8,
+        "family_residual_fd_convergence", np.min(orders), 1.8,
         {"steps": list(steps), "errors": errors, "orders": orders,
          "statement": "finite-difference residual converges at second "
                       "order"}))
@@ -918,12 +902,15 @@ def _family_reports(seed: int) -> List[CheckReport]:
     implicit = integrate_implicit_profile(c=1.0, theta_start=2.2,
                                           u_span=1.5, step=1e-3)
     a1, a2 = CONSTANTS.a1, CONSTANTS.a2
-    worst = 0.0
-    for th, fv in zip(implicit.theta, implicit.f):
+
+    def relation_defect(th: float, fv: float) -> float:
         y = math.sin(th)
         rel = 6.0 * a2 * math.log(fv - a1 * y) \
             - 6.0 * a1 * math.log(fv - a2 * y)
-        worst = max(worst, abs(rel - math.log(implicit.c)))
+        return abs(rel - math.log(implicit.c))
+
+    worst = np.max([relation_defect(th, fv)
+                    for th, fv in zip(implicit.theta, implicit.f)])
     ctx = {"c": implicit.c, "theta_start": 2.2,
            "halt_reason": implicit.halt_reason,
            "final_u": float(implicit.u[-1]),
@@ -974,10 +961,9 @@ def _family_reports(seed: int) -> List[CheckReport]:
         dict(ctx, statement="integration halts for a catalogued reason "
                             "inside the valid angle window")))
 
-    anchor_err = max(abs(profile.psi_at(profile.u0)),
-                     abs(profile.phi1_at(profile.u0)),
-                     abs(float(implicit.psi[0])),
-                     abs(float(implicit.phi1[0])))
+    anchor_err = np.max(np.abs([profile.psi_at(profile.u0),
+                                profile.phi1_at(profile.u0),
+                                implicit.psi[0], implicit.phi1[0]]))
     reports.append(CheckReport.from_error(
         "family_quadrature_anchor", anchor_err, 1e-12,
         {"explicit_u0": profile.u0, "implicit_u0": implicit.u0,

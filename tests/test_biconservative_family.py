@@ -299,6 +299,13 @@ def test_implicit_halt_immediately_degenerate():
         sol.theta_at(0.0)  # dense output needs two samples
 
 
+def test_implicit_stage_angle_off_branch_halts():
+    # f is about 1e41 here, so the first RK stage angle leaves (0, pi)
+    sol = integrate_implicit_profile(1e-300, 2.2, 0.5)
+    assert sol.halt_reason == "angle_degenerate"
+    assert list(sol.u) == [0.0] and list(sol.theta) == [2.2]
+
+
 def test_profile_solution_validation():
     u = np.array([0.0, 1.0])
     good = dict(kind=IMPLICIT, u=u, theta=np.array([2.2, 2.1]),

@@ -190,10 +190,21 @@ def test_config_integer_fields(tmp_path, capsys, values):
     ["curvature", "--plane", "1:nan:0,E3"],
     ["generate", "--u-min", "-100"],
     ["generate", "--u-min", "-35", "--nu", "20000"],
+    ["profile", "--kind", "implicit", "--u-min", "0", "--u-max", "0.5",
+     "--theta-start", "3.2"],
+    ["profile", "--kind", "implicit", "--u-min", "0", "--u-max", "0.5",
+     "--theta-start", "1.4"],
 ])
 def test_validation_exit_codes(argv, capsys):
     assert run(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_theta_start_outside_the_quadrant_names_the_field(capsys):
+    # cos of the double nearest pi/2 is +6e-17: the march cannot start
+    assert run(["profile", "--kind", "implicit", "--u-min", "0",
+                "--u-max", "0.5", "--theta-start", "1.5707963267948966"]) == 2
+    assert "theta_start must lie in (pi/2, pi)" in capsys.readouterr().err
 
 
 def test_explicit_grid_where_theta_stops_decreasing(tmp_path, capsys):
@@ -210,8 +221,10 @@ def test_explicit_grid_where_theta_stops_decreasing(tmp_path, capsys):
 
 
 def test_runtime_failure_exit_code(capsys):
-    # implicit integration halts immediately: no usable profile
+    # a valid start just past pi/2, where the first step leaves the
+    # quadrant: the march halts at u = 0 and leaves no usable profile
     code = run(["profile", "--kind", "implicit", "--u-min", "0",
-                "--u-max", "0.5", "--nu", "8", "--theta-start", "1.4"])
+                "--u-max", "0.5", "--nu", "8", "--theta-start", "1.5708",
+                "--step", "0.1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from solgeo.sol_space import TangentVector, canonical_leaf
-from solgeo.surface_calculus import (CmcDegenerateError, LocalGeometry,
-                                     ScalarField, adapted_frame,
+from solgeo.surface_calculus import (CmcDegenerateError,
+                                     DegenerateParametrizationError,
+                                     LocalGeometry, ScalarField, adapted_frame,
                                      biconservative_residual,
                                      biharmonic_normal_residual,
                                      codazzi_residual, fundamental_forms,
@@ -77,6 +78,13 @@ def test_adapted_frame_needs_gradient_or_override():
         adapted_frame(leaf, 0.1, 0.1)
     s = adapted_frame(leaf, 0.1, 0.1, x1_coefficients=np.array([1.0, 0.0]))
     assert abs(s.theta - math.pi / 2.0) < 1e-12
+
+
+def test_nan_partial_is_degenerate(patch_x1):
+    patch = dataclasses.replace(patch_x1,
+                                d_u=lambda u, v: np.full(3, math.nan))
+    with pytest.raises(DegenerateParametrizationError):
+        LocalGeometry(patch, -1.0, 0.3)
 
 
 def test_biconservative_residual_vanishes_on_family(patch_x1, patch_x2):

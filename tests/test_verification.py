@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import json
 import math
@@ -5,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from solgeo import verification
 from solgeo.sol_space import canonical_leaf
-from solgeo.verification import (CheckReport, SUITE_NAMES,
+from solgeo.verification import (_bounded_away, CheckReport, SUITE_NAMES,
                                  check_angle_constraints,
                                  check_biharmonic_obstruction,
                                  check_cmc_rigidity, check_frame_identities,
@@ -94,6 +96,53 @@ def test_cmc_rigidity_classifications():
     assert cyl.context["classification"] != "cmc_biconservative"
     assert cyl.context["max_residual"] > 1e-3
     assert cyl.context["max_mean_curvature"] > 0.1
+
+
+def _nan_duu_where(patch, bad_u):
+    """``patch`` with d_uu NaN on the parameter line u == bad_u."""
+    good = patch.d_uu if patch.d_uu is not None else patch.duu
+    return dataclasses.replace(
+        patch, d_uu=lambda u, v: (np.full(3, math.nan) if u == bad_u
+                                  else good(u, v)))
+
+
+def test_nan_floor_fails():
+    assert _bounded_away("floor", math.nan, 1e-6, {}).status == "fail"
+    assert _bounded_away("floor", 1.0, 1e-6, {}).status == "pass"
+
+
+def test_nan_on_the_grid_fails_cmc_rigidity():
+    leaf = _nan_duu_where(canonical_leaf("x_const", 0.3), 0.0)
+    report, = check_cmc_rigidity([leaf])
+    assert report.status == "fail"
+    assert report.context["classification"] == "undetermined"
+    assert math.isnan(report.max_error)
+
+
+def test_nan_on_the_grid_fails_frame_and_angle_checks(patch_x1):
+    us, _ = patch_x1.grid(9, 5)
+    patch = _nan_duu_where(patch_x1, us[4])
+    statuses = {r.check_id: r.status for r in
+                check_frame_identities(patch, (9, 5))
+                + check_angle_constraints(patch, (9, 5))}
+    # h, lambda1 and lambda2 are NaN on that line; theta and beta are not
+    assert {cid for cid, status in statuses.items() if status == "fail"} == {
+        "frame_identity_1", "frame_identity_4", "frame_identity_7",
+        "angle_theta_x1_derivative", "angle_lambda2_sign"}
+
+
+def test_frames_suite_evaluates_each_grid_point_once(monkeypatch):
+    calls = []
+    original = verification._frame_point_eval
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return original(*args)
+
+    monkeypatch.setattr(verification, "_frame_point_eval", counted)
+    run_suite("frames")
+    # two 9x5 family grids and the 3x3 rotated-leaf control
+    assert len(calls) == 2 * 45 + 9
 
 
 def test_vertical_cylinder_fixture_is_vertical():

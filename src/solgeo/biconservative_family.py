@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -46,7 +46,6 @@ __all__ = [
     "CONSTANTS",
     "ProfileAngleError",
     "ProfileSolution",
-    "SurfaceSelector",
     "theta_explicit",
     "theta_prime_explicit",
     "f_explicit",
@@ -375,17 +374,6 @@ class ProfileSolution:
                                 self.phi1))
 
 
-@dataclass(frozen=True)
-class SurfaceSelector:
-    """Which immersion variant to build from a profile."""
-
-    variant: str
-
-    def __post_init__(self):
-        if self.variant not in ("x1", "x2"):
-            raise ValueError(f"unknown surface variant {self.variant!r}")
-
-
 def _march_theta(c: float, theta_start: float, u_span: float, step: float):
     """Fixed-step classical Runge-Kutta march of theta' = -2 f(theta; c).
 
@@ -605,25 +593,25 @@ def build_profile(kind: str, c: Optional[float] = None,
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
-def _variant_of(selector: Union[SurfaceSelector, str]) -> str:
-    if isinstance(selector, SurfaceSelector):
-        return selector.variant
-    return SurfaceSelector(str(selector)).variant
-
-
 def _layout(variant: str):
     """Place (Phi1, Psi, v) in ambient coordinates for one variant.
 
     The one statement of the x1/x2 layout: the immersion, its u-partials
     (with v = 0) and :func:`family_vertices` all go through it.
+
+    Raises
+    ------
+    ValueError
+        If ``variant`` is neither ``"x1"`` nor ``"x2"``.
     """
     if variant == "x1":
         return lambda phi1, psi, v: (v, phi1, psi)
-    return lambda phi1, psi, v: (phi1, v, -psi)
+    if variant == "x2":
+        return lambda phi1, psi, v: (phi1, v, -psi)
+    raise ValueError(f"unknown surface variant {variant!r}")
 
 
-def family_surface(profile: ProfileSolution,
-                   selector: Union[SurfaceSelector, str],
+def family_surface(profile: ProfileSolution, variant: str,
                    v_range=(-1.0, 1.0)) -> SurfacePatch:
     """Build one immersion variant over ``profile.u`` x ``v_range``.
 
@@ -638,7 +626,6 @@ def family_surface(profile: ProfileSolution,
     the profile's closed derivative relations, so downstream curvature
     computations are finite-difference-free unless explicitly stripped.
     """
-    variant = _variant_of(selector)
     place = _layout(variant)
     ruling = (1.0, 0.0, 0.0) if variant == "x1" else (0.0, 1.0, 0.0)
     v_lo, v_hi = float(v_range[0]), float(v_range[1])
@@ -660,17 +647,16 @@ def family_surface(profile: ProfileSolution,
         domain=domain, name=f"family_{variant}_{profile.kind}")
 
 
-def family_vertices(profile: ProfileSolution,
-                    selector: Union[SurfaceSelector, str],
+def family_vertices(profile: ProfileSolution, variant: str,
                     vs: Sequence[float]) -> Iterator[Tuple[float, float,
                                                            float]]:
     """Stream the points of one immersion variant over ``profile.u`` x
     ``vs``, u-major, read from the profile's Phi1 and Psi samples.
 
-    Each point equals ``family_surface(profile, selector).position(u, v)``
+    Each point equals ``family_surface(profile, variant).position(u, v)``
     at a sample u exactly, without evaluating the profile again.
     """
-    place = _layout(_variant_of(selector))
+    place = _layout(variant)
     rulings = [float(v) for v in vs]
     return (place(phi1, psi, v)
             for phi1, psi in zip(profile.phi1.tolist(), profile.psi.tolist())

@@ -30,7 +30,6 @@ __all__ = [
     "MetricAtPoint",
     "DegeneratePlaneError",
     "metric_at",
-    "inner",
     "frame_vector",
     "frame_connection",
     "christoffel",
@@ -135,12 +134,6 @@ def _require_same_base(*vectors: TangentVector) -> Point:
         if v.base != base:
             raise ValueError("tangent vectors have different base points")
     return base
-
-
-def inner(u: TangentVector, v: TangentVector) -> float:
-    """Metric pairing of two tangent vectors at a common base point."""
-    _require_same_base(u, v)
-    return float(np.dot(u.in_frame().components, v.in_frame().components))
 
 
 def frame_vector(p: Point, i: int) -> TangentVector:

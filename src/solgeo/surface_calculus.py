@@ -11,7 +11,12 @@ the two fourth-order surface equations:
   exactly on biharmonic ones.
 
 Every quantity at a point is read from one :class:`LocalGeometry` record;
-the module functions are thin views on it.
+the module functions are thin views on it.  A record derives everything
+from its own first and second partials: the ambient derivatives
+nabla_{d_i} d_j give the second fundamental form as their normal part and,
+by the Gauss formula, the Christoffel symbols of the induced metric as
+their tangential part, so the surface Laplacian needs no neighbouring
+record.
 
 Sign conventions: the shape operator is A = -(nabla xi)^T, the second
 fundamental form satisfies II(X, Y) = <AX, Y> = <nabla_X Y, xi>, and the
@@ -22,10 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .numerics import central_diff, central_diff2, mixed_diff
 from .patch import SurfacePatch
@@ -48,7 +52,6 @@ __all__ = [
     "biconservative_residual",
     "biharmonic_normal_residual",
     "laplace_beltrami",
-    "codazzi_residual",
 ]
 
 # Below this ambient gradient norm a point counts as CMC-degenerate: the
@@ -150,9 +153,10 @@ class LocalGeometry:
 
     Basis conventions: names ending in ``_c`` hold coordinate components
     (d/dx, d/dy, d/dz) and names ending in ``_f`` hold frame components
-    (E1, E2, E3), as does ``curvature_trace``.  ``first``, ``second``,
-    ``A``, ``dh``, ``gradient_h`` and ``residual`` are in the parameter
-    basis (d/du, d/dv).
+    (E1, E2, E3), as do ``curvature_trace`` and ``ambient_derivatives``.
+    ``first``, ``second``, ``A``, ``dh``, ``gradient_h``,
+    ``surface_christoffel`` and ``residual`` are in the parameter basis
+    (d/du, d/dv).
 
     Raises
     ------
@@ -197,22 +201,39 @@ class LocalGeometry:
         return math.sqrt(float(coeffs @ self.first @ coeffs))
 
     @_computed_once
-    def second(self) -> np.ndarray:
+    def ambient_derivatives(self) -> np.ndarray:
+        """Frame components of the ambient derivative of d_j along d_i,
+        indexed [i, j]: the second partials plus the ambient Christoffel
+        contraction of the first partials."""
         patch, u, v = self.patch, self.u, self.v
         gamma = christoffel(self.point)
         firsts = (self.du_c, self.dv_c)
         duv = patch.duv(u, v)
         seconds = ((patch.duu(u, v), duv), (duv, patch.dvv(u, v)))
-        second = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                # Coordinates of the ambient derivative of d_j along d_i.
-                nab = seconds[i][j] + np.einsum("kab,a,b->k", gamma,
-                                                firsts[i], firsts[j])
-                second[i, j] = float(np.dot(self.to_frame(nab), self.xi_f))
+        return np.array([[self.to_frame(seconds[i][j] + np.einsum(
+                              "kab,a,b->k", gamma, firsts[i], firsts[j]))
+                          for j in range(2)] for i in range(2)])
+
+    @_computed_once
+    def second(self) -> np.ndarray:
+        """Normal part of :attr:`ambient_derivatives`."""
+        nab = self.ambient_derivatives
+        second = np.array([[float(np.dot(nab[i, j], self.xi_f))
+                            for j in range(2)] for i in range(2)])
         # Exact symmetry; the mixed entries differ only by round-off.
         second[0, 1] = second[1, 0] = 0.5 * (second[0, 1] + second[1, 0])
         return second
+
+    @_computed_once
+    def surface_christoffel(self) -> np.ndarray:
+        """Christoffel symbols of the induced metric, Gamma[k, i, j]: the
+        tangential part of :attr:`ambient_derivatives` solved by the first
+        form (the Gauss formula), Gamma^k_ij = I^kl <nabla d_i d_j, d_l>."""
+        # tangential[l, i, j] = <nabla d_i d_j, d_l>
+        tangential = np.einsum("ijc,lc->lij", self.ambient_derivatives,
+                               np.array([self.du_f, self.dv_f]))
+        return np.linalg.solve(self.first,
+                               tangential.reshape(2, 4)).reshape(2, 2, 2)
 
     @_computed_once
     def A(self) -> np.ndarray:
@@ -231,7 +252,13 @@ class LocalGeometry:
 
     @_computed_once
     def principal_curvatures(self) -> np.ndarray:
-        return scipy.linalg.eigh(self.second, self.first, eigvals_only=True)
+        """Eigenvalues of ``A`` in ascending order, in closed form:
+        h -/+ sqrt(((A00 - A11) / 2)^2 + A01 A10).  A is self-adjoint for
+        the first form, so the radicand is nonnegative up to round-off."""
+        a = self.A
+        radius = math.sqrt(max(((a[0, 0] - a[1, 1]) / 2.0) ** 2
+                               + a[0, 1] * a[1, 0], 0.0))
+        return np.array([self.h - radius, self.h + radius])
 
     @_computed_once
     def dh(self) -> np.ndarray:
@@ -273,20 +300,20 @@ class LocalGeometry:
                 + self.h * self.param_coefficients(tangential))
 
     @_computed_once
-    def surface_christoffel(self) -> np.ndarray:
-        """Christoffel symbols of the induced metric, Gamma[k, i, j]."""
-        patch, u, v = self.patch, self.u, self.v
-        d_first = np.stack([
-            central_diff(lambda s: LocalGeometry(patch, s, v).first, u,
-                         patch.fd_step),
-            central_diff(lambda t: LocalGeometry(patch, u, t).first, v,
-                         patch.fd_step),
-        ])
-        inv = np.linalg.inv(self.first)
-        # t[l, i, j] = dI[i, l, j] + dI[j, l, i] - dI[l, i, j], summed over
-        # l from 0.0 in index order, term for term as the scalar formula.
-        t = d_first.transpose(1, 0, 2) + d_first.transpose(1, 2, 0) - d_first
-        return 0.5 * (0.0 + inv[:, :1, None] * t[0] + inv[:, 1:, None] * t[1])
+    def norm_A_sq(self) -> float:
+        """|A|^2 = trace(A A)."""
+        return float(np.trace(self.A @ self.A))
+
+    @_computed_once
+    def normal_trace(self) -> float:
+        """<trace R(., xi) ., xi>."""
+        return float(np.dot(self.curvature_trace, self.xi_f))
+
+    def normal_residual(self, laplacian_h: float) -> float:
+        """Delta f - f |A|^2 - f <trace R(., xi) ., xi> given Delta f here;
+        see :func:`biharmonic_normal_residual`."""
+        return (laplacian_h - self.h * self.norm_A_sq
+                - self.h * self.normal_trace)
 
     def adapted_frame(self, x1_coefficients=None) -> AdaptedFrameSample:
         """The adapted frame at this point; see :func:`adapted_frame`."""
@@ -435,39 +462,4 @@ def biharmonic_normal_residual(patch: SurfacePatch, u: float, v: float,
         field = ScalarField(lambda s, t: _mean_curvature_value(patch, s, t),
                             patch.mean_curvature_du, patch.mean_curvature_dv)
     geo = LocalGeometry(patch, u, v)
-    norm_A_sq = float(np.trace(geo.A @ geo.A))
-    normal_trace = float(np.dot(geo.curvature_trace, geo.xi_f))
-    return geo.laplacian(field) - geo.h * norm_A_sq - geo.h * normal_trace
-
-
-def codazzi_residual(patch: SurfacePatch, u: float, v: float,
-                     z_coeffs: Sequence[float]) -> float:
-    """Residual of the Codazzi equation for the tangent direction Z.
-
-    Z is given by constant parameter-basis coefficients.  Evaluates
-    <R(d_u, d_v)Z, xi> - [(nabla_u sigma)(d_v, Z) - (nabla_v sigma)(d_u, Z)]
-    with the covariant derivative of the (scalar-valued) second form taken
-    with the induced-metric Christoffel symbols.
-    """
-    z = np.asarray(z_coeffs, dtype=float)
-    geo = LocalGeometry(patch, u, v)
-    second, gamma = geo.second, geo.surface_christoffel
-    basis = np.eye(2)
-    d_sigma = [
-        central_diff(lambda s: LocalGeometry(patch, s, v).second, u,
-                     patch.fd_step),
-        central_diff(lambda t: LocalGeometry(patch, u, t).second, v,
-                     patch.fd_step),
-    ]
-
-    def nabla_sigma(i: int, y: np.ndarray) -> float:
-        # (nabla_{d_i} sigma)(Y, Z) for constant-coefficient Y, Z.
-        lead = float(y @ d_sigma[i] @ z)
-        dy = gamma[:, i, :] @ y
-        dz = gamma[:, i, :] @ z
-        return lead - float(dy @ second @ z) - float(y @ second @ dz)
-
-    z_f = z[0] * geo.du_f + z[1] * geo.dv_f
-    lhs = float(np.dot(curvature_components(geo.du_f, geo.dv_f, z_f),
-                       geo.xi_f))
-    return lhs - (nabla_sigma(0, basis[1]) - nabla_sigma(1, basis[0]))
+    return geo.normal_residual(geo.laplacian(field))

@@ -47,8 +47,7 @@ from .sol_space import (FRAME, Point, TangentVector, canonical_leaf,
                         curvature_tensor_fd, frame_connection, frame_vector,
                         metric_at, sectional_curvature)
 from .surface_calculus import (CmcDegenerateError, LocalGeometry, ScalarField,
-                               biharmonic_normal_residual, fundamental_forms,
-                               shape_data)
+                               fundamental_forms, shape_data)
 
 __all__ = [
     "CheckReport",
@@ -117,13 +116,15 @@ class CheckReport:
         return cls(check_id, "skipped", None, None, {"reason": reason})
 
     def as_dict(self) -> Dict:
-        return {
+        """The report as plain JSON values; see :func:`reports_to_json` for
+        the encoding of non-finite numbers."""
+        return _jsonable({
             "check_id": self.check_id,
             "status": self.status,
             "max_error": self.max_error,
             "tolerance": self.tolerance,
-            "context": _jsonable(self.context),
-        }
+            "context": self.context,
+        })
 
 
 def _jsonable(value):
@@ -132,7 +133,10 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return _jsonable(value.item())
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else (
+            "Infinity" if value > 0.0 else "-Infinity")
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, Fraction):
@@ -494,15 +498,15 @@ def _laplacian_closed(u: float) -> float:
 
 
 def _laplacian_rational(u: float) -> float:
-    # Rational form in m = e^{-2 a u}: 4 m^3 ((2a^3 - a^2)(m^2 + m^{-2})
-    # + 2a^2 - 12a^3) / (1 + m^2)^3.  Only for moderate |u|; the suite
-    # grids stay within the comfortably representable range.
+    # Rational form in q = e^{2 a u}, which lies in (0, 1] on u < 0:
+    # 4 ((2a^3 - a^2) q (1 + q^4) + (2a^2 - 12a^3) q^3) / (1 + q^2)^3.
+    # Every power of q stays at most 1, so nothing overflows there.
     a = CONSTANTS.a1
-    m = math.exp(-2.0 * a * u)
-    t = m * m
-    num = (2.0 * a ** 3 - a ** 2) * (t + 1.0 / t) + 2.0 * a ** 2 \
-        - 12.0 * a ** 3
-    return 4.0 * m ** 3 * num / (1.0 + t) ** 3
+    q = math.exp(2.0 * a * u)
+    q2 = q * q
+    return 4.0 * ((2.0 * a ** 3 - a ** 2) * q * (1.0 + q2 * q2)
+                  + (2.0 * a ** 2 - 12.0 * a ** 3) * q2 * q) \
+        / (1.0 + q2) ** 3
 
 
 def check_biharmonic_obstruction(profile: ProfileSolution) -> List[CheckReport]:
@@ -513,7 +517,7 @@ def check_biharmonic_obstruction(profile: ProfileSolution) -> List[CheckReport]:
     strictly positive, while Delta f is strictly negative along the
     profile.  The check evaluates Delta f by two independent routes
     (closed form f'' + cos(theta) f' and a rational expression in
-    e^{-2 a u}), cross-checks |A|^2 and the normal curvature trace against
+    e^{2 a u}), cross-checks |A|^2 and the normal curvature trace against
     their closed forms, and confirms the sign gap at every sample.
     """
     if profile.kind != EXPLICIT:
@@ -540,15 +544,13 @@ def check_biharmonic_obstruction(profile: ProfileSolution) -> List[CheckReport]:
         fv = profile.f_at(u)
         sv = math.sin(profile.theta_at(u))
         lap = _laplacian_closed(u)
-        norm_a_sq = float(np.trace(geo.A @ geo.A))
-        trace_on_normal = float(np.dot(geo.curvature_trace, geo.xi_f))
-        residual = biharmonic_normal_residual(patch, u, v, f_field)
+        surface_lap = geo.laplacian(f_field)
         required = 4.0 * fv * (fv * fv + fv * sv + sv * sv)
-        return (abs(geo.laplacian(f_field) - lap),
-                abs(norm_a_sq
+        return (abs(surface_lap - lap),
+                abs(geo.norm_A_sq
                     - (4.0 * fv * fv + 4.0 * fv * sv + 2.0 * sv * sv)),
-                abs(trace_on_normal - 2.0 * sv * sv),
-                abs(residual - (lap - required)))
+                abs(geo.normal_trace - 2.0 * sv * sv),
+                abs(geo.normal_residual(surface_lap) - (lap - required)))
 
     sub_u = us[:: max(1, len(us) // 8)]
     v0 = 0.25
@@ -1004,6 +1006,12 @@ def run_suite(name: str, seed: int = 0) -> List[CheckReport]:
 
 
 def reports_to_json(reports: Sequence[CheckReport]) -> str:
-    """Serialize reports as a deterministic JSON array."""
+    """Serialize reports as a deterministic, strictly valid JSON array.
+
+    JSON has no non-finite numbers, so a NaN or infinite float anywhere in
+    a report (a failing check's ``max_error``, a context value) is written
+    as the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``; finite
+    numbers are plain JSON numbers.
+    """
     return json.dumps([r.as_dict() for r in reports], indent=2,
-                      sort_keys=True) + "\n"
+                      sort_keys=True, allow_nan=False) + "\n"

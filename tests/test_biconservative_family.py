@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from solgeo import biconservative_family
 from solgeo.biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
-                                          ProfileSolution, SurfaceSelector,
-                                          build_profile, f_explicit,
+                                          ProfileSolution, build_profile,
+                                          f_explicit,
                                           f_prime_explicit, f_prime_implicit,
                                           f_second_explicit, family_surface,
                                           family_vertices,
@@ -363,7 +363,7 @@ def test_family_surface_names(explicit_profile):
     assert family_surface(explicit_profile, "x1").name == "family_x1_explicit"
     assert family_surface(explicit_profile, "x2").name == "family_x2_explicit"
     with pytest.raises(ValueError):
-        SurfaceSelector("x3")
+        family_surface(explicit_profile, "x3")
 
 
 @pytest.mark.parametrize("variant", ["x1", "x2"])
@@ -422,8 +422,6 @@ def test_family_vertices_are_patch_positions(variant, kind, u0):
     expected = exact(patch.position(float(u), float(v))
                      for u in profile.u for v in vs)
     assert exact(family_vertices(profile, variant, vs)) == expected
-    assert exact(family_vertices(profile, SurfaceSelector(variant),
-                                 vs)) == expected
     with pytest.raises(ValueError):
         family_vertices(profile, "x3", vs)
 

@@ -1,7 +1,7 @@
 """No solgeo module imports another module's private (underscore) names,
 every public kernel in ``solgeo.numerics`` has a caller elsewhere in the
-package, and the package imports exactly the third-party packages it
-declares."""
+package, the package imports exactly the third-party packages it
+declares, and scipy serves only the profile family."""
 
 import ast
 import os
@@ -80,3 +80,20 @@ def test_import_loads_no_mpmath():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_scipy_is_imported_only_for_hyp2f1_and_brentq():
+    found = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found.setdefault(path.name, set()).update(
+                name for name in names if name.split(".")[0] == "scipy")
+    assert {module: names for module, names in found.items() if names} == {
+        "biconservative_family.py": {"scipy.optimize.brentq",
+                                     "scipy.special.hyp2f1"}}

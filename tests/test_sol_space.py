@@ -9,8 +9,7 @@ from solgeo.sol_space import (FRAME, DegeneratePlaneError, Point,
                               TangentVector, canonical_leaf, christoffel,
                               covariant_derivative, curvature_tensor,
                               curvature_tensor_fd, frame_connection,
-                              frame_vector, inner, metric_at,
-                              sectional_curvature)
+                              frame_vector, metric_at, sectional_curvature)
 
 coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
                    allow_infinity=False)
@@ -32,14 +31,6 @@ def test_frame_coordinate_roundtrip(x, y, z, c1, c2, c3):
 def test_point_rejects_nonfinite():
     with pytest.raises(ValueError):
         Point(float("nan"), 0.0, 0.0)
-
-
-def test_frame_is_orthonormal():
-    p = Point(0.4, -1.1, 0.8)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            got = inner(frame_vector(p, i), frame_vector(p, j))
-            assert abs(got - (1.0 if i == j else 0.0)) < 1e-14
 
 
 def test_christoffel_closed_form():

@@ -4,16 +4,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from solgeo.numerics import central_diff
+from solgeo.patch import SurfacePatch
 from solgeo.sol_space import TangentVector, canonical_leaf
 from solgeo.surface_calculus import (CmcDegenerateError,
                                      DegenerateParametrizationError,
                                      LocalGeometry, ScalarField, adapted_frame,
                                      biconservative_residual,
                                      biharmonic_normal_residual,
-                                     codazzi_residual, fundamental_forms,
-                                     laplace_beltrami, shape_data)
-from solgeo.verification import graph_patch_fixture
+                                     fundamental_forms, laplace_beltrami,
+                                     shape_data)
+from solgeo.verification import (graph_patch_fixture,
+                                 vertical_cylinder_fixture)
 
 # Reference values from a 40-digit evaluation of the closed forms
 # (quadratures by adaptive Gauss-Legendre).
@@ -121,9 +125,72 @@ def test_biharmonic_normal_residual_frozen_value(patch_x1, explicit_profile):
     assert abs(res - (LAP_M1 - RHS_M1)) < 1e-9
 
 
-def test_codazzi_residual_small_on_family(patch_x1):
-    for z_coeffs in ((1.0, 0.0), (0.0, 1.0), (0.3, -0.8)):
-        assert abs(codazzi_residual(patch_x1, -1.5, 0.1, z_coeffs)) < 1e-6
+def _christoffel_from_metric(patch, u, v):
+    """Gamma^k_ij = I^kl (d_i I_lj + d_j I_li - d_l I_ij) / 2, with the
+    derivatives of the first form by central differences of neighbouring
+    records: the oracle for the Gauss-formula symbols."""
+    d_first = np.stack([
+        central_diff(lambda s: LocalGeometry(patch, s, v).first, u,
+                     patch.fd_step),
+        central_diff(lambda t: LocalGeometry(patch, u, t).first, v,
+                     patch.fd_step)])
+    t = d_first.transpose(1, 0, 2) + d_first.transpose(1, 2, 0) - d_first
+    inv = np.linalg.inv(LocalGeometry(patch, u, v).first)
+    return 0.5 * np.einsum("kl,lij->kij", inv, t)
+
+
+def _handle_free(patch):
+    return SurfacePatch(immersion=patch.immersion, domain=patch.domain,
+                        name=f"{patch.name}_handle_free")
+
+
+@pytest.mark.parametrize("u,v", [(-2.0, 0.4), (-1.0, 0.3), (-0.3, -0.7)])
+def test_surface_christoffel_matches_metric_derivatives(patch_x1, patch_x2,
+                                                        u, v):
+    graph = graph_patch_fixture()
+    # the oracle's own error is 1.4e-7 on the handle-free patch
+    for patch, (s, t), tol in ((patch_x1, (u, v), 1e-8),
+                               (patch_x2, (u, v), 1e-8),
+                               (graph, (0.5 * v, u / 4.0), 1e-8),
+                               (_handle_free(graph), (0.5 * v, u / 4.0),
+                                1e-6)):
+        gamma = LocalGeometry(patch, s, t).surface_christoffel
+        assert gamma.shape == (2, 2, 2)
+        assert np.allclose(gamma, gamma.transpose(0, 2, 1), rtol=0.0,
+                           atol=1e-12)
+        assert np.allclose(gamma, _christoffel_from_metric(patch, s, t),
+                           rtol=0.0, atol=tol)
+
+
+def test_surface_christoffel_needs_no_handles():
+    # Without handles the second partials are differenced at the point
+    # itself; differencing the first form over neighbouring records
+    # instead is 1.4e-7 off here.
+    graph = graph_patch_fixture()
+    for u, v in ((0.5, 0.5), (-0.3, 0.8)):
+        exact = LocalGeometry(graph, u, v).surface_christoffel
+        free = LocalGeometry(_handle_free(graph), u, v).surface_christoffel
+        assert np.max(np.abs(free - exact)) < 1e-8
+
+
+def test_principal_curvatures_match_generalized_eigenvalues(patch_x1,
+                                                            patch_x2):
+    cmc_fixtures = [canonical_leaf("x_const", 0.3),
+                    canonical_leaf("y_const", -0.2),
+                    canonical_leaf("z_const", 0.15),
+                    vertical_cylinder_fixture(), graph_patch_fixture()]
+    for patch, (us, vs) in (
+            [(patch, patch.grid(7, 7)) for patch in cmc_fixtures]
+            + [(patch, patch.grid(9, 5)) for patch in (patch_x1, patch_x2)]):
+        for u in us:
+            for v in vs:
+                geo = LocalGeometry(patch, float(u), float(v))
+                kappa = geo.principal_curvatures
+                oracle = scipy.linalg.eigh(geo.second, geo.first,
+                                           eigvals_only=True)
+                assert kappa[0] <= kappa[1]
+                assert np.allclose(kappa, oracle, rtol=0.0, atol=1e-12), \
+                    (patch.name, u, v)
 
 
 def test_local_geometry_reads_each_handle_once(patch_x1):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from solgeo import verification
+from solgeo.biconservative_family import EXPLICIT, build_profile
 from solgeo.sol_space import canonical_leaf
+from solgeo.surface_calculus import LocalGeometry
 from solgeo.verification import (_bounded_away, CheckReport, SUITE_NAMES,
                                  check_angle_constraints,
                                  check_biharmonic_obstruction,
@@ -145,6 +147,20 @@ def test_frames_suite_evaluates_each_grid_point_once(monkeypatch):
     assert len(calls) == 2 * 45 + 9
 
 
+def test_biharmonic_suite_builds_one_record_per_sample(monkeypatch):
+    points = []
+    original = LocalGeometry.__init__
+
+    def counted(self, patch, u, v):
+        points.append((u, v))
+        original(self, patch, u, v)
+
+    monkeypatch.setattr(LocalGeometry, "__init__", counted)
+    run_suite("biharmonic")
+    # eight profile samples on the v = 0.25 ruling
+    assert len(points) == len(set(points)) == 8
+
+
 def test_vertical_cylinder_fixture_is_vertical():
     patch = vertical_cylinder_fixture()
     for u in (0.3, 2.0):
@@ -167,6 +183,16 @@ def test_biharmonic_obstruction_reports(explicit_profile):
     assert by_id["biharmonic_laplacian_negative"].context["max_laplacian"] < 0
     assert by_id["biharmonic_required_rhs_positive"].context["min_rhs"] > 0
     assert by_id["biharmonic_equation_gap"].context["max_defect"] < -1e-6
+
+
+def test_biharmonic_obstruction_far_down_the_profile():
+    # a valid explicit grid; e^{-2 a u} at u = -200 is about 1e75
+    reports = check_biharmonic_obstruction(
+        build_profile(EXPLICIT, u_grid=[-200.0, -1.0]))
+    assert len(reports) == 8
+    by_id = {r.check_id: r for r in reports}
+    assert by_id["biharmonic_laplacian_two_routes"].status == "pass"
+    assert math.isfinite(verification._laplacian_rational(-5000.0))
 
 
 def test_biharmonic_obstruction_requires_explicit(implicit_solution):
@@ -240,10 +266,35 @@ def test_ambient_suite_reports_expected_curvatures():
 
 
 def test_reports_json_deterministic():
-    a = reports_to_json(run_suite("family", seed=7))
+    reports = run_suite("family", seed=7)
+    a = reports_to_json(reports)
     b = reports_to_json(run_suite("family", seed=7))
     assert a == b
+    # finite reports are written as plain JSON numbers
+    assert a == json.dumps([dataclasses.asdict(r) for r in reports],
+                           indent=2, sort_keys=True) + "\n"
     parsed = json.loads(a)
     assert isinstance(parsed, list)
     assert {"check_id", "status", "max_error", "tolerance",
             "context"} <= set(parsed[0])
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reports_json_is_strict_for_non_finite_numbers():
+    leaf = _nan_duu_where(canonical_leaf("x_const", 0.3), 0.0)
+    report, = check_cmc_rigidity([leaf])
+    back, = _strict_loads(reports_to_json([report]))
+    assert back["status"] == "fail"
+    assert back["max_error"] == "NaN"
+    assert back["context"]["max_grad_f"] == "NaN"
+    report = CheckReport.from_error("x", math.inf, 1.0,
+                                    {"low": -math.inf,
+                                     "nested": [np.float64(math.nan), 0.5]})
+    back, = _strict_loads(reports_to_json([report]))
+    assert back["max_error"] == "Infinity"
+    assert back["context"] == {"low": "-Infinity", "nested": ["NaN", 0.5]}

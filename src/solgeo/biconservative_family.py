@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
 from .numerics import hermite_basis, hermite_eval
@@ -197,34 +196,57 @@ def solve_f(theta: float, c: float) -> float:
     """Mean curvature at angle theta on the implicit-family branch.
 
     Solves 6 a2 ln(f - a1 y) - 6 a1 ln(f - a2 y) = ln c with y = sin(theta)
-    on the branch f > a1 y > 0, where the left side decreases strictly from
-    +inf to -inf, so the root exists and is unique for every c > 0.  The
-    logarithmic form keeps the non-integer powers real.
+    on the branch f > a1 y > 0; the logarithmic form keeps the non-integer
+    powers real.  The relation is homogeneous: with g = f / y and
+    s = ln(g - a1) it reads
+
+        F(s) = 6 a2 s - 6 a1 ln(e^s + a1 - a2) - ln c + 6 (a2 - a1) ln y = 0.
+
+    F is concave and strictly decreasing, with slope in
+    (6 (a2 - a1), 6 a2), so the root exists and is unique for every c > 0.
+    Newton starts at the root of the s -> -inf asymptote
+    6 a2 s - 6 a1 ln(a1 - a2) - ln c + 6 (a2 - a1) ln y, which lies above F,
+    so F < 0 there; a concave decreasing F then keeps every iterate on
+    that side and the iterates decrease monotonically to the root.
+
+    The iterate is t = s + ln y = ln(f - a1 y), the same concave F shifted
+    by ln y.  Stored as s, the variable would grow like -ln y as theta
+    approaches pi and its rounding alone would cost f several ulps; t
+    stays near ln f.  The iteration stops at a step below 1e-15 of
+    max(1, |t|), a round-off floor it reaches in three to five steps for
+    c in [1e-6, 1e6], and raises if it has not stopped after 50.
+
+    A root with f <= a1 y (1 + 1e-14), that is g - a1 below double
+    resolution (c above about 4e66 at theta = 2.2), counts as no root and
+    raises ``ValueError``, as does a non-finite theta or c.
     """
-    if c <= 0.0:
-        raise ValueError("the family constant c must be positive")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"the family constant c must be finite and "
+                         f"positive, got {c!r}")
     y = math.sin(theta)
-    if y <= 0.0:
+    if not y > 0.0:
         raise ValueError("sin(theta) must be positive on the solution branch")
     a1, a2 = CONSTANTS.a1, CONSTANTS.a2
     log_c = math.log(c)
-
-    def relation(fv: float) -> float:
-        return (6.0 * a2 * math.log(fv - a1 * y)
-                - 6.0 * a1 * math.log(fv - a2 * y) - log_c)
-
-    lo = a1 * y * (1.0 + 1e-14)
-    if relation(lo) <= 0.0:
-        raise ValueError(f"no bracketing root at theta = {theta:g}, c = {c:g}")
-    hi = a1 * y + max(1.0, y)
-    doublings = 0
-    while relation(hi) > 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 500:
-            raise ValueError(f"root bracket for c = {c:g} did not close")
-    return float(brentq(relation, lo, hi, xtol=1e-300, rtol=8.9e-16,
-                        maxiter=200))
+    gap = (a1 - a2) * y
+    t = (log_c + 6.0 * a1 * math.log(gap)) / (6.0 * a2)
+    for _ in range(50):
+        e = math.exp(t)
+        step = ((6.0 * a2 * t - 6.0 * a1 * math.log(e + gap) - log_c)
+                / (6.0 * a2 - 6.0 * a1 * e / (e + gap)))
+        t -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(t)):
+            break
+    else:
+        raise ValueError(f"Newton iteration for f did not converge at "
+                         f"theta = {theta!r}, c = {c!r}")
+    f = a1 * y + math.exp(t)
+    if f <= a1 * y * (1.0 + 1e-14):
+        raise ValueError(f"no root above f = a1 sin(theta) at "
+                         f"theta = {theta:g}, c = {c:g}")
+    return f
 
 
 def f_prime_implicit(theta: float, f: float) -> float:
@@ -486,11 +508,16 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
     are anchored to zero at u = 0 and integrated over every step with an
     8-node Gauss-Legendre rule on the Hermite cubics of theta (slope -2 f)
     and of Psi (slope cos theta), the same cubics the dense evaluators use.
+
+    ``u_span`` and ``step`` must be finite and positive, and ``c`` and
+    ``theta_start`` finite (:func:`solve_f` checks them); otherwise
+    ``ValueError`` is raised, naming the argument.
     """
-    if u_span <= 0.0:
-        raise ValueError("u_span must be positive")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    # Written so that NaN fails too: every comparison with NaN is false.
+    if not 0.0 < u_span < math.inf:
+        raise ValueError(f"u_span must be finite and positive, got {u_span!r}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     us, thetas, fs, reason = _march_theta(c, theta_start, u_span, step)
     u = np.array(us)
     theta = np.array(thetas)
@@ -672,10 +699,12 @@ def profile_to_csv(profile: ProfileSolution, path: Optional[str] = None) -> str:
     footer comments recording the halt reason and the step-halving error
     estimate for theta.
     """
-    K = profile.gaussian_curvature()
+    columns = [column.tolist() for column in (
+        profile.u, profile.theta, profile.f, profile.psi, profile.phi1,
+        profile.gaussian_curvature())]
     lines = ["u,theta,f,Psi,Phi,K"]
-    for row, k in zip(profile.samples, K):
-        lines.append(",".join(f"{val + 0.0:.12f}" for val in (*row, k)))
+    for row in zip(*columns):
+        lines.append(",".join(f"{val + 0.0:.12f}" for val in row))
     if profile.kind == IMPLICIT:
         lines.append(f"# halt_reason: {profile.halt_reason}")
         if profile.theta_error_estimate is not None:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from solgeo import biconservative_family
 from solgeo.biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
@@ -190,6 +191,81 @@ def test_solve_f_validation():
         solve_f(0.0, 1.0)  # sin(theta) = 0
     with pytest.raises(ValueError):
         solve_f(2.2, 1e300)  # no bracketing root at absurd c
+
+
+def _log_relation(theta, f, c):
+    a1, a2 = CONSTANTS.a1, CONSTANTS.a2
+    y = math.sin(theta)
+    return (6.0 * a2 * math.log(f - a1 * y) - 6.0 * a1 * math.log(f - a2 * y)
+            - math.log(c))
+
+
+def _brentq_f(theta, c):
+    """The oracle: brentq on the original log relation in f, bracketed
+    above a1 sin(theta) by doubling."""
+    lo = CONSTANTS.a1 * math.sin(theta) * (1.0 + 1e-14)
+    hi = CONSTANTS.a1 * math.sin(theta) + 1.0
+    while _log_relation(theta, hi, c) > 0.0:
+        hi *= 2.0
+    return brentq(lambda f: _log_relation(theta, f, c), lo, hi, xtol=1e-300,
+                  rtol=8.9e-16, maxiter=200)
+
+
+# theta in (pi/2, pi) and log-uniform c in [1e-6, 1e6]
+branch_theta = st.floats(min_value=math.pi / 2.0, max_value=math.pi,
+                         exclude_min=True, exclude_max=True)
+log_uniform_c = st.floats(min_value=math.log(1e-6),
+                          max_value=math.log(1e6)).map(math.exp)
+
+
+@given(branch_theta, log_uniform_c)
+def test_solve_f_matches_brentq(theta, c):
+    expected = _brentq_f(theta, c)
+    assert abs(solve_f(theta, c) - expected) <= 4e-15 * expected
+
+
+def test_solve_f_extremes():
+    # c at the smallest subnormal: ln c alone is rounded by 5.7e-14, which
+    # moves f by 8e-15 relative, so the two solvers agree to that floor
+    f = solve_f(2.2, 5e-324)
+    assert math.isfinite(f)
+    assert abs(f - _brentq_f(2.2, 5e-324)) <= 2e-14 * f
+    # f -> 1 as theta -> pi at c = 1, with f - 1 of order sin(theta)^2
+    assert abs(solve_f(math.pi - 1e-15, 1.0) - 1.0) <= 1e-15
+
+
+NON_FINITE_IMPLICIT_INPUTS = [
+    (solve_f, (math.nan, 1.0), "theta"),
+    (solve_f, (math.inf, 1.0), "theta"),
+    (solve_f, (2.2, math.nan), "c"),
+    (solve_f, (2.2, math.inf), "c"),
+    (integrate_implicit_profile, (1.0, 2.2, math.inf), "u_span"),
+    (integrate_implicit_profile, (1.0, 2.2, math.nan), "u_span"),
+    (integrate_implicit_profile, (1.0, 2.2, 1.0, math.nan), "step"),
+    (integrate_implicit_profile, (1.0, 2.2, 1.0, math.inf), "step"),
+    (integrate_implicit_profile, (math.nan, 2.2, 1.0), "c"),
+    (integrate_implicit_profile, (1.0, math.nan, 1.0), "theta"),
+]
+
+
+@pytest.mark.parametrize(
+    "function,args,name", NON_FINITE_IMPLICIT_INPUTS,
+    ids=[f"{function.__name__}{args}"
+         for function, args, _ in NON_FINITE_IMPLICIT_INPUTS])
+def test_implicit_inputs_must_be_finite(function, args, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        function(*args)
+
+
+@settings(deadline=None)
+@given(log_uniform_c, branch_theta, st.floats(min_value=1e-2, max_value=0.3))
+def test_implicit_march_sweep(c, theta_start, step):
+    sol = integrate_implicit_profile(c, theta_start, 1.0, step)
+    assert sol.halt_reason in ("span_exhausted", "angle_degenerate",
+                               "theta_prime_nonnegative",
+                               "theta_second_nonnegative")
+    for theta, f in zip(sol.theta.tolist(), sol.f.tolist()):
+        assert abs(_log_relation(theta, f, c)) <= 1e-10
 
 
 def test_f_prime_implicit_oracle():

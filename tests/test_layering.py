@@ -82,7 +82,17 @@ def test_import_loads_no_mpmath():
     assert out.strip() == "False"
 
 
-def test_scipy_is_imported_only_for_hyp2f1_and_brentq():
+def test_import_loads_no_scipy_optimize_or_linalg():
+    code = ("import sys, solgeo.cli; "
+            "print(sorted(name for name in ('scipy.optimize', 'scipy.linalg') "
+            "if name in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_scipy_is_imported_only_for_hyp2f1():
     found = {}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -95,5 +105,4 @@ def test_scipy_is_imported_only_for_hyp2f1_and_brentq():
             found.setdefault(path.name, set()).update(
                 name for name in names if name.split(".")[0] == "scipy")
     assert {module: names for module, names in found.items() if names} == {
-        "biconservative_family.py": {"scipy.optimize.brentq",
-                                     "scipy.special.hyp2f1"}}
+        "biconservative_family.py": {"scipy.special.hyp2f1"}}

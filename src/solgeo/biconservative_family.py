@@ -28,6 +28,7 @@ of 3 a1^2 + a1 - 1 = 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
@@ -430,7 +431,9 @@ def _march_theta(c: float, theta_start: float, u_span: float, step: float):
 
     n_full = int(math.floor(u_span / step + 1e-9))
     remainder = u_span - n_full * step
-    sizes = [step] * n_full + ([remainder] if remainder > 1e-10 * step else [])
+    # generated, not listed: n_full may exceed any list's length
+    sizes = itertools.chain((step for _ in range(n_full)),
+                            [remainder] if remainder > 1e-10 * step else [])
     u = 0.0
     for h in sizes:
         k1 = -2.0 * f
@@ -509,15 +512,19 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
     8-node Gauss-Legendre rule on the Hermite cubics of theta (slope -2 f)
     and of Psi (slope cos theta), the same cubics the dense evaluators use.
 
-    ``u_span`` and ``step`` must be finite and positive, and ``c`` and
-    ``theta_start`` finite (:func:`solve_f` checks them); otherwise
-    ``ValueError`` is raised, naming the argument.
+    ``u_span`` and ``step`` must be finite and positive, with a finite
+    ratio ``u_span / step``, and ``c`` and ``theta_start`` finite
+    (:func:`solve_f` checks them); otherwise ``ValueError`` is raised,
+    naming the argument.
     """
     # Written so that NaN fails too: every comparison with NaN is false.
     if not 0.0 < u_span < math.inf:
         raise ValueError(f"u_span must be finite and positive, got {u_span!r}")
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step!r}")
+    if not math.isfinite(u_span / step):
+        raise ValueError(f"step {step!r} is too small for u_span {u_span!r}: "
+                         f"the step count overflows")
     us, thetas, fs, reason = _march_theta(c, theta_start, u_span, step)
     u = np.array(us)
     theta = np.array(thetas)

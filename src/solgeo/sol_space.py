@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .numerics import CURVATURE_FD_STEP, DEFAULT_FD_STEP, central_diff
 from .patch import SurfacePatch
 
 __all__ = [
+    "PLANE_GRAM_TOLERANCE",
     "Point",
     "TangentVector",
     "MetricAtPoint",
@@ -33,6 +34,7 @@ __all__ = [
     "frame_vector",
     "frame_connection",
     "christoffel",
+    "christoffel_contraction",
     "covariant_derivative",
     "curvature_components",
     "curvature_tensor",
@@ -43,6 +45,10 @@ __all__ = [
 
 COORDINATE = "coordinate"
 FRAME = "frame"
+
+# Two vectors x, y span no plane when their Gram determinant
+# |x|^2 |y|^2 - <x, y>^2 is at most this fraction of max(1, |x|^2 |y|^2).
+PLANE_GRAM_TOLERANCE = 1e-14
 
 
 class DegeneratePlaneError(ValueError):
@@ -180,6 +186,21 @@ def christoffel(p: Point) -> np.ndarray:
     return gamma
 
 
+def christoffel_contraction(p: Point, x, y) -> Tuple[float, float, float]:
+    """The contraction Gamma^k_ij x^i y^j of two coordinate vectors at p.
+
+    Written out from the six nonzero symbols of :func:`christoffel`
+    (which stays as its oracle):
+
+        (x0 y2 + x2 y0,  -(x1 y2 + x2 y1),  -e^{2z} x0 y0 + e^{-2z} x1 y1).
+    """
+    x0, x1, x2 = x
+    y0, y1, y2 = y
+    e2z = math.exp(2.0 * p.z)
+    return (x0 * y2 + x2 * y0, -(x1 * y2 + x2 * y1),
+            -e2z * x0 * y0 + x1 * y1 / e2z)
+
+
 def covariant_derivative(field: Callable[[Point], TangentVector],
                          direction: TangentVector,
                          step: float = DEFAULT_FD_STEP) -> TangentVector:
@@ -210,8 +231,7 @@ def covariant_derivative(field: Callable[[Point], TangentVector],
     dy = central_diff(coords_along, 0.0, step)
     if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(dy))):
         raise ValueError("vector field evaluated to a non-finite value")
-    gamma = christoffel(p)
-    out = dy + np.einsum("kij,i,j->k", gamma, x, y0)
+    out = dy + christoffel_contraction(p, x, y0)
     return TangentVector(p, out, COORDINATE)
 
 
@@ -281,7 +301,7 @@ def sectional_curvature(x: TangentVector, y: TangentVector) -> float:
     yy = float(np.dot(yf, yf))
     xy = float(np.dot(xf, yf))
     gram = xx * yy - xy * xy
-    if gram <= 1e-14 * max(1.0, xx * yy):
+    if gram <= PLANE_GRAM_TOLERANCE * max(1.0, xx * yy):
         raise DegeneratePlaneError("spanning vectors are linearly dependent")
     num = float(np.dot(curvature_components(xf, yf, yf), xf))
     return num / gram

@@ -33,8 +33,9 @@ import numpy as np
 
 from .numerics import central_diff, central_diff2, mixed_diff
 from .patch import SurfacePatch
-from .sol_space import (FRAME, Point, TangentVector, curvature_components,
-                        christoffel, sectional_curvature)
+from .sol_space import (FRAME, PLANE_GRAM_TOLERANCE, DegeneratePlaneError,
+                        Point, TangentVector, christoffel_contraction,
+                        curvature_components)
 
 __all__ = [
     "DegenerateParametrizationError",
@@ -143,6 +144,15 @@ class _computed_once:
         return value
 
 
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 class LocalGeometry:
     """Local extrinsic geometry of ``patch`` at the parameter point ``(u, v)``.
 
@@ -150,6 +160,15 @@ class LocalGeometry:
     normal and the first fundamental form.  Every other attribute is
     computed on first access and kept, so one record evaluates each patch
     handle at most once and each derived quantity exactly once.
+
+    The arithmetic is closed-form on Python floats.  The normal is the
+    cross product of the frame partials written out; every 2x2 system
+    (``A``, ``gradient_h``, ``param_coefficients``,
+    ``surface_christoffel``, the inverse metric of ``laplacian``) is solved
+    with the first form's inverse [[G, -F], [-F, E]] / (EG - F^2); and the
+    ambient derivatives take Sol's connection from the one contraction
+    :func:`~solgeo.sol_space.christoffel_contraction`.  The public
+    attributes are numpy arrays built from those floats.
 
     Basis conventions: names ending in ``_c`` hold coordinate components
     (d/dx, d/dy, d/dz) and names ending in ``_f`` hold frame components
@@ -166,98 +185,140 @@ class LocalGeometry:
 
     def __init__(self, patch: SurfacePatch, u: float, v: float):
         self.patch, self.u, self.v = patch, u, v
-        pos = patch.position(u, v)
-        self._ez = math.exp(pos[2])
+        x, y, z = patch.position(u, v).tolist()
+        self._ez = math.exp(z)
         self.du_c = patch.du(u, v)
         self.dv_c = patch.dv(u, v)
-        self.du_f = du_f = self.to_frame(self.du_c)
-        self.dv_f = dv_f = self.to_frame(self.dv_c)
-        cross = np.cross(du_f, dv_f)
-        norm = np.linalg.norm(cross)
-        scale = np.linalg.norm(du_f) * np.linalg.norm(dv_f)
+        self._du = du = self._frame(self.du_c.tolist())
+        self._dv = dv = self._frame(self.dv_c.tolist())
+        e, f, g = _dot(du, du), _dot(du, dv), _dot(dv, dv)
+        cross = _cross(du, dv)
+        norm = math.sqrt(_dot(cross, cross))
         # written so that a NaN partial is degenerate too
-        if not norm > 1e-10 * max(scale, 1e-30):
+        if not norm > 1e-10 * max(math.sqrt(e) * math.sqrt(g), 1e-30):
             raise DegenerateParametrizationError(
                 f"parametrization of {patch.name!r} degenerates at "
                 f"(u, v) = ({u:g}, {v:g})")
-        self.xi_f = patch.orientation * cross / norm
-        self.first = np.array([[np.dot(du_f, du_f), np.dot(du_f, dv_f)],
-                               [np.dot(du_f, dv_f), np.dot(dv_f, dv_f)]])
-        self.point = Point.from_array(pos)
+        self._E, self._F, self._G, self._det = e, f, g, e * g - f * f
+        sign = patch.orientation
+        self._xi = tuple(sign * c / norm for c in cross)
+        self.point = Point(x, y, z)
+
+    @_computed_once
+    def du_f(self) -> np.ndarray:
+        return np.array(self._du)
+
+    @_computed_once
+    def dv_f(self) -> np.ndarray:
+        return np.array(self._dv)
+
+    @_computed_once
+    def xi_f(self) -> np.ndarray:
+        return np.array(self._xi)
+
+    @_computed_once
+    def first(self) -> np.ndarray:
+        return np.array([[self._E, self._F], [self._F, self._G]])
+
+    def _frame(self, coords):
+        ez = self._ez
+        return ez * coords[0], coords[1] / ez, coords[2]
 
     def to_frame(self, coords: np.ndarray) -> np.ndarray:
         """Frame components of a vector given in coordinates at this point."""
-        ez = self._ez
-        return np.array([ez * coords[0], coords[1] / ez, coords[2]])
+        return np.array(self._frame(coords))
+
+    def _solve(self, r0: float, r1: float):
+        """(p, q) with first @ (p, q) = (r0, r1), by the closed-form inverse."""
+        e, f, g, det = self._E, self._F, self._G, self._det
+        return (g * r0 - f * r1) / det, (e * r1 - f * r0) / det
+
+    def _coefficients(self, vec_f):
+        return self._solve(_dot(vec_f, self._du), _dot(vec_f, self._dv))
 
     def param_coefficients(self, vec_f: np.ndarray) -> np.ndarray:
         """Parameter-basis coefficients of the tangential part of ``vec_f``."""
-        return np.linalg.solve(self.first,
-                               np.array([float(np.dot(vec_f, self.du_f)),
-                                         float(np.dot(vec_f, self.dv_f))]))
+        return np.array(self._coefficients(
+            np.asarray(vec_f, dtype=float).tolist()))
 
     def metric_norm(self, coeffs: np.ndarray) -> float:
         """Length of a tangent vector given in the parameter basis."""
-        return math.sqrt(float(coeffs @ self.first @ coeffs))
+        p, q = coeffs
+        e, f, g = self._E, self._F, self._G
+        return math.sqrt((p * e + q * f) * p + (p * f + q * g) * q)
+
+    @_computed_once
+    def _ambient(self):
+        """Frame components of the ambient derivatives of d_u along d_u,
+        d_v along d_u and d_v along d_v: the second partials plus the
+        ambient connection contracted with the first partials."""
+        patch, u, v = self.patch, self.u, self.v
+        du, dv = self.du_c.tolist(), self.dv_c.tolist()
+
+        def nabla(second, x, y):
+            gamma = christoffel_contraction(self.point, x, y)
+            return self._frame([s + c for s, c in zip(second.tolist(), gamma)])
+
+        return (nabla(patch.duu(u, v), du, du), nabla(patch.duv(u, v), du, dv),
+                nabla(patch.dvv(u, v), dv, dv))
 
     @_computed_once
     def ambient_derivatives(self) -> np.ndarray:
         """Frame components of the ambient derivative of d_j along d_i,
         indexed [i, j]: the second partials plus the ambient Christoffel
         contraction of the first partials."""
-        patch, u, v = self.patch, self.u, self.v
-        gamma = christoffel(self.point)
-        firsts = (self.du_c, self.dv_c)
-        duv = patch.duv(u, v)
-        seconds = ((patch.duu(u, v), duv), (duv, patch.dvv(u, v)))
-        return np.array([[self.to_frame(seconds[i][j] + np.einsum(
-                              "kab,a,b->k", gamma, firsts[i], firsts[j]))
-                          for j in range(2)] for i in range(2)])
+        uu, uv, vv = self._ambient
+        return np.array([[uu, uv], [uv, vv]])
 
     @_computed_once
     def second(self) -> np.ndarray:
         """Normal part of :attr:`ambient_derivatives`."""
-        nab = self.ambient_derivatives
-        second = np.array([[float(np.dot(nab[i, j], self.xi_f))
-                            for j in range(2)] for i in range(2)])
-        # Exact symmetry; the mixed entries differ only by round-off.
-        second[0, 1] = second[1, 0] = 0.5 * (second[0, 1] + second[1, 0])
-        return second
+        l, m, n = (_dot(nab, self._xi) for nab in self._ambient)
+        return np.array([[l, m], [m, n]])
 
     @_computed_once
     def surface_christoffel(self) -> np.ndarray:
         """Christoffel symbols of the induced metric, Gamma[k, i, j]: the
-        tangential part of :attr:`ambient_derivatives` solved by the first
-        form (the Gauss formula), Gamma^k_ij = I^kl <nabla d_i d_j, d_l>."""
-        # tangential[l, i, j] = <nabla d_i d_j, d_l>
-        tangential = np.einsum("ijc,lc->lij", self.ambient_derivatives,
-                               np.array([self.du_f, self.dv_f]))
-        return np.linalg.solve(self.first,
-                               tangential.reshape(2, 4)).reshape(2, 2, 2)
+        parameter coefficients of the tangential part of
+        :attr:`ambient_derivatives` (the Gauss formula),
+        Gamma^k_ij = I^kl <nabla d_i d_j, d_l>."""
+        (u_uu, v_uu), (u_uv, v_uv), (u_vv, v_vv) = (
+            self._coefficients(nab) for nab in self._ambient)
+        return np.array([[[u_uu, u_uv], [u_uv, u_vv]],
+                         [[v_uu, v_uv], [v_uv, v_vv]]])
 
     @_computed_once
     def A(self) -> np.ndarray:
-        return np.linalg.solve(self.first, self.second)
+        (l, m), (_, n) = self.second.tolist()
+        a00, a10 = self._solve(l, m)
+        a01, a11 = self._solve(m, n)
+        return np.array([[a00, a01], [a10, a11]])
 
     @_computed_once
     def h(self) -> float:
-        return 0.5 * float(np.trace(self.A))
+        (a00, _), (_, a11) = self.A.tolist()
+        return 0.5 * (a00 + a11)
 
     @_computed_once
     def K(self) -> float:
-        ambient = sectional_curvature(
-            TangentVector(self.point, self.du_f, FRAME),
-            TangentVector(self.point, self.dv_f, FRAME))
-        return ambient + float(np.linalg.det(self.A))
+        """Ambient sectional curvature of the tangent plane plus det A (the
+        Gauss equation).  In Sol a plane with unit normal xi has sectional
+        curvature 2 xi_3^2 - 1 (the closed form of
+        :func:`~solgeo.sol_space.sectional_curvature`, with its test for a
+        degenerate plane)."""
+        if self._det <= PLANE_GRAM_TOLERANCE * max(1.0, self._E * self._G):
+            raise DegeneratePlaneError("spanning vectors are linearly dependent")
+        (a00, a01), (a10, a11) = self.A.tolist()
+        xi3 = self._xi[2]
+        return 2.0 * xi3 * xi3 - 1.0 + (a00 * a11 - a01 * a10)
 
     @_computed_once
     def principal_curvatures(self) -> np.ndarray:
         """Eigenvalues of ``A`` in ascending order, in closed form:
         h -/+ sqrt(((A00 - A11) / 2)^2 + A01 A10).  A is self-adjoint for
         the first form, so the radicand is nonnegative up to round-off."""
-        a = self.A
-        radius = math.sqrt(max(((a[0, 0] - a[1, 1]) / 2.0) ** 2
-                               + a[0, 1] * a[1, 0], 0.0))
+        (a00, a01), (a10, a11) = self.A.tolist()
+        radius = math.sqrt(max(((a00 - a11) / 2.0) ** 2 + a01 * a10, 0.0))
         return np.array([self.h - radius, self.h + radius])
 
     @_computed_once
@@ -278,36 +339,44 @@ class LocalGeometry:
 
     @_computed_once
     def gradient_h(self) -> np.ndarray:
-        return np.linalg.solve(self.first, self.dh)
+        return np.array(self._solve(*self.dh.tolist()))
 
     @_computed_once
     def curvature_trace(self) -> np.ndarray:
         """trace R(., xi) . over an orthonormal tangent basis obtained by
         Gram-Schmidt on the parameter partials."""
-        t1 = self.du_f / np.linalg.norm(self.du_f)
-        w = self.dv_f - np.dot(self.dv_f, t1) * t1
-        t2 = w / np.linalg.norm(w)
+        du, dv = self._du, self._dv
+        length = math.sqrt(self._E)
+        t1 = [c / length for c in du]
+        along = _dot(dv, t1)
+        w = [b - along * c for b, c in zip(dv, t1)]
+        length = math.sqrt(_dot(w, w))
+        t1, t2 = np.array(t1), np.array([c / length for c in w])
         return (curvature_components(t1, self.xi_f, t1)
                 + curvature_components(t2, self.xi_f, t2))
 
     @_computed_once
+    def normal_trace(self) -> float:
+        """<trace R(., xi) ., xi>."""
+        return _dot(self.curvature_trace.tolist(), self._xi)
+
+    @_computed_once
     def residual(self) -> np.ndarray:
         """A(grad f) + f grad f + f (trace R(., xi) .)^T."""
-        trace = self.curvature_trace
-        tangential = trace - np.dot(trace, self.xi_f) * self.xi_f
-        gradient = self.gradient_h
-        return (self.A @ gradient + self.h * gradient
-                + self.h * self.param_coefficients(tangential))
+        normal = self.normal_trace
+        p, q = self._coefficients([t - normal * x for t, x in zip(
+            self.curvature_trace.tolist(), self._xi)])
+        (a00, a01), (a10, a11) = self.A.tolist()
+        g0, g1 = self.gradient_h.tolist()
+        h = self.h
+        return np.array([a00 * g0 + a01 * g1 + h * g0 + h * p,
+                         a10 * g0 + a11 * g1 + h * g1 + h * q])
 
     @_computed_once
     def norm_A_sq(self) -> float:
         """|A|^2 = trace(A A)."""
-        return float(np.trace(self.A @ self.A))
-
-    @_computed_once
-    def normal_trace(self) -> float:
-        """<trace R(., xi) ., xi>."""
-        return float(np.dot(self.curvature_trace, self.xi_f))
+        (a00, a01), (a10, a11) = self.A.tolist()
+        return a00 * a00 + 2.0 * a01 * a10 + a11 * a11
 
     def normal_residual(self, laplacian_h: float) -> float:
         """Delta f - f |A|^2 - f <trace R(., xi) ., xi> given Delta f here;
@@ -317,33 +386,40 @@ class LocalGeometry:
 
     def adapted_frame(self, x1_coefficients=None) -> AdaptedFrameSample:
         """The adapted frame at this point; see :func:`adapted_frame`."""
-        if x1_coefficients is not None:
+        if x1_coefficients is None:
+            raw = self.gradient_h
+        else:
             raw = np.asarray(x1_coefficients(self.u, self.v)
                              if callable(x1_coefficients) else x1_coefficients,
                              dtype=float)
-        else:
-            raw = self.gradient_h
-            if self.metric_norm(raw) <= GRADIENT_THRESHOLD:
-                raise CmcDegenerateError(
-                    f"|grad f| below {GRADIENT_THRESHOLD:g} on "
-                    f"{self.patch.name!r} at (u, v) = ({self.u:g}, "
-                    f"{self.v:g}); supply x1_coefficients explicitly")
-        norm = self.metric_norm(raw)
+        p, q = raw.tolist()
+        norm = self.metric_norm((p, q))
+        if x1_coefficients is None and norm <= GRADIENT_THRESHOLD:
+            raise CmcDegenerateError(
+                f"|grad f| below {GRADIENT_THRESHOLD:g} on "
+                f"{self.patch.name!r} at (u, v) = ({self.u:g}, "
+                f"{self.v:g}); supply x1_coefficients explicitly")
         if norm == 0.0:
             raise ValueError("explicit X1 coefficients are zero")
-        c1 = raw / norm
-        x1_f = c1[0] * self.du_f + c1[1] * self.dv_f
-        x2_f = np.cross(self.xi_f, x1_f)
-        c2 = self.param_coefficients(x2_f)
+        c1 = (p / norm, q / norm)
+        x1_f = tuple(c1[0] * a + c1[1] * b for a, b in zip(self._du, self._dv))
+        x2_f = _cross(self._xi, x1_f)
+        c2 = self._coefficients(x2_f)
+        (l, m), (_, n) = self.second.tolist()
+
+        def normal_curvature(c):
+            """II(c, c) = <A c, c> for unit c."""
+            s, t = c
+            return l * s * s + 2.0 * m * s * t + n * t * t
+
         return AdaptedFrameSample(
             x1=TangentVector(self.point, x1_f, FRAME),
             x2=TangentVector(self.point, x2_f, FRAME),
             xi=TangentVector(self.point, self.xi_f, FRAME),
-            theta=math.atan2(self.xi_f[2], x1_f[2]),
+            theta=math.atan2(self._xi[2], x1_f[2]),
             beta=math.atan2(x2_f[1], x2_f[0]), h=self.h,
-            lambda1=float((self.A @ c1) @ self.first @ c1),
-            lambda2=float((self.A @ c2) @ self.first @ c2),
-            e3_defect=float(x2_f[2]))
+            lambda1=normal_curvature(c1), lambda2=normal_curvature(c2),
+            e3_defect=x2_f[2])
 
     def laplacian(self, field) -> float:
         """Surface Laplacian of ``field``; see :func:`laplace_beltrami`."""
@@ -363,15 +439,16 @@ class LocalGeometry:
                   float(mixed_diff(fld.value, u, v)))
 
         grad = (phi_u, phi_v)
-        hess = np.array([[phi_uu, phi_uv], [phi_uv, phi_vv]])
-        gamma = self.surface_christoffel
-        inv = np.linalg.inv(self.first)
+        hess = ((phi_uu, phi_uv), (phi_uv, phi_vv))
+        gamma = self.surface_christoffel.tolist()
+        e, f, g, det = self._E, self._F, self._G, self._det
+        inv = ((g / det, -f / det), (-f / det, e / det))
         total = 0.0
         for i in range(2):
             for j in range(2):
-                correction = (gamma[0, i, j] * grad[0]
-                              + gamma[1, i, j] * grad[1])
-                total += inv[i, j] * (hess[i, j] - correction)
+                correction = (gamma[0][i][j] * grad[0]
+                              + gamma[1][i][j] * grad[1])
+                total += inv[i][j] * (hess[i][j] - correction)
         return float(total)
 
 

@@ -43,9 +43,10 @@ from .exact_poly import (IntPolynomial, coefficients_as_strings,
                          obstruction_quintic, real_roots_interval)
 from .patch import SurfacePatch
 from .sol_space import (FRAME, Point, TangentVector, canonical_leaf,
-                        christoffel, covariant_derivative, curvature_tensor,
-                        curvature_tensor_fd, frame_connection, frame_vector,
-                        metric_at, sectional_curvature)
+                        christoffel_contraction, covariant_derivative,
+                        curvature_tensor, curvature_tensor_fd,
+                        frame_connection, frame_vector, metric_at,
+                        sectional_curvature)
 from .surface_calculus import (CmcDegenerateError, LocalGeometry, ScalarField,
                                fundamental_forms, shape_data)
 
@@ -238,13 +239,12 @@ def _frame_point_eval(patch: SurfacePatch, u: float, v: float,
 
     dx1_du, dx1_dv = _stencil_rates([x1_coord(f) for f in frames], step)
     w0 = x1_coord(center)
-    gamma = christoffel(geo.point)
 
     def nabla_x1(coeffs):
         dw = coeffs[0] * dx1_du + coeffs[1] * dx1_dv
         direction = coeffs[0] * geo.du_c + coeffs[1] * geo.dv_c
-        out = dw + np.einsum("kij,i,j->k", gamma, direction, w0)
-        return geo.to_frame(out)
+        return geo.to_frame(
+            dw + christoffel_contraction(geo.point, direction, w0))
 
     return _FramePointEval(
         theta=center.theta, beta=center.beta, h=center.h,

@@ -257,6 +257,21 @@ def test_implicit_inputs_must_be_finite(function, args, name):
         function(*args)
 
 
+@pytest.mark.parametrize("u_span,step", [(1.0, 5e-324), (1e308, 1e-3)])
+def test_implicit_step_count_must_be_finite(u_span, step):
+    # u_span / step overflows to inf, so no step count exists
+    with pytest.raises(ValueError, match=r"\bstep\b"):
+        integrate_implicit_profile(1.0, 2.2, u_span, step)
+
+
+def test_implicit_step_schedule_is_lazy():
+    # 5e19 steps of 1e-20 fit in no list; f is about 1e41, so the first
+    # stage angle leaves (0, pi) and the march halts at u = 0
+    sol = integrate_implicit_profile(1e-300, 2.2, 0.5, 1e-20)
+    assert sol.halt_reason == "angle_degenerate"
+    assert list(sol.u) == [0.0]
+
+
 @settings(deadline=None)
 @given(log_uniform_c, branch_theta, st.floats(min_value=1e-2, max_value=0.3))
 def test_implicit_march_sweep(c, theta_start, step):

@@ -220,6 +220,15 @@ def test_explicit_grid_where_theta_stops_decreasing(tmp_path, capsys):
     assert mesh.exists()
 
 
+def test_step_too_small_for_the_span(capsys):
+    # 1 / 5e-324 overflows: a runtime failure with an error line
+    code = run(["profile", "--kind", "implicit", "--c", "1",
+                "--theta-start", "2.2", "--u-min", "0", "--u-max", "1",
+                "--step", "5e-324"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: step 5e-324 ")
+
+
 def test_runtime_failure_exit_code(capsys):
     # a valid start just past pi/2, where the first step leaves the
     # quadrant: the march halts at u = 0 and leaves no usable profile

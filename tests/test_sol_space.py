@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from solgeo.sol_space import (FRAME, DegeneratePlaneError, Point,
                               TangentVector, canonical_leaf, christoffel,
-                              covariant_derivative, curvature_tensor,
-                              curvature_tensor_fd, frame_connection,
-                              frame_vector, metric_at, sectional_curvature)
+                              christoffel_contraction, covariant_derivative,
+                              curvature_tensor, curvature_tensor_fd,
+                              frame_connection, frame_vector, metric_at,
+                              sectional_curvature)
 
 coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
                    allow_infinity=False)
@@ -43,6 +44,25 @@ def test_christoffel_closed_form():
     expected[2, 0, 0] = -e2z
     expected[2, 1, 1] = 1.0 / e2z
     assert np.allclose(gamma, expected, atol=1e-12)
+
+
+components = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
+                       allow_infinity=False)
+
+
+@given(st.floats(min_value=-20.0, max_value=20.0),
+       st.tuples(components, components, components),
+       st.tuples(components, components, components))
+def test_christoffel_contraction_matches_dense_symbols(z, x, y):
+    p = Point(0.0, 0.0, z)
+    dense = np.einsum("kij,i,j->k", christoffel(p), np.array(x), np.array(y))
+    # each component sums two products; allow a few ulps of their sizes
+    e2z = math.exp(2.0 * z)
+    sizes = np.array([abs(x[0] * y[2]) + abs(x[2] * y[0]),
+                      abs(x[1] * y[2]) + abs(x[2] * y[1]),
+                      e2z * abs(x[0] * y[0]) + abs(x[1] * y[1]) / e2z])
+    assert np.all(np.abs(np.array(christoffel_contraction(p, x, y)) - dense)
+                  <= 4.0 * np.finfo(float).eps * sizes)
 
 
 @pytest.mark.parametrize("i,j,expected", [

@@ -8,7 +8,9 @@ import scipy.linalg
 
 from solgeo.numerics import central_diff
 from solgeo.patch import SurfacePatch
-from solgeo.sol_space import TangentVector, canonical_leaf
+from solgeo.sol_space import (FRAME, Point, TangentVector, canonical_leaf,
+                              christoffel, curvature_components,
+                              sectional_curvature)
 from solgeo.surface_calculus import (CmcDegenerateError,
                                      DegenerateParametrizationError,
                                      LocalGeometry, ScalarField, adapted_frame,
@@ -87,6 +89,11 @@ def test_adapted_frame_needs_gradient_or_override():
 def test_nan_partial_is_degenerate(patch_x1):
     patch = dataclasses.replace(patch_x1,
                                 d_u=lambda u, v: np.full(3, math.nan))
+    with pytest.raises(DegenerateParametrizationError):
+        LocalGeometry(patch, -1.0, 0.3)
+    # parallel partials span no plane either
+    patch = dataclasses.replace(patch_x1,
+                                d_v=lambda u, v: -2.0 * patch_x1.du(u, v))
     with pytest.raises(DegenerateParametrizationError):
         LocalGeometry(patch, -1.0, 0.3)
 
@@ -235,3 +242,74 @@ def test_local_geometry_reads_each_handle_once(patch_x1):
             assert np.array_equal(a.components, b.components)
         else:
             assert a == b
+
+
+def _numpy_record(patch, u, v, dh):
+    """A record's quantities by the numpy formulas the closed forms
+    replaced: np.cross, np.linalg.solve and einsum over the dense
+    christoffel array.  ``dh`` is the differential of f, which both routes
+    read from the same handles."""
+    pos = patch.position(u, v)
+    ez = math.exp(pos[2])
+
+    def to_frame(c):
+        return np.array([ez * c[0], c[1] / ez, c[2]])
+
+    point = Point.from_array(pos)
+    firsts = (patch.du(u, v), patch.dv(u, v))
+    du_f, dv_f = (to_frame(c) for c in firsts)
+    cross = np.cross(du_f, dv_f)
+    xi_f = patch.orientation * cross / np.linalg.norm(cross)
+    first = np.array([[du_f @ du_f, du_f @ dv_f], [dv_f @ du_f, dv_f @ dv_f]])
+    gamma = christoffel(point)
+    duv = patch.duv(u, v)
+    seconds = ((patch.duu(u, v), duv), (duv, patch.dvv(u, v)))
+    nab = np.array([[to_frame(seconds[i][j] + np.einsum(
+        "kab,a,b->k", gamma, firsts[i], firsts[j])) for j in range(2)]
+        for i in range(2)])
+    second = nab @ xi_f
+    shape = np.linalg.solve(first, second)
+    h = 0.5 * np.trace(shape)
+    ambient_k = sectional_curvature(TangentVector(point, du_f, FRAME),
+                                    TangentVector(point, dv_f, FRAME))
+    tangential = np.einsum("ijc,lc->lij", nab, np.array([du_f, dv_f]))
+    gradient = np.linalg.solve(first, dh)
+    t1 = du_f / np.linalg.norm(du_f)
+    w = dv_f - np.dot(dv_f, t1) * t1
+    t2 = w / np.linalg.norm(w)
+    trace = (curvature_components(t1, xi_f, t1)
+             + curvature_components(t2, xi_f, t2))
+    trace_t = trace - np.dot(trace, xi_f) * xi_f
+    coeffs = np.linalg.solve(first, np.array([trace_t @ du_f,
+                                              trace_t @ dv_f]))
+    return {
+        "first": first, "xi_f": xi_f, "second": second, "A": shape, "h": h,
+        "K": ambient_k + np.linalg.det(shape), "gradient_h": gradient,
+        "surface_christoffel": np.linalg.solve(
+            first, tangential.reshape(2, 4)).reshape(2, 2, 2),
+        "residual": shape @ gradient + h * gradient + h * coeffs,
+    }
+
+
+def test_record_matches_numpy_formulas(patch_x1, patch_x2):
+    """The closed-form record agrees with the numpy formulas to 1e-14,
+    relative to the larger of the reference's magnitude and 1 (the
+    residual is round-off on the family)."""
+    graph = graph_patch_fixture()
+    cases = [(patch, patch.grid(4, 3)) for patch in (
+        canonical_leaf("x_const", 0.3), canonical_leaf("y_const", -0.2),
+        canonical_leaf("z_const", 0.15), vertical_cylinder_fixture(), graph,
+        _handle_free(graph))]
+    cases += [(patch, (np.linspace(-3.9, -0.05, 5), np.array([-0.4, 0.7])))
+              for patch in (patch_x1, patch_x2)]
+    for patch, (us, vs) in cases:
+        for u in us:
+            for v in vs:
+                geo = LocalGeometry(patch, float(u), float(v))
+                oracle = _numpy_record(patch, float(u), float(v), geo.dh)
+                for name, expected in oracle.items():
+                    scale = max(float(np.max(np.abs(expected))), 1.0)
+                    error = float(np.max(np.abs(getattr(geo, name)
+                                                - expected)))
+                    assert error <= 1e-14 * scale, (patch.name, u, v, name,
+                                                    error)

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from .numerics import hermite_basis, hermite_eval
-from .patch import SurfacePatch
+from .patch import ScalarField, SurfacePatch
 
 __all__ = [
     "EXPLICIT",
@@ -166,19 +166,19 @@ def _phi1_primitive(u: float) -> float:
     # G(u) of the module docstring, with w^p written as e^{(2 a1 - 1) u}
     # so that it never underflows on u < 0.
     a = CONSTANTS.a1
-    return (math.exp((2.0 * a - 1.0) * u) / _P
-            * float(hyp2f1(_P, 2.0 * _P, _P + 1.0, -math.exp(4.0 * a * u))))
-
-
-def _phi1_explicit(u: float, u0: float, c0: float) -> float:
-    """Closed-form Phi1(u) = -int_{u0}^{u} sin(theta) e^{Psi}; see the
-    module docstring."""
-    _require_negative(u)
     try:
-        return -(math.exp(c0) / (2.0 * CONSTANTS.a1)) \
-            * (_phi1_primitive(u) - _phi1_primitive(u0))
+        return (math.exp((2.0 * a - 1.0) * u) / _P
+                * float(hyp2f1(_P, 2.0 * _P, _P + 1.0,
+                               -math.exp(4.0 * a * u))))
     except OverflowError:
         raise ValueError(f"Phi1 overflows at u = {u:g}") from None
+
+
+def _phi1_explicit(u: float, g0: float, c0: float) -> float:
+    """Closed-form Phi1(u) = -int_{u0}^{u} sin(theta) e^{Psi}, given
+    g0 = G(u0); see the module docstring."""
+    _require_negative(u)
+    return -(math.exp(c0) / (2.0 * CONSTANTS.a1)) * (_phi1_primitive(u) - g0)
 
 
 def gaussian_curvature_closed_form(u: float) -> float:
@@ -319,6 +319,9 @@ class ProfileSolution:
         if self.kind == IMPLICIT and not np.all(np.diff(self.f) > 0.0):
             raise ValueError("implicit profile requires increasing f "
                              "(theta'' < 0)")
+        if self.kind == EXPLICIT:
+            # G(u0) of the closed-form Phi1, computed once.
+            object.__setattr__(self, "_g_u0", _phi1_primitive(self.u0))
         if self.kind == IMPLICIT:
             # The Hermite slope of each column, from the ODE, computed once.
             slopes = {
@@ -372,7 +375,7 @@ class ProfileSolution:
 
     def phi1_at(self, u: float) -> float:
         if self.kind == EXPLICIT:
-            return _phi1_explicit(u, self.u0, self.c0)
+            return _phi1_explicit(u, self._g_u0, self.c0)
         return self._hermite(u, "phi1")
 
     def phi1_prime_at(self, u: float) -> float:
@@ -589,11 +592,11 @@ def build_profile(kind: str, c: Optional[float] = None,
         _require_negative(anchor)
         if grid[-1] >= 0.0:
             raise ValueError("explicit profiles live on u < 0")
-        c0 = psi_anchor(anchor)
+        c0, g0 = psi_anchor(anchor), _phi1_primitive(anchor)
         theta = np.array([theta_explicit(x) for x in grid])
         f = np.array([f_explicit(x) for x in grid])
         psi = np.array([psi_explicit(x, c0) for x in grid])
-        phi1 = np.array([_phi1_explicit(x, anchor, c0) for x in grid])
+        phi1 = np.array([_phi1_explicit(x, g0, c0) for x in grid])
         return ProfileSolution(kind=EXPLICIT, u=grid, theta=theta, f=f,
                                psi=psi, phi1=phi1, u0=anchor, c0=c0)
 
@@ -659,12 +662,21 @@ def family_surface(profile: ProfileSolution, variant: str,
     All first and second partials and the mean curvature f(u) come from
     the profile's closed derivative relations, so downstream curvature
     computations are finite-difference-free unless explicitly stripped.
+    The mean-curvature field has f'' on the explicit kind only.
     """
     place = _layout(variant)
     ruling = (1.0, 0.0, 0.0) if variant == "x1" else (0.0, 1.0, 0.0)
     v_lo, v_hi = float(v_range[0]), float(v_range[1])
     domain = ((float(profile.u[0]), float(profile.u[-1])), (v_lo, v_hi))
     zero = np.zeros(3)
+    f_field = ScalarField(
+        value=lambda u, v: profile.f_at(u),
+        du=lambda u, v: profile.f_prime_at(u),
+        dv=lambda u, v: 0.0,
+        duu=((lambda u, v: profile.f_second_at(u))
+             if profile.kind == EXPLICIT else None),
+        duv=lambda u, v: 0.0,
+        dvv=lambda u, v: 0.0)
     return SurfacePatch(
         immersion=lambda u, v: np.array(place(profile.phi1_at(u),
                                               profile.psi_at(u), v)),
@@ -675,9 +687,7 @@ def family_surface(profile: ProfileSolution, variant: str,
                                          profile.psi_second_at(u), 0.0)),
         d_uv=lambda u, v: zero,
         d_vv=lambda u, v: zero,
-        mean_curvature=lambda u, v: profile.f_at(u),
-        mean_curvature_du=lambda u, v: profile.f_prime_at(u),
-        mean_curvature_dv=lambda u, v: 0.0,
+        mean_curvature=f_field,
         domain=domain, name=f"family_{variant}_{profile.kind}")
 
 

@@ -1,9 +1,9 @@
-"""Parametrized surface patches.
+"""Parametrized surface patches and scalar fields on them.
 
-A :class:`SurfacePatch` bundles an immersion ``(u, v) -> (x, y, z)`` with
-optional analytic derivative handles.  Consumers fall back to central
-differences for any handle that is missing, so fixtures can be as cheap or
-as exact as a test requires.
+A :class:`SurfacePatch` (an immersion ``(u, v) -> (x, y, z)``) and a
+:class:`ScalarField` (a function of ``(u, v)``) read every partial by one
+rule: the analytic handle when there is one, else a central difference.
+Fixtures can therefore be as cheap or as exact as a test requires.
 """
 
 from __future__ import annotations
@@ -13,11 +13,58 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .numerics import DEFAULT_FD_STEP, central_diff, central_diff2, mixed_diff
+from .numerics import (CURVATURE_FD_STEP, DEFAULT_FD_STEP, central_diff,
+                       central_diff2, mixed_diff)
 
 Immersion = Callable[[float, float], np.ndarray]
 VectorHandle = Callable[[float, float], np.ndarray]
 ScalarHandle = Callable[[float, float], float]
+
+
+def _partial(func, handle, u: float, v: float, axes: str,
+             step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """The partial of ``func`` along ``axes`` (``"u"``, ``"v"``, ``"uu"``,
+    ``"uv"`` or ``"vv"``) at ``(u, v)``: ``handle(u, v)`` when the handle
+    exists, else a central difference of ``func``, first partials at
+    ``step`` and second partials at ``CURVATURE_FD_STEP``."""
+    if handle is not None:
+        return np.asarray(handle(u, v), dtype=float)
+    if axes == "u":
+        return central_diff(lambda s: func(s, v), u, step)
+    if axes == "v":
+        return central_diff(lambda t: func(u, t), v, step)
+    if axes == "uu":
+        return central_diff2(lambda s: func(s, v), u, CURVATURE_FD_STEP)
+    if axes == "vv":
+        return central_diff2(lambda t: func(u, t), v, CURVATURE_FD_STEP)
+    return mixed_diff(func, u, v, CURVATURE_FD_STEP)
+
+
+@dataclass(frozen=True)
+class ScalarField:
+    """A scalar function of the surface parameters with optional analytic
+    partials ``du`` .. ``dvv``; each partial missing a handle is a central
+    difference of ``value``."""
+
+    value: ScalarHandle
+    du: Optional[ScalarHandle] = None
+    dv: Optional[ScalarHandle] = None
+    duu: Optional[ScalarHandle] = None
+    duv: Optional[ScalarHandle] = None
+    dvv: Optional[ScalarHandle] = None
+
+    def gradient(self, u: float, v: float,
+                 step: float) -> Tuple[float, float]:
+        """(phi_u, phi_v); missing handles are differenced at ``step``."""
+        return (float(_partial(self.value, self.du, u, v, "u", step)),
+                float(_partial(self.value, self.dv, u, v, "v", step)))
+
+    def hessian(self, u: float, v: float) -> Tuple[float, float, float]:
+        """(phi_uu, phi_uv, phi_vv); missing handles are differenced at
+        ``CURVATURE_FD_STEP``."""
+        return (float(_partial(self.value, self.duu, u, v, "uu")),
+                float(_partial(self.value, self.duv, u, v, "uv")),
+                float(_partial(self.value, self.dvv, u, v, "vv")))
 
 
 @dataclass(frozen=True)
@@ -35,16 +82,15 @@ class SurfacePatch:
         ``+1`` or ``-1``; flips the unit normal so constructors can realize
         a chosen mean-curvature sign.
     fd_step:
-        Central-difference step of the first-partial fallbacks.  Missing
-        second partials are differenced with the kernels' default step
-        ``numerics.CURVATURE_FD_STEP``.
+        Central-difference step of the first-partial fallbacks, of the
+        immersion and of the mean curvature.  Missing second partials are
+        differenced at ``numerics.CURVATURE_FD_STEP``.
     d_u .. d_vv:
         Optional analytic first and second partials of the immersion.
-    mean_curvature, mean_curvature_du, mean_curvature_dv:
-        Optional closed forms for the mean-curvature function and its
-        parameter derivatives; used preferentially by curvature routines
-        because differencing the mean curvature numerically costs third
-        derivatives of the immersion.
+    mean_curvature:
+        Optional :class:`ScalarField` of the mean curvature, preferred by
+        curvature routines because differencing each point's own f costs
+        third derivatives of the immersion.
     """
 
     immersion: Immersion
@@ -57,9 +103,7 @@ class SurfacePatch:
     d_uu: Optional[VectorHandle] = None
     d_uv: Optional[VectorHandle] = None
     d_vv: Optional[VectorHandle] = None
-    mean_curvature: Optional[ScalarHandle] = None
-    mean_curvature_du: Optional[ScalarHandle] = None
-    mean_curvature_dv: Optional[ScalarHandle] = None
+    mean_curvature: Optional[ScalarField] = None
 
     def __post_init__(self):
         if self.orientation not in (1, -1):
@@ -72,29 +116,19 @@ class SurfacePatch:
         return np.asarray(self.immersion(u, v), dtype=float)
 
     def du(self, u: float, v: float) -> np.ndarray:
-        if self.d_u is not None:
-            return np.asarray(self.d_u(u, v), dtype=float)
-        return central_diff(lambda s: self.immersion(s, v), u, self.fd_step)
+        return _partial(self.immersion, self.d_u, u, v, "u", self.fd_step)
 
     def dv(self, u: float, v: float) -> np.ndarray:
-        if self.d_v is not None:
-            return np.asarray(self.d_v(u, v), dtype=float)
-        return central_diff(lambda t: self.immersion(u, t), v, self.fd_step)
+        return _partial(self.immersion, self.d_v, u, v, "v", self.fd_step)
 
     def duu(self, u: float, v: float) -> np.ndarray:
-        if self.d_uu is not None:
-            return np.asarray(self.d_uu(u, v), dtype=float)
-        return central_diff2(lambda s: self.immersion(s, v), u)
+        return _partial(self.immersion, self.d_uu, u, v, "uu")
 
     def dvv(self, u: float, v: float) -> np.ndarray:
-        if self.d_vv is not None:
-            return np.asarray(self.d_vv(u, v), dtype=float)
-        return central_diff2(lambda t: self.immersion(u, t), v)
+        return _partial(self.immersion, self.d_vv, u, v, "vv")
 
     def duv(self, u: float, v: float) -> np.ndarray:
-        if self.d_uv is not None:
-            return np.asarray(self.d_uv(u, v), dtype=float)
-        return mixed_diff(self.immersion, u, v)
+        return _partial(self.immersion, self.d_uv, u, v, "uv")
 
     def grid(self, nu: int, nv: int) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform parameter samples over the domain, ``nu`` by ``nv``."""
@@ -102,13 +136,12 @@ class SurfacePatch:
         return np.linspace(u_lo, u_hi, nu), np.linspace(v_lo, v_hi, nv)
 
     def without_curvature_handles(self) -> "SurfacePatch":
-        """Copy with the mean-curvature closed forms dropped.
+        """Copy with the mean-curvature field dropped.
 
         Forces downstream routines onto the finite-difference path; used by
         convergence studies.
         """
-        return replace(self, mean_curvature=None, mean_curvature_du=None,
-                       mean_curvature_dv=None)
+        return replace(self, mean_curvature=None)
 
     def with_fd_step(self, step: float) -> "SurfacePatch":
         return replace(self, fd_step=step)

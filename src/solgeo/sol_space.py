@@ -197,8 +197,9 @@ def christoffel_contraction(p: Point, x, y) -> Tuple[float, float, float]:
     x0, x1, x2 = x
     y0, y1, y2 = y
     e2z = math.exp(2.0 * p.z)
+    # symbol first, as in the dense sum: x1 * y1 alone can underflow
     return (x0 * y2 + x2 * y0, -(x1 * y2 + x2 * y1),
-            -e2z * x0 * y0 + x1 * y1 / e2z)
+            -e2z * x0 * y0 + (1.0 / e2z) * x1 * y1)
 
 
 def covariant_derivative(field: Callable[[Point], TangentVector],

@@ -27,15 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .numerics import central_diff, central_diff2, mixed_diff
-from .patch import SurfacePatch
+from .patch import ScalarField, SurfacePatch
 from .sol_space import (FRAME, PLANE_GRAM_TOLERANCE, DegeneratePlaneError,
-                        Point, TangentVector, christoffel_contraction,
-                        curvature_components)
+                        Point, TangentVector, christoffel_contraction)
 
 __all__ = [
     "DegenerateParametrizationError",
@@ -114,19 +112,6 @@ class AdaptedFrameSample:
     lambda1: float
     lambda2: float
     e3_defect: float
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """A scalar function of the surface parameters with optional analytic
-    derivative handles; missing handles fall back to finite differences."""
-
-    value: Callable[[float, float], float]
-    du: Optional[Callable[[float, float], float]] = None
-    dv: Optional[Callable[[float, float], float]] = None
-    duu: Optional[Callable[[float, float], float]] = None
-    duv: Optional[Callable[[float, float], float]] = None
-    dvv: Optional[Callable[[float, float], float]] = None
 
 
 class _computed_once:
@@ -322,20 +307,18 @@ class LocalGeometry:
         return np.array([self.h - radius, self.h + radius])
 
     @_computed_once
+    def _f_field(self) -> ScalarField:
+        """The patch's mean-curvature field, or else a handle-free field of
+        each point's own f."""
+        return self.patch.mean_curvature or ScalarField(
+            lambda s, t: LocalGeometry(self.patch, s, t).h)
+
+    @_computed_once
     def dh(self) -> np.ndarray:
-        """Differential of the mean curvature: the patch handles when both
-        exist, otherwise central differences of f at neighbouring points."""
-        patch, u, v = self.patch, self.u, self.v
-        if patch.mean_curvature_du is not None \
-                and patch.mean_curvature_dv is not None:
-            return np.array([float(patch.mean_curvature_du(u, v)),
-                             float(patch.mean_curvature_dv(u, v))])
-        return np.array([
-            float(central_diff(lambda s: _mean_curvature_value(patch, s, v),
-                               u, patch.fd_step)),
-            float(central_diff(lambda t: _mean_curvature_value(patch, u, t),
-                               v, patch.fd_step)),
-        ])
+        """Differential of the mean curvature: the first partials of the
+        patch's mean-curvature field, or of each point's own f."""
+        return np.array(self._f_field.gradient(
+            self.u, self.v, self.patch.fd_step))
 
     @_computed_once
     def gradient_h(self) -> np.ndarray:
@@ -343,29 +326,22 @@ class LocalGeometry:
 
     @_computed_once
     def curvature_trace(self) -> np.ndarray:
-        """trace R(., xi) . over an orthonormal tangent basis obtained by
-        Gram-Schmidt on the parameter partials."""
-        du, dv = self._du, self._dv
-        length = math.sqrt(self._E)
-        t1 = [c / length for c in du]
-        along = _dot(dv, t1)
-        w = [b - along * c for b, c in zip(dv, t1)]
-        length = math.sqrt(_dot(w, w))
-        t1, t2 = np.array(t1), np.array([c / length for c in w])
-        return (curvature_components(t1, self.xi_f, t1)
-                + curvature_components(t2, self.xi_f, t2))
+        """trace R(., xi) . over the tangent plane: 2 xi_3 E3.  In Sol,
+        R(t, xi) t = -xi + 2 t_3 (t_3 xi - xi_3 t) + 2 xi_3 E3 for a unit t
+        orthogonal to xi, and an orthonormal tangent basis (t1, t2) has
+        t1_3^2 + t2_3^2 = 1 - xi_3^2 and t1_3 t1 + t2_3 t2 = E3 - xi_3 xi."""
+        return np.array([0.0, 0.0, 2.0 * self._xi[2]])
 
     @_computed_once
     def normal_trace(self) -> float:
-        """<trace R(., xi) ., xi>."""
-        return _dot(self.curvature_trace.tolist(), self._xi)
+        """<trace R(., xi) ., xi> = 2 xi_3^2."""
+        return 2.0 * self._xi[2] * self._xi[2]
 
     @_computed_once
     def residual(self) -> np.ndarray:
         """A(grad f) + f grad f + f (trace R(., xi) .)^T."""
-        normal = self.normal_trace
-        p, q = self._coefficients([t - normal * x for t, x in zip(
-            self.curvature_trace.tolist(), self._xi)])
+        twice_xi3 = 2.0 * self._xi[2]
+        p, q = self._solve(twice_xi3 * self._du[2], twice_xi3 * self._dv[2])
         (a00, a01), (a10, a11) = self.A.tolist()
         g0, g1 = self.gradient_h.tolist()
         h = self.h
@@ -424,21 +400,8 @@ class LocalGeometry:
     def laplacian(self, field) -> float:
         """Surface Laplacian of ``field``; see :func:`laplace_beltrami`."""
         fld = field if isinstance(field, ScalarField) else ScalarField(field)
-        patch, u, v = self.patch, self.u, self.v
-        phi_u = (fld.du(u, v) if fld.du is not None else
-                 float(central_diff(lambda s: fld.value(s, v), u,
-                                    patch.fd_step)))
-        phi_v = (fld.dv(u, v) if fld.dv is not None else
-                 float(central_diff(lambda t: fld.value(u, t), v,
-                                    patch.fd_step)))
-        phi_uu = (fld.duu(u, v) if fld.duu is not None else
-                  float(central_diff2(lambda s: fld.value(s, v), u)))
-        phi_vv = (fld.dvv(u, v) if fld.dvv is not None else
-                  float(central_diff2(lambda t: fld.value(u, t), v)))
-        phi_uv = (fld.duv(u, v) if fld.duv is not None else
-                  float(mixed_diff(fld.value, u, v)))
-
-        grad = (phi_u, phi_v)
+        grad = fld.gradient(self.u, self.v, self.patch.fd_step)
+        phi_uu, phi_uv, phi_vv = fld.hessian(self.u, self.v)
         hess = ((phi_uu, phi_uv), (phi_uv, phi_vv))
         gamma = self.surface_christoffel.tolist()
         e, f, g, det = self._E, self._F, self._G, self._det
@@ -466,18 +429,12 @@ def fundamental_forms(patch: SurfacePatch, u: float,
                             TangentVector(geo.point, geo.xi_f, FRAME))
 
 
-def _mean_curvature_value(patch: SurfacePatch, u: float, v: float) -> float:
-    if patch.mean_curvature is not None:
-        return float(patch.mean_curvature(u, v))
-    return LocalGeometry(patch, u, v).h
-
-
 def shape_data(patch: SurfacePatch, u: float, v: float) -> ShapeData:
     """Shape operator, mean and Gaussian curvature, and grad f at a point.
 
     The Gaussian curvature combines the ambient sectional curvature of the
     tangent plane with det A (the Gauss equation).  ``gradient_h`` prefers
-    the patch's analytic mean-curvature handles; without them it costs a
+    the patch's mean-curvature field; without it it costs a
     finite-difference pass over neighbouring shape computations.
     """
     geo = LocalGeometry(patch, u, v)
@@ -524,19 +481,14 @@ def laplace_beltrami(patch: SurfacePatch,
     return LocalGeometry(patch, u, v).laplacian(field)
 
 
-def biharmonic_normal_residual(patch: SurfacePatch, u: float, v: float,
-                               field=None) -> float:
+def biharmonic_normal_residual(patch: SurfacePatch, u: float,
+                               v: float) -> float:
     """Normal residual Delta f - f |A|^2 - f <trace R(., xi) ., xi>.
 
-    ``field`` optionally supplies the mean curvature as a
-    :class:`ScalarField` with analytic derivatives (the family profiles
-    provide one); otherwise the patch handles or finite differences are
-    used.  A biharmonic immersion makes this vanish; for the
-    biconservative family it is strictly negative, which is the
-    obstruction.
+    Delta f is the surface Laplacian of the patch's mean-curvature field,
+    or of each point's own f on a patch without one.  A biharmonic
+    immersion makes this vanish; for the biconservative family it is
+    strictly negative, which is the obstruction.
     """
-    if field is None:
-        field = ScalarField(lambda s, t: _mean_curvature_value(patch, s, t),
-                            patch.mean_curvature_du, patch.mean_curvature_dv)
     geo = LocalGeometry(patch, u, v)
-    return geo.normal_residual(geo.laplacian(field))
+    return geo.normal_residual(geo.laplacian(geo._f_field))

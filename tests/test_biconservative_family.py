@@ -152,6 +152,8 @@ def test_explicit_phi1_far_from_the_anchor():
     # Phi1 itself exceeds double range below u = -5390 or so
     with pytest.raises(ValueError, match="overflows"):
         profile.phi1_at(-6000.0)
+    with pytest.raises(ValueError, match="overflows at u = -6000"):
+        build_profile(EXPLICIT, u_grid=[-2.0, -1.0], u0=-6000.0)
 
 
 def test_explicit_profile_rejects_rounded_angle():
@@ -476,11 +478,12 @@ def test_family_surface_partials_match_finite_differences(
 
 
 def test_family_surface_mean_curvature_handles(explicit_profile, patch_x1):
-    assert patch_x1.mean_curvature(-1.0, 0.4) == pytest.approx(
+    field = patch_x1.mean_curvature
+    assert field.value(-1.0, 0.4) == pytest.approx(
         f_explicit(-1.0), abs=1e-15)
-    assert patch_x1.mean_curvature_du(-1.0, 0.4) == pytest.approx(
+    assert field.du(-1.0, 0.4) == pytest.approx(
         f_prime_explicit(-1.0), abs=1e-15)
-    assert patch_x1.mean_curvature_dv(-1.0, 0.4) == 0.0
+    assert field.dv(-1.0, 0.4) == 0.0
 
 
 def test_mirrored_variant_swaps_roles(explicit_profile):

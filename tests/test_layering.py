@@ -1,7 +1,9 @@
 """No solgeo module imports another module's private (underscore) names,
 every public kernel in ``solgeo.numerics`` has a caller elsewhere in the
 package, the package imports exactly the third-party packages it
-declares, and scipy serves only the profile family."""
+declares, scipy serves only the profile family, and the surface calculus
+leaves finite differences to the patch and the curvature trace to its
+closed form."""
 
 import ast
 import os
@@ -106,3 +108,22 @@ def test_scipy_is_imported_only_for_hyp2f1():
                 name for name in names if name.split(".")[0] == "scipy")
     assert {module: names for module, names in found.items() if names} == {
         "biconservative_family.py": {"scipy.special.hyp2f1"}}
+
+
+def _imported_names(path: Path):
+    return {alias.name
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_surface_calculus_reads_partials_through_the_patch():
+    # the handle-or-difference rule lives in patch.py, and the curvature
+    # trace is the closed form 2 xi_3 E3
+    imported = _imported_names(PACKAGE_DIR / "surface_calculus.py")
+    assert imported & {"central_diff", "central_diff2", "mixed_diff",
+                       "curvature_components"} == set()
+    # the mean curvature is one ScalarField on the patch
+    named = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if re.search(r"\bmean_curvature_d[uv]\b",
+                          path.read_text(encoding="utf-8"))]
+    assert named == []

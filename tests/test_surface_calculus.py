@@ -13,7 +13,7 @@ from solgeo.sol_space import (FRAME, Point, TangentVector, canonical_leaf,
                               sectional_curvature)
 from solgeo.surface_calculus import (CmcDegenerateError,
                                      DegenerateParametrizationError,
-                                     LocalGeometry, ScalarField, adapted_frame,
+                                     LocalGeometry, adapted_frame,
                                      biconservative_residual,
                                      biharmonic_normal_residual,
                                      fundamental_forms, laplace_beltrami,
@@ -110,25 +110,13 @@ def test_biconservative_residual_nonzero_on_graph():
     assert float(np.linalg.norm(r)) > 1e-3
 
 
-def _profile_field(profile):
-    return ScalarField(
-        value=lambda u, v: profile.f_at(u),
-        du=lambda u, v: profile.f_prime_at(u),
-        dv=lambda u, v: 0.0,
-        duu=lambda u, v: profile.f_second_at(u),
-        duv=lambda u, v: 0.0,
-        dvv=lambda u, v: 0.0)
-
-
-def test_laplace_beltrami_of_mean_curvature(patch_x1, explicit_profile):
-    field = _profile_field(explicit_profile)
-    lap = laplace_beltrami(patch_x1, field, -1.0, 0.2)
+def test_laplace_beltrami_of_mean_curvature(patch_x1):
+    lap = laplace_beltrami(patch_x1, patch_x1.mean_curvature, -1.0, 0.2)
     assert abs(lap - LAP_M1) < 1e-9
 
 
-def test_biharmonic_normal_residual_frozen_value(patch_x1, explicit_profile):
-    field = _profile_field(explicit_profile)
-    res = biharmonic_normal_residual(patch_x1, -1.0, 0.2, field)
+def test_biharmonic_normal_residual_frozen_value(patch_x1):
+    res = biharmonic_normal_residual(patch_x1, -1.0, 0.2)
     assert abs(res - (LAP_M1 - RHS_M1)) < 1e-9
 
 
@@ -285,6 +273,7 @@ def _numpy_record(patch, u, v, dh):
     return {
         "first": first, "xi_f": xi_f, "second": second, "A": shape, "h": h,
         "K": ambient_k + np.linalg.det(shape), "gradient_h": gradient,
+        "curvature_trace": trace,
         "surface_christoffel": np.linalg.solve(
             first, tangential.reshape(2, 4)).reshape(2, 2, 2),
         "residual": shape @ gradient + h * gradient + h * coeffs,

@@ -186,12 +186,15 @@ def test_biharmonic_obstruction_reports(explicit_profile):
 
 
 def test_biharmonic_obstruction_far_down_the_profile():
-    # a valid explicit grid; e^{-2 a u} at u = -200 is about 1e75
-    reports = check_biharmonic_obstruction(
-        build_profile(EXPLICIT, u_grid=[-200.0, -1.0]))
+    reports = check_biharmonic_obstruction(build_profile(
+        EXPLICIT, u_grid=np.linspace(verification.BIHARMONIC_U_MIN, -1.0, 9)))
     assert len(reports) == 8
-    by_id = {r.check_id: r for r in reports}
-    assert by_id["biharmonic_laplacian_two_routes"].status == "pass"
+    assert all(r.status == "pass" for r in reports)
+    # a valid explicit grid, but the gap is below the floor there
+    with pytest.raises(ValueError, match="u = -200"):
+        check_biharmonic_obstruction(
+            build_profile(EXPLICIT, u_grid=[-200.0, -1.0]))
+    # e^{-2 a u} at u = -5000 is far beyond double range
     assert math.isfinite(verification._laplacian_rational(-5000.0))
 
 

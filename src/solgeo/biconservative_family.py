@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import hyp2f1
 
-from .numerics import hermite_basis, hermite_eval
+from .numerics import (first_false, hermite_basis, hermite_eval, namespace,
+                       piecewise)
 from .patch import ScalarField, SurfacePatch
 
 __all__ = [
@@ -82,13 +84,23 @@ class FamilyConstants:
 CONSTANTS = FamilyConstants()
 
 
-def _require_negative(u: float) -> None:
+# The explicit closed forms take u as a float or as an array, and each is
+# written once against :func:`~solgeo.numerics.namespace`: a float is
+# evaluated with ``math`` and an array with numpy's ufuncs, entry by entry.
+
+
+def _require_negative(u) -> None:
     # Written so that NaN fails too: every comparison with NaN is false.
-    if not u < 0.0:
-        raise ValueError(f"explicit profile requires u < 0, got u = {u:g}")
+    negative = u < 0.0
+    if negative is True:  # one float below zero, the common case
+        return
+    bad = first_false(negative)
+    if bad is not None:
+        raise ValueError(f"explicit profile requires u < 0, got "
+                         f"u = {np.ravel(u)[bad]:g}")
 
 
-def theta_explicit(u: float) -> float:
+def theta_explicit(u):
     """Vertical angle theta(u) = 2 arctan(e^{-2 a1 u}) for u < 0.
 
     Decreases from pi (u -> -inf) to pi/2 (u -> 0-).  Large arguments are
@@ -96,12 +108,18 @@ def theta_explicit(u: float) -> float:
     """
     _require_negative(u)
     t = -2.0 * CONSTANTS.a1 * u
-    if t > 350.0:
-        return math.pi - 2.0 * math.atan(math.exp(-t))
-    return 2.0 * math.atan(math.exp(t))
+    return piecewise(t, t > 350.0, _theta_reflected, _theta_direct)
 
 
-def theta_prime_explicit(u: float) -> float:
+def _theta_reflected(t, xp):
+    return xp.pi - 2.0 * xp.arctan(xp.exp(-t))
+
+
+def _theta_direct(t, xp):
+    return 2.0 * xp.arctan(xp.exp(t))
+
+
+def theta_prime_explicit(u):
     """Derivative of the explicit angle profile, -4 a1 e^{-2 a1 u} / (1 + e^{-4 a1 u}).
 
     Evaluated on its own rational form rather than through -2 f, so profile
@@ -109,39 +127,51 @@ def theta_prime_explicit(u: float) -> float:
     """
     _require_negative(u)
     t = -2.0 * CONSTANTS.a1 * u
-    if t > 350.0:
-        return -4.0 * CONSTANTS.a1 * math.exp(-t)
-    w = math.exp(t)
+    return piecewise(t, t > 350.0, _theta_prime_far, _theta_prime_rational)
+
+
+def _theta_prime_far(t, xp):
+    return -4.0 * CONSTANTS.a1 * xp.exp(-t)
+
+
+def _theta_prime_rational(t, xp):
+    w = xp.exp(t)
     return -4.0 * CONSTANTS.a1 * w / (1.0 + w * w)
 
 
-def _sech(w: float) -> float:
-    if abs(w) > 700.0:
-        return 2.0 * math.exp(-abs(w))
-    return 1.0 / math.cosh(w)
+def _sech(w):
+    return piecewise(w, abs(w) > 700.0, _sech_far, _sech_direct)
 
 
-def f_explicit(u: float) -> float:
+def _sech_far(w, xp):
+    return 2.0 * xp.exp(-abs(w))
+
+
+def _sech_direct(w, xp):
+    return 1.0 / xp.cosh(w)
+
+
+def f_explicit(u):
     """Mean curvature f(u) = 2 a1 e^{-2 a1 u} / (1 + e^{-4 a1 u}) = a1 sech(2 a1 u)."""
     _require_negative(u)
     return CONSTANTS.a1 * _sech(2.0 * CONSTANTS.a1 * u)
 
 
-def f_prime_explicit(u: float) -> float:
+def f_prime_explicit(u):
     """f'(u) = -2 a1^2 sech(2 a1 u) tanh(2 a1 u); positive on u < 0."""
     _require_negative(u)
     w = 2.0 * CONSTANTS.a1 * u
-    return -2.0 * CONSTANTS.a1 ** 2 * _sech(w) * math.tanh(w)
+    return -2.0 * CONSTANTS.a1 ** 2 * _sech(w) * namespace(w).tanh(w)
 
 
-def f_second_explicit(u: float) -> float:
+def f_second_explicit(u):
     """f''(u) = 4 a1^2 f (1 - 2 sin^2 theta)."""
     _require_negative(u)
     s = _sech(2.0 * CONSTANTS.a1 * u)
     return 4.0 * CONSTANTS.a1 ** 3 * s * (1.0 - 2.0 * s * s)
 
 
-def psi_explicit(u: float, c0: float = 0.0) -> float:
+def psi_explicit(u, c0: float = 0.0):
     """Height quadrature Psi(u) = ln(e^{-4 a1 u} + 1) / (2 a1) + u + c0.
 
     Evaluated as -u + log1p(e^{4 a1 u}) / (2 a1) + c0, which is exact for
@@ -149,7 +179,8 @@ def psi_explicit(u: float, c0: float = 0.0) -> float:
     """
     _require_negative(u)
     a = CONSTANTS.a1
-    return -u + math.log1p(math.exp(4.0 * a * u)) / (2.0 * a) + c0
+    xp = namespace(u)
+    return -u + xp.log1p(xp.exp(4.0 * a * u)) / (2.0 * a) + c0
 
 
 def psi_anchor(u0: float) -> float:
@@ -160,28 +191,32 @@ def psi_anchor(u0: float) -> float:
 
 
 _P = (1.0 - 3.0 * CONSTANTS.a1) / 4.0
+# The largest exponent whose e^x is finite: math.exp raises above it.
+_EXP_MAX = math.log(sys.float_info.max)
 
 
-def _phi1_primitive(u: float) -> float:
+def _phi1_primitive(u):
     # G(u) of the module docstring, with w^p written as e^{(2 a1 - 1) u}
     # so that it never underflows on u < 0.
     a = CONSTANTS.a1
-    try:
-        return (math.exp((2.0 * a - 1.0) * u) / _P
-                * float(hyp2f1(_P, 2.0 * _P, _P + 1.0,
-                               -math.exp(4.0 * a * u))))
-    except OverflowError:
-        raise ValueError(f"Phi1 overflows at u = {u:g}") from None
+    x = (2.0 * a - 1.0) * u
+    # NaN passes, as it passes through math.exp
+    bad = first_false((x <= _EXP_MAX) | (x != x))
+    if bad is not None:
+        raise ValueError(f"Phi1 overflows at u = {np.ravel(u)[bad]:g}")
+    xp = namespace(u)
+    return xp.exp(x) / _P * hyp2f1(_P, 2.0 * _P, _P + 1.0,
+                                   -xp.exp(4.0 * a * u))
 
 
-def _phi1_explicit(u: float, g0: float, c0: float) -> float:
+def _phi1_explicit(u, g0: float, c0: float):
     """Closed-form Phi1(u) = -int_{u0}^{u} sin(theta) e^{Psi}, given
     g0 = G(u0); see the module docstring."""
     _require_negative(u)
     return -(math.exp(c0) / (2.0 * CONSTANTS.a1)) * (_phi1_primitive(u) - g0)
 
 
-def gaussian_curvature_closed_form(u: float) -> float:
+def gaussian_curvature_closed_form(u):
     """Gaussian curvature of the explicit family, K = -cos^2 theta - 2 f sin theta.
 
     Equals -tanh^2(2 a1 u) - 2 a1 sech^2(2 a1 u); strictly negative on
@@ -190,7 +225,7 @@ def gaussian_curvature_closed_form(u: float) -> float:
     _require_negative(u)
     w = 2.0 * CONSTANTS.a1 * u
     s = _sech(w)
-    return -math.tanh(w) ** 2 - 2.0 * CONSTANTS.a1 * s * s
+    return -namespace(w).tanh(w) ** 2 - 2.0 * CONSTANTS.a1 * s * s
 
 
 def solve_f(theta: float, c: float) -> float:
@@ -250,9 +285,10 @@ def solve_f(theta: float, c: float) -> float:
     return f
 
 
-def f_prime_implicit(theta: float, f: float) -> float:
+def f_prime_implicit(theta, f):
     """f' along an implicit profile: -f sin(2 theta) / (3 f + sin theta)."""
-    return -f * math.sin(2.0 * theta) / (3.0 * f + math.sin(theta))
+    xp = namespace(theta)
+    return -f * xp.sin(2.0 * theta) / (3.0 * f + xp.sin(theta))
 
 
 class ProfileAngleError(ValueError):
@@ -334,57 +370,62 @@ class ProfileSolution:
             object.__setattr__(self, "_slopes", slopes)
 
     # -- dense evaluation ------------------------------------------------
+    # Each evaluator takes u as a float or as an array (one value per
+    # entry).
 
-    def _hermite(self, u: float, column: str) -> float:
+    def _hermite(self, u, column: str):
         if len(self.u) < 2:
             raise ValueError("need at least two samples for dense evaluation")
-        return float(hermite_eval(u, self.u, getattr(self, column),
-                                  self._slopes[column]))
+        value = hermite_eval(u, self.u, getattr(self, column),
+                             self._slopes[column])
+        return value if isinstance(u, np.ndarray) else float(value)
 
-    def theta_at(self, u: float) -> float:
+    def theta_at(self, u):
         if self.kind == EXPLICIT:
             return theta_explicit(u)
         return self._hermite(u, "theta")
 
-    def f_at(self, u: float) -> float:
+    def f_at(self, u):
         if self.kind == EXPLICIT:
             return f_explicit(u)
         return self._hermite(u, "f")
 
-    def f_prime_at(self, u: float) -> float:
+    def f_prime_at(self, u):
         if self.kind == EXPLICIT:
             return f_prime_explicit(u)
         return f_prime_implicit(self.theta_at(u), self.f_at(u))
 
-    def f_second_at(self, u: float) -> float:
+    def f_second_at(self, u):
         if self.kind == EXPLICIT:
             return f_second_explicit(u)
         raise NotImplementedError("no closed second derivative for the "
                                   "implicit kind; difference f_prime_at")
 
-    def psi_at(self, u: float) -> float:
+    def psi_at(self, u):
         if self.kind == EXPLICIT:
             return psi_explicit(u, self.c0)
         return self._hermite(u, "psi")
 
-    def psi_prime_at(self, u: float) -> float:
-        return math.cos(self.theta_at(u))
+    def psi_prime_at(self, u):
+        return namespace(u).cos(self.theta_at(u))
 
-    def psi_second_at(self, u: float) -> float:
-        return 2.0 * self.f_at(u) * math.sin(self.theta_at(u))
+    def psi_second_at(self, u):
+        return 2.0 * self.f_at(u) * namespace(u).sin(self.theta_at(u))
 
-    def phi1_at(self, u: float) -> float:
+    def phi1_at(self, u):
         if self.kind == EXPLICIT:
             return _phi1_explicit(u, self._g_u0, self.c0)
         return self._hermite(u, "phi1")
 
-    def phi1_prime_at(self, u: float) -> float:
-        return -math.sin(self.theta_at(u)) * math.exp(self.psi_at(u))
+    def phi1_prime_at(self, u):
+        xp = namespace(u)
+        return -xp.sin(self.theta_at(u)) * xp.exp(self.psi_at(u))
 
-    def phi1_second_at(self, u: float) -> float:
+    def phi1_second_at(self, u):
+        xp = namespace(u)
         theta = self.theta_at(u)
-        return (math.exp(self.psi_at(u)) * math.cos(theta)
-                * (2.0 * self.f_at(u) - math.sin(theta)))
+        return (xp.exp(self.psi_at(u)) * xp.cos(theta)
+                * (2.0 * self.f_at(u) - xp.sin(theta)))
 
     # -- derived columns -------------------------------------------------
 
@@ -400,10 +441,18 @@ class ProfileSolution:
                                 self.phi1))
 
 
+# The most steps one implicit march takes: u_span / step above this raises.
+# It is 1000 times the 1500 steps of a march over u_span 1.5 at step 1e-3.
+MAX_MARCH_STEPS = 10 ** 6
+
+
 def _march_theta(c: float, theta_start: float, u_span: float, step: float):
     """Fixed-step classical Runge-Kutta march of theta' = -2 f(theta; c).
 
-    Returns node lists and the halt reason.  ``f`` is solved once per
+    Returns node lists and the halt reason.  A schedule of more than
+    ``MAX_MARCH_STEPS`` steps raises ``ValueError`` when the march accepts
+    its first step; a march that halts before that has done no work and
+    returns as usual.  ``f`` is solved once per
     angle: the value at an accepted sample is checked, stored and reused
     as the next step's first stage, so a step costs four root solves.
     Constraint monitors run on every accepted state, in this order: the
@@ -432,6 +481,7 @@ def _march_theta(c: float, theta_start: float, u_span: float, step: float):
     if reason is not None:
         return us, thetas, fs, reason
 
+    too_long = u_span / step > MAX_MARCH_STEPS
     n_full = int(math.floor(u_span / step + 1e-9))
     remainder = u_span - n_full * step
     # generated, not listed: n_full may exceed any list's length
@@ -456,6 +506,10 @@ def _march_theta(c: float, theta_start: float, u_span: float, step: float):
         reason = violates(theta_new, f_new)
         if reason is not None:
             return us, thetas, fs, reason
+        if too_long:
+            raise ValueError(
+                f"step {step!r} is too small for u_span {u_span!r}: the "
+                f"march would take more than {MAX_MARCH_STEPS} steps")
         u += h
         theta, f = theta_new, f_new
         us.append(u)
@@ -518,7 +572,8 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
     ``u_span`` and ``step`` must be finite and positive, with a finite
     ratio ``u_span / step``, and ``c`` and ``theta_start`` finite
     (:func:`solve_f` checks them); otherwise ``ValueError`` is raised,
-    naming the argument.
+    naming the argument.  So is a ratio above ``MAX_MARCH_STEPS``, once
+    the march accepts its first step.
     """
     # Written so that NaN fails too: every comparison with NaN is false.
     if not 0.0 < u_span < math.inf:
@@ -616,15 +671,13 @@ def build_profile(kind: str, c: Optional[float] = None,
         anchor = float(usable[0]) if u0 is None else float(u0)
         if not full.u[0] <= anchor <= full.u[-1]:
             raise ValueError("anchor u0 outside the integrated span")
-        theta = np.array([full.theta_at(x) for x in usable])
-        f = np.array([full.f_at(x) for x in usable])
-        psi_anchor_val = full.psi_at(anchor)
-        phi1_anchor_val = full.phi1_at(anchor)
-        psi = np.array([full.psi_at(x) - psi_anchor_val for x in usable])
-        phi1 = np.array([full.phi1_at(x) - phi1_anchor_val for x in usable])
-        return ProfileSolution(kind=IMPLICIT, u=usable, theta=theta, f=f,
-                               psi=psi, phi1=phi1, u0=anchor,
-                               c0=0.0, c=c, halt_reason=full.halt_reason,
+        psi = full.psi_at(usable) - full.psi_at(anchor)
+        phi1 = full.phi1_at(usable) - full.phi1_at(anchor)
+        return ProfileSolution(kind=IMPLICIT, u=usable,
+                               theta=full.theta_at(usable),
+                               f=full.f_at(usable), psi=psi, phi1=phi1,
+                               u0=anchor, c0=0.0, c=c,
+                               halt_reason=full.halt_reason,
                                theta_error_estimate=full.theta_error_estimate)
 
     raise ValueError(f"unknown profile kind {kind!r}")
@@ -668,7 +721,7 @@ def family_surface(profile: ProfileSolution, variant: str,
     ruling = (1.0, 0.0, 0.0) if variant == "x1" else (0.0, 1.0, 0.0)
     v_lo, v_hi = float(v_range[0]), float(v_range[1])
     domain = ((float(profile.u[0]), float(profile.u[-1])), (v_lo, v_hi))
-    zero = np.zeros(3)
+    zero = (0.0, 0.0, 0.0)
     f_field = ScalarField(
         value=lambda u, v: profile.f_at(u),
         du=lambda u, v: profile.f_prime_at(u),
@@ -678,13 +731,13 @@ def family_surface(profile: ProfileSolution, variant: str,
         duv=lambda u, v: 0.0,
         dvv=lambda u, v: 0.0)
     return SurfacePatch(
-        immersion=lambda u, v: np.array(place(profile.phi1_at(u),
-                                              profile.psi_at(u), v)),
-        d_u=lambda u, v: np.array(place(profile.phi1_prime_at(u),
-                                        profile.psi_prime_at(u), 0.0)),
-        d_v=lambda u, v: np.array(ruling),
-        d_uu=lambda u, v: np.array(place(profile.phi1_second_at(u),
-                                         profile.psi_second_at(u), 0.0)),
+        immersion=lambda u, v: place(profile.phi1_at(u), profile.psi_at(u),
+                                     v),
+        d_u=lambda u, v: place(profile.phi1_prime_at(u),
+                               profile.psi_prime_at(u), 0.0),
+        d_v=lambda u, v: ruling,
+        d_uu=lambda u, v: place(profile.phi1_second_at(u),
+                                profile.psi_second_at(u), 0.0),
         d_uv=lambda u, v: zero,
         d_vv=lambda u, v: zero,
         mean_curvature=f_field,

@@ -1,15 +1,21 @@
-"""Shared numerical kernels: central differences and piecewise cubic
-Hermite evaluation.
+"""Shared numerical kernels: central differences, piecewise cubic Hermite
+evaluation, and the math namespace of one point or N points.
 
 The finite-difference step sizes used package-wide live here so that every
 module differentiates the same way.  The Hermite basis is written once and
-serves both the scalar evaluator and the implicit profile's per-step
+serves both the dense evaluator and the implicit profile's per-step
 quadrature rule.
+
+A formula written against :func:`namespace` serves one point and N points
+alike: a float input is evaluated with ``math`` on Python floats, an (N,)
+array input with numpy's ufuncs, and nothing else chooses between them.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from types import SimpleNamespace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -18,6 +24,42 @@ import numpy as np
 # derivative levels and needs a coarser step.
 DEFAULT_FD_STEP = 1e-5
 CURVATURE_FD_STEP = 1e-4
+
+# ``math`` under numpy's names, for the functions the formulas use.
+_FLOAT_MATH = SimpleNamespace(
+    pi=math.pi, exp=math.exp, sqrt=math.sqrt, sin=math.sin, cos=math.cos,
+    tanh=math.tanh, cosh=math.cosh, log1p=math.log1p, arctan=math.atan,
+    isfinite=math.isfinite, maximum=max, minimum=min)
+
+
+def namespace(x):
+    """numpy for an array ``x``, else ``math`` on Python floats (with
+    ``arctan``, ``maximum`` and ``minimum`` under numpy's names)."""
+    return np if isinstance(x, np.ndarray) else _FLOAT_MATH
+
+
+def piecewise(x, cond, when_true: Callable, when_false: Callable):
+    """``when_true(x, xp)`` where ``cond`` holds and ``when_false(x, xp)``
+    elsewhere, with ``xp`` the namespace of ``x``.  On an array each
+    branch sees only its own entries, so neither runs outside its range."""
+    if not isinstance(x, np.ndarray):
+        return (when_true if cond else when_false)(x, _FLOAT_MATH)
+    out = np.empty_like(x)
+    out[cond] = when_true(x[cond], np)
+    out[~cond] = when_false(x[~cond], np)
+    return out
+
+
+def first_false(ok) -> Optional[int]:
+    """Index of the first false entry of ``ok`` (a bool, or a bool array in
+    point order), or ``None`` when every entry holds.  A test written as
+    ``ok`` fails on NaN, since every comparison with NaN is false."""
+    if ok is True:
+        return None
+    if isinstance(ok, np.ndarray):
+        misses = np.flatnonzero(~ok)
+        return int(misses[0]) if misses.size else None
+    return None if ok else 0
 
 
 def central_diff(func: Callable[[float], object], x: float,
@@ -66,16 +108,18 @@ def hermite_basis(t):
             t * t * (3.0 - 2.0 * t), t * t * (t - 1.0))
 
 
-def hermite_eval(u: float, nodes: np.ndarray, values: np.ndarray,
-                 slopes: np.ndarray) -> float:
-    """Piecewise cubic Hermite evaluation at ``u``.
+def hermite_eval(u, nodes: np.ndarray, values: np.ndarray,
+                 slopes: np.ndarray):
+    """Piecewise cubic Hermite evaluation at ``u``, a float or an array.
 
     ``nodes`` must be strictly increasing; ``values`` and ``slopes`` hold
     the node values and node derivatives.  Outside the node range the first
-    or last cubic is extrapolated.
+    or last cubic is extrapolated.  The arithmetic is elementwise, so an
+    array gives each entry the bits of a float call.
     """
-    i = int(np.searchsorted(nodes, u, side="right")) - 1
-    i = min(max(i, 0), len(nodes) - 2)
+    xp = namespace(u)
+    i = xp.minimum(xp.maximum(np.searchsorted(nodes, u, side="right") - 1, 0),
+                   len(nodes) - 2)
     h = nodes[i + 1] - nodes[i]
     h00, h10, h01, h11 = hermite_basis((u - nodes[i]) / h)
     return (h00 * values[i] + h10 * h * slopes[i]

@@ -4,31 +4,57 @@ A :class:`SurfacePatch` (an immersion ``(u, v) -> (x, y, z)``) and a
 :class:`ScalarField` (a function of ``(u, v)``) read every partial by one
 rule: the analytic handle when there is one, else a central difference.
 Fixtures can therefore be as cheap or as exact as a test requires.
+
+Every handle takes ``u`` and ``v`` as floats (one point) or as same-shape
+(N,) arrays (N points).  A vector handle returns three components and a
+scalar handle one value; the patch and the field broadcast what a handle
+returns to the shape of ``u``, so a constant component may stay a float.
+Handles written against :func:`~solgeo.numerics.namespace` keep one point
+on ``math`` and Python floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from .numerics import (CURVATURE_FD_STEP, DEFAULT_FD_STEP, central_diff,
                        central_diff2, mixed_diff)
 
-Immersion = Callable[[float, float], np.ndarray]
-VectorHandle = Callable[[float, float], np.ndarray]
-ScalarHandle = Callable[[float, float], float]
+Param = Union[float, np.ndarray]
+Components = Tuple[Param, Param, Param]
+Immersion = Callable[[Param, Param], Components]
+VectorHandle = Callable[[Param, Param], Components]
+ScalarHandle = Callable[[Param, Param], Param]
 
 
-def _partial(func, handle, u: float, v: float, axes: str,
-             step: float = DEFAULT_FD_STEP) -> np.ndarray:
+def _components(value, u: Param) -> Components:
+    """The three components of a vector handle's ``value``, each shaped
+    like ``u``: at N points (N,) arrays, at one point ``value`` as it is."""
+    if isinstance(u, np.ndarray):
+        return tuple(np.broadcast_to(c, u.shape) for c in value)
+    return value
+
+
+def _scalar(value, u: Param) -> Param:
+    """A scalar handle's ``value`` shaped like ``u``."""
+    if isinstance(u, np.ndarray):
+        return np.broadcast_to(value, u.shape)
+    return float(value)
+
+
+def _partial(func, handle, u: Param, v: Param, axes: str,
+             step: float = DEFAULT_FD_STEP):
     """The partial of ``func`` along ``axes`` (``"u"``, ``"v"``, ``"uu"``,
     ``"uv"`` or ``"vv"``) at ``(u, v)``: ``handle(u, v)`` when the handle
     exists, else a central difference of ``func``, first partials at
-    ``step`` and second partials at ``CURVATURE_FD_STEP``."""
+    ``step`` and second partials at ``CURVATURE_FD_STEP``.  The difference
+    shifts the whole of an array ``u`` or ``v`` at once, with the
+    components of a vector ``func`` on the leading axis."""
     if handle is not None:
-        return np.asarray(handle(u, v), dtype=float)
+        return handle(u, v)
     if axes == "u":
         return central_diff(lambda s: func(s, v), u, step)
     if axes == "v":
@@ -53,18 +79,17 @@ class ScalarField:
     duv: Optional[ScalarHandle] = None
     dvv: Optional[ScalarHandle] = None
 
-    def gradient(self, u: float, v: float,
-                 step: float) -> Tuple[float, float]:
+    def gradient(self, u: Param, v: Param, step: float) -> Tuple[Param, Param]:
         """(phi_u, phi_v); missing handles are differenced at ``step``."""
-        return (float(_partial(self.value, self.du, u, v, "u", step)),
-                float(_partial(self.value, self.dv, u, v, "v", step)))
+        return (_scalar(_partial(self.value, self.du, u, v, "u", step), u),
+                _scalar(_partial(self.value, self.dv, u, v, "v", step), u))
 
-    def hessian(self, u: float, v: float) -> Tuple[float, float, float]:
+    def hessian(self, u: Param, v: Param) -> Tuple[Param, Param, Param]:
         """(phi_uu, phi_uv, phi_vv); missing handles are differenced at
         ``CURVATURE_FD_STEP``."""
-        return (float(_partial(self.value, self.duu, u, v, "uu")),
-                float(_partial(self.value, self.duv, u, v, "uv")),
-                float(_partial(self.value, self.dvv, u, v, "vv")))
+        return (_scalar(_partial(self.value, self.duu, u, v, "uu"), u),
+                _scalar(_partial(self.value, self.duv, u, v, "uv"), u),
+                _scalar(_partial(self.value, self.dvv, u, v, "vv"), u))
 
 
 @dataclass(frozen=True)
@@ -74,7 +99,7 @@ class SurfacePatch:
     Parameters
     ----------
     immersion:
-        Map ``(u, v)`` to ambient coordinates, as any length-3 array-like.
+        Map ``(u, v)`` to the three ambient coordinates.
     domain:
         ``((u_min, u_max), (v_min, v_max))``; informative, not enforced on
         evaluation.
@@ -112,23 +137,25 @@ class SurfacePatch:
         if not (u_lo < u_hi and v_lo < v_hi):
             raise ValueError("domain rectangle must be nonempty")
 
-    def position(self, u: float, v: float) -> np.ndarray:
-        return np.asarray(self.immersion(u, v), dtype=float)
+    def position(self, u: Param, v: Param) -> Components:
+        return _components(self.immersion(u, v), u)
 
-    def du(self, u: float, v: float) -> np.ndarray:
-        return _partial(self.immersion, self.d_u, u, v, "u", self.fd_step)
+    def du(self, u: Param, v: Param) -> Components:
+        return _components(_partial(self.position, self.d_u, u, v, "u",
+                                    self.fd_step), u)
 
-    def dv(self, u: float, v: float) -> np.ndarray:
-        return _partial(self.immersion, self.d_v, u, v, "v", self.fd_step)
+    def dv(self, u: Param, v: Param) -> Components:
+        return _components(_partial(self.position, self.d_v, u, v, "v",
+                                    self.fd_step), u)
 
-    def duu(self, u: float, v: float) -> np.ndarray:
-        return _partial(self.immersion, self.d_uu, u, v, "uu")
+    def duu(self, u: Param, v: Param) -> Components:
+        return _components(_partial(self.position, self.d_uu, u, v, "uu"), u)
 
-    def dvv(self, u: float, v: float) -> np.ndarray:
-        return _partial(self.immersion, self.d_vv, u, v, "vv")
+    def dvv(self, u: Param, v: Param) -> Components:
+        return _components(_partial(self.position, self.d_vv, u, v, "vv"), u)
 
-    def duv(self, u: float, v: float) -> np.ndarray:
-        return _partial(self.immersion, self.d_uv, u, v, "uv")
+    def duv(self, u: Param, v: Param) -> Components:
+        return _components(_partial(self.position, self.d_uv, u, v, "uv"), u)
 
     def grid(self, nu: int, nv: int) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform parameter samples over the domain, ``nu`` by ``nv``."""

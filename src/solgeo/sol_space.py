@@ -21,7 +21,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .numerics import CURVATURE_FD_STEP, DEFAULT_FD_STEP, central_diff
+from .numerics import (CURVATURE_FD_STEP, DEFAULT_FD_STEP, central_diff,
+                       first_false, namespace)
 from .patch import SurfacePatch
 
 __all__ = [
@@ -57,15 +58,18 @@ class DegeneratePlaneError(ValueError):
 
 @dataclass(frozen=True)
 class Point:
-    """A position in canonical coordinates."""
+    """A position in canonical coordinates, or N positions as (N,) arrays
+    (the point of a :class:`~solgeo.surface_calculus.LocalGeometry` over
+    N points)."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)
-                and math.isfinite(self.z)):
+        xp = namespace(self.z)
+        finite = xp.isfinite(self.x) & xp.isfinite(self.y) & xp.isfinite(self.z)
+        if first_false(finite) is not None:
             raise ValueError("point coordinates must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -193,10 +197,13 @@ def christoffel_contraction(p: Point, x, y) -> Tuple[float, float, float]:
     (which stays as its oracle):
 
         (x0 y2 + x2 y0,  -(x1 y2 + x2 y1),  -e^{2z} x0 y0 + e^{-2z} x1 y1).
+
+    At a point of (N,) arrays the components of ``x`` and ``y`` are (N,)
+    arrays too, and so are the three results.
     """
     x0, x1, x2 = x
     y0, y1, y2 = y
-    e2z = math.exp(2.0 * p.z)
+    e2z = namespace(p.z).exp(2.0 * p.z)
     # symbol first, as in the dense sum: x1 * y1 alone can underflow
     return (x0 * y2 + x2 * y0, -(x1 * y2 + x2 * y1),
             -e2z * x0 * y0 + (1.0 / e2z) * x1 * y1)
@@ -315,21 +322,21 @@ def canonical_leaf(kind: str, level: float) -> SurfacePatch:
     planes; ``z_const`` leaves are flat and minimal.  The ``z_const``
     parametrization is orthonormal: (u, v) -> (u e^{-level}, v e^{level}).
     """
-    zero = np.zeros(3)
+    zero = (0.0, 0.0, 0.0)
     square = ((-1.0, 1.0), (-1.0, 1.0))
     if kind == "x_const":
         return SurfacePatch(
-            immersion=lambda u, v: np.array([level, u, v]),
-            d_u=lambda u, v: np.array([0.0, 1.0, 0.0]),
-            d_v=lambda u, v: np.array([0.0, 0.0, 1.0]),
+            immersion=lambda u, v: (level, u, v),
+            d_u=lambda u, v: (0.0, 1.0, 0.0),
+            d_v=lambda u, v: (0.0, 0.0, 1.0),
             d_uu=lambda u, v: zero, d_uv=lambda u, v: zero,
             d_vv=lambda u, v: zero,
             domain=square, name=f"leaf_x={level:g}")
     if kind == "y_const":
         return SurfacePatch(
-            immersion=lambda u, v: np.array([u, level, v]),
-            d_u=lambda u, v: np.array([1.0, 0.0, 0.0]),
-            d_v=lambda u, v: np.array([0.0, 0.0, 1.0]),
+            immersion=lambda u, v: (u, level, v),
+            d_u=lambda u, v: (1.0, 0.0, 0.0),
+            d_v=lambda u, v: (0.0, 0.0, 1.0),
             d_uu=lambda u, v: zero, d_uv=lambda u, v: zero,
             d_vv=lambda u, v: zero,
             domain=square, name=f"leaf_y={level:g}")
@@ -337,9 +344,9 @@ def canonical_leaf(kind: str, level: float) -> SurfacePatch:
         eminus = math.exp(-level)
         eplus = math.exp(level)
         return SurfacePatch(
-            immersion=lambda u, v: np.array([u * eminus, v * eplus, level]),
-            d_u=lambda u, v: np.array([eminus, 0.0, 0.0]),
-            d_v=lambda u, v: np.array([0.0, eplus, 0.0]),
+            immersion=lambda u, v: (u * eminus, v * eplus, level),
+            d_u=lambda u, v: (eminus, 0.0, 0.0),
+            d_v=lambda u, v: (0.0, eplus, 0.0),
             d_uu=lambda u, v: zero, d_uv=lambda u, v: zero,
             d_vv=lambda u, v: zero,
             domain=square, name=f"leaf_z={level:g}")

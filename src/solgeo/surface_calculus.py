@@ -31,6 +31,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .numerics import first_false, namespace
 from .patch import ScalarField, SurfacePatch
 from .sol_space import (FRAME, PLANE_GRAM_TOLERANCE, DegeneratePlaneError,
                         Point, TangentVector, christoffel_contraction)
@@ -129,7 +130,7 @@ class _computed_once:
         return value
 
 
-def _dot(a, b) -> float:
+def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
@@ -139,21 +140,28 @@ def _cross(a, b):
 
 
 class LocalGeometry:
-    """Local extrinsic geometry of ``patch`` at the parameter point ``(u, v)``.
+    """Local extrinsic geometry of ``patch`` at the parameter point ``(u, v)``,
+    or at N points when ``u`` and ``v`` are same-shape (N,) arrays.
 
     The constructor evaluates the position and first partials, the unit
     normal and the first fundamental form.  Every other attribute is
     computed on first access and kept, so one record evaluates each patch
     handle at most once and each derived quantity exactly once.
 
-    The arithmetic is closed-form on Python floats.  The normal is the
-    cross product of the frame partials written out; every 2x2 system
-    (``A``, ``gradient_h``, ``param_coefficients``,
-    ``surface_christoffel``, the inverse metric of ``laplacian``) is solved
-    with the first form's inverse [[G, -F], [-F, E]] / (EG - F^2); and the
-    ambient derivatives take Sol's connection from the one contraction
+    The arithmetic is closed-form and elementwise, written once: on Python
+    floats with ``math`` at one point, on (N,) arrays with numpy at N
+    points (:func:`~solgeo.numerics.namespace`; the type of ``u`` decides).
+    The normal is the cross product of the frame partials written out;
+    every 2x2 system (``A``, ``gradient_h``, ``param_coefficients``,
+    ``surface_christoffel``) is solved by the closed-form inverse of the
+    first form scaled to unit diagonal, and ``laplacian`` contracts with
+    the inverse metric [[G, -F], [-F, E]] / (EG - F^2); the ambient
+    derivatives take Sol's connection from the one contraction
     :func:`~solgeo.sol_space.christoffel_contraction`.  The public
-    attributes are numpy arrays built from those floats.
+    attributes are numpy arrays built from those values; on an N-point
+    record each has a leading axis of length N, in the order of ``u``.
+    :meth:`adapted_frame`, :meth:`to_frame` and
+    :meth:`param_coefficients` are one-point views.
 
     Basis conventions: names ending in ``_c`` hold coordinate components
     (d/dx, d/dy, d/dz) and names ending in ``_f`` hold frame components
@@ -165,45 +173,72 @@ class LocalGeometry:
     Raises
     ------
     DegenerateParametrizationError
-        If the partials fail to span a plane at the point.
+        If the partials fail to span a plane at the point, naming the first
+        such point of an N-point record.
     """
 
-    def __init__(self, patch: SurfacePatch, u: float, v: float):
+    def __init__(self, patch: SurfacePatch, u, v):
+        self._xp = xp = namespace(u)
+        if xp is np:
+            u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                       np.asarray(v, dtype=float))
+            if u.ndim != 1:
+                raise ValueError("an N-point record takes (N,) arrays")
         self.patch, self.u, self.v = patch, u, v
-        x, y, z = patch.position(u, v).tolist()
-        self._ez = math.exp(z)
-        self.du_c = patch.du(u, v)
-        self.dv_c = patch.dv(u, v)
-        self._du = du = self._frame(self.du_c.tolist())
-        self._dv = dv = self._frame(self.dv_c.tolist())
+        x, y, z = patch.position(u, v)
+        self._ez = xp.exp(z)
+        self._du_c = patch.du(u, v)
+        self._dv_c = patch.dv(u, v)
+        self._du = du = self._frame(self._du_c)
+        self._dv = dv = self._frame(self._dv_c)
         e, f, g = _dot(du, du), _dot(du, dv), _dot(dv, dv)
         cross = _cross(du, dv)
-        norm = math.sqrt(_dot(cross, cross))
+        norm = xp.sqrt(_dot(cross, cross))
+        root_e, root_g = xp.sqrt(e), xp.sqrt(g)
         # written so that a NaN partial is degenerate too
-        if not norm > 1e-10 * max(math.sqrt(e) * math.sqrt(g), 1e-30):
+        bad = first_false(norm > 1e-10 * xp.maximum(root_e * root_g, 1e-30))
+        if bad is not None:
             raise DegenerateParametrizationError(
                 f"parametrization of {patch.name!r} degenerates at "
-                f"(u, v) = ({u:g}, {v:g})")
+                f"(u, v) = ({np.ravel(u)[bad]:g}, {np.ravel(v)[bad]:g})")
         self._E, self._F, self._G, self._det = e, f, g, e * g - f * f
+        self._root_e, self._root_g = root_e, root_g
+        self._cos = f / root_e / root_g
+        self._sin_sq = 1.0 - self._cos * self._cos
         sign = patch.orientation
-        self._xi = tuple(sign * c / norm for c in cross)
+        self._xi = (sign * cross[0] / norm, sign * cross[1] / norm,
+                    sign * cross[2] / norm)
         self.point = Point(x, y, z)
+
+    def _array(self, nested) -> np.ndarray:
+        """Nested lists of this record's values as one array, with the
+        point axis first on an N-point record."""
+        out = np.array(nested)
+        return out if self._xp is not np else np.moveaxis(out, -1, 0)
+
+    @_computed_once
+    def du_c(self) -> np.ndarray:
+        return self._array(self._du_c)
+
+    @_computed_once
+    def dv_c(self) -> np.ndarray:
+        return self._array(self._dv_c)
 
     @_computed_once
     def du_f(self) -> np.ndarray:
-        return np.array(self._du)
+        return self._array(self._du)
 
     @_computed_once
     def dv_f(self) -> np.ndarray:
-        return np.array(self._dv)
+        return self._array(self._dv)
 
     @_computed_once
     def xi_f(self) -> np.ndarray:
-        return np.array(self._xi)
+        return self._array(self._xi)
 
     @_computed_once
     def first(self) -> np.ndarray:
-        return np.array([[self._E, self._F], [self._F, self._G]])
+        return self._array([[self._E, self._F], [self._F, self._G]])
 
     def _frame(self, coords):
         ez = self._ez
@@ -213,10 +248,15 @@ class LocalGeometry:
         """Frame components of a vector given in coordinates at this point."""
         return np.array(self._frame(coords))
 
-    def _solve(self, r0: float, r1: float):
-        """(p, q) with first @ (p, q) = (r0, r1), by the closed-form inverse."""
-        e, f, g, det = self._E, self._F, self._G, self._det
-        return (g * r0 - f * r1) / det, (e * r1 - f * r0) / det
+    def _solve(self, r0, r1):
+        """(p, q) with first @ (p, q) = (r0, r1).  The first form is
+        scaled to unit diagonal by sqrt(E) and sqrt(G) first, whose inverse
+        [[1, -c], [-c, 1]] / (1 - c^2) has |c| <= 1, so no product
+        overflows where E or G is large."""
+        root_e, root_g, cos = self._root_e, self._root_g, self._cos
+        s0, s1 = r0 / root_e, r1 / root_g
+        return ((s0 - cos * s1) / self._sin_sq / root_e,
+                (s1 - cos * s0) / self._sin_sq / root_g)
 
     def _coefficients(self, vec_f):
         return self._solve(_dot(vec_f, self._du), _dot(vec_f, self._dv))
@@ -226,11 +266,15 @@ class LocalGeometry:
         return np.array(self._coefficients(
             np.asarray(vec_f, dtype=float).tolist()))
 
-    def metric_norm(self, coeffs: np.ndarray) -> float:
-        """Length of a tangent vector given in the parameter basis."""
-        p, q = coeffs
+    def _length(self, p, q):
         e, f, g = self._E, self._F, self._G
-        return math.sqrt((p * e + q * f) * p + (p * f + q * g) * q)
+        return self._xp.sqrt((p * e + q * f) * p + (p * f + q * g) * q)
+
+    def metric_norm(self, coeffs: np.ndarray):
+        """Length of a tangent vector given in the parameter basis, or of
+        N vectors given as the rows of an (N, 2) array."""
+        p, q = np.asarray(coeffs, dtype=float).T
+        return self._length(p, q)
 
     @_computed_once
     def _ambient(self):
@@ -238,11 +282,12 @@ class LocalGeometry:
         d_v along d_u and d_v along d_v: the second partials plus the
         ambient connection contracted with the first partials."""
         patch, u, v = self.patch, self.u, self.v
-        du, dv = self.du_c.tolist(), self.dv_c.tolist()
+        du, dv = self._du_c, self._dv_c
 
         def nabla(second, x, y):
             gamma = christoffel_contraction(self.point, x, y)
-            return self._frame([s + c for s, c in zip(second.tolist(), gamma)])
+            return self._frame((second[0] + gamma[0], second[1] + gamma[1],
+                                second[2] + gamma[2]))
 
         return (nabla(patch.duu(u, v), du, du), nabla(patch.duv(u, v), du, dv),
                 nabla(patch.dvv(u, v), dv, dv))
@@ -253,13 +298,25 @@ class LocalGeometry:
         indexed [i, j]: the second partials plus the ambient Christoffel
         contraction of the first partials."""
         uu, uv, vv = self._ambient
-        return np.array([[uu, uv], [uv, vv]])
+        return self._array([[uu, uv], [uv, vv]])
+
+    @_computed_once
+    def _second(self):
+        """(l, m, n): the normal part of each ambient derivative."""
+        uu, uv, vv = self._ambient
+        return _dot(uu, self._xi), _dot(uv, self._xi), _dot(vv, self._xi)
 
     @_computed_once
     def second(self) -> np.ndarray:
         """Normal part of :attr:`ambient_derivatives`."""
-        l, m, n = (_dot(nab, self._xi) for nab in self._ambient)
-        return np.array([[l, m], [m, n]])
+        l, m, n = self._second
+        return self._array([[l, m], [m, n]])
+
+    @_computed_once
+    def _christoffel(self):
+        """((Gamma^u_uu, Gamma^v_uu), (.._uv), (.._vv)) by the Gauss
+        formula."""
+        return tuple(self._coefficients(nab) for nab in self._ambient)
 
     @_computed_once
     def surface_christoffel(self) -> np.ndarray:
@@ -267,33 +324,38 @@ class LocalGeometry:
         parameter coefficients of the tangential part of
         :attr:`ambient_derivatives` (the Gauss formula),
         Gamma^k_ij = I^kl <nabla d_i d_j, d_l>."""
-        (u_uu, v_uu), (u_uv, v_uv), (u_vv, v_vv) = (
-            self._coefficients(nab) for nab in self._ambient)
-        return np.array([[[u_uu, u_uv], [u_uv, u_vv]],
-                         [[v_uu, v_uv], [v_uv, v_vv]]])
+        (u_uu, v_uu), (u_uv, v_uv), (u_vv, v_vv) = self._christoffel
+        return self._array([[[u_uu, u_uv], [u_uv, u_vv]],
+                            [[v_uu, v_uv], [v_uv, v_vv]]])
+
+    @_computed_once
+    def _shape(self):
+        """((A00, A01), (A10, A11))."""
+        l, m, n = self._second
+        a00, a10 = self._solve(l, m)
+        a01, a11 = self._solve(m, n)
+        return (a00, a01), (a10, a11)
 
     @_computed_once
     def A(self) -> np.ndarray:
-        (l, m), (_, n) = self.second.tolist()
-        a00, a10 = self._solve(l, m)
-        a01, a11 = self._solve(m, n)
-        return np.array([[a00, a01], [a10, a11]])
+        return self._array(self._shape)
 
     @_computed_once
-    def h(self) -> float:
-        (a00, _), (_, a11) = self.A.tolist()
+    def h(self):
+        (a00, _), (_, a11) = self._shape
         return 0.5 * (a00 + a11)
 
     @_computed_once
-    def K(self) -> float:
+    def K(self):
         """Ambient sectional curvature of the tangent plane plus det A (the
         Gauss equation).  In Sol a plane with unit normal xi has sectional
         curvature 2 xi_3^2 - 1 (the closed form of
         :func:`~solgeo.sol_space.sectional_curvature`, with its test for a
         degenerate plane)."""
-        if self._det <= PLANE_GRAM_TOLERANCE * max(1.0, self._E * self._G):
+        if first_false(self._det > PLANE_GRAM_TOLERANCE
+                       * self._xp.maximum(1.0, self._E * self._G)) is not None:
             raise DegeneratePlaneError("spanning vectors are linearly dependent")
-        (a00, a01), (a10, a11) = self.A.tolist()
+        (a00, a01), (a10, a11) = self._shape
         xi3 = self._xi[2]
         return 2.0 * xi3 * xi3 - 1.0 + (a00 * a11 - a01 * a10)
 
@@ -302,27 +364,36 @@ class LocalGeometry:
         """Eigenvalues of ``A`` in ascending order, in closed form:
         h -/+ sqrt(((A00 - A11) / 2)^2 + A01 A10).  A is self-adjoint for
         the first form, so the radicand is nonnegative up to round-off."""
-        (a00, a01), (a10, a11) = self.A.tolist()
-        radius = math.sqrt(max(((a00 - a11) / 2.0) ** 2 + a01 * a10, 0.0))
-        return np.array([self.h - radius, self.h + radius])
+        xp = self._xp
+        (a00, a01), (a10, a11) = self._shape
+        radius = xp.sqrt(xp.maximum(((a00 - a11) / 2.0) ** 2 + a01 * a10, 0.0))
+        return self._array([self.h - radius, self.h + radius])
 
     @_computed_once
     def _f_field(self) -> ScalarField:
         """The patch's mean-curvature field, or else a handle-free field of
-        each point's own f."""
+        each point's own f (an N-point record's own f at N shifted
+        points)."""
         return self.patch.mean_curvature or ScalarField(
             lambda s, t: LocalGeometry(self.patch, s, t).h)
+
+    @_computed_once
+    def _dh(self):
+        return self._f_field.gradient(self.u, self.v, self.patch.fd_step)
 
     @_computed_once
     def dh(self) -> np.ndarray:
         """Differential of the mean curvature: the first partials of the
         patch's mean-curvature field, or of each point's own f."""
-        return np.array(self._f_field.gradient(
-            self.u, self.v, self.patch.fd_step))
+        return self._array(self._dh)
+
+    @_computed_once
+    def _gradient(self):
+        return self._solve(*self._dh)
 
     @_computed_once
     def gradient_h(self) -> np.ndarray:
-        return np.array(self._solve(*self.dh.tolist()))
+        return self._array(self._gradient)
 
     @_computed_once
     def curvature_trace(self) -> np.ndarray:
@@ -330,10 +401,11 @@ class LocalGeometry:
         R(t, xi) t = -xi + 2 t_3 (t_3 xi - xi_3 t) + 2 xi_3 E3 for a unit t
         orthogonal to xi, and an orthonormal tangent basis (t1, t2) has
         t1_3^2 + t2_3^2 = 1 - xi_3^2 and t1_3 t1 + t2_3 t2 = E3 - xi_3 xi."""
-        return np.array([0.0, 0.0, 2.0 * self._xi[2]])
+        zero = np.zeros_like(self._xi[2])
+        return self._array([zero, zero, 2.0 * self._xi[2]])
 
     @_computed_once
-    def normal_trace(self) -> float:
+    def normal_trace(self):
         """<trace R(., xi) ., xi> = 2 xi_3^2."""
         return 2.0 * self._xi[2] * self._xi[2]
 
@@ -342,19 +414,19 @@ class LocalGeometry:
         """A(grad f) + f grad f + f (trace R(., xi) .)^T."""
         twice_xi3 = 2.0 * self._xi[2]
         p, q = self._solve(twice_xi3 * self._du[2], twice_xi3 * self._dv[2])
-        (a00, a01), (a10, a11) = self.A.tolist()
-        g0, g1 = self.gradient_h.tolist()
+        (a00, a01), (a10, a11) = self._shape
+        g0, g1 = self._gradient
         h = self.h
-        return np.array([a00 * g0 + a01 * g1 + h * g0 + h * p,
-                         a10 * g0 + a11 * g1 + h * g1 + h * q])
+        return self._array([a00 * g0 + a01 * g1 + h * g0 + h * p,
+                            a10 * g0 + a11 * g1 + h * g1 + h * q])
 
     @_computed_once
-    def norm_A_sq(self) -> float:
+    def norm_A_sq(self):
         """|A|^2 = trace(A A)."""
-        (a00, a01), (a10, a11) = self.A.tolist()
+        (a00, a01), (a10, a11) = self._shape
         return a00 * a00 + 2.0 * a01 * a10 + a11 * a11
 
-    def normal_residual(self, laplacian_h: float) -> float:
+    def normal_residual(self, laplacian_h):
         """Delta f - f |A|^2 - f <trace R(., xi) ., xi> given Delta f here;
         see :func:`biharmonic_normal_residual`."""
         return (laplacian_h - self.h * self.norm_A_sq
@@ -362,14 +434,16 @@ class LocalGeometry:
 
     def adapted_frame(self, x1_coefficients=None) -> AdaptedFrameSample:
         """The adapted frame at this point; see :func:`adapted_frame`."""
+        if self._xp is np:
+            raise ValueError("the adapted frame is evaluated one point at a "
+                             "time; build a one-point record")
         if x1_coefficients is None:
-            raw = self.gradient_h
+            p, q = self._gradient
         else:
-            raw = np.asarray(x1_coefficients(self.u, self.v)
-                             if callable(x1_coefficients) else x1_coefficients,
-                             dtype=float)
-        p, q = raw.tolist()
-        norm = self.metric_norm((p, q))
+            p, q = np.asarray(x1_coefficients(self.u, self.v)
+                              if callable(x1_coefficients)
+                              else x1_coefficients, dtype=float).tolist()
+        norm = self._length(p, q)
         if x1_coefficients is None and norm <= GRADIENT_THRESHOLD:
             raise CmcDegenerateError(
                 f"|grad f| below {GRADIENT_THRESHOLD:g} on "
@@ -381,7 +455,7 @@ class LocalGeometry:
         x1_f = tuple(c1[0] * a + c1[1] * b for a, b in zip(self._du, self._dv))
         x2_f = _cross(self._xi, x1_f)
         c2 = self._coefficients(x2_f)
-        (l, m), (_, n) = self.second.tolist()
+        l, m, n = self._second
 
         def normal_curvature(c):
             """II(c, c) = <A c, c> for unit c."""
@@ -397,13 +471,14 @@ class LocalGeometry:
             lambda1=normal_curvature(c1), lambda2=normal_curvature(c2),
             e3_defect=x2_f[2])
 
-    def laplacian(self, field) -> float:
+    def laplacian(self, field):
         """Surface Laplacian of ``field``; see :func:`laplace_beltrami`."""
         fld = field if isinstance(field, ScalarField) else ScalarField(field)
         grad = fld.gradient(self.u, self.v, self.patch.fd_step)
         phi_uu, phi_uv, phi_vv = fld.hessian(self.u, self.v)
         hess = ((phi_uu, phi_uv), (phi_uv, phi_vv))
-        gamma = self.surface_christoffel.tolist()
+        (u_uu, v_uu), (u_uv, v_uv), (u_vv, v_vv) = self._christoffel
+        gamma = (((u_uu, u_uv), (u_uv, u_vv)), ((v_uu, v_uv), (v_uv, v_vv)))
         e, f, g, det = self._E, self._F, self._G, self._det
         inv = ((g / det, -f / det), (-f / det, e / det))
         total = 0.0
@@ -412,7 +487,7 @@ class LocalGeometry:
                 correction = (gamma[0][i][j] * grad[0]
                               + gamma[1][i][j] * grad[1])
                 total += inv[i][j] * (hess[i][j] - correction)
-        return float(total)
+        return total
 
 
 def fundamental_forms(patch: SurfacePatch, u: float,

@@ -25,7 +25,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,14 +40,14 @@ from .biconservative_family import (CONSTANTS, EXPLICIT, ProfileSolution,
 from .exact_poly import (IntPolynomial, coefficients_as_strings,
                          nonexistence_combination, obstruction_cubic,
                          obstruction_quintic, real_roots_interval)
+from .numerics import namespace
 from .patch import SurfacePatch
 from .sol_space import (FRAME, Point, TangentVector, canonical_leaf,
                         christoffel_contraction, covariant_derivative,
                         curvature_tensor, curvature_tensor_fd,
                         frame_connection, frame_vector, metric_at,
                         sectional_curvature)
-from .surface_calculus import (CmcDegenerateError, LocalGeometry,
-                               fundamental_forms, shape_data)
+from .surface_calculus import CmcDegenerateError, LocalGeometry
 
 __all__ = [
     "CheckReport",
@@ -175,6 +174,14 @@ def _grid_rows(row, us: Sequence[float], vs: Sequence[float]) -> np.ndarray:
     float array with one entry (or one row) per point."""
     return np.array([row(u, v) for u, v in itertools.product(us, vs)],
                     dtype=float)
+
+
+def _grid_points(us: Sequence[float],
+                 vs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """Every point of ``us x vs`` in u-major order, as the (N,) arrays u
+    and v of one N-point :class:`LocalGeometry`."""
+    u, v = np.meshgrid(us, vs, indexing="ij")
+    return u.ravel(), v.ravel()
 
 
 # -- adapted-frame identity machinery ------------------------------------
@@ -325,8 +332,9 @@ def check_frame_identities(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
         _frame_grid(patch, grid, x1_coefficients), label, tolerance)
 
 
-def _gradient_norm(geo: LocalGeometry) -> float:
-    return math.sqrt(float(geo.dh @ geo.gradient_h))
+def _gradient_norm(geo: LocalGeometry):
+    dh, grad = geo.dh, geo.gradient_h
+    return np.sqrt(dh[..., 0] * grad[..., 0] + dh[..., 1] * grad[..., 1])
 
 
 ANGLE_CHECK_IDS = (
@@ -401,13 +409,26 @@ def vertical_cylinder_fixture() -> SurfacePatch:
     Non-minimal and non-CMC; its tangential residual is visibly nonzero,
     so it cannot witness a CMC biconservative surface with f != 0.
     """
+    def circle(u):
+        xp = namespace(u)
+        return xp.cos(u), xp.sin(u)
+
+    def immersion(u, v):
+        c, s = circle(u)
+        return c, s, v
+
+    def d_u(u, v):
+        c, s = circle(u)
+        return -s, c, 0.0
+
+    def d_uu(u, v):
+        c, s = circle(u)
+        return -c, -s, 0.0
+
+    zero = (0.0, 0.0, 0.0)
     return SurfacePatch(
-        immersion=lambda u, v: np.array([math.cos(u), math.sin(u), v]),
-        d_u=lambda u, v: np.array([-math.sin(u), math.cos(u), 0.0]),
-        d_v=lambda u, v: np.array([0.0, 0.0, 1.0]),
-        d_uu=lambda u, v: np.array([-math.cos(u), -math.sin(u), 0.0]),
-        d_uv=lambda u, v: np.zeros(3),
-        d_vv=lambda u, v: np.zeros(3),
+        immersion=immersion, d_u=d_u, d_v=lambda u, v: (0.0, 0.0, 1.0),
+        d_uu=d_uu, d_uv=lambda u, v: zero, d_vv=lambda u, v: zero,
         domain=((0.0, 2.0 * math.pi), (-1.0, 1.0)),
         name="vertical_cylinder")
 
@@ -416,12 +437,12 @@ def graph_patch_fixture() -> SurfacePatch:
     """The paraboloid graph z = 0.1 (x^2 + y^2), a biconservativity
     negative control."""
     return SurfacePatch(
-        immersion=lambda u, v: np.array([u, v, 0.1 * (u * u + v * v)]),
-        d_u=lambda u, v: np.array([1.0, 0.0, 0.2 * u]),
-        d_v=lambda u, v: np.array([0.0, 1.0, 0.2 * v]),
-        d_uu=lambda u, v: np.array([0.0, 0.0, 0.2]),
-        d_uv=lambda u, v: np.zeros(3),
-        d_vv=lambda u, v: np.array([0.0, 0.0, 0.2]),
+        immersion=lambda u, v: (u, v, 0.1 * (u * u + v * v)),
+        d_u=lambda u, v: (1.0, 0.0, 0.2 * u),
+        d_v=lambda u, v: (0.0, 1.0, 0.2 * v),
+        d_uu=lambda u, v: (0.0, 0.0, 0.2),
+        d_uv=lambda u, v: (0.0, 0.0, 0.0),
+        d_vv=lambda u, v: (0.0, 0.0, 0.2),
         domain=((-1.0, 1.0), (-1.0, 1.0)),
         name="graph_patch")
 
@@ -436,7 +457,9 @@ def rotated_leaf_fixture() -> Tuple[SurfacePatch, np.ndarray]:
     return canonical_leaf("z_const", 0.15), np.array([1.0, 1.0])
 
 
-def _residual_norm(patch: SurfacePatch, u: float, v: float) -> float:
+def _residual_norm(patch: SurfacePatch, u, v):
+    """Metric norm of the tangential residual at (u, v), or at every point
+    of same-shape arrays u and v."""
     geo = LocalGeometry(patch, u, v)
     return geo.metric_norm(geo.residual)
 
@@ -462,14 +485,12 @@ def check_cmc_rigidity(fixtures: Optional[Sequence[SurfacePatch]] = None,
             graph_patch_fixture(),
         ]
 
-    def row(patch: SurfacePatch, u: float, v: float):
-        geo = LocalGeometry(patch, u, v)
-        return (_gradient_norm(geo), geo.metric_norm(geo.residual), abs(geo.h))
-
     reports = []
     for patch in fixtures:
         us, vs = patch.grid(*grid)
-        maxima = np.max(_grid_rows(partial(row, patch), us, vs), axis=0)
+        geo = LocalGeometry(patch, *_grid_points(us, vs))
+        maxima = np.max([_gradient_norm(geo), geo.metric_norm(geo.residual),
+                         np.abs(geo.h)], axis=1)
         max_grad, max_res, max_f = maxima
         if np.isnan(maxima).any():
             classification, err = "undetermined", math.nan
@@ -748,9 +769,8 @@ def _leaf_reports() -> List[CheckReport]:
     for kind, level in (("x_const", 0.3), ("y_const", -0.2)):
         patch = canonical_leaf(kind, level)
         us, vs = patch.grid(7, 7)
-        worst = np.max(_grid_rows(
-            lambda u, v: np.max(np.abs(fundamental_forms(patch, u, v).second)),
-            us, vs))
+        worst = np.max(np.abs(LocalGeometry(patch,
+                                            *_grid_points(us, vs)).second))
         reports.append(CheckReport.from_error(
             f"leaf_totally_geodesic_{kind}", worst, 1e-9,
             _grid_context(patch, us, vs,
@@ -758,14 +778,11 @@ def _leaf_reports() -> List[CheckReport]:
 
     patch = canonical_leaf("z_const", 0.15)
     us, vs = patch.grid(7, 7)
-
-    def z_row(u: float, v: float):
-        sd = shape_data(patch, u, v)
-        return (abs(sd.h), abs(sd.K),
-                np.max(np.abs(np.sort(sd.principal_curvatures)
-                              - np.array([-1.0, 1.0]))))
-
-    worst_h, worst_k, worst_eig = np.max(_grid_rows(z_row, us, vs), axis=0)
+    geo = LocalGeometry(patch, *_grid_points(us, vs))
+    worst_h = np.max(np.abs(geo.h))
+    worst_k = np.max(np.abs(geo.K))
+    worst_eig = np.max(np.abs(np.sort(geo.principal_curvatures, axis=-1)
+                              - np.array([-1.0, 1.0])))
     ctx = _grid_context(patch, us, vs)
     reports.append(CheckReport.from_error(
         "leaf_z_mean_curvature", worst_h, 1e-10,
@@ -816,7 +833,7 @@ def _frames_reports(seed: int) -> List[CheckReport]:
 
     graph = graph_patch_fixture()
     us, vs = graph.grid(8, 8)
-    max_res = np.max(_grid_rows(partial(_residual_norm, graph), us, vs))
+    max_res = np.max(_residual_norm(graph, *_grid_points(us, vs)))
     reports.append(_bounded_away(
         "negative_control_graph_residual", max_res, 1e-3,
         _grid_context(graph, us, vs,
@@ -859,14 +876,11 @@ def _family_reports(seed: int) -> List[CheckReport]:
         {"samples": len(profile.u),
          "statement": "sign(Psi') = sign(cos(theta)) between samples"}))
 
-    def shape_row(u: float, v: float):
-        sd = shape_data(px1, u, v)
-        return (abs(sd.h - f_explicit(u)),
-                abs(sd.K - gaussian_curvature_closed_form(u)), sd.K)
-
     sub_u = profile.u[::8]
-    worst_h, worst_k, max_k = np.max(
-        _grid_rows(shape_row, sub_u, (-0.5, 0.25)), axis=0)
+    geo = LocalGeometry(px1, *_grid_points(sub_u, (-0.5, 0.25)))
+    worst_h = np.max(np.abs(geo.h - f_explicit(geo.u)))
+    worst_k = np.max(np.abs(geo.K - gaussian_curvature_closed_form(geo.u)))
+    max_k = np.max(geo.K)
     reports.append(CheckReport.from_error(
         "family_mean_curvature_match", worst_h, 1e-8,
         {"samples": len(sub_u) * 2,
@@ -882,7 +896,7 @@ def _family_reports(seed: int) -> List[CheckReport]:
 
     for label, patch in (("x1", px1), ("x2", px2)):
         us, vs = patch.grid(64, 16)
-        worst = np.max(_grid_rows(partial(_residual_norm, patch), us, vs))
+        worst = np.max(_residual_norm(patch, *_grid_points(us, vs)))
         reports.append(CheckReport.from_error(
             f"family_biconservative_residual_{label}", worst, 1e-6,
             _grid_context(patch, us, vs,
@@ -893,9 +907,9 @@ def _family_reports(seed: int) -> List[CheckReport]:
     steps = (0.02, 0.01, 0.005)
     us = np.linspace(-3.5, -0.5, 8)
     vs = np.linspace(-0.8, 0.8, 5)
-    errors = [float(np.max(_grid_rows(
-        partial(_residual_norm, stripped.with_fd_step(step)), us, vs)))
-        for step in steps]
+    errors = [float(np.max(_residual_norm(stripped.with_fd_step(step),
+                                          *_grid_points(us, vs))))
+              for step in steps]
     orders = [math.log2(errors[i] / errors[i + 1])
               for i in range(len(errors) - 1)]
     reports.append(_bounded_away(

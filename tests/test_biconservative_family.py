@@ -543,3 +543,107 @@ def test_profile_to_csv_implicit_footer(implicit_solution, tmp_path):
 def test_profile_to_csv_deterministic(explicit_profile):
     assert profile_to_csv(explicit_profile) == profile_to_csv(
         explicit_profile)
+
+
+EPS = np.finfo(float).eps
+
+
+def _closed_forms(profile):
+    """(name, closed form, size of its terms) for every explicit closed
+    form the family patch reads.  The size bounds what rounding of the
+    terms can do to the result where they cancel: f'' near its zero, Psi
+    and Phi1 near the anchor, cos(theta) near pi/2, and the factor e^Psi,
+    which turns an ulp of Psi into |Psi| ulps."""
+    a, c0 = CONSTANTS.a1, profile.c0
+
+    def grows(u):
+        psi = psi_explicit(u, c0)
+        return np.exp(psi) * (1.0 + np.abs(psi))
+
+    def itself(u, value):
+        return np.abs(value)
+
+    return [
+        ("theta", theta_explicit, itself),
+        ("theta'", theta_prime_explicit, itself),
+        ("f", f_explicit, itself),
+        ("f'", f_prime_explicit, itself),
+        ("f''", f_second_explicit, lambda u, value: 4.0 * a * a
+         * f_explicit(u) * (1.0 + 2.0 * (f_explicit(u) / a) ** 2)),
+        ("Psi", lambda u: psi_explicit(u, c0), lambda u, value: np.abs(u)
+         + np.log1p(np.exp(4.0 * a * u)) / (2.0 * a) + abs(c0)),
+        ("Phi1", profile.phi1_at, lambda u, value: np.abs(value)
+         + math.exp(c0) / a * abs(profile._g_u0)),
+        ("psi'", profile.psi_prime_at, lambda u, value: np.ones_like(u)),
+        ("psi''", profile.psi_second_at,
+         lambda u, value: 2.0 * f_explicit(u)),
+        ("Phi1'", profile.phi1_prime_at, lambda u, value: grows(u)),
+        ("Phi1''", profile.phi1_second_at,
+         lambda u, value: grows(u) * (2.0 * f_explicit(u) + 1.0)),
+        ("K", gaussian_curvature_closed_form, itself),
+    ]
+
+
+def _assert_arrays_match_floats(profile, u):
+    """Each closed form on an array is finite and within 4 eps of the size
+    of its terms from the float call at every entry: numpy's ufuncs and
+    libm differ by an ulp or two per elementary function."""
+    for name, form, size in _closed_forms(profile):
+        # only the forms built on f stay finite below u = -700, where
+        # e^Psi overflows
+        x = u if name in ("f", "f'", "f''", "K") else u[u >= -700.0]
+        batch = form(x)
+        floats = np.array([form(float(s)) for s in x])
+        assert np.all(np.isfinite(batch)), name
+        bound = 4.0 * EPS * size(x, floats)
+        worst = np.argmax(np.abs(batch - floats) - bound)
+        assert abs(batch[worst] - floats[worst]) <= bound[worst], \
+            (name, float(x[worst]))
+
+
+def test_array_closed_forms_match_float_calls(explicit_profile):
+    # both sides of the reflection of theta (t > 350, u < -403) and of the
+    # large-argument sech (|w| > 700, u < -806), which only the forms
+    # built on f reach before e^Psi overflows
+    u = np.concatenate([-np.geomspace(1e-9, 700.0, 4001),
+                        -np.linspace(806.5, 810.0, 50)])
+    assert np.any(-2.0 * CONSTANTS.a1 * u > 350.0)
+    assert np.any(2.0 * CONSTANTS.a1 * np.abs(u) > 700.0)
+    _assert_arrays_match_floats(explicit_profile, u)
+
+
+@given(st.lists(st.floats(min_value=-700.0, max_value=-1e-9), min_size=1,
+                max_size=20))
+def test_array_closed_forms_sweep(explicit_profile, us):
+    _assert_arrays_match_floats(explicit_profile, np.array(us))
+
+
+def test_implicit_array_hermite_matches_per_point(implicit_solution):
+    nodes = implicit_solution.u
+    h = nodes[1] - nodes[0]
+    u = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]),
+                        [nodes[0] - 0.3 * h, nodes[-1] + 0.3 * h]])
+    for column in ("theta", "f", "psi", "phi1"):
+        values = getattr(implicit_solution, column)
+        slopes = implicit_solution._slopes[column]
+        expected = [hermite_eval(x, nodes, values, slopes) for x in u]
+        assert np.array_equal(hermite_eval(u, nodes, values, slopes),
+                              expected), column
+    for name in ("theta_at", "f_at", "f_prime_at", "psi_at", "psi_prime_at",
+                 "psi_second_at", "phi1_at", "phi1_prime_at",
+                 "phi1_second_at"):
+        evaluate = getattr(implicit_solution, name)
+        batch = evaluate(u)
+        floats = np.array([evaluate(float(x)) for x in u])
+        # the Hermite cubics are arithmetic only; sin, cos and exp on top
+        # of them may differ from libm by an ulp
+        np.testing.assert_allclose(batch, floats, rtol=4.0 * EPS, atol=0.0,
+                                   err_msg=name)
+
+
+def test_march_step_count_is_capped():
+    # 1e12 steps would run for hours; the march refuses at its first step
+    with pytest.raises(ValueError, match=r"^step 1e-12 is too small for "
+                                         r"u_span 1\.0: .* 1000000 steps"):
+        integrate_implicit_profile(1.0, 2.2, 1.0, 1e-12)
+    assert biconservative_family.MAX_MARCH_STEPS == 10 ** 6

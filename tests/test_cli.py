@@ -229,6 +229,17 @@ def test_step_too_small_for_the_span(capsys):
     assert capsys.readouterr().err.startswith("error: step 5e-324 ")
 
 
+def test_step_beyond_the_march_cap(capsys):
+    # 1e12 steps: refused at the first step, with one error line
+    code = run(["profile", "--kind", "implicit", "--c", "1",
+                "--theta-start", "2.2", "--u-min", "0", "--u-max", "1",
+                "--step", "1e-12"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1e-12 is too small for u_span")
+    assert err.count("\n") == 1
+
+
 def test_runtime_failure_exit_code(capsys):
     # a valid start just past pi/2, where the first step leaves the
     # quadrant: the march halts at u = 0 and leaves no usable profile

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from solgeo.biconservative_family import (EXPLICIT, build_profile,
+                                          family_surface)
 from solgeo.numerics import central_diff
 from solgeo.patch import SurfacePatch
 from solgeo.sol_space import (FRAME, Point, TangentVector, canonical_leaf,
@@ -92,8 +94,8 @@ def test_nan_partial_is_degenerate(patch_x1):
     with pytest.raises(DegenerateParametrizationError):
         LocalGeometry(patch, -1.0, 0.3)
     # parallel partials span no plane either
-    patch = dataclasses.replace(patch_x1,
-                                d_v=lambda u, v: -2.0 * patch_x1.du(u, v))
+    patch = dataclasses.replace(
+        patch_x1, d_v=lambda u, v: tuple(-2.0 * c for c in patch_x1.du(u, v)))
     with pytest.raises(DegenerateParametrizationError):
         LocalGeometry(patch, -1.0, 0.3)
 
@@ -302,3 +304,75 @@ def test_record_matches_numpy_formulas(patch_x1, patch_x2):
                                                 - expected)))
                     assert error <= 1e-14 * scale, (patch.name, u, v, name,
                                                     error)
+
+
+def _grid_points(patch, nu, nv):
+    u, v = np.meshgrid(*patch.grid(nu, nv), indexing="ij")
+    return u.ravel(), v.ravel()
+
+
+def test_n_point_record_matches_one_point_records(patch_x1, patch_x2):
+    """An N-point record holds, row by row, what N one-point records hold.
+    numpy's exp and arctan may differ from libm's in the last bit, hence
+    rtol 1e-13 and atol 1e-15.  On a patch without a mean-curvature field
+    dh is a central difference of f, which divides that last-bit
+    allowance by the difference step, and so do the quantities read from
+    dh."""
+    fixtures = [canonical_leaf("x_const", 0.3), canonical_leaf("y_const", -0.2),
+                canonical_leaf("z_const", 0.15), vertical_cylinder_fixture(),
+                graph_patch_fixture(), patch_x1, patch_x2,
+                patch_x1.without_curvature_handles()]
+    for patch in fixtures:
+        u, v = _grid_points(patch, 9, 5)
+        batch = LocalGeometry(patch, u, v)
+        records = [LocalGeometry(patch, float(s), float(t))
+                   for s, t in zip(u, v)]
+        differenced = (1e-15 if patch.mean_curvature is not None
+                       else 1e-15 / patch.fd_step)
+        for name, atol in (("h", 1e-15), ("K", 1e-15), ("second", 1e-15),
+                           ("principal_curvatures", 1e-15),
+                           ("dh", differenced), ("gradient_h", differenced),
+                           ("residual", differenced)):
+            rows = getattr(batch, name)
+            assert rows.shape[0] == len(u), (patch.name, name)
+            expected = np.array([getattr(g, name) for g in records])
+            np.testing.assert_allclose(rows, expected, rtol=1e-13, atol=atol,
+                                       err_msg=f"{patch.name} {name}")
+        np.testing.assert_allclose(
+            batch.metric_norm(batch.residual),
+            [g.metric_norm(g.residual) for g in records], rtol=1e-13,
+            atol=differenced, err_msg=patch.name)
+
+
+def test_n_point_record_names_the_first_degenerate_point(patch_x1):
+    # NaN partials on the line u = -2 and parallel ones on u = -1; the
+    # first in u-major order is (-2, 0.5)
+    def d_v(u, v):
+        return tuple(np.where(u == -2.0, math.nan,
+                              np.where(u == -1.0, -2.0 * a, b))
+                     for a, b in zip(patch_x1.du(u, v), patch_x1.dv(u, v)))
+
+    patch = dataclasses.replace(patch_x1, d_v=d_v)
+    u = np.array([-3.0, -3.0, -2.0, -2.0, -1.0])
+    v = np.array([0.0, 0.5, 0.5, 0.7, 0.1])
+    with pytest.raises(DegenerateParametrizationError,
+                       match=r"\(u, v\) = \(-2, 0\.5\)"):
+        LocalGeometry(patch, u, v)
+    with pytest.raises(DegenerateParametrizationError,
+                       match=r"\(u, v\) = \(-1, 0\.1\)"):
+        LocalGeometry(patch, u[[0, 4]], v[[0, 4]])
+    batch = LocalGeometry(patch, u[:2], v[:2])
+    assert batch.h.shape == (2,)
+    with pytest.raises(ValueError, match="one point at a time"):
+        batch.adapted_frame()
+
+
+def test_solve_stays_finite_far_down_the_family():
+    # G = e^{2 Psi} is 4.9e172 at u = -200; forming G r0 before dividing
+    # by the determinant overflowed there
+    x1 = family_surface(build_profile(EXPLICIT, u_grid=[-200.0, -1.0]), "x1")
+    for u in (-150.0, -180.0, -200.0):
+        lap = laplace_beltrami(x1, x1.mean_curvature, u, 0.25)
+        res = biharmonic_normal_residual(x1, u, 0.25)
+        assert math.isfinite(lap) and lap < 0.0, (u, lap)
+        assert math.isfinite(res) and res < 0.0, (u, res)

@@ -101,11 +101,11 @@ def test_cmc_rigidity_classifications():
 
 
 def _nan_duu_where(patch, bad_u):
-    """``patch`` with d_uu NaN on the parameter line u == bad_u."""
-    good = patch.d_uu if patch.d_uu is not None else patch.duu
+    """``patch`` with d_uu NaN on the parameter line u == bad_u, at one
+    point or at N points."""
     return dataclasses.replace(
-        patch, d_uu=lambda u, v: (np.full(3, math.nan) if u == bad_u
-                                  else good(u, v)))
+        patch, d_uu=lambda u, v: tuple(np.where(u == bad_u, math.nan, c)
+                                       for c in patch.duu(u, v)))
 
 
 def test_nan_floor_fails():
@@ -159,6 +159,29 @@ def test_biharmonic_suite_builds_one_record_per_sample(monkeypatch):
     run_suite("biharmonic")
     # eight profile samples on the v = 0.25 ruling
     assert len(points) == len(set(points)) == 8
+
+
+@pytest.mark.parametrize("section,records", [
+    # the shape grid, the two residual grids, and three FD-convergence
+    # grids that difference f over four shifted grids each
+    (lambda: run_suite("family"), 1 + 2 + 3 * 5),
+    # five fixtures without a mean-curvature field
+    (check_cmc_rigidity, 5 * 5),
+    # the x, y and z leaves
+    (verification._leaf_reports, 3),
+], ids=["family", "cmc_rigidity", "leaves"])
+def test_grids_build_one_record_each(monkeypatch, section, records):
+    built = []
+    original = LocalGeometry.__init__
+
+    def counted(self, patch, u, v):
+        built.append(np.size(u))
+        original(self, patch, u, v)
+
+    monkeypatch.setattr(LocalGeometry, "__init__", counted)
+    section()
+    assert len(built) == records
+    assert min(built) > 1
 
 
 def test_vertical_cylinder_fixture_is_vertical():

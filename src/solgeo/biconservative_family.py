@@ -453,22 +453,16 @@ def _march_theta(c: float, theta_start: float, u_span: float, step: float):
     ``MAX_MARCH_STEPS`` steps raises ``ValueError`` when the march accepts
     its first step; a march that halts before that has done no work and
     returns as usual.  ``f`` is solved once per
-    angle: the value at an accepted sample is checked, stored and reused
-    as the next step's first stage, so a step costs four root solves.
-    Constraint monitors run on every accepted state, in this order: the
-    angle leaving the quadrant (sin theta cos theta reaching 0, checked
-    before solving), the slope constraint theta' < 0 (f > 0), and the
-    concavity constraint theta'' < 0 (f' > 0).  A stage angle with
-    sin theta <= 0 has no f on the branch, so it also halts the march
-    with ``angle_degenerate``.
+    angle: the value at an accepted sample is stored and reused as the
+    next step's first stage, so a step costs four root solves.
+    The march halts with ``angle_degenerate`` when an accepted angle
+    leaves the quadrant (sin theta cos theta reaching 0, checked before
+    solving) or a stage angle has sin theta <= 0, where the branch has no
+    f.  Inside the quadrant the slope and concavity constraints hold by
+    themselves: :func:`solve_f` returns f > a1 sin theta > 0, so
+    theta' = -2 f < 0, and sin 2 theta < 0 there, so
+    f' = -f sin 2 theta / (3 f + sin theta) > 0 and theta'' < 0.
     """
-
-    def violates(theta: float, f: float):
-        if f <= 0.0:
-            return "theta_prime_nonnegative"
-        if f_prime_implicit(theta, f) <= 0.0:
-            return "theta_second_nonnegative"
-        return None
 
     def leaves_quadrant(theta: float) -> bool:
         return math.sin(theta) <= 0.0 or math.cos(theta) >= 0.0
@@ -476,10 +470,8 @@ def _march_theta(c: float, theta_start: float, u_span: float, step: float):
     theta = theta_start
     f = solve_f(theta, c)
     us, thetas, fs = [0.0], [theta], [f]
-    reason = ("angle_degenerate" if leaves_quadrant(theta)
-              else violates(theta, f))
-    if reason is not None:
-        return us, thetas, fs, reason
+    if leaves_quadrant(theta):
+        return us, thetas, fs, "angle_degenerate"
 
     too_long = u_span / step > MAX_MARCH_STEPS
     n_full = int(math.floor(u_span / step + 1e-9))
@@ -503,9 +495,6 @@ def _march_theta(c: float, theta_start: float, u_span: float, step: float):
         if leaves_quadrant(theta_new):
             return us, thetas, fs, "angle_degenerate"
         f_new = solve_f(theta_new, c)
-        reason = violates(theta_new, f_new)
-        if reason is not None:
-            return us, thetas, fs, reason
         if too_long:
             raise ValueError(
                 f"step {step!r} is too small for u_span {u_span!r}: the "
@@ -560,9 +549,10 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
     logarithmic root solve of the implicit relation, so each returned
     sample satisfies the relation to solver precision.  A second march at
     twice the step provides a Richardson error estimate for theta
-    (``theta_error_estimate``).  Integration stops at ``u_span`` or at the
-    first constraint violation, whichever comes first; the reason is
-    recorded in ``halt_reason``.
+    (``theta_error_estimate``).  Integration stops at ``u_span``
+    (``span_exhausted``) or where the angle leaves the quadrant
+    (``angle_degenerate``), whichever comes first; the reason is recorded
+    in ``halt_reason``.
 
     The quadratures Psi = int cos(theta) and Phi1 = -int sin(theta) e^{Psi}
     are anchored to zero at u = 0 and integrated over every step with an

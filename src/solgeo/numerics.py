@@ -29,12 +29,13 @@ CURVATURE_FD_STEP = 1e-4
 _FLOAT_MATH = SimpleNamespace(
     pi=math.pi, exp=math.exp, sqrt=math.sqrt, sin=math.sin, cos=math.cos,
     tanh=math.tanh, cosh=math.cosh, log1p=math.log1p, arctan=math.atan,
-    isfinite=math.isfinite, maximum=max, minimum=min)
+    arctan2=math.atan2, isfinite=math.isfinite, maximum=max, minimum=min)
 
 
 def namespace(x):
     """numpy for an array ``x``, else ``math`` on Python floats (with
-    ``arctan``, ``maximum`` and ``minimum`` under numpy's names)."""
+    ``arctan``, ``arctan2``, ``maximum`` and ``minimum`` under numpy's
+    names)."""
     return np if isinstance(x, np.ndarray) else _FLOAT_MATH
 
 

@@ -75,15 +75,11 @@ class Point:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    @staticmethod
-    def from_array(arr) -> "Point":
-        a = np.asarray(arr, dtype=float)
-        return Point(float(a[0]), float(a[1]), float(a[2]))
-
 
 @dataclass(frozen=True)
 class TangentVector:
-    """A tangent vector at a base point, tagged with its basis.
+    """A tangent vector at a base point, tagged with its basis, or N vectors
+    at a :class:`Point` of (N,) arrays, with (N, 3) components.
 
     Frame components c and coordinate components v are related by
     v = (e^{-z} c1, e^{z} c2, c3) at height z.
@@ -95,8 +91,9 @@ class TangentVector:
 
     def __post_init__(self):
         comps = np.asarray(self.components, dtype=float)
-        if comps.shape != (3,):
-            raise ValueError("components must be a length-3 vector")
+        if comps.shape[-1:] != (3,) or comps.ndim > 2:
+            raise ValueError("components must be a length-3 vector or an "
+                             "(N, 3) array")
         object.__setattr__(self, "components", comps)
         if self.basis not in (COORDINATE, FRAME):
             raise ValueError(f"unknown basis {self.basis!r}")
@@ -104,18 +101,18 @@ class TangentVector:
     def in_frame(self) -> "TangentVector":
         if self.basis == FRAME:
             return self
-        ez = math.exp(self.base.z)
-        v = self.components
-        return TangentVector(self.base, np.array([ez * v[0], v[1] / ez, v[2]]),
-                             FRAME)
+        ez = namespace(self.base.z).exp(self.base.z)
+        v = self.components.T
+        return TangentVector(self.base, np.array([ez * v[0], v[1] / ez,
+                                                  v[2]]).T, FRAME)
 
     def in_coordinates(self) -> "TangentVector":
         if self.basis == COORDINATE:
             return self
-        ez = math.exp(self.base.z)
-        c = self.components
-        return TangentVector(self.base, np.array([c[0] / ez, ez * c[1], c[2]]),
-                             COORDINATE)
+        ez = namespace(self.base.z).exp(self.base.z)
+        c = self.components.T
+        return TangentVector(self.base, np.array([c[0] / ez, ez * c[1],
+                                                  c[2]]).T, COORDINATE)
 
 
 @dataclass(frozen=True)

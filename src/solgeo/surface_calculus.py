@@ -25,7 +25,6 @@ mean curvature is f = trace(A) / 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -96,12 +95,17 @@ class ShapeData:
 
 @dataclass(frozen=True)
 class AdaptedFrameSample:
-    """Adapted orthonormal frame {X1, X2, xi} and its angle functions.
+    """Adapted orthonormal frame {X1, X2, xi} and its angle functions, at
+    one point or at the N points of an N-point record.
 
     theta is the vertical angle: sin(theta) = <E3, xi>, cos(theta) =
     <E3, X1>.  beta is the horizontal angle of X2 against (E1, E2).
     ``e3_defect`` is <X2, E3>; it vanishes exactly when the frame has the
     adapted structure, and measures the obstruction otherwise.
+    ``x1_coefficients`` and ``x2_coefficients`` are the components of X1
+    and X2 in the parameter basis (d/du, d/dv).  At N points the scalars
+    are (N,) arrays, the coefficients (N, 2) arrays, and the vectors hold
+    (N, 3) frame components at the record's N-point base.
     """
 
     x1: TangentVector
@@ -113,6 +117,8 @@ class AdaptedFrameSample:
     lambda1: float
     lambda2: float
     e3_defect: float
+    x1_coefficients: np.ndarray
+    x2_coefficients: np.ndarray
 
 
 class _computed_once:
@@ -152,20 +158,19 @@ class LocalGeometry:
     floats with ``math`` at one point, on (N,) arrays with numpy at N
     points (:func:`~solgeo.numerics.namespace`; the type of ``u`` decides).
     The normal is the cross product of the frame partials written out;
-    every 2x2 system (``A``, ``gradient_h``, ``param_coefficients``,
-    ``surface_christoffel``) is solved by the closed-form inverse of the
-    first form scaled to unit diagonal, and ``laplacian`` contracts with
-    the inverse metric [[G, -F], [-F, E]] / (EG - F^2); the ambient
-    derivatives take Sol's connection from the one contraction
-    :func:`~solgeo.sol_space.christoffel_contraction`.  The public
-    attributes are numpy arrays built from those values; on an N-point
+    every 2x2 system (``A``, ``gradient_h``, the frame's parameter
+    coefficients, ``surface_christoffel``) is solved by the closed-form
+    inverse of the first form scaled to unit diagonal, and ``laplacian``
+    contracts with the inverse metric [[G, -F], [-F, E]] / (EG - F^2); the
+    ambient derivatives of the partials take Sol's connection from the one
+    contraction :func:`~solgeo.sol_space.christoffel_contraction`.  The
+    public attributes, and the fields of :meth:`adapted_frame`, are numpy
+    arrays built from those values (scalars stay scalars); on an N-point
     record each has a leading axis of length N, in the order of ``u``.
-    :meth:`adapted_frame`, :meth:`to_frame` and
-    :meth:`param_coefficients` are one-point views.
 
     Basis conventions: names ending in ``_c`` hold coordinate components
     (d/dx, d/dy, d/dz) and names ending in ``_f`` hold frame components
-    (E1, E2, E3), as do ``curvature_trace`` and ``ambient_derivatives``.
+    (E1, E2, E3), as does ``curvature_trace``.
     ``first``, ``second``, ``A``, ``dh``, ``gradient_h``,
     ``surface_christoffel`` and ``residual`` are in the parameter basis
     (d/du, d/dv).
@@ -174,7 +179,8 @@ class LocalGeometry:
     ------
     DegenerateParametrizationError
         If the partials fail to span a plane at the point, naming the first
-        such point of an N-point record.
+        such point of an N-point record.  :meth:`adapted_frame` raises
+        :class:`CmcDegenerateError` the same way.
     """
 
     def __init__(self, patch: SurfacePatch, u, v):
@@ -244,10 +250,6 @@ class LocalGeometry:
         ez = self._ez
         return ez * coords[0], coords[1] / ez, coords[2]
 
-    def to_frame(self, coords: np.ndarray) -> np.ndarray:
-        """Frame components of a vector given in coordinates at this point."""
-        return np.array(self._frame(coords))
-
     def _solve(self, r0, r1):
         """(p, q) with first @ (p, q) = (r0, r1).  The first form is
         scaled to unit diagonal by sqrt(E) and sqrt(G) first, whose inverse
@@ -260,11 +262,6 @@ class LocalGeometry:
 
     def _coefficients(self, vec_f):
         return self._solve(_dot(vec_f, self._du), _dot(vec_f, self._dv))
-
-    def param_coefficients(self, vec_f: np.ndarray) -> np.ndarray:
-        """Parameter-basis coefficients of the tangential part of ``vec_f``."""
-        return np.array(self._coefficients(
-            np.asarray(vec_f, dtype=float).tolist()))
 
     def _length(self, p, q):
         e, f, g = self._E, self._F, self._G
@@ -293,14 +290,6 @@ class LocalGeometry:
                 nabla(patch.dvv(u, v), dv, dv))
 
     @_computed_once
-    def ambient_derivatives(self) -> np.ndarray:
-        """Frame components of the ambient derivative of d_j along d_i,
-        indexed [i, j]: the second partials plus the ambient Christoffel
-        contraction of the first partials."""
-        uu, uv, vv = self._ambient
-        return self._array([[uu, uv], [uv, vv]])
-
-    @_computed_once
     def _second(self):
         """(l, m, n): the normal part of each ambient derivative."""
         uu, uv, vv = self._ambient
@@ -308,7 +297,7 @@ class LocalGeometry:
 
     @_computed_once
     def second(self) -> np.ndarray:
-        """Normal part of :attr:`ambient_derivatives`."""
+        """Normal part of the ambient derivatives of the partials."""
         l, m, n = self._second
         return self._array([[l, m], [m, n]])
 
@@ -321,8 +310,8 @@ class LocalGeometry:
     @_computed_once
     def surface_christoffel(self) -> np.ndarray:
         """Christoffel symbols of the induced metric, Gamma[k, i, j]: the
-        parameter coefficients of the tangential part of
-        :attr:`ambient_derivatives` (the Gauss formula),
+        parameter coefficients of the tangential part of the ambient
+        derivatives of the partials (the Gauss formula),
         Gamma^k_ij = I^kl <nabla d_i d_j, d_l>."""
         (u_uu, v_uu), (u_uv, v_uv), (u_vv, v_vv) = self._christoffel
         return self._array([[[u_uu, u_uv], [u_uv, u_vv]],
@@ -433,23 +422,27 @@ class LocalGeometry:
                 - self.h * self.normal_trace)
 
     def adapted_frame(self, x1_coefficients=None) -> AdaptedFrameSample:
-        """The adapted frame at this point; see :func:`adapted_frame`."""
-        if self._xp is np:
-            raise ValueError("the adapted frame is evaluated one point at a "
-                             "time; build a one-point record")
+        """The adapted frame at this record's points; see
+        :func:`adapted_frame`.  On an N-point record a constant
+        ``x1_coefficients`` applies at every point, and a callable one
+        receives the (N,) arrays u and v."""
+        xp = self._xp
         if x1_coefficients is None:
             p, q = self._gradient
         else:
-            p, q = np.asarray(x1_coefficients(self.u, self.v)
-                              if callable(x1_coefficients)
-                              else x1_coefficients, dtype=float).tolist()
+            p, q = (x1_coefficients(self.u, self.v)
+                    if callable(x1_coefficients) else x1_coefficients)
         norm = self._length(p, q)
-        if x1_coefficients is None and norm <= GRADIENT_THRESHOLD:
-            raise CmcDegenerateError(
-                f"|grad f| below {GRADIENT_THRESHOLD:g} on "
-                f"{self.patch.name!r} at (u, v) = ({self.u:g}, "
-                f"{self.v:g}); supply x1_coefficients explicitly")
-        if norm == 0.0:
+        if x1_coefficients is None:
+            # written so that a NaN gradient is not degenerate
+            bad = first_false(np.logical_not(norm <= GRADIENT_THRESHOLD))
+            if bad is not None:
+                raise CmcDegenerateError(
+                    f"|grad f| below {GRADIENT_THRESHOLD:g} on "
+                    f"{self.patch.name!r} at (u, v) = "
+                    f"({np.ravel(self.u)[bad]:g}, {np.ravel(self.v)[bad]:g}); "
+                    f"supply x1_coefficients explicitly")
+        elif first_false(norm != 0.0) is not None:
             raise ValueError("explicit X1 coefficients are zero")
         c1 = (p / norm, q / norm)
         x1_f = tuple(c1[0] * a + c1[1] * b for a, b in zip(self._du, self._dv))
@@ -463,13 +456,14 @@ class LocalGeometry:
             return l * s * s + 2.0 * m * s * t + n * t * t
 
         return AdaptedFrameSample(
-            x1=TangentVector(self.point, x1_f, FRAME),
-            x2=TangentVector(self.point, x2_f, FRAME),
+            x1=TangentVector(self.point, self._array(x1_f), FRAME),
+            x2=TangentVector(self.point, self._array(x2_f), FRAME),
             xi=TangentVector(self.point, self.xi_f, FRAME),
-            theta=math.atan2(self._xi[2], x1_f[2]),
-            beta=math.atan2(x2_f[1], x2_f[0]), h=self.h,
+            theta=xp.arctan2(self._xi[2], x1_f[2]),
+            beta=xp.arctan2(x2_f[1], x2_f[0]), h=self.h,
             lambda1=normal_curvature(c1), lambda2=normal_curvature(c2),
-            e3_defect=x2_f[2])
+            e3_defect=x2_f[2], x1_coefficients=self._array(c1),
+            x2_coefficients=self._array(c2))
 
     def laplacian(self, field):
         """Surface Laplacian of ``field``; see :func:`laplace_beltrami`."""

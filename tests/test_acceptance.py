@@ -19,7 +19,7 @@ from solgeo.sol_space import (FRAME, Point, TangentVector, canonical_leaf,
                               curvature_tensor, curvature_tensor_fd,
                               frame_vector, sectional_curvature)
 from solgeo.surface_calculus import fundamental_forms, shape_data
-from solgeo.verification import (_frame_point_eval, _identity_residuals,
+from solgeo.verification import (_frame_eval, _identity_residuals,
                                  _residual_norm, graph_patch_fixture,
                                  rotated_leaf_fixture, run_suite)
 
@@ -266,8 +266,8 @@ def test_criterion_9_negative_controls():
     graph_res = max(_residual_norm(graph, u, v) for u in us for v in vs)
 
     leaf, coeffs = rotated_leaf_fixture()
-    eval_ = _frame_point_eval(leaf, 0.2, -0.1, coeffs, leaf.fd_step)
-    rotated_res = abs(_identity_residuals(eval_)[1])
+    eval_ = _frame_eval(leaf, np.array([0.2]), np.array([-0.1]), coeffs)
+    rotated_res = abs(_identity_residuals(eval_)[1, 0])
 
     frames = {r.check_id: r for r in run_suite("frames")}
     control_graph = frames["negative_control_graph_residual"]

@@ -248,3 +248,20 @@ def test_runtime_failure_exit_code(capsys):
                 "--step", "0.1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_config_json_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"nu": 5,')
+    assert run(["generate", "--config", str(cfg),
+                "--output", str(tmp_path / "mesh.obj")]) == 2
+    assert "cannot load config" in capsys.readouterr().err
+    assert not (tmp_path / "mesh.obj").exists()
+
+
+def test_output_into_a_directory_is_runtime_error(tmp_path, capsys):
+    assert run(["generate", "--nu", "4", "--nv", "3",
+                "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1

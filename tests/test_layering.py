@@ -1,9 +1,9 @@
-"""No solgeo module imports another module's private (underscore) names,
-every public kernel in ``solgeo.numerics`` has a caller elsewhere in the
-package, the package imports exactly the third-party packages it
-declares, scipy serves only the profile family, and the surface calculus
-leaves finite differences to the patch and the curvature trace to its
-closed form."""
+"""No solgeo module imports another module's private (underscore) names
+or reads them as attributes, every public kernel in ``solgeo.numerics``
+has a caller elsewhere in the package, the package imports exactly the
+third-party packages it declares, scipy serves only the profile family,
+and the surface calculus leaves finite differences to the patch and the
+curvature trace to its closed form."""
 
 import ast
 import os
@@ -35,6 +35,47 @@ def test_no_cross_module_private_imports():
     paths = sorted(PACKAGE_DIR.glob("*.py"))
     assert paths
     offences = [line for path in paths for line in _private_imports(path)]
+    assert offences == []
+
+
+def _bound_names(tree: ast.AST):
+    """Every name a module binds: its functions, classes and methods, and
+    the targets of its assignments, attribute targets included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def _private_attribute_reads(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    own = _bound_names(tree)
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)):
+            continue
+        name = node.attr
+        if not name.startswith("_") or name.endswith("__") or name in own:
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id in ("self",
+                                                                  "cls"):
+            continue
+        yield f"{path.name}:{node.lineno} reads {ast.unparse(node)}"
+
+
+def test_no_cross_module_private_attribute_reads():
+    # obj._name is read only where the reading module defines _name
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    assert paths
+    offences = [line for path in paths
+                for line in _private_attribute_reads(path)]
     assert offences == []
 
 

@@ -9,7 +9,7 @@ import scipy.linalg
 from solgeo.biconservative_family import (EXPLICIT, build_profile,
                                           family_surface)
 from solgeo.numerics import central_diff
-from solgeo.patch import SurfacePatch
+from solgeo.patch import ScalarField, SurfacePatch
 from solgeo.sol_space import (FRAME, Point, TangentVector, canonical_leaf,
                               christoffel, curvature_components,
                               sectional_curvature)
@@ -231,7 +231,7 @@ def test_local_geometry_reads_each_handle_once(patch_x1):
         if isinstance(a, TangentVector):
             assert np.array_equal(a.components, b.components)
         else:
-            assert a == b
+            assert np.array_equal(a, b)
 
 
 def _numpy_record(patch, u, v, dh):
@@ -245,7 +245,7 @@ def _numpy_record(patch, u, v, dh):
     def to_frame(c):
         return np.array([ez * c[0], c[1] / ez, c[2]])
 
-    point = Point.from_array(pos)
+    point = Point(*pos)
     firsts = (patch.du(u, v), patch.dv(u, v))
     du_f, dv_f = (to_frame(c) for c in firsts)
     cross = np.cross(du_f, dv_f)
@@ -342,6 +342,21 @@ def test_n_point_record_matches_one_point_records(patch_x1, patch_x2):
             batch.metric_norm(batch.residual),
             [g.metric_norm(g.residual) for g in records], rtol=1e-13,
             atol=differenced, err_msg=patch.name)
+        if patch is patch_x1 or patch is patch_x2:
+            frame = batch.adapted_frame()
+            samples = [g.adapted_frame() for g in records]
+            for name in ("theta", "beta", "lambda1", "lambda2", "e3_defect",
+                         "x1", "x2", "xi", "x1_coefficients",
+                         "x2_coefficients"):
+                rows = getattr(frame, name)
+                expected = [getattr(sample, name) for sample in samples]
+                if isinstance(rows, TangentVector):
+                    rows = rows.components
+                    expected = [vector.components for vector in expected]
+                assert np.shape(rows)[0] == len(u), (patch.name, name)
+                np.testing.assert_allclose(rows, expected, rtol=1e-13,
+                                           atol=differenced,
+                                           err_msg=f"{patch.name} {name}")
 
 
 def test_n_point_record_names_the_first_degenerate_point(patch_x1):
@@ -363,8 +378,37 @@ def test_n_point_record_names_the_first_degenerate_point(patch_x1):
         LocalGeometry(patch, u[[0, 4]], v[[0, 4]])
     batch = LocalGeometry(patch, u[:2], v[:2])
     assert batch.h.shape == (2,)
-    with pytest.raises(ValueError, match="one point at a time"):
-        batch.adapted_frame()
+    assert batch.adapted_frame().theta.shape == (2,)
+
+
+def _z_leaf_with_gradient(du):
+    """The z-leaf with the mean-curvature field f = 0 whose u-partial
+    handle is ``du``."""
+    leaf = canonical_leaf("z_const", 0.15)
+    return dataclasses.replace(leaf, mean_curvature=ScalarField(
+        lambda u, v: 0.0 * u, du=du, dv=lambda u, v: 0.0))
+
+
+def test_n_point_frame_names_the_first_cmc_degenerate_point():
+    u, v = np.array([0.3, -0.2, 0.6]), np.array([0.1, 0.5, -0.4])
+    # every point of a z-leaf is CMC-degenerate; the first in the order
+    # of the arrays is named
+    with pytest.raises(CmcDegenerateError,
+                       match=r"\(u, v\) = \(0\.3, 0\.1\)"):
+        LocalGeometry(canonical_leaf("z_const", 0.15), u, v).adapted_frame()
+    # a NaN |grad f| fails the checks downstream, not the threshold: the
+    # first point is skipped and the second named
+    leaf = _z_leaf_with_gradient(
+        lambda s, t: np.where(s == 0.3, math.nan, 0.0))
+    with pytest.raises(CmcDegenerateError,
+                       match=r"\(u, v\) = \(-0\.2, 0\.5\)"):
+        LocalGeometry(leaf, u, v).adapted_frame()
+    frame = LocalGeometry(leaf, u[:1], v[:1]).adapted_frame()
+    assert np.isnan(frame.theta).all()
+    # a gradient above the threshold at every point gives a frame
+    leaf = _z_leaf_with_gradient(lambda s, t: 1e-6 + 0.0 * s)
+    frame = LocalGeometry(leaf, u, v).adapted_frame()
+    assert np.isfinite(frame.theta).all()
 
 
 def test_solve_stays_finite_far_down_the_family():

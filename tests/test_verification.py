@@ -133,21 +133,7 @@ def test_nan_on_the_grid_fails_frame_and_angle_checks(patch_x1):
         "angle_theta_x1_derivative", "angle_lambda2_sign"}
 
 
-def test_frames_suite_evaluates_each_grid_point_once(monkeypatch):
-    calls = []
-    original = verification._frame_point_eval
-
-    def counted(*args):
-        calls.append(args[1:3])
-        return original(*args)
-
-    monkeypatch.setattr(verification, "_frame_point_eval", counted)
-    run_suite("frames")
-    # two 9x5 family grids and the 3x3 rotated-leaf control
-    assert len(calls) == 2 * 45 + 9
-
-
-def test_biharmonic_suite_builds_one_record_per_sample(monkeypatch):
+def test_biharmonic_suite_builds_one_record_of_eight_samples(monkeypatch):
     points = []
     original = LocalGeometry.__init__
 
@@ -157,8 +143,10 @@ def test_biharmonic_suite_builds_one_record_per_sample(monkeypatch):
 
     monkeypatch.setattr(LocalGeometry, "__init__", counted)
     run_suite("biharmonic")
-    # eight profile samples on the v = 0.25 ruling
-    assert len(points) == len(set(points)) == 8
+    # eight profile samples on the v = 0.25 ruling, in one record
+    (u, v), = points
+    assert len(set(zip(u.tolist(), v.tolist()))) == 8
+    assert set(v.tolist()) == {0.25}
 
 
 @pytest.mark.parametrize("section,records", [
@@ -169,7 +157,11 @@ def test_biharmonic_suite_builds_one_record_per_sample(monkeypatch):
     (check_cmc_rigidity, 5 * 5),
     # the x, y and z leaves
     (verification._leaf_reports, 3),
-], ids=["family", "cmc_rigidity", "leaves"])
+    # a centre and four stencil records for each of the two family frame
+    # grids and the rotated-leaf control, the rigidity fixtures, and the
+    # graph control's residual grid with its four f grids
+    (lambda: run_suite("frames"), 2 * 5 + 5 * 5 + 5 + 5),
+], ids=["family", "cmc_rigidity", "leaves", "frames"])
 def test_grids_build_one_record_each(monkeypatch, section, records):
     built = []
     original = LocalGeometry.__init__

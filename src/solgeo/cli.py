@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
@@ -190,6 +191,10 @@ def cmd_profile(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    if config.output:
+        folder = os.path.dirname(config.output) or os.curdir
+        if not os.path.isdir(folder):
+            raise OSError(f"cannot write report: {folder} is not a directory")
     reports = run_suite(config.suite, seed=config.seed)
     text = reports_to_json(reports)
     if config.output:

@@ -8,6 +8,11 @@ The orthonormal frame E1 = e^{-z} d/dx, E2 = e^{z} d/dy, E3 = d/dz
 trivializes most computations, so every operation accepts tangent vectors
 in either the coordinate or the frame basis and converts internally.
 
+Every operation is written once for a :class:`Point` of floats with (3,)
+components and for one of (N,) arrays with (N, 3) components, a row or a
+value per point; ``exp`` comes from :func:`~solgeo.numerics.namespace` and
+3-vector dot products are ``np.vecdot``, which rounds like ``np.dot``.
+
 Conventions: the curvature tensor is R(X,Y)Z = [nabla_X, nabla_Y]Z
 - nabla_{[X,Y]}Z, and sectional curvature of the coordinate 2-planes is
 K(E1,E3) = K(E2,E3) = -1, K(E1,E2) = +1.
@@ -117,38 +122,36 @@ class TangentVector:
 
 @dataclass(frozen=True)
 class MetricAtPoint:
-    """The metric tensor at a fixed point; diagonal (e^{2z}, e^{-2z}, 1)."""
+    """The metric's diagonal (e^{2z}, e^{-2z}, 1), (3,) or (N, 3)."""
 
     diagonal: np.ndarray
 
     @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal)
-
-    @property
-    def determinant(self) -> float:
-        return float(np.prod(self.diagonal))
+    def determinant(self):
+        return np.prod(self.diagonal, axis=-1)
 
 
 def metric_at(p: Point) -> MetricAtPoint:
-    e2z = math.exp(2.0 * p.z)
-    return MetricAtPoint(np.array([e2z, 1.0 / e2z, 1.0]))
+    """The metric at p, one diagonal row per point."""
+    e2z = namespace(p.z).exp(2.0 * p.z)
+    return MetricAtPoint(np.array([e2z, 1.0 / e2z, np.ones_like(e2z)]).T)
 
 
 def _require_same_base(*vectors: TangentVector) -> Point:
     base = vectors[0].base
     for v in vectors[1:]:
-        if v.base != base:
+        if not np.array_equal(v.base.as_array(), base.as_array()):
             raise ValueError("tangent vectors have different base points")
     return base
 
 
 def frame_vector(p: Point, i: int) -> TangentVector:
-    """The i-th frame field (1-based) as a tangent vector at p."""
+    """The i-th frame field (1-based) as a tangent vector at p, with (N, 3)
+    components at a point of (N,) arrays."""
     if i not in (1, 2, 3):
         raise ValueError("frame index must be 1, 2 or 3")
-    comps = np.zeros(3)
-    comps[i - 1] = 1.0
+    comps = np.zeros(np.shape(p.z) + (3,))
+    comps[..., i - 1] = 1.0
     return TangentVector(p, comps, FRAME)
 
 
@@ -223,20 +226,21 @@ def covariant_derivative(field: Callable[[Point], TangentVector],
 
     Returns
     -------
-    TangentVector in the coordinate basis at ``direction.base``.
+    TangentVector in the coordinate basis at ``direction.base``.  At a
+    point of (N,) arrays ``field`` is called on N shifted points at once.
     """
     p = direction.base
     x = direction.in_coordinates().components
 
     def coords_along(t: float) -> np.ndarray:
-        q = Point(p.x + t * x[0], p.y + t * x[1], p.z + t * x[2])
+        q = Point(*(p.as_array() + t * x.T))
         return field(q).in_coordinates().components
 
     y0 = coords_along(0.0)
     dy = central_diff(coords_along, 0.0, step)
     if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(dy))):
         raise ValueError("vector field evaluated to a non-finite value")
-    out = dy + christoffel_contraction(p, x, y0)
+    out = dy + np.stack(christoffel_contraction(p, x.T, y0.T), axis=-1)
     return TangentVector(p, out, COORDINATE)
 
 
@@ -249,12 +253,12 @@ def curvature_components(x: np.ndarray, y: np.ndarray,
         R(X,Y)Z = <Y,Z>X - <X,Z>Y + 2<Z,E3>(<X,E3>Y - <Y,E3>X)
                   + 2(<X,Z><Y,E3> - <Y,Z><X,E3>)E3
 
-    with all products Euclidean on frame components.
+    with all products Euclidean on (3,) or (N, 3) frame components.
     """
-    yz = float(np.dot(y, z))
-    xz = float(np.dot(x, z))
-    out = yz * x - xz * y + 2.0 * z[2] * (x[2] * y - y[2] * x)
-    out[2] += 2.0 * (xz * y[2] - yz * x[2])
+    yz, xz = np.vecdot(y, z)[..., None], np.vecdot(x, z)[..., None]
+    x3, y3, z3 = x[..., 2:], y[..., 2:], z[..., 2:]
+    out = yz * x - xz * y + 2.0 * z3 * (x3 * y - y3 * x)
+    out[..., 2:] += 2.0 * (xz * y3 - yz * x3)
     return out
 
 
@@ -262,9 +266,7 @@ def curvature_tensor(x: TangentVector, y: TangentVector,
                      z: TangentVector) -> TangentVector:
     """Evaluate the closed-form curvature tensor on three vectors."""
     base = _require_same_base(x, y, z)
-    out = curvature_components(x.in_frame().components,
-                               y.in_frame().components,
-                               z.in_frame().components)
+    out = curvature_components(*(v.in_frame().components for v in (x, y, z)))
     return TangentVector(base, out, FRAME)
 
 
@@ -274,12 +276,11 @@ def curvature_tensor_fd(x: TangentVector, y: TangentVector, z: TangentVector,
 
     Extends the three vectors to coordinate-constant fields (whose Lie
     bracket vanishes) and evaluates nabla_X nabla_Y Z - nabla_Y nabla_X Z
-    with nested finite differences on the Christoffel expression.
+    with nested finite differences on the Christoffel expression, at all
+    N points at once.
     """
     base = _require_same_base(x, y, z)
-    xc = x.in_coordinates().components
-    yc = y.in_coordinates().components
-    zc = z.in_coordinates().components
+    xc, yc, zc = (v.in_coordinates().components for v in (x, y, z))
 
     def zfield(q: Point) -> TangentVector:
         return TangentVector(q, zc, COORDINATE)
@@ -297,19 +298,22 @@ def curvature_tensor_fd(x: TangentVector, y: TangentVector, z: TangentVector,
     return TangentVector(base, a.components - b.components, COORDINATE)
 
 
-def sectional_curvature(x: TangentVector, y: TangentVector) -> float:
-    """Sectional curvature of the plane spanned by two tangent vectors."""
-    _require_same_base(x, y)
-    xf = x.in_frame().components
-    yf = y.in_frame().components
-    xx = float(np.dot(xf, xf))
-    yy = float(np.dot(yf, yf))
-    xy = float(np.dot(xf, yf))
+def sectional_curvature(x: TangentVector, y: TangentVector):
+    """Sectional curvature of the plane spanned by two tangent vectors, one
+    per point; :class:`DegeneratePlaneError` names the first point whose
+    vectors fail the Gram test."""
+    base = _require_same_base(x, y)
+    xf, yf = x.in_frame().components, y.in_frame().components
+    xx, yy, xy = np.vecdot(xf, xf), np.vecdot(yf, yf), np.vecdot(xf, yf)
     gram = xx * yy - xy * xy
-    if gram <= PLANE_GRAM_TOLERANCE * max(1.0, xx * yy):
-        raise DegeneratePlaneError("spanning vectors are linearly dependent")
-    num = float(np.dot(curvature_components(xf, yf, yf), xf))
-    return num / gram
+    # written so that a NaN Gram determinant is not degenerate
+    bad = first_false(np.logical_not(
+        gram <= PLANE_GRAM_TOLERANCE * np.maximum(1.0, xx * yy)))
+    if bad is not None:
+        at = tuple(base.as_array().reshape(3, -1)[:, bad])
+        raise DegeneratePlaneError("spanning vectors are linearly dependent "
+                                   "at (x, y, z) = (%g, %g, %g)" % at)
+    return np.vecdot(curvature_components(xf, yf, yf), xf) / gram
 
 
 def canonical_leaf(kind: str, level: float) -> SurfacePatch:

@@ -690,60 +690,51 @@ def check_polynomial_obstruction() -> CheckReport:
 
 def _ambient_reports(seed: int) -> List[CheckReport]:
     rng = np.random.default_rng(seed)
-    pts = [Point(*xyz) for xyz in rng.uniform(-5.0, 5.0, size=(100, 3))]
+    p = Point(*rng.uniform(-5.0, 5.0, size=(100, 3)).T)
+    ctx = {"points": len(p.z), "seed": seed}
 
     expected = {"sectional_e1_e3": (1, 3, -1.0),
                 "sectional_e2_e3": (2, 3, -1.0),
                 "sectional_e1_e2": (1, 2, 1.0)}
     reports = []
     for cid, (i, j, target) in expected.items():
-        worst = np.max([abs(sectional_curvature(frame_vector(p, i),
-                                                frame_vector(p, j)) - target)
-                        for p in pts])
+        k = sectional_curvature(frame_vector(p, i), frame_vector(p, j))
         reports.append(CheckReport.from_error(
-            f"ambient_{cid}", worst, 1e-12,
-            {"points": len(pts), "seed": seed, "expected": target}))
+            f"ambient_{cid}", np.max(np.abs(k - target)), 1e-12,
+            dict(ctx, expected=target)))
 
-    def oracle_error():
-        p = Point(*rng.uniform(-2.0, 2.0, size=3))
-        x, y, z = (TangentVector(p, rng.uniform(-1.0, 1.0, size=3), FRAME)
-                   for _ in range(3))
-        closed = curvature_tensor(x, y, z).components
-        fd = curvature_tensor_fd(x, y, z).in_frame().components
-        return np.abs(closed - fd)
-
-    worst = np.max([oracle_error() for _ in range(50)])
+    # per triple: a point in [-2, 2]^3, then x, y, z in [-1, 1]^3
+    lo = np.repeat([-2.0, -1.0], [3, 9])
+    draws = rng.uniform(lo, -lo, size=(50, 12))
+    q = Point(*draws[:, :3].T)
+    x, y, z = (TangentVector(q, draws[:, c:c + 3], FRAME) for c in (3, 6, 9))
+    closed = curvature_tensor(x, y, z).components
+    fd = curvature_tensor_fd(x, y, z).in_frame().components
+    worst = np.max(np.abs(closed - fd))
     reports.append(CheckReport.from_error(
         "ambient_curvature_fd_oracle", worst, 1e-6,
-        {"triples": 50, "fd_step": 1e-4, "seed": seed}))
+        {"triples": len(draws), "fd_step": 1e-4, "seed": seed}))
 
-    def metric_row(p):
-        metric = metric_at(p)
-        frame = [frame_vector(p, i).in_coordinates().components
-                 for i in range(1, 4)]
-        return [abs(metric.determinant - 1.0)] + [
-            abs(float(vi @ metric.matrix @ vj) - (1.0 if i == j else 0.0))
-            for i, vi in enumerate(frame) for j, vj in enumerate(frame)]
-
-    rows = np.array([metric_row(p) for p in pts])
+    metric = metric_at(p)
+    frame = np.array([frame_vector(p, i).in_coordinates().components
+                      for i in range(1, 4)])
+    # <E_i, E_j> at each point, as a (3, 3, N) array
+    gram = np.vecdot(frame[:, None] * metric.diagonal, frame)
     reports.append(CheckReport.from_error(
-        "ambient_metric_determinant", np.max(rows[:, 0]), 1e-12,
-        {"points": len(pts), "seed": seed}))
+        "ambient_metric_determinant",
+        np.max(np.abs(metric.determinant - 1.0)), 1e-12, ctx))
     reports.append(CheckReport.from_error(
-        "ambient_frame_orthonormality", np.max(rows[:, 1:]), 1e-12,
-        {"points": len(pts), "seed": seed}))
+        "ambient_frame_orthonormality",
+        np.max(np.abs(gram - np.eye(3)[..., None])), 1e-12, ctx))
 
-    def connection_error(p):
-        return [np.abs(covariant_derivative(
-                    lambda q, j=j: frame_vector(q, j), frame_vector(p, i))
-                    .in_frame().components - frame_connection(i, j))
-                for i in range(1, 4) for j in range(1, 4)]
-
-    worst = np.max([connection_error(Point(*rng.uniform(-2.0, 2.0, size=3)))
-                    for _ in range(10)])
+    c = Point(*rng.uniform(-2.0, 2.0, size=(10, 3)).T)
+    worst = np.max([np.abs(covariant_derivative(
+                        lambda r, j=j: frame_vector(r, j), frame_vector(c, i))
+                        .in_frame().components - frame_connection(i, j))
+                    for i in range(1, 4) for j in range(1, 4)])
     reports.append(CheckReport.from_error(
         "ambient_connection_table", worst, 1e-8,
-        {"points": 10, "seed": seed,
+        {"points": len(c.z), "seed": seed,
          "statement": "finite-difference covariant derivatives reproduce "
                       "the frame connection table"}))
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from solgeo import cli
 from solgeo.cli import main
 
 THETA_ROW_M1 = "-1.000000000000,2.347062254033,0.309858529206"
@@ -126,6 +127,26 @@ def test_curvature_numeric_plane(capsys):
     out = capsys.readouterr().out
     # mixed horizontal direction against the vertical: K = -1
     assert "sectional curvature: -1.000000000000" in out
+
+
+def test_curvature_json_bytes_for_a_numeric_plane(capsys):
+    assert run(["curvature", "--point=0.5,-1.25,0.75",
+                "--plane=0.3:-1.2:0.7,1.1:0.4:-0.9", "--json"]) == 0
+    assert capsys.readouterr().out == """{
+  "curvature_R_xy_y_frame": [
+    -0.3600000000000001,
+    -0.8640000000000001,
+    -0.8240000000000001
+  ],
+  "plane": "0.3:-1.2:0.7,1.1:0.4:-0.9",
+  "point": [
+    0.5,
+    -1.25,
+    0.75
+  ],
+  "sectional_curvature": 0.09274873524451942
+}
+"""
 
 
 def test_curvature_degenerate_plane_is_runtime_error(capsys):
@@ -264,4 +285,18 @@ def test_output_into_a_directory_is_runtime_error(tmp_path, capsys):
                 "--output", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_verify_output_into_a_missing_directory_fails_first(
+        tmp_path, monkeypatch, capsys):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("the suites ran before the output was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    missing = tmp_path / "missing"
+    assert run(["verify", "--output", str(missing / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report: ")
+    assert f"{missing} is not a directory" in err
     assert err.count("\n") == 1

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from solgeo.sol_space import (FRAME, DegeneratePlaneError, Point,
                               TangentVector, canonical_leaf, christoffel,
                               christoffel_contraction, covariant_derivative,
-                              curvature_tensor, curvature_tensor_fd,
-                              frame_connection, frame_vector, metric_at,
-                              sectional_curvature)
+                              curvature_components, curvature_tensor,
+                              curvature_tensor_fd, frame_connection,
+                              frame_vector, metric_at, sectional_curvature)
 
 coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
                    allow_infinity=False)
@@ -161,3 +162,166 @@ def test_canonical_leaf_positions():
     pos = leaf.position(0.2, -0.3)
     # orthonormal horizontal coordinates undo the metric stretch
     assert np.allclose(pos, [0.2 * math.exp(-0.5), -0.3 * math.exp(0.5), 0.5])
+
+
+# -- one point against N points --------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def n_points(n):
+    """(N, 3) coordinates in [-4, 4]."""
+    return arrays(float, (n, 3), elements=st.floats(-4.0, 4.0))
+
+
+def n_vectors(n, k):
+    """(N, 3k) frame components in [-3, 3]."""
+    return arrays(float, (n, 3 * k), elements=st.floats(-3.0, 3.0))
+
+
+def frame_vectors(base, comps):
+    """Three-component frame vectors at ``base``, one per column triple."""
+    return [TangentVector(base, comps[..., k:k + 3], FRAME)
+            for k in range(0, comps.shape[-1], 3)]
+
+
+points_and_vectors = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(n_points(n), n_vectors(n, 3)))
+
+
+@given(points_and_vectors)
+def test_curvature_rows_are_one_point_calls_bit_for_bit(data):
+    xyz, comps = data
+    many = curvature_tensor(*frame_vectors(Point(*xyz.T), comps))
+    assert many.components.shape == (len(xyz), 3)
+    for row, (pt, c) in enumerate(zip(xyz, comps)):
+        one = curvature_tensor(*frame_vectors(Point(*pt), c))
+        assert np.array_equal(many.components[row], one.components)
+        assert np.array_equal(
+            curvature_components(comps[:, :3], comps[:, 3:6],
+                                 comps[:, 6:])[row],
+            curvature_components(c[:3], c[3:6], c[6:]))
+
+
+@given(points_and_vectors)
+def test_sectional_rows_are_one_point_calls_bit_for_bit(data):
+    xyz, comps = data
+    ones = []
+    for pt, c in zip(xyz, comps):
+        try:
+            ones.append(sectional_curvature(*frame_vectors(Point(*pt),
+                                                           c[:6])))
+        except DegeneratePlaneError as exc:
+            ones.append(str(exc))
+    degenerate = [k for k in ones if isinstance(k, str)]
+    if degenerate:
+        # the N-point error is the first degenerate point's error
+        with pytest.raises(DegeneratePlaneError) as exc:
+            sectional_curvature(*frame_vectors(Point(*xyz.T), comps[:, :6]))
+        assert str(exc.value) == degenerate[0]
+        return
+    many = sectional_curvature(*frame_vectors(Point(*xyz.T), comps[:, :6]))
+    assert many.shape == (len(xyz),)
+    for row, one in enumerate(ones):
+        assert isinstance(one, float) and not isinstance(one, np.ndarray)
+        assert many[row] == one
+
+
+def assert_rows_close(many, ones, bound):
+    """Each row of ``many`` within ``bound`` (one per row) of ``ones``."""
+    gap = np.max(np.abs(np.asarray(many) - np.asarray(ones)).reshape(
+        len(ones), -1), axis=1)
+    assert np.all(gap <= bound), (gap, bound)
+
+
+@given(st.integers(1, 6).flatmap(n_points))
+def test_metric_and_frame_rows_match_one_point_calls(xyz):
+    # numpy's exp and libm's may differ in the last bit
+    p = Point(*xyz.T)
+    ones = [Point(*pt) for pt in xyz]
+    diag = np.array([metric_at(q).diagonal for q in ones])
+    assert_rows_close(metric_at(p).diagonal, diag,
+                      1e-12 * np.max(np.abs(diag), axis=1))
+    assert_rows_close(metric_at(p).determinant,
+                      [metric_at(q).determinant for q in ones], 1e-12)
+    for i in (1, 2, 3):
+        coords = np.array([frame_vector(q, i).in_coordinates().components
+                           for q in ones])
+        assert_rows_close(frame_vector(p, i).in_coordinates().components,
+                          coords, 1e-12 * np.max(np.abs(coords), axis=1))
+
+
+# A central difference turns a last-bit difference between numpy's exp and
+# libm's in the differenced values into one of eps * |values| / step in the
+# derivative, far above 1e-12 of the result (up to about 2e-10 relative for
+# covariant_derivative here), so these rows are held to 8 eps |values| / step.
+
+@settings(max_examples=50)
+@given(points_and_vectors)
+def test_covariant_derivative_rows_match_one_point_calls(data):
+    xyz, comps = data
+    direction, _, field_comps = frame_vectors(Point(*xyz.T), comps)
+    many = covariant_derivative(
+        lambda q: TangentVector(q, field_comps.components, FRAME), direction)
+    ones, bound = [], []
+    for pt, c in zip(xyz, comps):
+        x, _, w = frame_vectors(Point(*pt), c)
+        field = lambda q, w=w: TangentVector(q, w.components, FRAME)
+        ones.append(covariant_derivative(field, x).components)
+        values = np.max(np.abs(w.in_coordinates().components))
+        bound.append(1e-12 * np.max(np.abs(ones[-1]))
+                     + 8.0 * EPS * values / 1e-5)
+    assert_rows_close(many.components, ones, np.array(bound))
+
+
+@settings(max_examples=50)
+@given(points_and_vectors)
+def test_curvature_fd_rows_match_one_point_calls(data):
+    xyz, comps = data
+    many = curvature_tensor_fd(*frame_vectors(Point(*xyz.T), comps))
+    ones, bound = [], []
+    for pt, c in zip(xyz, comps):
+        p = Point(*pt)
+        x, y, z = frame_vectors(p, c)
+        ones.append(curvature_tensor_fd(x, y, z).components)
+        # the outer difference runs over the inner derivatives
+        # Gamma(x, z) and Gamma(y, z) of the coordinate-constant field z
+        xc, yc, zc = (v.in_coordinates().components for v in (x, y, z))
+        values = np.max(np.abs([christoffel_contraction(p, xc, zc),
+                                christoffel_contraction(p, yc, zc)]))
+        bound.append(1e-12 * np.max(np.abs(ones[-1]))
+                     + 8.0 * EPS * values / 1e-4)
+    assert_rows_close(many.components, ones, np.array(bound))
+
+
+def test_n_point_frame_planes_give_one_curvature_per_point():
+    p = Point(np.array([0.0, 1.0, -2.0]), np.zeros(3),
+              np.array([0.5, -3.0, 2.0]))
+    k13 = sectional_curvature(frame_vector(p, 1), frame_vector(p, 3))
+    assert k13.shape == (3,)
+    assert np.all(np.abs(k13 + 1.0) < 1e-12)
+
+
+def test_n_point_degenerate_plane_names_the_first_such_point():
+    p = Point(np.array([0.5, 1.5, 2.5, 3.5]),
+              np.array([-1.0, -2.0, -3.0, -4.0]),
+              np.array([0.25, 0.75, 1.25, 1.75]))
+    y = np.array([[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                  [-3.0, 0.0, 0.0]])
+    with pytest.raises(DegeneratePlaneError,
+                       match=r"\(x, y, z\) = \(1\.5, -2, 0\.75\)$"):
+        sectional_curvature(frame_vector(p, 1), TangentVector(p, y, FRAME))
+
+
+def test_equal_n_point_bases_need_not_be_one_object():
+    xyz = np.array([[0.3, -0.4, 0.2], [1.0, 2.0, -1.5]])
+    p = Point(*xyz.T)
+    x, y, z = (TangentVector(p, xyz + k, FRAME) for k in (0.0, 1.0, 2.0))
+    copy = TangentVector(Point(*xyz.T.copy()), z.components, FRAME)
+    assert np.array_equal(curvature_tensor(x, y, copy).components,
+                          curvature_tensor(x, y, z).components)
+    for other in (Point(*(xyz.T + [[0.0], [0.0], [1e-9]])),
+                  Point(*xyz[:1].T), Point(*xyz[0])):
+        w = TangentVector(other, np.zeros(np.shape(other.z) + (3,)), FRAME)
+        with pytest.raises(ValueError, match="different base points"):
+            curvature_tensor(x, y, w)

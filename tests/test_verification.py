@@ -8,7 +8,8 @@ import pytest
 
 from solgeo import verification
 from solgeo.biconservative_family import EXPLICIT, build_profile
-from solgeo.sol_space import canonical_leaf
+from solgeo.sol_space import (FRAME, Point, TangentVector, canonical_leaf,
+                              curvature_tensor, curvature_tensor_fd)
 from solgeo.surface_calculus import LocalGeometry
 from solgeo.verification import (_bounded_away, CheckReport, SUITE_NAMES,
                                  check_angle_constraints,
@@ -174,6 +175,48 @@ def test_grids_build_one_record_each(monkeypatch, section, records):
     section()
     assert len(built) == records
     assert min(built) > 1
+
+
+def test_ambient_suite_makes_one_n_point_call_per_check(monkeypatch):
+    sizes = {}
+    for name in ("sectional_curvature", "curvature_tensor_fd",
+                 "covariant_derivative"):
+        def counted(*args, _name=name, _call=getattr(verification, name)):
+            # the last argument is a tangent vector at the evaluated points
+            sizes.setdefault(_name, []).append(np.size(args[-1].base.z))
+            return _call(*args)
+        monkeypatch.setattr(verification, name, counted)
+    run_suite("ambient")
+    # three frame planes, one oracle over 50 triples, and the 3 x 3
+    # connection table at 10 points
+    assert {name: len(n) for name, n in sizes.items()} == {
+        "sectional_curvature": 3, "curvature_tensor_fd": 1,
+        "covariant_derivative": 9}
+    assert sizes["sectional_curvature"] == [100] * 3
+    assert sizes["curvature_tensor_fd"] == [50]
+    assert sizes["covariant_derivative"] == [10] * 9
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_ambient_oracle_keeps_the_per_triple_draw_order(seed):
+    # the oracle as one-point calls on interleaved draws: a point, then
+    # the three vectors, for each triple in turn
+    rng = np.random.default_rng(seed)
+    rng.uniform(-5.0, 5.0, size=(100, 3))
+    worst = 0.0
+    for _ in range(50):
+        p = Point(*rng.uniform(-2.0, 2.0, size=3))
+        x, y, z = (TangentVector(p, rng.uniform(-1.0, 1.0, size=3), FRAME)
+                   for _ in range(3))
+        closed = curvature_tensor(x, y, z).components
+        fd = curvature_tensor_fd(x, y, z).in_frame().components
+        worst = max(worst, float(np.max(np.abs(closed - fd))))
+    report, = (r for r in run_suite("ambient", seed)
+               if r.check_id == "ambient_curvature_fd_oracle")
+    # the rows differ from one-point calls only by exp's last bit, which
+    # the differences amplify to about 1e-12; another draw order moves
+    # this 1e-8 error by 1e-10 or more
+    assert report.max_error == pytest.approx(worst, rel=0.0, abs=1e-11)
 
 
 def test_vertical_cylinder_fixture_is_vertical():

@@ -291,6 +291,13 @@ def f_prime_implicit(theta, f):
     return -f * xp.sin(2.0 * theta) / (3.0 * f + xp.sin(theta))
 
 
+def _first_order(theta, psi):
+    """(Phi1', Psi') = (-sin theta e^Psi, cos theta) at angle theta and
+    height Psi, floats or arrays."""
+    xp = namespace(theta)
+    return -xp.sin(theta) * xp.exp(psi), xp.cos(theta)
+
+
 class ProfileAngleError(ValueError):
     """The sampled angle of a profile does not decrease strictly.
 
@@ -306,11 +313,13 @@ class ProfileSolution:
     """Sampled profile (u, theta, f, Psi, Phi1) of one family member.
 
     ``u`` is strictly increasing; Psi and Phi1 vanish at the anchor ``u0``.
-    For the explicit kind the dense evaluators below use the closed forms,
-    Phi1 included (see the module docstring), and every sample equals its
-    dense value exactly; for the implicit kind they use cubic Hermite
-    interpolation through the stored samples, whose slopes are known
-    exactly from the ODE, so dense accuracy is O(spacing^4).
+    The dense evaluators are ``theta_at``, ``f_at``, ``psi_at``,
+    ``phi1_at`` and ``f_prime_at``.  For the explicit kind they are the
+    closed forms, Phi1 included (see the module docstring), and every
+    sample equals its dense value exactly; for the implicit kind they are
+    cubic Hermite interpolants of the samples, whose slopes are known
+    exactly from the ODE (dense accuracy O(spacing^4)), and ``f_prime_at``
+    is the ODE's f'(theta, f).
 
     The angle must decrease strictly from sample to sample (theta' = -2 f
     with f > 0); a profile that breaks this raises
@@ -360,13 +369,10 @@ class ProfileSolution:
             object.__setattr__(self, "_g_u0", _phi1_primitive(self.u0))
         if self.kind == IMPLICIT:
             # The Hermite slope of each column, from the ODE, computed once.
-            slopes = {
-                "theta": -2.0 * self.f,
-                "f": np.array([f_prime_implicit(t, fv)
-                               for t, fv in zip(self.theta, self.f)]),
-                "psi": np.cos(self.theta),
-                "phi1": -np.sin(self.theta) * np.exp(self.psi),
-            }
+            phi1_slope, psi_slope = _first_order(self.theta, self.psi)
+            slopes = {"theta": -2.0 * self.f,
+                      "f": f_prime_implicit(self.theta, self.f),
+                      "psi": psi_slope, "phi1": phi1_slope}
             object.__setattr__(self, "_slopes", slopes)
 
     # -- dense evaluation ------------------------------------------------
@@ -395,37 +401,15 @@ class ProfileSolution:
             return f_prime_explicit(u)
         return f_prime_implicit(self.theta_at(u), self.f_at(u))
 
-    def f_second_at(self, u):
-        if self.kind == EXPLICIT:
-            return f_second_explicit(u)
-        raise NotImplementedError("no closed second derivative for the "
-                                  "implicit kind; difference f_prime_at")
-
     def psi_at(self, u):
         if self.kind == EXPLICIT:
             return psi_explicit(u, self.c0)
         return self._hermite(u, "psi")
 
-    def psi_prime_at(self, u):
-        return namespace(u).cos(self.theta_at(u))
-
-    def psi_second_at(self, u):
-        return 2.0 * self.f_at(u) * namespace(u).sin(self.theta_at(u))
-
     def phi1_at(self, u):
         if self.kind == EXPLICIT:
             return _phi1_explicit(u, self._g_u0, self.c0)
         return self._hermite(u, "phi1")
-
-    def phi1_prime_at(self, u):
-        xp = namespace(u)
-        return -xp.sin(self.theta_at(u)) * xp.exp(self.psi_at(u))
-
-    def phi1_second_at(self, u):
-        xp = namespace(u)
-        theta = self.theta_at(u)
-        return (xp.exp(self.psi_at(u)) * xp.cos(theta)
-                * (2.0 * self.f_at(u) - xp.sin(theta)))
 
     # -- derived columns -------------------------------------------------
 
@@ -703,35 +687,44 @@ def family_surface(profile: ProfileSolution, variant: str,
     through the reflection.
 
     All first and second partials and the mean curvature f(u) come from
-    the profile's closed derivative relations, so downstream curvature
-    computations are finite-difference-free unless explicitly stripped.
-    The mean-curvature field has f'' on the explicit kind only.
+    the profile's derivative relations, written here once: with
+    theta' = -2 f, Psi' = cos theta, Phi1' = -sin theta e^{Psi},
+    Psi'' = 2 f sin theta and Phi1'' = e^{Psi} cos theta (2 f - sin theta).
+    Each handle evaluates theta, f and Psi at most once per call.  The
+    mean-curvature field has f'' on the explicit kind only.
     """
     place = _layout(variant)
     ruling = (1.0, 0.0, 0.0) if variant == "x1" else (0.0, 1.0, 0.0)
     v_lo, v_hi = float(v_range[0]), float(v_range[1])
     domain = ((float(profile.u[0]), float(profile.u[-1])), (v_lo, v_hi))
     zero = (0.0, 0.0, 0.0)
+
+    def d_u(u, v):
+        return place(*_first_order(profile.theta_at(u), profile.psi_at(u)),
+                     0.0)
+
+    def d_uu(u, v):
+        theta, f = profile.theta_at(u), profile.f_at(u)
+        xp = namespace(theta)
+        sin = xp.sin(theta)
+        return place(xp.exp(profile.psi_at(u)) * xp.cos(theta)
+                     * (2.0 * f - sin), 2.0 * f * sin, 0.0)
+
     f_field = ScalarField(
         value=lambda u, v: profile.f_at(u),
         du=lambda u, v: profile.f_prime_at(u),
         dv=lambda u, v: 0.0,
-        duu=((lambda u, v: profile.f_second_at(u))
+        duu=((lambda u, v: f_second_explicit(u))
              if profile.kind == EXPLICIT else None),
         duv=lambda u, v: 0.0,
         dvv=lambda u, v: 0.0)
     return SurfacePatch(
         immersion=lambda u, v: place(profile.phi1_at(u), profile.psi_at(u),
                                      v),
-        d_u=lambda u, v: place(profile.phi1_prime_at(u),
-                               profile.psi_prime_at(u), 0.0),
-        d_v=lambda u, v: ruling,
-        d_uu=lambda u, v: place(profile.phi1_second_at(u),
-                                profile.psi_second_at(u), 0.0),
-        d_uv=lambda u, v: zero,
-        d_vv=lambda u, v: zero,
-        mean_curvature=f_field,
-        domain=domain, name=f"family_{variant}_{profile.kind}")
+        d_u=d_u, d_v=lambda u, v: ruling, d_uu=d_uu,
+        d_uv=lambda u, v: zero, d_vv=lambda u, v: zero,
+        mean_curvature=f_field, domain=domain,
+        name=f"family_{variant}_{profile.kind}")
 
 
 def family_vertices(profile: ProfileSolution, variant: str,

@@ -69,6 +69,8 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.seed!r}")
         if self.kind not in (EXPLICIT, IMPLICIT):
             raise UsageError(f"unknown family kind {self.kind!r}")
         if self.variant not in ("x1", "x2"):
@@ -132,9 +134,7 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
 
 def _build_family_profile(config: RunConfig) -> ProfileSolution:
     grid = np.linspace(config.u_min, config.u_max, config.nu)
-    if config.kind == EXPLICIT:
-        return build_profile(EXPLICIT, u_grid=grid, u0=config.u0)
-    return build_profile(IMPLICIT, c=config.c, u_grid=grid, u0=config.u0,
+    return build_profile(config.kind, c=config.c, u_grid=grid, u0=config.u0,
                          theta_start=config.theta_start, step=config.step)
 
 

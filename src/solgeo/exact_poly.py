@@ -25,6 +25,7 @@ __all__ = [
     "IntPolynomial",
     "obstruction_quintic",
     "obstruction_cubic",
+    "nonexistence_addends",
     "nonexistence_combination",
     "real_roots_interval",
     "coefficients_as_strings",
@@ -111,18 +112,25 @@ def obstruction_cubic() -> IntPolynomial:
     return IntPolynomial([2, -12, -6, 36])
 
 
+def nonexistence_addends() -> Tuple[IntPolynomial, IntPolynomial]:
+    """The two addends 2 (3g + 1) P1 P2 and (3g^2 + g - 1) (P1 P2' - P2 P1')
+    of the combination, each of degree 9."""
+    p1 = obstruction_quintic()
+    p2 = obstruction_cubic()
+    linear = IntPolynomial([2, 6])            # 2 (3g + 1)
+    quadratic = IntPolynomial([-1, 1, 3])     # 3g^2 + g - 1
+    wronskian = p1 * p2.derivative() - p2 * p1.derivative()
+    return linear * p1 * p2, quadratic * wronskian
+
+
 def nonexistence_combination() -> IntPolynomial:
     """2 (3g + 1) P1 P2 + (3g^2 + g - 1) (P1 P2' - P2 P1').
 
     Formed literally from the two obstruction polynomials with no overall
     rescaling.  The degree-9 terms cancel identically, leaving degree 8.
     """
-    p1 = obstruction_quintic()
-    p2 = obstruction_cubic()
-    linear = IntPolynomial([2, 6])            # 2 (3g + 1)
-    quadratic = IntPolynomial([-1, 1, 3])     # 3g^2 + g - 1
-    wronskian = p1 * p2.derivative() - p2 * p1.derivative()
-    return linear * p1 * p2 + quadratic * wronskian
+    term_a, term_b = nonexistence_addends()
+    return term_a + term_b
 
 
 def _sturm_chain(p: List[Fraction]) -> List[List[Fraction]]:

@@ -96,9 +96,11 @@ class TangentVector:
 
     def __post_init__(self):
         comps = np.asarray(self.components, dtype=float)
-        if comps.shape[-1:] != (3,) or comps.ndim > 2:
-            raise ValueError("components must be a length-3 vector or an "
-                             "(N, 3) array")
+        expected = np.shape(self.base.z) + (3,)
+        if comps.shape != expected:
+            raise ValueError(f"components must have shape {expected}, one "
+                             f"length-3 vector per base point, got "
+                             f"{comps.shape}")
         object.__setattr__(self, "components", comps)
         if self.basis not in (COORDINATE, FRAME):
             raise ValueError(f"unknown basis {self.basis!r}")

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,9 +37,8 @@ from .biconservative_family import (CONSTANTS, EXPLICIT, ProfileSolution,
                                     family_surface, gaussian_curvature_closed_form,
                                     integrate_implicit_profile,
                                     theta_explicit, theta_prime_explicit)
-from .exact_poly import (IntPolynomial, coefficients_as_strings,
-                         nonexistence_combination, obstruction_cubic,
-                         obstruction_quintic, real_roots_interval)
+from .exact_poly import (coefficients_as_strings, nonexistence_addends,
+                         real_roots_interval)
 from .numerics import namespace
 from .patch import SurfacePatch
 from .sol_space import (FRAME, Point, TangentVector, canonical_leaf,
@@ -628,23 +628,11 @@ def check_polynomial_obstruction() -> CheckReport:
     constant factor between the literal expansion and the reference
     coefficients, which is exactly 1.
     """
-    p1 = obstruction_quintic()
-    p2 = obstruction_cubic()
-    linear = IntPolynomial([2, 6])
-    quadratic = IntPolynomial([-1, 1, 3])
-    wronskian = p1 * p2.derivative() - p2 * p1.derivative()
-    term_a = linear * p1 * p2
-    term_b = quadratic * wronskian
-    combo = nonexistence_combination()
+    term_a, term_b = nonexistence_addends()
+    combo = term_a + term_b
 
-    expected = IntPolynomial(EXPECTED_COMBINATION)
-    width = max(len(combo.coefficients), len(expected.coefficients))
-
-    def padded(p):
-        return list(p.coefficients) + [0] * (width - len(p.coefficients))
-
-    coeff_mismatch = max(abs(a - b) for a, b in
-                         zip(padded(combo), padded(expected)))
+    coeff_mismatch = max(abs(a - b) for a, b in zip_longest(
+        combo.coefficients, EXPECTED_COMBINATION, fillvalue=0))
     degree_mismatch = abs(combo.degree - 8)
 
     def ninth(p):
@@ -972,7 +960,8 @@ def run_suite(name: str, seed: int = 0) -> List[CheckReport]:
     """Run one named suite (or ``all``) and return its reports.
 
     Deterministic for fixed (name, seed): random fixtures draw from a
-    seeded generator and every grid is fixed.
+    seeded generator and every grid is fixed.  A negative seed raises
+    ``ValueError`` for every suite, whether or not it draws.
     """
     dispatch = {
         "ambient": _ambient_reports,
@@ -981,15 +970,13 @@ def run_suite(name: str, seed: int = 0) -> List[CheckReport]:
         "biharmonic": _biharmonic_reports,
         "polynomial": _polynomial_reports,
     }
-    if name == "all":
-        reports = []
-        for suite in SUITE_NAMES:
-            reports.extend(dispatch[suite](seed))
-        return reports
-    if name not in dispatch:
+    if name != "all" and name not in dispatch:
         raise ValueError(f"unknown suite {name!r}; pick one of "
                          f"{', '.join(SUITE_NAMES)} or all")
-    return dispatch[name](seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    suites = SUITE_NAMES if name == "all" else (name,)
+    return [report for suite in suites for report in dispatch[suite](seed)]
 
 
 def reports_to_json(reports: Sequence[CheckReport]) -> str:

@@ -21,6 +21,7 @@ from solgeo.biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
                                           theta_explicit,
                                           theta_prime_explicit)
 from solgeo.numerics import central_diff, hermite_eval
+from solgeo.surface_calculus import biconservative_residual, shape_data
 
 # 40-digit reference values (adaptive Gauss-Legendre for the quadratures,
 # anchored at u0 = -1): columns theta, f, Psi, Phi1.
@@ -117,18 +118,20 @@ def test_derivative_ladder_finite_differences():
         assert abs(fd2 - f_second_explicit(u)) < 1e-9
 
 
-def test_psi_and_phi_derivatives(explicit_profile):
-    p = explicit_profile
+def test_psi_and_phi_derivatives(explicit_profile, patch_x1):
+    # the x1 patch places Phi1 at component 1 and Psi at component 2
     for u in (-2.5, -1.0, -0.2):
         th = theta_explicit(u)
         f = f_explicit(u)
-        assert abs(p.psi_prime_at(u) - math.cos(th)) < 1e-14
-        assert abs(p.psi_second_at(u) - 2.0 * f * math.sin(th)) < 1e-13
-        psi = p.psi_at(u)
-        assert abs(p.phi1_prime_at(u) + math.sin(th) * math.exp(psi)) < 1e-12
+        _, phi1_prime, psi_prime = patch_x1.du(u, 0.0)
+        _, phi1_second, psi_second = patch_x1.duu(u, 0.0)
+        assert abs(psi_prime - math.cos(th)) < 1e-14
+        assert abs(psi_second - 2.0 * f * math.sin(th)) < 1e-13
+        psi = explicit_profile.psi_at(u)
+        assert abs(phi1_prime + math.sin(th) * math.exp(psi)) < 1e-12
         # second derivative against finite differences of the first
-        fd = central_diff(p.phi1_prime_at, u, 1e-6)
-        assert abs(p.phi1_second_at(u) - fd) < 1e-8
+        fd = central_diff(lambda s: patch_x1.du(s, 0.0)[1], u, 1e-6)
+        assert abs(phi1_second - fd) < 1e-8
 
 
 def test_psi_anchor(explicit_profile):
@@ -370,8 +373,10 @@ def test_implicit_dense_output_consistent(implicit_solution):
 
 
 def test_implicit_f_second_unavailable(implicit_solution):
-    with pytest.raises(NotImplementedError):
-        implicit_solution.f_second_at(0.1)
+    # no closed f'' on the implicit kind: the field differences f'
+    field = family_surface(implicit_solution, "x1").mean_curvature
+    assert field.duu is None
+    assert field.du is not None
 
 
 def test_implicit_halt_span_exhausted():
@@ -484,6 +489,33 @@ def test_family_surface_mean_curvature_handles(explicit_profile, patch_x1):
     assert field.dv(-1.0, 0.4) == 0.0
 
 
+def test_family_handles_evaluate_the_profile_once(monkeypatch,
+                                                  explicit_profile):
+    calls = {}
+
+    def counted(name):
+        form = getattr(biconservative_family, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return form(*args)
+        return wrapper
+
+    for name in ("theta_explicit", "f_explicit", "psi_explicit"):
+        monkeypatch.setattr(biconservative_family, name, counted(name))
+    patch = family_surface(explicit_profile, "x1")
+    patch.du(-1.0, 0.2)
+    assert calls == {"theta_explicit": 1, "psi_explicit": 1}
+    calls.clear()
+    patch.duu(-1.0, 0.2)
+    assert calls == {"theta_explicit": 1, "f_explicit": 1, "psi_explicit": 1}
+    calls.clear()
+    # two one-point records, each reading position, du and duu once
+    shape_data(patch, -1.0, 0.2)
+    biconservative_residual(patch, -1.0, 0.2)
+    assert calls == {"theta_explicit": 4, "f_explicit": 2, "psi_explicit": 6}
+
+
 def test_mirrored_variant_swaps_roles(explicit_profile):
     p1 = family_surface(explicit_profile, "x1")
     p2 = family_surface(explicit_profile, "x2")
@@ -548,11 +580,13 @@ EPS = np.finfo(float).eps
 
 def _closed_forms(profile):
     """(name, closed form, size of its terms) for every explicit closed
-    form the family patch reads.  The size bounds what rounding of the
-    terms can do to the result where they cancel: f'' near its zero, Psi
-    and Phi1 near the anchor, cos(theta) near pi/2, and the factor e^Psi,
-    which turns an ulp of Psi into |Psi| ulps."""
+    form the family patch reads, the derivatives of Psi and Phi1 as the x1
+    patch's du and duu components 2 and 1.  The size bounds what rounding
+    of the terms can do to the result where they cancel: f'' near its
+    zero, Psi and Phi1 near the anchor, cos(theta) near pi/2, and the
+    factor e^Psi, which turns an ulp of Psi into |Psi| ulps."""
     a, c0 = CONSTANTS.a1, profile.c0
+    patch = family_surface(profile, "x1")
 
     def grows(u):
         psi = psi_explicit(u, c0)
@@ -572,11 +606,12 @@ def _closed_forms(profile):
          + np.log1p(np.exp(4.0 * a * u)) / (2.0 * a) + abs(c0)),
         ("Phi1", profile.phi1_at, lambda u, value: np.abs(value)
          + math.exp(c0) / a * abs(profile._g_u0)),
-        ("psi'", profile.psi_prime_at, lambda u, value: np.ones_like(u)),
-        ("psi''", profile.psi_second_at,
+        ("psi'", lambda u: patch.du(u, 0.0)[2],
+         lambda u, value: np.ones_like(u)),
+        ("psi''", lambda u: patch.duu(u, 0.0)[2],
          lambda u, value: 2.0 * f_explicit(u)),
-        ("Phi1'", profile.phi1_prime_at, lambda u, value: grows(u)),
-        ("Phi1''", profile.phi1_second_at,
+        ("Phi1'", lambda u: patch.du(u, 0.0)[1], lambda u, value: grows(u)),
+        ("Phi1''", lambda u: patch.duu(u, 0.0)[1],
          lambda u, value: grows(u) * (2.0 * f_explicit(u) + 1.0)),
         ("K", gaussian_curvature_closed_form, itself),
     ]
@@ -621,18 +656,27 @@ def test_implicit_array_hermite_matches_per_point(implicit_solution):
     h = nodes[1] - nodes[0]
     u = np.concatenate([nodes, 0.5 * (nodes[1:] + nodes[:-1]),
                         [nodes[0] - 0.3 * h, nodes[-1] + 0.3 * h]])
+    # the f slopes are one array call; the per-sample loop is the reference,
+    # up to an ulp of numpy's sin against libm's
+    loop = [f_prime_implicit(t, f)
+            for t, f in zip(implicit_solution.theta, implicit_solution.f)]
+    np.testing.assert_allclose(implicit_solution._slopes["f"], loop,
+                               rtol=4.0 * EPS, atol=0.0)
     for column in ("theta", "f", "psi", "phi1"):
         values = getattr(implicit_solution, column)
         slopes = implicit_solution._slopes[column]
         expected = [hermite_eval(x, nodes, values, slopes) for x in u]
         assert np.array_equal(hermite_eval(u, nodes, values, slopes),
                               expected), column
-    for name in ("theta_at", "f_at", "f_prime_at", "psi_at", "psi_prime_at",
-                 "psi_second_at", "phi1_at", "phi1_prime_at",
-                 "phi1_second_at"):
-        evaluate = getattr(implicit_solution, name)
-        batch = evaluate(u)
-        floats = np.array([evaluate(float(x)) for x in u])
+    patch = family_surface(implicit_solution, "x1")
+    evaluators = [(name, getattr(implicit_solution, name)) for name in
+                  ("theta_at", "f_at", "f_prime_at", "psi_at", "phi1_at")]
+    # (Phi1', Psi') and (Phi1'', Psi''): components 1 and 2 of the x1 patch
+    evaluators += [("du", lambda x: patch.du(x, 0.0)[1:]),
+                   ("duu", lambda x: patch.duu(x, 0.0)[1:])]
+    for name, evaluate in evaluators:
+        batch = np.asarray(evaluate(u))
+        floats = np.array([evaluate(float(x)) for x in u]).T
         # the Hermite cubics are arithmetic only; sin, cos and exp on top
         # of them may differ from libm by an ulp
         np.testing.assert_allclose(batch, floats, rtol=4.0 * EPS, atol=0.0,

@@ -108,6 +108,13 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("suite", ["ambient", "polynomial"])
+def test_verify_negative_seed_is_usage_error(suite, capsys):
+    assert run(["verify", "--suite", suite, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, " \
+                                      "got -1\n"
+
+
 def test_curvature_text(capsys):
     assert run(["curvature", "--point", "0,0,0", "--plane", "E1,E3"]) == 0
     out = capsys.readouterr().out

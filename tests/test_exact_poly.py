@@ -5,8 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from solgeo.exact_poly import (IntPolynomial, coefficients_as_strings,
-                               nonexistence_combination, obstruction_cubic,
-                               obstruction_quintic, real_roots_interval)
+                               nonexistence_addends, nonexistence_combination,
+                               obstruction_cubic, obstruction_quintic,
+                               real_roots_interval)
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=0,
                        max_size=6)
@@ -102,6 +103,8 @@ def test_combination_degree_nine_cancels():
     assert term_a.coefficients[9] == 21600
     assert term_b.coefficients[9] == -21600
     assert (term_a + term_b).degree == 8
+    assert nonexistence_addends() == (term_a, term_b)
+    assert term_a + term_b == nonexistence_combination()
 
 
 def test_root_isolation_simple():

@@ -2,8 +2,9 @@
 or reads them as attributes, every public kernel in ``solgeo.numerics``
 has a caller elsewhere in the package, the package imports exactly the
 third-party packages it declares, scipy serves only the profile family,
-and the surface calculus leaves finite differences to the patch and the
-curvature trace to its closed form."""
+the surface calculus leaves finite differences to the patch and the
+curvature trace to its closed form, and the obstruction polynomial is
+formed in exact_poly only."""
 
 import ast
 import os
@@ -168,3 +169,9 @@ def test_surface_calculus_reads_partials_through_the_patch():
              if re.search(r"\bmean_curvature_d[uv]\b",
                           path.read_text(encoding="utf-8"))]
     assert named == []
+
+
+def test_verification_reads_the_obstruction_addends_from_exact_poly():
+    # the combination's formula is written once, in exact_poly
+    imported = _imported_names(PACKAGE_DIR / "verification.py")
+    assert imported & {"obstruction_quintic", "obstruction_cubic"} == set()

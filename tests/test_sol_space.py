@@ -325,3 +325,17 @@ def test_equal_n_point_bases_need_not_be_one_object():
         w = TangentVector(other, np.zeros(np.shape(other.z) + (3,)), FRAME)
         with pytest.raises(ValueError, match="different base points"):
             curvature_tensor(x, y, w)
+
+
+def test_components_must_match_the_base_point_count():
+    one = Point(0.1, -0.2, 0.3)
+    two = Point(np.zeros(2), np.zeros(2), np.array([0.0, 1.0]))
+    for base, comps, expected in ((one, np.ones((3, 3)), r"\(3,\)"),
+                                  (one, np.ones((1, 3)), r"\(3,\)"),
+                                  (two, np.ones((3, 3)), r"\(2, 3\)"),
+                                  (two, np.ones(3), r"\(2, 3\)")):
+        with pytest.raises(ValueError, match=rf"^components must have shape "
+                                             rf"{expected}, one length-3 "
+                                             rf"vector per base point, got"):
+            TangentVector(base, comps, FRAME)
+    assert TangentVector(two, np.ones((2, 3)), FRAME).components.shape == (2, 3)

@@ -299,6 +299,13 @@ def test_unknown_suite():
         run_suite("nosuch")
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES + ("all",))
+def test_negative_seed_is_refused_by_every_suite(suite):
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative, "
+                                         r"got -1$"):
+        run_suite(suite, seed=-1)
+
+
 def test_all_suite_ids_unique():
     reports = run_suite("all")
     ids = [r.check_id for r in reports]

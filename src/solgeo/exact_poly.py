@@ -11,11 +11,14 @@ polynomial that g would have to satisfy pointwise.  A polynomial of
 degree 8 has finitely many roots, so g would be locally constant, which
 contradicts g' != 0; the real roots in (0, inf) are isolated here only to
 document that none of them rescues the equation.  All arithmetic is exact
-(ints and Fractions), so the conclusion does not rest on floating point.
+integer arithmetic: roots are isolated on a Sturm chain of integer
+pseudo-remainders, and Fractions appear only as the bisection points, so
+the conclusion does not rest on floating point.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,102 +136,94 @@ def nonexistence_combination() -> IntPolynomial:
     return term_a + term_b
 
 
-def _sturm_chain(p: List[Fraction]) -> List[List[Fraction]]:
-    chain = [p]
-    deriv = [k * c for k, c in enumerate(p)][1:]
-    if deriv:
-        chain.append(deriv)
-    while len(chain[-1]) > 1:
-        r = [-c for c in _poly_divmod(chain[-2], chain[-1])[1]]
-        if all(c == 0 for c in r):
+def _primitive(p: IntPolynomial) -> IntPolynomial:
+    """p divided by the positive gcd of its coefficients."""
+    content = math.gcd(*p.coefficients) or 1
+    return IntPolynomial([c // content for c in p.coefficients])
+
+
+def _pseudo_divmod(a: IntPolynomial,
+                   b: IntPolynomial) -> Tuple[IntPolynomial, IntPolynomial]:
+    """Primitive (q, r) with m a = q b + r, deg r < deg b, for an integer
+    m > 0.
+
+    Each step scales the running remainder by |lead(b)|, so no fraction
+    arises and q and r keep the signs of the true quotient and remainder.
+    """
+    lead = b.coefficients[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    rem = list(a.coefficients)
+    quot = [0] * max(1, len(rem) - b.degree)
+    for shift in range(len(rem) - 1 - b.degree, -1, -1):
+        top = sign * rem.pop()
+        if top:
+            rem = [scale * c for c in rem]
+            quot = [scale * c for c in quot]
+            quot[shift] += top
+            for i, c in enumerate(b.coefficients[:-1]):
+                rem[shift + i] -= top * c
+    return _primitive(IntPolynomial(quot)), _primitive(IntPolynomial(rem))
+
+
+def _sturm_chain(p: IntPolynomial) -> List[IntPolynomial]:
+    """p, p' and the negated pseudo-remainders, each divided by their last
+    member gcd(p, p'): a Sturm chain for the square-free part of p."""
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if rem.degree < 0:
             break
-        chain.append(r)
+        chain.append(rem.scale(-1))
+    gcd = chain[-1]
+    if gcd.degree > 0:
+        chain = [_pseudo_divmod(member, gcd)[0] for member in chain]
     return chain
 
 
-def _eval_chain(chain, x: Fraction) -> int:
+def _sign_variations(chain: List[IntPolynomial], x: Fraction) -> int:
+    """Sign changes along the chain at x = n/d, each sign read from the
+    integer p(n/d) d^deg p."""
+    n, d = x.numerator, x.denominator
     signs = []
-    for poly in chain:
-        acc = Fraction(0)
-        for c in reversed(poly):
-            acc = acc * x + c
-        if acc != 0:
-            signs.append(1 if acc > 0 else -1)
-    count = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            count += 1
-    return count
-
-
-def _squarefree(coeffs: List[Fraction]) -> List[Fraction]:
-    # Divide out gcd(p, p') so Sturm counts distinct roots.
-    def poly_gcd(a, b):
-        while any(c != 0 for c in b):
-            r = _poly_divmod(a, b)[1]
-            a, b = b, r if any(c != 0 for c in r) else [Fraction(0)]
-        return a
-
-    deriv = [k * c for k, c in enumerate(coeffs)][1:]
-    if not deriv:
-        return coeffs
-    g = poly_gcd(coeffs, deriv)
-    if len(g) == 1:
-        return coeffs
-    out, rem = _poly_divmod(coeffs, g)
-    assert all(c == 0 for c in rem)
-    return out
-
-
-def _poly_divmod(a: List[Fraction], b: List[Fraction]):
-    a = a[:]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] += factor
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return q, a
+    for member in chain:
+        acc, d_power = 0, 1
+        for c in reversed(member.coefficients):
+            acc = acc * n + c * d_power
+            d_power *= d
+        if acc:
+            signs.append(acc > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def real_roots_interval(poly: IntPolynomial, lo, hi,
                         max_width=Fraction(1, 1024)) -> List[Tuple[Fraction, Fraction]]:
     """Isolating intervals for the distinct real roots in (lo, hi].
 
-    Sturm's theorem with exact Fraction arithmetic; each returned
-    half-open interval (a, b] contains exactly one root and has width at
-    most ``max_width``.  An empty list is a proof of no roots in range.
+    Sturm's theorem on an integer pseudo-remainder chain, with exact signs
+    at the Fraction bisection points; each returned half-open interval
+    (a, b] contains exactly one root and has width at most ``max_width``,
+    in increasing order.  An empty list is a proof of no roots in range.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if hi <= lo:
         raise ValueError("need lo < hi")
-    coeffs = _squarefree([Fraction(c) for c in poly.coefficients])
-    chain = _sturm_chain(coeffs)
-
-    def count(a: Fraction, b: Fraction) -> int:
-        return _eval_chain(chain, a) - _eval_chain(chain, b)
-
+    chain = _sturm_chain(poly)
     out: List[Tuple[Fraction, Fraction]] = []
 
-    def split(a: Fraction, b: Fraction, n: int):
-        if n == 0:
+    def split(a: Fraction, va: int, b: Fraction, vb: int):
+        # va, vb are the chain's sign variations at a and b
+        if va == vb:
             return
-        if n == 1 and b - a <= max_width:
+        if va - vb == 1 and b - a <= max_width:
             out.append((a, b))
             return
         mid = (a + b) / 2
-        left = count(a, mid)
-        split(a, mid, left)
-        split(mid, b, n - left)
+        vm = _sign_variations(chain, mid)
+        split(a, va, mid, vm)
+        split(mid, vm, b, vb)
 
-    split(lo, hi, count(lo, hi))
-    return sorted(out)
+    split(lo, _sign_variations(chain, lo), hi, _sign_variations(chain, hi))
+    return out
 
 
 def coefficients_as_strings(poly: IntPolynomial) -> List[str]:

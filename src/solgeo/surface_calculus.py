@@ -423,15 +423,10 @@ class LocalGeometry:
 
     def adapted_frame(self, x1_coefficients=None) -> AdaptedFrameSample:
         """The adapted frame at this record's points; see
-        :func:`adapted_frame`.  On an N-point record a constant
-        ``x1_coefficients`` applies at every point, and a callable one
-        receives the (N,) arrays u and v."""
+        :func:`adapted_frame`.  On an N-point record ``x1_coefficients``
+        applies at every point."""
         xp = self._xp
-        if x1_coefficients is None:
-            p, q = self._gradient
-        else:
-            p, q = (x1_coefficients(self.u, self.v)
-                    if callable(x1_coefficients) else x1_coefficients)
+        p, q = self._gradient if x1_coefficients is None else x1_coefficients
         norm = self._length(p, q)
         if x1_coefficients is None:
             # written so that a NaN gradient is not degenerate
@@ -517,8 +512,8 @@ def adapted_frame(patch: SurfacePatch, u: float, v: float,
 
     X1 defaults to the normalized mean-curvature gradient; below the
     gradient threshold the point is CMC-degenerate and the caller must pass
-    ``x1_coefficients`` (parameter-basis components, constant or callable)
-    to fix the direction, as fixture tests do on CMC leaves.
+    ``x1_coefficients`` (constant parameter-basis components) to fix the
+    direction, as fixture tests do on CMC leaves.
 
     X2 completes the tangent basis as the cross product xi x X1, which
     orients beta consistently with the two immersion variants of the

@@ -293,21 +293,20 @@ def _frame_grid(patch: SurfacePatch, grid: Tuple[int, int],
     return _FrameGrid(patch, us, vs, ingredients)
 
 
-def _frame_identity_reports(fg: _FrameGrid, label: str,
-                            tolerance: float) -> List[CheckReport]:
+def _frame_identity_reports(fg: _FrameGrid, label: str) -> List[CheckReport]:
     ids = [_suffixed(f"frame_identity_{k}", label) for k in range(1, 9)]
     if fg.skipped is not None:
         return [CheckReport.skipped_report(cid, fg.skipped) for cid in ids]
     maxima = np.max(np.abs(_identity_residuals(fg.ingredients)), axis=1)
     ctx = _grid_context(fg.patch, fg.us, fg.vs, fd_step=fg.patch.fd_step)
-    return [CheckReport.from_error(cid, err, tolerance,
+    return [CheckReport.from_error(cid, err, FRAME_IDENTITY_TOLERANCE,
                                    dict(ctx, statement=statement))
             for cid, err, statement in zip(ids, maxima, IDENTITY_STATEMENTS)]
 
 
 def check_frame_identities(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
-                           x1_coefficients=None, label: str = "",
-                           tolerance: float = 1e-7) -> List[CheckReport]:
+                           x1_coefficients=None,
+                           label: str = "") -> List[CheckReport]:
     """The eight first-order identities tying (theta, beta, lambda1,
     lambda2) to the adapted frame, each as one report over the grid.
 
@@ -315,7 +314,7 @@ def check_frame_identities(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
     ``x1_coefficients``) all eight reports are skipped with the reason.
     """
     return _frame_identity_reports(
-        _frame_grid(patch, grid, x1_coefficients), label, tolerance)
+        _frame_grid(patch, grid, x1_coefficients), label)
 
 
 def _gradient_norm(geo: LocalGeometry):
@@ -508,6 +507,10 @@ def check_cmc_rigidity(fixtures: Optional[Sequence[SurfacePatch]] = None,
 BIHARMONIC_GAP_FLOOR = 1e-6
 BIHARMONIC_U_MIN = -13.0
 
+# The tolerance of all eight frame identities, in every suite and on every
+# patch.
+FRAME_IDENTITY_TOLERANCE = 1e-7
+
 
 def _laplacian_closed(u: np.ndarray) -> np.ndarray:
     return f_second_explicit(u) + np.cos(theta_explicit(u)) \
@@ -557,10 +560,8 @@ def check_biharmonic_obstruction(profile: ProfileSolution) -> List[CheckReport]:
     sub_u, lap = us[::every], lap_closed[::every]
     v0 = 0.25
     geo = LocalGeometry(patch, sub_u, np.full_like(sub_u, v0))
-    fv = profile.f_at(sub_u)
-    sv = np.sin(profile.theta_at(sub_u))
+    fv, sv, required = f[::every], s[::every], rhs[::every]
     surface_lap = geo.laplacian(patch.mean_curvature)
-    required = 4.0 * fv * (fv * fv + fv * sv + sv * sv)
     (max_surface_route, max_norm_a, max_trace,
      max_residual_route) = np.max(np.abs([
          surface_lap - lap,
@@ -778,7 +779,7 @@ def _frames_reports(seed: int) -> List[CheckReport]:
              "x2": _frame_grid(px2, (9, 5), None)}
     reports = []
     for label, fg in grids.items():
-        reports += _frame_identity_reports(fg, label, 1e-7)
+        reports += _frame_identity_reports(fg, label)
     for label, fg in grids.items():
         reports += _angle_reports(fg, label, label)
     reports += check_cmc_rigidity()

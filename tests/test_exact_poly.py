@@ -137,6 +137,47 @@ def test_root_isolation_interval_width():
     assert b - a <= Fraction(1, 4096)
 
 
+def test_root_isolation_edges_of_half_open_range():
+    # (x - 1)^2 (x - 2): on (0, 2] the root 1 is the first bisection
+    # midpoint and is reported once, and the root 2 at hi is included
+    p = IntPolynomial([-2, 5, -4, 1])
+    roots = real_roots_interval(p, 0, 2)
+    assert len(roots) == 2
+    assert roots[0][0] < 1 <= roots[0][1]
+    assert roots[1][0] < 2 <= roots[1][1] == 2
+    # on (1, 3] the root at lo is excluded
+    roots = real_roots_interval(p, 1, 3)
+    assert len(roots) == 1
+    assert roots[0][0] < 2 <= roots[0][1]
+
+
+linear_factors = st.tuples(st.integers(min_value=1, max_value=6),
+                           st.integers(min_value=-12, max_value=12),
+                           st.booleans())
+
+
+@given(st.lists(linear_factors, min_size=1, max_size=4),
+       st.integers(min_value=-8, max_value=4),
+       st.integers(min_value=1, max_value=12),
+       st.sampled_from([Fraction(1, 4), Fraction(1, 64), Fraction(1, 1024)]))
+def test_root_isolation_products_of_linear_factors(factors, lo, span,
+                                                   max_width):
+    # each factor is a x - b, squared when the flag is set
+    p = IntPolynomial([1])
+    for a, b, squared in factors:
+        p = p * IntPolynomial([-b, a])
+        if squared:
+            p = p * IntPolynomial([-b, a])
+    lo, hi = Fraction(lo), Fraction(lo + span)
+    inside = sorted({Fraction(b, a) for a, b, _ in factors
+                     if lo < Fraction(b, a) <= hi})
+    roots = real_roots_interval(p, lo, hi, max_width)
+    assert len(roots) == len(inside)
+    for (a, b), root in zip(roots, inside):
+        assert 0 < b - a <= max_width
+        assert [r for r in inside if a < r <= b] == [root]
+
+
 def test_combination_positive_roots():
     combo = nonexistence_combination()
     roots = real_roots_interval(combo, Fraction(0), Fraction(3))

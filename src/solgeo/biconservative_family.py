@@ -185,9 +185,7 @@ def psi_explicit(u, c0: float = 0.0):
 
 def psi_anchor(u0: float) -> float:
     """The constant c0 that anchors Psi(u0) = 0."""
-    _require_negative(u0)
-    a = CONSTANTS.a1
-    return u0 - math.log1p(math.exp(4.0 * a * u0)) / (2.0 * a)
+    return -psi_explicit(u0)
 
 
 _P = (1.0 - 3.0 * CONSTANTS.a1) / 4.0
@@ -690,8 +688,8 @@ def family_surface(profile: ProfileSolution, variant: str,
     the profile's derivative relations, written here once: with
     theta' = -2 f, Psi' = cos theta, Phi1' = -sin theta e^{Psi},
     Psi'' = 2 f sin theta and Phi1'' = e^{Psi} cos theta (2 f - sin theta).
-    Each handle evaluates theta, f and Psi at most once per call.  The
-    mean-curvature field has f'' on the explicit kind only.
+    One call of the patch's ``partials`` evaluates theta, f and Psi once
+    each.  The mean-curvature field has f'' on the explicit kind only.
     """
     place = _layout(variant)
     ruling = (1.0, 0.0, 0.0) if variant == "x1" else (0.0, 1.0, 0.0)
@@ -699,16 +697,14 @@ def family_surface(profile: ProfileSolution, variant: str,
     domain = ((float(profile.u[0]), float(profile.u[-1])), (v_lo, v_hi))
     zero = (0.0, 0.0, 0.0)
 
-    def d_u(u, v):
-        return place(*_first_order(profile.theta_at(u), profile.psi_at(u)),
-                     0.0)
-
-    def d_uu(u, v):
-        theta, f = profile.theta_at(u), profile.f_at(u)
+    def partials(u, v):
+        theta, f, psi = profile.theta_at(u), profile.f_at(u), profile.psi_at(u)
         xp = namespace(theta)
         sin = xp.sin(theta)
-        return place(xp.exp(profile.psi_at(u)) * xp.cos(theta)
-                     * (2.0 * f - sin), 2.0 * f * sin, 0.0)
+        d_uu = place(xp.exp(psi) * xp.cos(theta) * (2.0 * f - sin),
+                     2.0 * f * sin, 0.0)
+        return (place(*_first_order(theta, psi), 0.0), ruling, d_uu, zero,
+                zero)
 
     f_field = ScalarField(
         value=lambda u, v: profile.f_at(u),
@@ -721,8 +717,7 @@ def family_surface(profile: ProfileSolution, variant: str,
     return SurfacePatch(
         immersion=lambda u, v: place(profile.phi1_at(u), profile.psi_at(u),
                                      v),
-        d_u=d_u, d_v=lambda u, v: ruling, d_uu=d_uu,
-        d_uv=lambda u, v: zero, d_vv=lambda u, v: zero,
+        partials=partials,
         mean_curvature=f_field, domain=domain,
         name=f"family_{variant}_{profile.kind}")
 

@@ -24,8 +24,8 @@ from .biconservative_family import (EXPLICIT, IMPLICIT, ProfileAngleError,
                                     ProfileSolution, build_profile,
                                     family_surface, family_vertices,
                                     profile_to_csv)
-from .sol_space import (FRAME, DegeneratePlaneError, Point, TangentVector,
-                        curvature_tensor, frame_vector, sectional_curvature)
+from .sol_space import (FRAME, Point, TangentVector, curvature_tensor,
+                        frame_vector, sectional_curvature)
 from .verification import SUITE_NAMES, reports_to_json, run_suite
 
 
@@ -69,6 +69,16 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
+        for name in ("point", "plane"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise UsageError(f"{name} must be a string, got {value!r}")
+        if self.output is not None and not isinstance(self.output, str):
+            raise UsageError(f"output must be a string or null, got "
+                             f"{self.output!r}")
+        if not isinstance(self.as_json, bool):
+            raise UsageError(f"as_json must be true or false, got "
+                             f"{self.as_json!r}")
         if self.seed < 0:
             raise UsageError(f"seed must be nonnegative, got {self.seed!r}")
         if self.kind not in (EXPLICIT, IMPLICIT):
@@ -85,11 +95,18 @@ class RunConfig:
             raise UsageError("empty v range")
         if self.step <= 0:
             raise UsageError("step must be positive")
-        if self.kind == EXPLICIT and self.u_max >= 0:
-            raise UsageError("explicit profiles live on u < 0")
+        if self.kind == EXPLICIT:
+            if self.u_max >= 0:
+                raise UsageError("explicit profiles live on u < 0")
+            if self.u0 is not None and self.u0 >= 0:
+                raise UsageError(f"explicit anchors need u0 < 0, got "
+                                 f"{self.u0!r}")
         if self.kind == IMPLICIT:
             if self.u_min < 0:
                 raise UsageError("implicit profiles start at u >= 0")
+            if self.u0 is not None and self.u0 < 0:
+                raise UsageError(f"implicit anchors need u0 >= 0, got "
+                                 f"{self.u0!r}")
             if self.c <= 0:
                 raise UsageError("the integration constant c must be "
                                  "positive")
@@ -362,9 +379,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ProfileAngleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DegeneratePlaneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -195,6 +195,14 @@ def _sign_variations(chain: List[IntPolynomial], x: Fraction) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def _finite_fraction(name: str, value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{name} must be a finite number, got "
+                         f"{value!r}") from None
+
+
 def real_roots_interval(poly: IntPolynomial, lo, hi,
                         max_width=Fraction(1, 1024)) -> List[Tuple[Fraction, Fraction]]:
     """Isolating intervals for the distinct real roots in (lo, hi].
@@ -203,26 +211,30 @@ def real_roots_interval(poly: IntPolynomial, lo, hi,
     at the Fraction bisection points; each returned half-open interval
     (a, b] contains exactly one root and has width at most ``max_width``,
     in increasing order.  An empty list is a proof of no roots in range.
+    The bisection runs on an explicit stack, so any positive width ends;
+    ``ValueError`` unless ``lo < hi`` are finite and ``max_width > 0``.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _finite_fraction("lo", lo), _finite_fraction("hi", hi)
     if hi <= lo:
         raise ValueError("need lo < hi")
+    if not max_width > 0:
+        raise ValueError(f"max_width must be positive, got {max_width!r}")
     chain = _sturm_chain(poly)
     out: List[Tuple[Fraction, Fraction]] = []
-
-    def split(a: Fraction, va: int, b: Fraction, vb: int):
-        # va, vb are the chain's sign variations at a and b
+    # (a, sign variations at a, b, sign variations at b), the leftmost
+    # interval on top
+    stack = [(lo, _sign_variations(chain, lo),
+              hi, _sign_variations(chain, hi))]
+    while stack:
+        a, va, b, vb = stack.pop()
         if va == vb:
-            return
+            continue
         if va - vb == 1 and b - a <= max_width:
             out.append((a, b))
-            return
+            continue
         mid = (a + b) / 2
         vm = _sign_variations(chain, mid)
-        split(a, va, mid, vm)
-        split(mid, vm, b, vb)
-
-    split(lo, _sign_variations(chain, lo), hi, _sign_variations(chain, hi))
+        stack += [(mid, vm, b, vb), (a, va, mid, vm)]
     return out
 
 

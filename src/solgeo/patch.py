@@ -1,16 +1,18 @@
 """Parametrized surface patches and scalar fields on them.
 
-A :class:`SurfacePatch` (an immersion ``(u, v) -> (x, y, z)``) and a
-:class:`ScalarField` (a function of ``(u, v)``) read every partial by one
-rule: the analytic handle when there is one, else a central difference.
-Fixtures can therefore be as cheap or as exact as a test requires.
+A :class:`SurfacePatch` (an immersion ``(u, v) -> (x, y, z)``) reads its
+five first and second partials in one call: its analytic ``partials``
+handle when it has one, else central differences of the immersion.  A
+:class:`ScalarField` (a function of ``(u, v)``) reads each partial from its
+own handle when there is one, else from a central difference.  Fixtures can
+therefore be as cheap or as exact as a test requires.
 
 Every handle takes ``u`` and ``v`` as floats (one point) or as same-shape
-(N,) arrays (N points).  A vector handle returns three components and a
-scalar handle one value; the patch and the field broadcast what a handle
-returns to the shape of ``u``, so a constant component may stay a float.
-Handles written against :func:`~solgeo.numerics.namespace` keep one point
-on ``math`` and Python floats.
+(N,) arrays (N points).  A vector returns three components and a scalar
+one value; the patch and the field broadcast what a handle returns to the
+shape of ``u``, so a constant component may stay a float.  Handles written
+against :func:`~solgeo.numerics.namespace` keep one point on ``math`` and
+Python floats.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from .numerics import (CURVATURE_FD_STEP, DEFAULT_FD_STEP, central_diff,
 Param = Union[float, np.ndarray]
 Components = Tuple[Param, Param, Param]
 Immersion = Callable[[Param, Param], Components]
-VectorHandle = Callable[[Param, Param], Components]
+Partials = Callable[[Param, Param], Tuple[Components, ...]]
 ScalarHandle = Callable[[Param, Param], Param]
 
 
 def _components(value, u: Param) -> Components:
-    """The three components of a vector handle's ``value``, each shaped
-    like ``u``: at N points (N,) arrays, at one point ``value`` as it is."""
+    """The three components of a vector ``value``, each shaped like
+    ``u``: at N points (N,) arrays, at one point ``value`` as it is."""
     if isinstance(u, np.ndarray):
         return tuple(np.broadcast_to(c, u.shape) for c in value)
     return value
@@ -107,11 +109,14 @@ class SurfacePatch:
         ``+1`` or ``-1``; flips the unit normal so constructors can realize
         a chosen mean-curvature sign.
     fd_step:
-        Central-difference step of the first-partial fallbacks, of the
-        immersion and of the mean curvature.  Missing second partials are
-        differenced at ``numerics.CURVATURE_FD_STEP``.
-    d_u .. d_vv:
-        Optional analytic first and second partials of the immersion.
+        Central-difference step of the immersion's first partials when
+        there is no ``partials`` handle, and of the mean curvature.  Second
+        partials without a handle are differenced at
+        ``numerics.CURVATURE_FD_STEP``.
+    partials:
+        Optional map ``(u, v) -> (d_u, d_v, d_uu, d_uv, d_vv)``: the
+        analytic first and second partials of the immersion, all five from
+        one call.
     mean_curvature:
         Optional :class:`ScalarField` of the mean curvature, preferred by
         curvature routines because differencing each point's own f costs
@@ -123,11 +128,7 @@ class SurfacePatch:
     name: str = "patch"
     orientation: int = 1
     fd_step: float = DEFAULT_FD_STEP
-    d_u: Optional[VectorHandle] = None
-    d_v: Optional[VectorHandle] = None
-    d_uu: Optional[VectorHandle] = None
-    d_uv: Optional[VectorHandle] = None
-    d_vv: Optional[VectorHandle] = None
+    partials: Optional[Partials] = None
     mean_curvature: Optional[ScalarField] = None
 
     def __post_init__(self):
@@ -140,22 +141,15 @@ class SurfacePatch:
     def position(self, u: Param, v: Param) -> Components:
         return _components(self.immersion(u, v), u)
 
-    def du(self, u: Param, v: Param) -> Components:
-        return _components(_partial(self.position, self.d_u, u, v, "u",
-                                    self.fd_step), u)
-
-    def dv(self, u: Param, v: Param) -> Components:
-        return _components(_partial(self.position, self.d_v, u, v, "v",
-                                    self.fd_step), u)
-
-    def duu(self, u: Param, v: Param) -> Components:
-        return _components(_partial(self.position, self.d_uu, u, v, "uu"), u)
-
-    def dvv(self, u: Param, v: Param) -> Components:
-        return _components(_partial(self.position, self.d_vv, u, v, "vv"), u)
-
-    def duv(self, u: Param, v: Param) -> Components:
-        return _components(_partial(self.position, self.d_uv, u, v, "uv"), u)
+    def derivatives(self, u: Param, v: Param) -> Tuple[Components, ...]:
+        """(d_u, d_v, d_uu, d_uv, d_vv) at ``(u, v)``, each shaped like
+        ``position``: the ``partials`` handle's values, else central
+        differences of the immersion."""
+        if self.partials is not None:
+            return tuple(_components(d, u) for d in self.partials(u, v))
+        return tuple(_components(_partial(self.position, None, u, v, axes,
+                                          self.fd_step), u)
+                     for axes in ("u", "v", "uu", "uv", "vv"))
 
     def grid(self, nu: int, nv: int) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform parameter samples over the domain, ``nu`` by ``nv``."""

@@ -325,32 +325,20 @@ def canonical_leaf(kind: str, level: float) -> SurfacePatch:
     planes; ``z_const`` leaves are flat and minimal.  The ``z_const``
     parametrization is orthonormal: (u, v) -> (u e^{-level}, v e^{level}).
     """
-    zero = (0.0, 0.0, 0.0)
-    square = ((-1.0, 1.0), (-1.0, 1.0))
     if kind == "x_const":
-        return SurfacePatch(
-            immersion=lambda u, v: (level, u, v),
-            d_u=lambda u, v: (0.0, 1.0, 0.0),
-            d_v=lambda u, v: (0.0, 0.0, 1.0),
-            d_uu=lambda u, v: zero, d_uv=lambda u, v: zero,
-            d_vv=lambda u, v: zero,
-            domain=square, name=f"leaf_x={level:g}")
-    if kind == "y_const":
-        return SurfacePatch(
-            immersion=lambda u, v: (u, level, v),
-            d_u=lambda u, v: (1.0, 0.0, 0.0),
-            d_v=lambda u, v: (0.0, 0.0, 1.0),
-            d_uu=lambda u, v: zero, d_uv=lambda u, v: zero,
-            d_vv=lambda u, v: zero,
-            domain=square, name=f"leaf_y={level:g}")
-    if kind == "z_const":
-        eminus = math.exp(-level)
-        eplus = math.exp(level)
-        return SurfacePatch(
-            immersion=lambda u, v: (u * eminus, v * eplus, level),
-            d_u=lambda u, v: (eminus, 0.0, 0.0),
-            d_v=lambda u, v: (0.0, eplus, 0.0),
-            d_uu=lambda u, v: zero, d_uv=lambda u, v: zero,
-            d_vv=lambda u, v: zero,
-            domain=square, name=f"leaf_z={level:g}")
-    raise ValueError(f"unknown foliation kind {kind!r}")
+        immersion, d_u, d_v = ((lambda u, v: (level, u, v)),
+                               (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    elif kind == "y_const":
+        immersion, d_u, d_v = ((lambda u, v: (u, level, v)),
+                               (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    elif kind == "z_const":
+        eminus, eplus = math.exp(-level), math.exp(level)
+        immersion, d_u, d_v = ((lambda u, v: (u * eminus, v * eplus, level)),
+                               (eminus, 0.0, 0.0), (0.0, eplus, 0.0))
+    else:
+        raise ValueError(f"unknown foliation kind {kind!r}")
+    zero = (0.0, 0.0, 0.0)
+    return SurfacePatch(
+        immersion=immersion,
+        partials=lambda u, v: (d_u, d_v, zero, zero, zero),
+        domain=((-1.0, 1.0), (-1.0, 1.0)), name=f"leaf_{kind[0]}={level:g}")

@@ -149,10 +149,12 @@ class LocalGeometry:
     """Local extrinsic geometry of ``patch`` at the parameter point ``(u, v)``,
     or at N points when ``u`` and ``v`` are same-shape (N,) arrays.
 
-    The constructor evaluates the position and first partials, the unit
+    The constructor reads the position and all five partials (one call to
+    :meth:`~solgeo.patch.SurfacePatch.derivatives`) and evaluates the unit
     normal and the first fundamental form.  Every other attribute is
-    computed on first access and kept, so one record evaluates each patch
-    handle at most once and each derived quantity exactly once.
+    computed on first access and kept, so one record reads the position
+    and the partials once each and evaluates each derived quantity exactly
+    once.
 
     The arithmetic is closed-form and elementwise, written once: on Python
     floats with ``math`` at one point, on (N,) arrays with numpy at N
@@ -193,8 +195,7 @@ class LocalGeometry:
         self.patch, self.u, self.v = patch, u, v
         x, y, z = patch.position(u, v)
         self._ez = xp.exp(z)
-        self._du_c = patch.du(u, v)
-        self._dv_c = patch.dv(u, v)
+        self._du_c, self._dv_c, *self._second_c = patch.derivatives(u, v)
         self._du = du = self._frame(self._du_c)
         self._dv = dv = self._frame(self._dv_c)
         e, f, g = _dot(du, du), _dot(du, dv), _dot(dv, dv)
@@ -278,16 +279,15 @@ class LocalGeometry:
         """Frame components of the ambient derivatives of d_u along d_u,
         d_v along d_u and d_v along d_v: the second partials plus the
         ambient connection contracted with the first partials."""
-        patch, u, v = self.patch, self.u, self.v
         du, dv = self._du_c, self._dv_c
+        duu, duv, dvv = self._second_c
 
         def nabla(second, x, y):
             gamma = christoffel_contraction(self.point, x, y)
             return self._frame((second[0] + gamma[0], second[1] + gamma[1],
                                 second[2] + gamma[2]))
 
-        return (nabla(patch.duu(u, v), du, du), nabla(patch.duv(u, v), du, dv),
-                nabla(patch.dvv(u, v), dv, dv))
+        return (nabla(duu, du, du), nabla(duv, du, dv), nabla(dvv, dv, dv))
 
     @_computed_once
     def _second(self):

@@ -407,18 +407,13 @@ def vertical_cylinder_fixture() -> SurfacePatch:
         c, s = circle(u)
         return c, s, v
 
-    def d_u(u, v):
+    def partials(u, v):
         c, s = circle(u)
-        return -s, c, 0.0
+        zero = (0.0, 0.0, 0.0)
+        return (-s, c, 0.0), (0.0, 0.0, 1.0), (-c, -s, 0.0), zero, zero
 
-    def d_uu(u, v):
-        c, s = circle(u)
-        return -c, -s, 0.0
-
-    zero = (0.0, 0.0, 0.0)
     return SurfacePatch(
-        immersion=immersion, d_u=d_u, d_v=lambda u, v: (0.0, 0.0, 1.0),
-        d_uu=d_uu, d_uv=lambda u, v: zero, d_vv=lambda u, v: zero,
+        immersion=immersion, partials=partials,
         domain=((0.0, 2.0 * math.pi), (-1.0, 1.0)),
         name="vertical_cylinder")
 
@@ -428,11 +423,9 @@ def graph_patch_fixture() -> SurfacePatch:
     negative control."""
     return SurfacePatch(
         immersion=lambda u, v: (u, v, 0.1 * (u * u + v * v)),
-        d_u=lambda u, v: (1.0, 0.0, 0.2 * u),
-        d_v=lambda u, v: (0.0, 1.0, 0.2 * v),
-        d_uu=lambda u, v: (0.0, 0.0, 0.2),
-        d_uv=lambda u, v: (0.0, 0.0, 0.0),
-        d_vv=lambda u, v: (0.0, 0.0, 0.2),
+        partials=lambda u, v: ((1.0, 0.0, 0.2 * u), (0.0, 1.0, 0.2 * v),
+                               (0.0, 0.0, 0.2), (0.0, 0.0, 0.0),
+                               (0.0, 0.0, 0.2)),
         domain=((-1.0, 1.0), (-1.0, 1.0)),
         name="graph_patch")
 

@@ -123,14 +123,16 @@ def test_psi_and_phi_derivatives(explicit_profile, patch_x1):
     for u in (-2.5, -1.0, -0.2):
         th = theta_explicit(u)
         f = f_explicit(u)
-        _, phi1_prime, psi_prime = patch_x1.du(u, 0.0)
-        _, phi1_second, psi_second = patch_x1.duu(u, 0.0)
+        first, _, second, _, _ = patch_x1.derivatives(u, 0.0)
+        _, phi1_prime, psi_prime = first
+        _, phi1_second, psi_second = second
         assert abs(psi_prime - math.cos(th)) < 1e-14
         assert abs(psi_second - 2.0 * f * math.sin(th)) < 1e-13
         psi = explicit_profile.psi_at(u)
         assert abs(phi1_prime + math.sin(th) * math.exp(psi)) < 1e-12
         # second derivative against finite differences of the first
-        fd = central_diff(lambda s: patch_x1.du(s, 0.0)[1], u, 1e-6)
+        fd = central_diff(lambda s: patch_x1.derivatives(s, 0.0)[0][1], u,
+                          1e-6)
         assert abs(phi1_second - fd) < 1e-8
 
 
@@ -467,17 +469,22 @@ def test_family_surface_partials_match_finite_differences(
         explicit_profile, variant):
     patch = family_surface(explicit_profile, variant)
     h = 1e-6
+
+    def first(u, v):
+        return np.array(patch.derivatives(u, v)[:2])
+
     for u, v in ((-2.0, 0.3), (-0.7, -0.6)):
+        du, dv, duu, duv, dvv = patch.derivatives(u, v)
         fd_du = central_diff(lambda s: patch.immersion(s, v), u, h)
         fd_dv = central_diff(lambda t: patch.immersion(u, t), v, h)
-        assert np.allclose(patch.du(u, v), fd_du, atol=1e-8)
-        assert np.allclose(patch.dv(u, v), fd_dv, atol=1e-8)
-        fd_duu = central_diff(lambda s: patch.du(s, v), u, h)
-        fd_duv = central_diff(lambda t: patch.du(u, t), v, h)
-        fd_dvv = central_diff(lambda t: patch.dv(u, t), v, h)
-        assert np.allclose(patch.duu(u, v), fd_duu, atol=1e-7)
-        assert np.allclose(patch.duv(u, v), fd_duv, atol=1e-8)
-        assert np.allclose(patch.dvv(u, v), fd_dvv, atol=1e-8)
+        assert np.allclose(du, fd_du, atol=1e-8)
+        assert np.allclose(dv, fd_dv, atol=1e-8)
+        fd_duu = central_diff(lambda s: first(s, v)[0], u, h)
+        fd_duv = central_diff(lambda t: first(u, t)[0], v, h)
+        fd_dvv = central_diff(lambda t: first(u, t)[1], v, h)
+        assert np.allclose(duu, fd_duu, atol=1e-7)
+        assert np.allclose(duv, fd_duv, atol=1e-8)
+        assert np.allclose(dvv, fd_dvv, atol=1e-8)
 
 
 def test_family_surface_mean_curvature_handles(explicit_profile, patch_x1):
@@ -504,16 +511,13 @@ def test_family_handles_evaluate_the_profile_once(monkeypatch,
     for name in ("theta_explicit", "f_explicit", "psi_explicit"):
         monkeypatch.setattr(biconservative_family, name, counted(name))
     patch = family_surface(explicit_profile, "x1")
-    patch.du(-1.0, 0.2)
-    assert calls == {"theta_explicit": 1, "psi_explicit": 1}
-    calls.clear()
-    patch.duu(-1.0, 0.2)
+    patch.derivatives(-1.0, 0.2)
     assert calls == {"theta_explicit": 1, "f_explicit": 1, "psi_explicit": 1}
     calls.clear()
-    # two one-point records, each reading position, du and duu once
+    # two one-point records, each reading position and the partials once
     shape_data(patch, -1.0, 0.2)
     biconservative_residual(patch, -1.0, 0.2)
-    assert calls == {"theta_explicit": 4, "f_explicit": 2, "psi_explicit": 6}
+    assert calls == {"theta_explicit": 2, "f_explicit": 2, "psi_explicit": 4}
 
 
 def test_mirrored_variant_swaps_roles(explicit_profile):
@@ -606,12 +610,13 @@ def _closed_forms(profile):
          + np.log1p(np.exp(4.0 * a * u)) / (2.0 * a) + abs(c0)),
         ("Phi1", profile.phi1_at, lambda u, value: np.abs(value)
          + math.exp(c0) / a * abs(profile._g_u0)),
-        ("psi'", lambda u: patch.du(u, 0.0)[2],
+        ("psi'", lambda u: patch.derivatives(u, 0.0)[0][2],
          lambda u, value: np.ones_like(u)),
-        ("psi''", lambda u: patch.duu(u, 0.0)[2],
+        ("psi''", lambda u: patch.derivatives(u, 0.0)[2][2],
          lambda u, value: 2.0 * f_explicit(u)),
-        ("Phi1'", lambda u: patch.du(u, 0.0)[1], lambda u, value: grows(u)),
-        ("Phi1''", lambda u: patch.duu(u, 0.0)[1],
+        ("Phi1'", lambda u: patch.derivatives(u, 0.0)[0][1],
+         lambda u, value: grows(u)),
+        ("Phi1''", lambda u: patch.derivatives(u, 0.0)[2][1],
          lambda u, value: grows(u) * (2.0 * f_explicit(u) + 1.0)),
         ("K", gaussian_curvature_closed_form, itself),
     ]
@@ -672,8 +677,8 @@ def test_implicit_array_hermite_matches_per_point(implicit_solution):
     evaluators = [(name, getattr(implicit_solution, name)) for name in
                   ("theta_at", "f_at", "f_prime_at", "psi_at", "phi1_at")]
     # (Phi1', Psi') and (Phi1'', Psi''): components 1 and 2 of the x1 patch
-    evaluators += [("du", lambda x: patch.du(x, 0.0)[1:]),
-                   ("duu", lambda x: patch.duu(x, 0.0)[1:])]
+    evaluators += [("d_u", lambda x: patch.derivatives(x, 0.0)[0][1:]),
+                   ("d_uu", lambda x: patch.derivatives(x, 0.0)[2][1:])]
     for name, evaluate in evaluators:
         batch = np.asarray(evaluate(u))
         floats = np.array([evaluate(float(x)) for x in u]).T

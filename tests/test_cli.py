@@ -196,6 +196,22 @@ def test_config_integer_fields(tmp_path, capsys, values):
     assert not (tmp_path / "mesh.obj").exists()
 
 
+@pytest.mark.parametrize("command,values,message", [
+    ("curvature", {"point": 5}, "point must be a string, got 5"),
+    ("curvature", {"plane": ["E1", "E3"]},
+     "plane must be a string, got ['E1', 'E3']"),
+    ("verify", {"output": 3, "suite": "polynomial"},
+     "output must be a string or null, got 3"),
+    ("curvature", {"as_json": "no"}, "as_json must be true or false, got 'no'"),
+])
+def test_config_string_and_bool_fields(tmp_path, capsys, command, values,
+                                       message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert run([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--u-min", "1", "--u-max", "-1"],
     ["generate", "--nu", "1"],
@@ -211,6 +227,10 @@ def test_config_integer_fields(tmp_path, capsys, values):
     ["profile", "--kind", "implicit", "--u-min", "0", "--u-max", "0.5",
      "--step", "nan"],
     ["generate", "--u0=nan"],
+    ["profile", "--u0", "0.5"],
+    ["profile", "--u0", "0"],
+    ["profile", "--kind", "implicit", "--u-min", "0", "--u-max", "0.5",
+     "--u0", "-0.25"],
     ["generate", "--u-min=-inf"],
     ["generate", "--v-max", "inf"],
     ["curvature", "--point", "nan,0,0"],

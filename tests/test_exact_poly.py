@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -149,6 +150,31 @@ def test_root_isolation_edges_of_half_open_range():
     roots = real_roots_interval(p, 1, 3)
     assert len(roots) == 1
     assert roots[0][0] < 2 <= roots[0][1]
+
+
+@pytest.mark.parametrize("max_width", [0, -1, math.nan])
+def test_root_isolation_rejects_nonpositive_width(max_width):
+    p = IntPolynomial([-2, 0, 1])
+    with pytest.raises(ValueError, match="^max_width must be positive"):
+        real_roots_interval(p, 0, 2, max_width)
+
+
+@pytest.mark.parametrize("lo,hi,name", [
+    (math.nan, 2, "lo"), (-math.inf, 2, "lo"), (0, math.nan, "hi"),
+    (0, math.inf, "hi")])
+def test_root_isolation_rejects_infinite_bounds(lo, hi, name):
+    p = IntPolynomial([-2, 0, 1])
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        real_roots_interval(p, lo, hi)
+
+
+def test_root_isolation_reaches_any_positive_width():
+    # about a thousand bisections, past any recursion limit
+    p = IntPolynomial([-2, 0, 1])
+    for max_width in (1e-300, Fraction(1, 2 ** 1100)):
+        (a, b), = real_roots_interval(p, 0, 2, max_width)
+        assert 0 < b - a <= max_width
+        assert a * a < 2 <= b * b
 
 
 linear_factors = st.tuples(st.integers(min_value=1, max_value=6),

@@ -88,14 +88,23 @@ def test_adapted_frame_needs_gradient_or_override():
     assert abs(s.theta - math.pi / 2.0) < 1e-12
 
 
+def _with_first_partials(patch, first):
+    """``patch`` whose partials handle takes its first partials from
+    ``first(u, v, d_u, d_v)`` and its second partials from ``patch``."""
+    def partials(u, v):
+        du, dv, *seconds = patch.derivatives(u, v)
+        return (*first(u, v, du, dv), *seconds)
+    return dataclasses.replace(patch, partials=partials)
+
+
 def test_nan_partial_is_degenerate(patch_x1):
-    patch = dataclasses.replace(patch_x1,
-                                d_u=lambda u, v: np.full(3, math.nan))
+    patch = _with_first_partials(
+        patch_x1, lambda u, v, du, dv: (np.full(3, math.nan), dv))
     with pytest.raises(DegenerateParametrizationError):
         LocalGeometry(patch, -1.0, 0.3)
     # parallel partials span no plane either
-    patch = dataclasses.replace(
-        patch_x1, d_v=lambda u, v: tuple(-2.0 * c for c in patch_x1.du(u, v)))
+    patch = _with_first_partials(
+        patch_x1, lambda u, v, du, dv: (du, tuple(-2.0 * c for c in du)))
     with pytest.raises(DegenerateParametrizationError):
         LocalGeometry(patch, -1.0, 0.3)
 
@@ -201,9 +210,7 @@ def test_local_geometry_reads_each_handle_once(patch_x1):
 
     patch = dataclasses.replace(
         patch_x1, immersion=counted("position", patch_x1.immersion),
-        d_u=counted("du", patch_x1.d_u), d_v=counted("dv", patch_x1.d_v),
-        d_uu=counted("duu", patch_x1.d_uu), d_uv=counted("duv", patch_x1.d_uv),
-        d_vv=counted("dvv", patch_x1.d_vv))
+        partials=counted("partials", patch_x1.partials))
     u, v = -1.0, 0.3
     geo = LocalGeometry(patch, u, v)
     for name in ("first", "second", "A", "h", "K", "principal_curvatures",
@@ -213,7 +220,7 @@ def test_local_geometry_reads_each_handle_once(patch_x1):
     frame = geo.adapted_frame()
     geo.laplacian(lambda s, t: s * s + t)
     assert {key[0] for key in calls if key[1:] == (u, v)} \
-        == {"position", "du", "dv", "duu", "duv", "dvv"}
+        == {"position", "partials"}
     assert max(calls.values()) == 1
 
     sd = shape_data(patch, u, v)
@@ -246,14 +253,14 @@ def _numpy_record(patch, u, v, dh):
         return np.array([ez * c[0], c[1] / ez, c[2]])
 
     point = Point(*pos)
-    firsts = (patch.du(u, v), patch.dv(u, v))
+    du, dv, duu, duv, dvv = patch.derivatives(u, v)
+    firsts = (du, dv)
     du_f, dv_f = (to_frame(c) for c in firsts)
     cross = np.cross(du_f, dv_f)
     xi_f = patch.orientation * cross / np.linalg.norm(cross)
     first = np.array([[du_f @ du_f, du_f @ dv_f], [dv_f @ du_f, dv_f @ dv_f]])
     gamma = christoffel(point)
-    duv = patch.duv(u, v)
-    seconds = ((patch.duu(u, v), duv), (duv, patch.dvv(u, v)))
+    seconds = ((duu, duv), (duv, dvv))
     nab = np.array([[to_frame(seconds[i][j] + np.einsum(
         "kab,a,b->k", gamma, firsts[i], firsts[j])) for j in range(2)]
         for i in range(2)])
@@ -362,12 +369,12 @@ def test_n_point_record_matches_one_point_records(patch_x1, patch_x2):
 def test_n_point_record_names_the_first_degenerate_point(patch_x1):
     # NaN partials on the line u = -2 and parallel ones on u = -1; the
     # first in u-major order is (-2, 0.5)
-    def d_v(u, v):
-        return tuple(np.where(u == -2.0, math.nan,
-                              np.where(u == -1.0, -2.0 * a, b))
-                     for a, b in zip(patch_x1.du(u, v), patch_x1.dv(u, v)))
+    def first(u, v, du, dv):
+        return du, tuple(np.where(u == -2.0, math.nan,
+                                  np.where(u == -1.0, -2.0 * a, b))
+                         for a, b in zip(du, dv))
 
-    patch = dataclasses.replace(patch_x1, d_v=d_v)
+    patch = _with_first_partials(patch_x1, first)
     u = np.array([-3.0, -3.0, -2.0, -2.0, -1.0])
     v = np.array([0.0, 0.5, 0.5, 0.7, 0.1])
     with pytest.raises(DegenerateParametrizationError,

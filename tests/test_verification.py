@@ -104,9 +104,11 @@ def test_cmc_rigidity_classifications():
 def _nan_duu_where(patch, bad_u):
     """``patch`` with d_uu NaN on the parameter line u == bad_u, at one
     point or at N points."""
-    return dataclasses.replace(
-        patch, d_uu=lambda u, v: tuple(np.where(u == bad_u, math.nan, c)
-                                       for c in patch.duu(u, v)))
+    def partials(u, v):
+        du, dv, duu, duv, dvv = patch.derivatives(u, v)
+        return (du, dv, tuple(np.where(u == bad_u, math.nan, c)
+                              for c in duu), duv, dvv)
+    return dataclasses.replace(patch, partials=partials)
 
 
 def test_nan_floor_fails():
@@ -222,7 +224,7 @@ def test_ambient_oracle_keeps_the_per_triple_draw_order(seed):
 def test_vertical_cylinder_fixture_is_vertical():
     patch = vertical_cylinder_fixture()
     for u in (0.3, 2.0):
-        assert np.allclose(patch.dv(u, 0.0), [0.0, 0.0, 1.0])
+        assert np.allclose(patch.derivatives(u, 0.0)[1], [0.0, 0.0, 1.0])
 
 
 def test_rotated_leaf_breaks_second_identity():

@@ -23,7 +23,16 @@ Phi1 into an incomplete beta integral,
     G(u) = e^{(2 a1 - 1) u} / p * 2F1(p, 2p; p + 1; -e^{4 a1 u}),
 
 which uses (2 a1 - 1)/(4 a1) = p and 1 - 1/(2 a1) = 2p, both consequences
-of 3 a1^2 + a1 - 1 = 0.
+of 3 a1^2 + a1 - 1 = 0.  Pfaff's transformation (DLMF 15.8.1; Abramowitz
+and Stegun 15.3.4) moves the argument into (0, 1/2]: with x = w / (1 + w),
+
+    2F1(p, 2p; p + 1; -w) = (1 + w)^{-p} 2F1(p, 1 - p; p + 1; x),
+
+and on u < 0, where w lies in (0, 1), x < 1/2.  The right-hand 2F1 is
+summed as a fixed polynomial: 52 Taylor coefficients, from the term ratio
+(p + k)(1 - p + k) / ((p + 1 + k)(k + 1)), by Horner's rule.  The
+coefficients shrink in magnitude, so even at x = 1/2 the dropped tail is
+below 1e-18 (2^-59.9) relative, under a hundredth of an ulp of the sum.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .numerics import (first_false, hermite_basis, hermite_eval, namespace,
                        piecewise)
@@ -44,6 +52,7 @@ from .patch import ScalarField, SurfacePatch
 __all__ = [
     "EXPLICIT",
     "IMPLICIT",
+    "PHI1_U_MIN",
     "FamilyConstants",
     "CONSTANTS",
     "ProfileAngleError",
@@ -189,22 +198,42 @@ def psi_anchor(u0: float) -> float:
 
 
 _P = (1.0 - 3.0 * CONSTANTS.a1) / 4.0
-# The largest exponent whose e^x is finite: math.exp raises above it.
-_EXP_MAX = math.log(sys.float_info.max)
+# G(u) is finite exactly on u > PHI1_U_MIN (about -5378.66): below it
+# |G| ~ e^{(2 a1 - 1) u} / |p| exceeds the largest double.  The explicit
+# Phi1 is finite wherever G is, since e^{c0} / (2 a1) < 1.
+PHI1_U_MIN = (-(math.log(sys.float_info.max) + math.log(-_P))
+              / (1.0 - 2.0 * CONSTANTS.a1))
+
+
+def _pfaff_coefficients(count: int) -> Tuple[float, ...]:
+    """The first ``count`` Taylor coefficients of 2F1(p, 1 - p; p + 1; x),
+    highest degree first, as Horner's rule reads them."""
+    coefficients = [1.0]
+    for k in range(count - 1):
+        coefficients.append(coefficients[-1] * (_P + k) * (1.0 - _P + k)
+                            / ((_P + 1.0 + k) * (k + 1.0)))
+    return tuple(reversed(coefficients))
+
+
+_PFAFF_SERIES = _pfaff_coefficients(52)
 
 
 def _phi1_primitive(u):
     # G(u) of the module docstring, with w^p written as e^{(2 a1 - 1) u}
-    # so that it never underflows on u < 0.
-    a = CONSTANTS.a1
-    x = (2.0 * a - 1.0) * u
+    # so that it never underflows on u < 0, and its 2F1 factor in Pfaff's
+    # form 2F1(p, 1 - p; p + 1; w / (1 + w)) / (1 + w)^p.
     # NaN passes, as it passes through math.exp
-    bad = first_false((x <= _EXP_MAX) | (x != x))
+    bad = first_false((u > PHI1_U_MIN) | (u != u))
     if bad is not None:
         raise ValueError(f"Phi1 overflows at u = {np.ravel(u)[bad]:g}")
+    a = CONSTANTS.a1
     xp = namespace(u)
-    return xp.exp(x) / _P * hyp2f1(_P, 2.0 * _P, _P + 1.0,
-                                   -xp.exp(4.0 * a * u))
+    w = xp.exp(4.0 * a * u)
+    x = w / (1.0 + w)
+    series = _PFAFF_SERIES[0]
+    for coefficient in _PFAFF_SERIES[1:]:
+        series = series * x + coefficient
+    return xp.exp((2.0 * a - 1.0) * u) / _P * (series / (1.0 + w) ** _P)
 
 
 def _phi1_explicit(u, g0: float, c0: float):
@@ -620,10 +649,14 @@ def build_profile(kind: str, c: Optional[float] = None,
         if grid[-1] >= 0.0:
             raise ValueError("explicit profiles live on u < 0")
         c0, g0 = psi_anchor(anchor), _phi1_primitive(anchor)
-        theta = np.array([theta_explicit(x) for x in grid])
-        f = np.array([f_explicit(x) for x in grid])
-        psi = np.array([psi_explicit(x, c0) for x in grid])
-        phi1 = np.array([_phi1_explicit(x, g0, c0) for x in grid])
+        # One float evaluation per sample, not one array call per column:
+        # numpy's exp, cosh and log1p can round differently from math's in
+        # the last place, and each sample must be the value the dense
+        # evaluators return at its u as a float, bit for bit (so that
+        # Phi1(u0) = 0 exactly).
+        theta, f, psi, phi1 = np.array([
+            (theta_explicit(x), f_explicit(x), psi_explicit(x, c0),
+             _phi1_explicit(x, g0, c0)) for x in grid.tolist()]).T
         return ProfileSolution(kind=EXPLICIT, u=grid, theta=theta, f=f,
                                psi=psi, phi1=phi1, u0=anchor, c0=c0)
 

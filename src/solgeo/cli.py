@@ -20,10 +20,10 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .biconservative_family import (EXPLICIT, IMPLICIT, ProfileAngleError,
-                                    ProfileSolution, build_profile,
-                                    family_surface, family_vertices,
-                                    profile_to_csv)
+from .biconservative_family import (EXPLICIT, IMPLICIT, PHI1_U_MIN,
+                                    ProfileAngleError, ProfileSolution,
+                                    build_profile, family_surface,
+                                    family_vertices, profile_to_csv)
 from .sol_space import (FRAME, Point, TangentVector, curvature_tensor,
                         frame_vector, sectional_curvature)
 from .verification import SUITE_NAMES, reports_to_json, run_suite
@@ -101,6 +101,12 @@ class RunConfig:
             if self.u0 is not None and self.u0 >= 0:
                 raise UsageError(f"explicit anchors need u0 < 0, got "
                                  f"{self.u0!r}")
+            for name in ("u_min", "u0"):
+                value = getattr(self, name)
+                if value is not None and value <= PHI1_U_MIN:
+                    raise UsageError(
+                        f"{name} must be above {PHI1_U_MIN!r}, where the "
+                        f"explicit Phi1 overflows, got {value!r}")
         if self.kind == IMPLICIT:
             if self.u_min < 0:
                 raise UsageError("implicit profiles start at u >= 0")

@@ -30,6 +30,7 @@ from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from .biconservative_family import (CONSTANTS, EXPLICIT, ProfileSolution,
                                     build_profile, f_explicit,
@@ -671,7 +672,7 @@ def check_polynomial_obstruction() -> CheckReport:
 
 
 def _ambient_reports(seed: int) -> List[CheckReport]:
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     p = Point(*rng.uniform(-5.0, 5.0, size=(100, 3)).T)
     ctx = {"points": len(p.z), "seed": seed}
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import hyp2f1
 
 from solgeo import biconservative_family
 from solgeo.biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
@@ -53,6 +54,8 @@ IMPLICIT_ROOTS = {
 }
 
 profile_u = st.floats(min_value=-8.0, max_value=-0.01)
+
+EPS = np.finfo(float).eps
 
 
 def test_constants():
@@ -159,6 +162,77 @@ def test_explicit_phi1_far_from_the_anchor():
         profile.phi1_at(-6000.0)
     with pytest.raises(ValueError, match="overflows at u = -6000"):
         build_profile(EXPLICIT, u_grid=[-2.0, -1.0], u0=-6000.0)
+
+
+def _phi1_primitive_oracle(u):
+    # G(u) of the module docstring through scipy's 2F1 at -w itself, the
+    # form the Pfaff series replaces
+    a = CONSTANTS.a1
+    p = (1.0 - 3.0 * a) / 4.0
+    return np.exp((2.0 * a - 1.0) * u) / p * hyp2f1(p, 2.0 * p, p + 1.0,
+                                                    -np.exp(4.0 * a * u))
+
+
+phi1_u = st.floats(min_value=-5000.0, max_value=-1e-300)
+
+
+@given(phi1_u)
+def test_phi1_series_matches_hyp2f1_on_floats(u):
+    got = biconservative_family._phi1_primitive(u)
+    assert isinstance(got, float)
+    want = float(_phi1_primitive_oracle(np.float64(u)))
+    assert abs(got - want) <= 2e-15 * abs(want)
+
+
+@given(st.lists(phi1_u, min_size=1, max_size=30))
+def test_phi1_series_matches_hyp2f1_on_arrays(us):
+    u = np.array(us)
+    got = biconservative_family._phi1_primitive(u)
+    assert got.shape == u.shape
+    np.testing.assert_allclose(got, _phi1_primitive_oracle(u), rtol=2e-15,
+                               atol=0.0)
+
+
+@given(phi1_u)
+def test_phi1_series_float_and_one_element_array_agree(u):
+    # numpy's exp and power may each differ from libm's by an ulp, and the
+    # division by p can widen that: 3 ulps at most over 200,000 u
+    one = biconservative_family._phi1_primitive(u)
+    batch = biconservative_family._phi1_primitive(np.array([u]))
+    assert abs(batch[0] - one) <= 4.0 * EPS * abs(one)
+
+
+def test_phi1_series_where_it_converges_slowest():
+    # u -> 0- sends the Pfaff argument w / (1 + w) to 1/2; the 40-digit
+    # values are G(0-) = 2F1(p, 2p; p + 1; -1) / p, G(-1e-9) and G(-0.5)
+    want_at_zero = -13.071680245872539534
+    for u in (-5e-324, -1e-300, -1e-16):
+        got = biconservative_family._phi1_primitive(u)
+        assert abs(got - want_at_zero) <= 2e-15 * abs(want_at_zero)
+        assert abs(got - _phi1_primitive_oracle(u)) <= 2e-15 * abs(got)
+    got = biconservative_family._phi1_primitive(np.array([-1e-9, -0.5]))
+    np.testing.assert_allclose(got, [-13.071680247801754576,
+                                     -14.040812797863907687],
+                               rtol=2e-15, atol=0.0)
+
+
+def test_phi1_series_at_the_overflow_bound():
+    bound = biconservative_family.PHI1_U_MIN
+    assert -5378.66 < bound < -5378.65
+    # G is finite just above the bound, on both paths, and still the oracle
+    above = math.nextafter(bound, 0.0)
+    for u in (above, np.array([above, -5000.0])):
+        got = biconservative_family._phi1_primitive(u)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, _phi1_primitive_oracle(u),
+                                   rtol=2e-15, atol=0.0)
+    # at and below it, including u = -5390 where e^{(2 a1 - 1) u} is
+    # still finite but G is not, the closed form refuses
+    for u in (bound, -5390.0, np.array([-1.0, -5390.0])):
+        with pytest.raises(ValueError, match="Phi1 overflows at u = "):
+            biconservative_family._phi1_primitive(u)
+    with pytest.raises(ValueError, match="overflows at u = -5390$"):
+        build_profile(EXPLICIT, u_grid=[-2.0, -1.0], u0=-5390.0)
 
 
 def test_explicit_profile_rejects_rounded_angle():
@@ -577,9 +651,6 @@ def test_profile_to_csv_implicit_footer(implicit_solution, tmp_path):
 def test_profile_to_csv_deterministic(explicit_profile):
     assert profile_to_csv(explicit_profile) == profile_to_csv(
         explicit_profile)
-
-
-EPS = np.finfo(float).eps
 
 
 def _closed_forms(profile):

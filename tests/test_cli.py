@@ -255,6 +255,33 @@ def test_theta_start_outside_the_quadrant_names_the_field(capsys):
     assert "theta_start must lie in (pi/2, pi)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["profile", "--u0", "-6000"], "u0"),
+    (["profile", "--u-min", "-6000", "--u-max", "-5999", "--nu", "3"],
+     "u_min"),
+    (["generate", "--u-min", "-6000", "--nu", "2"], "u_min"),
+    # e^{(2 a1 - 1) u} is finite down to u = -5398.3, but G is not
+    (["profile", "--u0", "-5390", "--nu", "2"], "u0"),
+])
+def test_explicit_phi1_overflow_is_usage_error(argv, field, tmp_path,
+                                                capsys):
+    mesh = tmp_path / "mesh.obj"
+    argv = argv + (["--output", str(mesh)] if argv[0] == "generate" else [])
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be above -5378.6584")
+    assert "where the explicit Phi1 overflows" in err
+    assert err.count("\n") == 1
+    assert not mesh.exists()
+
+
+def test_explicit_anchor_just_above_the_phi1_bound(capsys):
+    assert run(["profile", "--u0", "-5378.65", "--nu", "2"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    # e^{c0} underflows against a G near the largest double: Phi1 is +0
+    assert [row.split(",")[4] for row in rows] == ["0.000000000000"] * 2
+
+
 def test_explicit_grid_where_theta_stops_decreasing(tmp_path, capsys):
     mesh = tmp_path / "mesh.obj"
     assert run(["generate", "--u-min", "-100", "--output", str(mesh)]) == 2

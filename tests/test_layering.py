@@ -1,10 +1,10 @@
 """No solgeo module imports another module's private (underscore) names
 or reads them as attributes, every public kernel in ``solgeo.numerics``
 has a caller elsewhere in the package, the package imports exactly the
-third-party packages it declares, scipy serves only the profile family,
-the surface calculus leaves finite differences to the patch and the
-curvature trace to its closed form, and the obstruction polynomial is
-formed in exact_poly only."""
+third-party packages it declares, no module imports scipy, the surface
+calculus leaves finite differences to the patch and the curvature trace
+to its closed form, and the obstruction polynomial is formed in
+exact_poly only."""
 
 import ast
 import os
@@ -126,30 +126,29 @@ def test_import_loads_no_mpmath():
     assert out.strip() == "False"
 
 
-def test_import_loads_no_scipy_optimize_or_linalg():
+def test_import_loads_no_scipy_module():
     code = ("import sys, solgeo.cli; "
-            "print(sorted(name for name in ('scipy.optimize', 'scipy.linalg') "
-            "if name in sys.modules))")
+            "print(sorted(name for name in sys.modules "
+            "if name.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
 
 
-def test_scipy_is_imported_only_for_hyp2f1():
-    found = {}
+def test_no_module_imports_scipy():
+    found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
+                names = [node.module]
             else:
                 continue
-            found.setdefault(path.name, set()).update(
-                name for name in names if name.split(".")[0] == "scipy")
-    assert {module: names for module, names in found.items() if names} == {
-        "biconservative_family.py": {"scipy.special.hyp2f1"}}
+            found.extend(f"{path.name}:{node.lineno} imports {name}"
+                         for name in names if name.split(".")[0] == "scipy")
+    assert found == []
 
 
 def _imported_names(path: Path):

@@ -10,7 +10,10 @@ implemented:
   positive root of 3 a^2 + a - 1 = 0; here f = a1 sin(theta).
 * ``implicit``: a one-parameter family where f solves
   (f - a1 sin theta)^{6 a2} = c (f - a2 sin theta)^{6 a1} at every angle;
-  the profile is integrated numerically from theta' = -2 f.
+  since theta' = -2 f(theta; c) is autonomous, the profile is the
+  quadrature u(theta) = int_theta^theta0 dphi / (2 f(phi)), summed by a
+  Gauss-Legendre rule on theta-panels and inverted at the samples by
+  Newton's method, every root solve over one array of angles.
 
 From a profile the quadratures Psi = int cos(theta) and
 Phi1 = -int sin(theta) e^{Psi} build the two immersion variants: one with
@@ -37,7 +40,6 @@ below 1e-18 (2^-59.9) relative, under a hundredth of an ulp of the sum.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -255,10 +257,11 @@ def gaussian_curvature_closed_form(u):
     return -namespace(w).tanh(w) ** 2 - 2.0 * CONSTANTS.a1 * s * s
 
 
-def solve_f(theta: float, c: float) -> float:
+def solve_f(theta, c: float):
     """Mean curvature at angle theta on the implicit-family branch.
 
-    Solves 6 a2 ln(f - a1 y) - 6 a1 ln(f - a2 y) = ln c with y = sin(theta)
+    ``theta`` is a float or an array (one angle per entry).  Solves
+    6 a2 ln(f - a1 y) - 6 a1 ln(f - a2 y) = ln c with y = sin(theta)
     on the branch f > a1 y > 0; the logarithmic form keeps the non-integer
     powers real.  The relation is homogeneous: with g = f / y and
     s = ln(g - a1) it reads
@@ -275,41 +278,55 @@ def solve_f(theta: float, c: float) -> float:
     The iterate is t = s + ln y = ln(f - a1 y), the same concave F shifted
     by ln y.  Stored as s, the variable would grow like -ln y as theta
     approaches pi and its rounding alone would cost f several ulps; t
-    stays near ln f.  The iteration stops at a step below 1e-15 of
+    stays near ln f.  An entry stops at a step below 1e-15 of
     max(1, |t|), a round-off floor it reaches in three to five steps for
-    c in [1e-6, 1e6], and raises if it has not stopped after 50.
+    c in [1e-6, 1e6], and is held there while the other entries go on;
+    the solve raises if some entry has not stopped after 50 steps.  A
+    float takes ``math``'s exp and log, an array numpy's, so an array
+    entry can differ from the float solve by an ulp or two.
 
     A root with f <= a1 y (1 + 1e-14), that is g - a1 below double
     resolution (c above about 4e66 at theta = 2.2), counts as no root and
     raises ``ValueError``, as does a non-finite theta or c.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
+    xp = namespace(theta)
+    bad = first_false(xp.isfinite(theta))
+    if bad is not None:
+        raise ValueError(f"theta must be finite, got {_entry(theta, bad)!r}")
     if not 0.0 < c < math.inf:
         raise ValueError(f"the family constant c must be finite and "
                          f"positive, got {c!r}")
-    y = math.sin(theta)
-    if not y > 0.0:
+    y = xp.sin(theta)
+    if first_false(y > 0.0) is not None:
         raise ValueError("sin(theta) must be positive on the solution branch")
     a1, a2 = CONSTANTS.a1, CONSTANTS.a2
     log_c = math.log(c)
     gap = (a1 - a2) * y
-    t = (log_c + 6.0 * a1 * math.log(gap)) / (6.0 * a2)
+    t = (log_c + 6.0 * a1 * xp.log(gap)) / (6.0 * a2)
+    done = False
     for _ in range(50):
-        e = math.exp(t)
-        step = ((6.0 * a2 * t - 6.0 * a1 * math.log(e + gap) - log_c)
+        e = xp.exp(t)
+        step = ((6.0 * a2 * t - 6.0 * a1 * xp.log(e + gap) - log_c)
                 / (6.0 * a2 - 6.0 * a1 * e / (e + gap)))
-        t -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(t)):
+        t = t - xp.where(done, 0.0, step)
+        done = done | (abs(step) <= 1e-15 * xp.maximum(1.0, abs(t)))
+        if first_false(done) is None:
             break
     else:
         raise ValueError(f"Newton iteration for f did not converge at "
-                         f"theta = {theta!r}, c = {c!r}")
-    f = a1 * y + math.exp(t)
-    if f <= a1 * y * (1.0 + 1e-14):
+                         f"theta = {_entry(theta, first_false(done))!r}, "
+                         f"c = {c!r}")
+    f = a1 * y + xp.exp(t)
+    bad = first_false(f > a1 * y * (1.0 + 1e-14))
+    if bad is not None:
         raise ValueError(f"no root above f = a1 sin(theta) at "
-                         f"theta = {theta:g}, c = {c:g}")
+                         f"theta = {_entry(theta, bad):g}, c = {c:g}")
     return f
+
+
+def _entry(x, k: int) -> float:
+    """Entry ``k`` of ``x`` in point order, or ``x`` itself for a float."""
+    return float(np.ravel(x)[k])
 
 
 def f_prime_implicit(theta, f):
@@ -452,77 +469,16 @@ class ProfileSolution:
                                 self.phi1))
 
 
-# The most steps one implicit march takes: u_span / step above this raises.
-# It is 1000 times the 1500 steps of a march over u_span 1.5 at step 1e-3.
+# The most samples one implicit profile holds: min(u*, u_span) / step above
+# this raises.  It is 1000 times the 1500 samples of u_span 1.5 at step 1e-3.
 MAX_MARCH_STEPS = 10 ** 6
 
-
-def _march_theta(c: float, theta_start: float, u_span: float, step: float):
-    """Fixed-step classical Runge-Kutta march of theta' = -2 f(theta; c).
-
-    Returns node lists and the halt reason.  A schedule of more than
-    ``MAX_MARCH_STEPS`` steps raises ``ValueError`` when the march accepts
-    its first step; a march that halts before that has done no work and
-    returns as usual.  ``f`` is solved once per
-    angle: the value at an accepted sample is stored and reused as the
-    next step's first stage, so a step costs four root solves.
-    The march halts with ``angle_degenerate`` when an accepted angle
-    leaves the quadrant (sin theta cos theta reaching 0, checked before
-    solving) or a stage angle has sin theta <= 0, where the branch has no
-    f.  Inside the quadrant the slope and concavity constraints hold by
-    themselves: :func:`solve_f` returns f > a1 sin theta > 0, so
-    theta' = -2 f < 0, and sin 2 theta < 0 there, so
-    f' = -f sin 2 theta / (3 f + sin theta) > 0 and theta'' < 0.
-    """
-
-    def leaves_quadrant(theta: float) -> bool:
-        return math.sin(theta) <= 0.0 or math.cos(theta) >= 0.0
-
-    theta = theta_start
-    f = solve_f(theta, c)
-    us, thetas, fs = [0.0], [theta], [f]
-    if leaves_quadrant(theta):
-        return us, thetas, fs, "angle_degenerate"
-
-    too_long = u_span / step > MAX_MARCH_STEPS
-    n_full = int(math.floor(u_span / step + 1e-9))
-    remainder = u_span - n_full * step
-    # generated, not listed: n_full may exceed any list's length
-    sizes = itertools.chain((step for _ in range(n_full)),
-                            [remainder] if remainder > 1e-10 * step else [])
-    u = 0.0
-    for h in sizes:
-        k1 = -2.0 * f
-        if math.sin(stage := theta + 0.5 * h * k1) <= 0.0:
-            return us, thetas, fs, "angle_degenerate"
-        k2 = -2.0 * solve_f(stage, c)
-        if math.sin(stage := theta + 0.5 * h * k2) <= 0.0:
-            return us, thetas, fs, "angle_degenerate"
-        k3 = -2.0 * solve_f(stage, c)
-        if math.sin(stage := theta + h * k3) <= 0.0:
-            return us, thetas, fs, "angle_degenerate"
-        k4 = -2.0 * solve_f(stage, c)
-        theta_new = theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if leaves_quadrant(theta_new):
-            return us, thetas, fs, "angle_degenerate"
-        f_new = solve_f(theta_new, c)
-        if too_long:
-            raise ValueError(
-                f"step {step!r} is too small for u_span {u_span!r}: the "
-                f"march would take more than {MAX_MARCH_STEPS} steps")
-        u += h
-        theta, f = theta_new, f_new
-        us.append(u)
-        thetas.append(theta)
-        fs.append(f)
-    return us, thetas, fs, "span_exhausted"
-
-
-# The 8-node Gauss-Legendre rule on [-1, 1] for the per-step quadratures
-# of Psi and Phi1, and the Hermite basis at its nodes in a step's unit
-# parameter t = (x + 1) / 2.  The values are numpy.polynomial.legendre.
-# leggauss(8) exactly (tests compare them); calling it here would load
-# numpy's LAPACK on import, which costs about 1 MB of resident memory.
+# The 8-node Gauss-Legendre rule on [-1, 1] for the quadrature of u(theta)
+# and the per-step quadratures of Psi and Phi1, and the Hermite basis at
+# its nodes in a step's unit parameter t = (x + 1) / 2.  The values are
+# numpy.polynomial.legendre.leggauss(8) exactly (tests compare them);
+# calling it here would load numpy's LAPACK on import, which costs about
+# 1 MB of resident memory.
 _GAUSS_NODES = np.array([
     -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
     -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
@@ -532,6 +488,109 @@ _GAUSS_WEIGHTS = np.array([
     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
     0.22238103445337443, 0.10122853629037706])
 _GAUSS_BASIS = hermite_basis(0.5 * (_GAUSS_NODES + 1.0))
+
+# theta-panels of the quadrature u(theta) over the quadrant; the rule on
+# half as many panels gives theta_error_estimate.  The integrand 1 / (2 f)
+# is analytic there, and 16 panels already give u* to round-off.
+_THETA_PANELS = 16
+# Newton steps that polish theta(u_k) from its cubic guess on the panel
+# edges.  In a sweep of 300 profiles over c in [1e-6, 1e6] the guess was
+# off by at most 1e-5, the first step left 3e-11 and the second round-off.
+_POLISH_STEPS = 2
+
+
+def _gauss_nodes(lo: np.ndarray, hi: np.ndarray):
+    """The Gauss nodes of every interval lo[k] -> hi[k], one row per
+    interval, and the half-lengths (hi - lo) / 2, negative where hi < lo."""
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * _GAUSS_NODES, half
+
+
+def _reciprocal_quadrature(half: np.ndarray, f_nodes: np.ndarray) -> np.ndarray:
+    """int dphi / (2 f) over each interval, from f at its Gauss nodes."""
+    return half * ((0.5 / f_nodes) @ _GAUSS_WEIGHTS)
+
+
+def _theta_samples(c: float, theta_start: float, u_span: float, step: float):
+    """theta and f at the samples u_k = k step of the implicit profile.
+
+    theta' = -2 f(theta; c) is autonomous, so the profile is the
+    quadrature u(theta) = int_theta^theta_start dphi / (2 f(phi)).  One
+    array :func:`solve_f` over the Gauss nodes of ``_THETA_PANELS``
+    theta-panels, from the quadrant's edge (cos theta = 0) up to
+    theta_start, gives u at the panel edges and the exact halt point
+    u* = u(edge).  Sample k is kept iff k step < u*; a span shorter than
+    u* adds one remainder sample at ``u_span``.  theta(u_k) starts from
+    the cubic Hermite interpolant of the edge table (slope -2 f) and is
+    polished by Newton's method on u(theta) = u_k,
+    theta <- theta + (u(theta) - u_k) 2 f(theta), where u(theta) is the
+    nearest edge's value plus one Gauss sum from that edge.
+
+    Returns u, theta, f, the halt reason and the error estimate: the halt
+    is ``angle_degenerate`` when u* < u_span and ``span_exhausted``
+    otherwise.  The estimate is the larger of theta's share of the
+    quadrature error, |u*(panels) - u*(panels / 2)| 2 max f, and the last
+    Newton correction, which bounds what the polish leaves (each step
+    squares the error, so the last correction is the error before it).
+    A theta_start outside the quadrant (sin theta <= 0 or cos theta >= 0)
+    gives one sample, halted, with no estimate.  More than
+    ``MAX_MARCH_STEPS`` samples raise ``ValueError`` before any is
+    computed.
+    """
+    f_start = solve_f(theta_start, c)
+    if math.sin(theta_start) <= 0.0 or math.cos(theta_start) >= 0.0:
+        return (np.array([0.0]), np.array([theta_start]), np.array([f_start]),
+                "angle_degenerate", None)
+
+    # the quadrant holding theta_start is (edge, edge + pi / 2)
+    edge = math.pi / 2.0 + 2.0 * math.pi * math.floor(
+        (theta_start - math.pi / 2.0) / (2.0 * math.pi))
+    ends = np.linspace(edge, theta_start, _THETA_PANELS + 1)
+    fine, fine_half = _gauss_nodes(ends[:-1], ends[1:])
+    coarse, coarse_half = _gauss_nodes(ends[:-1:2], ends[2::2])
+    f_fine, f_coarse, f_ends = np.split(
+        solve_f(np.concatenate((fine.ravel(), coarse.ravel(), ends)), c),
+        (fine.size, fine.size + coarse.size))
+    panels = _reciprocal_quadrature(fine_half, f_fine.reshape(fine.shape))
+    # u at every panel edge, from u* at the quadrant's edge to 0 at the start
+    u_ends = np.append(np.cumsum(panels[::-1])[::-1], 0.0)
+    u_star = float(u_ends[0])
+    coarse_star = float(np.sum(_reciprocal_quadrature(
+        coarse_half, f_coarse.reshape(coarse.shape))))
+    # theta moves by 2 f per unit of u
+    estimate = abs(u_star - coarse_star) * 2.0 * float(np.max(f_ends))
+
+    if min(u_star, u_span) / step > MAX_MARCH_STEPS:
+        raise ValueError(
+            f"step {step!r} is too small for u_span {u_span!r}: the "
+            f"march would take more than {MAX_MARCH_STEPS} steps")
+    n_full = math.floor(u_span / step + 1e-9)
+    last = n_full if u_star >= u_span else min(n_full,
+                                               math.ceil(u_star / step))
+    targets = np.arange(1, last + 1) * step
+    targets = targets[targets < u_star]
+    if u_span < u_star and u_span - n_full * step > 1e-10 * step:
+        targets = np.append(targets, u_span)
+    reason = "angle_degenerate" if u_star < u_span else "span_exhausted"
+
+    theta = hermite_eval(targets, u_ends[::-1], ends[::-1],
+                         -2.0 * f_ends[::-1])
+    width = (theta_start - edge) / _THETA_PANELS
+    for _ in range(_POLISH_STEPS):
+        nearest = np.clip(np.rint((theta - edge) / width).astype(int), 0,
+                          _THETA_PANELS)
+        nodes, half = _gauss_nodes(theta, ends[nearest])
+        f_theta, f_nodes = np.split(
+            solve_f(np.concatenate((theta, nodes.ravel())), c), (len(theta),))
+        u_theta = u_ends[nearest] + _reciprocal_quadrature(
+            half, f_nodes.reshape(nodes.shape))
+        correction = (u_theta - targets) * 2.0 * f_theta
+        theta = theta + correction
+    f = solve_f(theta, c)
+    if correction.size:
+        estimate = max(estimate, float(np.max(np.abs(correction))))
+    return (np.insert(targets, 0, 0.0), np.insert(theta, 0, theta_start),
+            np.insert(f, 0, f_start), reason, estimate)
 
 
 def _hermite_at_gauss_nodes(u: np.ndarray, values: np.ndarray,
@@ -556,14 +615,17 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
                                step: float = 1e-3) -> ProfileSolution:
     """Integrate one implicit-family profile from theta(0) = theta_start.
 
-    The angle obeys theta' = -2 f with f recovered at every stage by the
-    logarithmic root solve of the implicit relation, so each returned
-    sample satisfies the relation to solver precision.  A second march at
-    twice the step provides a Richardson error estimate for theta
-    (``theta_error_estimate``).  Integration stops at ``u_span``
-    (``span_exhausted``) or where the angle leaves the quadrant
-    (``angle_degenerate``), whichever comes first; the reason is recorded
-    in ``halt_reason``.
+    The angle obeys the autonomous ODE theta' = -2 f(theta; c), so the
+    profile is the quadrature u(theta) = int_theta^theta_start
+    dphi / (2 f(phi)), inverted at the samples u_k = k ``step`` by array
+    Newton steps (see :func:`_theta_samples`); f comes from the
+    logarithmic root solve of the implicit relation at every sample, so
+    each returned sample satisfies the relation to solver precision.
+    ``theta_error_estimate`` bounds theta's error by the difference of
+    the quadrature on half as many panels and by the last Newton
+    correction.  The profile stops at ``u_span`` (``span_exhausted``) or
+    where the angle leaves the quadrant (``angle_degenerate``), whichever
+    comes first; the reason is recorded in ``halt_reason``.
 
     The quadratures Psi = int cos(theta) and Phi1 = -int sin(theta) e^{Psi}
     are anchored to zero at u = 0 and integrated over every step with an
@@ -573,8 +635,9 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
     ``u_span`` and ``step`` must be finite and positive, with a finite
     ratio ``u_span / step``, and ``c`` and ``theta_start`` finite
     (:func:`solve_f` checks them); otherwise ``ValueError`` is raised,
-    naming the argument.  So is a ratio above ``MAX_MARCH_STEPS``, once
-    the march accepts its first step.
+    naming the argument.  So is a profile of more than
+    ``MAX_MARCH_STEPS`` samples, that is min(u*, u_span) / step above it,
+    where u* is where the angle leaves the quadrant.
     """
     # Written so that NaN fails too: every comparison with NaN is false.
     if not 0.0 < u_span < math.inf:
@@ -584,20 +647,8 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
     if not math.isfinite(u_span / step):
         raise ValueError(f"step {step!r} is too small for u_span {u_span!r}: "
                          f"the step count overflows")
-    us, thetas, fs, reason = _march_theta(c, theta_start, u_span, step)
-    u = np.array(us)
-    theta = np.array(thetas)
-    f = np.array(fs)
-
-    estimate = None
-    if len(u) > 2:
-        coarse = _march_theta(c, theta_start, u_span, 2.0 * step)[1]
-        shared = min(len(coarse), (len(theta) + 1) // 2)
-        if shared >= 2:
-            diffs = [abs(coarse[k] - theta[2 * k]) for k in range(shared)]
-            # Order-4 halving: the coarse-run error is about diff * 16/15.
-            estimate = max(diffs) / 15.0
-
+    u, theta, f, reason, estimate = _theta_samples(c, theta_start, u_span,
+                                                   step)
     theta_nodes = _hermite_at_gauss_nodes(u, theta, -2.0 * f)
     psi = _cumulative_gauss(u, np.cos(theta_nodes))
     psi_nodes = _hermite_at_gauss_nodes(u, psi, np.cos(theta))
@@ -775,17 +826,17 @@ def profile_to_csv(profile: ProfileSolution, path: Optional[str] = None) -> str:
     """Serialize a profile as CSV with columns u, theta, f, Psi, Phi, K.
 
     Phi is the first-variant quadrature Phi1; K is the closed-form
-    Gaussian curvature.  Values are written with 12 fixed decimals, so
-    identical inputs give byte-identical files.  Implicit profiles append
-    footer comments recording the halt reason and the step-halving error
-    estimate for theta.
+    Gaussian curvature.  Values are written with 12 fixed decimals, -0.0
+    as 0.0, so identical inputs give byte-identical files.  Implicit
+    profiles append footer comments recording the halt reason and the
+    error estimate for theta (see :func:`integrate_implicit_profile`).
     """
-    columns = [column.tolist() for column in (
-        profile.u, profile.theta, profile.f, profile.psi, profile.phi1,
-        profile.gaussian_curvature())]
+    # + 0.0 turns -0.0 into 0.0
+    rows = np.column_stack((profile.samples,
+                            profile.gaussian_curvature())) + 0.0
+    template = ",".join(["%.12f"] * 6)
     lines = ["u,theta,f,Psi,Phi,K"]
-    for row in zip(*columns):
-        lines.append(",".join(f"{val + 0.0:.12f}" for val in row))
+    lines.extend(template % tuple(row) for row in rows.tolist())
     if profile.kind == IMPLICIT:
         lines.append(f"# halt_reason: {profile.halt_reason}")
         if profile.theta_error_estimate is not None:

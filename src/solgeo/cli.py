@@ -116,7 +116,7 @@ class RunConfig:
             if self.c <= 0:
                 raise UsageError("the integration constant c must be "
                                  "positive")
-            # the march's own quadrant rule for its starting angle
+            # the profile's own quadrant rule for its starting angle
             if math.sin(self.theta_start) <= 0 \
                     or math.cos(self.theta_start) >= 0:
                 raise UsageError("theta_start must lie in (pi/2, pi), got "

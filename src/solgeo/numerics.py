@@ -27,15 +27,18 @@ CURVATURE_FD_STEP = 1e-4
 
 # ``math`` under numpy's names, for the functions the formulas use.
 _FLOAT_MATH = SimpleNamespace(
-    pi=math.pi, exp=math.exp, sqrt=math.sqrt, sin=math.sin, cos=math.cos,
-    tanh=math.tanh, cosh=math.cosh, log1p=math.log1p, arctan=math.atan,
-    arctan2=math.atan2, isfinite=math.isfinite, maximum=max, minimum=min)
+    pi=math.pi, exp=math.exp, log=math.log, sqrt=math.sqrt, sin=math.sin,
+    cos=math.cos, tanh=math.tanh, cosh=math.cosh, log1p=math.log1p,
+    arctan=math.atan, arctan2=math.atan2, isfinite=math.isfinite,
+    maximum=max, minimum=min,
+    where=lambda cond, when_true, when_false: (when_true if cond
+                                               else when_false))
 
 
 def namespace(x):
     """numpy for an array ``x``, else ``math`` on Python floats (with
-    ``arctan``, ``arctan2``, ``maximum`` and ``minimum`` under numpy's
-    names)."""
+    ``arctan``, ``arctan2``, ``maximum``, ``minimum`` and ``where`` under
+    numpy's names)."""
     return np if isinstance(x, np.ndarray) else _FLOAT_MATH
 
 

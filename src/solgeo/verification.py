@@ -905,8 +905,8 @@ def _family_reports(seed: int) -> List[CheckReport]:
 
     # The scalar relation needs a 4th-order stencil: the h^2 constant of
     # a 3-point difference (~(3f+sin)(|f'''|/6)) overshoots 1e-8 at this
-    # step.  The marcher only varies its final (remainder) step, so the
-    # prefix is uniform.
+    # step.  The samples sit at u_k = k h, plus at most one remainder
+    # sample at u_span, so the prefix is uniform.
     spacings = np.diff(implicit.u)
     n_uniform = len(implicit.u)
     if abs(spacings[-1] - spacings[0]) > 1e-9 * spacings[0]:

@@ -166,7 +166,7 @@ def test_criterion_6_profile_odes(implicit_solution):
             - 6.0 * a1 * math.log(fv - a2 * y)
         worst_rel = max(worst_rel, abs(rel))  # log c = 0 at c = 1
 
-    # Scalar identity along the march, f' from a 4th-order stencil over
+    # Scalar identity along the profile, f' from a 4th-order stencil over
     # the uniform node prefix.
     spacings = np.diff(sol.u)
     n = len(sol.u)

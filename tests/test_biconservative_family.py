@@ -315,6 +315,24 @@ def test_solve_f_extremes():
     assert abs(solve_f(math.pi - 1e-15, 1.0) - 1.0) <= 1e-15
 
 
+@given(st.lists(branch_theta, min_size=1, max_size=40), log_uniform_c)
+def test_solve_f_array_matches_float(thetas, c):
+    # each entry is the float solve, up to numpy's exp and log against
+    # libm's in the last place
+    floats = np.array([solve_f(theta, c) for theta in thetas])
+    batch = solve_f(np.array(thetas), c)
+    assert isinstance(batch, np.ndarray) and batch.shape == floats.shape
+    np.testing.assert_allclose(batch, floats, rtol=4.0 * EPS, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, 4.0])
+def test_solve_f_array_validation_names_theta(bad):
+    # non-finite entries and entries with sin(theta) <= 0 refuse the
+    # whole array, as they refuse a float
+    with pytest.raises(ValueError, match=r"\btheta\b"):
+        solve_f(np.array([2.2, bad, 2.0]), 1.0)
+
+
 NON_FINITE_IMPLICIT_INPUTS = [
     (solve_f, (math.nan, 1.0), "theta"),
     (solve_f, (math.inf, 1.0), "theta"),
@@ -346,8 +364,8 @@ def test_implicit_step_count_must_be_finite(u_span, step):
 
 
 def test_implicit_step_schedule_is_lazy():
-    # 5e19 steps of 1e-20 fit in no list; f is about 1e41, so the first
-    # stage angle leaves (0, pi) and the march halts at u = 0
+    # 5e19 steps of 1e-20 fit in no list; f is about 1e41, so u* is
+    # about 1e-41 and the profile halts at u = 0
     sol = integrate_implicit_profile(1e-300, 2.2, 0.5, 1e-20)
     assert sol.halt_reason == "angle_degenerate"
     assert list(sol.u) == [0.0]
@@ -379,37 +397,47 @@ def test_implicit_march(implicit_solution):
     assert sol.theta_error_estimate < 1e-10
 
 
-def test_march_order_four():
-    # theta at u = 0.2 from steps h and h/2, against a run at h/8
-    reference = integrate_implicit_profile(1.0, 2.2, 0.2, 0.0025).theta[-1]
-    errors = []
-    for step in (0.02, 0.01):
-        sol = integrate_implicit_profile(1.0, 2.2, 0.2, step)
-        assert sol.halt_reason == "span_exhausted"
-        assert abs(sol.u[-1] - 0.2) < 1e-12
-        errors.append(abs(sol.theta[-1] - reference))
-    assert math.log2(errors[0] / errors[1]) > 3.8
+def _u_by_quad(c, theta_lo, theta_hi):
+    """The oracle: scipy's quad of u(theta) = int dphi / (2 f(phi))."""
+    return quad(lambda phi: 0.5 / solve_f(phi, c), theta_lo, theta_hi,
+                epsabs=1e-16, epsrel=2e-14)[0]
 
 
-def test_solve_f_once_per_angle(monkeypatch):
+@pytest.mark.parametrize("c,theta_start,step", [(1.0, 2.2, 1e-3),
+                                                (100.0, 3.1, 0.2),
+                                                (1e-3, 2.9, 0.01)])
+def test_theta_quadrature_matches_quad(c, theta_start, step):
+    # every sample sits where the quadrature in theta reaches k step
+    sol = integrate_implicit_profile(c, theta_start, 1.5, step)
+    assert sol.halt_reason == "angle_degenerate" and len(sol.u) > 5
+    assert np.array_equal(sol.u, np.arange(len(sol.u)) * step)
+    pieces = [_u_by_quad(c, lo, hi)
+              for lo, hi in zip(sol.theta[1:], sol.theta[:-1])]
+    assert np.max(np.abs(np.cumsum(pieces) - sol.u[1:])) <= 1e-13
+    # the halt point u* = u(pi / 2): a span just short of it is used up,
+    # one just past it is not
+    u_star = _u_by_quad(c, math.pi / 2.0, theta_start)
+    assert integrate_implicit_profile(
+        c, theta_start, u_star - 1e-13, step).halt_reason == "span_exhausted"
+    assert integrate_implicit_profile(
+        c, theta_start, u_star + 1e-13, step).halt_reason == "angle_degenerate"
+
+
+def test_solve_f_calls_do_not_grow_with_samples(monkeypatch):
     calls = []
 
     def counted(theta, c):
-        calls.append(theta)
+        calls.append(np.size(theta))
         return solve_f(theta, c)
 
     monkeypatch.setattr(biconservative_family, "solve_f", counted)
-    fine = integrate_implicit_profile(1.0, 2.2, 1.5, 1e-3)
-    monkeypatch.undo()
-    # the Richardson march at twice the step, run on its own
-    coarse = integrate_implicit_profile(1.0, 2.2, 1.5, 2e-3)
-    # Both marches stop at a step whose new angle leaves the quadrant, so
-    # each attempts one step per stored sample.  A march solves once at
-    # theta_start, three times per attempted step (stages 2-4) and once at
-    # every new angle inside the quadrant, which is 4 per attempted step.
-    assert fine.halt_reason == coarse.halt_reason == "angle_degenerate"
-    attempted = len(fine.u) + len(coarse.u)
-    assert len(calls) == 4 * attempted
+    coarse = integrate_implicit_profile(1.0, 2.2, 1.5, 1e-3)
+    coarse_calls, calls[:] = len(calls), []
+    fine = integrate_implicit_profile(1.0, 2.2, 1.5, 5e-4)
+    # twice the samples, the same number of (array) root solves
+    assert len(fine.u) >= 2 * len(coarse.u) - 1
+    assert len(calls) == coarse_calls
+    assert sum(calls) > len(fine.u)
 
 
 def test_gauss_rule_is_leggauss():
@@ -472,7 +500,7 @@ def test_implicit_halt_immediately_degenerate():
 
 
 def test_implicit_stage_angle_off_branch_halts():
-    # f is about 1e41 here, so the first RK stage angle leaves (0, pi)
+    # f is about 1e41 here, so u* is about 1e-41, short of one step
     sol = integrate_implicit_profile(1e-300, 2.2, 0.5)
     assert sol.halt_reason == "angle_degenerate"
     assert list(sol.u) == [0.0] and list(sol.theta) == [2.2]
@@ -648,6 +676,26 @@ def test_profile_to_csv_implicit_footer(implicit_solution, tmp_path):
     assert "# theta_error_estimate:" in text
 
 
+def test_profile_to_csv_rows(explicit_profile, implicit_solution):
+    # each value is its 12-decimal f-string, with -0.0 written as 0.0
+    for profile in (explicit_profile, implicit_solution):
+        columns = (profile.u, profile.theta, profile.f, profile.psi,
+                   profile.phi1, profile.gaussian_curvature())
+        rows = [",".join(f"{value + 0.0:.12f}" for value in row)
+                for row in zip(*(column.tolist() for column in columns))]
+        lines = profile_to_csv(profile).splitlines()
+        assert lines[1:len(rows) + 1] == rows
+    signed = ProfileSolution(kind=IMPLICIT, u=[0.0, 1.0], theta=[2.2, 2.1],
+                             f=[1.0, 1.1], psi=[-0.0, 1.0],
+                             phi1=[-0.0, -1e-13], u0=0.0)
+    row = profile_to_csv(signed).splitlines()[1].split(",")
+    assert row[3] == row[4] == "0.000000000000"
+    # only a zero loses its sign: a negative value that rounds to zero
+    # keeps it, as the f-string does
+    assert profile_to_csv(signed).splitlines()[2].split(",")[4] \
+        == "-0.000000000000"
+
+
 def test_profile_to_csv_deterministic(explicit_profile):
     assert profile_to_csv(explicit_profile) == profile_to_csv(
         explicit_profile)
@@ -760,7 +808,7 @@ def test_implicit_array_hermite_matches_per_point(implicit_solution):
 
 
 def test_march_step_count_is_capped():
-    # 1e12 steps would run for hours; the march refuses at its first step
+    # 2.8e11 samples fit in no memory: refused before any is computed
     with pytest.raises(ValueError, match=r"^step 1e-12 is too small for "
                                          r"u_span 1\.0: .* 1000000 steps"):
         integrate_implicit_profile(1.0, 2.2, 1.0, 1e-12)

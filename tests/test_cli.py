@@ -249,7 +249,7 @@ def test_validation_exit_codes(argv, capsys):
 
 
 def test_theta_start_outside_the_quadrant_names_the_field(capsys):
-    # cos of the double nearest pi/2 is +6e-17: the march cannot start
+    # cos of the double nearest pi/2 is +6e-17: the profile cannot start
     assert run(["profile", "--kind", "implicit", "--u-min", "0",
                 "--u-max", "0.5", "--theta-start", "1.5707963267948966"]) == 2
     assert "theta_start must lie in (pi/2, pi)" in capsys.readouterr().err
@@ -305,7 +305,7 @@ def test_step_too_small_for_the_span(capsys):
 
 
 def test_step_beyond_the_march_cap(capsys):
-    # 1e12 steps: refused at the first step, with one error line
+    # 1e12 steps: refused before any sample, with one error line
     code = run(["profile", "--kind", "implicit", "--c", "1",
                 "--theta-start", "2.2", "--u-min", "0", "--u-max", "1",
                 "--step", "1e-12"])
@@ -317,7 +317,7 @@ def test_step_beyond_the_march_cap(capsys):
 
 def test_runtime_failure_exit_code(capsys):
     # a valid start just past pi/2, where the first step leaves the
-    # quadrant: the march halts at u = 0 and leaves no usable profile
+    # quadrant: the profile halts at u = 0 and leaves no usable grid
     code = run(["profile", "--kind", "implicit", "--u-min", "0",
                 "--u-max", "0.5", "--nu", "8", "--theta-start", "1.5708",
                 "--step", "0.1"])

@@ -69,6 +69,7 @@ __all__ = [
     "gaussian_curvature_closed_form",
     "solve_f",
     "f_prime_implicit",
+    "f_second_implicit",
     "integrate_implicit_profile",
     "build_profile",
     "family_surface",
@@ -82,14 +83,12 @@ IMPLICIT = "implicit"
 _SQRT13 = math.sqrt(13.0)
 
 
-@dataclass(frozen=True)
 class FamilyConstants:
-    """Roots of 3 a^2 + a - 1 = 0 and the derived exponent constants."""
+    """The roots a1 > 0 > a2 of 3 a^2 + a - 1 = 0, read-only."""
 
-    a1: float = (-1.0 + _SQRT13) / 6.0
-    a2: float = (-1.0 - _SQRT13) / 6.0
-    b1: float = (-1.0 + _SQRT13) / _SQRT13
-    b2: float = (-1.0 - _SQRT13) / _SQRT13
+    __slots__ = ()
+    a1 = (-1.0 + _SQRT13) / 6.0
+    a2 = (-1.0 - _SQRT13) / 6.0
 
 
 CONSTANTS = FamilyConstants()
@@ -335,6 +334,16 @@ def f_prime_implicit(theta, f):
     return -f * xp.sin(2.0 * theta) / (3.0 * f + xp.sin(theta))
 
 
+def f_second_implicit(theta, f):
+    """f'' along an implicit profile, d/du of :func:`f_prime_implicit` with
+    theta' = -2 f: [2 f^2 (2 cos(2 theta) D - sin(2 theta) cos theta)
+    - sin(2 theta) sin theta f'] / D^2 with D = 3 f + sin theta."""
+    xp = namespace(theta)
+    sin, sin2, d = xp.sin(theta), xp.sin(2.0 * theta), 3.0 * f + xp.sin(theta)
+    return (2.0 * f * f * (2.0 * xp.cos(2.0 * theta) * d - sin2 * xp.cos(theta))
+            - sin2 * sin * (-f * sin2 / d)) / (d * d)
+
+
 def _first_order(theta, psi):
     """(Phi1', Psi') = (-sin theta e^Psi, cos theta) at angle theta and
     height Psi, floats or arrays."""
@@ -356,14 +365,14 @@ class ProfileAngleError(ValueError):
 class ProfileSolution:
     """Sampled profile (u, theta, f, Psi, Phi1) of one family member.
 
-    ``u`` is strictly increasing; Psi and Phi1 vanish at the anchor ``u0``.
-    The dense evaluators are ``theta_at``, ``f_at``, ``psi_at``,
-    ``phi1_at`` and ``f_prime_at``.  For the explicit kind they are the
-    closed forms, Phi1 included (see the module docstring), and every
-    sample equals its dense value exactly; for the implicit kind they are
-    cubic Hermite interpolants of the samples, whose slopes are known
-    exactly from the ODE (dense accuracy O(spacing^4)), and ``f_prime_at``
-    is the ODE's f'(theta, f).
+    ``u`` is strictly increasing; Psi and Phi1 vanish at the anchor ``u0``
+    (``c0``, Psi's constant, is set to match).  The dense evaluators are
+    ``theta_at``, ``f_at``, ``psi_at``, ``phi1_at``, ``f_prime_at`` and
+    ``f_second_at``.  For the explicit kind they are the closed forms,
+    Phi1 included (see the module docstring), and every sample equals its
+    dense value exactly; for the implicit kind they are cubic Hermite
+    interpolants of the samples, whose slopes are known exactly from the
+    ODE (dense accuracy O(spacing^4)), and f' and f'' are the ODE's.
 
     The angle must decrease strictly from sample to sample (theta' = -2 f
     with f > 0); a profile that breaks this raises
@@ -377,7 +386,6 @@ class ProfileSolution:
     psi: np.ndarray
     phi1: np.ndarray
     u0: float
-    c0: float = 0.0
     c: Optional[float] = None
     halt_reason: Optional[str] = None
     theta_error_estimate: Optional[float] = None
@@ -409,9 +417,11 @@ class ProfileSolution:
             raise ValueError("implicit profile requires increasing f "
                              "(theta'' < 0)")
         if self.kind == EXPLICIT:
-            # G(u0) of the closed-form Phi1, computed once.
+            # c0 and G(u0) of the closed forms, computed once.
+            object.__setattr__(self, "c0", psi_anchor(self.u0))
             object.__setattr__(self, "_g_u0", _phi1_primitive(self.u0))
         if self.kind == IMPLICIT:
+            object.__setattr__(self, "c0", 0.0)
             # The Hermite slope of each column, from the ODE, computed once.
             phi1_slope, psi_slope = _first_order(self.theta, self.psi)
             slopes = {"theta": -2.0 * self.f,
@@ -444,6 +454,11 @@ class ProfileSolution:
         if self.kind == EXPLICIT:
             return f_prime_explicit(u)
         return f_prime_implicit(self.theta_at(u), self.f_at(u))
+
+    def f_second_at(self, u):
+        if self.kind == EXPLICIT:
+            return f_second_explicit(u)
+        return f_second_implicit(self.theta_at(u), self.f_at(u))
 
     def psi_at(self, u):
         if self.kind == EXPLICIT:
@@ -655,7 +670,7 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
     phi1 = _cumulative_gauss(u, -np.sin(theta_nodes) * np.exp(psi_nodes))
 
     return ProfileSolution(kind=IMPLICIT, u=u, theta=theta, f=f, psi=psi,
-                           phi1=phi1, u0=0.0, c0=0.0, c=c,
+                           phi1=phi1, u0=0.0, c=c,
                            halt_reason=reason, theta_error_estimate=estimate)
 
 
@@ -709,7 +724,7 @@ def build_profile(kind: str, c: Optional[float] = None,
             (theta_explicit(x), f_explicit(x), psi_explicit(x, c0),
              _phi1_explicit(x, g0, c0)) for x in grid.tolist()]).T
         return ProfileSolution(kind=EXPLICIT, u=grid, theta=theta, f=f,
-                               psi=psi, phi1=phi1, u0=anchor, c0=c0)
+                               psi=psi, phi1=phi1, u0=anchor)
 
     if kind == IMPLICIT:
         if c is None or theta_start is None:
@@ -732,7 +747,7 @@ def build_profile(kind: str, c: Optional[float] = None,
         return ProfileSolution(kind=IMPLICIT, u=usable,
                                theta=full.theta_at(usable),
                                f=full.f_at(usable), psi=psi, phi1=phi1,
-                               u0=anchor, c0=0.0, c=c,
+                               u0=anchor, c=c,
                                halt_reason=full.halt_reason,
                                theta_error_estimate=full.theta_error_estimate)
 
@@ -757,9 +772,8 @@ def _layout(variant: str):
     raise ValueError(f"unknown surface variant {variant!r}")
 
 
-def family_surface(profile: ProfileSolution, variant: str,
-                   v_range=(-1.0, 1.0)) -> SurfacePatch:
-    """Build one immersion variant over ``profile.u`` x ``v_range``.
+def family_surface(profile: ProfileSolution, variant: str) -> SurfacePatch:
+    """Build one immersion variant over ``profile.u`` x (-1, 1).
 
     Variant ``x1`` is (u, v) -> (v, Phi1(u), Psi(u)); its tangent frame
     contains the first horizontal frame field.  Variant ``x2`` is the
@@ -773,12 +787,11 @@ def family_surface(profile: ProfileSolution, variant: str,
     theta' = -2 f, Psi' = cos theta, Phi1' = -sin theta e^{Psi},
     Psi'' = 2 f sin theta and Phi1'' = e^{Psi} cos theta (2 f - sin theta).
     One call of the patch's ``partials`` evaluates theta, f and Psi once
-    each.  The mean-curvature field has f'' on the explicit kind only.
+    each.  The mean-curvature field reads f' and f'' from the profile.
     """
     place = _layout(variant)
     ruling = (1.0, 0.0, 0.0) if variant == "x1" else (0.0, 1.0, 0.0)
-    v_lo, v_hi = float(v_range[0]), float(v_range[1])
-    domain = ((float(profile.u[0]), float(profile.u[-1])), (v_lo, v_hi))
+    domain = ((float(profile.u[0]), float(profile.u[-1])), (-1.0, 1.0))
     zero = (0.0, 0.0, 0.0)
 
     def partials(u, v):
@@ -792,12 +805,8 @@ def family_surface(profile: ProfileSolution, variant: str,
 
     f_field = ScalarField(
         value=lambda u, v: profile.f_at(u),
-        du=lambda u, v: profile.f_prime_at(u),
-        dv=lambda u, v: 0.0,
-        duu=((lambda u, v: f_second_explicit(u))
-             if profile.kind == EXPLICIT else None),
-        duv=lambda u, v: 0.0,
-        dvv=lambda u, v: 0.0)
+        first_partials=lambda u, v: (profile.f_prime_at(u), 0.0),
+        second_partials=lambda u, v: (profile.f_second_at(u), 0.0, 0.0))
     return SurfacePatch(
         immersion=lambda u, v: place(profile.phi1_at(u), profile.psi_at(u),
                                      v),

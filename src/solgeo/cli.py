@@ -281,8 +281,12 @@ def _parse_plane(text: str, base: Point) -> tuple:
 def cmd_curvature(config: RunConfig) -> int:
     base = _parse_point(config.point)
     x, y = _parse_plane(config.plane, base)
-    k = sectional_curvature(x, y)
-    r_xyy = curvature_tensor(x, y, y).components
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            k = sectional_curvature(x, y)
+            r_xyy = curvature_tensor(x, y, y).components
+    except FloatingPointError as exc:
+        raise ValueError(f"curvature out of double range: {exc}") from None
     payload = {
         "point": [float(value) for value in base.as_array()],
         "plane": config.plane,
@@ -290,7 +294,7 @@ def cmd_curvature(config: RunConfig) -> int:
         "curvature_R_xy_y_frame": [float(c) for c in r_xyy],
     }
     if config.as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(f"point: ({base.x:g}, {base.y:g}, {base.z:g})")
         print(f"plane: {config.plane}")

@@ -1,11 +1,11 @@
 """Parametrized surface patches and scalar fields on them.
 
 A :class:`SurfacePatch` (an immersion ``(u, v) -> (x, y, z)``) reads its
-five first and second partials in one call: its analytic ``partials``
-handle when it has one, else central differences of the immersion.  A
-:class:`ScalarField` (a function of ``(u, v)``) reads each partial from its
-own handle when there is one, else from a central difference.  Fixtures can
-therefore be as cheap or as exact as a test requires.
+five first and second partials in one call; a :class:`ScalarField` (a
+function of ``(u, v)``) its two first partials in one call and its three
+second partials in another.  Each read takes the analytic handle when
+there is one, else central differences (:func:`_partials`), so fixtures
+can be as cheap or as exact as a test requires.
 
 Every handle takes ``u`` and ``v`` as floats (one point) or as same-shape
 (N,) arrays (N points).  A vector returns three components and a scalar
@@ -30,6 +30,7 @@ Components = Tuple[Param, Param, Param]
 Immersion = Callable[[Param, Param], Components]
 Partials = Callable[[Param, Param], Tuple[Components, ...]]
 ScalarHandle = Callable[[Param, Param], Param]
+ScalarPartials = Callable[[Param, Param], Tuple[Param, ...]]
 
 
 def _components(value, u: Param) -> Components:
@@ -47,16 +48,11 @@ def _scalar(value, u: Param) -> Param:
     return float(value)
 
 
-def _partial(func, handle, u: Param, v: Param, axes: str,
-             step: float = DEFAULT_FD_STEP):
-    """The partial of ``func`` along ``axes`` (``"u"``, ``"v"``, ``"uu"``,
-    ``"uv"`` or ``"vv"``) at ``(u, v)``: ``handle(u, v)`` when the handle
-    exists, else a central difference of ``func``, first partials at
-    ``step`` and second partials at ``CURVATURE_FD_STEP``.  The difference
-    shifts the whole of an array ``u`` or ``v`` at once, with the
-    components of a vector ``func`` on the leading axis."""
-    if handle is not None:
-        return handle(u, v)
+def _partial(func, u: Param, v: Param, axes: str, step: float):
+    """The central difference of ``func`` along ``axes`` (``"u"`` ..
+    ``"vv"``) at ``(u, v)``, first partials at ``step`` and second ones at
+    ``CURVATURE_FD_STEP``.  It shifts the whole of an array ``u`` or ``v``
+    at once, with the components of a vector ``func`` on the leading axis."""
     if axes == "u":
         return central_diff(lambda s: func(s, v), u, step)
     if axes == "v":
@@ -68,30 +64,36 @@ def _partial(func, handle, u: Param, v: Param, axes: str,
     return mixed_diff(func, u, v, CURVATURE_FD_STEP)
 
 
+def _partials(func, handle, u: Param, v: Param, axes: Tuple[str, ...],
+              step: float = DEFAULT_FD_STEP) -> tuple:
+    """The partials of ``func`` along each of ``axes`` at ``(u, v)``:
+    ``handle(u, v)`` if there is a handle, else :func:`_partial` per axis."""
+    if handle is not None:
+        return handle(u, v)
+    return tuple(_partial(func, u, v, a, step) for a in axes)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar function of the surface parameters with optional analytic
-    partials ``du`` .. ``dvv``; each partial missing a handle is a central
-    difference of ``value``."""
+    partials: ``first_partials`` maps ``(u, v)`` to (phi_u, phi_v) and
+    ``second_partials`` to (phi_uu, phi_uv, phi_vv).  Without a handle the
+    partials are central differences of ``value``."""
 
     value: ScalarHandle
-    du: Optional[ScalarHandle] = None
-    dv: Optional[ScalarHandle] = None
-    duu: Optional[ScalarHandle] = None
-    duv: Optional[ScalarHandle] = None
-    dvv: Optional[ScalarHandle] = None
+    first_partials: Optional[ScalarPartials] = None
+    second_partials: Optional[ScalarPartials] = None
 
     def gradient(self, u: Param, v: Param, step: float) -> Tuple[Param, Param]:
-        """(phi_u, phi_v); missing handles are differenced at ``step``."""
-        return (_scalar(_partial(self.value, self.du, u, v, "u", step), u),
-                _scalar(_partial(self.value, self.dv, u, v, "v", step), u))
+        """(phi_u, phi_v); without a handle differenced at ``step``."""
+        return tuple(_scalar(d, u) for d in _partials(
+            self.value, self.first_partials, u, v, ("u", "v"), step))
 
     def hessian(self, u: Param, v: Param) -> Tuple[Param, Param, Param]:
-        """(phi_uu, phi_uv, phi_vv); missing handles are differenced at
+        """(phi_uu, phi_uv, phi_vv); without a handle differenced at
         ``CURVATURE_FD_STEP``."""
-        return (_scalar(_partial(self.value, self.duu, u, v, "uu"), u),
-                _scalar(_partial(self.value, self.duv, u, v, "uv"), u),
-                _scalar(_partial(self.value, self.dvv, u, v, "vv"), u))
+        return tuple(_scalar(d, u) for d in _partials(
+            self.value, self.second_partials, u, v, ("uu", "uv", "vv")))
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,6 @@ class SurfacePatch:
     domain:
         ``((u_min, u_max), (v_min, v_max))``; informative, not enforced on
         evaluation.
-    orientation:
-        ``+1`` or ``-1``; flips the unit normal so constructors can realize
-        a chosen mean-curvature sign.
     fd_step:
         Central-difference step of the immersion's first partials when
         there is no ``partials`` handle, and of the mean curvature.  Second
@@ -126,14 +125,11 @@ class SurfacePatch:
     immersion: Immersion
     domain: Tuple[Tuple[float, float], Tuple[float, float]]
     name: str = "patch"
-    orientation: int = 1
     fd_step: float = DEFAULT_FD_STEP
     partials: Optional[Partials] = None
     mean_curvature: Optional[ScalarField] = None
 
     def __post_init__(self):
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
         (u_lo, u_hi), (v_lo, v_hi) = self.domain
         if not (u_lo < u_hi and v_lo < v_hi):
             raise ValueError("domain rectangle must be nonempty")
@@ -145,11 +141,9 @@ class SurfacePatch:
         """(d_u, d_v, d_uu, d_uv, d_vv) at ``(u, v)``, each shaped like
         ``position``: the ``partials`` handle's values, else central
         differences of the immersion."""
-        if self.partials is not None:
-            return tuple(_components(d, u) for d in self.partials(u, v))
-        return tuple(_components(_partial(self.position, None, u, v, axes,
-                                          self.fd_step), u)
-                     for axes in ("u", "v", "uu", "uv", "vv"))
+        return tuple(_components(d, u) for d in _partials(
+            self.position, self.partials, u, v, ("u", "v", "uu", "uv", "vv"),
+            self.fd_step))
 
     def grid(self, nu: int, nv: int) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform parameter samples over the domain, ``nu`` by ``nv``."""

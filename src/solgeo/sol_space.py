@@ -303,14 +303,21 @@ def curvature_tensor_fd(x: TangentVector, y: TangentVector, z: TangentVector,
 def sectional_curvature(x: TangentVector, y: TangentVector):
     """Sectional curvature of the plane spanned by two tangent vectors, one
     per point; :class:`DegeneratePlaneError` names the first point whose
-    vectors fail the Gram test."""
+    vectors fail the Gram test.  Both vectors are first scaled by exact
+    powers of two to components below 1, with the test's max(1, .) scaled
+    to match: nothing overflows, and where the unscaled arithmetic stays in
+    the normal range of doubles it rounds the same, so K keeps its bits."""
     base = _require_same_base(x, y)
     xf, yf = x.in_frame().components, y.in_frame().components
+    ex, ey = (np.frexp(np.max(np.abs(c), axis=-1))[1] for c in (xf, yf))
+    xf, yf = np.ldexp(xf, -ex[..., None]), np.ldexp(yf, -ey[..., None])
     xx, yy, xy = np.vecdot(xf, xf), np.vecdot(yf, yf), np.vecdot(xf, yf)
     gram = xx * yy - xy * xy
+    # 1 in the scaled units; past 2^1000 every plane is degenerate anyway
+    unit = np.ldexp(1.0, np.minimum(-2 * (ex + ey), 1000))
     # written so that a NaN Gram determinant is not degenerate
     bad = first_false(np.logical_not(
-        gram <= PLANE_GRAM_TOLERANCE * np.maximum(1.0, xx * yy)))
+        gram <= PLANE_GRAM_TOLERANCE * np.maximum(unit, xx * yy)))
     if bad is not None:
         at = tuple(base.as_array().reshape(3, -1)[:, bad])
         raise DegeneratePlaneError("spanning vectors are linearly dependent "

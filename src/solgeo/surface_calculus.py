@@ -42,9 +42,7 @@ __all__ = [
     "FundamentalForms",
     "ShapeData",
     "AdaptedFrameSample",
-    "ScalarField",
     "LocalGeometry",
-    "SurfacePatch",
     "fundamental_forms",
     "shape_data",
     "adapted_frame",
@@ -212,9 +210,7 @@ class LocalGeometry:
         self._root_e, self._root_g = root_e, root_g
         self._cos = f / root_e / root_g
         self._sin_sq = 1.0 - self._cos * self._cos
-        sign = patch.orientation
-        self._xi = (sign * cross[0] / norm, sign * cross[1] / norm,
-                    sign * cross[2] / norm)
+        self._xi = (cross[0] / norm, cross[1] / norm, cross[2] / norm)
         self.point = Point(x, y, z)
 
     def _array(self, nested) -> np.ndarray:
@@ -230,14 +226,6 @@ class LocalGeometry:
     @_computed_once
     def dv_c(self) -> np.ndarray:
         return self._array(self._dv_c)
-
-    @_computed_once
-    def du_f(self) -> np.ndarray:
-        return self._array(self._du)
-
-    @_computed_once
-    def dv_f(self) -> np.ndarray:
-        return self._array(self._dv)
 
     @_computed_once
     def xi_f(self) -> np.ndarray:

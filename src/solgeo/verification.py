@@ -65,8 +65,6 @@ __all__ = [
     "SUITE_NAMES",
 ]
 
-SUITE_NAMES = ("ambient", "frames", "family", "biharmonic", "polynomial")
-
 IDENTITY_STATEMENTS = (
     "X1(theta) + lambda1 - cos(2 beta) sin(theta) = 0",
     "X2(theta) + sin(2 beta) = 0",
@@ -448,12 +446,12 @@ def _residual_norm(patch: SurfacePatch, u, v):
     return geo.metric_norm(geo.residual)
 
 
-def check_cmc_rigidity(fixtures: Optional[Sequence[SurfacePatch]] = None,
-                       grid: Tuple[int, int] = (7, 7)) -> List[CheckReport]:
+def check_cmc_rigidity(fixtures: Optional[Sequence[SurfacePatch]] = None
+                       ) -> List[CheckReport]:
     """Evidence that CMC + biconservative forces minimality.
 
     For each fixture the check classifies it numerically: if the mean
-    curvature is constant (|grad f| below 1e-6 across the grid) and the
+    curvature is constant (|grad f| below 1e-6 across a 7 x 7 grid) and the
     tangential residual vanishes (below 1e-8), then |f| itself must be
     below tolerance.  Fixtures that are not CMC or not biconservative are
     consistent by themselves (they witness no counterexample) and the
@@ -471,7 +469,7 @@ def check_cmc_rigidity(fixtures: Optional[Sequence[SurfacePatch]] = None,
 
     reports = []
     for patch in fixtures:
-        us, vs = patch.grid(*grid)
+        us, vs = patch.grid(7, 7)
         geo = LocalGeometry(patch, *_grid_points(us, vs))
         maxima = np.max([_gradient_norm(geo), geo.metric_norm(geo.residual),
                          np.abs(geo.h)], axis=1)
@@ -951,6 +949,13 @@ def _polynomial_reports(seed: int) -> List[CheckReport]:
     return [check_polynomial_obstruction()]
 
 
+# Every suite, in the order ``all`` runs them.
+_SUITES = {"ambient": _ambient_reports, "frames": _frames_reports,
+           "family": _family_reports, "biharmonic": _biharmonic_reports,
+           "polynomial": _polynomial_reports}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suite(name: str, seed: int = 0) -> List[CheckReport]:
     """Run one named suite (or ``all``) and return its reports.
 
@@ -958,20 +963,13 @@ def run_suite(name: str, seed: int = 0) -> List[CheckReport]:
     seeded generator and every grid is fixed.  A negative seed raises
     ``ValueError`` for every suite, whether or not it draws.
     """
-    dispatch = {
-        "ambient": _ambient_reports,
-        "frames": _frames_reports,
-        "family": _family_reports,
-        "biharmonic": _biharmonic_reports,
-        "polynomial": _polynomial_reports,
-    }
-    if name != "all" and name not in dispatch:
+    if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of "
                          f"{', '.join(SUITE_NAMES)} or all")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
     suites = SUITE_NAMES if name == "all" else (name,)
-    return [report for suite in suites for report in dispatch[suite](seed)]
+    return [report for suite in suites for report in _SUITES[suite](seed)]
 
 
 def reports_to_json(reports: Sequence[CheckReport]) -> str:

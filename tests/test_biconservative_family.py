@@ -13,7 +13,8 @@ from solgeo.biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
                                           ProfileSolution, build_profile,
                                           f_explicit,
                                           f_prime_explicit, f_prime_implicit,
-                                          f_second_explicit, family_surface,
+                                          f_second_explicit,
+                                          f_second_implicit, family_surface,
                                           family_vertices,
                                           gaussian_curvature_closed_form,
                                           integrate_implicit_profile,
@@ -65,8 +66,8 @@ def test_constants():
     # both roots of 3 a^2 + a - 1
     for a in (a1, a2):
         assert abs(3.0 * a * a + a - 1.0) < 1e-15
-    assert abs(CONSTANTS.b1 - 0.722649901887385439) < 1e-15
-    assert abs(CONSTANTS.b2 + 1.277350098112614561) < 1e-15
+    with pytest.raises(AttributeError):
+        CONSTANTS.a1 = 0.5
 
 
 @pytest.mark.parametrize("u", sorted(ORACLE))
@@ -476,11 +477,26 @@ def test_implicit_dense_output_consistent(implicit_solution):
     assert abs(implicit_solution.f_at(u) - solve_f(th, 1.0)) < 1e-12
 
 
-def test_implicit_f_second_unavailable(implicit_solution):
-    # no closed f'' on the implicit kind: the field differences f'
+def test_f_second_implicit_matches_the_explicit_closed_form():
+    # the explicit profile solves the same ODE, so the ODE's f'' at its
+    # (theta, f) is its closed-form f''
+    u = np.linspace(-12.0, -1e-3, 2001)
+    ode = f_second_implicit(theta_explicit(u), f_explicit(u))
+    assert np.max(np.abs(ode - f_second_explicit(u))) < 1e-14
+
+
+def test_implicit_f_second_matches_a_difference_of_f_prime(
+        implicit_solution):
+    # inside the profile, which halts at u = 0.281
+    u = np.linspace(implicit_solution.u[1], implicit_solution.u[-2], 2001)
+    h = 1e-6
+    fd = (implicit_solution.f_prime_at(u + h)
+          - implicit_solution.f_prime_at(u - h)) / (2.0 * h)
+    assert np.max(np.abs(implicit_solution.f_second_at(u) - fd)) < 1e-8
+    # the family's mean-curvature field reads it
     field = family_surface(implicit_solution, "x1").mean_curvature
-    assert field.duu is None
-    assert field.du is not None
+    assert field.hessian(0.2, 0.3) == (implicit_solution.f_second_at(0.2),
+                                       0.0, 0.0)
 
 
 def test_implicit_halt_span_exhausted():
@@ -518,6 +534,17 @@ def test_profile_solution_validation():
         ProfileSolution(**{**good, "f": np.array([1.0, -1.0])})
     with pytest.raises(ValueError):
         ProfileSolution(**{**good, "theta": np.array([2.1, 2.2])})
+
+
+def test_profile_c0_anchors_psi(explicit_profile, implicit_solution):
+    # c0 is derived, not an argument: Psi(u0) = 0 on every profile
+    assert explicit_profile.c0 == psi_anchor(explicit_profile.u0)
+    assert explicit_profile.psi_at(explicit_profile.u0) == 0.0
+    assert implicit_solution.c0 == 0.0
+    with pytest.raises(TypeError):
+        ProfileSolution(kind=EXPLICIT, u=[-2.0, -1.0], theta=[2.8, 2.3],
+                        f=[0.1, 0.3], psi=[0.0, 0.0], phi1=[0.0, 0.0],
+                        u0=-1.0, c0=1.0)
 
 
 def test_build_profile_validations():
@@ -593,9 +620,9 @@ def test_family_surface_mean_curvature_handles(explicit_profile, patch_x1):
     field = patch_x1.mean_curvature
     assert field.value(-1.0, 0.4) == pytest.approx(
         f_explicit(-1.0), abs=1e-15)
-    assert field.du(-1.0, 0.4) == pytest.approx(
-        f_prime_explicit(-1.0), abs=1e-15)
-    assert field.dv(-1.0, 0.4) == 0.0
+    assert field.first_partials(-1.0, 0.4) == (f_prime_explicit(-1.0), 0.0)
+    assert field.second_partials(-1.0, 0.4) == (f_second_explicit(-1.0),
+                                                0.0, 0.0)
 
 
 def test_family_handles_evaluate_the_profile_once(monkeypatch,

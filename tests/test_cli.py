@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -159,6 +160,36 @@ def test_curvature_json_bytes_for_a_numeric_plane(capsys):
 def test_curvature_degenerate_plane_is_runtime_error(capsys):
     assert run(["curvature", "--plane", "E1,E1"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_curvature_of_a_plane_past_the_gram_overflow(capsys):
+    # |x|^2 |y|^2 = 1e400 overflows, but K = -1 and R(X, Y)Y = -1e300 E1
+    # are finite
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["curvature", "--point", "0,0,0", "--plane",
+                    "1e100:0:0,0:0:1e100", "--json"]) == 0
+    assert caught == []
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert abs(payload["sectional_curvature"] + 1.0) <= 1e-15
+    assert payload["curvature_R_xy_y_frame"] == [-1e300, 0.0, 0.0]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("plane", ["1e200:1e200:0,0:1e200:1e200",
+                                   "1e300:0:0,0:0:1e300"])
+def test_curvature_out_of_double_range_is_runtime_error(capsys, plane):
+    # R(X, Y)Y overflows: one error line, no NaN on stdout, no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["curvature", "--point", "0,0,0", "--plane", plane,
+                    "--json"]) == 1
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_curvature_malformed_plane_is_usage_error(capsys):

@@ -3,8 +3,8 @@ or reads them as attributes, every public kernel in ``solgeo.numerics``
 has a caller elsewhere in the package, the package imports exactly the
 third-party packages it declares, no module imports scipy, the surface
 calculus leaves finite differences to the patch and the curvature trace
-to its closed form, and the obstruction polynomial is formed in
-exact_poly only."""
+to its closed form, the obstruction polynomial is formed in exact_poly
+only, and every dataclass field with a default is set by some caller."""
 
 import ast
 import os
@@ -174,3 +174,56 @@ def test_verification_reads_the_obstruction_addends_from_exact_poly():
     # the combination's formula is written once, in exact_poly
     imported = _imported_names(PACKAGE_DIR / "verification.py")
     assert imported & {"obstruction_quintic", "obstruction_cubic"} == set()
+
+
+def _dataclass_fields(tree: ast.AST):
+    """(class name, [(field, has default)]) of every dataclass a module
+    defines, fields in constructor order."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d
+                      for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                   for d in decorators):
+            continue
+        yield node.name, [(stmt.target.id, stmt.value is not None)
+                          for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and isinstance(stmt.target, ast.Name)]
+
+
+def _call_name(call: ast.Call):
+    func = call.func
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def test_every_dataclass_option_is_set_by_some_caller():
+    # a field with a default that no call in the package ever sets is an
+    # option with one value in use: a constant.  A call sets a field by
+    # keyword or by position; dataclasses.replace sets it by keyword, on
+    # whichever dataclass has a field of that name.  RunConfig's fields
+    # are the command-line flags, set by name from the parsed arguments.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    classes = {f"{module}.{name}": fields
+               for module, tree in trees.items()
+               for name, fields in _dataclass_fields(tree)}
+    assert "patch.SurfacePatch" in classes
+    del classes["cli.RunConfig"]
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unset = []
+    for qualified, fields in classes.items():
+        name = qualified.split(".")[1]
+        names = [field for field, _ in fields]
+        set_fields = set()
+        for call in calls:
+            if _call_name(call) == name:
+                set_fields.update(names[:len(call.args)])
+            elif _call_name(call) != "replace":
+                continue
+            set_fields.update(kw.arg for kw in call.keywords)
+        unset.extend(f"{qualified}.{field}" for field, default in fields
+                     if default and field not in set_fields)
+    assert unset == []

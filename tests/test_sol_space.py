@@ -12,6 +12,7 @@ from solgeo.sol_space import (FRAME, DegeneratePlaneError, Point,
                               curvature_components, curvature_tensor,
                               curvature_tensor_fd, frame_connection,
                               frame_vector, metric_at, sectional_curvature)
+from solgeo.sol_space import PLANE_GRAM_TOLERANCE
 
 coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
                    allow_infinity=False)
@@ -339,3 +340,43 @@ def test_components_must_match_the_base_point_count():
                                              rf"vector per base point, got"):
             TangentVector(base, comps, FRAME)
     assert TangentVector(two, np.ones((2, 3)), FRAME).components.shape == (2, 3)
+
+
+# components 0 or of magnitude 1e-8 .. 1e8: no product of four of them
+# leaves the normal range of doubles
+component = st.one_of(st.just(0.0), st.builds(
+    lambda sign, size: sign * size, st.sampled_from((-1.0, 1.0)),
+    st.floats(min_value=1e-8, max_value=1e8)))
+frame_triple = st.tuples(component, component, component)
+
+
+@given(frame_triple, frame_triple, st.floats(min_value=-3.0, max_value=3.0))
+def test_sectional_keeps_the_unscaled_bits(x, y, z):
+    # the scaled Gram test and ratio round as the unscaled ones do
+    xf, yf = np.array(x), np.array(y)
+    xx, yy, xy = np.vecdot(xf, xf), np.vecdot(yf, yf), np.vecdot(xf, yf)
+    gram = xx * yy - xy * xy
+    p = Point(0.0, 0.0, z)
+    plane = (TangentVector(p, xf, FRAME), TangentVector(p, yf, FRAME))
+    if gram <= PLANE_GRAM_TOLERANCE * max(1.0, xx * yy):
+        with pytest.raises(DegeneratePlaneError):
+            sectional_curvature(*plane)
+    else:
+        expected = np.vecdot(curvature_components(xf, yf, yf), xf) / gram
+        assert sectional_curvature(*plane) == expected
+
+
+@pytest.mark.parametrize("size", [1e100, 1e200, 1e300])
+def test_sectional_of_large_vectors(size):
+    # |x|^2 |y|^2 overflows a double; K does not
+    p = Point(0.0, 0.0, 0.0)
+    with np.errstate(over="raise", invalid="raise"):
+        k = sectional_curvature(
+            TangentVector(p, np.array([size, 0.0, 0.0]), FRAME),
+            TangentVector(p, np.array([0.0, 0.0, size]), FRAME))
+        k_diagonal = sectional_curvature(
+            TangentVector(p, np.array([size, size, 0.0]), FRAME),
+            TangentVector(p, np.array([0.0, size, size]), FRAME))
+    assert abs(k + 1.0) <= 1e-15
+    # the plane of (1, 1, 0) and (0, 1, 1): unit normal (1, -1, 1) / sqrt 3
+    assert abs(k_diagonal - (2.0 / 3.0 - 1.0)) <= 1e-15

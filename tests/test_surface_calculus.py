@@ -257,7 +257,7 @@ def _numpy_record(patch, u, v, dh):
     firsts = (du, dv)
     du_f, dv_f = (to_frame(c) for c in firsts)
     cross = np.cross(du_f, dv_f)
-    xi_f = patch.orientation * cross / np.linalg.norm(cross)
+    xi_f = cross / np.linalg.norm(cross)
     first = np.array([[du_f @ du_f, du_f @ dv_f], [dv_f @ du_f, dv_f @ dv_f]])
     gamma = christoffel(point)
     seconds = ((duu, duv), (duv, dvv))
@@ -390,10 +390,10 @@ def test_n_point_record_names_the_first_degenerate_point(patch_x1):
 
 def _z_leaf_with_gradient(du):
     """The z-leaf with the mean-curvature field f = 0 whose u-partial
-    handle is ``du``."""
+    is ``du``."""
     leaf = canonical_leaf("z_const", 0.15)
     return dataclasses.replace(leaf, mean_curvature=ScalarField(
-        lambda u, v: 0.0 * u, du=du, dv=lambda u, v: 0.0))
+        lambda u, v: 0.0 * u, first_partials=lambda u, v: (du(u, v), 0.0)))
 
 
 def test_n_point_frame_names_the_first_cmc_degenerate_point():

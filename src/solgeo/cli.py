@@ -224,20 +224,13 @@ def cmd_verify(config: RunConfig) -> int:
         with open(config.output, "w", encoding="utf-8", newline="\n") as out:
             out.write(text)
         for report in reports:
-            if report.status == "skipped":
-                print(f"{report.check_id}: skipped "
-                      f"({report.context.get('reason', '')})")
-            else:
-                print(f"{report.check_id}: {report.status} "
-                      f"(max_error={report.max_error:.3e}, "
-                      f"tolerance={report.tolerance:.3e})")
+            print(f"{report.check_id}: {report.status} "
+                  f"(max_error={report.max_error:.3e}, "
+                  f"tolerance={report.tolerance:.3e})")
     else:
         sys.stdout.write(text)
     n_fail = sum(1 for r in reports if r.status == "fail")
-    n_pass = sum(1 for r in reports if r.status == "pass")
-    n_skip = sum(1 for r in reports if r.status == "skipped")
-    print(f"{n_pass} passed, {n_fail} failed, {n_skip} skipped",
-          file=sys.stderr)
+    print(f"{len(reports) - n_fail} passed, {n_fail} failed", file=sys.stderr)
     return 1 if n_fail else 0
 
 
@@ -315,48 +308,43 @@ def _build_parser() -> argparse.ArgumentParser:
                     "queries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p):
-        p.add_argument("--config", help="JSON file with RunConfig fields; "
-                                        "flags override")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON file with RunConfig fields; "
+                                         "flags override")
+    profile_flags = argparse.ArgumentParser(add_help=False, parents=[config])
+    profile_flags.add_argument("--kind", choices=(EXPLICIT, IMPLICIT))
+    profile_flags.add_argument("--c", type=float,
+                               help="implicit integration constant")
+    profile_flags.add_argument("--u-min", dest="u_min", type=float)
+    profile_flags.add_argument("--u-max", dest="u_max", type=float)
+    profile_flags.add_argument("--nu", type=int, help="profile sample count")
+    profile_flags.add_argument("--u0", type=float, help="quadrature anchor")
+    profile_flags.add_argument("--theta-start", dest="theta_start", type=float)
+    profile_flags.add_argument("--step", type=float,
+                               help="implicit integration step")
 
-    gen = sub.add_parser("generate", help="export a family surface mesh")
-    add_config(gen)
-    gen.add_argument("--kind", choices=(EXPLICIT, IMPLICIT))
+    gen = sub.add_parser("generate", parents=[profile_flags],
+                         help="export a family surface mesh")
     gen.add_argument("--variant", choices=("x1", "x2"))
-    gen.add_argument("--c", type=float, help="implicit integration constant")
-    gen.add_argument("--u-min", dest="u_min", type=float)
-    gen.add_argument("--u-max", dest="u_max", type=float)
     gen.add_argument("--v-min", dest="v_min", type=float)
     gen.add_argument("--v-max", dest="v_max", type=float)
-    gen.add_argument("--nu", type=int, help="profile sample count")
     gen.add_argument("--nv", type=int, help="rulings sample count")
-    gen.add_argument("--u0", type=float, help="quadrature anchor")
-    gen.add_argument("--theta-start", dest="theta_start", type=float)
-    gen.add_argument("--step", type=float, help="implicit integration step")
     gen.add_argument("--output", help="mesh path (default "
                                       "family_<variant>.<format>)")
     gen.add_argument("--format", choices=("obj", "ply"))
 
-    prof = sub.add_parser("profile", help="tabulate a profile curve as CSV")
-    add_config(prof)
-    prof.add_argument("--kind", choices=(EXPLICIT, IMPLICIT))
-    prof.add_argument("--c", type=float)
-    prof.add_argument("--u-min", dest="u_min", type=float)
-    prof.add_argument("--u-max", dest="u_max", type=float)
-    prof.add_argument("--nu", type=int)
-    prof.add_argument("--u0", type=float)
-    prof.add_argument("--theta-start", dest="theta_start", type=float)
-    prof.add_argument("--step", type=float)
+    prof = sub.add_parser("profile", parents=[profile_flags],
+                          help="tabulate a profile curve as CSV")
     prof.add_argument("--output", help="CSV path (default: stdout)")
 
-    ver = sub.add_parser("verify", help="run a verification suite")
-    add_config(ver)
+    ver = sub.add_parser("verify", parents=[config],
+                         help="run a verification suite")
     ver.add_argument("--suite", choices=SUITE_NAMES + ("all",))
     ver.add_argument("--seed", type=int)
     ver.add_argument("--output", help="JSON report path (default: stdout)")
 
-    cur = sub.add_parser("curvature", help="sectional curvature at a point")
-    add_config(cur)
+    cur = sub.add_parser("curvature", parents=[config],
+                         help="sectional curvature at a point")
     cur.add_argument("--point", help="x,y,z coordinates")
     cur.add_argument("--plane", help="two of E1/E2/E3 or a:b:c frame "
                                      "triples, comma separated")

@@ -108,18 +108,31 @@ class TangentVector:
     def in_frame(self) -> "TangentVector":
         if self.basis == FRAME:
             return self
-        ez = namespace(self.base.z).exp(self.base.z)
-        v = self.components.T
-        return TangentVector(self.base, np.array([ez * v[0], v[1] / ez,
-                                                  v[2]]).T, FRAME)
+        return self._converted(lambda ez, v: (ez * v[0], v[1] / ez, v[2]),
+                               FRAME)
 
     def in_coordinates(self) -> "TangentVector":
         if self.basis == COORDINATE:
             return self
-        ez = namespace(self.base.z).exp(self.base.z)
-        c = self.components.T
-        return TangentVector(self.base, np.array([c[0] / ez, ez * c[1],
-                                                  c[2]]).T, COORDINATE)
+        return self._converted(lambda ez, c: (c[0] / ez, ez * c[1], c[2]),
+                               COORDINATE)
+
+    def _converted(self, formula, basis: str) -> "TangentVector":
+        """The vector in ``basis``, its components ``formula(e^z,
+        components.T)``; ValueError names the first point whose new
+        components leave the double range."""
+        z = self.base.z
+        with np.errstate(all="ignore"):
+            try:
+                ez = namespace(z).exp(z)
+            except OverflowError:
+                ez = math.inf
+            comps = np.array(formula(ez, self.components.T)).T
+        bad = first_false(np.isfinite(comps).all(axis=-1))
+        if bad is not None:
+            raise ValueError(f"{basis} components leave the double range "
+                             f"at z = {np.ravel(z)[bad]:g}")
+        return TangentVector(self.base, comps, basis)
 
 
 @dataclass(frozen=True)

@@ -159,9 +159,9 @@ class LocalGeometry:
     points (:func:`~solgeo.numerics.namespace`; the type of ``u`` decides).
     The normal is the cross product of the frame partials written out;
     every 2x2 system (``A``, ``gradient_h``, the frame's parameter
-    coefficients, ``surface_christoffel``) is solved by the closed-form
-    inverse of the first form scaled to unit diagonal, and ``laplacian``
-    contracts with the inverse metric [[G, -F], [-F, E]] / (EG - F^2); the
+    coefficients, ``surface_christoffel``, and the two columns of the
+    covariant Hessian that ``laplacian`` traces) is solved by the
+    closed-form inverse of the first form scaled to unit diagonal; the
     ambient derivatives of the partials take Sol's connection from the one
     contraction :func:`~solgeo.sol_space.christoffel_contraction`.  The
     public attributes, and the fields of :meth:`adapted_frame`, are numpy
@@ -451,20 +451,15 @@ class LocalGeometry:
     def laplacian(self, field):
         """Surface Laplacian of ``field``; see :func:`laplace_beltrami`."""
         fld = field if isinstance(field, ScalarField) else ScalarField(field)
-        grad = fld.gradient(self.u, self.v, self.patch.fd_step)
+        phi_u, phi_v = fld.gradient(self.u, self.v, self.patch.fd_step)
         phi_uu, phi_uv, phi_vv = fld.hessian(self.u, self.v)
-        hess = ((phi_uu, phi_uv), (phi_uv, phi_vv))
+        # the covariant Hessian phi_ij - Gamma^k_ij phi_k, traced with the
+        # inverse first form column by column
         (u_uu, v_uu), (u_uv, v_uv), (u_vv, v_vv) = self._christoffel
-        gamma = (((u_uu, u_uv), (u_uv, u_vv)), ((v_uu, v_uv), (v_uv, v_vv)))
-        e, f, g, det = self._E, self._F, self._G, self._det
-        inv = ((g / det, -f / det), (-f / det, e / det))
-        total = 0.0
-        for i in range(2):
-            for j in range(2):
-                correction = (gamma[0][i][j] * grad[0]
-                              + gamma[1][i][j] * grad[1])
-                total += inv[i][j] * (hess[i][j] - correction)
-        return total
+        m_uu = phi_uu - (u_uu * phi_u + v_uu * phi_v)
+        m_uv = phi_uv - (u_uv * phi_u + v_uv * phi_v)
+        m_vv = phi_vv - (u_vv * phi_u + v_vv * phi_v)
+        return self._solve(m_uu, m_uv)[0] + self._solve(m_uv, m_vv)[1]
 
 
 def fundamental_forms(patch: SurfacePatch, u: float,

@@ -47,8 +47,7 @@ from .sol_space import (FRAME, Point, TangentVector, canonical_leaf,
                         curvature_tensor, curvature_tensor_fd,
                         frame_connection, frame_vector, metric_at,
                         sectional_curvature)
-from .surface_calculus import (AdaptedFrameSample, CmcDegenerateError,
-                               LocalGeometry)
+from .surface_calculus import AdaptedFrameSample, LocalGeometry
 
 __all__ = [
     "CheckReport",
@@ -79,26 +78,22 @@ IDENTITY_STATEMENTS = (
 
 @dataclass(frozen=True)
 class CheckReport:
-    """One pass/fail/skipped verification result.
+    """One pass/fail verification result.
 
-    Invariant: for non-skipped reports, ``status == "pass"`` exactly when
-    ``max_error <= tolerance``.  Skipped reports carry the reason in
-    ``context`` and null error fields.
+    Invariant: ``status == "pass"`` exactly when ``max_error <= tolerance``.
     """
 
     check_id: str
     status: str
-    max_error: Optional[float]
-    tolerance: Optional[float]
+    max_error: float
+    tolerance: float
     context: Dict
 
     def __post_init__(self):
-        if self.status not in ("pass", "fail", "skipped"):
+        if self.status not in ("pass", "fail"):
             raise ValueError(f"unknown status {self.status!r}")
-        if self.status == "skipped":
-            return
         if self.max_error is None or self.tolerance is None:
-            raise ValueError("non-skipped reports need max_error and tolerance")
+            raise ValueError("reports need max_error and tolerance")
         if (self.status == "pass") != (self.max_error <= self.tolerance):
             raise ValueError("status inconsistent with max_error/tolerance")
 
@@ -109,10 +104,6 @@ class CheckReport:
         tolerance = float(tolerance)
         status = "pass" if max_error <= tolerance else "fail"
         return cls(check_id, status, max_error, tolerance, dict(context))
-
-    @classmethod
-    def skipped_report(cls, check_id: str, reason: str) -> "CheckReport":
-        return cls(check_id, "skipped", None, None, {"reason": reason})
 
     def as_dict(self) -> Dict:
         """The report as plain JSON values; see :func:`reports_to_json` for
@@ -272,30 +263,23 @@ def _identity_residuals(e: _FrameEval) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _FrameGrid:
-    """``_frame_eval`` over every grid point (u-major), or the reason the
-    patch has no adapted frame."""
+    """``_frame_eval`` over every grid point (u-major)."""
 
     patch: SurfacePatch
     us: np.ndarray
     vs: np.ndarray
-    ingredients: Optional[_FrameEval] = None
-    skipped: Optional[str] = None
+    ingredients: _FrameEval
 
 
 def _frame_grid(patch: SurfacePatch, grid: Tuple[int, int],
                 override) -> _FrameGrid:
     us, vs = patch.grid(*grid)
-    try:
-        ingredients = _frame_eval(patch, *_grid_points(us, vs), override)
-    except CmcDegenerateError as exc:
-        return _FrameGrid(patch, us, vs, skipped=str(exc))
-    return _FrameGrid(patch, us, vs, ingredients)
+    return _FrameGrid(patch, us, vs,
+                      _frame_eval(patch, *_grid_points(us, vs), override))
 
 
 def _frame_identity_reports(fg: _FrameGrid, label: str) -> List[CheckReport]:
     ids = [_suffixed(f"frame_identity_{k}", label) for k in range(1, 9)]
-    if fg.skipped is not None:
-        return [CheckReport.skipped_report(cid, fg.skipped) for cid in ids]
     maxima = np.max(np.abs(_identity_residuals(fg.ingredients)), axis=1)
     ctx = _grid_context(fg.patch, fg.us, fg.vs, fd_step=fg.patch.fd_step)
     return [CheckReport.from_error(cid, err, FRAME_IDENTITY_TOLERANCE,
@@ -310,7 +294,8 @@ def check_frame_identities(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
     lambda2) to the adapted frame, each as one report over the grid.
 
     On a CMC-degenerate patch (no gradient direction and no explicit
-    ``x1_coefficients``) all eight reports are skipped with the reason.
+    ``x1_coefficients``) the record's :class:`CmcDegenerateError` is
+    raised.
     """
     return _frame_identity_reports(
         _frame_grid(patch, grid, x1_coefficients), label)
@@ -351,8 +336,6 @@ def _angle_rows(e: _FrameEval, sign: float, step: float) -> np.ndarray:
 def _angle_reports(fg: _FrameGrid, variant: str,
                    label: str) -> List[CheckReport]:
     ids = [_suffixed(cid, label) for cid in ANGLE_CHECK_IDS]
-    if fg.skipped is not None:
-        return [CheckReport.skipped_report(cid, fg.skipped) for cid in ids]
     sign = -1.0 if variant == "x1" else 1.0
     step = fg.patch.fd_step
     rows = _angle_rows(fg.ingredients, sign, step)
@@ -382,7 +365,8 @@ def check_angle_constraints(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
     surface, that X1(f) is constant along X2, and that (lambda2,
     nabla_X2 X1) carry the sign pattern of the given variant: lambda2 =
     -sin(theta), nabla_X2 X1 = +cos(theta) X2 for ``x1`` and the opposite
-    signs for ``x2`` (in each variant's own measured angle).
+    signs for ``x2`` (in each variant's own measured angle).  A
+    CMC-degenerate patch raises the record's :class:`CmcDegenerateError`.
     """
     if variant not in ("x1", "x2"):
         raise ValueError(f"unknown variant {variant!r}")

@@ -94,6 +94,11 @@ def test_verify_polynomial_stdout(capsys):
     assert reports[0]["status"] == "pass"
 
 
+def test_verify_summary_counts_passes_and_failures(capsys):
+    assert run(["verify", "--suite", "polynomial"]) == 0
+    assert capsys.readouterr().err == "1 passed, 0 failed\n"
+
+
 def test_verify_writes_report_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["verify", "--suite", "ambient", "--output", str(out)]) == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -380,3 +381,52 @@ def test_sectional_of_large_vectors(size):
     assert abs(k + 1.0) <= 1e-15
     # the plane of (1, 1, 0) and (0, 1, 1): unit normal (1, -1, 1) / sqrt 3
     assert abs(k_diagonal - (2.0 / 3.0 - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("z", [710.0, -710.0, 800.0, -800.0])
+def test_conversions_past_the_double_range_name_the_point(z):
+    # e^z or e^-z leaves the double range: a clean error, not an
+    # OverflowError, an inf or a NaN, at one point and at N points
+    one = Point(0.0, 0.0, z)
+    many = Point(np.zeros(3), np.zeros(3), np.array([0.5, z, 2 * z]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base in (one, many):
+            shape = np.shape(base.z) + (3,)
+            for vector in (TangentVector(base, np.ones(shape)),
+                           TangentVector(base, np.ones(shape), FRAME)):
+                with pytest.raises(ValueError, match=rf"at z = {z:g}$"):
+                    vector.in_frame().in_coordinates()
+        # d/dx has frame length e^z and d/dy e^-z
+        long = np.array([1.0, 0.0, 0.0] if z > 0 else [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match=rf"at z = {z:g}$"):
+            sectional_curvature(TangentVector(one, long),
+                                TangentVector(one, np.array([0.0, 0.0, 1.0])))
+
+
+def test_conversions_inside_the_double_range_keep_their_bits():
+    # libm's exp at one point, numpy's at N points, in the same formulas
+    zs = np.array([-709.0, -1.5, 0.25, 709.0])
+    comps = np.array([[1.0, 2.0, 3.0], [-0.5, 0.0, 1.0], [4.0, -4.0, 0.0],
+                      [1e-300, 1e-300, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        many = Point(np.zeros(4), np.zeros(4), zs)
+        ez = np.exp(zs)
+        assert np.array_equal(
+            TangentVector(many, comps).in_frame().components,
+            np.array([ez * comps[:, 0], comps[:, 1] / ez, comps[:, 2]]).T)
+        assert np.array_equal(
+            TangentVector(many, comps, FRAME).in_coordinates().components,
+            np.array([comps[:, 0] / ez, ez * comps[:, 1], comps[:, 2]]).T)
+        for z, c in zip(zs, comps):
+            p, ez = Point(0.0, 0.0, float(z)), math.exp(z)
+            assert np.array_equal(TangentVector(p, c).in_frame().components,
+                                  [ez * c[0], c[1] / ez, c[2]])
+            assert np.array_equal(
+                TangentVector(p, c, FRAME).in_coordinates().components,
+                [c[0] / ez, ez * c[1], c[2]])
+        p = Point(0.0, 0.0, 709.0)
+        assert sectional_curvature(
+            TangentVector(p, np.array([1.0, 0.0, 0.0])),
+            TangentVector(p, np.array([0.0, 0.0, 1.0]))) == -1.0

@@ -427,3 +427,16 @@ def test_solve_stays_finite_far_down_the_family():
         res = biharmonic_normal_residual(x1, u, 0.25)
         assert math.isfinite(lap) and lap < 0.0, (u, lap)
         assert math.isfinite(res) and res < 0.0, (u, res)
+
+
+def test_laplacian_where_eg_overflows():
+    # a flat z = 0 plane with E = 1e300 and G = 1e20: E G overflows a
+    # double, and the Laplacian of u^2 is 2 / E
+    zero = (0.0, 0.0, 0.0)
+    plane = SurfacePatch(
+        immersion=lambda u, v: (1e150 * u, 1e10 * v, 0.0),
+        partials=lambda u, v: ((1e150, 0.0, 0.0), (0.0, 1e10, 0.0),
+                               zero, zero, zero),
+        domain=((-1.0, 1.0), (-1.0, 1.0)), name="scaled_plane")
+    lap = laplace_beltrami(plane, lambda u, v: u * u, 0.3, -0.2)
+    assert abs(lap / 2e-300 - 1.0) < 1e-8

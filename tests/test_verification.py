@@ -10,7 +10,7 @@ from solgeo import verification
 from solgeo.biconservative_family import EXPLICIT, build_profile
 from solgeo.sol_space import (FRAME, Point, TangentVector, canonical_leaf,
                               curvature_tensor, curvature_tensor_fd)
-from solgeo.surface_calculus import LocalGeometry
+from solgeo.surface_calculus import CmcDegenerateError, LocalGeometry
 from solgeo.verification import (_bounded_away, CheckReport, SUITE_NAMES,
                                  check_angle_constraints,
                                  check_biharmonic_obstruction,
@@ -39,13 +39,15 @@ def test_report_boundary_is_pass():
     assert r.status == "pass"
 
 
-def test_report_from_error_and_skip():
+def test_report_from_error():
     r = CheckReport.from_error("x", 2.0, 1.0, {"k": 1})
     assert r.status == "fail"
-    s = CheckReport.skipped_report("y", "because")
-    assert s.status == "skipped"
-    assert s.max_error is None and s.tolerance is None
-    assert s.context["reason"] == "because"
+
+
+def test_report_has_no_skipped_status():
+    # a check passes or fails; there is no third outcome to count as success
+    with pytest.raises(ValueError):
+        CheckReport("a", "skipped", None, None, {})
 
 
 def test_report_as_dict_round_trips_through_json():
@@ -70,12 +72,12 @@ def test_frame_identities_pass_on_both_variants(patch_x1, patch_x2):
         assert all(r.check_id.endswith(label) for r in reports)
 
 
-def test_frame_identities_skip_on_cmc_patch():
+def test_frame_checks_raise_on_cmc_patch():
     leaf = canonical_leaf("z_const", 0.15)
-    reports = check_frame_identities(leaf, (3, 3))
-    assert len(reports) == 8
-    assert all(r.status == "skipped" for r in reports)
-    assert all("reason" in r.context for r in reports)
+    with pytest.raises(CmcDegenerateError, match="supply x1_coefficients"):
+        check_frame_identities(leaf, (3, 3))
+    with pytest.raises(CmcDegenerateError, match="supply x1_coefficients"):
+        check_angle_constraints(leaf, (3, 3))
 
 
 def test_angle_constraints_pass(patch_x1, patch_x2):

@@ -674,9 +674,8 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
                            halt_reason=reason, theta_error_estimate=estimate)
 
 
-def build_profile(kind: str, c: Optional[float] = None,
-                  u_grid: Optional[Sequence[float]] = None,
-                  u0: Optional[float] = None,
+def build_profile(kind: str, u_grid: Sequence[float],
+                  c: Optional[float] = None, u0: Optional[float] = None,
                   theta_start: Optional[float] = None,
                   step: float = 1e-3) -> ProfileSolution:
     """Sample a profile of either kind on a parameter grid.
@@ -701,8 +700,6 @@ def build_profile(kind: str, c: Optional[float] = None,
     no error accumulates across the grid.  Implicit samples are the
     integrated profile's dense values, shifted to vanish at the anchor.
     """
-    if u_grid is None:
-        raise ValueError("u_grid is required")
     grid = np.asarray(u_grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2:
         raise ValueError("u_grid must contain at least two points")

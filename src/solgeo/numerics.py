@@ -29,8 +29,8 @@ CURVATURE_FD_STEP = 1e-4
 _FLOAT_MATH = SimpleNamespace(
     pi=math.pi, exp=math.exp, log=math.log, sqrt=math.sqrt, sin=math.sin,
     cos=math.cos, tanh=math.tanh, cosh=math.cosh, log1p=math.log1p,
-    arctan=math.atan, arctan2=math.atan2, isfinite=math.isfinite,
-    maximum=max, minimum=min,
+    frexp=math.frexp, ldexp=math.ldexp, arctan=math.atan,
+    arctan2=math.atan2, isfinite=math.isfinite, maximum=max, minimum=min,
     where=lambda cond, when_true, when_false: (when_true if cond
                                                else when_false))
 
@@ -75,29 +75,6 @@ def central_diff(func: Callable[[float], object], x: float,
     hi = np.asarray(func(x + step), dtype=float)
     lo = np.asarray(func(x - step), dtype=float)
     return (hi - lo) / (2.0 * step)
-
-
-def central_diff2(func: Callable[[float], object], x: float,
-                  step: float = CURVATURE_FD_STEP) -> np.ndarray:
-    """Central second derivative of ``func`` at ``x``.
-
-    The default step is coarser than for first derivatives: the round-off
-    floor of the second-difference quotient scales like eps / step**2.
-    """
-    hi = np.asarray(func(x + step), dtype=float)
-    mid = np.asarray(func(x), dtype=float)
-    lo = np.asarray(func(x - step), dtype=float)
-    return (hi - 2.0 * mid + lo) / (step * step)
-
-
-def mixed_diff(func: Callable[[float, float], object], x: float, y: float,
-               step: float = CURVATURE_FD_STEP) -> np.ndarray:
-    """Central mixed second derivative d2/dxdy of a two-argument function."""
-    pp = np.asarray(func(x + step, y + step), dtype=float)
-    pm = np.asarray(func(x + step, y - step), dtype=float)
-    mp = np.asarray(func(x - step, y + step), dtype=float)
-    mm = np.asarray(func(x - step, y - step), dtype=float)
-    return (pp - pm - mp + mm) / (4.0 * step * step)
 
 
 def hermite_basis(t):

@@ -1,11 +1,11 @@
 """Parametrized surface patches and scalar fields on them.
 
 A :class:`SurfacePatch` (an immersion ``(u, v) -> (x, y, z)``) reads its
-five first and second partials in one call; a :class:`ScalarField` (a
-function of ``(u, v)``) its two first partials in one call and its three
-second partials in another.  Each read takes the analytic handle when
-there is one, else central differences (:func:`_partials`), so fixtures
-can be as cheap or as exact as a test requires.
+five first and second partials in one call to its analytic ``partials``
+handle; every surface the package builds has them in closed form.  A
+:class:`ScalarField` (a function of ``(u, v)``) reads its two first
+partials in one call, from its handle or else by central differences,
+and its three second partials in another, from its handle alone.
 
 Every handle takes ``u`` and ``v`` as floats (one point) or as same-shape
 (N,) arrays (N points).  A vector returns three components and a scalar
@@ -22,8 +22,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .numerics import (CURVATURE_FD_STEP, DEFAULT_FD_STEP, central_diff,
-                       central_diff2, mixed_diff)
+from .numerics import DEFAULT_FD_STEP, central_diff
 
 Param = Union[float, np.ndarray]
 Components = Tuple[Param, Param, Param]
@@ -48,85 +47,69 @@ def _scalar(value, u: Param) -> Param:
     return float(value)
 
 
-def _partial(func, u: Param, v: Param, axes: str, step: float):
-    """The central difference of ``func`` along ``axes`` (``"u"`` ..
-    ``"vv"``) at ``(u, v)``, first partials at ``step`` and second ones at
-    ``CURVATURE_FD_STEP``.  It shifts the whole of an array ``u`` or ``v``
-    at once, with the components of a vector ``func`` on the leading axis."""
-    if axes == "u":
-        return central_diff(lambda s: func(s, v), u, step)
-    if axes == "v":
-        return central_diff(lambda t: func(u, t), v, step)
-    if axes == "uu":
-        return central_diff2(lambda s: func(s, v), u, CURVATURE_FD_STEP)
-    if axes == "vv":
-        return central_diff2(lambda t: func(u, t), v, CURVATURE_FD_STEP)
-    return mixed_diff(func, u, v, CURVATURE_FD_STEP)
-
-
-def _partials(func, handle, u: Param, v: Param, axes: Tuple[str, ...],
-              step: float = DEFAULT_FD_STEP) -> tuple:
-    """The partials of ``func`` along each of ``axes`` at ``(u, v)``:
-    ``handle(u, v)`` if there is a handle, else :func:`_partial` per axis."""
-    if handle is not None:
-        return handle(u, v)
-    return tuple(_partial(func, u, v, a, step) for a in axes)
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar function of the surface parameters with optional analytic
     partials: ``first_partials`` maps ``(u, v)`` to (phi_u, phi_v) and
-    ``second_partials`` to (phi_uu, phi_uv, phi_vv).  Without a handle the
-    partials are central differences of ``value``."""
+    ``second_partials`` to (phi_uu, phi_uv, phi_vv).  Without
+    ``first_partials`` the gradient is a central difference of ``value``;
+    without ``second_partials`` the field has no Hessian."""
 
     value: ScalarHandle
     first_partials: Optional[ScalarPartials] = None
     second_partials: Optional[ScalarPartials] = None
 
     def gradient(self, u: Param, v: Param, step: float) -> Tuple[Param, Param]:
-        """(phi_u, phi_v); without a handle differenced at ``step``."""
-        return tuple(_scalar(d, u) for d in _partials(
-            self.value, self.first_partials, u, v, ("u", "v"), step))
+        """(phi_u, phi_v); without a handle differenced at ``step``, the
+        whole of an array ``u`` or ``v`` shifted at once."""
+        if self.first_partials is not None:
+            partials = self.first_partials(u, v)
+        else:
+            partials = (central_diff(lambda s: self.value(s, v), u, step),
+                        central_diff(lambda t: self.value(u, t), v, step))
+        return tuple(_scalar(d, u) for d in partials)
 
     def hessian(self, u: Param, v: Param) -> Tuple[Param, Param, Param]:
-        """(phi_uu, phi_uv, phi_vv); without a handle differenced at
-        ``CURVATURE_FD_STEP``."""
-        return tuple(_scalar(d, u) for d in _partials(
-            self.value, self.second_partials, u, v, ("uu", "uv", "vv")))
+        """(phi_uu, phi_uv, phi_vv) from the ``second_partials`` handle;
+        ``ValueError`` without one."""
+        if self.second_partials is None:
+            raise ValueError("the field has no second_partials handle, "
+                             "so its Hessian is not available")
+        return tuple(_scalar(d, u) for d in self.second_partials(u, v))
 
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """An immersion of a parameter rectangle with optional analytic partials.
+    """An immersion of a parameter rectangle with its analytic partials.
 
     Parameters
     ----------
     immersion:
         Map ``(u, v)`` to the three ambient coordinates.
+    partials:
+        Map ``(u, v) -> (d_u, d_v, d_uu, d_uv, d_vv)``: the analytic first
+        and second partials of the immersion, all five from one call.
     domain:
         ``((u_min, u_max), (v_min, v_max))``; informative, not enforced on
         evaluation.
+    name:
+        Label used in error messages and report contexts.
     fd_step:
-        Central-difference step of the immersion's first partials when
-        there is no ``partials`` handle, and of the mean curvature.  Second
-        partials without a handle are differenced at
-        ``numerics.CURVATURE_FD_STEP``.
-    partials:
-        Optional map ``(u, v) -> (d_u, d_v, d_uu, d_uv, d_vv)``: the
-        analytic first and second partials of the immersion, all five from
-        one call.
+        Central-difference step of a field's gradient without a
+        ``first_partials`` handle (the mean curvature's, on a patch without
+        a mean-curvature field) and of the frame-identity stencils.
     mean_curvature:
         Optional :class:`ScalarField` of the mean curvature, preferred by
         curvature routines because differencing each point's own f costs
-        third derivatives of the immersion.
+        third derivatives of the immersion.  The Laplacian of f needs its
+        ``second_partials``.
     """
 
     immersion: Immersion
+    partials: Partials
     domain: Tuple[Tuple[float, float], Tuple[float, float]]
-    name: str = "patch"
+    name: str
     fd_step: float = DEFAULT_FD_STEP
-    partials: Optional[Partials] = None
     mean_curvature: Optional[ScalarField] = None
 
     def __post_init__(self):
@@ -138,12 +121,9 @@ class SurfacePatch:
         return _components(self.immersion(u, v), u)
 
     def derivatives(self, u: Param, v: Param) -> Tuple[Components, ...]:
-        """(d_u, d_v, d_uu, d_uv, d_vv) at ``(u, v)``, each shaped like
-        ``position``: the ``partials`` handle's values, else central
-        differences of the immersion."""
-        return tuple(_components(d, u) for d in _partials(
-            self.position, self.partials, u, v, ("u", "v", "uu", "uv", "vv"),
-            self.fd_step))
+        """(d_u, d_v, d_uu, d_uv, d_vv) at ``(u, v)``: the ``partials``
+        handle's values, each shaped like ``position``."""
+        return tuple(_components(d, u) for d in self.partials(u, v))
 
     def grid(self, nu: int, nv: int) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform parameter samples over the domain, ``nu`` by ``nv``."""
@@ -153,8 +133,8 @@ class SurfacePatch:
     def without_curvature_handles(self) -> "SurfacePatch":
         """Copy with the mean-curvature field dropped.
 
-        Forces downstream routines onto the finite-difference path; used by
-        convergence studies.
+        Forces downstream routines onto the finite-difference gradient of
+        f; used by convergence studies.
         """
         return replace(self, mean_curvature=None)
 

@@ -26,7 +26,6 @@ mean curvature is f = trace(A) / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -197,8 +196,13 @@ class LocalGeometry:
         self._du = du = self._frame(self._du_c)
         self._dv = dv = self._frame(self._dv_c)
         e, f, g = _dot(du, du), _dot(du, dv), _dot(dv, dv)
-        cross = _cross(du, dv)
-        norm = xp.sqrt(_dot(cross, cross))
+        # scaled by a power of two to components below 1, the cross product's
+        # length cannot overflow; where it would not anyway no bit moves
+        c0, c1, c2 = _cross(du, dv)
+        top = xp.frexp(xp.maximum(xp.maximum(abs(c0), abs(c1)), abs(c2)))[1]
+        cross = xp.ldexp(c0, -top), xp.ldexp(c1, -top), xp.ldexp(c2, -top)
+        scaled_norm = xp.sqrt(_dot(cross, cross))
+        norm = xp.ldexp(scaled_norm, top)
         root_e, root_g = xp.sqrt(e), xp.sqrt(g)
         # written so that a NaN partial is degenerate too
         bad = first_false(norm > 1e-10 * xp.maximum(root_e * root_g, 1e-30))
@@ -206,11 +210,12 @@ class LocalGeometry:
             raise DegenerateParametrizationError(
                 f"parametrization of {patch.name!r} degenerates at "
                 f"(u, v) = ({np.ravel(u)[bad]:g}, {np.ravel(v)[bad]:g})")
-        self._E, self._F, self._G, self._det = e, f, g, e * g - f * f
+        self._E, self._F, self._G = e, f, g
         self._root_e, self._root_g = root_e, root_g
         self._cos = f / root_e / root_g
         self._sin_sq = 1.0 - self._cos * self._cos
-        self._xi = (cross[0] / norm, cross[1] / norm, cross[2] / norm)
+        self._xi = (cross[0] / scaled_norm, cross[1] / scaled_norm,
+                    cross[2] / scaled_norm)
         self.point = Point(x, y, z)
 
     def _array(self, nested) -> np.ndarray:
@@ -328,9 +333,11 @@ class LocalGeometry:
         Gauss equation).  In Sol a plane with unit normal xi has sectional
         curvature 2 xi_3^2 - 1 (the closed form of
         :func:`~solgeo.sol_space.sectional_curvature`, with its test for a
-        degenerate plane)."""
-        if first_false(self._det > PLANE_GRAM_TOLERANCE
-                       * self._xp.maximum(1.0, self._E * self._G)) is not None:
+        degenerate plane, det I > tol max(1, E G), divided by E G so that
+        nothing overflows)."""
+        inverse = 1.0 / (self._root_e * self._root_g)
+        if first_false(self._sin_sq > PLANE_GRAM_TOLERANCE * self._xp.maximum(
+                inverse * inverse, 1.0)) is not None:
             raise DegeneratePlaneError("spanning vectors are linearly dependent")
         (a00, a01), (a10, a11) = self._shape
         xi3 = self._xi[2]
@@ -348,9 +355,10 @@ class LocalGeometry:
 
     @_computed_once
     def _f_field(self) -> ScalarField:
-        """The patch's mean-curvature field, or else a handle-free field of
-        each point's own f (an N-point record's own f at N shifted
-        points)."""
+        """The patch's mean-curvature field, or else a field of each
+        point's own f with no handles (an N-point record's own f at N
+        shifted points): its gradient is a central difference, and it has
+        no Hessian."""
         return self.patch.mean_curvature or ScalarField(
             lambda s, t: LocalGeometry(self.patch, s, t).h)
 
@@ -448,11 +456,10 @@ class LocalGeometry:
             e3_defect=x2_f[2], x1_coefficients=self._array(c1),
             x2_coefficients=self._array(c2))
 
-    def laplacian(self, field):
+    def laplacian(self, field: ScalarField):
         """Surface Laplacian of ``field``; see :func:`laplace_beltrami`."""
-        fld = field if isinstance(field, ScalarField) else ScalarField(field)
-        phi_u, phi_v = fld.gradient(self.u, self.v, self.patch.fd_step)
-        phi_uu, phi_uv, phi_vv = fld.hessian(self.u, self.v)
+        phi_uu, phi_uv, phi_vv = field.hessian(self.u, self.v)
+        phi_u, phi_v = field.gradient(self.u, self.v, self.patch.fd_step)
         # the covariant Hessian phi_ij - Gamma^k_ij phi_k, traced with the
         # inverse first form column by column
         (u_uu, v_uu), (u_uv, v_uv), (u_vv, v_vv) = self._christoffel
@@ -516,14 +523,14 @@ def biconservative_residual(patch: SurfacePatch, u: float,
     return LocalGeometry(patch, u, v).residual
 
 
-def laplace_beltrami(patch: SurfacePatch,
-                     field: Union[ScalarField, Callable[[float, float], float]],
-                     u: float, v: float) -> float:
+def laplace_beltrami(patch: SurfacePatch, field: ScalarField, u: float,
+                     v: float) -> float:
     """Surface Laplacian (trace of the intrinsic Hessian) of a scalar field.
 
-    Analytic derivative handles on a :class:`ScalarField` are used where
-    present; anything missing is filled by central differences, which makes
-    the result second-order accurate in the patch's difference steps.
+    The second partials come from the field's ``second_partials`` handle,
+    and a field without one raises ``ValueError``; the first ones from its
+    ``first_partials`` handle, or else by central differences at the
+    patch's ``fd_step``.
     """
     return LocalGeometry(patch, u, v).laplacian(field)
 
@@ -533,9 +540,9 @@ def biharmonic_normal_residual(patch: SurfacePatch, u: float,
     """Normal residual Delta f - f |A|^2 - f <trace R(., xi) ., xi>.
 
     Delta f is the surface Laplacian of the patch's mean-curvature field,
-    or of each point's own f on a patch without one.  A biharmonic
-    immersion makes this vanish; for the biconservative family it is
-    strictly negative, which is the obstruction.
+    so a patch without one raises ``ValueError``.  A biharmonic immersion
+    makes this vanish; for the biconservative family it is strictly
+    negative, which is the obstruction.
     """
     geo = LocalGeometry(patch, u, v)
     return geo.normal_residual(geo.laplacian(geo._f_field))

@@ -78,32 +78,26 @@ IDENTITY_STATEMENTS = (
 
 @dataclass(frozen=True)
 class CheckReport:
-    """One pass/fail verification result.
-
-    Invariant: ``status == "pass"`` exactly when ``max_error <= tolerance``.
-    """
+    """One pass/fail verification result: ``max_error`` and ``tolerance``
+    as floats and a copy of ``context``."""
 
     check_id: str
-    status: str
     max_error: float
     tolerance: float
     context: Dict
 
     def __post_init__(self):
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"unknown status {self.status!r}")
         if self.max_error is None or self.tolerance is None:
             raise ValueError("reports need max_error and tolerance")
-        if (self.status == "pass") != (self.max_error <= self.tolerance):
-            raise ValueError("status inconsistent with max_error/tolerance")
+        object.__setattr__(self, "max_error", float(self.max_error))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+        object.__setattr__(self, "context", dict(self.context))
 
-    @classmethod
-    def from_error(cls, check_id: str, max_error: float, tolerance: float,
-                   context: Dict) -> "CheckReport":
-        max_error = float(max_error)
-        tolerance = float(tolerance)
-        status = "pass" if max_error <= tolerance else "fail"
-        return cls(check_id, status, max_error, tolerance, dict(context))
+    @property
+    def status(self) -> str:
+        """``"pass"`` exactly when ``max_error <= tolerance``, so a NaN
+        error fails."""
+        return "pass" if self.max_error <= self.tolerance else "fail"
 
     def as_dict(self) -> Dict:
         """The report as plain JSON values; see :func:`reports_to_json` for
@@ -141,8 +135,8 @@ def _bounded_away(check_id: str, observed: float, floor: float,
     """Pass iff ``observed >= floor``; the error is the shortfall."""
     context = dict(context, observed=float(observed),
                    required_floor=float(floor))
-    return CheckReport.from_error(check_id, np.maximum(0.0, floor - observed),
-                                  0.0, context)
+    return CheckReport(check_id, np.maximum(0.0, floor - observed), 0.0,
+                       context)
 
 
 def _suffixed(base: str, label: str) -> str:
@@ -282,8 +276,8 @@ def _frame_identity_reports(fg: _FrameGrid, label: str) -> List[CheckReport]:
     ids = [_suffixed(f"frame_identity_{k}", label) for k in range(1, 9)]
     maxima = np.max(np.abs(_identity_residuals(fg.ingredients)), axis=1)
     ctx = _grid_context(fg.patch, fg.us, fg.vs, fd_step=fg.patch.fd_step)
-    return [CheckReport.from_error(cid, err, FRAME_IDENTITY_TOLERANCE,
-                                   dict(ctx, statement=statement))
+    return [CheckReport(cid, err, FRAME_IDENTITY_TOLERANCE,
+                        dict(ctx, statement=statement))
             for cid, err, statement in zip(ids, maxima, IDENTITY_STATEMENTS)]
 
 
@@ -349,8 +343,7 @@ def _angle_reports(fg: _FrameGrid, variant: str,
     tolerances = (1e-7, 1e-7, 1e-7, 1e-6, 1e-9, 1e-7)
     return ([_bounded_away(cid, observed, 1e-6, ctx)
              for cid, observed in zip(ids[:2], lowest)]
-            + [CheckReport.from_error(cid, err, tol,
-                                      dict(ctx, statement=statement))
+            + [CheckReport(cid, err, tol, dict(ctx, statement=statement))
                for cid, err, tol, statement in zip(ids[2:], largest,
                                                    tolerances, statements)])
 
@@ -466,7 +459,7 @@ def check_cmc_rigidity(fixtures: Optional[Sequence[SurfacePatch]] = None
             classification = ("not_cmc" if max_grad > 1e-6
                               else "not_biconservative")
             err = 0.0
-        reports.append(CheckReport.from_error(
+        reports.append(CheckReport(
             f"cmc_rigidity_{patch.name}", err, 1e-8,
             _grid_context(patch, us, vs, classification=classification,
                           max_grad_f=max_grad, max_residual=max_res,
@@ -549,23 +542,23 @@ def check_biharmonic_obstruction(profile: ProfileSolution) -> List[CheckReport]:
            "u_range": [float(us[0]), float(us[-1])],
            "samples": int(len(us))}
     return [
-        CheckReport.from_error(
+        CheckReport(
             "biharmonic_laplacian_two_routes",
             float(np.max(np.abs(lap_closed - lap_rational))), 1e-9,
             dict(ctx, statement="f'' + cos(theta) f' equals the rational "
                                 "form in e^{-2 a u}")),
-        CheckReport.from_error(
+        CheckReport(
             "biharmonic_laplacian_surface_route", max_surface_route, 1e-8,
             dict(ctx, statement="surface Laplacian of f equals the closed "
                                 "form", v=v0)),
-        CheckReport.from_error(
+        CheckReport(
             "biharmonic_shape_norm_closed_form", max_norm_a, 1e-8,
             dict(ctx, statement="|A|^2 = 4f^2 + 4f sin(theta) + "
                                 "2 sin^2(theta)")),
-        CheckReport.from_error(
+        CheckReport(
             "biharmonic_normal_trace_closed_form", max_trace, 1e-8,
             dict(ctx, statement="<trace R(., xi) ., xi> = 2 sin^2(theta)")),
-        CheckReport.from_error(
+        CheckReport(
             "biharmonic_residual_route_match", max_residual_route, 1e-8,
             dict(ctx, statement="normal residual equals Delta f minus the "
                                 "required right side")),
@@ -646,8 +639,7 @@ def check_polynomial_obstruction() -> CheckReport:
         "note": "real roots do not rescue the equation; g would have to "
                 "be locally constant there, contradicting g' != 0",
     }
-    return CheckReport.from_error("polynomial_obstruction", max_error, 0.0,
-                                  context)
+    return CheckReport("polynomial_obstruction", max_error, 0.0, context)
 
 
 # -- ambient suite ---------------------------------------------------------
@@ -664,7 +656,7 @@ def _ambient_reports(seed: int) -> List[CheckReport]:
     reports = []
     for cid, (i, j, target) in expected.items():
         k = sectional_curvature(frame_vector(p, i), frame_vector(p, j))
-        reports.append(CheckReport.from_error(
+        reports.append(CheckReport(
             f"ambient_{cid}", np.max(np.abs(k - target)), 1e-12,
             dict(ctx, expected=target)))
 
@@ -676,7 +668,7 @@ def _ambient_reports(seed: int) -> List[CheckReport]:
     closed = curvature_tensor(x, y, z).components
     fd = curvature_tensor_fd(x, y, z).in_frame().components
     worst = np.max(np.abs(closed - fd))
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "ambient_curvature_fd_oracle", worst, 1e-6,
         {"triples": len(draws), "fd_step": 1e-4, "seed": seed}))
 
@@ -685,10 +677,10 @@ def _ambient_reports(seed: int) -> List[CheckReport]:
                       for i in range(1, 4)])
     # <E_i, E_j> at each point, as a (3, 3, N) array
     gram = np.vecdot(frame[:, None] * metric.diagonal, frame)
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "ambient_metric_determinant",
         np.max(np.abs(metric.determinant - 1.0)), 1e-12, ctx))
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "ambient_frame_orthonormality",
         np.max(np.abs(gram - np.eye(3)[..., None])), 1e-12, ctx))
 
@@ -697,7 +689,7 @@ def _ambient_reports(seed: int) -> List[CheckReport]:
                         lambda r, j=j: frame_vector(r, j), frame_vector(c, i))
                         .in_frame().components - frame_connection(i, j))
                     for i in range(1, 4) for j in range(1, 4)])
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "ambient_connection_table", worst, 1e-8,
         {"points": len(c.z), "seed": seed,
          "statement": "finite-difference covariant derivatives reproduce "
@@ -714,7 +706,7 @@ def _leaf_reports() -> List[CheckReport]:
         us, vs = patch.grid(7, 7)
         worst = np.max(np.abs(LocalGeometry(patch,
                                             *_grid_points(us, vs)).second))
-        reports.append(CheckReport.from_error(
+        reports.append(CheckReport(
             f"leaf_totally_geodesic_{kind}", worst, 1e-9,
             _grid_context(patch, us, vs,
                           statement="second fundamental form vanishes")))
@@ -727,13 +719,13 @@ def _leaf_reports() -> List[CheckReport]:
     worst_eig = np.max(np.abs(np.sort(geo.principal_curvatures, axis=-1)
                               - np.array([-1.0, 1.0])))
     ctx = _grid_context(patch, us, vs)
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "leaf_z_mean_curvature", worst_h, 1e-10,
         dict(ctx, statement="horizontal leaves are minimal")))
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "leaf_z_gauss_curvature", worst_k, 1e-8,
         dict(ctx, statement="horizontal leaves are intrinsically flat")))
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "leaf_z_principal_curvatures", worst_eig, 1e-9,
         dict(ctx, statement="shape eigenvalues are -1 and +1")))
     return reports
@@ -796,14 +788,14 @@ def _family_reports(seed: int) -> List[CheckReport]:
     f, fp = f_explicit(dense), f_prime_explicit(dense)
     th = theta_explicit(dense)
     worst = np.max(np.abs(theta_prime_explicit(dense) + 2.0 * f))
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "family_theta_ode_explicit", worst, 1e-12,
         {"samples": len(dense), "u_range": [-4.0, -1e-3],
          "statement": "theta' + 2 f = 0, two evaluation routes"}))
 
     worst = np.max(np.abs(3.0 * f * fp + fp * np.sin(th)
                           + f * np.sin(2.0 * th)))
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "family_scalar_ode_explicit", worst, 1e-8,
         {"samples": len(dense),
          "statement": "3 f f' + f' sin(theta) + f sin(2 theta) = 0"}))
@@ -811,7 +803,7 @@ def _family_reports(seed: int) -> List[CheckReport]:
     mismatches = int(np.sum(np.sign(np.diff(profile.psi))
                             != np.sign(np.cos(0.5 * (profile.theta[1:]
                                                      + profile.theta[:-1])))))
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "family_psi_monotonicity", float(mismatches), 0.0,
         {"samples": len(profile.u),
          "statement": "sign(Psi') = sign(cos(theta)) between samples"}))
@@ -821,11 +813,11 @@ def _family_reports(seed: int) -> List[CheckReport]:
     worst_h = np.max(np.abs(geo.h - f_explicit(geo.u)))
     worst_k = np.max(np.abs(geo.K - gaussian_curvature_closed_form(geo.u)))
     max_k = np.max(geo.K)
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "family_mean_curvature_match", worst_h, 1e-8,
         {"samples": len(sub_u) * 2,
          "statement": "shape-operator mean curvature equals f(u)"}))
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "family_gauss_curvature_match", worst_k, 1e-7,
         {"samples": len(sub_u) * 2,
          "statement": "Gauss-equation curvature equals "
@@ -837,7 +829,7 @@ def _family_reports(seed: int) -> List[CheckReport]:
     for label, patch in (("x1", px1), ("x2", px2)):
         us, vs = patch.grid(64, 16)
         worst = np.max(_residual_norm(patch, *_grid_points(us, vs)))
-        reports.append(CheckReport.from_error(
+        reports.append(CheckReport(
             f"family_biconservative_residual_{label}", worst, 1e-6,
             _grid_context(patch, us, vs,
                           statement="tangential residual vanishes with "
@@ -871,7 +863,7 @@ def _family_reports(seed: int) -> List[CheckReport]:
            "final_u": float(implicit.u[-1]),
            "theta_error_estimate": implicit.theta_error_estimate,
            "samples": len(implicit.u)}
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "family_implicit_relation", worst, 1e-10,
         dict(ctx, statement="integrated samples satisfy the implicit "
                             "relation in log form")))
@@ -880,7 +872,7 @@ def _family_reports(seed: int) -> List[CheckReport]:
     du = implicit.u[2:] - implicit.u[:-2]
     dtheta = (implicit.theta[2:] - implicit.theta[:-2]) / du
     worst = float(np.max(np.abs(dtheta + 2.0 * implicit.f[1:-1])))
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "family_implicit_theta_ode", worst, h * h,
         dict(ctx, statement="theta' + 2 f = 0 with O(h^2) differencing",
              step=h)))
@@ -902,7 +894,7 @@ def _family_reports(seed: int) -> List[CheckReport]:
     worst = float(np.max(np.abs(
         3.0 * f_mid * df5 + df5 * np.sin(th_mid)
         + f_mid * np.sin(2.0 * th_mid))))
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "family_implicit_scalar_ode", worst, 1e-8,
         dict(ctx, statement="3 f f' + f' sin + f sin(2 theta) = 0 with "
                             "O(h^4) differencing", step=h5)))
@@ -910,7 +902,7 @@ def _family_reports(seed: int) -> List[CheckReport]:
     allowed = {"span_exhausted", "angle_degenerate"}
     halt_ok = implicit.halt_reason in allowed \
         and implicit.theta[-1] > math.pi / 2.0
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "family_implicit_halt", 0.0 if halt_ok else 1.0, 0.0,
         dict(ctx, statement="integration halts for a catalogued reason "
                             "inside the valid angle window")))
@@ -918,7 +910,7 @@ def _family_reports(seed: int) -> List[CheckReport]:
     anchor_err = np.max(np.abs([profile.psi_at(profile.u0),
                                 profile.phi1_at(profile.u0),
                                 implicit.psi[0], implicit.phi1[0]]))
-    reports.append(CheckReport.from_error(
+    reports.append(CheckReport(
         "family_quadrature_anchor", anchor_err, 1e-12,
         {"explicit_u0": profile.u0, "implicit_u0": implicit.u0,
          "statement": "Psi and Phi vanish at the anchor"}))

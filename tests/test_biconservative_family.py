@@ -558,7 +558,7 @@ def test_build_profile_validations():
         build_profile(IMPLICIT, c=1.0, u_grid=np.linspace(0.0, 0.5, 8),
                       theta_start=1.4)
     with pytest.raises(ValueError):
-        build_profile("affine")
+        build_profile("affine", u_grid=[-2.0, -1.0])
 
 
 def test_explicit_forms_reject_nan():

@@ -202,8 +202,11 @@ def test_every_dataclass_option_is_set_by_some_caller():
     # a field with a default that no call in the package ever sets is an
     # option with one value in use: a constant.  A call sets a field by
     # keyword or by position; dataclasses.replace sets it by keyword, on
-    # whichever dataclass has a field of that name.  RunConfig's fields
-    # are the command-line flags, set by name from the parsed arguments.
+    # whichever dataclass has a field of that name.  A default that every
+    # constructor call overrides is never used, so the field should be
+    # required: some constructor call (replace does not count) leaves it
+    # out.  RunConfig's fields are the command-line flags, set by name
+    # from the parsed arguments.
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
     classes = {f"{module}.{name}": fields
@@ -213,17 +216,24 @@ def test_every_dataclass_option_is_set_by_some_caller():
     del classes["cli.RunConfig"]
     calls = [node for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, ast.Call)]
-    unset = []
+    unset, always_set = [], []
     for qualified, fields in classes.items():
         name = qualified.split(".")[1]
         names = [field for field, _ in fields]
-        set_fields = set()
+        set_fields, left_out = set(), set()
         for call in calls:
             if _call_name(call) == name:
-                set_fields.update(names[:len(call.args)])
-            elif _call_name(call) != "replace":
-                continue
-            set_fields.update(kw.arg for kw in call.keywords)
+                passed = set(names[:len(call.args)]) | {
+                    kw.arg for kw in call.keywords}
+                set_fields.update(passed)
+                if not any(isinstance(arg, ast.Starred) for arg in call.args) \
+                        and None not in passed:
+                    left_out.update(set(names) - passed)
+            elif _call_name(call) == "replace":
+                set_fields.update(kw.arg for kw in call.keywords)
         unset.extend(f"{qualified}.{field}" for field, default in fields
                      if default and field not in set_fields)
+        always_set.extend(f"{qualified}.{field}" for field, default in fields
+                          if default and field not in left_out)
     assert unset == []
+    assert always_set == []

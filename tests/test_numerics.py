@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from solgeo.numerics import (central_diff, central_diff2, hermite_basis,
-                             hermite_eval, mixed_diff)
+from solgeo.numerics import central_diff, hermite_basis, hermite_eval
 
 
 def test_central_diff_scalar():
@@ -14,15 +13,6 @@ def test_central_diff_scalar():
 def test_central_diff_vector_valued():
     out = central_diff(lambda t: np.array([t ** 2, t ** 3]), 2.0, 1e-5)
     assert np.allclose(out, [4.0, 12.0], atol=1e-9)
-
-
-def test_central_diff2():
-    assert abs(central_diff2(lambda x: x ** 4, 1.5, 1e-4) - 27.0) < 1e-6
-
-
-def test_mixed_diff():
-    got = mixed_diff(lambda x, y: math.sin(x) * math.exp(y), 0.4, -0.3, 1e-4)
-    assert abs(got - math.cos(0.4) * math.exp(-0.3)) < 1e-7
 
 
 def test_hermite_basis_array_matches_scalar():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -145,38 +146,17 @@ def _christoffel_from_metric(patch, u, v):
     return 0.5 * np.einsum("kl,lij->kij", inv, t)
 
 
-def _handle_free(patch):
-    return SurfacePatch(immersion=patch.immersion, domain=patch.domain,
-                        name=f"{patch.name}_handle_free")
-
-
 @pytest.mark.parametrize("u,v", [(-2.0, 0.4), (-1.0, 0.3), (-0.3, -0.7)])
 def test_surface_christoffel_matches_metric_derivatives(patch_x1, patch_x2,
                                                         u, v):
-    graph = graph_patch_fixture()
-    # the oracle's own error is 1.4e-7 on the handle-free patch
-    for patch, (s, t), tol in ((patch_x1, (u, v), 1e-8),
-                               (patch_x2, (u, v), 1e-8),
-                               (graph, (0.5 * v, u / 4.0), 1e-8),
-                               (_handle_free(graph), (0.5 * v, u / 4.0),
-                                1e-6)):
+    for patch, (s, t) in ((patch_x1, (u, v)), (patch_x2, (u, v)),
+                          (graph_patch_fixture(), (0.5 * v, u / 4.0))):
         gamma = LocalGeometry(patch, s, t).surface_christoffel
         assert gamma.shape == (2, 2, 2)
         assert np.allclose(gamma, gamma.transpose(0, 2, 1), rtol=0.0,
                            atol=1e-12)
         assert np.allclose(gamma, _christoffel_from_metric(patch, s, t),
-                           rtol=0.0, atol=tol)
-
-
-def test_surface_christoffel_needs_no_handles():
-    # Without handles the second partials are differenced at the point
-    # itself; differencing the first form over neighbouring records
-    # instead is 1.4e-7 off here.
-    graph = graph_patch_fixture()
-    for u, v in ((0.5, 0.5), (-0.3, 0.8)):
-        exact = LocalGeometry(graph, u, v).surface_christoffel
-        free = LocalGeometry(_handle_free(graph), u, v).surface_christoffel
-        assert np.max(np.abs(free - exact)) < 1e-8
+                           rtol=0.0, atol=1e-8)
 
 
 def test_principal_curvatures_match_generalized_eigenvalues(patch_x1,
@@ -218,7 +198,9 @@ def test_local_geometry_reads_each_handle_once(patch_x1):
                  "surface_christoffel"):
         getattr(geo, name)
     frame = geo.adapted_frame()
-    geo.laplacian(lambda s, t: s * s + t)
+    geo.laplacian(ScalarField(
+        lambda s, t: s * s + t, first_partials=lambda s, t: (2.0 * s, 1.0),
+        second_partials=lambda s, t: (2.0, 0.0, 0.0)))
     assert {key[0] for key in calls if key[1:] == (u, v)} \
         == {"position", "partials"}
     assert max(calls.values()) == 1
@@ -293,11 +275,10 @@ def test_record_matches_numpy_formulas(patch_x1, patch_x2):
     """The closed-form record agrees with the numpy formulas to 1e-14,
     relative to the larger of the reference's magnitude and 1 (the
     residual is round-off on the family)."""
-    graph = graph_patch_fixture()
     cases = [(patch, patch.grid(4, 3)) for patch in (
         canonical_leaf("x_const", 0.3), canonical_leaf("y_const", -0.2),
-        canonical_leaf("z_const", 0.15), vertical_cylinder_fixture(), graph,
-        _handle_free(graph))]
+        canonical_leaf("z_const", 0.15), vertical_cylinder_fixture(),
+        graph_patch_fixture())]
     cases += [(patch, (np.linspace(-3.9, -0.05, 5), np.array([-0.4, 0.7])))
               for patch in (patch_x1, patch_x2)]
     for patch, (us, vs) in cases:
@@ -429,14 +410,68 @@ def test_solve_stays_finite_far_down_the_family():
         assert math.isfinite(res) and res < 0.0, (u, res)
 
 
+def _scaled_plane(su, sv):
+    """The z = 0 plane (u, v) -> (su u, sv v, 0)."""
+    zero = (0.0, 0.0, 0.0)
+    return SurfacePatch(
+        immersion=lambda u, v: (su * u, sv * v, 0.0),
+        partials=lambda u, v: ((su, 0.0, 0.0), (0.0, sv, 0.0),
+                               zero, zero, zero),
+        domain=((-1.0, 1.0), (-1.0, 1.0)), name="scaled_plane")
+
+
 def test_laplacian_where_eg_overflows():
     # a flat z = 0 plane with E = 1e300 and G = 1e20: E G overflows a
     # double, and the Laplacian of u^2 is 2 / E
-    zero = (0.0, 0.0, 0.0)
-    plane = SurfacePatch(
-        immersion=lambda u, v: (1e150 * u, 1e10 * v, 0.0),
-        partials=lambda u, v: ((1e150, 0.0, 0.0), (0.0, 1e10, 0.0),
-                               zero, zero, zero),
-        domain=((-1.0, 1.0), (-1.0, 1.0)), name="scaled_plane")
-    lap = laplace_beltrami(plane, lambda u, v: u * u, 0.3, -0.2)
+    square = ScalarField(lambda u, v: u * u,
+                         first_partials=lambda u, v: (2.0 * u, 0.0),
+                         second_partials=lambda u, v: (2.0, 0.0, 0.0))
+    lap = laplace_beltrami(_scaled_plane(1e150, 1e10), square, 0.3, -0.2)
     assert abs(lap / 2e-300 - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("su,sv", [(1e150, 1e10), (1e100, 1e100)],
+                         ids=["1e150x1e10", "1e100x1e100"])
+def test_record_where_the_normal_overflows(su, sv):
+    # |d_u x d_v|^2 overflows a double on these planes, and E G with it;
+    # like the unit-scale z = 0 plane they have xi = E3, principal
+    # curvatures -1 and 1, and K = 0
+    plane = _scaled_plane(su, sv)
+    u, v = np.array([0.3, -0.5]), np.array([-0.2, 0.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = [LocalGeometry(plane, float(s), float(t))
+                   for s, t in zip(u, v)] + [LocalGeometry(plane, u, v)]
+        for geo in records:
+            xi, kappa, k = geo.xi_f, geo.principal_curvatures, geo.K
+            assert np.array_equal(xi, np.broadcast_to([0.0, 0.0, 1.0],
+                                                      xi.shape))
+            np.testing.assert_allclose(
+                kappa, np.broadcast_to([-1.0, 1.0], kappa.shape), rtol=0.0,
+                atol=1e-15)
+            np.testing.assert_allclose(k, 0.0 * k, rtol=0.0, atol=1e-15)
+
+
+def test_patch_requires_partials():
+    with pytest.raises(TypeError):
+        SurfacePatch(immersion=lambda u, v: (u, v, 0.0),
+                     domain=((-1.0, 1.0), (-1.0, 1.0)), name="no_partials")
+
+
+def test_laplacian_requires_second_partials():
+    graph = graph_patch_fixture()
+    with pytest.raises(ValueError, match="second_partials"):
+        laplace_beltrami(graph, ScalarField(lambda u, v: u * u), 0.5, 0.5)
+    with pytest.raises(ValueError, match="second_partials"):
+        laplace_beltrami(graph, ScalarField(
+            lambda u, v: u * u, first_partials=lambda u, v: (2.0 * u, 0.0)),
+            0.5, 0.5)
+
+
+def test_biharmonic_residual_requires_a_mean_curvature_field(patch_x1):
+    # the Laplacian of f reads the mean-curvature field's second partials;
+    # f is not differenced twice
+    for patch, u, v in ((graph_patch_fixture(), 0.5, 0.5),
+                        (patch_x1.without_curvature_handles(), -1.0, 0.2)):
+        with pytest.raises(ValueError, match="second_partials"):
+            biharmonic_normal_residual(patch, u, v)

@@ -22,36 +22,43 @@ from solgeo.verification import (_bounded_away, CheckReport, SUITE_NAMES,
 
 
 def test_report_status_invariant():
-    CheckReport("a", "pass", 1e-9, 1e-8, {})
-    CheckReport("a", "fail", 1e-7, 1e-8, {})
+    # the status is derived from the error and the tolerance, never set
+    assert CheckReport("a", 1e-9, 1e-8, {}).status == "pass"
+    assert CheckReport("a", 1e-7, 1e-8, {}).status == "fail"
+    assert CheckReport("a", math.nan, 1e-8, {}).status == "fail"
+    assert CheckReport("a", 0.0, math.nan, {}).status == "fail"
+    with pytest.raises(TypeError):
+        CheckReport("a", "pass", 1e-9, 1e-8, {})
     with pytest.raises(ValueError):
-        CheckReport("a", "pass", 1e-7, 1e-8, {})
+        CheckReport("a", None, 1e-8, {})
     with pytest.raises(ValueError):
-        CheckReport("a", "fail", 1e-9, 1e-8, {})
-    with pytest.raises(ValueError):
-        CheckReport("a", "bogus", 0.0, 1.0, {})
-    with pytest.raises(ValueError):
-        CheckReport("a", "pass", None, 1e-8, {})
+        CheckReport("a", 1e-9, None, {})
+    report = CheckReport("a", np.float64(1e-9), 1, {"k": 1})
+    assert type(report.max_error) is float and type(report.tolerance) is float
 
 
 def test_report_boundary_is_pass():
-    r = CheckReport.from_error("edge", 1e-8, 1e-8, {})
+    r = CheckReport("edge", 1e-8, 1e-8, {})
     assert r.status == "pass"
 
 
 def test_report_from_error():
-    r = CheckReport.from_error("x", 2.0, 1.0, {"k": 1})
+    r = CheckReport("x", 2.0, 1.0, {"k": 1})
     assert r.status == "fail"
 
 
 def test_report_has_no_skipped_status():
     # a check passes or fails; there is no third outcome to count as success
     with pytest.raises(ValueError):
-        CheckReport("a", "skipped", None, None, {})
+        CheckReport("a", None, None, {})
+    for error in (0.0, 1.0, math.inf, -math.inf, math.nan):
+        assert CheckReport("a", error, 0.5, {}).status in ("pass", "fail")
+    with pytest.raises(AttributeError):
+        CheckReport("a", 0.0, 1.0, {}).status = "skipped"
 
 
 def test_report_as_dict_round_trips_through_json():
-    r = CheckReport.from_error("x", 0.5, 1.0, {
+    r = CheckReport("x", 0.5, 1.0, {
         "arr": np.array([1.0, 2.0]),
         "np_float": np.float64(3.5),
         "nested": {"tuple": (1, 2)},
@@ -343,8 +350,8 @@ def test_reports_json_deterministic():
     b = reports_to_json(run_suite("family", seed=7))
     assert a == b
     # finite reports are written as plain JSON numbers
-    assert a == json.dumps([dataclasses.asdict(r) for r in reports],
-                           indent=2, sort_keys=True) + "\n"
+    assert a == json.dumps([dict(dataclasses.asdict(r), status=r.status)
+                            for r in reports], indent=2, sort_keys=True) + "\n"
     parsed = json.loads(a)
     assert isinstance(parsed, list)
     assert {"check_id", "status", "max_error", "tolerance",
@@ -364,9 +371,9 @@ def test_reports_json_is_strict_for_non_finite_numbers():
     assert back["status"] == "fail"
     assert back["max_error"] == "NaN"
     assert back["context"]["max_grad_f"] == "NaN"
-    report = CheckReport.from_error("x", math.inf, 1.0,
-                                    {"low": -math.inf,
-                                     "nested": [np.float64(math.nan), 0.5]})
+    report = CheckReport("x", math.inf, 1.0,
+                         {"low": -math.inf,
+                          "nested": [np.float64(math.nan), 0.5]})
     back, = _strict_loads(reports_to_json([report]))
     assert back["max_error"] == "Infinity"
     assert back["context"] == {"low": "-Infinity", "nested": ["NaN", 0.5]}

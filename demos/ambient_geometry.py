@@ -14,11 +14,16 @@ def main():
     print(f"base point ({p.x}, {p.y}, {p.z})")
 
     print("\nconnection coefficients nabla_{E_i} E_j in the frame:")
+    basis = np.eye(3)
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            w = frame_connection(i, j)
+            # + 0.0 turns the table's -0.0 entries into 0.0
+            w = np.array(frame_connection(basis[i - 1], basis[j - 1])) + 0.0
             if np.any(w != 0.0):
                 print(f"  nabla_E{i} E{j} = {w}")
+    x, y = (1.0, 2.0, 0.5), (-1.0, 0.0, 3.0)
+    print(f"  on X = {x}, Y = {y}: nabla_X Y = "
+          f"{np.array(frame_connection(x, y)) + 0.0}")
 
     e1, e2, e3 = (frame_vector(p, i) for i in (1, 2, 3))
     print("\nsectional curvatures of the frame planes:")

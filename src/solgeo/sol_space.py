@@ -6,7 +6,10 @@ The space is R^3 with the left-invariant metric
 
 The orthonormal frame E1 = e^{-z} d/dx, E2 = e^{z} d/dy, E3 = d/dz
 trivializes most computations, so every operation accepts tangent vectors
-in either the coordinate or the frame basis and converts internally.
+in either the coordinate or the frame basis and converts internally.  In
+that frame the Levi-Civita connection has constant coefficients
+(:func:`frame_connection`), the one statement of it that run-time
+geometry reads; the coordinate symbols :func:`christoffel` are its oracle.
 
 Every operation is written once for a :class:`Point` of floats with (3,)
 components and for one of (N,) arrays with (N, 3) components, a row or a
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +43,6 @@ __all__ = [
     "frame_vector",
     "frame_connection",
     "christoffel",
-    "christoffel_contraction",
     "covariant_derivative",
     "curvature_components",
     "curvature_tensor",
@@ -53,7 +55,9 @@ COORDINATE = "coordinate"
 FRAME = "frame"
 
 # Two vectors x, y span no plane when their Gram determinant
-# |x|^2 |y|^2 - <x, y>^2 is at most this fraction of max(1, |x|^2 |y|^2).
+# |x|^2 |y|^2 - <x, y>^2 is at most this fraction of |x|^2 |y|^2, that is,
+# when sin^2 of the angle between them is at most this: a test that no
+# common scale of x or y moves.
 PLANE_GRAM_TOLERANCE = 1e-14
 
 
@@ -92,7 +96,7 @@ class TangentVector:
 
     base: Point
     components: np.ndarray
-    basis: str = COORDINATE
+    basis: str
 
     def __post_init__(self):
         comps = np.asarray(self.components, dtype=float)
@@ -170,58 +174,38 @@ def frame_vector(p: Point, i: int) -> TangentVector:
     return TangentVector(p, comps, FRAME)
 
 
-# Connection table in the orthonormal frame; row i, column j holds the frame
-# components of the derivative of E_j along E_i.  Only four entries are
-# nonzero:  (1,1) -> -E3, (1,3) -> E1, (2,2) -> E3, (2,3) -> -E2.
-_FRAME_CONNECTION = np.zeros((3, 3, 3))
-_FRAME_CONNECTION[0, 0] = (0.0, 0.0, -1.0)
-_FRAME_CONNECTION[0, 2] = (1.0, 0.0, 0.0)
-_FRAME_CONNECTION[1, 1] = (0.0, 0.0, 1.0)
-_FRAME_CONNECTION[1, 2] = (0.0, -1.0, 0.0)
+def frame_connection(x, y):
+    """The connection on frame components: sum x^i y^j nabla_{E_i} E_j,
+    from Sol's constant table nabla_{E1} E1 = -E3, nabla_{E1} E3 = E1,
+    nabla_{E2} E2 = E3 and nabla_{E2} E3 = -E2 (every other pairing is 0),
+    written out:
 
+        (x1 y3,  -x2 y3,  x2 y2 - x1 y1).
 
-def frame_connection(i: int, j: int) -> np.ndarray:
-    """Frame components of the connection applied to frame fields.
-
-    Both indices are 1-based.  The result is constant over the space.
+    ``x`` and ``y`` are three components each, floats at one point or (N,)
+    arrays at N points, and so are the three results.  No point and no
+    ``exp`` enter: the table is the same over the whole space.
     """
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError("frame indices must be 1, 2 or 3")
-    return _FRAME_CONNECTION[i - 1, j - 1].copy()
+    x1, x2, _ = x
+    y1, y2, y3 = y
+    return x1 * y3, -(x2 * y3), x2 * y2 - x1 * y1
 
 
 def christoffel(p: Point) -> np.ndarray:
-    """Coordinate Christoffel symbols Gamma[k, i, j] at p.
+    """Coordinate Christoffel symbols Gamma[..., k, i, j] at p, (3, 3, 3)
+    at one point and (N, 3, 3, 3) at N points.
 
-    Hard-coded closed forms of the diagonal metric; the frame table above
-    serves as the cross-check.
+    The one statement of Sol's connection in coordinates, the closed forms
+    of the diagonal metric.  It is an oracle: :func:`covariant_derivative`
+    contracts it, and run-time geometry reads :func:`frame_connection`.
     """
-    gamma = np.zeros((3, 3, 3))
-    e2z = math.exp(2.0 * p.z)
-    gamma[0, 0, 2] = gamma[0, 2, 0] = 1.0
-    gamma[1, 1, 2] = gamma[1, 2, 1] = -1.0
-    gamma[2, 0, 0] = -e2z
-    gamma[2, 1, 1] = 1.0 / e2z
-    return gamma
-
-
-def christoffel_contraction(p: Point, x, y) -> Tuple[float, float, float]:
-    """The contraction Gamma^k_ij x^i y^j of two coordinate vectors at p.
-
-    Written out from the six nonzero symbols of :func:`christoffel`
-    (which stays as its oracle):
-
-        (x0 y2 + x2 y0,  -(x1 y2 + x2 y1),  -e^{2z} x0 y0 + e^{-2z} x1 y1).
-
-    At a point of (N,) arrays the components of ``x`` and ``y`` are (N,)
-    arrays too, and so are the three results.
-    """
-    x0, x1, x2 = x
-    y0, y1, y2 = y
     e2z = namespace(p.z).exp(2.0 * p.z)
-    # symbol first, as in the dense sum: x1 * y1 alone can underflow
-    return (x0 * y2 + x2 * y0, -(x1 * y2 + x2 * y1),
-            -e2z * x0 * y0 + (1.0 / e2z) * x1 * y1)
+    gamma = np.zeros(np.shape(p.z) + (3, 3, 3))
+    gamma[..., 0, 0, 2] = gamma[..., 0, 2, 0] = 1.0
+    gamma[..., 1, 1, 2] = gamma[..., 1, 2, 1] = -1.0
+    gamma[..., 2, 0, 0] = -e2z
+    gamma[..., 2, 1, 1] = 1.0 / e2z
+    return gamma
 
 
 def covariant_derivative(field: Callable[[Point], TangentVector],
@@ -255,7 +239,7 @@ def covariant_derivative(field: Callable[[Point], TangentVector],
     dy = central_diff(coords_along, 0.0, step)
     if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(dy))):
         raise ValueError("vector field evaluated to a non-finite value")
-    out = dy + np.stack(christoffel_contraction(p, x.T, y0.T), axis=-1)
+    out = dy + np.einsum("...kij,...i,...j->...k", christoffel(p), x, y0)
     return TangentVector(p, out, COORDINATE)
 
 
@@ -317,20 +301,17 @@ def sectional_curvature(x: TangentVector, y: TangentVector):
     """Sectional curvature of the plane spanned by two tangent vectors, one
     per point; :class:`DegeneratePlaneError` names the first point whose
     vectors fail the Gram test.  Both vectors are first scaled by exact
-    powers of two to components below 1, with the test's max(1, .) scaled
-    to match: nothing overflows, and where the unscaled arithmetic stays in
-    the normal range of doubles it rounds the same, so K keeps its bits."""
+    powers of two to components below 1: nothing overflows, and where the
+    unscaled arithmetic stays in the normal range of doubles it rounds the
+    same, so K keeps its bits."""
     base = _require_same_base(x, y)
     xf, yf = x.in_frame().components, y.in_frame().components
     ex, ey = (np.frexp(np.max(np.abs(c), axis=-1))[1] for c in (xf, yf))
     xf, yf = np.ldexp(xf, -ex[..., None]), np.ldexp(yf, -ey[..., None])
     xx, yy, xy = np.vecdot(xf, xf), np.vecdot(yf, yf), np.vecdot(xf, yf)
     gram = xx * yy - xy * xy
-    # 1 in the scaled units; past 2^1000 every plane is degenerate anyway
-    unit = np.ldexp(1.0, np.minimum(-2 * (ex + ey), 1000))
     # written so that a NaN Gram determinant is not degenerate
-    bad = first_false(np.logical_not(
-        gram <= PLANE_GRAM_TOLERANCE * np.maximum(unit, xx * yy)))
+    bad = first_false(np.logical_not(gram <= PLANE_GRAM_TOLERANCE * xx * yy))
     if bad is not None:
         at = tuple(base.as_array().reshape(3, -1)[:, bad])
         raise DegeneratePlaneError("spanning vectors are linearly dependent "

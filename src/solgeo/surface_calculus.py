@@ -32,7 +32,7 @@ import numpy as np
 from .numerics import first_false, namespace
 from .patch import ScalarField, SurfacePatch
 from .sol_space import (FRAME, PLANE_GRAM_TOLERANCE, DegeneratePlaneError,
-                        Point, TangentVector, christoffel_contraction)
+                        Point, TangentVector, frame_connection)
 
 __all__ = [
     "DegenerateParametrizationError",
@@ -147,8 +147,9 @@ class LocalGeometry:
     or at N points when ``u`` and ``v`` are same-shape (N,) arrays.
 
     The constructor reads the position and all five partials (one call to
-    :meth:`~solgeo.patch.SurfacePatch.derivatives`) and evaluates the unit
-    normal and the first fundamental form.  Every other attribute is
+    :meth:`~solgeo.patch.SurfacePatch.derivatives`), converts the partials
+    to frame components once, and evaluates the unit normal and the first
+    fundamental form.  Every other attribute is
     computed on first access and kept, so one record reads the position
     and the partials once each and evaluates each derived quantity exactly
     once.
@@ -161,15 +162,15 @@ class LocalGeometry:
     coefficients, ``surface_christoffel``, and the two columns of the
     covariant Hessian that ``laplacian`` traces) is solved by the
     closed-form inverse of the first form scaled to unit diagonal; the
-    ambient derivatives of the partials take Sol's connection from the one
-    contraction :func:`~solgeo.sol_space.christoffel_contraction`.  The
+    ambient derivatives of the partials take Sol's connection from its
+    constant frame table :func:`~solgeo.sol_space.frame_connection`, so no
+    e^{2z} enters.  The
     public attributes, and the fields of :meth:`adapted_frame`, are numpy
     arrays built from those values (scalars stay scalars); on an N-point
     record each has a leading axis of length N, in the order of ``u``.
 
-    Basis conventions: names ending in ``_c`` hold coordinate components
-    (d/dx, d/dy, d/dz) and names ending in ``_f`` hold frame components
-    (E1, E2, E3), as does ``curvature_trace``.
+    Basis conventions: ``xi_f`` and ``curvature_trace`` hold frame
+    components (E1, E2, E3).
     ``first``, ``second``, ``A``, ``dh``, ``gradient_h``,
     ``surface_christoffel`` and ``residual`` are in the parameter basis
     (d/du, d/dv).
@@ -191,10 +192,10 @@ class LocalGeometry:
                 raise ValueError("an N-point record takes (N,) arrays")
         self.patch, self.u, self.v = patch, u, v
         x, y, z = patch.position(u, v)
-        self._ez = xp.exp(z)
-        self._du_c, self._dv_c, *self._second_c = patch.derivatives(u, v)
-        self._du = du = self._frame(self._du_c)
-        self._dv = dv = self._frame(self._dv_c)
+        ez = xp.exp(z)
+        self._du, self._dv, *self._second_f = (
+            (ez * c[0], c[1] / ez, c[2]) for c in patch.derivatives(u, v))
+        du, dv = self._du, self._dv
         e, f, g = _dot(du, du), _dot(du, dv), _dot(dv, dv)
         # scaled by a power of two to components below 1, the cross product's
         # length cannot overflow; where it would not anyway no bit moves
@@ -225,24 +226,12 @@ class LocalGeometry:
         return out if self._xp is not np else np.moveaxis(out, -1, 0)
 
     @_computed_once
-    def du_c(self) -> np.ndarray:
-        return self._array(self._du_c)
-
-    @_computed_once
-    def dv_c(self) -> np.ndarray:
-        return self._array(self._dv_c)
-
-    @_computed_once
     def xi_f(self) -> np.ndarray:
         return self._array(self._xi)
 
     @_computed_once
     def first(self) -> np.ndarray:
         return self._array([[self._E, self._F], [self._F, self._G]])
-
-    def _frame(self, coords):
-        ez = self._ez
-        return ez * coords[0], coords[1] / ez, coords[2]
 
     def _solve(self, r0, r1):
         """(p, q) with first @ (p, q) = (r0, r1).  The first form is
@@ -270,15 +259,18 @@ class LocalGeometry:
     @_computed_once
     def _ambient(self):
         """Frame components of the ambient derivatives of d_u along d_u,
-        d_v along d_u and d_v along d_v: the second partials plus the
-        ambient connection contracted with the first partials."""
-        du, dv = self._du_c, self._dv_c
-        duu, duv, dvv = self._second_c
+        d_v along d_u and d_v along d_v.  With a and b the frame partials
+        along and differentiated, nabla_{d_i} d_j is the derivative of b's
+        frame components, (e^z (x_ij + z_i x_j), e^{-z} (y_ij - z_i y_j),
+        z_ij) = frame(d_ij) + (a3 b1, -a3 b2, 0), plus Sol's constant
+        table applied to a and b."""
+        du, dv = self._du, self._dv
+        duu, duv, dvv = self._second_f
 
-        def nabla(second, x, y):
-            gamma = christoffel_contraction(self.point, x, y)
-            return self._frame((second[0] + gamma[0], second[1] + gamma[1],
-                                second[2] + gamma[2]))
+        def nabla(second, a, b):
+            table = frame_connection(a, b)
+            return (second[0] + a[2] * b[0] + table[0],
+                    second[1] - a[2] * b[1] + table[1], second[2] + table[2])
 
         return (nabla(duu, du, du), nabla(duv, du, dv), nabla(dvv, dv, dv))
 
@@ -332,12 +324,9 @@ class LocalGeometry:
         """Ambient sectional curvature of the tangent plane plus det A (the
         Gauss equation).  In Sol a plane with unit normal xi has sectional
         curvature 2 xi_3^2 - 1 (the closed form of
-        :func:`~solgeo.sol_space.sectional_curvature`, with its test for a
-        degenerate plane, det I > tol max(1, E G), divided by E G so that
-        nothing overflows)."""
-        inverse = 1.0 / (self._root_e * self._root_g)
-        if first_false(self._sin_sq > PLANE_GRAM_TOLERANCE * self._xp.maximum(
-                inverse * inverse, 1.0)) is not None:
+        :func:`~solgeo.sol_space.sectional_curvature`, with its scale-free
+        test for a degenerate plane, det I > tol E G, divided by E G)."""
+        if first_false(self._sin_sq > PLANE_GRAM_TOLERANCE) is not None:
             raise DegeneratePlaneError("spanning vectors are linearly dependent")
         (a00, a01), (a10, a11) = self._shape
         xi3 = self._xi[2]

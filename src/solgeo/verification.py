@@ -43,10 +43,9 @@ from .exact_poly import (coefficients_as_strings, nonexistence_addends,
 from .numerics import namespace
 from .patch import SurfacePatch
 from .sol_space import (FRAME, Point, TangentVector, canonical_leaf,
-                        christoffel_contraction, covariant_derivative,
-                        curvature_tensor, curvature_tensor_fd,
-                        frame_connection, frame_vector, metric_at,
-                        sectional_curvature)
+                        covariant_derivative, curvature_tensor,
+                        curvature_tensor_fd, frame_connection, frame_vector,
+                        metric_at, sectional_curvature)
 from .surface_calculus import AdaptedFrameSample, LocalGeometry
 
 __all__ = [
@@ -203,8 +202,7 @@ def _frame_eval(patch: SurfacePatch, u: np.ndarray, v: np.ndarray,
     """The identity ingredients at the points of the (N,) arrays u and v:
     one record there and one at each of the four shifted copies."""
     step = patch.fd_step
-    geo = LocalGeometry(patch, u, v)
-    center = geo.adapted_frame(override)
+    center = LocalGeometry(patch, u, v).adapted_frame(override)
     stencil = tuple(LocalGeometry(patch, s, t) for s, t in (
         (u + step, v), (u - step, v), (u, v + step), (u, v - step)))
     frames = [g.adapted_frame(override) for g in stencil]
@@ -217,21 +215,21 @@ def _frame_eval(patch: SurfacePatch, u: np.ndarray, v: np.ndarray,
 
     dth = _stencil_rates([f.theta for f in frames], step)
     dbe = _stencil_rates([f.beta for f in frames], step)
-    dx1 = _stencil_rates([f.x1.in_coordinates().components.T
-                          for f in frames], step)
-    w0 = center.x1.in_coordinates().components.T
+    dx1 = _stencil_rates([f.x1.components.T for f in frames], step)
+    x1, x2 = center.x1.components.T, center.x2.components.T
 
-    def nabla_x1(coeffs):
-        direction = along(coeffs, (geo.du_c.T, geo.dv_c.T))
-        covariant = along(coeffs, dx1) + christoffel_contraction(
-            geo.point, direction, w0)
-        return TangentVector(geo.point, covariant.T).in_frame().components
+    def nabla_x1(coeffs, direction):
+        """nabla_D X1 in frame components, for D with parameter
+        coefficients ``coeffs`` and frame components ``direction``: the
+        rate of X1's frame components along D plus Sol's constant table."""
+        return (along(coeffs, dx1)
+                + np.array(frame_connection(direction, x1))).T
 
     c1, c2 = center.x1_coefficients, center.x2_coefficients
     return _FrameEval(
         frame=center, x1_theta=along(c1, dth), x2_theta=along(c2, dth),
         x1_beta=along(c1, dbe), x2_beta=along(c2, dbe),
-        nab1=nabla_x1(c1), nab2=nabla_x1(c2), stencil=stencil)
+        nab1=nabla_x1(c1, x1), nab2=nabla_x1(c2, x2), stencil=stencil)
 
 
 def _identity_residuals(e: _FrameEval) -> np.ndarray:
@@ -685,9 +683,11 @@ def _ambient_reports(seed: int) -> List[CheckReport]:
         np.max(np.abs(gram - np.eye(3)[..., None])), 1e-12, ctx))
 
     c = Point(*rng.uniform(-2.0, 2.0, size=(10, 3)).T)
+    e = np.eye(3)
     worst = np.max([np.abs(covariant_derivative(
                         lambda r, j=j: frame_vector(r, j), frame_vector(c, i))
-                        .in_frame().components - frame_connection(i, j))
+                        .in_frame().components
+                        - np.array(frame_connection(e[i - 1], e[j - 1])))
                     for i in range(1, 4) for j in range(1, 4)])
     reports.append(CheckReport(
         "ambient_connection_table", worst, 1e-8,

@@ -182,6 +182,16 @@ def test_curvature_of_a_plane_past_the_gram_overflow(capsys):
     assert captured.err == ""
 
 
+def test_curvature_of_a_tiny_plane(capsys):
+    # two orthogonal vectors of length 1e-10 span a plane: the Gram test is
+    # relative to |x|^2 |y|^2
+    assert run(["curvature", "--point", "0,0,0", "--plane",
+                "1e-10:0:0,0:1e-10:0", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["sectional_curvature"] == 1.0
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("plane", ["1e200:1e200:0,0:1e200:1e200",
                                    "1e300:0:0,0:0:1e300"])
 def test_curvature_out_of_double_range_is_runtime_error(capsys, plane):

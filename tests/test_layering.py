@@ -3,7 +3,8 @@ or reads them as attributes, every public kernel in ``solgeo.numerics``
 has a caller elsewhere in the package, the package imports exactly the
 third-party packages it declares, no module imports scipy, the surface
 calculus leaves finite differences to the patch and the curvature trace
-to its closed form, the obstruction polynomial is formed in exact_poly
+to its closed form, run-time geometry reads Sol's connection from the
+frame table, the obstruction polynomial is formed in exact_poly
 only, and every dataclass field with a default is set by some caller."""
 
 import ast
@@ -161,13 +162,21 @@ def test_surface_calculus_reads_partials_through_the_patch():
     # the handle-or-difference rule lives in patch.py, and the curvature
     # trace is the closed form 2 xi_3 E3
     imported = _imported_names(PACKAGE_DIR / "surface_calculus.py")
-    assert imported & {"central_diff", "central_diff2", "mixed_diff",
-                       "curvature_components"} == set()
+    assert imported & {"central_diff", "curvature_components"} == set()
     # the mean curvature is one ScalarField on the patch
     named = [path.name for path in sorted(PACKAGE_DIR.glob("*.py"))
              if re.search(r"\bmean_curvature_d[uv]\b",
                           path.read_text(encoding="utf-8"))]
     assert named == []
+
+
+def test_run_time_geometry_reads_the_frame_table_alone():
+    # Sol's connection reaches the record and the frame stencils as the
+    # constant frame table; the coordinate symbols are an oracle
+    for name in ("surface_calculus.py", "verification.py"):
+        imported = _imported_names(PACKAGE_DIR / name)
+        assert imported & {"christoffel", "christoffel_contraction"} == set()
+        assert "frame_connection" in imported
 
 
 def test_verification_reads_the_obstruction_addends_from_exact_poly():

@@ -7,12 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from solgeo.sol_space import (FRAME, DegeneratePlaneError, Point,
+from solgeo.sol_space import (COORDINATE, FRAME, DegeneratePlaneError, Point,
                               TangentVector, canonical_leaf, christoffel,
-                              christoffel_contraction, covariant_derivative,
-                              curvature_components, curvature_tensor,
-                              curvature_tensor_fd, frame_connection,
-                              frame_vector, metric_at, sectional_curvature)
+                              covariant_derivative, curvature_components,
+                              curvature_tensor, curvature_tensor_fd,
+                              frame_connection, frame_vector, metric_at,
+                              sectional_curvature)
 from solgeo.sol_space import PLANE_GRAM_TOLERANCE
 
 coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
@@ -49,23 +49,16 @@ def test_christoffel_closed_form():
     assert np.allclose(gamma, expected, atol=1e-12)
 
 
-components = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
-                       allow_infinity=False)
+def test_christoffel_rows_are_one_point_symbols():
+    zs = np.array([-2.0, 0.0, 0.45, 3.0])
+    many = christoffel(Point(np.zeros(4), np.zeros(4), zs))
+    assert many.shape == (4, 3, 3, 3)
+    for row, z in enumerate(zs):
+        one = christoffel(Point(0.0, 0.0, float(z)))
+        assert np.allclose(many[row], one, rtol=1e-15, atol=0.0)
 
 
-@given(st.floats(min_value=-20.0, max_value=20.0),
-       st.tuples(components, components, components),
-       st.tuples(components, components, components))
-def test_christoffel_contraction_matches_dense_symbols(z, x, y):
-    p = Point(0.0, 0.0, z)
-    dense = np.einsum("kij,i,j->k", christoffel(p), np.array(x), np.array(y))
-    # each component sums two products; allow a few ulps of their sizes
-    e2z = math.exp(2.0 * z)
-    sizes = np.array([abs(x[0] * y[2]) + abs(x[2] * y[0]),
-                      abs(x[1] * y[2]) + abs(x[2] * y[1]),
-                      e2z * abs(x[0] * y[0]) + abs(x[1] * y[1]) / e2z])
-    assert np.all(np.abs(np.array(christoffel_contraction(p, x, y)) - dense)
-                  <= 4.0 * np.finfo(float).eps * sizes)
+BASIS = np.eye(3)
 
 
 @pytest.mark.parametrize("i,j,expected", [
@@ -80,14 +73,30 @@ def test_christoffel_contraction_matches_dense_symbols(z, x, y):
     (3, 3, [0.0, 0.0, 0.0]),
 ])
 def test_frame_connection_table(i, j, expected):
-    assert np.array_equal(frame_connection(i, j), np.array(expected))
+    assert np.array_equal(frame_connection(BASIS[i - 1], BASIS[j - 1]),
+                          np.array(expected))
 
 
 def test_frame_connection_metric_compatible():
     # <nabla_Ei Ej, Ek> must be antisymmetric in (j, k)
     for i in (1, 2, 3):
-        m = np.array([frame_connection(i, j) for j in (1, 2, 3)])
+        m = np.array([frame_connection(BASIS[i - 1], BASIS[j - 1])
+                      for j in (1, 2, 3)])
         assert np.array_equal(m, -m.T)
+
+
+@given(arrays(float, (4, 3), elements=st.floats(-3.0, 3.0)),
+       arrays(float, (4, 3), elements=st.floats(-3.0, 3.0)))
+def test_frame_connection_is_the_bilinear_table(x, y):
+    # sum x^i y^j nabla_{E_i} E_j, at N points and row by row
+    table = sum(x[:, i - 1, None] * y[:, j - 1, None]
+                * np.array(frame_connection(BASIS[i - 1], BASIS[j - 1]))
+                for i in (1, 2, 3) for j in (1, 2, 3))
+    many = np.array(frame_connection(x.T, y.T)).T
+    assert np.array_equal(many, table)
+    for row in range(4):
+        assert np.array_equal(np.array(frame_connection(x[row], y[row])),
+                              many[row])
 
 
 def test_covariant_derivative_matches_connection_table():
@@ -98,7 +107,8 @@ def test_covariant_derivative_matches_connection_table():
             out = covariant_derivative(lambda q, jj=j: frame_vector(q, jj),
                                        frame_vector(p, i))
             worst = max(worst, float(np.max(np.abs(
-                out.in_frame().components - frame_connection(i, j)))))
+                out.in_frame().components
+                - frame_connection(BASIS[i - 1], BASIS[j - 1])))))
     assert worst < 1e-8
 
 
@@ -289,8 +299,9 @@ def test_curvature_fd_rows_match_one_point_calls(data):
         # the outer difference runs over the inner derivatives
         # Gamma(x, z) and Gamma(y, z) of the coordinate-constant field z
         xc, yc, zc = (v.in_coordinates().components for v in (x, y, z))
-        values = np.max(np.abs([christoffel_contraction(p, xc, zc),
-                                christoffel_contraction(p, yc, zc)]))
+        values = np.max(np.abs([
+            np.einsum("kij,i,j->k", christoffel(p), xc, zc),
+            np.einsum("kij,i,j->k", christoffel(p), yc, zc)]))
         bound.append(1e-12 * np.max(np.abs(ones[-1]))
                      + 8.0 * EPS * values / 1e-4)
     assert_rows_close(many.components, ones, np.array(bound))
@@ -359,12 +370,29 @@ def test_sectional_keeps_the_unscaled_bits(x, y, z):
     gram = xx * yy - xy * xy
     p = Point(0.0, 0.0, z)
     plane = (TangentVector(p, xf, FRAME), TangentVector(p, yf, FRAME))
-    if gram <= PLANE_GRAM_TOLERANCE * max(1.0, xx * yy):
+    if gram <= PLANE_GRAM_TOLERANCE * xx * yy:
         with pytest.raises(DegeneratePlaneError):
             sectional_curvature(*plane)
     else:
         expected = np.vecdot(curvature_components(xf, yf, yf), xf) / gram
         assert sectional_curvature(*plane) == expected
+
+
+@pytest.mark.parametrize("size", [1e-6, 1e-8, 1e-10, 1e-100])
+def test_sectional_of_small_vectors(size):
+    # the Gram test is relative to |x|^2 |y|^2, so no scale of the
+    # spanning vectors makes a plane degenerate
+    p = Point(np.zeros(2), np.zeros(2), np.array([0.0, 1.5]))
+    x = TangentVector(p, np.array([[size, 0.0, 0.0], [size, size, 0.0]]),
+                      FRAME)
+    y = TangentVector(p, np.array([[0.0, size, 0.0], [0.0, size, size]]),
+                      FRAME)
+    k = sectional_curvature(x, y)
+    assert abs(k[0] - 1.0) <= 1e-15
+    assert abs(k[1] - (2.0 / 3.0 - 1.0)) <= 1e-15
+    parallel = TangentVector(p, 2.0 * x.components, FRAME)
+    with pytest.raises(DegeneratePlaneError):
+        sectional_curvature(x, parallel)
 
 
 @pytest.mark.parametrize("size", [1e100, 1e200, 1e300])
@@ -393,15 +421,16 @@ def test_conversions_past_the_double_range_name_the_point(z):
         warnings.simplefilter("error")
         for base in (one, many):
             shape = np.shape(base.z) + (3,)
-            for vector in (TangentVector(base, np.ones(shape)),
+            for vector in (TangentVector(base, np.ones(shape), COORDINATE),
                            TangentVector(base, np.ones(shape), FRAME)):
                 with pytest.raises(ValueError, match=rf"at z = {z:g}$"):
                     vector.in_frame().in_coordinates()
         # d/dx has frame length e^z and d/dy e^-z
         long = np.array([1.0, 0.0, 0.0] if z > 0 else [0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match=rf"at z = {z:g}$"):
-            sectional_curvature(TangentVector(one, long),
-                                TangentVector(one, np.array([0.0, 0.0, 1.0])))
+            sectional_curvature(
+                TangentVector(one, long, COORDINATE),
+                TangentVector(one, np.array([0.0, 0.0, 1.0]), COORDINATE))
 
 
 def test_conversions_inside_the_double_range_keep_their_bits():
@@ -414,19 +443,20 @@ def test_conversions_inside_the_double_range_keep_their_bits():
         many = Point(np.zeros(4), np.zeros(4), zs)
         ez = np.exp(zs)
         assert np.array_equal(
-            TangentVector(many, comps).in_frame().components,
+            TangentVector(many, comps, COORDINATE).in_frame().components,
             np.array([ez * comps[:, 0], comps[:, 1] / ez, comps[:, 2]]).T)
         assert np.array_equal(
             TangentVector(many, comps, FRAME).in_coordinates().components,
             np.array([comps[:, 0] / ez, ez * comps[:, 1], comps[:, 2]]).T)
         for z, c in zip(zs, comps):
             p, ez = Point(0.0, 0.0, float(z)), math.exp(z)
-            assert np.array_equal(TangentVector(p, c).in_frame().components,
-                                  [ez * c[0], c[1] / ez, c[2]])
+            assert np.array_equal(
+                TangentVector(p, c, COORDINATE).in_frame().components,
+                [ez * c[0], c[1] / ez, c[2]])
             assert np.array_equal(
                 TangentVector(p, c, FRAME).in_coordinates().components,
                 [c[0] / ez, ez * c[1], c[2]])
         p = Point(0.0, 0.0, 709.0)
         assert sectional_curvature(
-            TangentVector(p, np.array([1.0, 0.0, 0.0])),
-            TangentVector(p, np.array([0.0, 0.0, 1.0]))) == -1.0
+            TangentVector(p, np.array([1.0, 0.0, 0.0]), COORDINATE),
+            TangentVector(p, np.array([0.0, 0.0, 1.0]), COORDINATE)) == -1.0

@@ -6,6 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from solgeo.biconservative_family import (EXPLICIT, build_profile,
                                           family_surface)
@@ -475,3 +477,73 @@ def test_biharmonic_residual_requires_a_mean_curvature_field(patch_x1):
                         (patch_x1.without_curvature_handles(), -1.0, 0.2)):
         with pytest.raises(ValueError, match="second_partials"):
             biharmonic_normal_residual(patch, u, v)
+
+
+partial = st.tuples(*(st.floats(min_value=-1e3, max_value=1e3),) * 3)
+
+
+@given(st.floats(min_value=-20.0, max_value=20.0),
+       st.tuples(*(partial,) * 5))
+def test_ambient_derivatives_match_dense_symbols(z, partials):
+    # the record's frame formula for nabla_{d_i} d_j against the einsum
+    # of the dense coordinate symbols, moved to the frame
+    patch = SurfacePatch(immersion=lambda u, v: (0.0, 0.0, z),
+                         partials=lambda u, v: partials,
+                         domain=((-1.0, 1.0), (-1.0, 1.0)), name="jet")
+    try:
+        geo = LocalGeometry(patch, 0.0, 0.0)
+    except DegenerateParametrizationError:
+        assume(False)
+    ez = math.exp(z)
+    gamma = christoffel(Point(0.0, 0.0, z))
+    du, dv, duu, duv, dvv = (np.array(c) for c in partials)
+    for got, second, x, y in zip(geo._ambient, (duu, duv, dvv),
+                                 (du, du, dv), (du, dv, dv)):
+        coordinates = second + np.einsum("kij,i,j->k", gamma, x, y)
+        dense = np.array([ez * coordinates[0], coordinates[1] / ez,
+                          coordinates[2]])
+        # the sizes of the summed terms, in frame units
+        sizes = np.array([
+            ez * (abs(second[0]) + abs(x[0] * y[2]) + abs(x[2] * y[0])),
+            (abs(second[1]) + abs(x[1] * y[2]) + abs(x[2] * y[1])) / ez,
+            abs(second[2]) + ez * ez * abs(x[0] * y[0])
+            + abs(x[1] * y[1]) / (ez * ez)])
+        assert np.all(np.abs(np.array(got) - dense)
+                      <= 8.0 * np.finfo(float).eps * sizes)
+
+
+FAR_LEVELS = [356.0, -356.0, 400.0, -400.0, 700.0]
+
+
+@pytest.mark.parametrize("level", FAR_LEVELS)
+def test_far_z_leaves_give_the_bits_of_the_near_one(level):
+    # e^{2z} overflows or underflows on these leaves, but the record reads
+    # the frame table alone: one-point and N-point records give the bits of
+    # the leaf at 0.15, with no warning
+    points = [(0.3, -0.4), (np.array([0.3, -0.7, 0.0]),
+                            np.array([-0.4, 0.2, 0.9]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u, v in points:
+            near, far = (LocalGeometry(canonical_leaf("z_const", z), u, v)
+                         for z in (0.15, level))
+            for name in ("first", "second", "A", "h", "K",
+                         "principal_curvatures"):
+                assert np.array_equal(getattr(far, name),
+                                      getattr(near, name)), name
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-8])
+def test_a_tiny_flat_plane_has_zero_gauss_curvature(scale):
+    # (s u, s v, 0) is the z = 0 leaf scaled by s: K's test for a
+    # degenerate tangent plane is scale-free
+    zero = (0.0, 0.0, 0.0)
+    patch = SurfacePatch(
+        immersion=lambda u, v: (scale * u, scale * v, 0.0),
+        partials=lambda u, v: ((scale, 0.0, 0.0), (0.0, scale, 0.0),
+                               zero, zero, zero),
+        domain=((-1.0, 1.0), (-1.0, 1.0)), name="tiny")
+    assert shape_data(patch, 0.2, -0.5).K == 0.0
+    assert np.array_equal(
+        LocalGeometry(patch, np.array([0.2, 0.0]), np.array([-0.5, 1.0])).K,
+        [0.0, 0.0])

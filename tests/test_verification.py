@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,19 @@ def test_frame_checks_raise_on_cmc_patch():
         check_frame_identities(leaf, (3, 3))
     with pytest.raises(CmcDegenerateError, match="supply x1_coefficients"):
         check_angle_constraints(leaf, (3, 3))
+
+
+def test_frame_identities_on_a_far_z_leaf():
+    # the stencils read frame components and the constant frame table, so
+    # a leaf at z = 400, where e^{2z} overflows, gives the errors of the
+    # leaf at 0.15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far, near = (check_frame_identities(canonical_leaf("z_const", level),
+                                            x1_coefficients=[1, 1])
+                     for level in (400.0, 0.15))
+    assert [(r.check_id, r.max_error, r.status) for r in far] == \
+        [(r.check_id, r.max_error, r.status) for r in near]
 
 
 def test_angle_constraints_pass(patch_x1, patch_x2):
@@ -377,3 +391,61 @@ def test_reports_json_is_strict_for_non_finite_numbers():
     back, = _strict_loads(reports_to_json([report]))
     assert back["max_error"] == "Infinity"
     assert back["context"] == {"low": "-Infinity", "nested": ["NaN", 0.5]}
+
+
+FRAME_CHECKS = [(f"frame_identity_{k}", 1e-7) for k in range(1, 9)]
+ANGLE_CHECKS = [
+    ("angle_cos_nonvanishing", 0.0), ("angle_sin_nonvanishing", 0.0),
+    ("angle_theta_x1_derivative", 1e-7), ("angle_theta_x2_derivative", 1e-7),
+    ("angle_x1_autoparallel", 1e-7), ("angle_mixed_f_derivative", 1e-6),
+    ("angle_lambda2_sign", 1e-9), ("angle_x2_x1_derivative", 1e-7)]
+
+# The fixed point of ``run_suite("all")``: every check id, in order, with
+# its tolerance.
+ALL_CHECKS = [
+    ("ambient_sectional_e1_e3", 1e-12), ("ambient_sectional_e2_e3", 1e-12),
+    ("ambient_sectional_e1_e2", 1e-12), ("ambient_curvature_fd_oracle", 1e-6),
+    ("ambient_metric_determinant", 1e-12),
+    ("ambient_frame_orthonormality", 1e-12),
+    ("ambient_connection_table", 1e-8),
+    ("leaf_totally_geodesic_x_const", 1e-9),
+    ("leaf_totally_geodesic_y_const", 1e-9),
+    ("leaf_z_mean_curvature", 1e-10), ("leaf_z_gauss_curvature", 1e-8),
+    ("leaf_z_principal_curvatures", 1e-9),
+    *((f"{name}_{variant}", tolerance) for checks in (FRAME_CHECKS,
+                                                       ANGLE_CHECKS)
+      for variant in ("x1", "x2") for name, tolerance in checks),
+    ("cmc_rigidity_leaf_x=0.3", 1e-8), ("cmc_rigidity_leaf_y=-0.2", 1e-8),
+    ("cmc_rigidity_leaf_z=0.15", 1e-8),
+    ("cmc_rigidity_vertical_cylinder", 1e-8),
+    ("cmc_rigidity_graph_patch", 1e-8),
+    ("negative_control_rotated_leaf_sin2beta", 0.0),
+    ("negative_control_graph_residual", 0.0),
+    ("family_theta_ode_explicit", 1e-12), ("family_scalar_ode_explicit", 1e-8),
+    ("family_psi_monotonicity", 0.0), ("family_mean_curvature_match", 1e-8),
+    ("family_gauss_curvature_match", 1e-7),
+    ("family_gauss_curvature_negative", 0.0),
+    ("family_biconservative_residual_x1", 1e-6),
+    ("family_biconservative_residual_x2", 1e-6),
+    ("family_residual_fd_convergence", 0.0),
+    ("family_implicit_relation", 1e-10),
+    ("family_implicit_theta_ode", 1.0000000000000019e-06),
+    ("family_implicit_scalar_ode", 1e-8), ("family_implicit_halt", 0.0),
+    ("family_quadrature_anchor", 1e-12),
+    ("biharmonic_laplacian_two_routes", 1e-9),
+    ("biharmonic_laplacian_surface_route", 1e-8),
+    ("biharmonic_shape_norm_closed_form", 1e-8),
+    ("biharmonic_normal_trace_closed_form", 1e-8),
+    ("biharmonic_residual_route_match", 1e-8),
+    ("biharmonic_laplacian_negative", 0.0),
+    ("biharmonic_required_rhs_positive", 0.0),
+    ("biharmonic_equation_gap", 0.0), ("polynomial_obstruction", 0.0),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_all_keeps_its_ids_tolerances_and_passes(seed):
+    reports = run_suite("all", seed)
+    assert len(ALL_CHECKS) == 74
+    assert [(r.check_id, r.tolerance) for r in reports] == ALL_CHECKS
+    assert [r.check_id for r in reports if r.status != "pass"] == []

@@ -23,11 +23,11 @@ from .exact_poly import (IntPolynomial, nonexistence_combination,
                          obstruction_cubic, obstruction_quintic,
                          real_roots_interval)
 from .patch import ScalarField, SurfacePatch
-from .sol_space import (COORDINATE, FRAME, DegeneratePlaneError, MetricAtPoint,
-                        Point, TangentVector, canonical_leaf, christoffel,
-                        covariant_derivative, curvature_tensor,
-                        curvature_tensor_fd, frame_connection, frame_vector,
-                        metric_at, sectional_curvature)
+from .sol_space import (DegeneratePlaneError, Point, TangentVector,
+                        canonical_leaf, christoffel, covariant_derivative,
+                        curvature_tensor, curvature_tensor_fd,
+                        frame_connection, frame_vector, metric_at,
+                        sectional_curvature)
 from .surface_calculus import (AdaptedFrameSample, CmcDegenerateError,
                                DegenerateParametrizationError,
                                FundamentalForms, LocalGeometry, ShapeData,
@@ -47,19 +47,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptedFrameSample",
     "CONSTANTS",
-    "COORDINATE",
     "CheckReport",
     "CmcDegenerateError",
     "DegenerateParametrizationError",
     "DegeneratePlaneError",
     "EXPLICIT",
-    "FRAME",
     "FamilyConstants",
     "FundamentalForms",
     "IMPLICIT",
     "IntPolynomial",
     "LocalGeometry",
-    "MetricAtPoint",
     "Point",
     "ProfileAngleError",
     "ProfileSolution",

@@ -394,13 +394,18 @@ class ProfileSolution:
         if self.kind not in (EXPLICIT, IMPLICIT):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         for name in ("u", "theta", "f", "psi", "phi1"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
+            column = np.asarray(getattr(self, name), dtype=float)
+            bad = first_false(np.isfinite(column))
+            if bad is not None:
+                raise ValueError(f"profile {name} must be finite, got "
+                                 f"{column[bad]:g} at sample {bad}")
+            object.__setattr__(self, name, column)
         if not np.all(np.diff(self.u) > 0.0):
             raise ValueError("profile samples must have strictly increasing u")
         if self.kind == EXPLICIT and np.any(self.u >= 0.0):
             raise ValueError("explicit profiles live on u < 0")
-        if np.any(self.f <= 0.0):
+        # written so that NaN fails
+        if not np.all(self.f > 0.0):
             raise ValueError("profile mean curvature must stay positive")
         stalls = np.flatnonzero(~(np.diff(self.theta) < 0.0))
         if stalls.size:
@@ -436,6 +441,10 @@ class ProfileSolution:
     def _hermite(self, u, column: str):
         if len(self.u) < 2:
             raise ValueError("need at least two samples for dense evaluation")
+        bad = first_false(namespace(u).isfinite(u))
+        if bad is not None:
+            raise ValueError(f"implicit profile requires finite u, got "
+                             f"u = {np.ravel(u)[bad]:g}")
         value = hermite_eval(u, self.u, getattr(self, column),
                              self._slopes[column])
         return value if isinstance(u, np.ndarray) else float(value)

@@ -24,8 +24,8 @@ from .biconservative_family import (EXPLICIT, IMPLICIT, PHI1_U_MIN,
                                     ProfileAngleError, ProfileSolution,
                                     build_profile, family_surface,
                                     family_vertices, profile_to_csv)
-from .sol_space import (FRAME, Point, TangentVector, curvature_tensor,
-                        frame_vector, sectional_curvature)
+from .sol_space import (Point, TangentVector, curvature_tensor, frame_vector,
+                        sectional_curvature)
 from .verification import SUITE_NAMES, reports_to_json, run_suite
 
 
@@ -266,7 +266,7 @@ def _parse_plane(text: str, base: Point) -> tuple:
             raise UsageError(f"bad plane vector {token!r}: {exc}") from exc
         if not np.all(np.isfinite(values)):
             raise UsageError(f"plane vector {token!r} must be finite")
-        return TangentVector(base, values, FRAME)
+        return TangentVector(base, values)
 
     return vector(parts[0]), vector(parts[1])
 

@@ -5,11 +5,13 @@ The space is R^3 with the left-invariant metric
     e^{2z} dx^2 + e^{-2z} dy^2 + dz^2.
 
 The orthonormal frame E1 = e^{-z} d/dx, E2 = e^{z} d/dy, E3 = d/dz
-trivializes most computations, so every operation accepts tangent vectors
-in either the coordinate or the frame basis and converts internally.  In
-that frame the Levi-Civita connection has constant coefficients
-(:func:`frame_connection`), the one statement of it that run-time
-geometry reads; the coordinate symbols :func:`christoffel` are its oracle.
+trivializes most computations, so a :class:`TangentVector` holds frame
+components alone.  In that frame the Levi-Civita connection has constant
+coefficients (:func:`frame_connection`), the one statement of it that
+run-time geometry reads.  Coordinate components appear only inside the
+finite-difference oracles :func:`covariant_derivative` and
+:func:`curvature_tensor_fd`, which difference them and contract the
+coordinate symbols :func:`christoffel`.
 
 Every operation is written once for a :class:`Point` of floats with (3,)
 components and for one of (N,) arrays with (N, 3) components, a row or a
@@ -37,7 +39,6 @@ __all__ = [
     "PLANE_GRAM_TOLERANCE",
     "Point",
     "TangentVector",
-    "MetricAtPoint",
     "DegeneratePlaneError",
     "metric_at",
     "frame_vector",
@@ -50,9 +51,6 @@ __all__ = [
     "sectional_curvature",
     "canonical_leaf",
 ]
-
-COORDINATE = "coordinate"
-FRAME = "frame"
 
 # Two vectors x, y span no plane when their Gram determinant
 # |x|^2 |y|^2 - <x, y>^2 is at most this fraction of |x|^2 |y|^2, that is,
@@ -87,16 +85,16 @@ class Point:
 
 @dataclass(frozen=True)
 class TangentVector:
-    """A tangent vector at a base point, tagged with its basis, or N vectors
-    at a :class:`Point` of (N,) arrays, with (N, 3) components.
+    """A tangent vector at a base point by its frame components, or N
+    vectors at a :class:`Point` of (N,) arrays, with (N, 3) components.
 
     Frame components c and coordinate components v are related by
-    v = (e^{-z} c1, e^{z} c2, c3) at height z.
+    v = (e^{-z} c1, e^{z} c2, c3) at height z; :meth:`from_coordinates`
+    and :meth:`coordinates` convert.
     """
 
     base: Point
     components: np.ndarray
-    basis: str
 
     def __post_init__(self):
         comps = np.asarray(self.components, dtype=float)
@@ -106,54 +104,42 @@ class TangentVector:
                              f"length-3 vector per base point, got "
                              f"{comps.shape}")
         object.__setattr__(self, "components", comps)
-        if self.basis not in (COORDINATE, FRAME):
-            raise ValueError(f"unknown basis {self.basis!r}")
 
-    def in_frame(self) -> "TangentVector":
-        if self.basis == FRAME:
-            return self
-        return self._converted(lambda ez, v: (ez * v[0], v[1] / ez, v[2]),
-                               FRAME)
+    @classmethod
+    def from_coordinates(cls, base: Point, v) -> "TangentVector":
+        """The vector at ``base`` with coordinate components ``v``."""
+        comps = cls(base, v).components
+        return cls(base, _rescaled(base.z, comps, "frame",
+                                   lambda ez, v: (ez * v[0], v[1] / ez, v[2])))
 
-    def in_coordinates(self) -> "TangentVector":
-        if self.basis == COORDINATE:
-            return self
-        return self._converted(lambda ez, c: (c[0] / ez, ez * c[1], c[2]),
-                               COORDINATE)
-
-    def _converted(self, formula, basis: str) -> "TangentVector":
-        """The vector in ``basis``, its components ``formula(e^z,
-        components.T)``; ValueError names the first point whose new
-        components leave the double range."""
-        z = self.base.z
-        with np.errstate(all="ignore"):
-            try:
-                ez = namespace(z).exp(z)
-            except OverflowError:
-                ez = math.inf
-            comps = np.array(formula(ez, self.components.T)).T
-        bad = first_false(np.isfinite(comps).all(axis=-1))
-        if bad is not None:
-            raise ValueError(f"{basis} components leave the double range "
-                             f"at z = {np.ravel(z)[bad]:g}")
-        return TangentVector(self.base, comps, basis)
+    def coordinates(self) -> np.ndarray:
+        """The coordinate components, (3,) or (N, 3)."""
+        return _rescaled(self.base.z, self.components, "coordinate",
+                         lambda ez, c: (c[0] / ez, ez * c[1], c[2]))
 
 
-@dataclass(frozen=True)
-class MetricAtPoint:
-    """The metric's diagonal (e^{2z}, e^{-2z}, 1), (3,) or (N, 3)."""
+def _rescaled(z, comps: np.ndarray, basis: str, formula) -> np.ndarray:
+    """``formula(e^z, comps.T)`` transposed back, the components in
+    ``basis``; ValueError names the first point whose new components leave
+    the double range."""
+    with np.errstate(all="ignore"):
+        try:
+            ez = namespace(z).exp(z)
+        except OverflowError:
+            ez = math.inf
+        out = np.array(formula(ez, comps.T)).T
+    bad = first_false(np.isfinite(out).all(axis=-1))
+    if bad is not None:
+        raise ValueError(f"{basis} components leave the double range "
+                         f"at z = {np.ravel(z)[bad]:g}")
+    return out
 
-    diagonal: np.ndarray
 
-    @property
-    def determinant(self):
-        return np.prod(self.diagonal, axis=-1)
-
-
-def metric_at(p: Point) -> MetricAtPoint:
-    """The metric at p, one diagonal row per point."""
+def metric_at(p: Point) -> np.ndarray:
+    """The metric's diagonal (e^{2z}, e^{-2z}, 1) at p, (3,) at one point
+    and (N, 3) at N points."""
     e2z = namespace(p.z).exp(2.0 * p.z)
-    return MetricAtPoint(np.array([e2z, 1.0 / e2z, np.ones_like(e2z)]).T)
+    return np.array([e2z, 1.0 / e2z, np.ones_like(e2z)]).T
 
 
 def _require_same_base(*vectors: TangentVector) -> Point:
@@ -171,7 +157,7 @@ def frame_vector(p: Point, i: int) -> TangentVector:
         raise ValueError("frame index must be 1, 2 or 3")
     comps = np.zeros(np.shape(p.z) + (3,))
     comps[..., i - 1] = 1.0
-    return TangentVector(p, comps, FRAME)
+    return TangentVector(p, comps)
 
 
 def frame_connection(x, y):
@@ -197,7 +183,8 @@ def christoffel(p: Point) -> np.ndarray:
 
     The one statement of Sol's connection in coordinates, the closed forms
     of the diagonal metric.  It is an oracle: :func:`covariant_derivative`
-    contracts it, and run-time geometry reads :func:`frame_connection`.
+    and :func:`curvature_tensor_fd` contract it, and run-time geometry
+    reads :func:`frame_connection`.
     """
     e2z = namespace(p.z).exp(2.0 * p.z)
     gamma = np.zeros(np.shape(p.z) + (3, 3, 3))
@@ -208,6 +195,23 @@ def christoffel(p: Point) -> np.ndarray:
     return gamma
 
 
+def _nabla_coordinates(field: Callable[[Point], np.ndarray], p: Point,
+                       x: np.ndarray, step: float) -> np.ndarray:
+    """nabla_x of a field on coordinate components: ``field`` maps a point
+    to the field's coordinate components there, ``x`` is the direction's;
+    a central difference along x plus the contraction of
+    :func:`christoffel`."""
+
+    def along(t: float) -> np.ndarray:
+        return field(Point(*(p.as_array() + t * x.T)))
+
+    y0 = along(0.0)
+    dy = central_diff(along, 0.0, step)
+    if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(dy))):
+        raise ValueError("vector field evaluated to a non-finite value")
+    return dy + np.einsum("...kij,...i,...j->...k", christoffel(p), x, y0)
+
+
 def covariant_derivative(field: Callable[[Point], TangentVector],
                          direction: TangentVector,
                          step: float = DEFAULT_FD_STEP) -> TangentVector:
@@ -216,7 +220,7 @@ def covariant_derivative(field: Callable[[Point], TangentVector],
     Parameters
     ----------
     field:
-        Maps a point to a tangent vector there, in either basis.
+        Maps a point to a tangent vector there.
     direction:
         Direction (and base point) of differentiation.
     step:
@@ -225,22 +229,13 @@ def covariant_derivative(field: Callable[[Point], TangentVector],
 
     Returns
     -------
-    TangentVector in the coordinate basis at ``direction.base``.  At a
-    point of (N,) arrays ``field`` is called on N shifted points at once.
+    TangentVector at ``direction.base``.  At a point of (N,) arrays
+    ``field`` is called on N shifted points at once.
     """
     p = direction.base
-    x = direction.in_coordinates().components
-
-    def coords_along(t: float) -> np.ndarray:
-        q = Point(*(p.as_array() + t * x.T))
-        return field(q).in_coordinates().components
-
-    y0 = coords_along(0.0)
-    dy = central_diff(coords_along, 0.0, step)
-    if not (np.all(np.isfinite(y0)) and np.all(np.isfinite(dy))):
-        raise ValueError("vector field evaluated to a non-finite value")
-    out = dy + np.einsum("...kij,...i,...j->...k", christoffel(p), x, y0)
-    return TangentVector(p, out, COORDINATE)
+    out = _nabla_coordinates(lambda q: field(q).coordinates(), p,
+                             direction.coordinates(), step)
+    return TangentVector.from_coordinates(p, out)
 
 
 def curvature_components(x: np.ndarray, y: np.ndarray,
@@ -265,8 +260,8 @@ def curvature_tensor(x: TangentVector, y: TangentVector,
                      z: TangentVector) -> TangentVector:
     """Evaluate the closed-form curvature tensor on three vectors."""
     base = _require_same_base(x, y, z)
-    out = curvature_components(*(v.in_frame().components for v in (x, y, z)))
-    return TangentVector(base, out, FRAME)
+    out = curvature_components(*(v.components for v in (x, y, z)))
+    return TangentVector(base, out)
 
 
 def curvature_tensor_fd(x: TangentVector, y: TangentVector, z: TangentVector,
@@ -279,22 +274,14 @@ def curvature_tensor_fd(x: TangentVector, y: TangentVector, z: TangentVector,
     N points at once.
     """
     base = _require_same_base(x, y, z)
-    xc, yc, zc = (v.in_coordinates().components for v in (x, y, z))
+    xc, yc, zc = (v.coordinates() for v in (x, y, z))
 
-    def zfield(q: Point) -> TangentVector:
-        return TangentVector(q, zc, COORDINATE)
+    def nabla_z_along(d: np.ndarray) -> Callable[[Point], np.ndarray]:
+        return lambda q: _nabla_coordinates(lambda r: zc, q, d, step)
 
-    def nabla_z_along(const_dir: np.ndarray) -> Callable[[Point], TangentVector]:
-        def field(q: Point) -> TangentVector:
-            return covariant_derivative(zfield, TangentVector(q, const_dir,
-                                                              COORDINATE), step)
-        return field
-
-    a = covariant_derivative(nabla_z_along(yc),
-                             TangentVector(base, xc, COORDINATE), step)
-    b = covariant_derivative(nabla_z_along(xc),
-                             TangentVector(base, yc, COORDINATE), step)
-    return TangentVector(base, a.components - b.components, COORDINATE)
+    a = _nabla_coordinates(nabla_z_along(yc), base, xc, step)
+    b = _nabla_coordinates(nabla_z_along(xc), base, yc, step)
+    return TangentVector.from_coordinates(base, a - b)
 
 
 def sectional_curvature(x: TangentVector, y: TangentVector):
@@ -305,7 +292,7 @@ def sectional_curvature(x: TangentVector, y: TangentVector):
     unscaled arithmetic stays in the normal range of doubles it rounds the
     same, so K keeps its bits."""
     base = _require_same_base(x, y)
-    xf, yf = x.in_frame().components, y.in_frame().components
+    xf, yf = x.components, y.components
     ex, ey = (np.frexp(np.max(np.abs(c), axis=-1))[1] for c in (xf, yf))
     xf, yf = np.ldexp(xf, -ex[..., None]), np.ldexp(yf, -ey[..., None])
     xx, yy, xy = np.vecdot(xf, xf), np.vecdot(yf, yf), np.vecdot(xf, yf)

@@ -31,8 +31,8 @@ import numpy as np
 
 from .numerics import first_false, namespace
 from .patch import ScalarField, SurfacePatch
-from .sol_space import (FRAME, PLANE_GRAM_TOLERANCE, DegeneratePlaneError,
-                        Point, TangentVector, frame_connection)
+from .sol_space import (PLANE_GRAM_TOLERANCE, DegeneratePlaneError, Point,
+                        TangentVector, frame_connection)
 
 __all__ = [
     "DegenerateParametrizationError",
@@ -436,9 +436,9 @@ class LocalGeometry:
             return l * s * s + 2.0 * m * s * t + n * t * t
 
         return AdaptedFrameSample(
-            x1=TangentVector(self.point, self._array(x1_f), FRAME),
-            x2=TangentVector(self.point, self._array(x2_f), FRAME),
-            xi=TangentVector(self.point, self.xi_f, FRAME),
+            x1=TangentVector(self.point, self._array(x1_f)),
+            x2=TangentVector(self.point, self._array(x2_f)),
+            xi=TangentVector(self.point, self.xi_f),
             theta=xp.arctan2(self._xi[2], x1_f[2]),
             beta=xp.arctan2(x2_f[1], x2_f[0]), h=self.h,
             lambda1=normal_curvature(c1), lambda2=normal_curvature(c2),
@@ -469,7 +469,7 @@ def fundamental_forms(patch: SurfacePatch, u: float,
     """
     geo = LocalGeometry(patch, u, v)
     return FundamentalForms(geo.first, geo.second,
-                            TangentVector(geo.point, geo.xi_f, FRAME))
+                            TangentVector(geo.point, geo.xi_f))
 
 
 def shape_data(patch: SurfacePatch, u: float, v: float) -> ShapeData:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -534,6 +535,42 @@ def test_profile_solution_validation():
         ProfileSolution(**{**good, "f": np.array([1.0, -1.0])})
     with pytest.raises(ValueError):
         ProfileSolution(**{**good, "theta": np.array([2.1, 2.2])})
+
+
+@pytest.mark.parametrize("column,values", [
+    ("u", [0.0, math.inf]), ("u", [math.nan, 1.0]),
+    ("theta", [2.2, math.nan]), ("theta", [math.inf, 2.1]),
+    ("f", [math.nan, 0.3]), ("f", [1.0, math.inf]),
+    ("psi", [math.nan, math.inf]), ("psi", [0.0, -math.inf]),
+    ("phi1", [0.0, math.nan]), ("phi1", [math.inf, 0.0])])
+def test_profile_solution_rejects_non_finite_samples(column, values):
+    # NaN fails each column's test, so no CSV row holds nan or inf
+    good = dict(kind=IMPLICIT, u=[0.0, 1.0], theta=[2.2, 2.1], f=[1.0, 1.1],
+                psi=[0.0, 0.0], phi1=[0.0, 0.0], u0=0.0)
+    bad = 0 if not math.isfinite(values[0]) else 1
+    with pytest.raises(ValueError, match=rf"^profile {column} must be "
+                                         rf"finite, got {values[bad]:g} at "
+                                         rf"sample {bad}$"):
+        ProfileSolution(**{**good, column: values})
+
+
+def test_implicit_dense_evaluators_reject_non_finite_u(implicit_solution):
+    # as the explicit closed forms do; finite u past the span extrapolates
+    # the end cubics, as the frame stencils need
+    sol = implicit_solution
+    evaluators = (sol.theta_at, sol.f_at, sol.f_prime_at, sol.f_second_at,
+                  sol.psi_at, sol.phi1_at)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in evaluators:
+            for u in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError,
+                                   match=rf"finite u, got u = {u:g}$"):
+                    evaluate(u)
+            with pytest.raises(ValueError, match=r"got u = nan$"):
+                evaluate(np.array([0.1, math.nan, math.inf]))
+            assert math.isfinite(evaluate(sol.u[-1] + 1e-5))
+            assert math.isfinite(evaluate(sol.u[0] - 1e-12))
 
 
 def test_profile_c0_anchors_psi(explicit_profile, implicit_solution):

@@ -177,6 +177,13 @@ def test_run_time_geometry_reads_the_frame_table_alone():
         imported = _imported_names(PACKAGE_DIR / name)
         assert imported & {"christoffel", "christoffel_contraction"} == set()
         assert "frame_connection" in imported
+    # and the record and the command line never convert a tangent vector
+    # to coordinate components or back
+    for name in ("surface_calculus.py", "cli.py"):
+        tree = ast.parse((PACKAGE_DIR / name).read_text(encoding="utf-8"))
+        called = {_call_name(node) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)}
+        assert called & {"coordinates", "from_coordinates"} == set(), name
 
 
 def test_verification_reads_the_obstruction_addends_from_exact_poly():

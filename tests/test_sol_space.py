@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from solgeo.sol_space import (COORDINATE, FRAME, DegeneratePlaneError, Point,
-                              TangentVector, canonical_leaf, christoffel,
+from solgeo.sol_space import (DegeneratePlaneError, Point, TangentVector,
+                              canonical_leaf, christoffel,
                               covariant_derivative, curvature_components,
                               curvature_tensor, curvature_tensor_fd,
                               frame_connection, frame_vector, metric_at,
@@ -21,14 +22,14 @@ coords = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
 
 @given(coords, coords, coords)
 def test_metric_determinant_is_one(x, y, z):
-    assert abs(metric_at(Point(x, y, z)).determinant - 1.0) < 1e-12
+    assert abs(np.prod(metric_at(Point(x, y, z))) - 1.0) < 1e-12
 
 
 @given(coords, coords, coords, coords, coords, coords)
 def test_frame_coordinate_roundtrip(x, y, z, c1, c2, c3):
     p = Point(x, y, z)
-    v = TangentVector(p, np.array([c1, c2, c3]), FRAME)
-    back = v.in_coordinates().in_frame()
+    v = TangentVector(p, np.array([c1, c2, c3]))
+    back = TangentVector.from_coordinates(p, v.coordinates())
     assert np.allclose(back.components, v.components, atol=1e-12, rtol=1e-12)
 
 
@@ -107,7 +108,7 @@ def test_covariant_derivative_matches_connection_table():
             out = covariant_derivative(lambda q, jj=j: frame_vector(q, jj),
                                        frame_vector(p, i))
             worst = max(worst, float(np.max(np.abs(
-                out.in_frame().components
+                out.components
                 - frame_connection(BASIS[i - 1], BASIS[j - 1])))))
     assert worst < 1e-8
 
@@ -122,15 +123,15 @@ def test_sectional_frame_planes():
 
 def test_sectional_invariant_under_respanning():
     p = Point(0.0, 0.0, 0.0)
-    x = TangentVector(p, np.array([1.0, 2.0, 0.0]), FRAME)
-    y = TangentVector(p, np.array([-1.0, 1.0, 0.0]), FRAME)
+    x = TangentVector(p, np.array([1.0, 2.0, 0.0]))
+    y = TangentVector(p, np.array([-1.0, 1.0, 0.0]))
     assert abs(sectional_curvature(x, y) - 1.0) < 1e-12
 
 
 def test_sectional_degenerate_plane():
     p = Point(0.0, 0.0, 0.0)
     v = frame_vector(p, 1)
-    w = TangentVector(p, np.array([2.0, 0.0, 0.0]), FRAME)
+    w = TangentVector(p, np.array([2.0, 0.0, 0.0]))
     with pytest.raises(DegeneratePlaneError):
         sectional_curvature(v, w)
 
@@ -138,7 +139,7 @@ def test_sectional_degenerate_plane():
 def test_curvature_tensor_symmetries():
     rng = np.random.default_rng(3)
     p = Point(*rng.uniform(-1.0, 1.0, 3))
-    x, y, z, w = (TangentVector(p, rng.uniform(-1.0, 1.0, 3), FRAME)
+    x, y, z, w = (TangentVector(p, rng.uniform(-1.0, 1.0, 3))
                   for _ in range(4))
     rxyz = curvature_tensor(x, y, z).components
     assert np.allclose(rxyz, -curvature_tensor(y, x, z).components,
@@ -155,10 +156,10 @@ def test_curvature_closed_form_vs_finite_differences():
     rng = np.random.default_rng(11)
     for _ in range(5):
         p = Point(*rng.uniform(-1.5, 1.5, 3))
-        x, y, z = (TangentVector(p, rng.uniform(-1.0, 1.0, 3), FRAME)
+        x, y, z = (TangentVector(p, rng.uniform(-1.0, 1.0, 3))
                    for _ in range(3))
         closed = curvature_tensor(x, y, z).components
-        fd = curvature_tensor_fd(x, y, z).in_frame().components
+        fd = curvature_tensor_fd(x, y, z).components
         assert np.allclose(closed, fd, atol=1e-6)
 
 
@@ -193,7 +194,7 @@ def n_vectors(n, k):
 
 def frame_vectors(base, comps):
     """Three-component frame vectors at ``base``, one per column triple."""
-    return [TangentVector(base, comps[..., k:k + 3], FRAME)
+    return [TangentVector(base, comps[..., k:k + 3])
             for k in range(0, comps.shape[-1], 3)]
 
 
@@ -251,15 +252,14 @@ def test_metric_and_frame_rows_match_one_point_calls(xyz):
     # numpy's exp and libm's may differ in the last bit
     p = Point(*xyz.T)
     ones = [Point(*pt) for pt in xyz]
-    diag = np.array([metric_at(q).diagonal for q in ones])
-    assert_rows_close(metric_at(p).diagonal, diag,
+    diag = np.array([metric_at(q) for q in ones])
+    assert_rows_close(metric_at(p), diag,
                       1e-12 * np.max(np.abs(diag), axis=1))
-    assert_rows_close(metric_at(p).determinant,
-                      [metric_at(q).determinant for q in ones], 1e-12)
+    assert_rows_close(np.prod(metric_at(p), axis=-1),
+                      [np.prod(metric_at(q)) for q in ones], 1e-12)
     for i in (1, 2, 3):
-        coords = np.array([frame_vector(q, i).in_coordinates().components
-                           for q in ones])
-        assert_rows_close(frame_vector(p, i).in_coordinates().components,
+        coords = np.array([frame_vector(q, i).coordinates() for q in ones])
+        assert_rows_close(frame_vector(p, i).coordinates(),
                           coords, 1e-12 * np.max(np.abs(coords), axis=1))
 
 
@@ -274,13 +274,13 @@ def test_covariant_derivative_rows_match_one_point_calls(data):
     xyz, comps = data
     direction, _, field_comps = frame_vectors(Point(*xyz.T), comps)
     many = covariant_derivative(
-        lambda q: TangentVector(q, field_comps.components, FRAME), direction)
+        lambda q: TangentVector(q, field_comps.components), direction)
     ones, bound = [], []
     for pt, c in zip(xyz, comps):
         x, _, w = frame_vectors(Point(*pt), c)
-        field = lambda q, w=w: TangentVector(q, w.components, FRAME)
+        field = lambda q, w=w: TangentVector(q, w.components)
         ones.append(covariant_derivative(field, x).components)
-        values = np.max(np.abs(w.in_coordinates().components))
+        values = np.max(np.abs(w.coordinates()))
         bound.append(1e-12 * np.max(np.abs(ones[-1]))
                      + 8.0 * EPS * values / 1e-5)
     assert_rows_close(many.components, ones, np.array(bound))
@@ -298,7 +298,7 @@ def test_curvature_fd_rows_match_one_point_calls(data):
         ones.append(curvature_tensor_fd(x, y, z).components)
         # the outer difference runs over the inner derivatives
         # Gamma(x, z) and Gamma(y, z) of the coordinate-constant field z
-        xc, yc, zc = (v.in_coordinates().components for v in (x, y, z))
+        xc, yc, zc = (v.coordinates() for v in (x, y, z))
         values = np.max(np.abs([
             np.einsum("kij,i,j->k", christoffel(p), xc, zc),
             np.einsum("kij,i,j->k", christoffel(p), yc, zc)]))
@@ -323,19 +323,19 @@ def test_n_point_degenerate_plane_names_the_first_such_point():
                   [-3.0, 0.0, 0.0]])
     with pytest.raises(DegeneratePlaneError,
                        match=r"\(x, y, z\) = \(1\.5, -2, 0\.75\)$"):
-        sectional_curvature(frame_vector(p, 1), TangentVector(p, y, FRAME))
+        sectional_curvature(frame_vector(p, 1), TangentVector(p, y))
 
 
 def test_equal_n_point_bases_need_not_be_one_object():
     xyz = np.array([[0.3, -0.4, 0.2], [1.0, 2.0, -1.5]])
     p = Point(*xyz.T)
-    x, y, z = (TangentVector(p, xyz + k, FRAME) for k in (0.0, 1.0, 2.0))
-    copy = TangentVector(Point(*xyz.T.copy()), z.components, FRAME)
+    x, y, z = (TangentVector(p, xyz + k) for k in (0.0, 1.0, 2.0))
+    copy = TangentVector(Point(*xyz.T.copy()), z.components)
     assert np.array_equal(curvature_tensor(x, y, copy).components,
                           curvature_tensor(x, y, z).components)
     for other in (Point(*(xyz.T + [[0.0], [0.0], [1e-9]])),
                   Point(*xyz[:1].T), Point(*xyz[0])):
-        w = TangentVector(other, np.zeros(np.shape(other.z) + (3,)), FRAME)
+        w = TangentVector(other, np.zeros(np.shape(other.z) + (3,)))
         with pytest.raises(ValueError, match="different base points"):
             curvature_tensor(x, y, w)
 
@@ -345,13 +345,28 @@ def test_components_must_match_the_base_point_count():
     two = Point(np.zeros(2), np.zeros(2), np.array([0.0, 1.0]))
     for base, comps, expected in ((one, np.ones((3, 3)), r"\(3,\)"),
                                   (one, np.ones((1, 3)), r"\(3,\)"),
+                                  (one, np.ones(4), r"\(3,\)"),
                                   (two, np.ones((3, 3)), r"\(2, 3\)"),
                                   (two, np.ones(3), r"\(2, 3\)")):
-        with pytest.raises(ValueError, match=rf"^components must have shape "
-                                             rf"{expected}, one length-3 "
-                                             rf"vector per base point, got"):
-            TangentVector(base, comps, FRAME)
-    assert TangentVector(two, np.ones((2, 3)), FRAME).components.shape == (2, 3)
+        for build in (TangentVector, TangentVector.from_coordinates):
+            with pytest.raises(ValueError,
+                               match=rf"^components must have shape "
+                                     rf"{expected}, one length-3 vector per "
+                                     rf"base point, got"):
+                build(base, comps)
+    assert TangentVector(two, np.ones((2, 3))).components.shape == (2, 3)
+
+
+def test_a_tangent_vector_is_its_frame_components():
+    # no basis tag: the two fields, and coordinates only by conversion
+    assert [f.name for f in dataclasses.fields(TangentVector)] == [
+        "base", "components"]
+    p = Point(0.0, 0.0, math.log(2.0))
+    assert np.array_equal(TangentVector(p, [1.0, 1.0, 1.0]).coordinates(),
+                          [0.5, 2.0, 1.0])
+    assert np.array_equal(
+        TangentVector.from_coordinates(p, [0.5, 2.0, 1.0]).components,
+        [1.0, 1.0, 1.0])
 
 
 # components 0 or of magnitude 1e-8 .. 1e8: no product of four of them
@@ -369,7 +384,7 @@ def test_sectional_keeps_the_unscaled_bits(x, y, z):
     xx, yy, xy = np.vecdot(xf, xf), np.vecdot(yf, yf), np.vecdot(xf, yf)
     gram = xx * yy - xy * xy
     p = Point(0.0, 0.0, z)
-    plane = (TangentVector(p, xf, FRAME), TangentVector(p, yf, FRAME))
+    plane = (TangentVector(p, xf), TangentVector(p, yf))
     if gram <= PLANE_GRAM_TOLERANCE * xx * yy:
         with pytest.raises(DegeneratePlaneError):
             sectional_curvature(*plane)
@@ -383,14 +398,12 @@ def test_sectional_of_small_vectors(size):
     # the Gram test is relative to |x|^2 |y|^2, so no scale of the
     # spanning vectors makes a plane degenerate
     p = Point(np.zeros(2), np.zeros(2), np.array([0.0, 1.5]))
-    x = TangentVector(p, np.array([[size, 0.0, 0.0], [size, size, 0.0]]),
-                      FRAME)
-    y = TangentVector(p, np.array([[0.0, size, 0.0], [0.0, size, size]]),
-                      FRAME)
+    x = TangentVector(p, np.array([[size, 0.0, 0.0], [size, size, 0.0]]))
+    y = TangentVector(p, np.array([[0.0, size, 0.0], [0.0, size, size]]))
     k = sectional_curvature(x, y)
     assert abs(k[0] - 1.0) <= 1e-15
     assert abs(k[1] - (2.0 / 3.0 - 1.0)) <= 1e-15
-    parallel = TangentVector(p, 2.0 * x.components, FRAME)
+    parallel = TangentVector(p, 2.0 * x.components)
     with pytest.raises(DegeneratePlaneError):
         sectional_curvature(x, parallel)
 
@@ -401,11 +414,11 @@ def test_sectional_of_large_vectors(size):
     p = Point(0.0, 0.0, 0.0)
     with np.errstate(over="raise", invalid="raise"):
         k = sectional_curvature(
-            TangentVector(p, np.array([size, 0.0, 0.0]), FRAME),
-            TangentVector(p, np.array([0.0, 0.0, size]), FRAME))
+            TangentVector(p, np.array([size, 0.0, 0.0])),
+            TangentVector(p, np.array([0.0, 0.0, size])))
         k_diagonal = sectional_curvature(
-            TangentVector(p, np.array([size, size, 0.0]), FRAME),
-            TangentVector(p, np.array([0.0, size, size]), FRAME))
+            TangentVector(p, np.array([size, size, 0.0])),
+            TangentVector(p, np.array([0.0, size, size])))
     assert abs(k + 1.0) <= 1e-15
     # the plane of (1, 1, 0) and (0, 1, 1): unit normal (1, -1, 1) / sqrt 3
     assert abs(k_diagonal - (2.0 / 3.0 - 1.0)) <= 1e-15
@@ -421,16 +434,18 @@ def test_conversions_past_the_double_range_name_the_point(z):
         warnings.simplefilter("error")
         for base in (one, many):
             shape = np.shape(base.z) + (3,)
-            for vector in (TangentVector(base, np.ones(shape), COORDINATE),
-                           TangentVector(base, np.ones(shape), FRAME)):
-                with pytest.raises(ValueError, match=rf"at z = {z:g}$"):
-                    vector.in_frame().in_coordinates()
+            with pytest.raises(ValueError, match=rf"^frame components .* "
+                                                 rf"at z = {z:g}$"):
+                TangentVector.from_coordinates(base, np.ones(shape))
+            with pytest.raises(ValueError, match=rf"^coordinate components "
+                                                 rf".* at z = {z:g}$"):
+                TangentVector(base, np.ones(shape)).coordinates()
         # d/dx has frame length e^z and d/dy e^-z
         long = np.array([1.0, 0.0, 0.0] if z > 0 else [0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match=rf"at z = {z:g}$"):
             sectional_curvature(
-                TangentVector(one, long, COORDINATE),
-                TangentVector(one, np.array([0.0, 0.0, 1.0]), COORDINATE))
+                TangentVector.from_coordinates(one, long),
+                TangentVector.from_coordinates(one, np.array([0.0, 0.0, 1.0])))
 
 
 def test_conversions_inside_the_double_range_keep_their_bits():
@@ -443,20 +458,20 @@ def test_conversions_inside_the_double_range_keep_their_bits():
         many = Point(np.zeros(4), np.zeros(4), zs)
         ez = np.exp(zs)
         assert np.array_equal(
-            TangentVector(many, comps, COORDINATE).in_frame().components,
+            TangentVector.from_coordinates(many, comps).components,
             np.array([ez * comps[:, 0], comps[:, 1] / ez, comps[:, 2]]).T)
         assert np.array_equal(
-            TangentVector(many, comps, FRAME).in_coordinates().components,
+            TangentVector(many, comps).coordinates(),
             np.array([comps[:, 0] / ez, ez * comps[:, 1], comps[:, 2]]).T)
         for z, c in zip(zs, comps):
             p, ez = Point(0.0, 0.0, float(z)), math.exp(z)
             assert np.array_equal(
-                TangentVector(p, c, COORDINATE).in_frame().components,
+                TangentVector.from_coordinates(p, c).components,
                 [ez * c[0], c[1] / ez, c[2]])
             assert np.array_equal(
-                TangentVector(p, c, FRAME).in_coordinates().components,
+                TangentVector(p, c).coordinates(),
                 [c[0] / ez, ez * c[1], c[2]])
         p = Point(0.0, 0.0, 709.0)
-        assert sectional_curvature(
-            TangentVector(p, np.array([1.0, 0.0, 0.0]), COORDINATE),
-            TangentVector(p, np.array([0.0, 0.0, 1.0]), COORDINATE)) == -1.0
+        d_x, d_z = (TangentVector.from_coordinates(p, v)
+                    for v in np.eye(3)[[0, 2]])
+        assert sectional_curvature(d_x, d_z) == -1.0

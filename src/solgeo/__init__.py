@@ -13,8 +13,8 @@ obstruction), :mod:`solgeo.verification` (report suites) and
 from .biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
                                     FamilyConstants, ProfileAngleError,
                                     ProfileSolution, build_profile, f_explicit,
-                                    f_prime_explicit, family_surface,
-                                    family_vertices,
+                                    f_prime_explicit, family_rows,
+                                    family_surface,
                                     gaussian_curvature_closed_form,
                                     integrate_implicit_profile,
                                     profile_to_csv, solve_f, theta_explicit,
@@ -81,8 +81,8 @@ __all__ = [
     "curvature_tensor_fd",
     "f_explicit",
     "f_prime_explicit",
+    "family_rows",
     "family_surface",
-    "family_vertices",
     "frame_connection",
     "frame_vector",
     "fundamental_forms",

@@ -55,6 +55,7 @@ __all__ = [
     "EXPLICIT",
     "IMPLICIT",
     "PHI1_U_MIN",
+    "DENSE_REACH_STEPS",
     "FamilyConstants",
     "CONSTANTS",
     "ProfileAngleError",
@@ -73,7 +74,7 @@ __all__ = [
     "integrate_implicit_profile",
     "build_profile",
     "family_surface",
-    "family_vertices",
+    "family_rows",
     "profile_to_csv",
 ]
 
@@ -361,6 +362,14 @@ class ProfileAngleError(ValueError):
     """
 
 
+# How many widest sample spacings the implicit dense evaluators reach past
+# the samples: room for the frame stencils' 1e-5 steps and build_profile's
+# 1e-12 grid slack, and none for the end cubic far from the ODE's solution
+# (on the profile c = 1, theta0 = 2.2, whose samples end at u = 0.281, the
+# end cubic reads theta = 335.6 and f = -58.6 at u = 10).
+DENSE_REACH_STEPS = 4
+
+
 @dataclass(frozen=True)
 class ProfileSolution:
     """Sampled profile (u, theta, f, Psi, Phi1) of one family member.
@@ -373,6 +382,8 @@ class ProfileSolution:
     dense value exactly; for the implicit kind they are cubic Hermite
     interpolants of the samples, whose slopes are known exactly from the
     ODE (dense accuracy O(spacing^4)), and f' and f'' are the ODE's.
+    They extrapolate the end cubics at most ``DENSE_REACH_STEPS`` widest
+    sample spacings past the samples and raise ``ValueError`` beyond.
 
     The angle must decrease strictly from sample to sample (theta' = -2 f
     with f > 0); a profile that breaks this raises
@@ -433,6 +444,9 @@ class ProfileSolution:
                       "f": f_prime_implicit(self.theta, self.f),
                       "psi": psi_slope, "phi1": phi1_slope}
             object.__setattr__(self, "_slopes", slopes)
+            # how far the dense evaluators extrapolate the end cubics
+            object.__setattr__(self, "_reach", DENSE_REACH_STEPS * float(
+                np.max(np.diff(self.u), initial=0.0)))
 
     # -- dense evaluation ------------------------------------------------
     # Each evaluator takes u as a float or as an array (one value per
@@ -445,6 +459,13 @@ class ProfileSolution:
         if bad is not None:
             raise ValueError(f"implicit profile requires finite u, got "
                              f"u = {np.ravel(u)[bad]:g}")
+        lo, hi = self.u[0] - self._reach, self.u[-1] + self._reach
+        bad = first_false((u >= lo) & (u <= hi))
+        if bad is not None:
+            raise ValueError(
+                f"implicit profile extrapolates at most {self._reach:g} past "
+                f"its samples on [{self.u[0]:g}, {self.u[-1]:g}], got "
+                f"u = {np.ravel(u)[bad]:g}")
         value = hermite_eval(u, self.u, getattr(self, column),
                              self._slopes[column])
         return value if isinstance(u, np.ndarray) else float(value)
@@ -764,7 +785,8 @@ def _layout(variant: str):
     """Place (Phi1, Psi, v) in ambient coordinates for one variant.
 
     The one statement of the x1/x2 layout: the immersion, its u-partials
-    (with v = 0) and :func:`family_vertices` all go through it.
+    (with v = 0) and the mesh rows of :func:`family_rows` (with v = None)
+    all go through it.
 
     Raises
     ------
@@ -821,20 +843,19 @@ def family_surface(profile: ProfileSolution, variant: str) -> SurfacePatch:
         name=f"family_{variant}_{profile.kind}")
 
 
-def family_vertices(profile: ProfileSolution, variant: str,
-                    vs: Sequence[float]) -> Iterator[Tuple[float, float,
-                                                           float]]:
-    """Stream the points of one immersion variant over ``profile.u`` x
-    ``vs``, u-major, read from the profile's Phi1 and Psi samples.
+def family_rows(profile: ProfileSolution, variant: str
+                ) -> Iterator[Tuple[Optional[float], ...]]:
+    """Stream the grid rows of one immersion variant, one per ``profile.u``
+    sample: the point's coordinates read from the profile's Phi1 and Psi
+    samples, with ``None`` in the ruling slot that v fills.
 
-    Each point equals ``family_surface(profile, variant).position(u, v)``
-    at a sample u exactly, without evaluating the profile again.
+    Filling the slot with v gives
+    ``family_surface(profile, variant).position(u, v)`` at a sample u
+    exactly, without evaluating the profile again.
     """
     place = _layout(variant)
-    rulings = [float(v) for v in vs]
-    return (place(phi1, psi, v)
-            for phi1, psi in zip(profile.phi1.tolist(), profile.psi.tolist())
-            for v in rulings)
+    return (place(phi1, psi, None)
+            for phi1, psi in zip(profile.phi1.tolist(), profile.psi.tolist()))
 
 
 def profile_to_csv(profile: ProfileSolution, path: Optional[str] = None) -> str:

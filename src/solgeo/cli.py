@@ -22,8 +22,8 @@ import numpy as np
 
 from .biconservative_family import (EXPLICIT, IMPLICIT, PHI1_U_MIN,
                                     ProfileAngleError, ProfileSolution,
-                                    build_profile, family_surface,
-                                    family_vertices, profile_to_csv)
+                                    build_profile, family_rows,
+                                    family_surface, profile_to_csv)
 from .sol_space import (Point, TangentVector, curvature_tensor, frame_vector,
                         sectional_curvature)
 from .verification import SUITE_NAMES, reports_to_json, run_suite
@@ -161,43 +161,64 @@ def _build_family_profile(config: RunConfig) -> ProfileSolution:
                          theta_start=config.theta_start, step=config.step)
 
 
-def _mesh_lines(fmt: str, name: str, nu: int, nv: int,
-                vertices: Iterable[Tuple[float, float, float]]
-                ) -> Iterator[str]:
-    """Lines of an OBJ or ASCII PLY mesh over an ``nu`` x ``nv`` grid of
-    u-major ``vertices``, two triangles per grid cell."""
+def _mesh_chunks(fmt: str, name: str, nu: int, rulings: Sequence[float],
+                 rows: Iterable[Tuple[Optional[float], ...]]
+                 ) -> Iterator[str]:
+    """Text of an OBJ or ASCII PLY mesh over ``nu`` grid rows of
+    ``len(rulings)`` vertices, two triangles per grid cell: one chunk for
+    the header, then one per vertex row and one per face row.
+
+    Each of ``rows`` holds one row's fixed coordinates with ``None`` in the
+    ruling slot (see :func:`family_rows`).  Numbers get 12 fixed decimals,
+    the sign of zero kept; each ruling is formatted once per mesh and each
+    fixed coordinate once per row.
+    """
+    nv = len(rulings)
     n_faces = 2 * (nu - 1) * (nv - 1)
     if fmt == "obj":
-        yield f"# {name}"
-        yield f"# grid {nu} {nv}"
+        header = (f"# {name}", f"# grid {nu} {nv}")
         vertex_prefix, face_prefix, base = "v ", "f ", 1
     else:
-        yield from ("ply", "format ascii 1.0", f"comment {name}",
-                    f"element vertex {nu * nv}",
-                    "property float x", "property float y",
-                    "property float z", f"element face {n_faces}",
-                    "property list uchar int vertex_indices", "end_header")
+        header = ("ply", "format ascii 1.0", f"comment {name}",
+                  f"element vertex {nu * nv}",
+                  "property float x", "property float y",
+                  "property float z", f"element face {n_faces}",
+                  "property list uchar int vertex_indices", "end_header")
         vertex_prefix, face_prefix, base = "", "3 ", 0
-    for x, y, z in vertices:
-        yield f"{vertex_prefix}{x:.12f} {y:.12f} {z:.12f}"
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a, b = i * nv + j + base, (i + 1) * nv + j + base
-            c, d = b + 1, a + 1
-            yield f"{face_prefix}{a} {b} {c}"
-            yield f"{face_prefix}{a} {c} {d}"
+    yield "".join(line + "\n" for line in header)
+    columns = ["%.12f" % v for v in rulings]
+    for row in rows:
+        slot = row.index(None)
+        head = vertex_prefix + "".join("%.12f " % x for x in row[:slot])
+        tail = "".join(" %.12f" % x for x in row[slot + 1:]) + "\n"
+        yield head + (tail + head).join(columns) + tail
+    # cell j between vertex rows a and b (the next u) is the triangles
+    # (a_j, b_j, b_j+1) and (a_j, b_j+1, a_j+1); each vertex index is
+    # formatted once, and a face row joins the labels of a and b between
+    # fixed separators
+    parts = [" "] * (12 * (nv - 1))
+    parts[5::12] = parts[11::12] = ["\n" + face_prefix] * (nv - 1)
+    parts[-1] = "\n"
+    b = list(map(str, range(base, base + nv)))
+    for start in range(base + nv, base + nu * nv, nv):
+        a, b = b, list(map(str, range(start, start + nv)))
+        parts[0::12] = parts[6::12] = a[:-1]
+        parts[2::12] = b[:-1]
+        parts[4::12] = parts[8::12] = b[1:]
+        parts[10::12] = a[1:]
+        yield face_prefix + "".join(parts)
 
 
 def cmd_generate(config: RunConfig) -> int:
     profile = _build_family_profile(config)
     name = family_surface(profile, config.variant).name
-    vs = np.linspace(config.v_min, config.v_max, config.nv)
-    nu, nv = len(profile.u), len(vs)
-    lines = _mesh_lines(config.format, name, nu, nv,
-                        family_vertices(profile, config.variant, vs))
+    rulings = np.linspace(config.v_min, config.v_max, config.nv).tolist()
+    nu, nv = len(profile.u), len(rulings)
+    chunks = _mesh_chunks(config.format, name, nu, rulings,
+                          family_rows(profile, config.variant))
     path = config.output or f"family_{config.variant}.{config.format}"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(line + "\n" for line in lines)
+        handle.writelines(chunks)
     print(f"wrote {path}: {nu * nv} vertices, "
           f"{2 * (nu - 1) * (nv - 1)} triangles")
     return 0

@@ -10,13 +10,14 @@ from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
 from solgeo import biconservative_family
-from solgeo.biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
+from solgeo.biconservative_family import (CONSTANTS, DENSE_REACH_STEPS,
+                                          EXPLICIT, IMPLICIT,
                                           ProfileSolution, build_profile,
                                           f_explicit,
                                           f_prime_explicit, f_prime_implicit,
                                           f_second_explicit,
                                           f_second_implicit, family_surface,
-                                          family_vertices,
+                                          family_rows,
                                           gaussian_curvature_closed_form,
                                           integrate_implicit_profile,
                                           profile_to_csv, psi_anchor,
@@ -573,6 +574,28 @@ def test_implicit_dense_evaluators_reject_non_finite_u(implicit_solution):
             assert math.isfinite(evaluate(sol.u[0] - 1e-12))
 
 
+def test_implicit_dense_evaluators_reach_a_few_steps_past_the_samples():
+    # the end cubic at u = 10 reads theta = 335.6 and f = -58.6 here
+    sol = integrate_implicit_profile(c=1.0, theta_start=2.2, u_span=0.5)
+    reach = DENSE_REACH_STEPS * float(np.max(np.diff(sol.u)))
+    assert sol.u[-1] == pytest.approx(0.281)
+    evaluators = (sol.theta_at, sol.f_at, sol.f_prime_at, sol.f_second_at,
+                  sol.psi_at, sol.phi1_at)
+    inside = (sol.u[0] - reach, sol.u[-1] + reach)
+    outside = (sol.u[0] - 1.01 * reach, sol.u[-1] + 1.01 * reach, 10.0)
+    for evaluate in evaluators:
+        for u in inside:
+            assert math.isfinite(evaluate(u))
+        assert np.all(np.isfinite(evaluate(np.array(inside))))
+        for u in outside:
+            with pytest.raises(ValueError,
+                               match=rf"at most {reach:g} past its samples "
+                                     rf"on \[0, 0\.281\], got u = {u:g}$"):
+                evaluate(u)
+        with pytest.raises(ValueError, match=r"got u = 10$"):
+            evaluate(np.array([0.1, 10.0, -1.0]))
+
+
 def test_profile_c0_anchors_psi(explicit_profile, implicit_solution):
     # c0 is derived, not an argument: Psi(u0) = 0 on every profile
     assert explicit_profile.c0 == psi_anchor(explicit_profile.u0)
@@ -715,9 +738,14 @@ def test_family_vertices_are_patch_positions(variant, kind, u0):
 
     expected = exact(patch.position(float(u), float(v))
                      for u in profile.u for v in vs)
-    assert exact(family_vertices(profile, variant, vs)) == expected
+    rows = list(family_rows(profile, variant))
+    assert len(rows) == len(profile.u)
+    assert all(row.count(None) == 1 for row in rows)
+    filled = (tuple(float(v) if x is None else x for x in row)
+              for row in rows for v in vs)
+    assert exact(filled) == expected
     with pytest.raises(ValueError):
-        family_vertices(profile, "x3", vs)
+        family_rows(profile, "x3")
 
 
 def test_profile_to_csv_layout(explicit_profile):

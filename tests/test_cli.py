@@ -1,9 +1,17 @@
+import hashlib
+import inspect
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from solgeo import cli
+from solgeo.biconservative_family import EXPLICIT, build_profile, family_rows
 from solgeo.cli import main
 
 THETA_ROW_M1 = "-1.000000000000,2.347062254033,0.309858529206"
@@ -66,6 +74,100 @@ def test_generate_ply(tmp_path):
     assert "element vertex 9" in lines
     assert "element face 8" in lines
     assert lines[-1].startswith("3 ")
+
+
+# `solgeo generate` flags of the pinned meshes: a 256 x 256 grid, an odd nv
+# (the ruling v = 0.0), a u-grid ending at the anchor u0 = -1 (Psi and Phi1
+# are -0.0 there, so x2 writes -0.000000000000) and an implicit grid whose
+# rulings run from -1e300 to -0.0.
+MESH_CASES = {
+    "full": ["--nu", "256", "--nv", "256"],
+    "odd_nv": ["--nu", "7", "--nv", "5"],
+    "anchor": ["--u-min=-3", "--u-max=-1", "--u0=-1", "--nu", "9",
+               "--nv", "4"],
+    "implicit": ["--kind", "implicit", "--u-min", "0", "--u-max", "0.25",
+                 "--nu", "6", "--nv", "3", "--v-min=-1e300",
+                 "--v-max=-0.0"],
+}
+
+# sha256 of each pinned mesh, taken from the one-line-per-vertex writer:
+# a faster writer must leave every byte as it was.
+MESH_DIGESTS = {
+    ("full", "x1", "obj"):
+        "b34986a6507305324942ab0f164d6ad50365720dd875bf01184e555a04b388f7",
+    ("full", "x1", "ply"):
+        "0e07b0041b3c43ab49621c99818eb09a14d6515839d486c744c81b1dabfc02ea",
+    ("full", "x2", "obj"):
+        "70d3e8f2a193e235719c5277577c9ee08414b01dc209c82273c4c13592ec911c",
+    ("full", "x2", "ply"):
+        "2edf7bba06bc8d4788f9ad1fc988262b700c8bde14ab15f3806f5978b6ce804e",
+    ("odd_nv", "x1", "obj"):
+        "957331ac9b307c781263946f65c3b68739724ee5fa33a7fb6a60df625f7f6f65",
+    ("odd_nv", "x1", "ply"):
+        "c047ff0cd949a86bfb6a184f6d954c80470ea973ac0113dc90ad4a029898a7f9",
+    ("odd_nv", "x2", "obj"):
+        "a1146eddbe8171876f15b493473f54923e8df5446ccf1f3fdfa9c2e023e236e8",
+    ("odd_nv", "x2", "ply"):
+        "2eb534349976809dc21d98c00df5e33e16fa9795adfe57b5fff54a5c59f8338c",
+    ("anchor", "x1", "obj"):
+        "c2056e05c755097d69117d7b6ef89f0613dbf1b2c173896f115fcbdc2934a550",
+    ("anchor", "x1", "ply"):
+        "6fe928cecb5ff5e8e2fe789578aeea49c6b3f653b113602a533404c3a55a025c",
+    ("anchor", "x2", "obj"):
+        "33db4c457b6df2ac517ba973b62991242f929935f886ebee0850decccfdde215",
+    ("anchor", "x2", "ply"):
+        "86dac9c76c3e7d5d78dd70afc2acd4acac45b3310f4a0182c40f5a7c503138f8",
+    ("implicit", "x1", "obj"):
+        "11a4fb0757c32575065b919b80b92fff37bbf29cd29714ec62028b7c80828795",
+    ("implicit", "x1", "ply"):
+        "c89631590531db69c75a84507b006357974f1510a665cd95a4e4d2450421281f",
+    ("implicit", "x2", "obj"):
+        "1771078fde6ba31cdc0eb350fff6d51ce321c0a860c623f30604d61ed82727f3",
+    ("implicit", "x2", "ply"):
+        "bae3e0bad716fc49d6b957257738132c15f63895277d70ab2370b0f734ac5992",
+}
+
+
+@pytest.mark.parametrize("case,variant,fmt", sorted(MESH_DIGESTS))
+def test_generate_bytes_are_pinned(case, variant, fmt, tmp_path):
+    out = tmp_path / f"mesh.{fmt}"
+    assert run(["generate", *MESH_CASES[case], "--variant", variant,
+                "--format", fmt, "--output", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == MESH_DIGESTS[case, variant, fmt]
+
+
+@pytest.mark.parametrize("variant", ["x1", "x2"])
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_generate_streams_one_chunk_per_grid_row(variant, fmt, tmp_path,
+                                                  monkeypatch):
+    nu, nv = 6, 3
+    profile = build_profile(EXPLICIT, u_grid=np.linspace(-3.0, -0.01, nu))
+    chunks = cli._mesh_chunks(fmt, "m", nu, [-1.0, 0.0, 1.0],
+                              family_rows(profile, variant))
+    assert inspect.isgenerator(chunks)
+    header, *rows = chunks
+    assert header.endswith("# grid 6 3\n" if fmt == "obj"
+                           else "end_header\n")
+    assert len(rows) == nu + nu - 1
+    assert [row.count("\n") for row in rows] == [nv] * nu \
+        + [2 * (nv - 1)] * (nu - 1)
+
+    # the command writes those chunks as the writer yields them
+    writer, seen = cli._mesh_chunks, []
+
+    def spy(*args):
+        for chunk in writer(*args):
+            seen.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(cli, "_mesh_chunks", spy)
+    out = tmp_path / f"mesh.{fmt}"
+    assert run(["generate", "--nu", str(nu), "--nv", str(nv), "--variant",
+                variant, "--format", fmt, "--output", str(out)]) == 0
+    assert len(seen) == 2 * nu
+    assert seen[1:] == rows
+    assert out.read_text() == "".join(seen)
 
 
 def test_profile_stdout(capsys):
@@ -400,3 +502,13 @@ def test_verify_output_into_a_missing_directory_fails_first(
     assert err.startswith("error: cannot write report: ")
     assert f"{missing} is not a directory" in err
     assert err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "solgeo", "verify", "--suite", "polynomial"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)

@@ -61,8 +61,7 @@ def first_false(ok) -> Optional[int]:
     if ok is True:
         return None
     if isinstance(ok, np.ndarray):
-        misses = np.flatnonzero(~ok)
-        return int(misses[0]) if misses.size else None
+        return None if ok.all() else int(np.flatnonzero(~ok)[0])
     return None if ok else 0
 
 

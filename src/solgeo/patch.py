@@ -9,8 +9,9 @@ and its three second partials in another, from its handle alone.
 
 Every handle takes ``u`` and ``v`` as floats (one point) or as same-shape
 (N,) arrays (N points).  A vector returns three components and a scalar
-one value; the patch and the field broadcast what a handle returns to the
-shape of ``u``, so a constant component may stay a float.  Handles written
+one value; the patch and the field shape what a handle returns like
+``u`` (an array of that shape as it is, a constant filled in), so a
+constant component may stay a float.  Handles written
 against :func:`~solgeo.numerics.namespace` keep one point on ``math`` and
 Python floats.
 """
@@ -32,18 +33,26 @@ ScalarHandle = Callable[[Param, Param], Param]
 ScalarPartials = Callable[[Param, Param], Tuple[Param, ...]]
 
 
+def _shaped(c, shape: Tuple[int, ...]) -> np.ndarray:
+    """One handle output as an array of ``shape``: an array of that shape
+    as it is, a constant filled in."""
+    if isinstance(c, np.ndarray):
+        return c if c.shape == shape else np.broadcast_to(c, shape)
+    return np.full(shape, c)
+
+
 def _components(value, u: Param) -> Components:
     """The three components of a vector ``value``, each shaped like
     ``u``: at N points (N,) arrays, at one point ``value`` as it is."""
     if isinstance(u, np.ndarray):
-        return tuple(np.broadcast_to(c, u.shape) for c in value)
+        return tuple(_shaped(c, u.shape) for c in value)
     return value
 
 
 def _scalar(value, u: Param) -> Param:
     """A scalar handle's ``value`` shaped like ``u``."""
     if isinstance(u, np.ndarray):
-        return np.broadcast_to(value, u.shape)
+        return _shaped(value, u.shape)
     return float(value)
 
 
@@ -60,10 +69,20 @@ class ScalarField:
     second_partials: Optional[ScalarPartials] = None
 
     def gradient(self, u: Param, v: Param, step: float) -> Tuple[Param, Param]:
-        """(phi_u, phi_v); without a handle differenced at ``step``, the
-        whole of an array ``u`` or ``v`` shifted at once."""
+        """(phi_u, phi_v); without a handle central differences at
+        ``step``.  At one point that is four calls of ``value``; at the N
+        points of arrays one call at the 4N points (u + step, v),
+        (u - step, v), (u, v + step), (u, v - step), stacked in that order,
+        with the arithmetic of :func:`~solgeo.numerics.central_diff`."""
         if self.first_partials is not None:
             partials = self.first_partials(u, v)
+        elif isinstance(u, np.ndarray):
+            s = np.concatenate([u + step, u - step, u, u])
+            t = np.concatenate([v, v, v + step, v - step])
+            shifted = np.asarray(_scalar(self.value(s, t), s), dtype=float)
+            east, west, north, south = shifted.reshape(4, *u.shape)
+            partials = ((east - west) / (2.0 * step),
+                        (north - south) / (2.0 * step))
         else:
             partials = (central_diff(lambda s: self.value(s, v), u, step),
                         central_diff(lambda t: self.value(u, t), v, step))

@@ -345,9 +345,9 @@ class LocalGeometry:
     @_computed_once
     def _f_field(self) -> ScalarField:
         """The patch's mean-curvature field, or else a field of each
-        point's own f with no handles (an N-point record's own f at N
-        shifted points): its gradient is a central difference, and it has
-        no Hessian."""
+        point's own f with no handles (an N-point record's own f at its
+        4N shifted points, in one record): its gradient is a central
+        difference, and it has no Hessian."""
         return self.patch.mean_curvature or ScalarField(
             lambda s, t: LocalGeometry(self.patch, s, t).h)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import zip_longest
@@ -172,8 +172,9 @@ class _FrameEval:
     parameter-basis coefficients; covariant corrections read Sol's constant
     frame table :func:`~solgeo.sol_space.frame_connection`.  The rates are
     (N,) arrays, ``nab1`` and ``nab2`` the (N, 3) frame components of
-    nabla_X1 X1 and nabla_X2 X1, and ``stencil`` holds the records at
-    (u + step, v), (u - step, v), (u, v + step), (u, v - step).
+    nabla_X1 X1 and nabla_X2 X1, ``frame`` the adapted frame at the N
+    points, and ``record`` the one 5N-point record of the stencil, its
+    points stacked as in :func:`_stencil_points`.
     """
 
     frame: AdaptedFrameSample
@@ -183,7 +184,7 @@ class _FrameEval:
     x2_beta: np.ndarray
     nab1: np.ndarray
     nab2: np.ndarray
-    stencil: Tuple[LocalGeometry, ...]
+    record: LocalGeometry
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,21 +192,48 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=-1)
 
 
-def _stencil_rates(values, step: float):
-    """(d/du, d/dv) by central differences over the four stencil values."""
-    east, west, north, south = values
+def _stencil_points(u: np.ndarray, v: np.ndarray,
+                    step: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The 5N points of a stencil around the (N,) points u and v, stacked
+    in five blocks: the centre, (u + step, v), (u - step, v),
+    (u, v + step) and (u, v - step)."""
+    return (np.concatenate([u, u + step, u - step, u, u]),
+            np.concatenate([v, v, v, v + step, v - step]))
+
+
+def _stencil_rates(stacked: np.ndarray, step: float):
+    """(d/du, d/dv) by central differences over the four stencil blocks of
+    values stacked as in :func:`_stencil_points`, point axis last."""
+    _, east, west, north, south = np.split(stacked, 5, axis=-1)
     return (east - west) / (2.0 * step), (north - south) / (2.0 * step)
+
+
+def _centre(sample: AdaptedFrameSample, n: int) -> AdaptedFrameSample:
+    """The frame at the first ``n`` points of a stacked sample."""
+    base = sample.x1.base
+    point = Point(base.x[:n], base.y[:n], base.z[:n])
+
+    def head(value):
+        if isinstance(value, TangentVector):
+            return TangentVector(point, value.components[:n])
+        return value[:n]
+
+    return AdaptedFrameSample(*(head(getattr(sample, field.name))
+                                for field in fields(sample)))
 
 
 def _frame_eval(patch: SurfacePatch, u: np.ndarray, v: np.ndarray,
                 override) -> _FrameEval:
-    """The identity ingredients at the points of the (N,) arrays u and v:
-    one record there and one at each of the four shifted copies."""
+    """The identity ingredients at the points of the (N,) arrays u and v,
+    from one record over the centre and its four shifted copies
+    (:func:`_stencil_points`) and that record's one adapted frame.
+
+    A degenerate or CMC-degenerate point raises the record's error naming
+    the first such point, so a centre point before any stencil point."""
     step = patch.fd_step
-    center = LocalGeometry(patch, u, v).adapted_frame(override)
-    stencil = tuple(LocalGeometry(patch, s, t) for s, t in (
-        (u + step, v), (u - step, v), (u, v + step), (u, v - step)))
-    frames = [g.adapted_frame(override) for g in stencil]
+    record = LocalGeometry(patch, *_stencil_points(u, v, step))
+    stacked = record.adapted_frame(override)
+    center = _centre(stacked, len(u))
 
     def along(coeffs, rates):
         """The rate along the vectors with parameter coefficients
@@ -213,9 +241,9 @@ def _frame_eval(patch: SurfacePatch, u: np.ndarray, v: np.ndarray,
         point axis of a vector quantity comes last."""
         return coeffs[:, 0] * rates[0] + coeffs[:, 1] * rates[1]
 
-    dth = _stencil_rates([f.theta for f in frames], step)
-    dbe = _stencil_rates([f.beta for f in frames], step)
-    dx1 = _stencil_rates([f.x1.components.T for f in frames], step)
+    dth = _stencil_rates(stacked.theta, step)
+    dbe = _stencil_rates(stacked.beta, step)
+    dx1 = _stencil_rates(stacked.x1.components.T, step)
     x1, x2 = center.x1.components.T, center.x2.components.T
 
     def nabla_x1(coeffs, direction):
@@ -229,7 +257,7 @@ def _frame_eval(patch: SurfacePatch, u: np.ndarray, v: np.ndarray,
     return _FrameEval(
         frame=center, x1_theta=along(c1, dth), x2_theta=along(c2, dth),
         x1_beta=along(c1, dbe), x2_beta=along(c2, dbe),
-        nab1=nabla_x1(c1, x1), nab2=nabla_x1(c2, x2), stencil=stencil)
+        nab1=nabla_x1(c1, x1), nab2=nabla_x1(c2, x2), record=record)
 
 
 def _identity_residuals(e: _FrameEval) -> np.ndarray:
@@ -312,8 +340,8 @@ def _angle_rows(e: _FrameEval, sign: float, step: float) -> np.ndarray:
     fr = e.frame
     x1, x2, c2 = fr.x1.components, fr.x2.components, fr.x2_coefficients
     s, c = np.sin(fr.theta), np.cos(fr.theta)
-    # X2(|grad f|) from the stencil's own records.
-    g_du, g_dv = _stencil_rates([_gradient_norm(g) for g in e.stencil], step)
+    # X2(|grad f|) from the stencil blocks of the one record
+    g_du, g_dv = _stencil_rates(_gradient_norm(e.record), step)
     return np.array([
         np.abs(c), np.abs(s), np.abs(e.x1_theta + 2.0 * fr.h),
         np.abs(e.x2_theta),

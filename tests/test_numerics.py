@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from solgeo.numerics import central_diff, hermite_basis, hermite_eval
+from solgeo.numerics import (central_diff, first_false, hermite_basis,
+                             hermite_eval)
 
 
 def test_central_diff_scalar():
@@ -40,3 +41,10 @@ def test_hermite_eval_hits_nodes():
     for node, value in zip(nodes, values):
         assert hermite_eval(node, nodes, values, slopes) == pytest.approx(
             value, abs=1e-15)
+
+
+def test_first_false_names_the_first_miss_and_fails_nan():
+    assert first_false(True) is None and first_false(False) == 0
+    assert first_false(np.array([1.0, 2.0]) > 0.0) is None
+    assert first_false(np.array([1.0, -1.0, math.nan]) > 0.0) == 1
+    assert first_false(np.array([1.0, math.nan, -1.0]) > 0.0) == 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from solgeo.biconservative_family import (EXPLICIT, build_profile,
                                           family_surface)
-from solgeo.numerics import central_diff
+from solgeo.numerics import central_diff, namespace
 from solgeo.patch import ScalarField, SurfacePatch
 from solgeo.sol_space import (Point, TangentVector, canonical_leaf,
                               christoffel, curvature_components,
@@ -458,6 +458,66 @@ def test_patch_requires_partials():
     with pytest.raises(TypeError):
         SurfacePatch(immersion=lambda u, v: (u, v, 0.0),
                      domain=((-1.0, 1.0), (-1.0, 1.0)), name="no_partials")
+
+
+def _counted_field(value, calls):
+    """A field without partials handles whose ``value`` logs each call's
+    argument: a float, or the shape of an array."""
+    def logged(u, v):
+        calls.append(np.shape(u) if isinstance(u, np.ndarray) else u)
+        return value(u, v)
+    return ScalarField(logged)
+
+
+def test_differenced_gradient_calls_value_once_on_arrays():
+    def value(u, v):
+        xp = namespace(u)
+        return xp.exp(0.3 * u) * xp.sin(v) + u * v * v
+
+    u, v = np.linspace(-1.0, 1.0, 7), np.linspace(0.2, 0.9, 7)
+    step = 1e-5
+    calls = []
+    d_u, d_v = _counted_field(value, calls).gradient(u, v, step)
+    assert calls == [(4 * len(u),)]
+    # the arithmetic of two central_diff calls, bit for bit
+    assert np.array_equal(d_u, central_diff(lambda s: value(s, v), u, step))
+    assert np.array_equal(d_v, central_diff(lambda t: value(u, t), v, step))
+    # one point keeps its four float calls
+    calls.clear()
+    one = _counted_field(value, calls).gradient(0.4, 0.5, step)
+    assert len(calls) == 4 and all(type(c) is float for c in calls)
+    assert one == (central_diff(lambda s: value(s, 0.5), 0.4, step),
+                   central_diff(lambda t: value(0.4, t), 0.5, step))
+
+
+def test_gradient_shapes_handle_outputs_like_u():
+    u, v = np.linspace(-1.0, 1.0, 5), np.zeros(5)
+    # a constant handle differences to zeros shaped like u
+    d_u, d_v = ScalarField(lambda s, t: 2.5).gradient(u, v, 1e-5)
+    for d in (d_u, d_v):
+        assert d.shape == u.shape and d.dtype == float
+        assert not d.any()
+    # a handle output already shaped like u is passed through
+    stored = np.arange(5.0)
+    d_u, d_v = ScalarField(lambda s, t: s, first_partials=lambda s, t: (
+        stored, 0.0)).gradient(u, v, 1e-5)
+    assert d_u is stored
+    assert np.array_equal(d_v, np.zeros(5)) and d_v.dtype == float
+
+
+def test_n_point_derivatives_fill_constant_components(patch_x1, patch_x2):
+    u, v = np.linspace(-3.5, -0.5, 7), np.linspace(-0.8, 0.8, 7)
+    for patch in (patch_x1, patch_x2):
+        raw = patch.partials(u, v)
+        # the ruling d_v and the zero d_uv and d_vv are float constants
+        assert not any(isinstance(c, np.ndarray)
+                       for vector in raw[1:2] + raw[3:] for c in vector)
+        for vector, expected in zip(patch.derivatives(u, v), raw):
+            for c, c_raw in zip(vector, expected):
+                broadcast = np.broadcast_to(c_raw, u.shape)
+                assert isinstance(c, np.ndarray) and c.shape == u.shape
+                assert c.dtype == broadcast.dtype
+                assert np.array_equal(c, broadcast)
 
 
 def test_laplacian_requires_second_partials():

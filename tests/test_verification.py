@@ -9,8 +9,10 @@ import pytest
 
 from solgeo import verification
 from solgeo.biconservative_family import EXPLICIT, build_profile
+from solgeo.patch import ScalarField
 from solgeo.sol_space import (Point, TangentVector, canonical_leaf,
-                              curvature_tensor, curvature_tensor_fd)
+                              curvature_tensor, curvature_tensor_fd,
+                              frame_connection)
 from solgeo.surface_calculus import CmcDegenerateError, LocalGeometry
 from solgeo.verification import (_bounded_away, CheckReport, SUITE_NAMES,
                                  check_angle_constraints,
@@ -177,16 +179,17 @@ def test_biharmonic_suite_builds_one_record_of_eight_samples(monkeypatch):
 
 @pytest.mark.parametrize("section,records", [
     # the shape grid, the two residual grids, and three FD-convergence
-    # grids that difference f over four shifted grids each
-    (lambda: run_suite("family"), 1 + 2 + 3 * 5),
-    # five fixtures without a mean-curvature field
-    (check_cmc_rigidity, 5 * 5),
+    # grids that difference f in one record of the four shifted grids each
+    (lambda: run_suite("family"), 1 + 2 + 3 * 2),
+    # five fixtures without a mean-curvature field, each with one record
+    # of its four shifted f grids
+    (check_cmc_rigidity, 5 * 2),
     # the x, y and z leaves
     (verification._leaf_reports, 3),
-    # a centre and four stencil records for each of the two family frame
-    # grids and the rotated-leaf control, the rigidity fixtures, and the
-    # graph control's residual grid with its four f grids
-    (lambda: run_suite("frames"), 2 * 5 + 5 * 5 + 5 + 5),
+    # one stacked stencil record for each of the two family frame grids
+    # and the rotated-leaf control, the rigidity fixtures, and the graph
+    # control's residual grid with its one record of shifted f grids
+    (lambda: run_suite("frames"), 3 + 5 * 2 + 2),
 ], ids=["family", "cmc_rigidity", "leaves", "frames"])
 def test_grids_build_one_record_each(monkeypatch, section, records):
     built = []
@@ -200,6 +203,98 @@ def test_grids_build_one_record_each(monkeypatch, section, records):
     section()
     assert len(built) == records
     assert min(built) > 1
+
+
+def _five_record_frame_eval(patch, u, v, override):
+    """The frame ingredients from a centre record and one record at each
+    of (u + step, v), (u - step, v), (u, v + step), (u, v - step), with
+    the stencil's gradient norms last: the oracle of the stacked record."""
+    step = patch.fd_step
+    center = LocalGeometry(patch, u, v).adapted_frame(override)
+    stencil = [LocalGeometry(patch, s, t) for s, t in (
+        (u + step, v), (u - step, v), (u, v + step), (u, v - step))]
+    frames = [g.adapted_frame(override) for g in stencil]
+
+    def rates(values):
+        east, west, north, south = values
+        return (east - west) / (2.0 * step), (north - south) / (2.0 * step)
+
+    def along(coeffs, r):
+        return coeffs[:, 0] * r[0] + coeffs[:, 1] * r[1]
+
+    dth = rates([f.theta for f in frames])
+    dbe = rates([f.beta for f in frames])
+    dx1 = rates([f.x1.components.T for f in frames])
+    x1, x2 = center.x1.components.T, center.x2.components.T
+    c1, c2 = center.x1_coefficients, center.x2_coefficients
+    nab = [(along(c, dx1) + np.array(frame_connection(d, x1))).T
+           for c, d in ((c1, x1), (c2, x2))]
+    ingredients = dict(x1_theta=along(c1, dth), x2_theta=along(c2, dth),
+                       x1_beta=along(c1, dbe), x2_beta=along(c2, dbe),
+                       nab1=nab[0], nab2=nab[1])
+    return center, ingredients, stencil
+
+
+def _frame_fields(sample):
+    """Every array of an adapted-frame sample, by name."""
+    out = {}
+    for field in dataclasses.fields(sample):
+        value = getattr(sample, field.name)
+        if isinstance(value, TangentVector):
+            out[field.name] = value.components
+            out[field.name + "_base"] = value.base.as_array()
+        else:
+            out[field.name] = value
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["x1", "x2", "rotated_leaf"])
+def test_stacked_frame_eval_equals_five_records(request, fixture):
+    if fixture == "rotated_leaf":
+        patch, override = rotated_leaf_fixture()
+        grid = (3, 3)
+    else:
+        patch, override = request.getfixturevalue(f"patch_{fixture}"), None
+        grid = (9, 5)
+    u, v = verification._grid_points(*patch.grid(*grid))
+    stacked = verification._frame_eval(patch, u, v, override)
+    center, ingredients, stencil = _five_record_frame_eval(patch, u, v,
+                                                           override)
+    expected, got = _frame_fields(center), _frame_fields(stacked.frame)
+    assert expected.keys() == got.keys()
+    for name in expected:
+        assert np.array_equal(got[name], expected[name]), name
+    for name, value in ingredients.items():
+        assert np.array_equal(getattr(stacked, name), value), name
+    if override is None:
+        # the angle rows' X2(|grad f|) from the stencil blocks
+        step = patch.fd_step
+        east, west, north, south = (verification._gradient_norm(g)
+                                    for g in stencil)
+        g_du = (east - west) / (2.0 * step)
+        g_dv = (north - south) / (2.0 * step)
+        c2 = center.x2_coefficients
+        rows = verification._angle_rows(stacked, 1.0, step)
+        assert np.array_equal(rows[5], np.abs(c2[:, 0] * g_du
+                                              + c2[:, 1] * g_dv))
+
+
+def test_cmc_leaf_names_a_centre_point_first():
+    leaf = canonical_leaf("z_const", 0.15)
+    message = ("|grad f| below 1e-08 on 'leaf_z=0.15' at (u, v) = (-1, -1); "
+               "supply x1_coefficients explicitly")
+    with pytest.raises(CmcDegenerateError) as raised:
+        check_frame_identities(leaf, (3, 3))
+    assert str(raised.value) == message
+    # CMC-degenerate at the centre points on u = 1 and at the stencil
+    # points left of u = -1, which belong to the first centre point: the
+    # centre point (1, -1) is named, not the stencil point (-1.00001, -1)
+    graded = dataclasses.replace(leaf, mean_curvature=ScalarField(
+        lambda u, v: 0.0 * u,
+        first_partials=lambda u, v: (
+            np.where((u < -1.0) | (u == 1.0), 0.0, 1e-6), 0.0)))
+    with pytest.raises(CmcDegenerateError, match=r"\(u, v\) = \(1, -1\)"):
+        check_frame_identities(graded, (3, 3))
 
 
 def test_ambient_suite_makes_one_n_point_call_per_check(monkeypatch):

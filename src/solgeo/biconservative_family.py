@@ -36,25 +36,32 @@ summed as a fixed polynomial: 52 Taylor coefficients, from the term ratio
 (p + k)(1 - p + k) / ((p + 1 + k)(k + 1)), by Horner's rule.  The
 coefficients shrink in magnitude, so even at x = 1/2 the dropped tail is
 below 1e-18 (2^-59.9) relative, under a hundredth of an ulp of the sum.
+
+The explicit family's domain in doubles is EXPLICIT_U_MIN <= u < 0, with
+EXPLICIT_U_MIN = -26 ln 2 / a1 (about -41.50022): there e^{2 a1 u} = 2^-52,
+so pi - theta = 2 arctan(2^-52) is one ulp of pi, and below it theta rounds
+to pi and the profile no longer turns.  Every explicit closed form, every
+explicit profile and so every family patch built on one answers on this
+domain and raises ``ValueError`` outside it, NaN included.  On it
+t = -2 a1 u <= 52 ln 2, so each closed form is its plain formula: no
+exponential overflows and none needs a far-field branch.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .numerics import (first_false, hermite_basis, hermite_eval, namespace,
-                       piecewise)
+from .numerics import first_false, hermite_basis, hermite_eval, namespace
 from .patch import ScalarField, SurfacePatch
 
 __all__ = [
     "EXPLICIT",
     "IMPLICIT",
-    "PHI1_U_MIN",
+    "EXPLICIT_U_MIN",
     "DENSE_REACH_STEPS",
     "FamilyConstants",
     "CONSTANTS",
@@ -95,39 +102,34 @@ class FamilyConstants:
 CONSTANTS = FamilyConstants()
 
 
+# The lower end of the explicit domain EXPLICIT_U_MIN <= u < 0 (see the
+# module docstring): e^{2 a1 u} = 2^-52 there.
+EXPLICIT_U_MIN = -26.0 * math.log(2.0) / CONSTANTS.a1
+
 # The explicit closed forms take u as a float or as an array, and each is
 # written once against :func:`~solgeo.numerics.namespace`: a float is
 # evaluated with ``math`` and an array with numpy's ufuncs, entry by entry.
 
 
-def _require_negative(u) -> None:
+def _require_domain(u) -> None:
     # Written so that NaN fails too: every comparison with NaN is false.
-    negative = u < 0.0
-    if negative is True:  # one float below zero, the common case
+    inside = (u >= EXPLICIT_U_MIN) & (u < 0.0)
+    if inside is True:  # one float inside the domain, the common case
         return
-    bad = first_false(negative)
+    bad = first_false(inside)
     if bad is not None:
-        raise ValueError(f"explicit profile requires u < 0, got "
-                         f"u = {np.ravel(u)[bad]:g}")
+        raise ValueError(f"explicit profile requires {EXPLICIT_U_MIN!r} "
+                         f"<= u < 0, got u = {float(np.ravel(u)[bad])!r}")
 
 
 def theta_explicit(u):
-    """Vertical angle theta(u) = 2 arctan(e^{-2 a1 u}) for u < 0.
+    """Vertical angle theta(u) = 2 arctan(e^{-2 a1 u}) on the domain.
 
-    Decreases from pi (u -> -inf) to pi/2 (u -> 0-).  Large arguments are
-    routed through the reflection 2 arctan(w) = pi - 2 arctan(1/w).
+    Decreases from one ulp below pi (u = EXPLICIT_U_MIN) to pi/2 (u -> 0-).
     """
-    _require_negative(u)
-    t = -2.0 * CONSTANTS.a1 * u
-    return piecewise(t, t > 350.0, _theta_reflected, _theta_direct)
-
-
-def _theta_reflected(t, xp):
-    return xp.pi - 2.0 * xp.arctan(xp.exp(-t))
-
-
-def _theta_direct(t, xp):
-    return 2.0 * xp.arctan(xp.exp(t))
+    _require_domain(u)
+    xp = namespace(u)
+    return 2.0 * xp.arctan(xp.exp(-2.0 * CONSTANTS.a1 * u))
 
 
 def theta_prime_explicit(u):
@@ -136,48 +138,31 @@ def theta_prime_explicit(u):
     Evaluated on its own rational form rather than through -2 f, so profile
     consistency checks do not test a formula against itself.
     """
-    _require_negative(u)
-    t = -2.0 * CONSTANTS.a1 * u
-    return piecewise(t, t > 350.0, _theta_prime_far, _theta_prime_rational)
-
-
-def _theta_prime_far(t, xp):
-    return -4.0 * CONSTANTS.a1 * xp.exp(-t)
-
-
-def _theta_prime_rational(t, xp):
-    w = xp.exp(t)
+    _require_domain(u)
+    w = namespace(u).exp(-2.0 * CONSTANTS.a1 * u)
     return -4.0 * CONSTANTS.a1 * w / (1.0 + w * w)
 
 
 def _sech(w):
-    return piecewise(w, abs(w) > 700.0, _sech_far, _sech_direct)
-
-
-def _sech_far(w, xp):
-    return 2.0 * xp.exp(-abs(w))
-
-
-def _sech_direct(w, xp):
-    return 1.0 / xp.cosh(w)
+    return 1.0 / namespace(w).cosh(w)
 
 
 def f_explicit(u):
     """Mean curvature f(u) = 2 a1 e^{-2 a1 u} / (1 + e^{-4 a1 u}) = a1 sech(2 a1 u)."""
-    _require_negative(u)
+    _require_domain(u)
     return CONSTANTS.a1 * _sech(2.0 * CONSTANTS.a1 * u)
 
 
 def f_prime_explicit(u):
-    """f'(u) = -2 a1^2 sech(2 a1 u) tanh(2 a1 u); positive on u < 0."""
-    _require_negative(u)
+    """f'(u) = -2 a1^2 sech(2 a1 u) tanh(2 a1 u); positive on the domain."""
+    _require_domain(u)
     w = 2.0 * CONSTANTS.a1 * u
     return -2.0 * CONSTANTS.a1 ** 2 * _sech(w) * namespace(w).tanh(w)
 
 
 def f_second_explicit(u):
     """f''(u) = 4 a1^2 f (1 - 2 sin^2 theta)."""
-    _require_negative(u)
+    _require_domain(u)
     s = _sech(2.0 * CONSTANTS.a1 * u)
     return 4.0 * CONSTANTS.a1 ** 3 * s * (1.0 - 2.0 * s * s)
 
@@ -185,10 +170,9 @@ def f_second_explicit(u):
 def psi_explicit(u, c0: float = 0.0):
     """Height quadrature Psi(u) = ln(e^{-4 a1 u} + 1) / (2 a1) + u + c0.
 
-    Evaluated as -u + log1p(e^{4 a1 u}) / (2 a1) + c0, which is exact for
-    arbitrarily negative u.
+    Evaluated as -u + log1p(e^{4 a1 u}) / (2 a1) + c0.
     """
-    _require_negative(u)
+    _require_domain(u)
     a = CONSTANTS.a1
     xp = namespace(u)
     return -u + xp.log1p(xp.exp(4.0 * a * u)) / (2.0 * a) + c0
@@ -200,11 +184,6 @@ def psi_anchor(u0: float) -> float:
 
 
 _P = (1.0 - 3.0 * CONSTANTS.a1) / 4.0
-# G(u) is finite exactly on u > PHI1_U_MIN (about -5378.66): below it
-# |G| ~ e^{(2 a1 - 1) u} / |p| exceeds the largest double.  The explicit
-# Phi1 is finite wherever G is, since e^{c0} / (2 a1) < 1.
-PHI1_U_MIN = (-(math.log(sys.float_info.max) + math.log(-_P))
-              / (1.0 - 2.0 * CONSTANTS.a1))
 
 
 def _pfaff_coefficients(count: int) -> Tuple[float, ...]:
@@ -223,11 +202,8 @@ _PFAFF_SERIES = _pfaff_coefficients(52)
 def _phi1_primitive(u):
     # G(u) of the module docstring, with w^p written as e^{(2 a1 - 1) u}
     # so that it never underflows on u < 0, and its 2F1 factor in Pfaff's
-    # form 2F1(p, 1 - p; p + 1; w / (1 + w)) / (1 + w)^p.
-    # NaN passes, as it passes through math.exp
-    bad = first_false((u > PHI1_U_MIN) | (u != u))
-    if bad is not None:
-        raise ValueError(f"Phi1 overflows at u = {np.ravel(u)[bad]:g}")
+    # form 2F1(p, 1 - p; p + 1; w / (1 + w)) / (1 + w)^p.  Callers check
+    # the domain.
     a = CONSTANTS.a1
     xp = namespace(u)
     w = xp.exp(4.0 * a * u)
@@ -241,7 +217,7 @@ def _phi1_primitive(u):
 def _phi1_explicit(u, g0: float, c0: float):
     """Closed-form Phi1(u) = -int_{u0}^{u} sin(theta) e^{Psi}, given
     g0 = G(u0); see the module docstring."""
-    _require_negative(u)
+    _require_domain(u)
     return -(math.exp(c0) / (2.0 * CONSTANTS.a1)) * (_phi1_primitive(u) - g0)
 
 
@@ -249,9 +225,9 @@ def gaussian_curvature_closed_form(u):
     """Gaussian curvature of the explicit family, K = -cos^2 theta - 2 f sin theta.
 
     Equals -tanh^2(2 a1 u) - 2 a1 sech^2(2 a1 u); strictly negative on
-    u < 0, with limits -1 (u -> -inf) and -2 a1 (u -> 0-).
+    the domain, from about -1 (u = EXPLICIT_U_MIN) to -2 a1 (u -> 0-).
     """
-    _require_negative(u)
+    _require_domain(u)
     w = 2.0 * CONSTANTS.a1 * u
     s = _sech(w)
     return -namespace(w).tanh(w) ** 2 - 2.0 * CONSTANTS.a1 * s * s
@@ -356,9 +332,9 @@ class ProfileAngleError(ValueError):
     """The sampled angle of a profile does not decrease strictly.
 
     On the explicit kind this happens where adjacent grid points give the
-    same double: theta rounds to pi below about u = -42, and above that
-    close samples can still round together (points 1.75e-3 apart do near
-    u = -35).
+    same double: near the low end of the domain theta is within a few ulps
+    of pi, so close samples round together (points 1.75e-3 apart do near
+    u = -35, and points 0.1 apart near u = -41).
     """
 
 
@@ -413,8 +389,8 @@ class ProfileSolution:
             object.__setattr__(self, name, column)
         if not np.all(np.diff(self.u) > 0.0):
             raise ValueError("profile samples must have strictly increasing u")
-        if self.kind == EXPLICIT and np.any(self.u >= 0.0):
-            raise ValueError("explicit profiles live on u < 0")
+        if self.kind == EXPLICIT:
+            _require_domain(self.u)
         # written so that NaN fails
         if not np.all(self.f > 0.0):
             raise ValueError("profile mean curvature must stay positive")
@@ -717,8 +693,9 @@ def build_profile(kind: str, u_grid: Sequence[float],
     c, theta_start, step:
         Implicit-kind inputs (ignored for the explicit kind).
     u_grid:
-        Strictly increasing sample points; negative for the explicit kind,
-        nonnegative for the implicit one.
+        Strictly increasing sample points; in the domain
+        EXPLICIT_U_MIN <= u < 0 for the explicit kind, nonnegative for the
+        implicit one.
     u0:
         Quadrature anchor with Psi(u0) = Phi1(u0) = 0.  Defaults to -1 for
         the explicit kind and to the first grid point for the implicit
@@ -738,9 +715,8 @@ def build_profile(kind: str, u_grid: Sequence[float],
 
     if kind == EXPLICIT:
         anchor = -1.0 if u0 is None else float(u0)
-        _require_negative(anchor)
-        if grid[-1] >= 0.0:
-            raise ValueError("explicit profiles live on u < 0")
+        # the closed forms refuse u outside the domain, the anchor's in
+        # psi_anchor before Phi1 reads it
         c0, g0 = psi_anchor(anchor), _phi1_primitive(anchor)
         # One float evaluation per sample, not one array call per column:
         # numpy's exp, cosh and log1p can round differently from math's in
@@ -816,6 +792,8 @@ def family_surface(profile: ProfileSolution, variant: str) -> SurfacePatch:
     Psi'' = 2 f sin theta and Phi1'' = e^{Psi} cos theta (2 f - sin theta).
     One call of the patch's ``partials`` evaluates theta, f and Psi once
     each.  The mean-curvature field reads f' and f'' from the profile.
+    On an explicit profile the patch, like the closed forms it reads,
+    raises ``ValueError`` at u outside EXPLICIT_U_MIN <= u < 0.
     """
     place = _layout(variant)
     ruling = (1.0, 0.0, 0.0) if variant == "x1" else (0.0, 1.0, 0.0)

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .biconservative_family import (EXPLICIT, IMPLICIT, PHI1_U_MIN,
+from .biconservative_family import (EXPLICIT, EXPLICIT_U_MIN, IMPLICIT,
                                     ProfileAngleError, ProfileSolution,
                                     build_profile, family_rows,
                                     family_surface, profile_to_csv)
@@ -96,17 +96,12 @@ class RunConfig:
         if self.step <= 0:
             raise UsageError("step must be positive")
         if self.kind == EXPLICIT:
-            if self.u_max >= 0:
-                raise UsageError("explicit profiles live on u < 0")
-            if self.u0 is not None and self.u0 >= 0:
-                raise UsageError(f"explicit anchors need u0 < 0, got "
-                                 f"{self.u0!r}")
-            for name in ("u_min", "u0"):
+            for name in ("u_min", "u_max", "u0"):
                 value = getattr(self, name)
-                if value is not None and value <= PHI1_U_MIN:
+                if value is not None and not EXPLICIT_U_MIN <= value < 0:
                     raise UsageError(
-                        f"{name} must be above {PHI1_U_MIN!r}, where the "
-                        f"explicit Phi1 overflows, got {value!r}")
+                        f"{name} must lie in the explicit domain "
+                        f"[{EXPLICIT_U_MIN!r}, 0), got {value!r}")
         if self.kind == IMPLICIT:
             if self.u_min < 0:
                 raise UsageError("implicit profiles start at u >= 0")

@@ -27,7 +27,7 @@ CURVATURE_FD_STEP = 1e-4
 
 # ``math`` under numpy's names, for the functions the formulas use.
 _FLOAT_MATH = SimpleNamespace(
-    pi=math.pi, exp=math.exp, log=math.log, sqrt=math.sqrt, sin=math.sin,
+    exp=math.exp, log=math.log, sqrt=math.sqrt, sin=math.sin,
     cos=math.cos, tanh=math.tanh, cosh=math.cosh, log1p=math.log1p,
     frexp=math.frexp, ldexp=math.ldexp, arctan=math.atan,
     arctan2=math.atan2, isfinite=math.isfinite, maximum=max, minimum=min,
@@ -40,18 +40,6 @@ def namespace(x):
     ``arctan``, ``arctan2``, ``maximum``, ``minimum`` and ``where`` under
     numpy's names)."""
     return np if isinstance(x, np.ndarray) else _FLOAT_MATH
-
-
-def piecewise(x, cond, when_true: Callable, when_false: Callable):
-    """``when_true(x, xp)`` where ``cond`` holds and ``when_false(x, xp)``
-    elsewhere, with ``xp`` the namespace of ``x``.  On an array each
-    branch sees only its own entries, so neither runs outside its range."""
-    if not isinstance(x, np.ndarray):
-        return (when_true if cond else when_false)(x, _FLOAT_MATH)
-    out = np.empty_like(x)
-    out[cond] = when_true(x[cond], np)
-    out[~cond] = when_false(x[~cond], np)
-    return out
 
 
 def first_false(ok) -> Optional[int]:

@@ -26,8 +26,9 @@ import math
 from dataclasses import dataclass, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.random import default_rng
@@ -671,7 +672,7 @@ def check_polynomial_obstruction() -> CheckReport:
 # -- ambient suite ---------------------------------------------------------
 
 
-def _ambient_reports(seed: int) -> List[CheckReport]:
+def _ambient_reports(seed: int, family: _Family) -> List[CheckReport]:
     rng = default_rng(seed)
     p = Point(*rng.uniform(-5.0, 5.0, size=(100, 3)).T)
     ctx = {"points": len(p.z), "seed": seed}
@@ -761,14 +762,21 @@ def _leaf_reports() -> List[CheckReport]:
 # -- suite assembly --------------------------------------------------------
 
 
-def _default_explicit_profile() -> ProfileSolution:
-    return build_profile(EXPLICIT, u_grid=np.linspace(-4.0, -1e-3, 64))
+def _default_family() -> Tuple[ProfileSolution, SurfacePatch, SurfacePatch]:
+    """The explicit profile on [-4, -1e-3] and its x1 and x2 patches, which
+    the frames, family and biharmonic suites read."""
+    profile = build_profile(EXPLICIT, u_grid=np.linspace(-4.0, -1e-3, 64))
+    return (profile, family_surface(profile, "x1"),
+            family_surface(profile, "x2"))
 
 
-def _frames_reports(seed: int) -> List[CheckReport]:
-    profile = _default_explicit_profile()
-    px1 = family_surface(profile, "x1")
-    px2 = family_surface(profile, "x2")
+# What each suite reads besides the seed: _default_family, built on first
+# call and then kept for the rest of one run_suite call.
+_Family = Callable[[], Tuple[ProfileSolution, SurfacePatch, SurfacePatch]]
+
+
+def _frames_reports(seed: int, family: _Family) -> List[CheckReport]:
+    _, px1, px2 = family()
     # One frame evaluation per grid point serves both checks.
     grids = {"x1": _frame_grid(px1, (9, 5), None),
              "x2": _frame_grid(px2, (9, 5), None)}
@@ -805,10 +813,8 @@ def _frames_reports(seed: int) -> List[CheckReport]:
     return reports
 
 
-def _family_reports(seed: int) -> List[CheckReport]:
-    profile = _default_explicit_profile()
-    px1 = family_surface(profile, "x1")
-    px2 = family_surface(profile, "x2")
+def _family_reports(seed: int, family: _Family) -> List[CheckReport]:
+    profile, px1, px2 = family()
     reports = []
 
     dense = np.linspace(-4.0, -1e-3, 257)
@@ -944,11 +950,11 @@ def _family_reports(seed: int) -> List[CheckReport]:
     return reports
 
 
-def _biharmonic_reports(seed: int) -> List[CheckReport]:
-    return check_biharmonic_obstruction(_default_explicit_profile())
+def _biharmonic_reports(seed: int, family: _Family) -> List[CheckReport]:
+    return check_biharmonic_obstruction(family()[0])
 
 
-def _polynomial_reports(seed: int) -> List[CheckReport]:
+def _polynomial_reports(seed: int, family: _Family) -> List[CheckReport]:
     return [check_polynomial_obstruction()]
 
 
@@ -972,7 +978,9 @@ def run_suite(name: str, seed: int = 0) -> List[CheckReport]:
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
     suites = SUITE_NAMES if name == "all" else (name,)
-    return [report for suite in suites for report in _SUITES[suite](seed)]
+    family = cache(_default_family)
+    return [report for suite in suites
+            for report in _SUITES[suite](seed, family)]
 
 
 def reports_to_json(reports: Sequence[CheckReport]) -> str:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,8 +12,9 @@ from scipy.special import hyp2f1
 
 from solgeo import biconservative_family
 from solgeo.biconservative_family import (CONSTANTS, DENSE_REACH_STEPS,
-                                          EXPLICIT, IMPLICIT,
-                                          ProfileSolution, build_profile,
+                                          EXPLICIT, EXPLICIT_U_MIN, IMPLICIT,
+                                          ProfileAngleError, ProfileSolution,
+                                          build_profile,
                                           f_explicit,
                                           f_prime_explicit, f_prime_implicit,
                                           f_second_explicit,
@@ -25,7 +27,8 @@ from solgeo.biconservative_family import (CONSTANTS, DENSE_REACH_STEPS,
                                           theta_explicit,
                                           theta_prime_explicit)
 from solgeo.numerics import central_diff, hermite_eval
-from solgeo.surface_calculus import biconservative_residual, shape_data
+from solgeo.surface_calculus import (LocalGeometry, biconservative_residual,
+                                     shape_data)
 
 # 40-digit reference values (adaptive Gauss-Legendre for the quadratures,
 # anchored at u0 = -1): columns theta, f, Psi, Phi1.
@@ -155,16 +158,14 @@ def test_phi1_closed_form_between_simpson_nodes(explicit_profile):
 
 
 def test_explicit_phi1_far_from_the_anchor():
-    profile = build_profile(EXPLICIT, u_grid=[-200.0, -10.0, -1.0])
-    for got, want in zip(profile.phi1[:2], (1222482445899.575309425,
-                                            12.00635386042802220948)):
-        assert abs(got - want) < 1e-13 * want
+    profile = build_profile(EXPLICIT, u_grid=[EXPLICIT_U_MIN, -10.0, -1.0])
+    want = 12.00635386042802220948
+    assert abs(profile.phi1[1] - want) < 1e-13 * want
     assert profile.phi1[2] == 0.0
-    # Phi1 itself exceeds double range below u = -5390 or so
-    with pytest.raises(ValueError, match="overflows"):
-        profile.phi1_at(-6000.0)
-    with pytest.raises(ValueError, match="overflows at u = -6000"):
-        build_profile(EXPLICIT, u_grid=[-2.0, -1.0], u0=-6000.0)
+    # at the low end of the domain, against scipy's 2F1 at -w itself
+    oracle = -(math.exp(profile.c0) / (2.0 * CONSTANTS.a1)) * (
+        _phi1_primitive_oracle(EXPLICIT_U_MIN) - _phi1_primitive_oracle(-1.0))
+    assert abs(profile.phi1[0] - oracle) <= 2e-15 * abs(oracle)
 
 
 def _phi1_primitive_oracle(u):
@@ -219,29 +220,23 @@ def test_phi1_series_where_it_converges_slowest():
                                rtol=2e-15, atol=0.0)
 
 
-def test_phi1_series_at_the_overflow_bound():
-    bound = biconservative_family.PHI1_U_MIN
-    assert -5378.66 < bound < -5378.65
-    # G is finite just above the bound, on both paths, and still the oracle
-    above = math.nextafter(bound, 0.0)
-    for u in (above, np.array([above, -5000.0])):
-        got = biconservative_family._phi1_primitive(u)
-        assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(got, _phi1_primitive_oracle(u),
-                                   rtol=2e-15, atol=0.0)
-    # at and below it, including u = -5390 where e^{(2 a1 - 1) u} is
-    # still finite but G is not, the closed form refuses
-    for u in (bound, -5390.0, np.array([-1.0, -5390.0])):
-        with pytest.raises(ValueError, match="Phi1 overflows at u = "):
-            biconservative_family._phi1_primitive(u)
-    with pytest.raises(ValueError, match="overflows at u = -5390$"):
-        build_profile(EXPLICIT, u_grid=[-2.0, -1.0], u0=-5390.0)
+def test_explicit_domain_bound():
+    # e^{2 a1 u} = 2^-52 at the bound, so theta is one ulp below pi there,
+    # on the float path and on the array path
+    assert EXPLICIT_U_MIN == -26.0 * math.log(2.0) / CONSTANTS.a1
+    assert -41.50023 < EXPLICIT_U_MIN < -41.50022
+    below_pi = math.nextafter(math.pi, 0.0)
+    assert theta_explicit(EXPLICIT_U_MIN) == below_pi
+    assert theta_explicit(np.array([EXPLICIT_U_MIN]))[0] == below_pi
 
 
 def test_explicit_profile_rejects_rounded_angle():
-    # theta rounds to pi at u = -100 and u = -67, so it stops decreasing
-    with pytest.raises(ValueError, match="angle must decrease"):
-        build_profile(EXPLICIT, u_grid=np.linspace(-100.0, -1.0, 4))
+    # samples 0.1 apart near the bound: theta rounds to the same double at
+    # the first two
+    with pytest.raises(ProfileAngleError,
+                       match=r"angle must decrease strictly, but it stops "
+                             r"at u = -40\.899749373433586: "):
+        build_profile(EXPLICIT, u_grid=np.linspace(-41.0, -1.0, 400))
 
 
 def test_samples_matrix(explicit_profile):
@@ -632,6 +627,62 @@ def test_explicit_forms_reject_nan():
                       u0=math.nan)
 
 
+def _domain_error(u):
+    return "^" + re.escape(f"explicit profile requires {EXPLICIT_U_MIN!r} "
+                           f"<= u < 0, got u = {u!r}") + "$"
+
+
+@pytest.mark.parametrize("u", [math.nextafter(EXPLICIT_U_MIN, -math.inf),
+                               -1000.0, 0.0, math.nan],
+                         ids=["just_below", "far_below", "zero", "nan"])
+def test_explicit_domain_is_refused_at_every_layer(u, explicit_profile):
+    # one ValueError, naming the first u outside the domain, from every
+    # closed form on floats and on arrays, from the profile by grid and by
+    # anchor, and from the family patches and the records built on them
+    match = _domain_error(u)
+    forms = (theta_explicit, theta_prime_explicit, f_explicit,
+             f_prime_explicit, f_second_explicit, psi_explicit, psi_anchor,
+             gaussian_curvature_closed_form)
+    for form in forms:
+        for arg in (u, np.array([-1.0, u, -2.0])):
+            with pytest.raises(ValueError, match=match):
+                form(arg)
+    columns = dict(theta=[2.8, 2.3], f=[0.1, 0.3], psi=[0.0, 0.0],
+                   phi1=[0.0, 0.0])
+    with pytest.raises(ValueError, match=match):
+        ProfileSolution(kind=EXPLICIT, u=[-2.0, -1.0], u0=u, **columns)
+    with pytest.raises(ValueError, match=match):
+        build_profile(EXPLICIT, u_grid=[-2.0, -1.0], u0=u)
+    if not math.isnan(u):  # a NaN grid is not increasing, which fails first
+        grid = sorted([u, -1.0 if u < -1.0 else -2.0])
+        with pytest.raises(ValueError, match=match):
+            ProfileSolution(kind=EXPLICIT, u=grid, u0=-1.0, **columns)
+        with pytest.raises(ValueError, match=match):
+            build_profile(EXPLICIT, u_grid=grid)
+    for variant in ("x1", "x2"):
+        patch = family_surface(explicit_profile, variant)
+        with pytest.raises(ValueError, match=match):
+            patch.derivatives(u, 0.25)
+        with pytest.raises(ValueError, match=match):
+            shape_data(patch, u, 0.25)
+        with pytest.raises(ValueError, match=match):
+            LocalGeometry(patch, np.array([-1.0, u]), np.array([0.25, -0.5]))
+
+
+def test_record_at_the_domain_bound():
+    # the family record's h is f to round-off down to the bound
+    profile = build_profile(EXPLICIT, u_grid=[EXPLICIT_U_MIN, -1.0])
+    u = np.array([EXPLICIT_U_MIN, EXPLICIT_U_MIN, -30.0])
+    v = np.array([0.25, -0.5, 0.9])
+    for variant in ("x1", "x2"):
+        patch = family_surface(profile, variant)
+        geo = LocalGeometry(patch, u, v)
+        np.testing.assert_allclose(geo.h, f_explicit(u), rtol=2e-15, atol=0.0)
+        sd = shape_data(patch, EXPLICIT_U_MIN, 0.25)
+        assert abs(sd.h - f_explicit(EXPLICIT_U_MIN)) \
+            <= 2e-15 * f_explicit(EXPLICIT_U_MIN)
+
+
 def test_explicit_psi_samples_are_the_closed_form(explicit_profile):
     p = explicit_profile
     for k, u in enumerate(p.u):
@@ -838,31 +889,23 @@ def _assert_arrays_match_floats(profile, u):
     of its terms from the float call at every entry: numpy's ufuncs and
     libm differ by an ulp or two per elementary function."""
     for name, form, size in _closed_forms(profile):
-        # only the forms built on f stay finite below u = -700, where
-        # e^Psi overflows
-        x = u if name in ("f", "f'", "f''", "K") else u[u >= -700.0]
-        batch = form(x)
-        floats = np.array([form(float(s)) for s in x])
+        batch = form(u)
+        floats = np.array([form(float(s)) for s in u])
         assert np.all(np.isfinite(batch)), name
-        bound = 4.0 * EPS * size(x, floats)
+        bound = 4.0 * EPS * size(u, floats)
         worst = np.argmax(np.abs(batch - floats) - bound)
         assert abs(batch[worst] - floats[worst]) <= bound[worst], \
-            (name, float(x[worst]))
+            (name, float(u[worst]))
 
 
 def test_array_closed_forms_match_float_calls(explicit_profile):
-    # both sides of the reflection of theta (t > 350, u < -403) and of the
-    # large-argument sech (|w| > 700, u < -806), which only the forms
-    # built on f reach before e^Psi overflows
-    u = np.concatenate([-np.geomspace(1e-9, 700.0, 4001),
-                        -np.linspace(806.5, 810.0, 50)])
-    assert np.any(-2.0 * CONSTANTS.a1 * u > 350.0)
-    assert np.any(2.0 * CONSTANTS.a1 * np.abs(u) > 700.0)
+    # the whole domain, its low end included
+    u = np.append(-np.geomspace(1e-9, -EXPLICIT_U_MIN, 4001), EXPLICIT_U_MIN)
     _assert_arrays_match_floats(explicit_profile, u)
 
 
-@given(st.lists(st.floats(min_value=-700.0, max_value=-1e-9), min_size=1,
-                max_size=20))
+@given(st.lists(st.floats(min_value=EXPLICIT_U_MIN, max_value=-1e-9),
+                min_size=1, max_size=20))
 def test_array_closed_forms_sweep(explicit_profile, us):
     _assert_arrays_match_floats(explicit_profile, np.array(us))
 

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from solgeo import cli
-from solgeo.biconservative_family import EXPLICIT, build_profile, family_rows
+from solgeo.biconservative_family import (EXPLICIT, EXPLICIT_U_MIN,
+                                          build_profile, family_rows)
 from solgeo.cli import main
 
 THETA_ROW_M1 = "-1.000000000000,2.347062254033,0.309858529206"
@@ -403,42 +405,54 @@ def test_theta_start_outside_the_quadrant_names_the_field(capsys):
     assert "theta_start must lie in (pi/2, pi)" in capsys.readouterr().err
 
 
+# repr of the double just below EXPLICIT_U_MIN
+BELOW_DOMAIN = repr(math.nextafter(EXPLICIT_U_MIN, -math.inf))
+
+
 @pytest.mark.parametrize("argv,field", [
-    (["profile", "--u0", "-6000"], "u0"),
-    (["profile", "--u-min", "-6000", "--u-max", "-5999", "--nu", "3"],
-     "u_min"),
-    (["generate", "--u-min", "-6000", "--nu", "2"], "u_min"),
-    # e^{(2 a1 - 1) u} is finite down to u = -5398.3, but G is not
-    (["profile", "--u0", "-5390", "--nu", "2"], "u0"),
+    (["profile", "--u-min", BELOW_DOMAIN], "u_min"),
+    (["profile", "--u-max", "0"], "u_max"),
+    (["profile", "--u-min", "-60", "--u-max", BELOW_DOMAIN], "u_min"),
+    (["profile", "--u0", BELOW_DOMAIN], "u0"),
+    (["profile", "--u0", "0"], "u0"),
+    (["generate", "--u-min", BELOW_DOMAIN], "u_min"),
+    (["generate", "--u-max", "0.5"], "u_max"),
+    # f underflows to 0 near u = -857, and Phi1 overflows near -5379
+    (["generate", "--u-min", "-1000", "--nu", "8"], "u_min"),
+    (["profile", "--u0", "-6000", "--nu", "2"], "u0"),
 ])
-def test_explicit_phi1_overflow_is_usage_error(argv, field, tmp_path,
-                                                capsys):
-    mesh = tmp_path / "mesh.obj"
-    argv = argv + (["--output", str(mesh)] if argv[0] == "generate" else [])
-    assert run(argv) == 2
+def test_explicit_u_outside_the_domain_is_usage_error(argv, field, tmp_path,
+                                                      capsys):
+    out = tmp_path / ("mesh.obj" if argv[0] == "generate" else "rows.csv")
+    assert run(argv + ["--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {field} must be above -5378.6584")
-    assert "where the explicit Phi1 overflows" in err
+    assert err.startswith(f"error: {field} must lie in the explicit domain "
+                          f"[{EXPLICIT_U_MIN!r}, 0), got ")
     assert err.count("\n") == 1
-    assert not mesh.exists()
+    assert not out.exists()
 
 
-def test_explicit_anchor_just_above_the_phi1_bound(capsys):
-    assert run(["profile", "--u0", "-5378.65", "--nu", "2"]) == 0
+def test_explicit_anchor_at_the_domain_bound(capsys):
+    bound = repr(EXPLICIT_U_MIN)
+    assert run(["profile", "--u0", bound, "--u-min", bound, "--nu", "2"]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
-    # e^{c0} underflows against a G near the largest double: Phi1 is +0
-    assert [row.split(",")[4] for row in rows] == ["0.000000000000"] * 2
+    # the anchor is the first sample, so its Psi and Phi vanish
+    assert rows[0].split(",")[:5] == [
+        "-41.500223459658", "3.141592653590", "0.000000000000",
+        "0.000000000000", "0.000000000000"]
 
 
 def test_explicit_grid_where_theta_stops_decreasing(tmp_path, capsys):
+    # samples 0.1 apart near the bound round to the same angle
     mesh = tmp_path / "mesh.obj"
-    assert run(["generate", "--u-min", "-100", "--output", str(mesh)]) == 2
+    assert run(["generate", "--u-min", "-41", "--u-max", "-1", "--nu", "400",
+                "--output", str(mesh)]) == 2
     err = capsys.readouterr().err
-    assert "stops at u = -98.41285714285715" in err
+    assert "stops at u = -40.899749373433586" in err
     assert "round to the same double" in err
     assert not mesh.exists()
-    # two samples, -100 and -0.01, still decrease
-    assert run(["generate", "--u-min", "-100", "--nu", "2",
+    # the two samples of the domain's ends still decrease
+    assert run(["generate", "--u-min", repr(EXPLICIT_U_MIN), "--nu", "2",
                 "--output", str(mesh)]) == 0
     assert mesh.exists()
 

@@ -5,7 +5,8 @@ third-party packages it declares, no module imports scipy, the surface
 calculus leaves finite differences to the patch and the curvature trace
 to its closed form, run-time geometry reads Sol's connection from the
 frame table, the obstruction polynomial is formed in exact_poly
-only, and every dataclass field with a default is set by some caller."""
+only, the explicit family's domain is stated once, and every dataclass
+field with a default is set by some caller."""
 
 import ast
 import os
@@ -97,6 +98,23 @@ def test_every_numerics_kernel_has_a_caller():
                     or node.module == "solgeo.numerics"):
                 imported.update(alias.name for alias in node.names)
     assert sorted(kernels - imported) == []
+
+
+def test_explicit_domain_is_stated_once():
+    # every explicit closed form checks its input against EXPLICIT_U_MIN
+    # through _require_domain, and the command line reads the same bound
+    tree = ast.parse((PACKAGE_DIR / "biconservative_family.py")
+                     .read_text(encoding="utf-8"))
+    forms = {node.name: {_call_name(call) for call in ast.walk(node)
+                         if isinstance(call, ast.Call)}
+             for node in tree.body if isinstance(node, ast.FunctionDef)
+             and ("explicit" in node.name or "closed_form" in node.name)}
+    assert {"theta_explicit", "theta_prime_explicit", "f_explicit",
+            "f_prime_explicit", "f_second_explicit", "psi_explicit",
+            "_phi1_explicit", "gaussian_curvature_closed_form"} <= set(forms)
+    assert sorted(name for name, called in forms.items()
+                  if "_require_domain" not in called) == []
+    assert "EXPLICIT_U_MIN" in _imported_names(PACKAGE_DIR / "cli.py")
 
 
 def _third_party_imports():

@@ -9,8 +9,8 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from solgeo.biconservative_family import (EXPLICIT, build_profile,
-                                          family_surface)
+from solgeo.biconservative_family import (EXPLICIT, EXPLICIT_U_MIN,
+                                          build_profile, family_surface)
 from solgeo.numerics import central_diff, namespace
 from solgeo.patch import ScalarField, SurfacePatch
 from solgeo.sol_space import (Point, TangentVector, canonical_leaf,
@@ -402,10 +402,12 @@ def test_n_point_frame_names_the_first_cmc_degenerate_point():
 
 
 def test_solve_stays_finite_far_down_the_family():
-    # G = e^{2 Psi} is 4.9e172 at u = -200; forming G r0 before dividing
-    # by the determinant overflowed there
-    x1 = family_surface(build_profile(EXPLICIT, u_grid=[-200.0, -1.0]), "x1")
-    for u in (-150.0, -180.0, -200.0):
+    # down to the low end of the explicit domain, where G = e^{2 Psi} is
+    # about 1e35 (test_laplacian_where_eg_overflows covers E G past the
+    # double range)
+    x1 = family_surface(build_profile(
+        EXPLICIT, u_grid=[EXPLICIT_U_MIN, -1.0]), "x1")
+    for u in (-20.0, -35.0, EXPLICIT_U_MIN):
         lap = laplace_beltrami(x1, x1.mean_curvature, u, 0.25)
         res = biharmonic_normal_residual(x1, u, 0.25)
         assert math.isfinite(lap) and lap < 0.0, (u, lap)

@@ -177,6 +177,26 @@ def test_biharmonic_suite_builds_one_record_of_eight_samples(monkeypatch):
     assert set(v.tolist()) == {0.25}
 
 
+@pytest.mark.parametrize("name,builds", [
+    ("all", 1), ("frames", 1), ("family", 1), ("biharmonic", 1),
+    ("ambient", 0), ("polynomial", 0)])
+def test_run_suite_builds_the_default_profile_at_most_once(monkeypatch, name,
+                                                           builds):
+    # frames, family and biharmonic read one explicit profile and its x1
+    # and x2 patches per run_suite call; no state outlives the call
+    calls = []
+    original = verification.build_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "build_profile", counted)
+    for _ in range(2):
+        run_suite(name)
+    assert len(calls) == 2 * builds
+
+
 @pytest.mark.parametrize("section,records", [
     # the shape grid, the two residual grids, and three FD-convergence
     # grids that difference f in one record of the four shifted grids each
@@ -368,10 +388,13 @@ def test_biharmonic_obstruction_far_down_the_profile():
         EXPLICIT, u_grid=np.linspace(verification.BIHARMONIC_U_MIN, -1.0, 9)))
     assert len(reports) == 8
     assert all(r.status == "pass" for r in reports)
-    # a valid explicit grid, but the gap is below the floor there
-    with pytest.raises(ValueError, match="u = -200"):
+    # a grid inside the explicit domain, but the gap is below the floor
+    # there
+    with pytest.raises(ValueError, match=r"^obstruction check needs "
+                                         r"u >= -13, but the profile starts "
+                                         r"at u = -20$"):
         check_biharmonic_obstruction(
-            build_profile(EXPLICIT, u_grid=[-200.0, -1.0]))
+            build_profile(EXPLICIT, u_grid=[-20.0, -1.0]))
     # e^{-2 a u} at u = -5000 is far beyond double range
     assert math.isfinite(verification._laplacian_rational(-5000.0))
 

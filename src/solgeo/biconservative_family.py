@@ -791,7 +791,9 @@ def family_surface(profile: ProfileSolution, variant: str) -> SurfacePatch:
     theta' = -2 f, Psi' = cos theta, Phi1' = -sin theta e^{Psi},
     Psi'' = 2 f sin theta and Phi1'' = e^{Psi} cos theta (2 f - sin theta).
     One call of the patch's ``partials`` evaluates theta, f and Psi once
-    each.  The mean-curvature field reads f' and f'' from the profile.
+    each, and returns the height z (Psi, signed by the layout) beside the
+    five partials, so a record that reads no x or y never evaluates Phi1.
+    The mean-curvature field reads f' and f'' from the profile.
     On an explicit profile the patch, like the closed forms it reads,
     raises ``ValueError`` at u outside EXPLICIT_U_MIN <= u < 0.
     """
@@ -806,8 +808,9 @@ def family_surface(profile: ProfileSolution, variant: str) -> SurfacePatch:
         sin = xp.sin(theta)
         d_uu = place(xp.exp(psi) * xp.cos(theta) * (2.0 * f - sin),
                      2.0 * f * sin, 0.0)
-        return (place(*_first_order(theta, psi), 0.0), ruling, d_uu, zero,
-                zero)
+        height = place(0.0, psi, 0.0)[2]
+        return (height, place(*_first_order(theta, psi), 0.0), ruling, d_uu,
+                zero, zero)
 
     f_field = ScalarField(
         value=lambda u, v: profile.f_at(u),

@@ -1,8 +1,10 @@
 """Parametrized surface patches and scalar fields on them.
 
 A :class:`SurfacePatch` (an immersion ``(u, v) -> (x, y, z)``) reads its
-five first and second partials in one call to its analytic ``partials``
-handle; every surface the package builds has them in closed form.  A
+height z and its five first and second partials in one call to its
+analytic ``partials`` handle; every surface the package builds has them
+in closed form, and the height lets a caller that needs no x or y skip
+the immersion.  A
 :class:`ScalarField` (a function of ``(u, v)``) reads its two first
 partials in one call, from its handle or else by central differences,
 and its three second partials in another, from its handle alone.
@@ -28,7 +30,7 @@ from .numerics import DEFAULT_FD_STEP, central_diff
 Param = Union[float, np.ndarray]
 Components = Tuple[Param, Param, Param]
 Immersion = Callable[[Param, Param], Components]
-Partials = Callable[[Param, Param], Tuple[Components, ...]]
+Partials = Callable[[Param, Param], Tuple[Union[Param, Components], ...]]
 ScalarHandle = Callable[[Param, Param], Param]
 ScalarPartials = Callable[[Param, Param], Tuple[Param, ...]]
 
@@ -75,18 +77,20 @@ class ScalarField:
         (u - step, v), (u, v + step), (u, v - step), stacked in that order,
         with the arithmetic of :func:`~solgeo.numerics.central_diff`."""
         if self.first_partials is not None:
-            partials = self.first_partials(u, v)
+            d_u, d_v = self.first_partials(u, v)
         elif isinstance(u, np.ndarray):
             s = np.concatenate([u + step, u - step, u, u])
             t = np.concatenate([v, v, v + step, v - step])
             shifted = np.asarray(_scalar(self.value(s, t), s), dtype=float)
             east, west, north, south = shifted.reshape(4, *u.shape)
-            partials = ((east - west) / (2.0 * step),
+            d_u, d_v = ((east - west) / (2.0 * step),
                         (north - south) / (2.0 * step))
         else:
-            partials = (central_diff(lambda s: self.value(s, v), u, step),
+            d_u, d_v = (central_diff(lambda s: self.value(s, v), u, step),
                         central_diff(lambda t: self.value(u, t), v, step))
-        return tuple(_scalar(d, u) for d in partials)
+        if isinstance(u, np.ndarray):
+            return _shaped(d_u, u.shape), _shaped(d_v, u.shape)
+        return float(d_u), float(d_v)
 
     def hessian(self, u: Param, v: Param) -> Tuple[Param, Param, Param]:
         """(phi_uu, phi_uv, phi_vv) from the ``second_partials`` handle;
@@ -106,8 +110,11 @@ class SurfacePatch:
     immersion:
         Map ``(u, v)`` to the three ambient coordinates.
     partials:
-        Map ``(u, v) -> (d_u, d_v, d_uu, d_uv, d_vv)``: the analytic first
-        and second partials of the immersion, all five from one call.
+        Map ``(u, v) -> (z, d_u, d_v, d_uu, d_uv, d_vv)``: the height (the
+        third coordinate of ``immersion``, bit for bit) and the analytic
+        first and second partials of the immersion, all six from one call.
+        A record that needs no x or y reads z here and never calls
+        ``immersion``.
     domain:
         ``((u_min, u_max), (v_min, v_max))``; informative, not enforced on
         evaluation.
@@ -139,10 +146,22 @@ class SurfacePatch:
     def position(self, u: Param, v: Param) -> Components:
         return _components(self.immersion(u, v), u)
 
+    def height_and_derivatives(self, u: Param, v: Param
+                               ) -> Tuple[Param, Tuple[Components, ...]]:
+        """(z, (d_u, d_v, d_uu, d_uv, d_vv)) at ``(u, v)`` from one call of
+        the ``partials`` handle: at N points z shaped like ``u`` and each
+        partial like ``position``, at one point the handle's values as they
+        are."""
+        values = self.partials(u, v)
+        if isinstance(u, np.ndarray):
+            return (_shaped(values[0], u.shape),
+                    tuple(_components(d, u) for d in values[1:]))
+        return values[0], values[1:]
+
     def derivatives(self, u: Param, v: Param) -> Tuple[Components, ...]:
-        """(d_u, d_v, d_uu, d_uv, d_vv) at ``(u, v)``: the ``partials``
-        handle's values, each shaped like ``position``."""
-        return tuple(_components(d, u) for d in self.partials(u, v))
+        """(d_u, d_v, d_uu, d_uv, d_vv) at ``(u, v)``; see
+        :meth:`height_and_derivatives`."""
+        return self.height_and_derivatives(u, v)[1]
 
     def grid(self, nu: int, nv: int) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform parameter samples over the domain, ``nu`` by ``nv``."""

@@ -328,5 +328,6 @@ def canonical_leaf(kind: str, level: float) -> SurfacePatch:
     zero = (0.0, 0.0, 0.0)
     return SurfacePatch(
         immersion=immersion,
-        partials=lambda u, v: (d_u, d_v, zero, zero, zero),
+        partials=lambda u, v: (level if kind == "z_const" else v, d_u, d_v,
+                               zero, zero, zero),
         domain=((-1.0, 1.0), (-1.0, 1.0)), name=f"leaf_{kind[0]}={level:g}")

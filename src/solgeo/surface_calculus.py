@@ -11,7 +11,9 @@ the two fourth-order surface equations:
   exactly on biharmonic ones.
 
 Every quantity at a point is read from one :class:`LocalGeometry` record;
-the module functions are thin views on it.  A record derives everything
+the module functions are thin views on it, so each takes ``u`` and ``v``
+as floats (one point) or as same-shape (N,) arrays (N points, every
+field with a leading axis of length N).  A record derives everything
 from its own first and second partials: the ambient derivatives
 nabla_{d_i} d_j give the second fundamental form as their normal part and,
 by the Gauss formula, the Christoffel symbols of the induced metric as
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import first_false, namespace
-from .patch import ScalarField, SurfacePatch
+from .patch import Param, ScalarField, SurfacePatch
 from .sol_space import (PLANE_GRAM_TOLERANCE, DegeneratePlaneError, Point,
                         TangentVector, frame_connection)
 
@@ -74,7 +76,8 @@ class FundamentalForms:
 
 @dataclass(frozen=True)
 class ShapeData:
-    """Shape operator and derived curvature scalars at one parameter point.
+    """Shape operator and derived curvature scalars at one parameter point,
+    or at N points with a leading axis of length N on every field.
 
     ``A`` and ``gradient_h`` are expressed in the parameter basis
     (d/du, d/dv); ``gradient_h`` is the metric gradient of the mean
@@ -146,13 +149,19 @@ class LocalGeometry:
     """Local extrinsic geometry of ``patch`` at the parameter point ``(u, v)``,
     or at N points when ``u`` and ``v`` are same-shape (N,) arrays.
 
-    The constructor reads the position and all five partials (one call to
-    :meth:`~solgeo.patch.SurfacePatch.derivatives`), converts the partials
-    to frame components once, and evaluates the unit normal and the first
-    fundamental form.  Every other attribute is
-    computed on first access and kept, so one record reads the position
-    and the partials once each and evaluates each derived quantity exactly
-    once.
+    The constructor reads the height z and all five partials from one call
+    of the patch's ``partials`` handle
+    (:meth:`~solgeo.patch.SurfacePatch.height_and_derivatives`), converts
+    the partials to frame components once, and evaluates the unit normal
+    and the first fundamental form; it never calls the immersion.  Every
+    other attribute is computed on first access and kept, so one record
+    reads the handle once and evaluates each derived quantity exactly
+    once.  The base ``point`` is one of them: only :meth:`adapted_frame`
+    and :func:`fundamental_forms` read it, and the first read calls
+    :meth:`~solgeo.patch.SurfacePatch.position` once.  So x and y are
+    checked when the point is read: a non-finite coordinate raises
+    ``ValueError`` there, while :func:`shape_data` and the residuals,
+    which never read x or y, still answer.
 
     The arithmetic is closed-form and elementwise, written once: on Python
     floats with ``math`` at one point, on (N,) arrays with numpy at N
@@ -191,10 +200,10 @@ class LocalGeometry:
             if u.ndim != 1:
                 raise ValueError("an N-point record takes (N,) arrays")
         self.patch, self.u, self.v = patch, u, v
-        x, y, z = patch.position(u, v)
+        z, derivatives = patch.height_and_derivatives(u, v)
         ez = xp.exp(z)
         self._du, self._dv, *self._second_f = (
-            (ez * c[0], c[1] / ez, c[2]) for c in patch.derivatives(u, v))
+            (ez * c[0], c[1] / ez, c[2]) for c in derivatives)
         du, dv = self._du, self._dv
         e, f, g = _dot(du, du), _dot(du, dv), _dot(dv, dv)
         # scaled by a power of two to components below 1, the cross product's
@@ -217,7 +226,13 @@ class LocalGeometry:
         self._sin_sq = 1.0 - self._cos * self._cos
         self._xi = (cross[0] / scaled_norm, cross[1] / scaled_norm,
                     cross[2] / scaled_norm)
-        self.point = Point(x, y, z)
+
+    @_computed_once
+    def point(self) -> Point:
+        """The base point, from one call of the patch's immersion on first
+        read; :class:`~solgeo.sol_space.Point` rejects a non-finite
+        coordinate."""
+        return Point(*self.patch.position(self.u, self.v))
 
     def _array(self, nested) -> np.ndarray:
         """Nested lists of this record's values as one array, with the
@@ -458,9 +473,10 @@ class LocalGeometry:
         return self._solve(m_uu, m_uv)[0] + self._solve(m_uv, m_vv)[1]
 
 
-def fundamental_forms(patch: SurfacePatch, u: float,
-                      v: float) -> FundamentalForms:
-    """First and second fundamental forms of ``patch`` at ``(u, v)``.
+def fundamental_forms(patch: SurfacePatch, u: Param,
+                      v: Param) -> FundamentalForms:
+    """First and second fundamental forms of ``patch`` at ``(u, v)``, one
+    point or the N points of same-shape (N,) arrays.
 
     Raises
     ------
@@ -472,8 +488,10 @@ def fundamental_forms(patch: SurfacePatch, u: float,
                             TangentVector(geo.point, geo.xi_f))
 
 
-def shape_data(patch: SurfacePatch, u: float, v: float) -> ShapeData:
-    """Shape operator, mean and Gaussian curvature, and grad f at a point.
+def shape_data(patch: SurfacePatch, u: Param, v: Param) -> ShapeData:
+    """Shape operator, mean and Gaussian curvature, and grad f at a point,
+    or at the N points of same-shape (N,) arrays ``u`` and ``v`` (each
+    field then has a leading axis of length N).
 
     The Gaussian curvature combines the ambient sectional curvature of the
     tangent plane with det A (the Gauss equation).  ``gradient_h`` prefers
@@ -485,9 +503,11 @@ def shape_data(patch: SurfacePatch, u: float, v: float) -> ShapeData:
                      geo.principal_curvatures)
 
 
-def adapted_frame(patch: SurfacePatch, u: float, v: float,
+def adapted_frame(patch: SurfacePatch, u: Param, v: Param,
                   x1_coefficients=None) -> AdaptedFrameSample:
-    """The adapted frame {X1, X2, xi} with angles theta and beta.
+    """The adapted frame {X1, X2, xi} with angles theta and beta, at a
+    point or at the N points of same-shape (N,) arrays ``u`` and ``v``
+    (an N-point :class:`AdaptedFrameSample`).
 
     X1 defaults to the normalized mean-curvature gradient; below the
     gradient threshold the point is CMC-degenerate and the caller must pass
@@ -501,19 +521,21 @@ def adapted_frame(patch: SurfacePatch, u: float, v: float,
     return LocalGeometry(patch, u, v).adapted_frame(x1_coefficients)
 
 
-def biconservative_residual(patch: SurfacePatch, u: float,
-                            v: float) -> np.ndarray:
+def biconservative_residual(patch: SurfacePatch, u: Param,
+                            v: Param) -> np.ndarray:
     """Tangential residual A(grad f) + f grad f + f (trace R(., xi) .)^T.
 
-    Returned in the parameter basis; the metric norm of the result is
-    ``sqrt(r @ I @ r)`` with the first form ``I`` at the same point.  Zero
-    (to discretization error) exactly on biconservative patches.
+    Returned in the parameter basis, (2,) at a point and (N, 2) at the N
+    points of same-shape (N,) arrays ``u`` and ``v``; the metric norm of
+    the result is ``sqrt(r @ I @ r)`` with the first form ``I`` at the
+    same point.  Zero (to discretization error) exactly on biconservative
+    patches.
     """
     return LocalGeometry(patch, u, v).residual
 
 
-def laplace_beltrami(patch: SurfacePatch, field: ScalarField, u: float,
-                     v: float) -> float:
+def laplace_beltrami(patch: SurfacePatch, field: ScalarField, u: Param,
+                     v: Param) -> Param:
     """Surface Laplacian (trace of the intrinsic Hessian) of a scalar field.
 
     The second partials come from the field's ``second_partials`` handle,
@@ -524,8 +546,8 @@ def laplace_beltrami(patch: SurfacePatch, field: ScalarField, u: float,
     return LocalGeometry(patch, u, v).laplacian(field)
 
 
-def biharmonic_normal_residual(patch: SurfacePatch, u: float,
-                               v: float) -> float:
+def biharmonic_normal_residual(patch: SurfacePatch, u: Param,
+                               v: Param) -> Param:
     """Normal residual Delta f - f |A|^2 - f <trace R(., xi) ., xi>.
 
     Delta f is the surface Laplacian of the patch's mean-curvature field,

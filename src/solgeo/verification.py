@@ -413,7 +413,7 @@ def vertical_cylinder_fixture() -> SurfacePatch:
     def partials(u, v):
         c, s = circle(u)
         zero = (0.0, 0.0, 0.0)
-        return (-s, c, 0.0), (0.0, 0.0, 1.0), (-c, -s, 0.0), zero, zero
+        return v, (-s, c, 0.0), (0.0, 0.0, 1.0), (-c, -s, 0.0), zero, zero
 
     return SurfacePatch(
         immersion=immersion, partials=partials,
@@ -424,9 +424,13 @@ def vertical_cylinder_fixture() -> SurfacePatch:
 def graph_patch_fixture() -> SurfacePatch:
     """The paraboloid graph z = 0.1 (x^2 + y^2), a biconservativity
     negative control."""
+    def height(u, v):
+        return 0.1 * (u * u + v * v)
+
     return SurfacePatch(
-        immersion=lambda u, v: (u, v, 0.1 * (u * u + v * v)),
-        partials=lambda u, v: ((1.0, 0.0, 0.2 * u), (0.0, 1.0, 0.2 * v),
+        immersion=lambda u, v: (u, v, height(u, v)),
+        partials=lambda u, v: (height(u, v),
+                               (1.0, 0.0, 0.2 * u), (0.0, 1.0, 0.2 * v),
                                (0.0, 0.0, 0.2), (0.0, 0.0, 0.0),
                                (0.0, 0.0, 0.2)),
         domain=((-1.0, 1.0), (-1.0, 1.0)),

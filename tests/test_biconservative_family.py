@@ -748,16 +748,22 @@ def test_family_handles_evaluate_the_profile_once(monkeypatch,
             return form(*args)
         return wrapper
 
-    for name in ("theta_explicit", "f_explicit", "psi_explicit"):
+    for name in ("theta_explicit", "f_explicit", "psi_explicit",
+                 "_phi1_primitive"):
         monkeypatch.setattr(biconservative_family, name, counted(name))
     patch = family_surface(explicit_profile, "x1")
     patch.derivatives(-1.0, 0.2)
     assert calls == {"theta_explicit": 1, "f_explicit": 1, "psi_explicit": 1}
     calls.clear()
-    # two one-point records, each reading position and the partials once
+    # the counter sees Phi1 where the position reads it
+    patch.position(-1.0, 0.2)
+    assert calls == {"psi_explicit": 1, "_phi1_primitive": 1}
+    calls.clear()
+    # two one-point records, each reading the partials handle once and the
+    # position never: no Phi1
     shape_data(patch, -1.0, 0.2)
     biconservative_residual(patch, -1.0, 0.2)
-    assert calls == {"theta_explicit": 2, "f_explicit": 2, "psi_explicit": 4}
+    assert calls == {"theta_explicit": 2, "f_explicit": 2, "psi_explicit": 2}
 
 
 def test_mirrored_variant_swaps_roles(explicit_profile):

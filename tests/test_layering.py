@@ -5,8 +5,9 @@ third-party packages it declares, no module imports scipy, the surface
 calculus leaves finite differences to the patch and the curvature trace
 to its closed form, run-time geometry reads Sol's connection from the
 frame table, the obstruction polynomial is formed in exact_poly
-only, the explicit family's domain is stated once, and every dataclass
-field with a default is set by some caller."""
+only, the explicit family's domain is stated once, a record's constructor
+never calls the immersion, and every dataclass field with a default is
+set by some caller."""
 
 import ast
 import os
@@ -202,6 +203,24 @@ def test_run_time_geometry_reads_the_frame_table_alone():
         called = {_call_name(node) for node in ast.walk(tree)
                   if isinstance(node, ast.Call)}
         assert called & {"coordinates", "from_coordinates"} == set(), name
+
+
+def test_record_constructor_never_calls_the_immersion():
+    # a record reads its height with the partials; only its lazily built
+    # base point calls the immersion
+    tree = ast.parse((PACKAGE_DIR / "surface_calculus.py")
+                     .read_text(encoding="utf-8"))
+    record = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "LocalGeometry")
+    methods = {node.name: node for node in record.body
+               if isinstance(node, ast.FunctionDef)}
+    called = {_call_name(node) for node in ast.walk(methods["__init__"])
+              if isinstance(node, ast.Call)}
+    assert called & {"position", "immersion", "Point"} == set()
+    point = {_call_name(node) for node in ast.walk(methods["point"])
+             if isinstance(node, ast.Call)}
+    assert "position" in point
 
 
 def test_verification_reads_the_obstruction_addends_from_exact_poly():

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -268,21 +268,42 @@ def test_metric_and_frame_rows_match_one_point_calls(xyz):
 # derivative, far above 1e-12 of the result (up to about 2e-10 relative for
 # covariant_derivative here), so these rows are held to 8 eps |values| / step.
 
+# Four points at z = 3.86746 where the gap, 4.15e-12 on every row, exceeded
+# a bound sized on the field's coordinate components (3.03e-12).
+_FAR_UP = (np.full((4, 3), 3.86746),
+           np.tile([0.6875] * 6 + [0.6875, 0.0, 0.0], (4, 1)))
+
+
 @settings(max_examples=50)
 @given(points_and_vectors)
+@example(_FAR_UP)
 def test_covariant_derivative_rows_match_one_point_calls(data):
+    # The field w has constant frame components, so its coordinate
+    # components are (w1 e^{-z}, w2 e^{z}, w3), evaluated at the shifted
+    # points q = p +- h x with z(q) = z +- h x3.  Each differenced value
+    # may differ between the two calls by about 2 eps of itself (numpy's
+    # exp against libm's, then the division), so the central difference of
+    # coordinate k differs by at most 2 eps |w_k(q)| / h.  The rows compared
+    # are frame components: from_coordinates multiplies coordinate 1 by
+    # e^{z} and coordinate 2 by e^{-z}, which turns those bounds into
+    # 2 eps |w1| e^{h |x3|} / h and 2 eps |w2| e^{h |x3|} / h; w3 is
+    # differenced exactly.  The Christoffel contraction adds round-off of
+    # the size of its terms, at most 9 |x| |w| in frame units (the table's
+    # e^{+-2z} cancel against the coordinates' e^{-+z}).  Each row is held
+    # to 8 eps of these sizes.
     xyz, comps = data
+    step = 1e-5
     direction, _, field_comps = frame_vectors(Point(*xyz.T), comps)
     many = covariant_derivative(
-        lambda q: TangentVector(q, field_comps.components), direction)
+        lambda q: TangentVector(q, field_comps.components), direction, step)
     ones, bound = [], []
     for pt, c in zip(xyz, comps):
         x, _, w = frame_vectors(Point(*pt), c)
         field = lambda q, w=w: TangentVector(q, w.components)
-        ones.append(covariant_derivative(field, x).components)
-        values = np.max(np.abs(w.coordinates()))
-        bound.append(1e-12 * np.max(np.abs(ones[-1]))
-                     + 8.0 * EPS * values / 1e-5)
+        ones.append(covariant_derivative(field, x, step).components)
+        xf, wf = np.abs(x.components), np.abs(w.components)
+        difference = max(wf[0], wf[1]) * math.exp(step * xf[2]) / step
+        bound.append(8.0 * EPS * (difference + 9.0 * xf.max() * wf.max()))
     assert_rows_close(many.components, ones, np.array(bound))
 
 

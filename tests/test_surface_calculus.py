@@ -10,7 +10,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from solgeo.biconservative_family import (EXPLICIT, EXPLICIT_U_MIN,
-                                          build_profile, family_surface)
+                                          IMPLICIT, build_profile,
+                                          family_surface)
 from solgeo.numerics import central_diff, namespace
 from solgeo.patch import ScalarField, SurfacePatch
 from solgeo.sol_space import (Point, TangentVector, canonical_leaf,
@@ -95,8 +96,8 @@ def _with_first_partials(patch, first):
     """``patch`` whose partials handle takes its first partials from
     ``first(u, v, d_u, d_v)`` and its second partials from ``patch``."""
     def partials(u, v):
-        du, dv, *seconds = patch.derivatives(u, v)
-        return (*first(u, v, du, dv), *seconds)
+        z, du, dv, *seconds = patch.partials(u, v)
+        return (z, *first(u, v, du, dv), *seconds)
     return dataclasses.replace(patch, partials=partials)
 
 
@@ -195,17 +196,20 @@ def test_local_geometry_reads_each_handle_once(patch_x1):
         partials=counted("partials", patch_x1.partials))
     u, v = -1.0, 0.3
     geo = LocalGeometry(patch, u, v)
-    for name in ("first", "second", "A", "h", "K", "principal_curvatures",
-                 "dh", "gradient_h", "curvature_trace", "residual",
-                 "surface_christoffel"):
+    for name in ("xi_f", "first", "second", "A", "h", "K",
+                 "principal_curvatures", "dh", "gradient_h",
+                 "curvature_trace", "normal_trace", "residual",
+                 "surface_christoffel", "norm_A_sq"):
         getattr(geo, name)
-    frame = geo.adapted_frame()
     geo.laplacian(ScalarField(
         lambda s, t: s * s + t, first_partials=lambda s, t: (2.0 * s, 1.0),
         second_partials=lambda s, t: (2.0, 0.0, 0.0)))
-    assert {key[0] for key in calls if key[1:] == (u, v)} \
-        == {"position", "partials"}
-    assert max(calls.values()) == 1
+    # the height comes with the partials: no field but the frame's base
+    # point reads the immersion
+    assert dict(calls) == {("partials", u, v): 1}
+    frame = geo.adapted_frame()
+    geo.adapted_frame()
+    assert dict(calls) == {("partials", u, v): 1, ("position", u, v): 1}
 
     sd = shape_data(patch, u, v)
     assert np.array_equal(sd.A, geo.A)
@@ -349,6 +353,132 @@ def test_n_point_record_matches_one_point_records(patch_x1, patch_x2):
                                            err_msg=f"{patch.name} {name}")
 
 
+EPS = np.finfo(float).eps
+
+
+def _implicit_patch(variant):
+    return family_surface(build_profile(IMPLICIT, c=1.0, theta_start=2.2,
+                                        u_grid=np.linspace(0.0, 0.25, 9)),
+                          variant)
+
+
+def test_n_point_public_functions_match_one_point_calls(patch_x1, patch_x2):
+    """shape_data, biconservative_residual and adapted_frame take (N,)
+    arrays, and their N-point fields are within 8 ulps of the one-point
+    calls: |many - one| <= 8 eps max(1, |one|) entrywise.  numpy's exp and
+    arctan may round differently from libm's, so this is not equality.
+    The residual cancels to round-off, so its scale is that of its addends
+    A grad f, f grad f and f times the curvature-trace term (whose
+    parameter coefficients, on these unit-speed profiles, are at most 2):
+    max(1, (|A| + |f|) |grad f| + 2 |f|)."""
+    def assert_ulps(many, ones, scales, label):
+        many, ones = np.asarray(many), np.asarray(ones)
+        assert many.shape == ones.shape, label
+        scales = np.broadcast_to(np.reshape(scales, (len(ones),)
+                                            + (1,) * (ones.ndim - 1)),
+                                 ones.shape)
+        assert np.all(np.abs(many - ones) <= 8.0 * EPS * scales), label
+
+    def own_scale(ones):
+        ones = np.abs(np.asarray(ones)).reshape(len(ones), -1)
+        return np.maximum(1.0, np.max(ones, axis=1))
+
+    for patch in (patch_x1, patch_x2, _implicit_patch("x1"),
+                  _implicit_patch("x2")):
+        (u_lo, u_hi), _ = patch.domain
+        u = np.linspace(u_lo + 0.1 * (u_hi - u_lo), u_hi - 0.1 * (u_hi - u_lo),
+                        7)
+        v = np.linspace(-0.8, 0.8, 7)
+        points = list(zip(u.tolist(), v.tolist()))
+        many = shape_data(patch, u, v)
+        ones = [shape_data(patch, s, t) for s, t in points]
+        for field in dataclasses.fields(many):
+            rows = [getattr(one, field.name) for one in ones]
+            assert_ulps(getattr(many, field.name), rows, own_scale(rows),
+                        f"{patch.name} {field.name}")
+        addends = [max(1.0, (np.max(np.abs(one.A)) + abs(one.h))
+                       * np.max(np.abs(one.gradient_h)) + 2.0 * abs(one.h))
+                   for one in ones]
+        assert_ulps(biconservative_residual(patch, u, v),
+                    [biconservative_residual(patch, s, t) for s, t in points],
+                    addends, f"{patch.name} residual")
+        frame = adapted_frame(patch, u, v)
+        samples = [adapted_frame(patch, s, t) for s, t in points]
+        for field in dataclasses.fields(frame):
+            rows = getattr(frame, field.name)
+            expected = [getattr(sample, field.name) for sample in samples]
+            if isinstance(rows, TangentVector):
+                bases = [e.base.as_array() for e in expected]
+                assert_ulps(rows.base.as_array().T, bases, own_scale(bases),
+                            f"{patch.name} {field.name} base")
+                rows = rows.components
+                expected = [vector.components for vector in expected]
+            assert_ulps(rows, expected, own_scale(expected),
+                        f"{patch.name} {field.name}")
+
+
+BUILDERS = [
+    pytest.param(lambda: canonical_leaf("x_const", 0.3), id="leaf_x"),
+    pytest.param(lambda: canonical_leaf("y_const", -0.2), id="leaf_y"),
+    pytest.param(lambda: canonical_leaf("z_const", 0.15), id="leaf_z"),
+    pytest.param(vertical_cylinder_fixture, id="vertical_cylinder"),
+    pytest.param(graph_patch_fixture, id="graph"),
+    pytest.param(lambda: family_surface(build_profile(
+        EXPLICIT, u_grid=np.linspace(-4.0, -0.01, 64), u0=-1.0), "x1"),
+        id="explicit_x1"),
+    pytest.param(lambda: family_surface(build_profile(
+        EXPLICIT, u_grid=np.linspace(-4.0, -0.01, 64), u0=-1.0), "x2"),
+        id="explicit_x2"),
+    pytest.param(lambda: _implicit_patch("x1"), id="implicit_x1"),
+    pytest.param(lambda: _implicit_patch("x2"), id="implicit_x2"),
+]
+
+
+@pytest.mark.parametrize("build", BUILDERS)
+def test_partials_height_is_the_position_height(build):
+    # the height is stated twice, in the immersion and in the partials
+    # handle, and must agree bit for bit at floats and at (N,) arrays
+    patch = build()
+    u, v = _grid_points(patch, 7, 5)
+    z, _ = patch.height_and_derivatives(u, v)
+    assert z.shape == u.shape
+    assert z.tobytes() == np.asarray(patch.position(u, v)[2],
+                                     dtype=float).tobytes()
+    for s, t in zip(u.tolist(), v.tolist()):
+        z, _ = patch.height_and_derivatives(s, t)
+        assert np.float64(z).tobytes() \
+            == np.float64(patch.position(s, t)[2]).tobytes(), (s, t)
+
+
+@pytest.mark.parametrize("coordinate,value", [(0, math.nan), (1, math.inf)],
+                         ids=["x_nan", "y_inf"])
+def test_point_is_checked_where_it_is_read(coordinate, value):
+    # a patch whose immersion is broken in x or y but whose height and
+    # partials are regular: the fields that read no x or y still answer,
+    # with the bits of the intact patch, and the base point raises
+    graph = graph_patch_fixture()
+
+    def immersion(u, v):
+        xyz = list(graph.immersion(u, v))
+        xyz[coordinate] = xyz[coordinate] * 0.0 + value
+        return tuple(xyz)
+
+    broken = dataclasses.replace(graph, immersion=immersion)
+    for u, v in ((0.5, -0.3), (np.array([0.5, 0.1]), np.array([-0.3, 0.7]))):
+        sd, intact = shape_data(broken, u, v), shape_data(graph, u, v)
+        for field in dataclasses.fields(sd):
+            assert np.array_equal(getattr(sd, field.name),
+                                  getattr(intact, field.name)), field.name
+        assert np.array_equal(biconservative_residual(broken, u, v),
+                              biconservative_residual(graph, u, v))
+        with pytest.raises(ValueError, match="point coordinates must be "
+                                             "finite"):
+            fundamental_forms(broken, u, v)
+        with pytest.raises(ValueError, match="point coordinates must be "
+                                             "finite"):
+            adapted_frame(broken, u, v)
+
+
 def test_n_point_record_names_the_first_degenerate_point(patch_x1):
     # NaN partials on the line u = -2 and parallel ones on u = -1; the
     # first in u-major order is (-2, 0.5)
@@ -419,7 +549,7 @@ def _scaled_plane(su, sv):
     zero = (0.0, 0.0, 0.0)
     return SurfacePatch(
         immersion=lambda u, v: (su * u, sv * v, 0.0),
-        partials=lambda u, v: ((su, 0.0, 0.0), (0.0, sv, 0.0),
+        partials=lambda u, v: (0.0, (su, 0.0, 0.0), (0.0, sv, 0.0),
                                zero, zero, zero),
         domain=((-1.0, 1.0), (-1.0, 1.0)), name="scaled_plane")
 
@@ -510,11 +640,13 @@ def test_gradient_shapes_handle_outputs_like_u():
 def test_n_point_derivatives_fill_constant_components(patch_x1, patch_x2):
     u, v = np.linspace(-3.5, -0.5, 7), np.linspace(-0.8, 0.8, 7)
     for patch in (patch_x1, patch_x2):
-        raw = patch.partials(u, v)
+        z_raw, *raw = patch.partials(u, v)
         # the ruling d_v and the zero d_uv and d_vv are float constants
         assert not any(isinstance(c, np.ndarray)
                        for vector in raw[1:2] + raw[3:] for c in vector)
-        for vector, expected in zip(patch.derivatives(u, v), raw):
+        z, derivatives = patch.height_and_derivatives(u, v)
+        assert z.shape == u.shape and np.array_equal(z, z_raw)
+        for vector, expected in zip(derivatives, raw):
             for c, c_raw in zip(vector, expected):
                 broadcast = np.broadcast_to(c_raw, u.shape)
                 assert isinstance(c, np.ndarray) and c.shape == u.shape
@@ -550,7 +682,7 @@ def test_ambient_derivatives_match_dense_symbols(z, partials):
     # the record's frame formula for nabla_{d_i} d_j against the einsum
     # of the dense coordinate symbols, moved to the frame
     patch = SurfacePatch(immersion=lambda u, v: (0.0, 0.0, z),
-                         partials=lambda u, v: partials,
+                         partials=lambda u, v: (z, *partials),
                          domain=((-1.0, 1.0), (-1.0, 1.0)), name="jet")
     try:
         geo = LocalGeometry(patch, 0.0, 0.0)
@@ -607,7 +739,7 @@ def test_a_tiny_flat_plane_has_zero_gauss_curvature(scale):
     zero = (0.0, 0.0, 0.0)
     patch = SurfacePatch(
         immersion=lambda u, v: (scale * u, scale * v, 0.0),
-        partials=lambda u, v: ((scale, 0.0, 0.0), (0.0, scale, 0.0),
+        partials=lambda u, v: (0.0, (scale, 0.0, 0.0), (0.0, scale, 0.0),
                                zero, zero, zero),
         domain=((-1.0, 1.0), (-1.0, 1.0)), name="tiny")
     assert shape_data(patch, 0.2, -0.5).K == 0.0

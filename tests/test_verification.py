@@ -130,9 +130,9 @@ def _nan_duu_where(patch, bad_u):
     """``patch`` with d_uu NaN on the parameter line u == bad_u, at one
     point or at N points."""
     def partials(u, v):
-        du, dv, duu, duv, dvv = patch.derivatives(u, v)
-        return (du, dv, tuple(np.where(u == bad_u, math.nan, c)
-                              for c in duu), duv, dvv)
+        z, du, dv, duu, duv, dvv = patch.partials(u, v)
+        return (z, du, dv, tuple(np.where(u == bad_u, math.nan, c)
+                                 for c in duu), duv, dvv)
     return dataclasses.replace(patch, partials=partials)
 
 

@@ -792,7 +792,7 @@ def family_surface(profile: ProfileSolution, variant: str) -> SurfacePatch:
     Psi'' = 2 f sin theta and Phi1'' = e^{Psi} cos theta (2 f - sin theta).
     One call of the patch's ``partials`` evaluates theta, f and Psi once
     each, and returns the height z (Psi, signed by the layout) beside the
-    five partials, so a record that reads no x or y never evaluates Phi1.
+    five partials, so no record evaluates Phi1; only the immersion does.
     The mean-curvature field reads f' and f'' from the profile.
     On an explicit profile the patch, like the closed forms it reads,
     raises ``ValueError`` at u outside EXPLICIT_U_MIN <= u < 0.

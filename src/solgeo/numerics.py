@@ -64,6 +64,23 @@ def central_diff(func: Callable[[float], object], x: float,
     return (hi - lo) / (2.0 * step)
 
 
+def stencil_points(u: np.ndarray, v: np.ndarray, step: float):
+    """The 4N points of a central-difference stencil around the points of
+    same-shape arrays ``u`` and ``v``, stacked in four blocks along the
+    first axis: (u + step, v), (u - step, v), (u, v + step) and
+    (u, v - step)."""
+    return (np.concatenate([u + step, u - step, u, u]),
+            np.concatenate([v, v, v + step, v - step]))
+
+
+def stencil_rates(values: np.ndarray, step: float):
+    """(d/du, d/dv) by central differences of ``values`` at the points of
+    :func:`stencil_points`, its four blocks along the first axis, with the
+    arithmetic of :func:`central_diff`."""
+    east, west, north, south = np.split(values, 4)
+    return (east - west) / (2.0 * step), (north - south) / (2.0 * step)
+
+
 def hermite_basis(t):
     """Cubic Hermite basis (h00, h10, h01, h11) at ``t`` in [0, 1].
 

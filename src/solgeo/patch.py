@@ -3,11 +3,13 @@
 A :class:`SurfacePatch` (an immersion ``(u, v) -> (x, y, z)``) reads its
 height z and its five first and second partials in one call to its
 analytic ``partials`` handle; every surface the package builds has them
-in closed form, and the height lets a caller that needs no x or y skip
-the immersion.  A
-:class:`ScalarField` (a function of ``(u, v)``) reads its two first
-partials in one call, from its handle or else by central differences,
-and its three second partials in another, from its handle alone.
+in closed form.  The surface records read that handle alone: in Sol's
+left-invariant frame z and the partials fix every quantity they compute,
+so no package code calls the immersion, which stays as the reference the
+height is held to.  A :class:`ScalarField` (a function of ``(u, v)``)
+reads its two first partials in one call, from its handle or else by
+central differences, and its three second partials in another, from its
+handle alone.
 
 Every handle takes ``u`` and ``v`` as floats (one point) or as same-shape
 (N,) arrays (N points).  A vector returns three components and a scalar
@@ -25,7 +27,8 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .numerics import DEFAULT_FD_STEP, central_diff
+from .numerics import (DEFAULT_FD_STEP, central_diff, stencil_points,
+                       stencil_rates)
 
 Param = Union[float, np.ndarray]
 Components = Tuple[Param, Param, Param]
@@ -73,18 +76,15 @@ class ScalarField:
     def gradient(self, u: Param, v: Param, step: float) -> Tuple[Param, Param]:
         """(phi_u, phi_v); without a handle central differences at
         ``step``.  At one point that is four calls of ``value``; at the N
-        points of arrays one call at the 4N points (u + step, v),
-        (u - step, v), (u, v + step), (u, v - step), stacked in that order,
-        with the arithmetic of :func:`~solgeo.numerics.central_diff`."""
+        points of arrays one call at the 4N points of
+        :func:`~solgeo.numerics.stencil_points`, differenced by
+        :func:`~solgeo.numerics.stencil_rates`."""
         if self.first_partials is not None:
             d_u, d_v = self.first_partials(u, v)
         elif isinstance(u, np.ndarray):
-            s = np.concatenate([u + step, u - step, u, u])
-            t = np.concatenate([v, v, v + step, v - step])
-            shifted = np.asarray(_scalar(self.value(s, t), s), dtype=float)
-            east, west, north, south = shifted.reshape(4, *u.shape)
-            d_u, d_v = ((east - west) / (2.0 * step),
-                        (north - south) / (2.0 * step))
+            s, t = stencil_points(u, v, step)
+            d_u, d_v = stencil_rates(
+                np.asarray(_scalar(self.value(s, t), s), dtype=float), step)
         else:
             d_u, d_v = (central_diff(lambda s: self.value(s, v), u, step),
                         central_diff(lambda t: self.value(u, t), v, step))
@@ -113,7 +113,7 @@ class SurfacePatch:
         Map ``(u, v) -> (z, d_u, d_v, d_uu, d_uv, d_vv)``: the height (the
         third coordinate of ``immersion``, bit for bit) and the analytic
         first and second partials of the immersion, all six from one call.
-        A record that needs no x or y reads z here and never calls
+        A record reads z and the partials here and never calls
         ``immersion``.
     domain:
         ``((u_min, u_max), (v_min, v_max))``; informative, not enforced on

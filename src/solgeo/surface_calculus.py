@@ -33,8 +33,8 @@ import numpy as np
 
 from .numerics import first_false, namespace
 from .patch import Param, ScalarField, SurfacePatch
-from .sol_space import (PLANE_GRAM_TOLERANCE, DegeneratePlaneError, Point,
-                        TangentVector, frame_connection)
+from .sol_space import (PLANE_GRAM_TOLERANCE, DegeneratePlaneError,
+                        frame_connection)
 
 __all__ = [
     "DegenerateParametrizationError",
@@ -67,11 +67,13 @@ class CmcDegenerateError(RuntimeError):
 
 @dataclass(frozen=True)
 class FundamentalForms:
-    """First and second fundamental form plus the oriented unit normal."""
+    """First and second fundamental form plus the oriented unit normal, the
+    normal as its frame components (E1, E2, E3): (3,) at one point, (N, 3)
+    at N points."""
 
     first: np.ndarray
     second: np.ndarray
-    normal: TangentVector
+    normal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,15 +104,16 @@ class AdaptedFrameSample:
     <E3, X1>.  beta is the horizontal angle of X2 against (E1, E2).
     ``e3_defect`` is <X2, E3>; it vanishes exactly when the frame has the
     adapted structure, and measures the obstruction otherwise.
-    ``x1_coefficients`` and ``x2_coefficients`` are the components of X1
-    and X2 in the parameter basis (d/du, d/dv).  At N points the scalars
-    are (N,) arrays, the coefficients (N, 2) arrays, and the vectors hold
-    (N, 3) frame components at the record's N-point base.
+    ``x1``, ``x2`` and ``xi`` are the frame components (E1, E2, E3) of the
+    three vectors, and ``x1_coefficients`` and ``x2_coefficients`` the
+    components of X1 and X2 in the parameter basis (d/du, d/dv).  At N
+    points the scalars are (N,) arrays, the coefficients (N, 2) arrays and
+    the vectors (N, 3) arrays.
     """
 
-    x1: TangentVector
-    x2: TangentVector
-    xi: TangentVector
+    x1: np.ndarray
+    x2: np.ndarray
+    xi: np.ndarray
     theta: float
     beta: float
     h: float
@@ -153,15 +156,12 @@ class LocalGeometry:
     of the patch's ``partials`` handle
     (:meth:`~solgeo.patch.SurfacePatch.height_and_derivatives`), converts
     the partials to frame components once, and evaluates the unit normal
-    and the first fundamental form; it never calls the immersion.  Every
-    other attribute is computed on first access and kept, so one record
-    reads the handle once and evaluates each derived quantity exactly
-    once.  The base ``point`` is one of them: only :meth:`adapted_frame`
-    and :func:`fundamental_forms` read it, and the first read calls
-    :meth:`~solgeo.patch.SurfacePatch.position` once.  So x and y are
-    checked when the point is read: a non-finite coordinate raises
-    ``ValueError`` there, while :func:`shape_data` and the residuals,
-    which never read x or y, still answer.
+    and the first fundamental form.  Every other attribute is computed on
+    first access and kept, so one record reads the handle once and
+    evaluates each derived quantity exactly once.  In Sol's left-invariant
+    frame the components of a vector and the height fix every quantity
+    here, so no attribute reads x or y and the record never calls the
+    immersion.
 
     The arithmetic is closed-form and elementwise, written once: on Python
     floats with ``math`` at one point, on (N,) arrays with numpy at N
@@ -173,13 +173,13 @@ class LocalGeometry:
     closed-form inverse of the first form scaled to unit diagonal; the
     ambient derivatives of the partials take Sol's connection from its
     constant frame table :func:`~solgeo.sol_space.frame_connection`, so no
-    e^{2z} enters.  The
-    public attributes, and the fields of :meth:`adapted_frame`, are numpy
-    arrays built from those values (scalars stay scalars); on an N-point
-    record each has a leading axis of length N, in the order of ``u``.
+    e^{2z} enters.  The public attributes, and the fields of
+    :meth:`adapted_frame`, are numpy arrays built from those values
+    (scalars stay scalars); on an N-point record each has a leading axis
+    of length N, in the order of ``u``.
 
-    Basis conventions: ``xi_f`` and ``curvature_trace`` hold frame
-    components (E1, E2, E3).
+    Basis conventions: ``xi_f``, ``curvature_trace`` and the frame's
+    ``x1``, ``x2`` and ``xi`` hold frame components (E1, E2, E3).
     ``first``, ``second``, ``A``, ``dh``, ``gradient_h``,
     ``surface_christoffel`` and ``residual`` are in the parameter basis
     (d/du, d/dv).
@@ -226,13 +226,6 @@ class LocalGeometry:
         self._sin_sq = 1.0 - self._cos * self._cos
         self._xi = (cross[0] / scaled_norm, cross[1] / scaled_norm,
                     cross[2] / scaled_norm)
-
-    @_computed_once
-    def point(self) -> Point:
-        """The base point, from one call of the patch's immersion on first
-        read; :class:`~solgeo.sol_space.Point` rejects a non-finite
-        coordinate."""
-        return Point(*self.patch.position(self.u, self.v))
 
     def _array(self, nested) -> np.ndarray:
         """Nested lists of this record's values as one array, with the
@@ -451,9 +444,7 @@ class LocalGeometry:
             return l * s * s + 2.0 * m * s * t + n * t * t
 
         return AdaptedFrameSample(
-            x1=TangentVector(self.point, self._array(x1_f)),
-            x2=TangentVector(self.point, self._array(x2_f)),
-            xi=TangentVector(self.point, self.xi_f),
+            x1=self._array(x1_f), x2=self._array(x2_f), xi=self.xi_f,
             theta=xp.arctan2(self._xi[2], x1_f[2]),
             beta=xp.arctan2(x2_f[1], x2_f[0]), h=self.h,
             lambda1=normal_curvature(c1), lambda2=normal_curvature(c2),
@@ -484,8 +475,7 @@ def fundamental_forms(patch: SurfacePatch, u: Param,
         If the partials fail to span a plane at the point.
     """
     geo = LocalGeometry(patch, u, v)
-    return FundamentalForms(geo.first, geo.second,
-                            TangentVector(geo.point, geo.xi_f))
+    return FundamentalForms(geo.first, geo.second, geo.xi_f)
 
 
 def shape_data(patch: SurfacePatch, u: Param, v: Param) -> ShapeData:

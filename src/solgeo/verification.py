@@ -41,7 +41,7 @@ from .biconservative_family import (CONSTANTS, EXPLICIT, ProfileSolution,
                                     theta_explicit, theta_prime_explicit)
 from .exact_poly import (coefficients_as_strings, nonexistence_addends,
                          real_roots_interval)
-from .numerics import namespace
+from .numerics import namespace, stencil_points, stencil_rates
 from .patch import SurfacePatch
 from .sol_space import (Point, TangentVector, canonical_leaf,
                         covariant_derivative, curvature_tensor,
@@ -174,8 +174,9 @@ class _FrameEval:
     frame table :func:`~solgeo.sol_space.frame_connection`.  The rates are
     (N,) arrays, ``nab1`` and ``nab2`` the (N, 3) frame components of
     nabla_X1 X1 and nabla_X2 X1, ``frame`` the adapted frame at the N
-    points, and ``record`` the one 5N-point record of the stencil, its
-    points stacked as in :func:`_stencil_points`.
+    points, and ``record`` the one 5N-point record of the stencil: the N
+    points first, then the four blocks of
+    :func:`~solgeo.numerics.stencil_points`.
     """
 
     frame: AdaptedFrameSample
@@ -193,33 +194,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=-1)
 
 
-def _stencil_points(u: np.ndarray, v: np.ndarray,
-                    step: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The 5N points of a stencil around the (N,) points u and v, stacked
-    in five blocks: the centre, (u + step, v), (u - step, v),
-    (u, v + step) and (u, v - step)."""
-    return (np.concatenate([u, u + step, u - step, u, u]),
-            np.concatenate([v, v, v, v + step, v - step]))
-
-
-def _stencil_rates(stacked: np.ndarray, step: float):
-    """(d/du, d/dv) by central differences over the four stencil blocks of
-    values stacked as in :func:`_stencil_points`, point axis last."""
-    _, east, west, north, south = np.split(stacked, 5, axis=-1)
-    return (east - west) / (2.0 * step), (north - south) / (2.0 * step)
-
-
 def _centre(sample: AdaptedFrameSample, n: int) -> AdaptedFrameSample:
     """The frame at the first ``n`` points of a stacked sample."""
-    base = sample.x1.base
-    point = Point(base.x[:n], base.y[:n], base.z[:n])
-
-    def head(value):
-        if isinstance(value, TangentVector):
-            return TangentVector(point, value.components[:n])
-        return value[:n]
-
-    return AdaptedFrameSample(*(head(getattr(sample, field.name))
+    return AdaptedFrameSample(*(getattr(sample, field.name)[:n]
                                 for field in fields(sample)))
 
 
@@ -227,14 +204,17 @@ def _frame_eval(patch: SurfacePatch, u: np.ndarray, v: np.ndarray,
                 override) -> _FrameEval:
     """The identity ingredients at the points of the (N,) arrays u and v,
     from one record over the centre and its four shifted copies
-    (:func:`_stencil_points`) and that record's one adapted frame.
+    (:func:`~solgeo.numerics.stencil_points`) and that record's one
+    adapted frame.
 
     A degenerate or CMC-degenerate point raises the record's error naming
     the first such point, so a centre point before any stencil point."""
-    step = patch.fd_step
-    record = LocalGeometry(patch, *_stencil_points(u, v, step))
+    step, n = patch.fd_step, len(u)
+    s, t = stencil_points(u, v, step)
+    record = LocalGeometry(patch, np.concatenate([u, s]),
+                           np.concatenate([v, t]))
     stacked = record.adapted_frame(override)
-    center = _centre(stacked, len(u))
+    center = _centre(stacked, n)
 
     def along(coeffs, rates):
         """The rate along the vectors with parameter coefficients
@@ -242,10 +222,10 @@ def _frame_eval(patch: SurfacePatch, u: np.ndarray, v: np.ndarray,
         point axis of a vector quantity comes last."""
         return coeffs[:, 0] * rates[0] + coeffs[:, 1] * rates[1]
 
-    dth = _stencil_rates(stacked.theta, step)
-    dbe = _stencil_rates(stacked.beta, step)
-    dx1 = _stencil_rates(stacked.x1.components.T, step)
-    x1, x2 = center.x1.components.T, center.x2.components.T
+    dth = stencil_rates(stacked.theta[n:], step)
+    dbe = stencil_rates(stacked.beta[n:], step)
+    dx1 = [rate.T for rate in stencil_rates(stacked.x1[n:], step)]
+    x1, x2 = center.x1.T, center.x2.T
 
     def nabla_x1(coeffs, direction):
         """nabla_D X1 in frame components, for D with parameter
@@ -268,8 +248,8 @@ def _identity_residuals(e: _FrameEval) -> np.ndarray:
     s, c = np.sin(fr.theta), np.cos(fr.theta)
     sb, cb = np.sin(fr.beta), np.cos(fr.beta)
     s2b, c2b = np.sin(2.0 * fr.beta), np.cos(2.0 * fr.beta)
-    nab1_dot_x2 = _dot(e.nab1, fr.x2.components)
-    nab2_dot_x2 = _dot(e.nab2, fr.x2.components)
+    nab1_dot_x2 = _dot(e.nab1, fr.x2)
+    nab2_dot_x2 = _dot(e.nab2, fr.x2)
     return np.array([
         e.x1_theta + fr.lambda1 - c2b * s,
         e.x2_theta + s2b,
@@ -339,10 +319,10 @@ def _angle_rows(e: _FrameEval, sign: float, step: float) -> np.ndarray:
     ``ANGLE_CHECK_IDS`` order and one column per point; the first two
     rows are floors, the rest errors."""
     fr = e.frame
-    x1, x2, c2 = fr.x1.components, fr.x2.components, fr.x2_coefficients
+    x1, x2, c2 = fr.x1, fr.x2, fr.x2_coefficients
     s, c = np.sin(fr.theta), np.cos(fr.theta)
     # X2(|grad f|) from the stencil blocks of the one record
-    g_du, g_dv = _stencil_rates(_gradient_norm(e.record), step)
+    g_du, g_dv = stencil_rates(_gradient_norm(e.record)[len(x1):], step)
     return np.array([
         np.abs(c), np.abs(s), np.abs(e.x1_theta + 2.0 * fr.h),
         np.abs(e.x2_theta),

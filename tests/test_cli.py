@@ -496,6 +496,15 @@ def test_malformed_config_json_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "mesh.obj").exists()
 
 
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe\x00{")
+    assert run(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load config: ")
+    assert err.count("\n") == 1
+
+
 def test_output_into_a_directory_is_runtime_error(tmp_path, capsys):
     assert run(["generate", "--nu", "4", "--nv", "3",
                 "--output", str(tmp_path)]) == 1

@@ -5,9 +5,9 @@ third-party packages it declares, no module imports scipy, the surface
 calculus leaves finite differences to the patch and the curvature trace
 to its closed form, run-time geometry reads Sol's connection from the
 frame table, the obstruction polynomial is formed in exact_poly
-only, the explicit family's domain is stated once, a record's constructor
-never calls the immersion, and every dataclass field with a default is
-set by some caller."""
+only, the explicit family's domain is stated once, the surface calculus never
+calls the immersion, and every dataclass field with a default is set by
+some caller."""
 
 import ast
 import os
@@ -206,21 +206,24 @@ def test_run_time_geometry_reads_the_frame_table_alone():
 
 
 def test_record_constructor_never_calls_the_immersion():
-    # a record reads its height with the partials; only its lazily built
-    # base point calls the immersion
+    # in Sol's frame a vector's components and z fix every quantity of the
+    # surface calculus, so no function or method there calls the immersion
+    # or builds a point or a tangent vector, and only the frame table, the
+    # Gram tolerance and its error come from sol_space
     tree = ast.parse((PACKAGE_DIR / "surface_calculus.py")
                      .read_text(encoding="utf-8"))
-    record = next(node for node in tree.body
-                  if isinstance(node, ast.ClassDef)
-                  and node.name == "LocalGeometry")
-    methods = {node.name: node for node in record.body
-               if isinstance(node, ast.FunctionDef)}
-    called = {_call_name(node) for node in ast.walk(methods["__init__"])
+    called = {_call_name(node) for node in ast.walk(tree)
               if isinstance(node, ast.Call)}
-    assert called & {"position", "immersion", "Point"} == set()
-    point = {_call_name(node) for node in ast.walk(methods["point"])
-             if isinstance(node, ast.Call)}
-    assert "position" in point
+    assert called & {"position", "immersion", "Point",
+                     "TangentVector"} == set()
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert named & {"Point", "TangentVector"} == set()
+    from_sol_space = {alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      and node.module == "sol_space"
+                      for alias in node.names}
+    assert from_sol_space == {"frame_connection", "PLANE_GRAM_TOLERANCE",
+                              "DegeneratePlaneError"}
 
 
 def test_verification_reads_the_obstruction_addends_from_exact_poly():

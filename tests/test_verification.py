@@ -244,8 +244,8 @@ def _five_record_frame_eval(patch, u, v, override):
 
     dth = rates([f.theta for f in frames])
     dbe = rates([f.beta for f in frames])
-    dx1 = rates([f.x1.components.T for f in frames])
-    x1, x2 = center.x1.components.T, center.x2.components.T
+    dx1 = rates([f.x1.T for f in frames])
+    x1, x2 = center.x1.T, center.x2.T
     c1, c2 = center.x1_coefficients, center.x2_coefficients
     nab = [(along(c, dx1) + np.array(frame_connection(d, x1))).T
            for c, d in ((c1, x1), (c2, x2))]
@@ -257,15 +257,8 @@ def _five_record_frame_eval(patch, u, v, override):
 
 def _frame_fields(sample):
     """Every array of an adapted-frame sample, by name."""
-    out = {}
-    for field in dataclasses.fields(sample):
-        value = getattr(sample, field.name)
-        if isinstance(value, TangentVector):
-            out[field.name] = value.components
-            out[field.name + "_base"] = value.base.as_array()
-        else:
-            out[field.name] = value
-    return out
+    return {field.name: getattr(sample, field.name)
+            for field in dataclasses.fields(sample)}
 
 
 @pytest.mark.parametrize("fixture", ["x1", "x2", "rotated_leaf"])

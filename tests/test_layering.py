@@ -5,9 +5,9 @@ third-party packages it declares, no module imports scipy, the surface
 calculus leaves finite differences to the patch and the curvature trace
 to its closed form, run-time geometry reads Sol's connection from the
 frame table, the obstruction polynomial is formed in exact_poly
-only, the explicit family's domain is stated once, the surface calculus never
-calls the immersion, and every dataclass field with a default is set by
-some caller."""
+only, the explicit family's domain is stated once, the surface calculus
+never calls the immersion, and every dataclass field with a default is
+set by some caller."""
 
 import ast
 import os

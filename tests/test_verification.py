@@ -255,12 +255,6 @@ def _five_record_frame_eval(patch, u, v, override):
     return center, ingredients, stencil
 
 
-def _frame_fields(sample):
-    """Every array of an adapted-frame sample, by name."""
-    return {field.name: getattr(sample, field.name)
-            for field in dataclasses.fields(sample)}
-
-
 @pytest.mark.parametrize("fixture", ["x1", "x2", "rotated_leaf"])
 def test_stacked_frame_eval_equals_five_records(request, fixture):
     if fixture == "rotated_leaf":
@@ -273,7 +267,7 @@ def test_stacked_frame_eval_equals_five_records(request, fixture):
     stacked = verification._frame_eval(patch, u, v, override)
     center, ingredients, stencil = _five_record_frame_eval(patch, u, v,
                                                            override)
-    expected, got = _frame_fields(center), _frame_fields(stacked.frame)
+    expected, got = vars(center), vars(stacked.frame)
     assert expected.keys() == got.keys()
     for name in expected:
         assert np.array_equal(got[name], expected[name]), name

@@ -805,12 +805,10 @@ def family_surface(profile: ProfileSolution, variant: str) -> SurfacePatch:
     def partials(u, v):
         theta, f, psi = profile.theta_at(u), profile.f_at(u), profile.psi_at(u)
         xp = namespace(theta)
-        sin = xp.sin(theta)
-        d_uu = place(xp.exp(psi) * xp.cos(theta) * (2.0 * f - sin),
-                     2.0 * f * sin, 0.0)
+        sin, cos, e = xp.sin(theta), xp.cos(theta), xp.exp(psi)
+        d_uu = place(e * cos * (2.0 * f - sin), 2.0 * f * sin, 0.0)
         height = place(0.0, psi, 0.0)[2]
-        return (height, place(*_first_order(theta, psi), 0.0), ruling, d_uu,
-                zero, zero)
+        return (height, place(-sin * e, cos, 0.0), ruling, d_uu, zero, zero)
 
     f_field = ScalarField(
         value=lambda u, v: profile.f_at(u),

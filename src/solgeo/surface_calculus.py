@@ -125,9 +125,11 @@ class AdaptedFrameSample:
 
 
 class _computed_once:
-    """A lazily set attribute: the first read computes the value and stores
-    it on the instance, shadowing this descriptor.  Unlike
-    ``functools.cached_property`` it takes no lock; recomputation is pure."""
+    """A record attribute outside the constructor's core (a public array,
+    or a value that needs more input or may raise): the first read
+    computes it and stores it on the instance, shadowing this descriptor.
+    Unlike ``functools.cached_property`` it takes no lock; recomputation
+    is pure."""
 
     def __init__(self, func):
         self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
@@ -148,20 +150,36 @@ def _cross(a, b):
             a[0] * b[1] - a[1] * b[0])
 
 
+def _nabla(second, a, b):
+    """Frame components of nabla_a b for frame partials a (along) and b
+    (differentiated), and second the frame components of b's partial along
+    a.  The derivative of b's frame components is (e^z (x_ij + z_i x_j),
+    e^{-z} (y_ij - z_i y_j), z_ij) = second + (a3 b1, -a3 b2, 0), plus
+    Sol's constant table applied to a and b."""
+    table = frame_connection(a, b)
+    return (second[0] + a[2] * b[0] + table[0],
+            second[1] - a[2] * b[1] + table[1], second[2] + table[2])
+
+
 class LocalGeometry:
     """Local extrinsic geometry of ``patch`` at the parameter point ``(u, v)``,
     or at N points when ``u`` and ``v`` are same-shape (N,) arrays.
 
     The constructor reads the height z and all five partials from one call
     of the patch's ``partials`` handle
-    (:meth:`~solgeo.patch.SurfacePatch.height_and_derivatives`), converts
-    the partials to frame components once, and evaluates the unit normal
-    and the first fundamental form.  Every other attribute is computed on
-    first access and kept, so one record reads the handle once and
-    evaluates each derived quantity exactly once.  In Sol's left-invariant
-    frame the components of a vector and the height fix every quantity
-    here, so no attribute reads x or y and the record never calls the
-    immersion.
+    (:meth:`~solgeo.patch.SurfacePatch.height_and_derivatives`) and
+    computes the record's core in one pass: the partials' frame
+    components, the first fundamental form, the unit normal, the ambient
+    derivatives of the partials, the second form, the shape operator and
+    the mean curvature ``h``.  What needs more input or may raise is
+    computed on first access and kept: ``dh`` and ``gradient_h`` (the
+    patch's mean-curvature field, or differences of f), ``K`` (which
+    refuses a near-degenerate plane), ``surface_christoffel``,
+    ``principal_curvatures``, the public arrays and the adapted frame.  So
+    one record reads the handle once and evaluates each derived quantity
+    exactly once.  In Sol's left-invariant frame the components of a
+    vector and the height fix every quantity here, so no attribute reads x
+    or y and the record never calls the immersion.
 
     The arithmetic is closed-form and elementwise, written once: on Python
     floats with ``math`` at one point, on (N,) arrays with numpy at N
@@ -187,7 +205,8 @@ class LocalGeometry:
     Raises
     ------
     DegenerateParametrizationError
-        If the partials fail to span a plane at the point, naming the first
+        If the partials fail to span a plane at the point, or span one at
+        an angle whose sin^2 = 1 - cos^2 rounds to zero, naming the first
         such point of an N-point record.  :meth:`adapted_frame` raises
         :class:`CmcDegenerateError` the same way.
     """
@@ -202,9 +221,9 @@ class LocalGeometry:
         self.patch, self.u, self.v = patch, u, v
         z, derivatives = patch.height_and_derivatives(u, v)
         ez = xp.exp(z)
-        self._du, self._dv, *self._second_f = (
-            (ez * c[0], c[1] / ez, c[2]) for c in derivatives)
-        du, dv = self._du, self._dv
+        du, dv, duu, duv, dvv = ((ez * c[0], c[1] / ez, c[2])
+                                 for c in derivatives)
+        self._du, self._dv = du, dv
         e, f, g = _dot(du, du), _dot(du, dv), _dot(dv, dv)
         # scaled by a power of two to components below 1, the cross product's
         # length cannot overflow; where it would not anyway no bit moves
@@ -214,18 +233,33 @@ class LocalGeometry:
         scaled_norm = xp.sqrt(_dot(cross, cross))
         norm = xp.ldexp(scaled_norm, top)
         root_e, root_g = xp.sqrt(e), xp.sqrt(g)
-        # written so that a NaN partial is degenerate too
+        # written so that a NaN partial is degenerate too; the angle's
+        # cosine is taken only once E and G are known to be nonzero, and
+        # a plane that passes the norm test may still have an angle whose
+        # sin^2 = 1 - cos^2 rounds to zero, which no 2x2 solve survives
         bad = first_false(norm > 1e-10 * xp.maximum(root_e * root_g, 1e-30))
+        if bad is None:
+            cos = f / root_e / root_g
+            sin_sq = 1.0 - cos * cos
+            bad = first_false(sin_sq > 0.0)
         if bad is not None:
             raise DegenerateParametrizationError(
                 f"parametrization of {patch.name!r} degenerates at "
                 f"(u, v) = ({np.ravel(u)[bad]:g}, {np.ravel(v)[bad]:g})")
         self._E, self._F, self._G = e, f, g
         self._root_e, self._root_g = root_e, root_g
-        self._cos = f / root_e / root_g
-        self._sin_sq = 1.0 - self._cos * self._cos
-        self._xi = (cross[0] / scaled_norm, cross[1] / scaled_norm,
-                    cross[2] / scaled_norm)
+        self._cos, self._sin_sq = cos, sin_sq
+        self._xi = xi = (cross[0] / scaled_norm, cross[1] / scaled_norm,
+                         cross[2] / scaled_norm)
+        # nabla_{d_u} d_u, nabla_{d_u} d_v and nabla_{d_v} d_v: their normal
+        # parts are the second form (l, m, n), and A solves I A = II
+        self._ambient = uu, uv, vv = (_nabla(duu, du, du), _nabla(duv, du, dv),
+                                      _nabla(dvv, dv, dv))
+        self._second = l, m, n = _dot(uu, xi), _dot(uv, xi), _dot(vv, xi)
+        a00, a10 = self._solve(l, m)
+        a01, a11 = self._solve(m, n)
+        self._shape = (a00, a01), (a10, a11)
+        self.h = 0.5 * (a00 + a11)
 
     def _array(self, nested) -> np.ndarray:
         """Nested lists of this record's values as one array, with the
@@ -265,30 +299,6 @@ class LocalGeometry:
         return self._length(p, q)
 
     @_computed_once
-    def _ambient(self):
-        """Frame components of the ambient derivatives of d_u along d_u,
-        d_v along d_u and d_v along d_v.  With a and b the frame partials
-        along and differentiated, nabla_{d_i} d_j is the derivative of b's
-        frame components, (e^z (x_ij + z_i x_j), e^{-z} (y_ij - z_i y_j),
-        z_ij) = frame(d_ij) + (a3 b1, -a3 b2, 0), plus Sol's constant
-        table applied to a and b."""
-        du, dv = self._du, self._dv
-        duu, duv, dvv = self._second_f
-
-        def nabla(second, a, b):
-            table = frame_connection(a, b)
-            return (second[0] + a[2] * b[0] + table[0],
-                    second[1] - a[2] * b[1] + table[1], second[2] + table[2])
-
-        return (nabla(duu, du, du), nabla(duv, du, dv), nabla(dvv, dv, dv))
-
-    @_computed_once
-    def _second(self):
-        """(l, m, n): the normal part of each ambient derivative."""
-        uu, uv, vv = self._ambient
-        return _dot(uu, self._xi), _dot(uv, self._xi), _dot(vv, self._xi)
-
-    @_computed_once
     def second(self) -> np.ndarray:
         """Normal part of the ambient derivatives of the partials."""
         l, m, n = self._second
@@ -311,21 +321,8 @@ class LocalGeometry:
                             [[v_uu, v_uv], [v_uv, v_vv]]])
 
     @_computed_once
-    def _shape(self):
-        """((A00, A01), (A10, A11))."""
-        l, m, n = self._second
-        a00, a10 = self._solve(l, m)
-        a01, a11 = self._solve(m, n)
-        return (a00, a01), (a10, a11)
-
-    @_computed_once
     def A(self) -> np.ndarray:
         return self._array(self._shape)
-
-    @_computed_once
-    def h(self):
-        (a00, _), (_, a11) = self._shape
-        return 0.5 * (a00 + a11)
 
     @_computed_once
     def K(self):

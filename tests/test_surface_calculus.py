@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 from collections import Counter
@@ -9,14 +10,15 @@ import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from solgeo import surface_calculus
 from solgeo.biconservative_family import (EXPLICIT, EXPLICIT_U_MIN,
                                           IMPLICIT, build_profile,
                                           family_surface)
 from solgeo.numerics import central_diff, namespace
 from solgeo.patch import ScalarField, SurfacePatch
-from solgeo.sol_space import (Point, TangentVector, canonical_leaf,
-                              christoffel, curvature_components,
-                              sectional_curvature)
+from solgeo.sol_space import (DegeneratePlaneError, Point, TangentVector,
+                              canonical_leaf, christoffel,
+                              curvature_components, sectional_curvature)
 from solgeo.surface_calculus import (CmcDegenerateError,
                                      DegenerateParametrizationError,
                                      LocalGeometry, adapted_frame,
@@ -182,48 +184,73 @@ def test_principal_curvatures_match_generalized_eigenvalues(patch_x1,
                     (patch.name, u, v)
 
 
-def test_local_geometry_reads_each_handle_once(patch_x1):
+def _read_every_view(geo, order):
+    """Read every attribute and call every method of ``geo``, in the
+    listed order (``order`` 1) or in reverse (-1)."""
+    square = ScalarField(
+        lambda s, t: s * s + t, first_partials=lambda s, t: (2.0 * s, 1.0),
+        second_partials=lambda s, t: (2.0, 0.0, 0.0))
+    reads = [lambda name=name: getattr(geo, name) for name in (
+        "xi_f", "first", "second", "A", "h", "K", "principal_curvatures",
+        "dh", "gradient_h", "curvature_trace", "normal_trace", "residual",
+        "surface_christoffel", "norm_A_sq")]
+    reads += [lambda: geo.laplacian(square), geo.adapted_frame,
+              geo.adapted_frame]
+    for read in reads[::order]:
+        read()
+
+
+def test_local_geometry_reads_each_handle_once(patch_x1, monkeypatch):
     calls = Counter()
 
-    def counted(name, handle):
-        def wrapper(u, v):
-            calls[name, u, v] += 1
-            return handle(u, v)
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
         return wrapper
 
+    monkeypatch.setattr(surface_calculus, "frame_connection", counted(
+        "frame_connection", surface_calculus.frame_connection))
+    f_field = patch_x1.mean_curvature
     patch = dataclasses.replace(
         patch_x1, immersion=counted("position", patch_x1.immersion),
-        partials=counted("partials", patch_x1.partials))
-    u, v = -1.0, 0.3
-    geo = LocalGeometry(patch, u, v)
-    for name in ("xi_f", "first", "second", "A", "h", "K",
-                 "principal_curvatures", "dh", "gradient_h",
-                 "curvature_trace", "normal_trace", "residual",
-                 "surface_christoffel", "norm_A_sq"):
-        getattr(geo, name)
-    geo.laplacian(ScalarField(
-        lambda s, t: s * s + t, first_partials=lambda s, t: (2.0 * s, 1.0),
-        second_partials=lambda s, t: (2.0, 0.0, 0.0)))
-    frame = geo.adapted_frame()
-    geo.adapted_frame()
-    # the height comes with the partials: no field reads the immersion
-    assert dict(calls) == {("partials", u, v): 1}
+        partials=counted("partials", patch_x1.partials),
+        mean_curvature=dataclasses.replace(f_field, first_partials=counted(
+            "first_partials", f_field.first_partials)))
+    # the height comes with the partials, so nothing reads the immersion,
+    # and the record's core (the ambient derivatives, one frame_connection
+    # call each, through to A and h) is computed once, whatever is read
+    once = {"partials": 1, "first_partials": 1, "frame_connection": 3}
+    for u, v in ((-1.0, 0.3), (np.array([-1.0, -2.5, -0.4]),
+                               np.array([0.3, -0.6, 0.9]))):
+        for order in (1, -1):
+            calls.clear()
+            geo = LocalGeometry(patch, u, v)
+            _read_every_view(geo, order)
+            assert dict(calls) == once, (u, order)
+        frame = geo.adapted_frame()
 
-    sd = shape_data(patch, u, v)
-    assert np.array_equal(sd.A, geo.A)
-    assert sd.h == geo.h and sd.K == geo.K
-    assert np.array_equal(sd.gradient_h, geo.gradient_h)
-    assert np.array_equal(sd.principal_curvatures, geo.principal_curvatures)
-    assert np.array_equal(biconservative_residual(patch, u, v), geo.residual)
-    forms = fundamental_forms(patch, u, v)
-    assert np.array_equal(forms.first, geo.first)
-    assert np.array_equal(forms.second, geo.second)
-    view = adapted_frame(patch, u, v)
-    for field in dataclasses.fields(view):
-        assert np.array_equal(getattr(view, field.name),
-                              getattr(frame, field.name)), field.name
-    # nor does any of the views
-    assert {name for name, *_ in calls} == {"partials"}
+        calls.clear()
+        sd = shape_data(patch, u, v)
+        assert dict(calls) == once
+        assert np.array_equal(sd.A, geo.A)
+        assert np.array_equal(sd.h, geo.h) and np.array_equal(sd.K, geo.K)
+        assert np.array_equal(sd.gradient_h, geo.gradient_h)
+        assert np.array_equal(sd.principal_curvatures,
+                              geo.principal_curvatures)
+        calls.clear()
+        assert np.array_equal(biconservative_residual(patch, u, v),
+                              geo.residual)
+        assert dict(calls) == once
+        forms = fundamental_forms(patch, u, v)
+        assert np.array_equal(forms.first, geo.first)
+        assert np.array_equal(forms.second, geo.second)
+        view = adapted_frame(patch, u, v)
+        for field in dataclasses.fields(view):
+            assert np.array_equal(getattr(view, field.name),
+                                  getattr(frame, field.name)), field.name
+        # nor does any of the views
+        assert "position" not in calls
 
 
 def _numpy_record(patch, u, v, dh):
@@ -404,6 +431,127 @@ def test_n_point_public_functions_match_one_point_calls(patch_x1, patch_x2):
             assert_ulps(rows, expected, own_scale(expected),
                         f"{patch.name} {field.name}")
 
+
+def _sheared_plane(shear):
+    """The z = 0 plane with d_u = E1 and d_v = E1 + shear E2: a tangent
+    plane that closes as ``shear`` goes to zero."""
+    zero = (0.0, 0.0, 0.0)
+    return SurfacePatch(
+        immersion=lambda u, v: (u + v, shear * v, 0.0),
+        partials=lambda u, v: (0.0 * u, (1.0, 0.0, 0.0), (1.0, shear, 0.0),
+                               zero, zero, zero),
+        domain=((-1.0, 1.0), (-1.0, 1.0)), name="sheared_plane")
+
+
+def _view_bytes(patch, u, v, x1_coefficients, views):
+    """The bytes of every field of each named public view at ``(u, v)``."""
+    calls = {
+        "shape_data": lambda: shape_data(patch, u, v),
+        "biconservative_residual": lambda: biconservative_residual(patch, u,
+                                                                   v),
+        "fundamental_forms": lambda: fundamental_forms(patch, u, v),
+        "adapted_frame": lambda: adapted_frame(patch, u, v, x1_coefficients),
+    }
+    out = b""
+    for name in views:
+        value = calls[name]()
+        fields = ([getattr(value, f.name) for f in dataclasses.fields(value)]
+                  if dataclasses.is_dataclass(value) else [value])
+        out += b"".join(np.asarray(f, dtype=float).tobytes() for f in fields)
+    return out
+
+
+ALL_VIEWS = ("shape_data", "biconservative_residual", "fundamental_forms",
+             "adapted_frame")
+# (patch, grid nu x nv, explicit X1 coefficients, views): the graph has no
+# mean-curvature gradient to orient its frame, and on the sheared plane
+# with shear 1e-7, sin^2 of the angle between the partials is about 1e-14,
+# where K refuses the plane (DegeneratePlaneError) and the other views
+# still answer
+PINNED_PATCHES = {
+    "explicit_x1": (lambda: family_surface(build_profile(
+        EXPLICIT, u_grid=np.linspace(-4.0, -0.01, 64), u0=-1.0), "x1"),
+        (6, 4), None, ALL_VIEWS),
+    "explicit_x2": (lambda: family_surface(build_profile(
+        EXPLICIT, u_grid=np.linspace(-4.0, -0.01, 64), u0=-1.0), "x2"),
+        (6, 4), None, ALL_VIEWS),
+    "implicit_x1": (lambda: _implicit_patch("x1"), (6, 4), None, ALL_VIEWS),
+    "graph": (graph_patch_fixture, (5, 4), (1.0, 0.0), ALL_VIEWS),
+    "sheared_1e-7": (lambda: _sheared_plane(1e-7), (3, 2), (1.0, 0.0),
+                     ALL_VIEWS[1:]),
+}
+
+# sha256 over every field of the pinned views, at each grid point in turn
+# ("one") and at all of them in one N-point call ("many"): a faster record
+# must leave every byte as it was.
+VIEW_DIGESTS = {
+    ("explicit_x1", "many"):
+        "00208d3d2f2d8c2113f3b88ab651a9ff2aca2183571e668d6c09a10dc479a1de",
+    ("explicit_x1", "one"):
+        "827002209fe5401e6ecf888542e68320f0faf7de8191e3957f3c4fb16260c8a7",
+    ("explicit_x2", "many"):
+        "53ab58dbfbcd28d655ac50379e4306d6644e06bf35d478b550b13efe07a72c60",
+    ("explicit_x2", "one"):
+        "eea88a38bf389cdb66ac5cc846305209b286dd82e1b6326a8393f70a5714521d",
+    ("graph", "many"):
+        "a8b5d3142c28cb55c3d204b1d8a23dc8edfc90476a0b25a562551d0abcdd0a1c",
+    ("graph", "one"):
+        "7ab406e38e9b63a546495f75b20b52acc25dbe2cf6d03a0b3546ff7f30797cb8",
+    ("implicit_x1", "many"):
+        "7d4ece58044d9912f063d0b91ef30a7b47526a44ea92bab1279664e6d931ae07",
+    ("implicit_x1", "one"):
+        "d42d21115da09fdb4d27512a03d9b18e0f0538dc1c6c9c22e7067831e9ba1197",
+    ("sheared_1e-7", "many"):
+        "0c65f95762ae83b76fa8a2e1042bd75ed6d6998b27eba99ac5105944e367ee0f",
+    ("sheared_1e-7", "one"):
+        "3df8f58c14efe698c91c362e799ff5f20bb89e33872921b4dd6c05b5c0342779",
+}
+
+
+@pytest.mark.parametrize("name,points", sorted(VIEW_DIGESTS))
+def test_view_bytes_are_pinned(name, points):
+    build, (nu, nv), x1_coefficients, views = PINNED_PATCHES[name]
+    patch = build()
+    u, v = _grid_points(patch, nu, nv)
+    if points == "many":
+        data = _view_bytes(patch, u, v, x1_coefficients, views)
+    else:
+        data = b"".join(_view_bytes(patch, s, t, x1_coefficients, views)
+                        for s, t in zip(u.tolist(), v.tolist()))
+    assert hashlib.sha256(data).hexdigest() == VIEW_DIGESTS[name, points]
+
+
+@pytest.mark.parametrize("shear", [1e-9, 1e-8])
+def test_near_degenerate_plane_is_degenerate(shear):
+    # |d_u x d_v| passes the constructor's norm test on these planes, but
+    # sin^2 = 1 - cos^2 of the angle between the partials rounds to zero,
+    # so every 2x2 solve would divide by zero; each public view refuses the
+    # plane instead, naming the first point
+    plane = _sheared_plane(shear)
+    square = ScalarField(lambda s, t: s * s,
+                         first_partials=lambda s, t: (2.0 * s, 0.0 * t),
+                         second_partials=lambda s, t: (2.0, 0.0, 0.0))
+    views = [
+        LocalGeometry, fundamental_forms, shape_data, biconservative_residual,
+        biharmonic_normal_residual,
+        lambda p, u, v: adapted_frame(p, u, v, (1.0, 0.0)),
+        lambda p, u, v: laplace_beltrami(p, square, u, v)]
+    for u, v in ((0.2, -0.3), (np.array([0.2, 0.5]), np.array([-0.3, 0.1]))):
+        for view in views:
+            with pytest.raises(DegenerateParametrizationError,
+                               match=r"\(u, v\) = \(0\.2, -0\.3\)"):
+                view(plane, u, v)
+
+
+def test_slightly_sheared_plane_keeps_its_answers():
+    # at shear 1e-7 sin^2 is about 1e-14: the record stands, K refuses the
+    # plane as the sectional curvature does, and the other views' bytes are
+    # pinned in VIEW_DIGESTS
+    plane = _sheared_plane(1e-7)
+    for u, v in ((0.2, -0.3), (np.array([0.2, 0.5]), np.array([-0.3, 0.1]))):
+        with pytest.raises(DegeneratePlaneError):
+            shape_data(plane, u, v)
+        assert np.all(np.isfinite(biconservative_residual(plane, u, v)))
 
 BUILDERS = [
     pytest.param(lambda: canonical_leaf("x_const", 0.3), id="leaf_x"),

@@ -109,6 +109,8 @@ EXPLICIT_U_MIN = -26.0 * math.log(2.0) / CONSTANTS.a1
 # The explicit closed forms take u as a float or as an array, and each is
 # written once against :func:`~solgeo.numerics.namespace`: a float is
 # evaluated with ``math`` and an array with numpy's ufuncs, entry by entry.
+# The public forms check the domain; theta, f and Psi are unchecked kernels
+# beneath them, which :func:`_state_explicit` reads after one check.
 
 
 def _require_domain(u) -> None:
@@ -122,14 +124,18 @@ def _require_domain(u) -> None:
                          f"<= u < 0, got u = {float(np.ravel(u)[bad])!r}")
 
 
+def _theta(u):
+    xp = namespace(u)
+    return 2.0 * xp.arctan(xp.exp(-2.0 * CONSTANTS.a1 * u))
+
+
 def theta_explicit(u):
     """Vertical angle theta(u) = 2 arctan(e^{-2 a1 u}) on the domain.
 
     Decreases from one ulp below pi (u = EXPLICIT_U_MIN) to pi/2 (u -> 0-).
     """
     _require_domain(u)
-    xp = namespace(u)
-    return 2.0 * xp.arctan(xp.exp(-2.0 * CONSTANTS.a1 * u))
+    return _theta(u)
 
 
 def theta_prime_explicit(u):
@@ -147,10 +153,14 @@ def _sech(w):
     return 1.0 / namespace(w).cosh(w)
 
 
+def _mean_curvature(u):
+    return CONSTANTS.a1 * _sech(2.0 * CONSTANTS.a1 * u)
+
+
 def f_explicit(u):
     """Mean curvature f(u) = 2 a1 e^{-2 a1 u} / (1 + e^{-4 a1 u}) = a1 sech(2 a1 u)."""
     _require_domain(u)
-    return CONSTANTS.a1 * _sech(2.0 * CONSTANTS.a1 * u)
+    return _mean_curvature(u)
 
 
 def f_prime_explicit(u):
@@ -167,15 +177,26 @@ def f_second_explicit(u):
     return 4.0 * CONSTANTS.a1 ** 3 * s * (1.0 - 2.0 * s * s)
 
 
+def _psi(u, c0: float):
+    a = CONSTANTS.a1
+    xp = namespace(u)
+    return -u + xp.log1p(xp.exp(4.0 * a * u)) / (2.0 * a) + c0
+
+
 def psi_explicit(u, c0: float = 0.0):
     """Height quadrature Psi(u) = ln(e^{-4 a1 u} + 1) / (2 a1) + u + c0.
 
     Evaluated as -u + log1p(e^{4 a1 u}) / (2 a1) + c0.
     """
     _require_domain(u)
-    a = CONSTANTS.a1
-    xp = namespace(u)
-    return -u + xp.log1p(xp.exp(4.0 * a * u)) / (2.0 * a) + c0
+    return _psi(u, c0)
+
+
+def _state_explicit(u, c0: float):
+    """(theta, f, Psi) at u, as :func:`theta_explicit`, :func:`f_explicit`
+    and :func:`psi_explicit` give them, with one domain check."""
+    _require_domain(u)
+    return _theta(u), _mean_curvature(u), _psi(u, c0)
 
 
 def psi_anchor(u0: float) -> float:
@@ -353,13 +374,15 @@ class ProfileSolution:
     ``u`` is strictly increasing; Psi and Phi1 vanish at the anchor ``u0``
     (``c0``, Psi's constant, is set to match).  The dense evaluators are
     ``theta_at``, ``f_at``, ``psi_at``, ``phi1_at``, ``f_prime_at`` and
-    ``f_second_at``.  For the explicit kind they are the closed forms,
-    Phi1 included (see the module docstring), and every sample equals its
-    dense value exactly; for the implicit kind they are cubic Hermite
-    interpolants of the samples, whose slopes are known exactly from the
-    ODE (dense accuracy O(spacing^4)), and f' and f'' are the ODE's.
-    They extrapolate the end cubics at most ``DENSE_REACH_STEPS`` widest
-    sample spacings past the samples and raise ``ValueError`` beyond.
+    ``f_second_at``, and ``state_at``, which returns (theta, f, Psi) with
+    the bits of the first three from one check of u.  For the explicit
+    kind they are the closed forms, Phi1 included (see the module
+    docstring), and every sample equals its dense value exactly; for the
+    implicit kind they are cubic Hermite interpolants of the samples,
+    whose slopes are known exactly from the ODE (dense accuracy
+    O(spacing^4)), and f' and f'' are the ODE's.  They extrapolate the end
+    cubics at most ``DENSE_REACH_STEPS`` widest sample spacings past the
+    samples and raise ``ValueError`` beyond.
 
     The angle must decrease strictly from sample to sample (theta' = -2 f
     with f > 0); a profile that breaks this raises
@@ -428,7 +451,7 @@ class ProfileSolution:
     # Each evaluator takes u as a float or as an array (one value per
     # entry).
 
-    def _hermite(self, u, column: str):
+    def _require_reach(self, u) -> None:
         if len(self.u) < 2:
             raise ValueError("need at least two samples for dense evaluation")
         bad = first_false(namespace(u).isfinite(u))
@@ -442,9 +465,25 @@ class ProfileSolution:
                 f"implicit profile extrapolates at most {self._reach:g} past "
                 f"its samples on [{self.u[0]:g}, {self.u[-1]:g}], got "
                 f"u = {np.ravel(u)[bad]:g}")
+
+    def _dense(self, u, column: str):
+        # u has passed _require_reach
         value = hermite_eval(u, self.u, getattr(self, column),
                              self._slopes[column])
         return value if isinstance(u, np.ndarray) else float(value)
+
+    def _hermite(self, u, column: str):
+        self._require_reach(u)
+        return self._dense(u, column)
+
+    def state_at(self, u):
+        """(theta, f, Psi) at u, as ``theta_at``, ``f_at`` and ``psi_at``
+        give them, from one check of u."""
+        if self.kind == EXPLICIT:
+            return _state_explicit(u, self.c0)
+        self._require_reach(u)
+        return (self._dense(u, "theta"), self._dense(u, "f"),
+                self._dense(u, "psi"))
 
     def theta_at(self, u):
         if self.kind == EXPLICIT:
@@ -790,9 +829,10 @@ def family_surface(profile: ProfileSolution, variant: str) -> SurfacePatch:
     the profile's derivative relations, written here once: with
     theta' = -2 f, Psi' = cos theta, Phi1' = -sin theta e^{Psi},
     Psi'' = 2 f sin theta and Phi1'' = e^{Psi} cos theta (2 f - sin theta).
-    One call of the patch's ``partials`` evaluates theta, f and Psi once
-    each, and returns the height z (Psi, signed by the layout) beside the
-    five partials, so no record evaluates Phi1; only the immersion does.
+    One call of the patch's ``partials`` reads theta, f and Psi from one
+    :meth:`ProfileSolution.state_at` call, which checks u once, and
+    returns the height z (Psi, signed by the layout) beside the five
+    partials, so no record evaluates Phi1; only the immersion does.
     The mean-curvature field reads f' and f'' from the profile.
     On an explicit profile the patch, like the closed forms it reads,
     raises ``ValueError`` at u outside EXPLICIT_U_MIN <= u < 0.
@@ -803,7 +843,7 @@ def family_surface(profile: ProfileSolution, variant: str) -> SurfacePatch:
     zero = (0.0, 0.0, 0.0)
 
     def partials(u, v):
-        theta, f, psi = profile.theta_at(u), profile.f_at(u), profile.psi_at(u)
+        theta, f, psi = profile.state_at(u)
         xp = namespace(theta)
         sin, cos, e = xp.sin(theta), xp.cos(theta), xp.exp(psi)
         d_uu = place(e * cos * (2.0 * f - sin), 2.0 * f * sin, 0.0)

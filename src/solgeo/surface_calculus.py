@@ -150,6 +150,15 @@ def _cross(a, b):
             a[0] * b[1] - a[1] * b[0])
 
 
+def _f_field(patch: SurfacePatch) -> ScalarField:
+    """The patch's mean-curvature field, or else a field of each point's
+    own f with no handles (an N-point record's own f at its 4N shifted
+    points, in one record): its gradient is a central difference, and it
+    has no Hessian."""
+    return patch.mean_curvature or ScalarField(
+        lambda s, t: LocalGeometry(patch, s, t).h)
+
+
 def _nabla(second, a, b):
     """Frame components of nabla_a b for frame partials a (along) and b
     (differentiated), and second the frame components of b's partial along
@@ -172,9 +181,11 @@ class LocalGeometry:
     components, the first fundamental form, the unit normal, the ambient
     derivatives of the partials, the second form, the shape operator and
     the mean curvature ``h``.  What needs more input or may raise is
-    computed on first access and kept: ``dh`` and ``gradient_h`` (the
-    patch's mean-curvature field, or differences of f), ``K`` (which
-    refuses a near-degenerate plane), ``surface_christoffel``,
+    computed on first access and kept: the differential of f and its
+    gradient, in one step that reads the patch's mean-curvature field (or
+    differences each point's own f) once and that ``dh``, ``gradient_h``,
+    ``residual`` and the adapted frame share, ``K`` (which refuses a
+    near-degenerate plane), ``surface_christoffel``,
     ``principal_curvatures``, the public arrays and the adapted frame.  So
     one record reads the handle once and evaluates each derived quantity
     exactly once.  In Sol's left-invariant frame the components of a
@@ -233,15 +244,15 @@ class LocalGeometry:
         scaled_norm = xp.sqrt(_dot(cross, cross))
         norm = xp.ldexp(scaled_norm, top)
         root_e, root_g = xp.sqrt(e), xp.sqrt(g)
-        # written so that a NaN partial is degenerate too; the angle's
-        # cosine is taken only once E and G are known to be nonzero, and
-        # a plane that passes the norm test may still have an angle whose
-        # sin^2 = 1 - cos^2 rounds to zero, which no 2x2 solve survives
-        bad = first_false(norm > 1e-10 * xp.maximum(root_e * root_g, 1e-30))
-        if bad is None:
-            cos = f / root_e / root_g
-            sin_sq = 1.0 - cos * cos
-            bad = first_false(sin_sq > 0.0)
+        # written so that a NaN partial is degenerate too; a plane that
+        # passes the norm test may still have an angle whose sin^2 =
+        # 1 - cos^2 rounds to zero, which no 2x2 solve survives.  Where the
+        # norm test fails E or G may be zero, so the cosine divides by 1
+        # there, and the first point that fails either test is named
+        spans = norm > 1e-10 * xp.maximum(root_e * root_g, 1e-30)
+        cos = f / xp.where(spans, root_e, 1.0) / xp.where(spans, root_g, 1.0)
+        sin_sq = 1.0 - cos * cos
+        bad = first_false(spans & (sin_sq > 0.0))
         if bad is not None:
             raise DegenerateParametrizationError(
                 f"parametrization of {patch.name!r} degenerates at "
@@ -348,31 +359,21 @@ class LocalGeometry:
         return self._array([self.h - radius, self.h + radius])
 
     @_computed_once
-    def _f_field(self) -> ScalarField:
-        """The patch's mean-curvature field, or else a field of each
-        point's own f with no handles (an N-point record's own f at its
-        4N shifted points, in one record): its gradient is a central
-        difference, and it has no Hessian."""
-        return self.patch.mean_curvature or ScalarField(
-            lambda s, t: LocalGeometry(self.patch, s, t).h)
-
-    @_computed_once
-    def _dh(self):
-        return self._f_field.gradient(self.u, self.v, self.patch.fd_step)
+    def _dh_grad(self):
+        """(dh, grad f): the first partials of :func:`_f_field` and their
+        solve by the first form, from one gradient of the field."""
+        dh = _f_field(self.patch).gradient(self.u, self.v, self.patch.fd_step)
+        return dh, self._solve(*dh)
 
     @_computed_once
     def dh(self) -> np.ndarray:
         """Differential of the mean curvature: the first partials of the
         patch's mean-curvature field, or of each point's own f."""
-        return self._array(self._dh)
-
-    @_computed_once
-    def _gradient(self):
-        return self._solve(*self._dh)
+        return self._array(self._dh_grad[0])
 
     @_computed_once
     def gradient_h(self) -> np.ndarray:
-        return self._array(self._gradient)
+        return self._array(self._dh_grad[1])
 
     @_computed_once
     def curvature_trace(self) -> np.ndarray:
@@ -394,7 +395,7 @@ class LocalGeometry:
         twice_xi3 = 2.0 * self._xi[2]
         p, q = self._solve(twice_xi3 * self._du[2], twice_xi3 * self._dv[2])
         (a00, a01), (a10, a11) = self._shape
-        g0, g1 = self._gradient
+        g0, g1 = self._dh_grad[1]
         h = self.h
         return self._array([a00 * g0 + a01 * g1 + h * g0 + h * p,
                             a10 * g0 + a11 * g1 + h * g1 + h * q])
@@ -416,7 +417,8 @@ class LocalGeometry:
         :func:`adapted_frame`.  On an N-point record ``x1_coefficients``
         applies at every point."""
         xp = self._xp
-        p, q = self._gradient if x1_coefficients is None else x1_coefficients
+        p, q = (self._dh_grad[1] if x1_coefficients is None
+                else x1_coefficients)
         norm = self._length(p, q)
         if x1_coefficients is None:
             # written so that a NaN gradient is not degenerate
@@ -543,4 +545,4 @@ def biharmonic_normal_residual(patch: SurfacePatch, u: Param,
     negative, which is the obstruction.
     """
     geo = LocalGeometry(patch, u, v)
-    return geo.normal_residual(geo.laplacian(geo._f_field))
+    return geo.normal_residual(geo.laplacian(_f_field(patch)))

@@ -738,32 +738,74 @@ def test_family_surface_mean_curvature_handles(explicit_profile, patch_x1):
 
 def test_family_handles_evaluate_the_profile_once(monkeypatch,
                                                   explicit_profile):
+    # the partials handle reads theta, f and Psi from one state_at call,
+    # which checks the domain once
     calls = {}
 
-    def counted(name):
-        form = getattr(biconservative_family, name)
-
+    def counted(name, form):
         def wrapper(*args):
             calls[name] = calls.get(name, 0) + 1
             return form(*args)
         return wrapper
 
-    for name in ("theta_explicit", "f_explicit", "psi_explicit",
-                 "_phi1_primitive"):
-        monkeypatch.setattr(biconservative_family, name, counted(name))
+    for name in ("_require_domain", "_phi1_primitive"):
+        form = getattr(biconservative_family, name)
+        monkeypatch.setattr(biconservative_family, name, counted(name, form))
+    monkeypatch.setattr(ProfileSolution, "state_at",
+                        counted("state_at", ProfileSolution.state_at))
     patch = family_surface(explicit_profile, "x1")
     patch.derivatives(-1.0, 0.2)
-    assert calls == {"theta_explicit": 1, "f_explicit": 1, "psi_explicit": 1}
+    assert calls == {"state_at": 1, "_require_domain": 1}
     calls.clear()
-    # the counter sees Phi1 where the position reads it
+    # the counter sees Phi1 where the position reads it, beside Psi
     patch.position(-1.0, 0.2)
-    assert calls == {"psi_explicit": 1, "_phi1_primitive": 1}
+    assert calls == {"_phi1_primitive": 1, "_require_domain": 2}
     calls.clear()
-    # two one-point records, each reading the partials handle once and the
-    # position never: no Phi1
+    # two one-point records, each reading the partials handle once, f' once
+    # and the position never: no Phi1
     shape_data(patch, -1.0, 0.2)
     biconservative_residual(patch, -1.0, 0.2)
-    assert calls == {"theta_explicit": 2, "f_explicit": 2, "psi_explicit": 2}
+    assert calls == {"state_at": 2, "_require_domain": 4}
+
+
+def _profiles():
+    return (build_profile(EXPLICIT, u_grid=np.linspace(-3.0, -0.01, 9)),
+            build_profile(IMPLICIT, c=1.0, theta_start=2.2,
+                          u_grid=np.linspace(0.0, 0.25, 9)))
+
+
+@pytest.mark.parametrize("profile", _profiles(), ids=[EXPLICIT, IMPLICIT])
+def test_state_at_is_the_three_evaluators(profile):
+    us = np.linspace(profile.u[0], profile.u[-1], 23)
+    for u in [*us.tolist(), us]:
+        state = profile.state_at(u)
+        singles = (profile.theta_at(u), profile.f_at(u), profile.psi_at(u))
+        assert len(state) == 3
+        for got, want in zip(state, singles):
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _refusal(evaluate, u):
+    with pytest.raises(ValueError) as info:
+        evaluate(u)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("profile", _profiles(), ids=[EXPLICIT, IMPLICIT])
+def test_state_at_refuses_what_the_evaluators_refuse(profile):
+    if profile.kind == EXPLICIT:
+        bad = (math.nextafter(EXPLICIT_U_MIN, -math.inf), 0.0, math.nan)
+    else:
+        reach = DENSE_REACH_STEPS * float(np.max(np.diff(profile.u)))
+        bad = (math.nan, profile.u[-1] + 1.01 * reach,
+               profile.u[0] - 1.01 * reach)
+    for u in bad:
+        for given in (u, np.array([profile.u[1], u, profile.u[2]])):
+            message = _refusal(profile.state_at, given)
+            assert message == _refusal(profile.theta_at, given)
+            assert message == _refusal(profile.f_at, given)
+            assert message == _refusal(profile.psi_at, given)
 
 
 def test_mirrored_variant_swaps_roles(explicit_profile):

@@ -5,9 +5,10 @@ third-party packages it declares, no module imports scipy, the surface
 calculus leaves finite differences to the patch and the curvature trace
 to its closed form, run-time geometry reads Sol's connection from the
 frame table, the obstruction polynomial is formed in exact_poly
-only, the explicit family's domain is stated once, the surface calculus
-never calls the immersion, and every dataclass field with a default is
-set by some caller."""
+only, the explicit family's domain is stated once, the family's partials
+handle reads the profile state in one call, the surface calculus never
+calls the immersion, and every dataclass field with a default is set by
+some caller."""
 
 import ast
 import os
@@ -112,10 +113,27 @@ def test_explicit_domain_is_stated_once():
              and ("explicit" in node.name or "closed_form" in node.name)}
     assert {"theta_explicit", "theta_prime_explicit", "f_explicit",
             "f_prime_explicit", "f_second_explicit", "psi_explicit",
-            "_phi1_explicit", "gaussian_curvature_closed_form"} <= set(forms)
+            "_phi1_explicit", "_state_explicit",
+            "gaussian_curvature_closed_form"} <= set(forms)
     assert sorted(name for name, called in forms.items()
                   if "_require_domain" not in called) == []
     assert "EXPLICIT_U_MIN" in _imported_names(PACKAGE_DIR / "cli.py")
+
+
+def test_family_partials_read_the_profile_state_once():
+    # the partials handle reads theta, f and Psi from one checked call
+    tree = ast.parse((PACKAGE_DIR / "biconservative_family.py")
+                     .read_text(encoding="utf-8"))
+    family = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "family_surface")
+    partials = next(node for node in ast.walk(family)
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "partials")
+    called = [_call_name(node) for node in ast.walk(partials)
+              if isinstance(node, ast.Call)]
+    assert called.count("state_at") == 1
+    assert set(called) & {"theta_at", "f_at", "psi_at"} == set()
 
 
 def _third_party_imports():

@@ -253,6 +253,33 @@ def test_local_geometry_reads_each_handle_once(patch_x1, monkeypatch):
         assert "position" not in calls
 
 
+def test_mean_curvature_gradient_is_one_step(patch_x1, monkeypatch):
+    # without a mean-curvature field, dh and grad f come from one central
+    # difference of each point's own f, taken once however the record's
+    # views reach it: four one-point records at one point, one record at
+    # the 4N shifted points of N points
+    built = Counter()
+    init = LocalGeometry.__init__
+
+    def counted_init(self, patch, u, v):
+        built["records"] += 1
+        init(self, patch, u, v)
+
+    monkeypatch.setattr(LocalGeometry, "__init__", counted_init)
+    patch = patch_x1.without_curvature_handles()
+    reads = [lambda geo: geo.dh, lambda geo: geo.gradient_h,
+             lambda geo: geo.residual, lambda geo: geo.adapted_frame()]
+    for (u, v), nested in (((-1.0, 0.3), 4),
+                           ((np.array([-1.0, -2.5, -0.4]),
+                             np.array([0.3, -0.6, 0.9])), 1)):
+        for order in (1, -1):
+            geo = LocalGeometry(patch, u, v)
+            built.clear()
+            for read in reads[::order]:
+                read(geo)
+            assert built["records"] == nested, (u, order)
+
+
 def _numpy_record(patch, u, v, dh):
     """A record's quantities by the numpy formulas the closed forms
     replaced: np.cross, np.linalg.solve and einsum over the dense
@@ -632,6 +659,37 @@ def test_n_point_record_names_the_first_degenerate_point(patch_x1):
     batch = LocalGeometry(patch, u[:2], v[:2])
     assert batch.h.shape == (2,)
     assert batch.adapted_frame().theta.shape == (2,)
+
+
+def test_n_point_record_names_the_first_point_that_fails_either_test():
+    # at u = 0.1 the partials pass the norm test but meet at an angle whose
+    # sin^2 rounds to zero; at u = 0.9 they are all zero and fail the norm
+    # test.  The first of the two in the order of the arrays is named
+    zero = (0.0, 0.0, 0.0)
+
+    def partials(u, v):
+        one = namespace(u).where(u < 0.5, 1.0, 0.0)
+        return (0.0 * u, (one, 0.0, 0.0), (one, 1e-9 * one, 0.0), zero,
+                zero, zero)
+
+    patch = SurfacePatch(immersion=lambda u, v: (u + v, 1e-9 * v, 0.0),
+                         partials=partials,
+                         domain=((0.0, 1.0), (-1.0, 1.0)), name="mixed")
+    u, v = np.array([0.1, 0.9]), np.array([-0.2, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order, named in (([0, 1], r"\(0\.1, -0\.2\)"),
+                             ([1, 0], r"\(0\.9, 0\.3\)")):
+            with pytest.raises(DegenerateParametrizationError,
+                               match=rf"at \(u, v\) = {named}$"):
+                LocalGeometry(patch, u[order], v[order])
+        # one point at a time each fails its own test, with the same message
+        for s, t, named in ((0.1, -0.2, r"\(0\.1, -0\.2\)"),
+                            (0.9, 0.3, r"\(0\.9, 0\.3\)")):
+            with pytest.raises(DegenerateParametrizationError,
+                               match=rf"^parametrization of 'mixed' "
+                                     rf"degenerates at \(u, v\) = {named}$"):
+                LocalGeometry(patch, s, t)
 
 
 def _z_leaf_with_gradient(du):

@@ -373,10 +373,9 @@ class ProfileSolution:
 
     ``u`` is strictly increasing; Psi and Phi1 vanish at the anchor ``u0``
     (``c0``, Psi's constant, is set to match).  The dense evaluators are
-    ``theta_at``, ``f_at``, ``psi_at``, ``phi1_at``, ``f_prime_at`` and
-    ``f_second_at``, and ``state_at``, which returns (theta, f, Psi) with
-    the bits of the first three from one check of u.  For the explicit
-    kind they are the closed forms, Phi1 included (see the module
+    ``state_at``, which returns (theta, f, Psi), ``phi1_at``,
+    ``f_prime_at`` and ``f_second_at``; each checks u once.  For the
+    explicit kind they are the closed forms, Phi1 included (see the module
     docstring), and every sample equals its dense value exactly; for the
     implicit kind they are cubic Hermite interpolants of the samples,
     whose slopes are known exactly from the ODE (dense accuracy
@@ -466,54 +465,36 @@ class ProfileSolution:
                 f"its samples on [{self.u[0]:g}, {self.u[-1]:g}], got "
                 f"u = {np.ravel(u)[bad]:g}")
 
-    def _dense(self, u, column: str):
-        # u has passed _require_reach
-        value = hermite_eval(u, self.u, getattr(self, column),
-                             self._slopes[column])
-        return value if isinstance(u, np.ndarray) else float(value)
-
-    def _hermite(self, u, column: str):
+    def _dense(self, u, *columns: str):
+        # the Hermite interpolants of the named columns at u, after one
+        # check of u
         self._require_reach(u)
-        return self._dense(u, column)
+        values = (hermite_eval(u, self.u, getattr(self, column),
+                               self._slopes[column]) for column in columns)
+        if isinstance(u, np.ndarray):
+            return tuple(values)
+        return tuple(float(value) for value in values)
 
     def state_at(self, u):
-        """(theta, f, Psi) at u, as ``theta_at``, ``f_at`` and ``psi_at``
-        give them, from one check of u."""
+        """(theta, f, Psi) at u, from one check of u."""
         if self.kind == EXPLICIT:
             return _state_explicit(u, self.c0)
-        self._require_reach(u)
-        return (self._dense(u, "theta"), self._dense(u, "f"),
-                self._dense(u, "psi"))
-
-    def theta_at(self, u):
-        if self.kind == EXPLICIT:
-            return theta_explicit(u)
-        return self._hermite(u, "theta")
-
-    def f_at(self, u):
-        if self.kind == EXPLICIT:
-            return f_explicit(u)
-        return self._hermite(u, "f")
-
-    def f_prime_at(self, u):
-        if self.kind == EXPLICIT:
-            return f_prime_explicit(u)
-        return f_prime_implicit(self.theta_at(u), self.f_at(u))
-
-    def f_second_at(self, u):
-        if self.kind == EXPLICIT:
-            return f_second_explicit(u)
-        return f_second_implicit(self.theta_at(u), self.f_at(u))
-
-    def psi_at(self, u):
-        if self.kind == EXPLICIT:
-            return psi_explicit(u, self.c0)
-        return self._hermite(u, "psi")
+        return self._dense(u, "theta", "f", "psi")
 
     def phi1_at(self, u):
         if self.kind == EXPLICIT:
             return _phi1_explicit(u, self._g_u0, self.c0)
-        return self._hermite(u, "phi1")
+        return self._dense(u, "phi1")[0]
+
+    def f_prime_at(self, u):
+        if self.kind == EXPLICIT:
+            return f_prime_explicit(u)
+        return f_prime_implicit(*self._dense(u, "theta", "f"))
+
+    def f_second_at(self, u):
+        if self.kind == EXPLICIT:
+            return f_second_explicit(u)
+        return f_second_implicit(*self._dense(u, "theta", "f"))
 
     # -- derived columns -------------------------------------------------
 
@@ -763,8 +744,8 @@ def build_profile(kind: str, u_grid: Sequence[float],
         # evaluators return at its u as a float, bit for bit (so that
         # Phi1(u0) = 0 exactly).
         theta, f, psi, phi1 = np.array([
-            (theta_explicit(x), f_explicit(x), psi_explicit(x, c0),
-             _phi1_explicit(x, g0, c0)) for x in grid.tolist()]).T
+            (*_state_explicit(x, c0), _phi1_explicit(x, g0, c0))
+            for x in grid.tolist()]).T
         return ProfileSolution(kind=EXPLICIT, u=grid, theta=theta, f=f,
                                psi=psi, phi1=phi1, u0=anchor)
 
@@ -784,12 +765,11 @@ def build_profile(kind: str, u_grid: Sequence[float],
         anchor = float(usable[0]) if u0 is None else float(u0)
         if not full.u[0] <= anchor <= full.u[-1]:
             raise ValueError("anchor u0 outside the integrated span")
-        psi = full.psi_at(usable) - full.psi_at(anchor)
+        theta, f, psi = full.state_at(usable)
+        psi = psi - full.state_at(anchor)[2]
         phi1 = full.phi1_at(usable) - full.phi1_at(anchor)
-        return ProfileSolution(kind=IMPLICIT, u=usable,
-                               theta=full.theta_at(usable),
-                               f=full.f_at(usable), psi=psi, phi1=phi1,
-                               u0=anchor, c=c,
+        return ProfileSolution(kind=IMPLICIT, u=usable, theta=theta, f=f,
+                               psi=psi, phi1=phi1, u0=anchor, c=c,
                                halt_reason=full.halt_reason,
                                theta_error_estimate=full.theta_error_estimate)
 
@@ -829,11 +809,12 @@ def family_surface(profile: ProfileSolution, variant: str) -> SurfacePatch:
     the profile's derivative relations, written here once: with
     theta' = -2 f, Psi' = cos theta, Phi1' = -sin theta e^{Psi},
     Psi'' = 2 f sin theta and Phi1'' = e^{Psi} cos theta (2 f - sin theta).
-    One call of the patch's ``partials`` reads theta, f and Psi from one
-    :meth:`ProfileSolution.state_at` call, which checks u once, and
-    returns the height z (Psi, signed by the layout) beside the five
-    partials, so no record evaluates Phi1; only the immersion does.
-    The mean-curvature field reads f' and f'' from the profile.
+    Every read of theta, f or Psi is one :meth:`ProfileSolution.state_at`
+    call, which checks u once.  One call of the patch's ``partials`` makes
+    one, and returns the height z (Psi, signed by the layout) beside the
+    five partials, so no record evaluates Phi1; only the immersion does,
+    beside its own read of Psi.  The mean-curvature field reads f from
+    ``state_at`` and f' and f'' from the profile's own evaluators.
     On an explicit profile the patch, like the closed forms it reads,
     raises ``ValueError`` at u outside EXPLICIT_U_MIN <= u < 0.
     """
@@ -851,12 +832,12 @@ def family_surface(profile: ProfileSolution, variant: str) -> SurfacePatch:
         return (height, place(-sin * e, cos, 0.0), ruling, d_uu, zero, zero)
 
     f_field = ScalarField(
-        value=lambda u, v: profile.f_at(u),
+        value=lambda u, v: profile.state_at(u)[1],
         first_partials=lambda u, v: (profile.f_prime_at(u), 0.0),
         second_partials=lambda u, v: (profile.f_second_at(u), 0.0, 0.0))
     return SurfacePatch(
-        immersion=lambda u, v: place(profile.phi1_at(u), profile.psi_at(u),
-                                     v),
+        immersion=lambda u, v: place(profile.phi1_at(u),
+                                     profile.state_at(u)[2], v),
         partials=partials,
         mean_curvature=f_field, domain=domain,
         name=f"family_{variant}_{profile.kind}")

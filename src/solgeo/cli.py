@@ -61,8 +61,9 @@ class RunConfig:
     def validate(self) -> None:
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, (int, float))
-                                          and math.isfinite(value)):
+            if value is not None and (isinstance(value, bool) or not (
+                    isinstance(value, (int, float))
+                    and math.isfinite(value))):
                 raise UsageError(f"{name} must be a finite number, "
                                  f"got {value!r}")
         for name in _INT_FIELDS:

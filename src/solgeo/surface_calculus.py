@@ -207,8 +207,8 @@ class LocalGeometry:
     (scalars stay scalars); on an N-point record each has a leading axis
     of length N, in the order of ``u``.
 
-    Basis conventions: ``xi_f``, ``curvature_trace`` and the frame's
-    ``x1``, ``x2`` and ``xi`` hold frame components (E1, E2, E3).
+    Basis conventions: ``xi_f`` and the frame's ``x1``, ``x2`` and ``xi``
+    hold frame components (E1, E2, E3).
     ``first``, ``second``, ``A``, ``dh``, ``gradient_h``,
     ``surface_christoffel`` and ``residual`` are in the parameter basis
     (d/du, d/dv).
@@ -376,22 +376,20 @@ class LocalGeometry:
         return self._array(self._dh_grad[1])
 
     @_computed_once
-    def curvature_trace(self) -> np.ndarray:
-        """trace R(., xi) . over the tangent plane: 2 xi_3 E3.  In Sol,
-        R(t, xi) t = -xi + 2 t_3 (t_3 xi - xi_3 t) + 2 xi_3 E3 for a unit t
-        orthogonal to xi, and an orthonormal tangent basis (t1, t2) has
-        t1_3^2 + t2_3^2 = 1 - xi_3^2 and t1_3 t1 + t2_3 t2 = E3 - xi_3 xi."""
-        zero = np.zeros_like(self._xi[2])
-        return self._array([zero, zero, 2.0 * self._xi[2]])
-
-    @_computed_once
     def normal_trace(self):
         """<trace R(., xi) ., xi> = 2 xi_3^2."""
         return 2.0 * self._xi[2] * self._xi[2]
 
     @_computed_once
     def residual(self) -> np.ndarray:
-        """A(grad f) + f grad f + f (trace R(., xi) .)^T."""
+        """A(grad f) + f grad f + f (trace R(., xi) .)^T.
+
+        The trace over the tangent plane is trace R(., xi) . = 2 xi_3 E3:
+        in Sol, R(t, xi) t = -xi + 2 t_3 (t_3 xi - xi_3 t) + 2 xi_3 E3 for a
+        unit t orthogonal to xi, and an orthonormal tangent basis (t1, t2)
+        has t1_3^2 + t2_3^2 = 1 - xi_3^2 and
+        t1_3 t1 + t2_3 t2 = E3 - xi_3 xi.  Its tangential part
+        2 xi_3 E3^T is solved from (2 xi_3 <d_u, E3>, 2 xi_3 <d_v, E3>)."""
         twice_xi3 = 2.0 * self._xi[2]
         p, q = self._solve(twice_xi3 * self._du[2], twice_xi3 * self._dv[2])
         (a00, a01), (a10, a11) = self._shape

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -924,7 +925,7 @@ def _family_reports(seed: int, family: _Family) -> List[CheckReport]:
         dict(ctx, statement="integration halts for a catalogued reason "
                             "inside the valid angle window")))
 
-    anchor_err = np.max(np.abs([profile.psi_at(profile.u0),
+    anchor_err = np.max(np.abs([profile.state_at(profile.u0)[2],
                                 profile.phi1_at(profile.u0),
                                 implicit.psi[0], implicit.phi1[0]]))
     reports.append(CheckReport(
@@ -953,12 +954,19 @@ def run_suite(name: str, seed: int = 0) -> List[CheckReport]:
     """Run one named suite (or ``all``) and return its reports.
 
     Deterministic for fixed (name, seed): random fixtures draw from a
-    seeded generator and every grid is fixed.  A negative seed raises
-    ``ValueError`` for every suite, whether or not it draws.
+    seeded generator and every grid is fixed.  A seed that is not an
+    integer (a bool included; numpy integers are integers) or is negative
+    raises ``ValueError`` for every suite, whether or not it draws.
     """
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of "
                          f"{', '.join(SUITE_NAMES)} or all")
+    try:
+        if isinstance(seed, bool):
+            raise TypeError
+        operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
     suites = SUITE_NAMES if name == "all" else (name,)

@@ -85,7 +85,7 @@ def test_theta_f_against_oracle(u):
 @pytest.mark.parametrize("u", sorted(ORACLE))
 def test_quadratures_against_oracle(explicit_profile, u):
     _, _, psi, phi1 = ORACLE[u]
-    assert abs(explicit_profile.psi_at(u) - psi) < 1e-12
+    assert abs(explicit_profile.state_at(u)[2] - psi) < 1e-12
     assert abs(explicit_profile.phi1_at(u) - phi1) < 1e-12
 
 
@@ -137,7 +137,7 @@ def test_psi_and_phi_derivatives(explicit_profile, patch_x1):
         _, phi1_second, psi_second = second
         assert abs(psi_prime - math.cos(th)) < 1e-14
         assert abs(psi_second - 2.0 * f * math.sin(th)) < 1e-13
-        psi = explicit_profile.psi_at(u)
+        psi = explicit_profile.state_at(u)[2]
         assert abs(phi1_prime + math.sin(th) * math.exp(psi)) < 1e-12
         # second derivative against finite differences of the first
         fd = central_diff(lambda s: patch_x1.derivatives(s, 0.0)[0][1], u,
@@ -147,7 +147,7 @@ def test_psi_and_phi_derivatives(explicit_profile, patch_x1):
 
 def test_psi_anchor(explicit_profile):
     assert explicit_profile.u0 == -1.0
-    assert abs(explicit_profile.psi_at(-1.0)) < 1e-15
+    assert abs(explicit_profile.state_at(-1.0)[2]) < 1e-15
     assert abs(explicit_profile.phi1_at(-1.0)) < 1e-15
 
 
@@ -470,8 +470,8 @@ def test_implicit_quadratures_match_quad(c, theta_start, step):
 
 def test_implicit_dense_output_consistent(implicit_solution):
     u = 0.1234
-    th = implicit_solution.theta_at(u)
-    assert abs(implicit_solution.f_at(u) - solve_f(th, 1.0)) < 1e-12
+    th, f, _ = implicit_solution.state_at(u)
+    assert abs(f - solve_f(th, 1.0)) < 1e-12
 
 
 def test_f_second_implicit_matches_the_explicit_closed_form():
@@ -509,7 +509,7 @@ def test_implicit_halt_immediately_degenerate():
     assert sol.halt_reason == "angle_degenerate"
     assert len(sol.u) == 1
     with pytest.raises(ValueError):
-        sol.theta_at(0.0)  # dense output needs two samples
+        sol.state_at(0.0)  # dense output needs two samples
 
 
 def test_implicit_stage_angle_off_branch_halts():
@@ -554,8 +554,7 @@ def test_implicit_dense_evaluators_reject_non_finite_u(implicit_solution):
     # as the explicit closed forms do; finite u past the span extrapolates
     # the end cubics, as the frame stencils need
     sol = implicit_solution
-    evaluators = (sol.theta_at, sol.f_at, sol.f_prime_at, sol.f_second_at,
-                  sol.psi_at, sol.phi1_at)
+    evaluators = (sol.state_at, sol.phi1_at, sol.f_prime_at, sol.f_second_at)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for evaluate in evaluators:
@@ -565,8 +564,8 @@ def test_implicit_dense_evaluators_reject_non_finite_u(implicit_solution):
                     evaluate(u)
             with pytest.raises(ValueError, match=r"got u = nan$"):
                 evaluate(np.array([0.1, math.nan, math.inf]))
-            assert math.isfinite(evaluate(sol.u[-1] + 1e-5))
-            assert math.isfinite(evaluate(sol.u[0] - 1e-12))
+            assert np.all(np.isfinite(evaluate(sol.u[-1] + 1e-5)))
+            assert np.all(np.isfinite(evaluate(sol.u[0] - 1e-12)))
 
 
 def test_implicit_dense_evaluators_reach_a_few_steps_past_the_samples():
@@ -574,13 +573,12 @@ def test_implicit_dense_evaluators_reach_a_few_steps_past_the_samples():
     sol = integrate_implicit_profile(c=1.0, theta_start=2.2, u_span=0.5)
     reach = DENSE_REACH_STEPS * float(np.max(np.diff(sol.u)))
     assert sol.u[-1] == pytest.approx(0.281)
-    evaluators = (sol.theta_at, sol.f_at, sol.f_prime_at, sol.f_second_at,
-                  sol.psi_at, sol.phi1_at)
+    evaluators = (sol.state_at, sol.phi1_at, sol.f_prime_at, sol.f_second_at)
     inside = (sol.u[0] - reach, sol.u[-1] + reach)
     outside = (sol.u[0] - 1.01 * reach, sol.u[-1] + 1.01 * reach, 10.0)
     for evaluate in evaluators:
         for u in inside:
-            assert math.isfinite(evaluate(u))
+            assert np.all(np.isfinite(evaluate(u)))
         assert np.all(np.isfinite(evaluate(np.array(inside))))
         for u in outside:
             with pytest.raises(ValueError,
@@ -594,7 +592,7 @@ def test_implicit_dense_evaluators_reach_a_few_steps_past_the_samples():
 def test_profile_c0_anchors_psi(explicit_profile, implicit_solution):
     # c0 is derived, not an argument: Psi(u0) = 0 on every profile
     assert explicit_profile.c0 == psi_anchor(explicit_profile.u0)
-    assert explicit_profile.psi_at(explicit_profile.u0) == 0.0
+    assert explicit_profile.state_at(explicit_profile.u0)[2] == 0.0
     assert implicit_solution.c0 == 0.0
     with pytest.raises(TypeError):
         ProfileSolution(kind=EXPLICIT, u=[-2.0, -1.0], theta=[2.8, 2.3],
@@ -686,7 +684,7 @@ def test_record_at_the_domain_bound():
 def test_explicit_psi_samples_are_the_closed_form(explicit_profile):
     p = explicit_profile
     for k, u in enumerate(p.u):
-        assert p.psi[k] == p.psi_at(u)
+        assert p.psi[k] == p.state_at(u)[2]
 
 
 def test_build_profile_implicit_clips_to_halt():
@@ -759,7 +757,8 @@ def test_family_handles_evaluate_the_profile_once(monkeypatch,
     calls.clear()
     # the counter sees Phi1 where the position reads it, beside Psi
     patch.position(-1.0, 0.2)
-    assert calls == {"_phi1_primitive": 1, "_require_domain": 2}
+    assert calls == {"state_at": 1, "_phi1_primitive": 1,
+                     "_require_domain": 2}
     calls.clear()
     # two one-point records, each reading the partials handle once, f' once
     # and the position never: no Phi1
@@ -774,15 +773,26 @@ def _profiles():
                           u_grid=np.linspace(0.0, 0.25, 9)))
 
 
+def _state_oracle(profile, u):
+    """(theta, f, Psi) at u from the public closed forms, or from the
+    Hermite cubics of the samples with the ODE's slopes."""
+    if profile.kind == EXPLICIT:
+        return theta_explicit(u), f_explicit(u), psi_explicit(u, profile.c0)
+    slopes = (-2.0 * profile.f, f_prime_implicit(profile.theta, profile.f),
+              np.cos(profile.theta))
+    return tuple(hermite_eval(u, profile.u, column, slope) for column, slope
+                 in zip((profile.theta, profile.f, profile.psi), slopes))
+
+
 @pytest.mark.parametrize("profile", _profiles(), ids=[EXPLICIT, IMPLICIT])
 def test_state_at_is_the_three_evaluators(profile):
+    # bit for bit, a float for a float and an (N,) array for an array
     us = np.linspace(profile.u[0], profile.u[-1], 23)
     for u in [*us.tolist(), us]:
         state = profile.state_at(u)
-        singles = (profile.theta_at(u), profile.f_at(u), profile.psi_at(u))
         assert len(state) == 3
-        for got, want in zip(state, singles):
-            assert type(got) is type(want)
+        for got, want in zip(state, _state_oracle(profile, u)):
+            assert type(got) is type(u)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
@@ -803,9 +813,42 @@ def test_state_at_refuses_what_the_evaluators_refuse(profile):
     for u in bad:
         for given in (u, np.array([profile.u[1], u, profile.u[2]])):
             message = _refusal(profile.state_at, given)
-            assert message == _refusal(profile.theta_at, given)
-            assert message == _refusal(profile.f_at, given)
-            assert message == _refusal(profile.psi_at, given)
+            assert message == _refusal(profile.phi1_at, given)
+            assert message == _refusal(profile.f_prime_at, given)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` from here on."""
+    calls = []
+    form = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return form(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("u", [0.1, np.linspace(0.0, 0.25, 5)],
+                         ids=["float", "array"])
+def test_each_dense_evaluation_checks_u_once(monkeypatch, implicit_solution,
+                                             u):
+    # f' and f'' read theta and f after one check, as state_at does
+    calls = _count_calls(monkeypatch, ProfileSolution, "_require_reach")
+    for name in ("state_at", "phi1_at", "f_prime_at", "f_second_at"):
+        calls.clear()
+        getattr(implicit_solution, name)(u)
+        assert len(calls) == 1, name
+
+
+def test_explicit_build_checks_each_sample_twice(monkeypatch):
+    # one check for the anchor's c0, one per sample for (theta, f, Psi)
+    # and one for Phi1, and the profile's own two: its grid and its c0
+    calls = _count_calls(monkeypatch, biconservative_family,
+                         "_require_domain")
+    build_profile(EXPLICIT, u_grid=np.linspace(-3.0, -0.01, 10))
+    assert len(calls) == 23
 
 
 def test_mirrored_variant_swaps_roles(explicit_profile):
@@ -977,7 +1020,7 @@ def test_implicit_array_hermite_matches_per_point(implicit_solution):
                               expected), column
     patch = family_surface(implicit_solution, "x1")
     evaluators = [(name, getattr(implicit_solution, name)) for name in
-                  ("theta_at", "f_at", "f_prime_at", "psi_at", "phi1_at")]
+                  ("state_at", "f_prime_at", "phi1_at")]
     # (Phi1', Psi') and (Phi1'', Psi''): components 1 and 2 of the x1 patch
     evaluators += [("d_u", lambda x: patch.derivatives(x, 0.0)[0][1:]),
                    ("d_uu", lambda x: patch.derivatives(x, 0.0)[2][1:])]

@@ -353,6 +353,11 @@ def test_config_integer_fields(tmp_path, capsys, values):
     ("verify", {"output": 3, "suite": "polynomial"},
      "output must be a string or null, got 3"),
     ("curvature", {"as_json": "no"}, "as_json must be true or false, got 'no'"),
+    # JSON's true and false are no numbers, though Python's bool is an int
+    ("profile", {"kind": "implicit", "c": True, "step": True, "u_min": 0.0,
+                 "u_max": 0.2}, "c must be a finite number, got True"),
+    ("generate", {"v_min": False, "v_max": True},
+     "v_min must be a finite number, got False"),
 ])
 def test_config_string_and_bool_fields(tmp_path, capsys, command, values,
                                        message):

@@ -6,9 +6,10 @@ calculus leaves finite differences to the patch and the curvature trace
 to its closed form, run-time geometry reads Sol's connection from the
 frame table, the obstruction polynomial is formed in exact_poly
 only, the explicit family's domain is stated once, the family's partials
-handle reads the profile state in one call, the surface calculus never
-calls the immersion, and every dataclass field with a default is set by
-some caller."""
+handle reads the profile state in one call, a profile's state (theta, f,
+Psi) has one evaluator and nothing calls a per-column one, the surface
+calculus never calls the immersion, and every dataclass field with a
+default is set by some caller."""
 
 import ast
 import os
@@ -133,7 +134,31 @@ def test_family_partials_read_the_profile_state_once():
     called = [_call_name(node) for node in ast.walk(partials)
               if isinstance(node, ast.Call)]
     assert called.count("state_at") == 1
-    assert set(called) & {"theta_at", "f_at", "psi_at"} == set()
+
+
+def test_profile_state_has_one_evaluator():
+    # theta, f and Psi are read together through state_at, beside Phi1,
+    # f' and f''; nothing calls a per-column evaluator
+    tree = ast.parse((PACKAGE_DIR / "biconservative_family.py")
+                     .read_text(encoding="utf-8"))
+    profile = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "ProfileSolution")
+    evaluators = {node.name for node in profile.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name.endswith("_at")
+                  and not node.name.startswith("_")}
+    assert evaluators == {"state_at", "phi1_at", "f_prime_at", "f_second_at"}
+    demos = sorted((PACKAGE_DIR.parent.parent / "demos").glob("*.py"))
+    assert demos
+    paths = [*sorted(PACKAGE_DIR.glob("*.py")), *demos]
+    offences = [f"{path.name}:{node.lineno} calls {_call_name(node)}"
+                for path in paths
+                for node in ast.walk(ast.parse(path.read_text(
+                    encoding="utf-8")))
+                if isinstance(node, ast.Call)
+                and _call_name(node) in ("theta_at", "f_at", "psi_at")]
+    assert offences == []
 
 
 def _third_party_imports():

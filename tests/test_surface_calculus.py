@@ -192,7 +192,7 @@ def _read_every_view(geo, order):
         second_partials=lambda s, t: (2.0, 0.0, 0.0))
     reads = [lambda name=name: getattr(geo, name) for name in (
         "xi_f", "first", "second", "A", "h", "K", "principal_curvatures",
-        "dh", "gradient_h", "curvature_trace", "normal_trace", "residual",
+        "dh", "gradient_h", "normal_trace", "residual",
         "surface_christoffel", "norm_A_sq")]
     reads += [lambda: geo.laplacian(square), geo.adapted_frame,
               geo.adapted_frame]
@@ -321,7 +321,7 @@ def _numpy_record(patch, u, v, dh):
     return {
         "first": first, "xi_f": xi_f, "second": second, "A": shape, "h": h,
         "K": ambient_k + np.linalg.det(shape), "gradient_h": gradient,
-        "curvature_trace": trace,
+        "normal_trace": trace @ xi_f,
         "surface_christoffel": np.linalg.solve(
             first, tangential.reshape(2, 4)).reshape(2, 2, 2),
         "residual": shape @ gradient + h * gradient + h * coeffs,

@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -434,6 +435,18 @@ def test_negative_seed_is_refused_by_every_suite(suite):
     with pytest.raises(ValueError, match=r"^seed must be nonnegative, "
                                          r"got -1$"):
         run_suite(suite, seed=-1)
+    # so is a seed that is no integer, before any suite runs
+    for seed in (1.5, True, "7", None, np.float64(2.0)):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got "
+                                             + re.escape(repr(seed)) + "$"):
+            run_suite(suite, seed=seed)
+    with pytest.raises(ValueError, match=r"^seed must be nonnegative"):
+        run_suite(suite, seed=np.int64(-1))
+
+
+def test_numpy_integer_seed_is_the_int_seed():
+    assert reports_to_json(run_suite("ambient", seed=np.int64(7))) \
+        == reports_to_json(run_suite("ambient", seed=7))
 
 
 def test_all_suite_ids_unique():

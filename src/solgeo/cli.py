@@ -35,7 +35,12 @@ class UsageError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Merged configuration for one command invocation."""
+    """Merged configuration for one command invocation.
+
+    Only ``u0`` (no anchor given) and ``output`` (the default path or
+    stdout) may be ``None``; every other field must hold a value of its
+    type, and a JSON ``null`` there is a usage error.
+    """
 
     command: str
     kind: str = EXPLICIT
@@ -61,9 +66,10 @@ class RunConfig:
     def validate(self) -> None:
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not (
-                    isinstance(value, (int, float))
-                    and math.isfinite(value))):
+            if value is None and name == "u0":
+                continue
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and math.isfinite(value)):
                 raise UsageError(f"{name} must be a finite number, "
                                  f"got {value!r}")
         for name in _INT_FIELDS:
@@ -157,6 +163,37 @@ def _build_family_profile(config: RunConfig) -> ProfileSolution:
                          theta_start=config.theta_start, step=config.step)
 
 
+# labels per table of face tokens: the face writer's memory is
+# O(nv + _FACE_BLOCK_LABELS) tokens whatever nu is
+_FACE_BLOCK_LABELS = 1 << 14
+_WRITE_BUFFER = 1 << 20
+
+
+def _face_tokens(prefix: str, first: int, stop: int) -> np.ndarray:
+    """Fixed-width tokens as ``np.void`` items: ``prefix`` at index 0, then
+    ``label + " "`` and ``label + "\n"`` for each label from ``first`` to
+    ``stop - 1``, at 1 + 2 (label - first) and the index after it.
+
+    Decimal digits are written once, right-aligned, with integer
+    arithmetic in the smallest unsigned type that holds the labels; the
+    leading zeros and the unused bytes of the prefix are NUL.
+    """
+    width = len(str(stop - 1)) + 1
+    token = np.dtype((np.void, width))
+    label = np.empty((stop - first, width), np.uint8)
+    rest = np.arange(first, stop, dtype=np.min_scalar_type(stop - 1))
+    label[:, -2] = rest % 10 + 48
+    for column in range(width - 3, -1, -1):
+        rest //= 10
+        label[:, column] = np.where(rest > 0, rest % 10 + 48, 0)
+    table = np.empty(1 + 2 * (stop - first), token)
+    table[0] = prefix.encode("ascii").ljust(width, b"\0")
+    for index, separator in ((1, b" "), (2, b"\n")):
+        label[:, -1] = ord(separator)
+        table[index::2] = label.view(token).ravel()
+    return table
+
+
 def _mesh_chunks(fmt: str, name: str, nu: int, rulings: Sequence[float],
                  rows: Iterable[Tuple[Optional[float], ...]]
                  ) -> Iterator[str]:
@@ -168,6 +205,12 @@ def _mesh_chunks(fmt: str, name: str, nu: int, rulings: Sequence[float],
     ruling slot (see :func:`family_rows`).  Numbers get 12 fixed decimals,
     the sign of zero kept; each ruling is formatted once per mesh and each
     fixed coordinate once per row.
+
+    Faces are written a block of vertex rows at a time, about
+    ``_FACE_BLOCK_LABELS`` labels and never fewer than 2 rows: the block's
+    labels become a table of fixed-width tokens (:func:`_face_tokens`),
+    and each face row is one gather of its 8 (nv - 1) tokens with the NUL
+    padding dropped.  Consecutive blocks share one vertex row.
     """
     nv = len(rulings)
     n_faces = 2 * (nu - 1) * (nv - 1)
@@ -189,20 +232,24 @@ def _mesh_chunks(fmt: str, name: str, nu: int, rulings: Sequence[float],
         tail = "".join(" %.12f" % x for x in row[slot + 1:]) + "\n"
         yield head + (tail + head).join(columns) + tail
     # cell j between vertex rows a and b (the next u) is the triangles
-    # (a_j, b_j, b_j+1) and (a_j, b_j+1, a_j+1); each vertex index is
-    # formatted once, and a face row joins the labels of a and b between
-    # fixed separators
-    parts = [" "] * (12 * (nv - 1))
-    parts[5::12] = parts[11::12] = ["\n" + face_prefix] * (nv - 1)
-    parts[-1] = "\n"
-    b = list(map(str, range(base, base + nv)))
-    for start in range(base + nv, base + nu * nv, nv):
-        a, b = b, list(map(str, range(start, start + nv)))
-        parts[0::12] = parts[6::12] = a[:-1]
-        parts[2::12] = b[:-1]
-        parts[4::12] = parts[8::12] = b[1:]
-        parts[10::12] = a[1:]
-        yield face_prefix + "".join(parts)
+    # (a_j, b_j, b_j+1) and (a_j, b_j+1, a_j+1).  In a block's first face
+    # row, a_j + " " is token a and b_j + " " token b, so b_j+1 + " ",
+    # b_j+1 + "\n" and a_j+1 + "\n" are b + 2, b + 3 and a + 3; each later
+    # row moves its label tokens (not the prefix, token 0) on by one
+    # vertex row
+    cell = np.arange(nv - 1)
+    a, b = 1 + 2 * cell, 1 + 2 * (nv + cell)
+    prefix = np.zeros_like(cell)
+    pattern = np.stack([prefix, a, b, b + 3, prefix, a, b + 2, a + 3],
+                       axis=1).ravel()
+    shift = np.where(pattern > 0, 2 * nv, 0)
+    block_rows = max(2, _FACE_BLOCK_LABELS // nv)
+    for start in range(0, nu - 1, block_rows - 1):
+        stop = min(start + block_rows, nu)
+        tokens = _face_tokens(face_prefix, base + start * nv, base + stop * nv)
+        for k in range(stop - start - 1):
+            yield np.take(tokens, pattern + k * shift).tobytes() \
+                .translate(None, b"\0").decode("ascii")
 
 
 def cmd_generate(config: RunConfig) -> int:
@@ -213,7 +260,8 @@ def cmd_generate(config: RunConfig) -> int:
     chunks = _mesh_chunks(config.format, name, nu, rulings,
                           family_rows(profile, config.variant))
     path = config.output or f"family_{config.variant}.{config.format}"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n",
+              buffering=_WRITE_BUFFER) as handle:
         handle.writelines(chunks)
     print(f"wrote {path}: {nu * nv} vertices, "
           f"{2 * (nu - 1) * (nv - 1)} triangles")

@@ -172,6 +172,38 @@ def test_generate_streams_one_chunk_per_grid_row(variant, fmt, tmp_path,
     assert out.read_text() == "".join(seen)
 
 
+def reference_faces(fmt, nu, nv):
+    """Face rows of the mesh, one triangle at a time."""
+    prefix, base = ("f ", 1) if fmt == "obj" else ("3 ", 0)
+    rows = []
+    for i in range(nu - 1):
+        lines = []
+        for j in range(nv - 1):
+            a0 = base + i * nv + j
+            a1, b0, b1 = a0 + 1, a0 + nv, a0 + nv + 1
+            lines.append("%s%d %d %d\n" % (prefix, a0, b0, b1))
+            lines.append("%s%d %d %d\n" % (prefix, a0, b1, a1))
+        rows.append("".join(lines))
+    return rows
+
+
+# nu * nv crosses 10, 100, 1,000 and 10,000 labels, so the label width
+# changes inside one mesh; nv = 2 and nu = 2 are the thinnest grids
+@pytest.mark.parametrize("nu,nv", [(3, 4), (11, 10), (9, 120), (101, 100),
+                                   (7, 2), (60, 2), (2, 6), (2, 5001)])
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+@pytest.mark.parametrize("block", [None, 7, 1000])
+def test_face_rows_match_a_per_triangle_reference(nu, nv, fmt, block,
+                                                  monkeypatch):
+    # a small block puts several token tables and a width change inside
+    # one mesh; every block still holds at least two vertex rows
+    if block is not None:
+        monkeypatch.setattr(cli, "_FACE_BLOCK_LABELS", block)
+    chunks = list(cli._mesh_chunks(fmt, "m", nu, [0.0] * nv,
+                                   [(0.0, None, 0.0)] * nu))
+    assert chunks[1 + nu:] == reference_faces(fmt, nu, nv)
+
+
 def test_profile_stdout(capsys):
     assert run(["profile", "--u-min", "-2.0", "--u-max", "-1.0",
                 "--nu", "5"]) == 0
@@ -201,6 +233,21 @@ def test_verify_polynomial_stdout(capsys):
 def test_verify_summary_counts_passes_and_failures(capsys):
     assert run(["verify", "--suite", "polynomial"]) == 0
     assert capsys.readouterr().err == "1 passed, 0 failed\n"
+
+
+# sha256 of `solgeo verify --suite all --seed <seed>` stdout
+VERIFY_DIGESTS = {
+    0: "a7b913b48b5c8debcbf7318793cb1d7d4a89516b0b69371eed63a66ade37a6ca",
+    7: "97b2f5c0b12fa6851f5aa6b69e826773a76df4e7db7a6f1e9daf6182839a22a8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_DIGESTS))
+def test_verify_all_stdout_is_pinned(seed, capsys):
+    assert run(["verify", "--suite", "all", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == VERIFY_DIGESTS[seed]
 
 
 def test_verify_writes_report_file(tmp_path, capsys):
@@ -365,6 +412,24 @@ def test_config_string_and_bool_fields(tmp_path, capsys, command, values,
     cfg.write_text(json.dumps(values))
     assert run([command, "--config", str(cfg)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", ["c", "u_min", "u_max", "v_min", "v_max",
+                                  "theta_start", "step"])
+def test_config_null_float_field_is_usage_error(name, tmp_path, capsys):
+    # only u0 may be null; the others have no meaning without a value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: None}))
+    assert run(["verify", "--suite", "polynomial", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {name} must be a finite number, got None\n")
+
+
+def test_config_null_anchor_and_output_are_defaults(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"u0": None, "output": None, "nu": 5}))
+    assert run(["profile", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("u,theta,f,Psi,Phi,K\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,37 +5,35 @@ component, and an exact integer polynomial identity whose positive roots
 cannot occur.  Run with: python3 demos/obstruction.py
 """
 
-import math
-
 import numpy as np
 
-from solgeo import (CONSTANTS, nonexistence_combination, obstruction_cubic,
-                    obstruction_quintic, real_roots_interval)
-from solgeo.biconservative_family import f_explicit, theta_explicit
+from solgeo import (EXPLICIT, build_profile, nonexistence_combination,
+                    obstruction_cubic, obstruction_quintic,
+                    real_roots_interval)
 
 
-def _laplacian_and_rhs(u):
-    a = CONSTANTS.a1
-    th, f = theta_explicit(u), f_explicit(u)
-    s = 1.0 / math.cosh(2.0 * a * u)
-    fp = -2.0 * a * a * math.tanh(2.0 * a * u) * s
-    fpp = 4.0 * a ** 3 * s * (1.0 - 2.0 * s * s)
-    lap = fpp + math.cos(th) * fp
-    rhs = 4.0 * f * (f * f + f * math.sin(th) + math.sin(th) ** 2)
-    return lap, rhs
+def _laplacian_and_rhs(profile, u):
+    """Delta f = f'' + cos(theta) f' and the value 4 f (f^2 + f sin(theta)
+    + sin^2(theta)) that the biharmonic equation requires of it, at u."""
+    theta, f, _ = profile.state_at(u)
+    lap = profile.f_second_at(u) + np.cos(theta) * profile.f_prime_at(u)
+    s = np.sin(theta)
+    return lap, 4.0 * f * (f * f + f * s + s * s)
 
 
 def main():
+    us = np.linspace(-4.0, -0.01, 201)
+    profile = build_profile(EXPLICIT, u_grid=us)
     print("sign obstruction along the explicit profile")
     print(f"  {'u':>6} {'Delta f':>14} {'required rhs':>14}")
     for u in (-4.0, -2.0, -1.0, -0.5, -0.1):
-        lap, rhs = _laplacian_and_rhs(u)
+        lap, rhs = _laplacian_and_rhs(profile, u)
         print(f"  {u:6.1f} {lap:14.6e} {rhs:14.6e}")
     print("  Delta f stays negative while the equation needs it positive,")
     print("  so the normal bitension component never vanishes.")
 
-    us = np.linspace(-4.0, -0.01, 201)
-    gap = max(lap - rhs for lap, rhs in map(_laplacian_and_rhs, us))
+    lap, rhs = _laplacian_and_rhs(profile, us)
+    gap = np.max(lap - rhs)
     print(f"  largest gap Delta f - rhs over the grid: {gap:.6e} (< 0)")
 
     print("\ninteger identity obstruction")

@@ -16,7 +16,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import (Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 import numpy as np
 
@@ -96,10 +97,13 @@ class RunConfig:
             raise UsageError(f"unknown mesh format {self.format!r}")
         if self.nu < 2 or self.nv < 2:
             raise UsageError("grid sizes must be at least 2")
-        if not (self.u_min < self.u_max):
-            raise UsageError("empty u range")
-        if not (self.v_min < self.v_max):
-            raise UsageError("empty v range")
+        for axis, lo, hi in (("u", self.u_min, self.u_max),
+                             ("v", self.v_min, self.v_max)):
+            if not lo < hi:
+                raise UsageError(f"empty {axis} range")
+            if not math.isfinite(hi - lo):
+                raise UsageError(f"the {axis} range [{lo!r}, {hi!r}] is "
+                                 f"wider than the largest double")
         if self.step <= 0:
             raise UsageError("step must be positive")
         if self.kind == EXPLICIT:
@@ -112,9 +116,9 @@ class RunConfig:
         if self.kind == IMPLICIT:
             if self.u_min < 0:
                 raise UsageError("implicit profiles start at u >= 0")
-            if self.u0 is not None and self.u0 < 0:
-                raise UsageError(f"implicit anchors need u0 >= 0, got "
-                                 f"{self.u0!r}")
+            if self.u0 is not None and not 0 <= self.u0 <= self.u_max:
+                raise UsageError(f"implicit anchors need 0 <= u0 <= u_max "
+                                 f"= {self.u_max!r}, got {self.u0!r}")
             if self.c <= 0:
                 raise UsageError("the integration constant c must be "
                                  "positive")
@@ -365,7 +369,15 @@ def cmd_curvature(config: RunConfig) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Set[str]]:
+    """The command-line parser and the option strings that take a value."""
+    value_flags = set()
+
+    def flag(group, *names, **options):
+        action = group.add_argument(*names, **options)
+        if action.nargs is None:
+            value_flags.update(action.option_strings)
+
     parser = argparse.ArgumentParser(
         prog="solgeo",
         description="Geometry of the solvable model space: family meshes, "
@@ -374,48 +386,47 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", help="JSON file with RunConfig fields; "
-                                         "flags override")
+    flag(config, "--config", help="JSON file with RunConfig fields; flags "
+                                  "override")
     profile_flags = argparse.ArgumentParser(add_help=False, parents=[config])
-    profile_flags.add_argument("--kind", choices=(EXPLICIT, IMPLICIT))
-    profile_flags.add_argument("--c", type=float,
-                               help="implicit integration constant")
-    profile_flags.add_argument("--u-min", dest="u_min", type=float)
-    profile_flags.add_argument("--u-max", dest="u_max", type=float)
-    profile_flags.add_argument("--nu", type=int, help="profile sample count")
-    profile_flags.add_argument("--u0", type=float, help="quadrature anchor")
-    profile_flags.add_argument("--theta-start", dest="theta_start", type=float)
-    profile_flags.add_argument("--step", type=float,
-                               help="implicit integration step")
+    flag(profile_flags, "--kind", choices=(EXPLICIT, IMPLICIT))
+    flag(profile_flags, "--c", type=float,
+         help="implicit integration constant")
+    flag(profile_flags, "--u-min", dest="u_min", type=float)
+    flag(profile_flags, "--u-max", dest="u_max", type=float)
+    flag(profile_flags, "--nu", type=int, help="profile sample count")
+    flag(profile_flags, "--u0", type=float, help="quadrature anchor")
+    flag(profile_flags, "--theta-start", dest="theta_start", type=float)
+    flag(profile_flags, "--step", type=float,
+         help="implicit integration step")
 
     gen = sub.add_parser("generate", parents=[profile_flags],
                          help="export a family surface mesh")
-    gen.add_argument("--variant", choices=("x1", "x2"))
-    gen.add_argument("--v-min", dest="v_min", type=float)
-    gen.add_argument("--v-max", dest="v_max", type=float)
-    gen.add_argument("--nv", type=int, help="rulings sample count")
-    gen.add_argument("--output", help="mesh path (default "
-                                      "family_<variant>.<format>)")
-    gen.add_argument("--format", choices=("obj", "ply"))
+    flag(gen, "--variant", choices=("x1", "x2"))
+    flag(gen, "--v-min", dest="v_min", type=float)
+    flag(gen, "--v-max", dest="v_max", type=float)
+    flag(gen, "--nv", type=int, help="rulings sample count")
+    flag(gen, "--output",
+         help="mesh path (default family_<variant>.<format>)")
+    flag(gen, "--format", choices=("obj", "ply"))
 
     prof = sub.add_parser("profile", parents=[profile_flags],
                           help="tabulate a profile curve as CSV")
-    prof.add_argument("--output", help="CSV path (default: stdout)")
+    flag(prof, "--output", help="CSV path (default: stdout)")
 
     ver = sub.add_parser("verify", parents=[config],
                          help="run a verification suite")
-    ver.add_argument("--suite", choices=SUITE_NAMES + ("all",))
-    ver.add_argument("--seed", type=int)
-    ver.add_argument("--output", help="JSON report path (default: stdout)")
+    flag(ver, "--suite", choices=SUITE_NAMES + ("all",))
+    flag(ver, "--seed", type=int)
+    flag(ver, "--output", help="JSON report path (default: stdout)")
 
     cur = sub.add_parser("curvature", parents=[config],
                          help="sectional curvature at a point")
-    cur.add_argument("--point", help="x,y,z coordinates")
-    cur.add_argument("--plane", help="two of E1/E2/E3 or a:b:c frame "
-                                     "triples, comma separated")
-    cur.add_argument("--json", dest="as_json", action="store_true",
-                     default=None)
-    return parser
+    flag(cur, "--point", help="x,y,z coordinates")
+    flag(cur, "--plane", help="two of E1/E2/E3 or a:b:c frame triples, "
+                              "comma separated")
+    flag(cur, "--json", dest="as_json", action="store_true", default=None)
+    return parser, value_flags
 
 
 _DISPATCH = {
@@ -426,9 +437,31 @@ _DISPATCH = {
 }
 
 
+def _attach_dash_values(argv: Sequence[str],
+                        value_flags: Set[str]) -> List[str]:
+    """``argv`` with each value that starts with one ``-`` joined to its
+    flag as ``--flag=value``.
+
+    argparse reads a token that starts with ``-`` as an option unless it is
+    a plain decimal such as ``-2`` or ``-0.5``, so ``--u-max -1e-3`` or
+    ``--point -1,0,0`` would lose its value.  Here, as with getopt, a flag
+    that takes a value reads the next token, unless that token starts with
+    ``--``: ``--u-max --nu 3`` still lacks a value.
+    """
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in value_flags \
+                and token.startswith("-") and not token.startswith("--"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, value_flags = _build_parser()
+    args = parser.parse_args(_attach_dash_values(
+        sys.argv[1:] if argv is None else argv, value_flags))
     try:
         config = _merge_config(args.command, args)
     except UsageError as exc:

@@ -35,14 +35,13 @@ import numpy as np
 from numpy.random import default_rng
 
 from .biconservative_family import (CONSTANTS, EXPLICIT, ProfileSolution,
-                                    build_profile, f_explicit,
-                                    f_prime_explicit, f_second_explicit,
-                                    family_surface, gaussian_curvature_closed_form,
+                                    build_profile, family_surface,
                                     integrate_implicit_profile,
-                                    theta_explicit, theta_prime_explicit)
+                                    theta_prime_explicit)
 from .exact_poly import (coefficients_as_strings, nonexistence_addends,
                          real_roots_interval)
-from .numerics import namespace, stencil_points, stencil_rates
+from .numerics import (CURVATURE_FD_STEP, namespace, stencil_points,
+                       stencil_rates)
 from .patch import SurfacePatch
 from .sol_space import (Point, TangentVector, canonical_leaf,
                         covariant_derivative, curvature_tensor,
@@ -124,8 +123,6 @@ def _jsonable(value):
             "Infinity" if value > 0.0 else "-Infinity")
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, Decimal):
         return format(value, ".30g")
     return value
@@ -493,11 +490,6 @@ BIHARMONIC_U_MIN = -13.0
 FRAME_IDENTITY_TOLERANCE = 1e-7
 
 
-def _laplacian_closed(u: np.ndarray) -> np.ndarray:
-    return f_second_explicit(u) + np.cos(theta_explicit(u)) \
-        * f_prime_explicit(u)
-
-
 def _laplacian_rational(u: np.ndarray) -> np.ndarray:
     # Rational form in q = e^{2 a u}, which lies in (0, 1] on u < 0:
     # 4 ((2a^3 - a^2) q (1 + q^4) + (2a^2 - 12a^3) q^3) / (1 + q^2)^3.
@@ -517,7 +509,7 @@ def check_biharmonic_obstruction(profile: ProfileSolution) -> List[CheckReport]:
     Delta f = 4 f (f^2 + f sin(theta) + sin^2(theta)), whose right side is
     strictly positive, while Delta f is strictly negative along the
     profile.  The check evaluates Delta f by two independent routes
-    (closed form f'' + cos(theta) f' and a rational expression in
+    (the profile's f'' + cos(theta) f' and a rational expression in
     e^{2 a u}), cross-checks |A|^2 and the normal curvature trace against
     their closed forms, and confirms the sign gap at every sample.  A
     profile that is not explicit or starts below ``BIHARMONIC_U_MIN``
@@ -530,7 +522,8 @@ def check_biharmonic_obstruction(profile: ProfileSolution) -> List[CheckReport]:
         raise ValueError(f"obstruction check needs u >= {BIHARMONIC_U_MIN:g}, "
                          f"but the profile starts at u = {profile.u[0]:g}")
     us = profile.u
-    lap_closed = _laplacian_closed(us)
+    lap_closed = profile.f_second_at(us) \
+        + np.cos(profile.state_at(us)[0]) * profile.f_prime_at(us)
     lap_rational = _laplacian_rational(us)
     f = profile.f
     s = np.sin(profile.theta)
@@ -682,7 +675,7 @@ def _ambient_reports(seed: int, family: _Family) -> List[CheckReport]:
     worst = np.max(np.abs(closed - fd))
     reports.append(CheckReport(
         "ambient_curvature_fd_oracle", worst, 1e-6,
-        {"triples": len(draws), "fd_step": 1e-4, "seed": seed}))
+        {"triples": len(draws), "fd_step": CURVATURE_FD_STEP, "seed": seed}))
 
     metric = metric_at(p)
     frame = np.array([frame_vector(p, i).coordinates() for i in range(1, 4)])
@@ -802,13 +795,14 @@ def _family_reports(seed: int, family: _Family) -> List[CheckReport]:
     profile, px1, px2 = family()
     reports = []
 
-    dense = np.linspace(-4.0, -1e-3, 257)
-    f, fp = f_explicit(dense), f_prime_explicit(dense)
-    th = theta_explicit(dense)
+    ends = [float(profile.u[0]), float(profile.u[-1])]
+    dense = np.linspace(*ends, 257)
+    th, f, _ = profile.state_at(dense)
+    fp = profile.f_prime_at(dense)
     worst = np.max(np.abs(theta_prime_explicit(dense) + 2.0 * f))
     reports.append(CheckReport(
         "family_theta_ode_explicit", worst, 1e-12,
-        {"samples": len(dense), "u_range": [-4.0, -1e-3],
+        {"samples": len(dense), "u_range": ends,
          "statement": "theta' + 2 f = 0, two evaluation routes"}))
 
     worst = np.max(np.abs(3.0 * f * fp + fp * np.sin(th)
@@ -828,8 +822,9 @@ def _family_reports(seed: int, family: _Family) -> List[CheckReport]:
 
     sub_u = profile.u[::8]
     geo = LocalGeometry(px1, *_grid_points(sub_u, (-0.5, 0.25)))
-    worst_h = np.max(np.abs(geo.h - f_explicit(geo.u)))
-    worst_k = np.max(np.abs(geo.K - gaussian_curvature_closed_form(geo.u)))
+    th, f, _ = profile.state_at(geo.u)
+    worst_h = np.max(np.abs(geo.h - f))
+    worst_k = np.max(np.abs(geo.K - (-np.cos(th) ** 2 - 2.0 * f * np.sin(th))))
     max_k = np.max(geo.K)
     reports.append(CheckReport(
         "family_mean_curvature_match", worst_h, 1e-8,

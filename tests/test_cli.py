@@ -221,6 +221,29 @@ def test_profile_implicit_footer(capsys):
     assert "# halt_reason:" in out
 
 
+# sha256 of `solgeo profile <argv>` stdout
+PROFILE_DIGESTS = {
+    (): "a0efb696bfa9d7742f156d11b624bf6b79fb38bfbd1302ed47feeec3f3cca5b6",
+    ("--u0", "-2"):
+        "6c2cd14733e958eb4ba53df22d06d8d700591813b59696014611d6f2133c7662",
+    ("--kind", "implicit", "--c", "1", "--theta-start", "2.2",
+     "--u-min", "0", "--u-max", "0.25"):
+        "f0d738fb75887d186c6e4736cde0189c81c9d3c960e0002ee05e1e9c6e6e3eed",
+    ("--kind", "implicit", "--c", "2", "--theta-start", "2.0",
+     "--u-min", "0", "--u-max", "0.25", "--u0", "0.05"):
+        "8a4c5a62d0a073058b223459834738439e19b64c16badc06a021d08d15224181",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PROFILE_DIGESTS),
+                         ids=lambda argv: " ".join(argv) or "defaults")
+def test_profile_stdout_is_pinned(argv, capsys):
+    assert run(["profile", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == PROFILE_DIGESTS[argv]
+
+
 def test_verify_polynomial_stdout(capsys):
     assert run(["verify", "--suite", "polynomial"]) == 0
     captured = capsys.readouterr()
@@ -466,6 +489,55 @@ def test_config_null_anchor_and_output_are_defaults(tmp_path, capsys):
 def test_validation_exit_codes(argv, capsys):
     assert run(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,value,option", [
+    ("profile", "--u-max", "-1e-3", []),
+    ("generate", "--v-min", "-1E0", ["--v-max", "0.5", "--nv", "3"]),
+    ("profile", "--u-min", "-3.5e0", []),
+    ("curvature", "--point", "-1,0,0", []),
+    ("curvature", "--plane", "-1:0:0,E3", []),
+], ids=["u-max", "v-min", "u-min", "point", "plane"])
+def test_a_value_that_starts_with_a_dash_follows_its_flag(
+        command, flag, value, option, tmp_path, capsys):
+    # argparse alone reads such a token as an unknown option; the
+    # space-separated form must give the bytes of the --flag=value form
+    mesh = tmp_path / "mesh.obj"
+    if command == "generate":
+        option = option + ["--output", str(mesh)]
+
+    def output(form):
+        assert run([command, *form, *option]) == 0
+        return capsys.readouterr().out, mesh.exists() and mesh.read_bytes()
+
+    assert output([flag, value]) == output([f"{flag}={value}"])
+
+
+def test_a_flag_followed_by_another_flag_still_lacks_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["profile", "--u-max", "--nu", "3"])
+    assert exc.value.code == 2
+    assert "argument --u-max: expected one argument" in capsys.readouterr().err
+
+
+def test_a_range_wider_than_the_largest_double_is_usage_error(tmp_path,
+                                                              capsys):
+    # the width 2e308 overflows, and linspace would write nan and inf
+    mesh = tmp_path / "mesh.obj"
+    assert run(["generate", "--v-min=-1e308", "--v-max=1e308",
+                "--output", str(mesh)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the v range [-1e+308, 1e+308] is wider than the largest "
+        "double\n")
+    assert not mesh.exists()
+
+
+def test_an_implicit_anchor_past_u_max_is_usage_error(capsys):
+    # the march never reaches u0, which the config alone decides
+    assert run(["profile", "--kind", "implicit", "--u-min", "0",
+                "--u-max", "0.3", "--u0", "0.5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: implicit anchors need 0 <= u0 <= u_max = 0.3, got 0.5\n")
 
 
 def test_theta_start_outside_the_quadrant_names_the_field(capsys):

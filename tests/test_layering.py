@@ -8,8 +8,9 @@ frame table, the obstruction polynomial is formed in exact_poly
 only, the explicit family's domain is stated once, the family's partials
 handle reads the profile state in one call, a profile's state (theta, f,
 Psi) has one evaluator and nothing calls a per-column one, the surface
-calculus never calls the immersion, and every dataclass field with a
-default is set by some caller."""
+calculus never calls the immersion, the family checks read the family
+through its profile, and every dataclass field with a default is set by
+some caller."""
 
 import ast
 import os
@@ -273,6 +274,22 @@ def test_verification_reads_the_obstruction_addends_from_exact_poly():
     # the combination's formula is written once, in exact_poly
     imported = _imported_names(PACKAGE_DIR / "verification.py")
     assert imported & {"obstruction_quintic", "obstruction_cubic"} == set()
+
+
+def test_verification_reads_the_family_through_its_profile():
+    # the family checks state every reference through the profile under
+    # test; theta_prime_explicit is the one closed form they keep, as the
+    # independent route of the explicit theta ODE check
+    tree = ast.parse((PACKAGE_DIR / "verification.py")
+                     .read_text(encoding="utf-8"))
+    from_family = {alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "biconservative_family"
+                   for alias in node.names}
+    assert from_family == {"CONSTANTS", "EXPLICIT", "ProfileSolution",
+                           "build_profile", "family_surface",
+                           "integrate_implicit_profile",
+                           "theta_prime_explicit"}
 
 
 def _dataclass_fields(tree: ast.AST):

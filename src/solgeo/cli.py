@@ -22,9 +22,10 @@ from typing import (Iterable, Iterator, List, Optional, Sequence, Set,
 import numpy as np
 
 from .biconservative_family import (EXPLICIT, EXPLICIT_U_MIN, IMPLICIT,
-                                    ProfileAngleError, ProfileSolution,
-                                    build_profile, family_rows,
-                                    family_surface, profile_to_csv)
+                                    MAX_MARCH_STEPS, ProfileAngleError,
+                                    ProfileSolution, build_profile,
+                                    family_rows, family_surface,
+                                    profile_to_csv)
 from .sol_space import (Point, TangentVector, curvature_tensor, frame_vector,
                         sectional_curvature)
 from .verification import SUITE_NAMES, reports_to_json, run_suite
@@ -32,6 +33,10 @@ from .verification import SUITE_NAMES, reports_to_json, run_suite
 
 class UsageError(ValueError):
     """Invalid configuration; reported with exit code 2."""
+
+
+# vertices of one generated mesh: about 1,500 times a 256 x 256 grid
+MAX_MESH_VERTICES = 10 ** 8
 
 
 @dataclass
@@ -97,6 +102,15 @@ class RunConfig:
             raise UsageError(f"unknown mesh format {self.format!r}")
         if self.nu < 2 or self.nv < 2:
             raise UsageError("grid sizes must be at least 2")
+        # the implicit march's own sample cap bounds each axis
+        for name in ("nu", "nv"):
+            if getattr(self, name) > MAX_MARCH_STEPS:
+                raise UsageError(f"{name} must be at most {MAX_MARCH_STEPS}, "
+                                 f"got {getattr(self, name)!r}")
+        if self.command == "generate" \
+                and self.nu * self.nv > MAX_MESH_VERTICES:
+            raise UsageError(f"nu * nv must be at most {MAX_MESH_VERTICES} "
+                             f"mesh vertices, got {self.nu * self.nv}")
         for axis, lo, hi in (("u", self.u_min, self.u_max),
                              ("v", self.v_min, self.v_max)):
             if not lo < hi:
@@ -378,8 +392,10 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Set[str]]:
         if action.nargs is None:
             value_flags.update(action.option_strings)
 
+    # allow_abbrev=False: every flag has one spelling, so value_flags
+    # names each flag that _attach_dash_values can meet
     parser = argparse.ArgumentParser(
-        prog="solgeo",
+        prog="solgeo", allow_abbrev=False,
         description="Geometry of the solvable model space: family meshes, "
                     "profile tables, verification suites, curvature "
                     "queries.")
@@ -401,6 +417,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Set[str]]:
          help="implicit integration step")
 
     gen = sub.add_parser("generate", parents=[profile_flags],
+                         allow_abbrev=False,
                          help="export a family surface mesh")
     flag(gen, "--variant", choices=("x1", "x2"))
     flag(gen, "--v-min", dest="v_min", type=float)
@@ -411,16 +428,17 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Set[str]]:
     flag(gen, "--format", choices=("obj", "ply"))
 
     prof = sub.add_parser("profile", parents=[profile_flags],
+                          allow_abbrev=False,
                           help="tabulate a profile curve as CSV")
     flag(prof, "--output", help="CSV path (default: stdout)")
 
-    ver = sub.add_parser("verify", parents=[config],
+    ver = sub.add_parser("verify", parents=[config], allow_abbrev=False,
                          help="run a verification suite")
     flag(ver, "--suite", choices=SUITE_NAMES + ("all",))
     flag(ver, "--seed", type=int)
     flag(ver, "--output", help="JSON report path (default: stdout)")
 
-    cur = sub.add_parser("curvature", parents=[config],
+    cur = sub.add_parser("curvature", parents=[config], allow_abbrev=False,
                          help="sectional curvature at a point")
     flag(cur, "--point", help="x,y,z coordinates")
     flag(cur, "--plane", help="two of E1/E2/E3 or a:b:c frame triples, "

@@ -164,7 +164,8 @@ def _grid_points(us: Sequence[float],
 
 @dataclass(frozen=True)
 class _FrameEval:
-    """All identity ingredients at N parameter points.
+    """All identity ingredients at the N points of a parameter grid,
+    in u-major order.
 
     Directional derivatives of theta, beta and of the X1 field are taken
     along the parameter lines and contracted with the frame's
@@ -172,9 +173,10 @@ class _FrameEval:
     frame table :func:`~solgeo.sol_space.frame_connection`.  The rates are
     (N,) arrays, ``nab1`` and ``nab2`` the (N, 3) frame components of
     nabla_X1 X1 and nabla_X2 X1, ``frame`` the adapted frame at the N
-    points, and ``record`` the one 5N-point record of the stencil: the N
+    points, ``record`` the one 5N-point record of the stencil (the N
     points first, then the four blocks of
-    :func:`~solgeo.numerics.stencil_points`.
+    :func:`~solgeo.numerics.stencil_points`) and ``context`` the grid's
+    report context (patch name, ranges and shape).
     """
 
     frame: AdaptedFrameSample
@@ -185,6 +187,7 @@ class _FrameEval:
     nab1: np.ndarray
     nab2: np.ndarray
     record: LocalGeometry
+    context: Dict
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,15 +201,18 @@ def _centre(sample: AdaptedFrameSample, n: int) -> AdaptedFrameSample:
                                 for field in fields(sample)))
 
 
-def _frame_eval(patch: SurfacePatch, u: np.ndarray, v: np.ndarray,
+def _frame_eval(patch: SurfacePatch, grid: Tuple[int, int],
                 override) -> _FrameEval:
-    """The identity ingredients at the points of the (N,) arrays u and v,
-    from one record over the centre and its four shifted copies
+    """The identity ingredients at every point of ``patch.grid(*grid)``
+    (u-major), from one record over the centre and its four shifted copies
     (:func:`~solgeo.numerics.stencil_points`) and that record's one
-    adapted frame.
+    adapted frame; ``override`` is passed to
+    :meth:`~solgeo.surface_calculus.LocalGeometry.adapted_frame`.
 
     A degenerate or CMC-degenerate point raises the record's error naming
     the first such point, so a centre point before any stencil point."""
+    us, vs = patch.grid(*grid)
+    u, v = _grid_points(us, vs)
     step, n = patch.fd_step, len(u)
     s, t = stencil_points(u, v, step)
     record = LocalGeometry(patch, np.concatenate([u, s]),
@@ -236,7 +242,8 @@ def _frame_eval(patch: SurfacePatch, u: np.ndarray, v: np.ndarray,
     return _FrameEval(
         frame=center, x1_theta=along(c1, dth), x2_theta=along(c2, dth),
         x1_beta=along(c1, dbe), x2_beta=along(c2, dbe),
-        nab1=nabla_x1(c1, x1), nab2=nabla_x1(c2, x2), record=record)
+        nab1=nabla_x1(c1, x1), nab2=nabla_x1(c2, x2), record=record,
+        context=_grid_context(patch, us, vs))
 
 
 def _identity_residuals(e: _FrameEval) -> np.ndarray:
@@ -260,27 +267,10 @@ def _identity_residuals(e: _FrameEval) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
-class _FrameGrid:
-    """``_frame_eval`` over every grid point (u-major)."""
-
-    patch: SurfacePatch
-    us: np.ndarray
-    vs: np.ndarray
-    ingredients: _FrameEval
-
-
-def _frame_grid(patch: SurfacePatch, grid: Tuple[int, int],
-                override) -> _FrameGrid:
-    us, vs = patch.grid(*grid)
-    return _FrameGrid(patch, us, vs,
-                      _frame_eval(patch, *_grid_points(us, vs), override))
-
-
-def _frame_identity_reports(fg: _FrameGrid, label: str) -> List[CheckReport]:
+def _frame_identity_reports(e: _FrameEval, label: str) -> List[CheckReport]:
     ids = [_suffixed(f"frame_identity_{k}", label) for k in range(1, 9)]
-    maxima = np.max(np.abs(_identity_residuals(fg.ingredients)), axis=1)
-    ctx = _grid_context(fg.patch, fg.us, fg.vs, fd_step=fg.patch.fd_step)
+    maxima = np.max(np.abs(_identity_residuals(e)), axis=1)
+    ctx = dict(e.context, fd_step=e.record.patch.fd_step)
     return [CheckReport(cid, err, FRAME_IDENTITY_TOLERANCE,
                         dict(ctx, statement=statement))
             for cid, err, statement in zip(ids, maxima, IDENTITY_STATEMENTS)]
@@ -297,7 +287,7 @@ def check_frame_identities(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
     raised.
     """
     return _frame_identity_reports(
-        _frame_grid(patch, grid, x1_coefficients), label)
+        _frame_eval(patch, grid, x1_coefficients), label)
 
 
 def _gradient_norm(geo: LocalGeometry):
@@ -332,15 +322,15 @@ def _angle_rows(e: _FrameEval, sign: float, step: float) -> np.ndarray:
         np.hypot(_dot(e.nab2, x1), _dot(e.nab2, x2) + sign * c)])
 
 
-def _angle_reports(fg: _FrameGrid, variant: str,
+def _angle_reports(e: _FrameEval, variant: str,
                    label: str) -> List[CheckReport]:
     ids = [_suffixed(cid, label) for cid in ANGLE_CHECK_IDS]
     sign = -1.0 if variant == "x1" else 1.0
-    step = fg.patch.fd_step
-    rows = _angle_rows(fg.ingredients, sign, step)
+    step = e.record.patch.fd_step
+    rows = _angle_rows(e, sign, step)
     lowest = np.min(rows[:2], axis=1)
     largest = np.max(rows[2:], axis=1)
-    ctx = _grid_context(fg.patch, fg.us, fg.vs, fd_step=step, variant=variant)
+    ctx = dict(e.context, fd_step=step, variant=variant)
     statements = ("X1(theta) = -2 f", "X2(theta) = 0",
                   "nabla_X1 X1 = 0 in the surface connection",
                   "X2(X1(f)) = 0", f"lambda2 = {sign:+.0f} sin(theta)",
@@ -368,7 +358,7 @@ def check_angle_constraints(patch: SurfacePatch, grid: Tuple[int, int] = (8, 5),
     """
     if variant not in ("x1", "x2"):
         raise ValueError(f"unknown variant {variant!r}")
-    return _angle_reports(_frame_grid(patch, grid, None), variant, label)
+    return _angle_reports(_frame_eval(patch, grid, None), variant, label)
 
 
 # -- CMC rigidity fixtures ------------------------------------------------
@@ -756,28 +746,25 @@ _Family = Callable[[], Tuple[ProfileSolution, SurfacePatch, SurfacePatch]]
 def _frames_reports(seed: int, family: _Family) -> List[CheckReport]:
     _, px1, px2 = family()
     # One frame evaluation per grid point serves both checks.
-    grids = {"x1": _frame_grid(px1, (9, 5), None),
-             "x2": _frame_grid(px2, (9, 5), None)}
+    evals = {"x1": _frame_eval(px1, (9, 5), None),
+             "x2": _frame_eval(px2, (9, 5), None)}
     reports = []
-    for label, fg in grids.items():
-        reports += _frame_identity_reports(fg, label)
-    for label, fg in grids.items():
-        reports += _angle_reports(fg, label, label)
+    for label, e in evals.items():
+        reports += _frame_identity_reports(e, label)
+    for label, e in evals.items():
+        reports += _angle_reports(e, label, label)
     reports += check_cmc_rigidity()
 
     # Negative controls: these fixtures are supposed to violate the
     # properties, and the control passes only if they do so decisively.
     leaf, coeffs = rotated_leaf_fixture()
-    us, vs = leaf.grid(3, 3)
-    sin2beta = _identity_residuals(
-        _frame_eval(leaf, *_grid_points(us, vs), coeffs))[1]
+    e = _frame_eval(leaf, (3, 3), coeffs)
     reports.append(_bounded_away(
-        "negative_control_rotated_leaf_sin2beta", np.min(np.abs(sin2beta)),
-        0.5,
-        _grid_context(leaf, us, vs,
-                      statement="a diagonally forced X1 must break "
-                                "X2(theta) = -sin(2 beta)",
-                      expected="failure of the property, not the harness")))
+        "negative_control_rotated_leaf_sin2beta",
+        np.min(np.abs(_identity_residuals(e)[1])), 0.5,
+        dict(e.context, statement="a diagonally forced X1 must break "
+                                  "X2(theta) = -sin(2 beta)",
+             expected="failure of the property, not the harness")))
 
     graph = graph_patch_fixture()
     us, vs = graph.grid(8, 8)
@@ -892,18 +879,12 @@ def _family_reports(seed: int, family: _Family) -> List[CheckReport]:
 
     # The scalar relation needs a 4th-order stencil: the h^2 constant of
     # a 3-point difference (~(3f+sin)(|f'''|/6)) overshoots 1e-8 at this
-    # step.  The samples sit at u_k = k h, plus at most one remainder
-    # sample at u_span, so the prefix is uniform.
-    spacings = np.diff(implicit.u)
-    n_uniform = len(implicit.u)
-    if abs(spacings[-1] - spacings[0]) > 1e-9 * spacings[0]:
-        n_uniform -= 1
-    fu = implicit.f[:n_uniform]
-    thu = implicit.theta[:n_uniform]
-    h5 = float(spacings[0])
+    # step.  The march halts (angle_degenerate) before u_span, so every
+    # sample sits at u_k = k h and the spacing is uniform.
+    fu, h5 = implicit.f, float(implicit.u[1] - implicit.u[0])
     df5 = (-fu[4:] + 8.0 * fu[3:-1] - 8.0 * fu[1:-3] + fu[:-4]) / (12.0 * h5)
     f_mid = fu[2:-2]
-    th_mid = thu[2:-2]
+    th_mid = implicit.theta[2:-2]
     worst = float(np.max(np.abs(
         3.0 * f_mid * df5 + df5 * np.sin(th_mid)
         + f_mid * np.sin(2.0 * th_mid))))

@@ -266,7 +266,7 @@ def test_criterion_9_negative_controls():
     graph_res = max(_residual_norm(graph, u, v) for u in us for v in vs)
 
     leaf, coeffs = rotated_leaf_fixture()
-    eval_ = _frame_eval(leaf, np.array([0.2]), np.array([-0.1]), coeffs)
+    eval_ = _frame_eval(leaf, (1, 1), coeffs)
     rotated_res = abs(_identity_residuals(eval_)[1, 0])
 
     frames = {r.check_id: r for r in run_suite("frames")}

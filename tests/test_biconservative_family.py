@@ -531,6 +531,11 @@ def test_profile_solution_validation():
         ProfileSolution(**{**good, "f": np.array([1.0, -1.0])})
     with pytest.raises(ValueError):
         ProfileSolution(**{**good, "theta": np.array([2.1, 2.2])})
+    with pytest.raises(ValueError, match=r"^unknown profile kind 'affine'$"):
+        ProfileSolution(**{**good, "kind": "affine"})
+    with pytest.raises(ValueError, match=r"^implicit profile requires "
+                                         r"increasing f"):
+        ProfileSolution(**{**good, "f": np.array([1.1, 1.0])})
 
 
 @pytest.mark.parametrize("column,values", [
@@ -612,6 +617,21 @@ def test_build_profile_validations():
                       theta_start=1.4)
     with pytest.raises(ValueError):
         build_profile("affine", u_grid=[-2.0, -1.0])
+
+
+@pytest.mark.parametrize("kind,options,message", [
+    (EXPLICIT, dict(u_grid=[-1.0]), "u_grid must contain at least two points"),
+    (EXPLICIT, dict(u_grid=[-1.0, -2.0]), "u_grid must be strictly increasing"),
+    (IMPLICIT, dict(u_grid=[0.0, 0.1], theta_start=2.2),
+     "implicit profiles need c and theta_start"),
+    (IMPLICIT, dict(u_grid=[0.0, 0.1], c=1.0),
+     "implicit profiles need c and theta_start"),
+    (IMPLICIT, dict(u_grid=np.linspace(0.0, 0.2, 5), c=1.0, theta_start=2.2,
+                    u0=0.25), "anchor u0 outside the integrated span"),
+], ids=["one-point", "decreasing", "no-c", "no-theta-start", "anchor"])
+def test_build_profile_names_what_is_wrong(kind, options, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        build_profile(kind, **options)
 
 
 def test_explicit_forms_reject_nan():

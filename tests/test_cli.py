@@ -14,7 +14,7 @@ import pytest
 from solgeo import cli
 from solgeo.biconservative_family import (EXPLICIT, EXPLICIT_U_MIN,
                                           build_profile, family_rows)
-from solgeo.cli import main
+from solgeo.cli import RunConfig, main
 
 THETA_ROW_M1 = "-1.000000000000,2.347062254033,0.309858529206"
 
@@ -244,6 +244,19 @@ def test_profile_stdout_is_pinned(argv, capsys):
         == PROFILE_DIGESTS[argv]
 
 
+@pytest.mark.parametrize("argv", sorted(PROFILE_DIGESTS),
+                         ids=lambda argv: " ".join(argv) or "defaults")
+def test_profile_output_file_is_pinned(argv, tmp_path, capsys):
+    # the file holds the bytes that stdout would, and stdout one line
+    path = tmp_path / "rows.csv"
+    assert run(["profile", *argv, "--output", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == PROFILE_DIGESTS[argv]
+    rows = sum(not line.startswith("#")
+               for line in path.read_text().splitlines()[1:])
+    assert capsys.readouterr() == (f"wrote {path}: {rows} rows\n", "")
+
+
 def test_verify_polynomial_stdout(capsys):
     assert run(["verify", "--suite", "polynomial"]) == 0
     captured = capsys.readouterr()
@@ -428,6 +441,11 @@ def test_config_integer_fields(tmp_path, capsys, values):
                  "u_max": 0.2}, "c must be a finite number, got True"),
     ("generate", {"v_min": False, "v_max": True},
      "v_min must be a finite number, got False"),
+    # values that the flags' choices refuse before validation
+    ("profile", {"kind": "spiral"}, "unknown family kind 'spiral'"),
+    ("generate", {"format": "stl"}, "unknown mesh format 'stl'"),
+    ("verify", {"suite": "none"}, "unknown suite 'none'"),
+    ("verify", [1, 2], "config file must hold a JSON object"),
 ])
 def test_config_string_and_bool_fields(tmp_path, capsys, command, values,
                                        message):
@@ -485,6 +503,8 @@ def test_config_null_anchor_and_output_are_defaults(tmp_path, capsys):
      "--theta-start", "3.2"],
     ["profile", "--kind", "implicit", "--u-min", "0", "--u-max", "0.5",
      "--theta-start", "1.4"],
+    ["curvature", "--plane", "1:2,E3"],
+    ["curvature", "--plane", "a:b:c,E3"],
 ])
 def test_validation_exit_codes(argv, capsys):
     assert run(argv) == 2
@@ -497,7 +517,8 @@ def test_validation_exit_codes(argv, capsys):
     ("profile", "--u-min", "-3.5e0", []),
     ("curvature", "--point", "-1,0,0", []),
     ("curvature", "--plane", "-1:0:0,E3", []),
-], ids=["u-max", "v-min", "u-min", "point", "plane"])
+    ("profile", "--u-max", "-5e-1", ["--nu", "2"]),
+], ids=["u-max", "v-min", "u-min", "point", "plane", "u-max-nu"])
 def test_a_value_that_starts_with_a_dash_follows_its_flag(
         command, flag, value, option, tmp_path, capsys):
     # argparse alone reads such a token as an unknown option; the
@@ -677,3 +698,32 @@ def test_python_dash_m_runs_the_cli():
         text=True)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)
+
+
+@pytest.mark.parametrize("value", ["-5e-1", "0.5"])
+def test_an_abbreviated_flag_is_refused(value, capsys):
+    # every flag has one spelling, so a value that starts with a dash
+    # parses the same way after every flag that argparse accepts
+    with pytest.raises(SystemExit) as exc:
+        run(["profile", "--u-ma", value, "--nu", "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --u-ma {value}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,argv,message", [
+    ("profile", ["--nu", "1000001"], "nu must be at most 1000000, got 1000001"),
+    ("generate", ["--nv", "1000001"], "nv must be at most 1000000, got 1000001"),
+    ("generate", ["--nu", "10001", "--nv", "10000"],
+     "nu * nv must be at most 100000000 mesh vertices, got 100010000"),
+], ids=["nu", "nv", "vertices"])
+def test_a_grid_past_its_bound_is_usage_error(command, argv, message,
+                                              tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([command, *argv, "--output", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_a_mesh_at_the_vertex_bound_is_valid():
+    RunConfig(command="generate", nu=10 ** 6, nv=100).validate()

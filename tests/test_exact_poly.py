@@ -168,6 +168,11 @@ def test_root_isolation_rejects_infinite_bounds(lo, hi, name):
         real_roots_interval(p, lo, hi)
 
 
+def test_root_isolation_rejects_an_empty_range():
+    with pytest.raises(ValueError, match=r"^need lo < hi$"):
+        real_roots_interval(IntPolynomial([-1, 1]), 1, 1)
+
+
 def test_root_isolation_reaches_any_positive_width():
     # about a thousand bisections, past any recursion limit
     p = IntPolynomial([-2, 0, 1])

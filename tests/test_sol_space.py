@@ -113,6 +113,29 @@ def test_covariant_derivative_matches_connection_table():
     assert worst < 1e-8
 
 
+def test_frame_vector_index_is_one_two_or_three():
+    with pytest.raises(ValueError, match=r"^frame index must be 1, 2 or 3$"):
+        frame_vector(Point(0.0, 0.0, 0.0), 4)
+
+
+def test_covariant_derivative_of_a_non_finite_field_is_refused():
+    p = Point(0.0, 0.0, 0.0)
+    # a NaN field fails its conversion to coordinate components
+    with pytest.raises(ValueError, match=r"^coordinate components leave "):
+        covariant_derivative(lambda q: TangentVector(q, np.full(3, math.nan)),
+                             frame_vector(p, 1))
+
+    # finite at every point, but its central difference overflows
+    def steep(q):
+        return TangentVector(q, np.array([math.copysign(1e308, q.x)
+                                          if q.x else 0.0, 0.0, 0.0]))
+
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match=r"^vector field evaluated to a "
+                                            r"non-finite value$"):
+        covariant_derivative(steep, frame_vector(p, 1))
+
+
 def test_sectional_frame_planes():
     p = Point(1.0, -2.0, 0.7)
     e1, e2, e3 = (frame_vector(p, i) for i in (1, 2, 3))

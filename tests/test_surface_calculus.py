@@ -115,6 +115,27 @@ def test_nan_partial_is_degenerate(patch_x1):
         LocalGeometry(patch, -1.0, 0.3)
 
 
+def test_a_patch_needs_a_nonempty_domain():
+    leaf = canonical_leaf("z_const", 0.15)
+    with pytest.raises(ValueError, match=r"^domain rectangle must be "
+                                         r"nonempty$"):
+        dataclasses.replace(leaf, domain=((0.0, 0.0), (-1.0, 1.0)))
+
+
+def test_a_record_takes_one_axis_of_points():
+    leaf = canonical_leaf("z_const", 0.15)
+    with pytest.raises(ValueError, match=r"^an N-point record takes \(N,\) "
+                                         r"arrays$"):
+        LocalGeometry(leaf, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def test_zero_x1_coefficients_are_refused():
+    leaf = canonical_leaf("z_const", 0.15)
+    with pytest.raises(ValueError, match=r"^explicit X1 coefficients are "
+                                         r"zero$"):
+        adapted_frame(leaf, 0.1, 0.1, x1_coefficients=(0.0, 0.0))
+
+
 def test_biconservative_residual_vanishes_on_family(patch_x1, patch_x2):
     for patch in (patch_x1, patch_x2):
         r = biconservative_residual(patch, -2.0, 0.4)

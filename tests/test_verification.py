@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from solgeo import verification
-from solgeo.biconservative_family import EXPLICIT, build_profile
+from solgeo.biconservative_family import (EXPLICIT, build_profile,
+                                          integrate_implicit_profile)
 from solgeo.patch import ScalarField
 from solgeo.sol_space import (Point, TangentVector, canonical_leaf,
                               curvature_tensor, curvature_tensor_fd,
@@ -265,7 +266,7 @@ def test_stacked_frame_eval_equals_five_records(request, fixture):
         patch, override = request.getfixturevalue(f"patch_{fixture}"), None
         grid = (9, 5)
     u, v = verification._grid_points(*patch.grid(*grid))
-    stacked = verification._frame_eval(patch, u, v, override)
+    stacked = verification._frame_eval(patch, grid, override)
     center, ingredients, stencil = _five_record_frame_eval(patch, u, v,
                                                            override)
     expected, got = vars(center), vars(stacked.frame)
@@ -567,3 +568,15 @@ def test_verify_all_keeps_its_ids_tolerances_and_passes(seed):
     assert len(ALL_CHECKS) == 74
     assert [(r.check_id, r.tolerance) for r in reports] == ALL_CHECKS
     assert [r.check_id for r in reports if r.status != "pass"] == []
+
+
+def test_the_implicit_family_check_profile_is_uniformly_spaced():
+    # family_implicit_scalar_ode's 4th-order stencil reads every sample at
+    # the one step u[1] - u[0]: the march it checks halts on the angle
+    # before u_span, so it adds no shorter remainder sample
+    implicit = integrate_implicit_profile(c=1.0, theta_start=2.2,
+                                          u_span=1.5, step=1e-3)
+    assert implicit.halt_reason == "angle_degenerate"
+    assert implicit.u[-1] < 1.5
+    assert implicit.u[1] - implicit.u[0] == 1e-3
+    np.testing.assert_allclose(np.diff(implicit.u), 1e-3, rtol=1e-9, atol=0)

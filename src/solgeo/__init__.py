@@ -8,7 +8,13 @@ biconservative_family` (the one-parameter profile family and its two
 surface variants), :mod:`solgeo.exact_poly` (integer-polynomial
 obstruction), :mod:`solgeo.verification` (report suites) and
 :mod:`solgeo.cli`.
+
+``import solgeo`` loads the five geometry modules and numpy without
+``numpy.random``; the names of ``verification`` and ``exact_poly`` load
+their module on first use (PEP 562), and ``solgeo.cli`` loads both.
 """
+
+import importlib
 
 from .biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
                                     FamilyConstants, ProfileAngleError,
@@ -19,9 +25,6 @@ from .biconservative_family import (CONSTANTS, EXPLICIT, IMPLICIT,
                                     integrate_implicit_profile,
                                     profile_to_csv, solve_f, theta_explicit,
                                     theta_prime_explicit)
-from .exact_poly import (IntPolynomial, nonexistence_combination,
-                         obstruction_cubic, obstruction_quintic,
-                         real_roots_interval)
 from .patch import ScalarField, SurfacePatch
 from .sol_space import (DegeneratePlaneError, Point, TangentVector,
                         canonical_leaf, christoffel, covariant_derivative,
@@ -34,13 +37,6 @@ from .surface_calculus import (AdaptedFrameSample, CmcDegenerateError,
                                adapted_frame, biconservative_residual,
                                biharmonic_normal_residual, fundamental_forms,
                                laplace_beltrami, shape_data)
-from .verification import (CheckReport, SUITE_NAMES,
-                           check_angle_constraints,
-                           check_biharmonic_obstruction,
-                           check_cmc_rigidity, check_frame_identities,
-                           check_polynomial_obstruction, graph_patch_fixture,
-                           reports_to_json, rotated_leaf_fixture, run_suite,
-                           vertical_cylinder_fixture)
 
 __version__ = "0.1.0"
 
@@ -107,3 +103,23 @@ __all__ = [
     "vertical_cylinder_fixture",
     "__version__",
 ]
+
+_LAZY = dict.fromkeys(("IntPolynomial", "nonexistence_combination",
+                       "obstruction_cubic", "obstruction_quintic",
+                       "real_roots_interval"), "exact_poly")
+_LAZY.update(dict.fromkeys((
+    "CheckReport", "SUITE_NAMES", "check_angle_constraints",
+    "check_biharmonic_obstruction", "check_cmc_rigidity",
+    "check_frame_identities", "check_polynomial_obstruction",
+    "graph_patch_fixture", "reports_to_json", "rotated_leaf_fixture",
+    "run_suite", "vertical_cylinder_fixture"), "verification"))
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

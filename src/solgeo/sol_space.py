@@ -120,8 +120,12 @@ class TangentVector:
 
 def _rescaled(z, comps: np.ndarray, basis: str, formula) -> np.ndarray:
     """``formula(e^z, comps.T)`` transposed back, the components in
-    ``basis``; ValueError names the first point whose new components leave
-    the double range."""
+    ``basis``; ValueError names the first point whose components are not
+    finite, or else whose new components leave the double range."""
+    bad = first_false(np.isfinite(comps).all(axis=-1))
+    if bad is not None:
+        raise ValueError(f"components must be finite, got a non-finite one "
+                         f"at z = {np.ravel(z)[bad]:g}")
     with np.errstate(all="ignore"):
         try:
             ez = namespace(z).exp(z)

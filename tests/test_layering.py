@@ -9,10 +9,13 @@ only, the explicit family's domain is stated once, the family's partials
 handle reads the profile state in one call, a profile's state (theta, f,
 Psi) has one evaluator and nothing calls a per-column one, the surface
 calculus never calls the immersion, the family checks read the family
-through its profile, and every dataclass field with a default is set by
-some caller."""
+through its profile, every dataclass field with a default is set by
+some caller, ``import solgeo`` loads the geometry modules alone (the
+report suites and the exact polynomials on first use), and every public
+name of the package is the object its defining module binds."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -182,22 +185,82 @@ def test_declared_dependencies_are_the_imported_ones():
     assert _third_party_imports() == declared
 
 
-def test_import_loads_no_mpmath():
-    code = "import sys, solgeo; print('mpmath' in sys.modules)"
+def _fresh_stdout(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    solgeo from the source tree."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_import_loads_no_mpmath():
+    assert _fresh_stdout("import sys, solgeo; "
+                         "print('mpmath' in sys.modules)") == "False"
 
 
 def test_import_loads_no_scipy_module():
     code = ("import sys, solgeo.cli; "
             "print(sorted(name for name in sys.modules "
             "if name.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_stdout(code) == "[]"
+
+
+GEOMETRY_MODULES = ["solgeo.biconservative_family", "solgeo.numerics",
+                    "solgeo.patch", "solgeo.sol_space",
+                    "solgeo.surface_calculus"]
+ON_FIRST_USE = ["fractions", "numpy.random", "solgeo.cli",
+                "solgeo.exact_poly", "solgeo.verification"]
+
+
+def test_import_loads_the_geometry_alone():
+    # import solgeo loads the five geometry modules; the report suites
+    # and the exact polynomials load with the first of their names
+    code = (f"import sys, solgeo\n"
+            f"print(sorted(m for m in sys.modules "
+            f"if m.startswith('solgeo.')))\n"
+            f"print([m for m in {ON_FIRST_USE!r} if m in sys.modules])\n"
+            f"from solgeo import run_suite\n"
+            f"print('solgeo.verification' in sys.modules)")
+    assert _fresh_stdout(code).splitlines() == [
+        repr(GEOMETRY_MODULES), "[]", "True"]
+    # solgeo.cli loads the suites at import, so that the timed main call
+    # of a `solgeo verify` run holds no import
+    assert _fresh_stdout("import sys, solgeo.cli; "
+                         "print('solgeo.verification' in sys.modules)") \
+        == "True"
+
+
+def _top_level_definitions(path: Path):
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets
+                         if isinstance(target, ast.Name))
+    return names
+
+
+def test_public_names_are_the_defining_modules_objects():
+    import solgeo
+
+    owners = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        module = "solgeo" if path.stem == "__init__" else \
+            f"solgeo.{path.stem}"
+        for name in _top_level_definitions(path) & set(solgeo.__all__):
+            owners.setdefault(name, []).append(module)
+    assert sorted(owners) == sorted(solgeo.__all__)
+    for name, modules in owners.items():
+        assert len(modules) == 1, (name, modules)
+        defining = importlib.import_module(modules[0])
+        assert getattr(solgeo, name) is getattr(defining, name), name
+    star = {}
+    exec("from solgeo import *", star)
+    assert set(solgeo.__all__) <= set(star)
+    assert set(solgeo.__all__) <= set(dir(solgeo))
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        getattr(solgeo, "no_such_name")
 
 
 def test_no_module_imports_scipy():

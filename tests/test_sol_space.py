@@ -121,7 +121,8 @@ def test_frame_vector_index_is_one_two_or_three():
 def test_covariant_derivative_of_a_non_finite_field_is_refused():
     p = Point(0.0, 0.0, 0.0)
     # a NaN field fails its conversion to coordinate components
-    with pytest.raises(ValueError, match=r"^coordinate components leave "):
+    with pytest.raises(ValueError, match=r"^components must be finite, "
+                                         r"got a non-finite one at z = 0$"):
         covariant_derivative(lambda q: TangentVector(q, np.full(3, math.nan)),
                              frame_vector(p, 1))
 
@@ -470,19 +471,22 @@ def test_sectional_of_large_vectors(size):
 
 @pytest.mark.parametrize("z", [710.0, -710.0, 800.0, -800.0])
 def test_conversions_past_the_double_range_name_the_point(z):
-    # e^z or e^-z leaves the double range: a clean error, not an
-    # OverflowError, an inf or a NaN, at one point and at N points
+    # finite components whose e^z or e^-z scaling leaves the double range:
+    # a clean error, not an OverflowError, an inf or a NaN, at one point
+    # and at N points
     one = Point(0.0, 0.0, z)
     many = Point(np.zeros(3), np.zeros(3), np.array([0.5, z, 2 * z]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for base in (one, many):
             shape = np.shape(base.z) + (3,)
-            with pytest.raises(ValueError, match=rf"^frame components .* "
-                                                 rf"at z = {z:g}$"):
+            with pytest.raises(ValueError, match=rf"^frame components leave "
+                                                 rf"the double range at "
+                                                 rf"z = {z:g}$"):
                 TangentVector.from_coordinates(base, np.ones(shape))
             with pytest.raises(ValueError, match=rf"^coordinate components "
-                                                 rf".* at z = {z:g}$"):
+                                                 rf"leave the double range "
+                                                 rf"at z = {z:g}$"):
                 TangentVector(base, np.ones(shape)).coordinates()
         # d/dx has frame length e^z and d/dy e^-z
         long = np.array([1.0, 0.0, 0.0] if z > 0 else [0.0, 1.0, 0.0])
@@ -490,6 +494,25 @@ def test_conversions_past_the_double_range_name_the_point(z):
             sectional_curvature(
                 TangentVector.from_coordinates(one, long),
                 TangentVector.from_coordinates(one, np.array([0.0, 0.0, 1.0])))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_conversions_of_non_finite_components_say_so(bad):
+    # non-finite input is named as such, even where e^z also overflows
+    for z in (0.25, 800.0):
+        one = Point(0.0, 0.0, z)
+        many = Point(np.zeros(3), np.zeros(3), np.array([0.5, z, -1.0]))
+        for base, at in ((one, 0), (many, 1)):
+            comps = np.ones(np.shape(base.z) + (3,))
+            comps.reshape(-1, 3)[at, 1] = bad
+            with pytest.raises(ValueError, match=rf"^components must be "
+                                                 rf"finite, got a non-finite "
+                                                 rf"one at z = {z:g}$"):
+                TangentVector.from_coordinates(base, comps)
+            with pytest.raises(ValueError, match=rf"^components must be "
+                                                 rf"finite, got a non-finite "
+                                                 rf"one at z = {z:g}$"):
+                TangentVector(base, comps).coordinates()
 
 
 def test_conversions_inside_the_double_range_keep_their_bits():

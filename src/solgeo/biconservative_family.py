@@ -109,8 +109,8 @@ EXPLICIT_U_MIN = -26.0 * math.log(2.0) / CONSTANTS.a1
 # The explicit closed forms take u as a float or as an array, and each is
 # written once against :func:`~solgeo.numerics.namespace`: a float is
 # evaluated with ``math`` and an array with numpy's ufuncs, entry by entry.
-# The public forms check the domain; theta, f and Psi are unchecked kernels
-# beneath them, which :func:`_state_explicit` reads after one check.
+# The public forms check the domain and pick the namespace once; theta, f
+# and Psi are unchecked kernels beneath them, given the pick.
 
 
 def _require_domain(u) -> None:
@@ -124,8 +124,7 @@ def _require_domain(u) -> None:
                          f"<= u < 0, got u = {float(np.ravel(u)[bad])!r}")
 
 
-def _theta(u):
-    xp = namespace(u)
+def _theta(u, xp):
     return 2.0 * xp.arctan(xp.exp(-2.0 * CONSTANTS.a1 * u))
 
 
@@ -135,7 +134,7 @@ def theta_explicit(u):
     Decreases from one ulp below pi (u = EXPLICIT_U_MIN) to pi/2 (u -> 0-).
     """
     _require_domain(u)
-    return _theta(u)
+    return _theta(u, namespace(u))
 
 
 def theta_prime_explicit(u):
@@ -149,37 +148,36 @@ def theta_prime_explicit(u):
     return -4.0 * CONSTANTS.a1 * w / (1.0 + w * w)
 
 
-def _sech(w):
-    return 1.0 / namespace(w).cosh(w)
+def _sech(w, xp):
+    return 1.0 / xp.cosh(w)
 
 
-def _mean_curvature(u):
-    return CONSTANTS.a1 * _sech(2.0 * CONSTANTS.a1 * u)
+def _mean_curvature(u, xp):
+    return CONSTANTS.a1 * _sech(2.0 * CONSTANTS.a1 * u, xp)
 
 
 def f_explicit(u):
     """Mean curvature f(u) = 2 a1 e^{-2 a1 u} / (1 + e^{-4 a1 u}) = a1 sech(2 a1 u)."""
     _require_domain(u)
-    return _mean_curvature(u)
+    return _mean_curvature(u, namespace(u))
 
 
 def f_prime_explicit(u):
     """f'(u) = -2 a1^2 sech(2 a1 u) tanh(2 a1 u); positive on the domain."""
     _require_domain(u)
-    w = 2.0 * CONSTANTS.a1 * u
-    return -2.0 * CONSTANTS.a1 ** 2 * _sech(w) * namespace(w).tanh(w)
+    xp, w = namespace(u), 2.0 * CONSTANTS.a1 * u
+    return -2.0 * CONSTANTS.a1 ** 2 * _sech(w, xp) * xp.tanh(w)
 
 
 def f_second_explicit(u):
     """f''(u) = 4 a1^2 f (1 - 2 sin^2 theta)."""
     _require_domain(u)
-    s = _sech(2.0 * CONSTANTS.a1 * u)
+    s = _sech(2.0 * CONSTANTS.a1 * u, namespace(u))
     return 4.0 * CONSTANTS.a1 ** 3 * s * (1.0 - 2.0 * s * s)
 
 
-def _psi(u, c0: float):
+def _psi(u, c0: float, xp):
     a = CONSTANTS.a1
-    xp = namespace(u)
     return -u + xp.log1p(xp.exp(4.0 * a * u)) / (2.0 * a) + c0
 
 
@@ -189,14 +187,15 @@ def psi_explicit(u, c0: float = 0.0):
     Evaluated as -u + log1p(e^{4 a1 u}) / (2 a1) + c0.
     """
     _require_domain(u)
-    return _psi(u, c0)
+    return _psi(u, c0, namespace(u))
 
 
 def _state_explicit(u, c0: float):
     """(theta, f, Psi) at u, as :func:`theta_explicit`, :func:`f_explicit`
-    and :func:`psi_explicit` give them, with one domain check."""
+    and :func:`psi_explicit` give them, with one check and one pick."""
     _require_domain(u)
-    return _theta(u), _mean_curvature(u), _psi(u, c0)
+    xp = namespace(u)
+    return _theta(u, xp), _mean_curvature(u, xp), _psi(u, c0, xp)
 
 
 def psi_anchor(u0: float) -> float:
@@ -220,26 +219,45 @@ def _pfaff_coefficients(count: int) -> Tuple[float, ...]:
 _PFAFF_SERIES = _pfaff_coefficients(52)
 
 
-def _phi1_primitive(u):
-    # G(u) of the module docstring, with w^p written as e^{(2 a1 - 1) u}
-    # so that it never underflows on u < 0, and its 2F1 factor in Pfaff's
-    # form 2F1(p, 1 - p; p + 1; w / (1 + w)) / (1 + w)^p.  Callers check
-    # the domain.
-    a = CONSTANTS.a1
-    xp = namespace(u)
+def _pfaff_factors(u):
+    # The factors of G(u) of the module docstring that take a transcendental
+    # call: w = e^{4 a1 u}, w^p as e^{(2 a1 - 1) u} (which never underflows
+    # on u < 0) over p, and (1 + w)^p.  Callers check the domain.
+    a, xp = CONSTANTS.a1, namespace(u)
     w = xp.exp(4.0 * a * u)
+    return w, xp.exp((2.0 * a - 1.0) * u) / _P, (1.0 + w) ** _P
+
+
+def _phi1_factors(u):
+    _require_domain(u)
+    return _pfaff_factors(u)
+
+
+def _pfaff_sum(w, lead, power):
+    # G from its factors, with 2F1(p, 1 - p; p + 1; w / (1 + w)) by Horner's
+    # rule: *, + and / alone, which round alike on floats and on arrays.
     x = w / (1.0 + w)
     series = _PFAFF_SERIES[0]
     for coefficient in _PFAFF_SERIES[1:]:
         series = series * x + coefficient
-    return xp.exp((2.0 * a - 1.0) * u) / _P * (series / (1.0 + w) ** _P)
+    return lead * (series / power)
+
+
+def _phi1_primitive(u):
+    # G(u) of the module docstring.  Callers check the domain.
+    return _pfaff_sum(*_pfaff_factors(u))
+
+
+def _phi1_from(g, g0: float, c0: float):
+    """Phi1 from g = G(u) and g0 = G(u0), with only - and * on g."""
+    return -(math.exp(c0) / (2.0 * CONSTANTS.a1)) * (g - g0)
 
 
 def _phi1_explicit(u, g0: float, c0: float):
     """Closed-form Phi1(u) = -int_{u0}^{u} sin(theta) e^{Psi}, given
     g0 = G(u0); see the module docstring."""
     _require_domain(u)
-    return -(math.exp(c0) / (2.0 * CONSTANTS.a1)) * (_phi1_primitive(u) - g0)
+    return _phi1_from(_phi1_primitive(u), g0, c0)
 
 
 def gaussian_curvature_closed_form(u):
@@ -249,9 +267,9 @@ def gaussian_curvature_closed_form(u):
     the domain, from about -1 (u = EXPLICIT_U_MIN) to -2 a1 (u -> 0-).
     """
     _require_domain(u)
-    w = 2.0 * CONSTANTS.a1 * u
-    s = _sech(w)
-    return -namespace(w).tanh(w) ** 2 - 2.0 * CONSTANTS.a1 * s * s
+    xp, w = namespace(u), 2.0 * CONSTANTS.a1 * u
+    s = _sech(w, xp)
+    return -xp.tanh(w) ** 2 - 2.0 * CONSTANTS.a1 * s * s
 
 
 def solve_f(theta, c: float):
@@ -573,13 +591,14 @@ def _theta_samples(c: float, theta_start: float, u_span: float, step: float):
     quadrature error, |u*(panels) - u*(panels / 2)| 2 max f, and the last
     Newton correction, which bounds what the polish leaves (each step
     squares the error, so the last correction is the error before it).
-    A theta_start outside the quadrant (sin theta <= 0 or cos theta >= 0)
-    gives one sample, halted, with no estimate.  More than
-    ``MAX_MARCH_STEPS`` samples raise ``ValueError`` before any is
-    computed.
+    A theta_start with sin theta <= 0 is off the solution branch, and
+    :func:`solve_f` raises ``ValueError`` for it; one with sin theta > 0
+    but cos theta >= 0 is outside the quadrant and gives one sample,
+    halted, with no estimate.  More than ``MAX_MARCH_STEPS`` samples raise
+    ``ValueError`` before any is computed.
     """
-    f_start = solve_f(theta_start, c)
-    if math.sin(theta_start) <= 0.0 or math.cos(theta_start) >= 0.0:
+    f_start = solve_f(theta_start, c)  # refuses sin theta <= 0
+    if math.cos(theta_start) >= 0.0:
         return (np.array([0.0]), np.array([theta_start]), np.array([f_start]),
                 "angle_degenerate", None)
 
@@ -666,7 +685,10 @@ def integrate_implicit_profile(c: float, theta_start: float, u_span: float,
     the quadrature on half as many panels and by the last Newton
     correction.  The profile stops at ``u_span`` (``span_exhausted``) or
     where the angle leaves the quadrant (``angle_degenerate``), whichever
-    comes first; the reason is recorded in ``halt_reason``.
+    comes first; the reason is recorded in ``halt_reason``.  A
+    ``theta_start`` with sin theta > 0 and cos theta >= 0 is already past
+    the quadrant and gives one ``angle_degenerate`` sample; one with
+    sin theta <= 0 raises ``ValueError``, as :func:`solve_f` does.
 
     The quadratures Psi = int cos(theta) and Phi1 = -int sin(theta) e^{Psi}
     are anchored to zero at u = 0 and integrated over every step with an
@@ -738,14 +760,15 @@ def build_profile(kind: str, u_grid: Sequence[float],
         # the closed forms refuse u outside the domain, the anchor's in
         # psi_anchor before Phi1 reads it
         c0, g0 = psi_anchor(anchor), _phi1_primitive(anchor)
-        # One float evaluation per sample, not one array call per column:
-        # numpy's exp, cosh and log1p can round differently from math's in
-        # the last place, and each sample must be the value the dense
-        # evaluators return at its u as a float, bit for bit (so that
-        # Phi1(u0) = 0 exactly).
-        theta, f, psi, phi1 = np.array([
-            (*_state_explicit(x, c0), _phi1_explicit(x, g0, c0))
+        # Each transcendental call is a float call per sample (numpy's can
+        # round differently from math's in the last place, and each sample
+        # must be the dense evaluators' float value at its u, bit for bit,
+        # so that Phi1(u0) = 0 exactly); the Pfaff series and Phi1's
+        # scaling, *, + and / alone, are one array pass.
+        theta, f, psi, *factors = np.array([
+            (*_state_explicit(x, c0), *_phi1_factors(x))
             for x in grid.tolist()]).T
+        phi1 = _phi1_from(_pfaff_sum(*factors), g0, c0)
         return ProfileSolution(kind=EXPLICIT, u=grid, theta=theta, f=f,
                                psi=psi, phi1=phi1, u0=anchor)
 

@@ -230,10 +230,13 @@ class LocalGeometry:
             if u.ndim != 1:
                 raise ValueError("an N-point record takes (N,) arrays")
         self.patch, self.u, self.v = patch, u, v
-        z, derivatives = patch.height_and_derivatives(u, v)
+        z, (d_u, d_v, d_uu, d_uv, d_vv) = patch.height_and_derivatives(u, v)
         ez = xp.exp(z)
-        du, dv, duu, duv, dvv = ((ez * c[0], c[1] / ez, c[2])
-                                 for c in derivatives)
+        du = ez * d_u[0], d_u[1] / ez, d_u[2]
+        dv = ez * d_v[0], d_v[1] / ez, d_v[2]
+        duu = ez * d_uu[0], d_uu[1] / ez, d_uu[2]
+        duv = ez * d_uv[0], d_uv[1] / ez, d_uv[2]
+        dvv = ez * d_vv[0], d_vv[1] / ez, d_vv[2]
         self._du, self._dv = du, dv
         e, f, g = _dot(du, du), _dot(du, dv), _dot(dv, dv)
         # scaled by a power of two to components below 1, the cross product's

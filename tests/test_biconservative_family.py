@@ -512,6 +512,15 @@ def test_implicit_halt_immediately_degenerate():
         sol.state_at(0.0)  # dense output needs two samples
 
 
+@pytest.mark.parametrize("theta_start", [3.5, -0.5])
+def test_implicit_start_off_the_branch_raises(theta_start):
+    # sin(theta_start) <= 0: the root solve refuses the start before the
+    # quadrant test that gives cos >= 0 its one halted sample
+    with pytest.raises(ValueError, match=re.escape(
+            "sin(theta) must be positive on the solution branch")):
+        integrate_implicit_profile(1.0, theta_start, 1.0)
+
+
 def test_implicit_stage_angle_off_branch_halts():
     # f is about 1e41 here, so u* is about 1e-41, short of one step
     sol = integrate_implicit_profile(1e-300, 2.2, 0.5)
@@ -705,6 +714,23 @@ def test_explicit_psi_samples_are_the_closed_form(explicit_profile):
     p = explicit_profile
     for k, u in enumerate(p.u):
         assert p.psi[k] == p.state_at(u)[2]
+
+
+@pytest.mark.parametrize("grid", [
+    np.linspace(EXPLICIT_U_MIN, -35.0, 8), np.linspace(-1e-3, -1e-12, 50),
+    np.linspace(-10.0, -0.01, 256), np.linspace(-30.0, -1e-3, 1000)],
+    ids=["near_u_min", "near_zero", "256", "1000"])
+@pytest.mark.parametrize("anchor", [-1.0, -2.0, None],
+                         ids=["u0=-1", "u0=-2", "u0=first"])
+def test_explicit_samples_are_the_dense_values(grid, anchor):
+    # every column is its dense evaluator at the sample's float u, bit for
+    # bit: the build's array Horner pass rounds as the float calls do
+    u0 = float(grid[0]) if anchor is None else anchor
+    p = build_profile(EXPLICIT, u_grid=grid, u0=u0)
+    for u, theta, f, psi, phi1 in p.samples.tolist():
+        assert (theta, f, psi) == p.state_at(u)
+        assert phi1 == p.phi1_at(u)
+    assert p.phi1_at(u0) == 0.0
 
 
 def test_build_profile_implicit_clips_to_halt():

@@ -1,10 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from solgeo.numerics import (central_diff, first_false, hermite_basis,
-                             hermite_eval)
+import solgeo
+from solgeo.numerics import (_FLOAT_MATH, central_diff, first_false,
+                             hermite_basis, hermite_eval, namespace)
+
+PACKAGE_DIR = Path(solgeo.__file__).parent
 
 
 def test_central_diff_scalar():
@@ -48,3 +53,66 @@ def test_first_false_names_the_first_miss_and_fails_nan():
     assert first_false(np.array([1.0, 2.0]) > 0.0) is None
     assert first_false(np.array([1.0, -1.0, math.nan]) > 0.0) == 1
     assert first_false(np.array([1.0, math.nan, -1.0]) > 0.0) == 1
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize("x", [0.5, 3, np.float64(0.5)],
+                         ids=["float", "int", "float64"])
+def test_namespace_of_a_scalar_is_math(x):
+    assert namespace(x) is _FLOAT_MATH
+
+
+@pytest.mark.parametrize("x", [np.array([0.5, 1.5]),
+                               np.array([0.5, 1.5]).view(_Subclass)],
+                         ids=["array", "subclass"])
+def test_namespace_of_an_array_is_numpy(x):
+    assert namespace(x) is np
+
+
+def _picked(node) -> bool:
+    # a namespace reached as xp, as a record's self._xp, or as the value of
+    # a namespace(...) call
+    return ((isinstance(node, ast.Name) and node.id == "xp")
+            or (isinstance(node, ast.Attribute) and node.attr == "_xp")
+            or (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "namespace"))
+
+
+def _namespace_reads():
+    reads = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assign):
+                # every pick is bound to a name the scan reads through,
+                # alone or in a tuple assignment
+                pairs = [(target, node.value) for target in node.targets]
+                pairs += [pair for target in node.targets
+                          if isinstance(target, ast.Tuple)
+                          and isinstance(node.value, ast.Tuple)
+                          for pair in zip(target.elts, node.value.elts)]
+                assert all(_picked(target) for target, value in pairs
+                           if _picked(value)), (path.name, node.lineno)
+            if isinstance(node, ast.Attribute) and _picked(node.value):
+                reads.add(node.attr)
+    return reads
+
+
+def test_every_namespace_read_exists_in_both_namespaces():
+    reads = _namespace_reads()
+    assert {"exp", "sqrt", "maximum", "where", "arctan"} <= reads
+    assert sorted(name for name in reads
+                  if not hasattr(_FLOAT_MATH, name)) == []
+    assert sorted(name for name in reads if not hasattr(np, name)) == []
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (2.0, 1.0), (0.0, -0.0),
+                                  (-0.0, 0.0), (math.nan, 1.0),
+                                  (1.0, math.nan), (3, 2.5)])
+def test_float_maximum_and_minimum_pick_as_the_builtins(a, b):
+    # the same operand as max and min, so the sign of zero and a NaN pass
+    # through as they do there
+    assert _FLOAT_MATH.maximum(a, b) is max(a, b)
+    assert _FLOAT_MATH.minimum(a, b) is min(a, b)

@@ -228,11 +228,6 @@ def _pfaff_factors(u):
     return w, xp.exp((2.0 * a - 1.0) * u) / _P, (1.0 + w) ** _P
 
 
-def _phi1_factors(u):
-    _require_domain(u)
-    return _pfaff_factors(u)
-
-
 def _pfaff_sum(w, lead, power):
     # G from its factors, with 2F1(p, 1 - p; p + 1; w / (1 + w)) by Horner's
     # rule: *, + and / alone, which round alike on floats and on arrays.
@@ -764,9 +759,10 @@ def build_profile(kind: str, u_grid: Sequence[float],
         # round differently from math's in the last place, and each sample
         # must be the dense evaluators' float value at its u, bit for bit,
         # so that Phi1(u0) = 0 exactly); the Pfaff series and Phi1's
-        # scaling, *, + and / alone, are one array pass.
+        # scaling, *, + and / alone, are one array pass.  _state_explicit
+        # checks each sample's domain, which the Pfaff factors then share.
         theta, f, psi, *factors = np.array([
-            (*_state_explicit(x, c0), *_phi1_factors(x))
+            (*_state_explicit(x, c0), *_pfaff_factors(x))
             for x in grid.tolist()]).T
         phi1 = _phi1_from(_pfaff_sum(*factors), g0, c0)
         return ProfileSolution(kind=EXPLICIT, u=grid, theta=theta, f=f,

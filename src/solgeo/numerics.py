@@ -80,7 +80,9 @@ def stencil_rates(values: np.ndarray, step: float):
     """(d/du, d/dv) by central differences of ``values`` at the points of
     :func:`stencil_points`, its four blocks along the first axis, with the
     arithmetic of :func:`central_diff`."""
-    east, west, north, south = np.split(values, 4)
+    n = len(values) // 4
+    east, west = values[:n], values[n:2 * n]
+    north, south = values[2 * n:3 * n], values[3 * n:]
     return (east - west) / (2.0 * step), (north - south) / (2.0 * step)
 
 

@@ -15,7 +15,11 @@ Every handle takes ``u`` and ``v`` as floats (one point) or as same-shape
 (N,) arrays (N points).  A vector returns three components and a scalar
 one value; the patch and the field shape what a handle returns like
 ``u`` (an array of that shape as it is, a constant filled in), so a
-constant component may stay a float.  Handles written
+constant component may stay a float.  A record is the one reader that
+skips the filling: :meth:`SurfacePatch.height_and_partials` shapes z
+alone, and a constant partial stays a float that broadcasts in the
+record's arithmetic, while :meth:`SurfacePatch.height_and_derivatives`
+and :meth:`SurfacePatch.derivatives` still fill it.  Handles written
 against :func:`~solgeo.numerics.namespace` keep one point on ``math`` and
 Python floats.
 """
@@ -146,17 +150,27 @@ class SurfacePatch:
     def position(self, u: Param, v: Param) -> Components:
         return _components(self.immersion(u, v), u)
 
-    def height_and_derivatives(self, u: Param, v: Param
-                               ) -> Tuple[Param, Tuple[Components, ...]]:
+    def height_and_partials(self, u: Param, v: Param
+                            ) -> Tuple[Param, Tuple[Components, ...]]:
         """(z, (d_u, d_v, d_uu, d_uv, d_vv)) at ``(u, v)`` from one call of
-        the ``partials`` handle: at N points z shaped like ``u`` and each
-        partial like ``position``, at one point the handle's values as they
-        are."""
+        the ``partials`` handle, as a record reads them: at N points z
+        shaped like ``u`` and each partial's components as the handle
+        returns them (a constant stays a float), at one point the handle's
+        values as they are."""
         values = self.partials(u, v)
         if isinstance(u, np.ndarray):
-            return (_shaped(values[0], u.shape),
-                    tuple(_components(d, u) for d in values[1:]))
+            return _shaped(values[0], u.shape), values[1:]
         return values[0], values[1:]
+
+    def height_and_derivatives(self, u: Param, v: Param
+                               ) -> Tuple[Param, Tuple[Components, ...]]:
+        """:meth:`height_and_partials` with every partial shaped like
+        ``position``: at N points each component an array shaped like
+        ``u``, a constant filled in."""
+        z, partials = self.height_and_partials(u, v)
+        if isinstance(u, np.ndarray):
+            return z, tuple(_components(d, u) for d in partials)
+        return z, partials
 
     def derivatives(self, u: Param, v: Param) -> Tuple[Components, ...]:
         """(d_u, d_v, d_uu, d_uv, d_vv) at ``(u, v)``; see

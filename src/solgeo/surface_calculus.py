@@ -176,7 +176,7 @@ class LocalGeometry:
 
     The constructor reads the height z and all five partials from one call
     of the patch's ``partials`` handle
-    (:meth:`~solgeo.patch.SurfacePatch.height_and_derivatives`) and
+    (:meth:`~solgeo.patch.SurfacePatch.height_and_partials`) and
     computes the record's core in one pass: the partials' frame
     components, the first fundamental form, the unit normal, the ambient
     derivatives of the partials, the second form, the shape operator and
@@ -202,7 +202,12 @@ class LocalGeometry:
     closed-form inverse of the first form scaled to unit diagonal; the
     ambient derivatives of the partials take Sol's connection from its
     constant frame table :func:`~solgeo.sol_space.frame_connection`, so no
-    e^{2z} enters.  The public attributes, and the fields of
+    e^{2z} enters.  An N-point record reads a constant partial as the
+    handle's float, not filled in as
+    :meth:`~solgeo.patch.SurfacePatch.derivatives` gives it, and lets it
+    broadcast.  z is shaped like ``u``, and e^{+-z} scales the first two
+    frame components of every partial, so each quantity built from them
+    is an (N,) array.  The public attributes, and the fields of
     :meth:`adapted_frame`, are numpy arrays built from those values
     (scalars stay scalars); on an N-point record each has a leading axis
     of length N, in the order of ``u``.
@@ -230,7 +235,7 @@ class LocalGeometry:
             if u.ndim != 1:
                 raise ValueError("an N-point record takes (N,) arrays")
         self.patch, self.u, self.v = patch, u, v
-        z, (d_u, d_v, d_uu, d_uv, d_vv) = patch.height_and_derivatives(u, v)
+        z, (d_u, d_v, d_uu, d_uv, d_vv) = patch.height_and_partials(u, v)
         ez = xp.exp(z)
         du = ez * d_u[0], d_u[1] / ez, d_u[2]
         dv = ez * d_v[0], d_v[1] / ez, d_v[2]
@@ -279,7 +284,9 @@ class LocalGeometry:
         """Nested lists of this record's values as one array, with the
         point axis first on an N-point record."""
         out = np.array(nested)
-        return out if self._xp is not np else np.moveaxis(out, -1, 0)
+        if self._xp is not np:
+            return out
+        return out.transpose(out.ndim - 1, *range(out.ndim - 1))
 
     @_computed_once
     def xi_f(self) -> np.ndarray:

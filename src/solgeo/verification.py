@@ -155,8 +155,17 @@ def _grid_points(us: Sequence[float],
                  vs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     """Every point of ``us x vs`` in u-major order, as the (N,) arrays u
     and v of one N-point :class:`LocalGeometry`."""
-    u, v = np.meshgrid(us, vs, indexing="ij")
-    return u.ravel(), v.ravel()
+    return np.repeat(us, len(vs)), np.tile(vs, len(us))
+
+
+# The grid of each CMC rigidity fixture and of the leaf checks.
+_FIXTURE_GRID = (7, 7)
+
+
+def _grid_record(patch: SurfacePatch) -> LocalGeometry:
+    """One record over every point of ``patch.grid(*_FIXTURE_GRID)``."""
+    return LocalGeometry(patch,
+                         *_grid_points(*patch.grid(*_FIXTURE_GRID)))
 
 
 # -- adapted-frame identity machinery ------------------------------------
@@ -422,6 +431,22 @@ def _residual_norm(patch: SurfacePatch, u, v):
     return geo.metric_norm(geo.residual)
 
 
+# The leaves that the ambient suite checks and that check_cmc_rigidity
+# classifies first by default, by kind and level.
+_LEAVES = (("x_const", 0.3), ("y_const", -0.2), ("z_const", 0.15))
+
+
+def _leaf_records() -> Tuple[LocalGeometry, ...]:
+    """The records on the ``_LEAVES``, in their order."""
+    return tuple(_grid_record(canonical_leaf(kind, level))
+                 for kind, level in _LEAVES)
+
+
+# What the leaf checks read: _leaf_records, or its one result per
+# run_suite call.
+_Leaves = Callable[[], Tuple[LocalGeometry, ...]]
+
+
 def check_cmc_rigidity(fixtures: Optional[Sequence[SurfacePatch]] = None
                        ) -> List[CheckReport]:
     """Evidence that CMC + biconservative forces minimality.
@@ -432,21 +457,27 @@ def check_cmc_rigidity(fixtures: Optional[Sequence[SurfacePatch]] = None
     below tolerance.  Fixtures that are not CMC or not biconservative are
     consistent by themselves (they witness no counterexample) and the
     report records their defect sizes.  A NaN anywhere on the grid leaves
-    the fixture ``undetermined`` with a NaN error, which fails.
+    the fixture ``undetermined`` with a NaN error, which fails.  The
+    default fixtures are the three canonical leaves, the vertical cylinder
+    and the paraboloid graph.
     """
+    return _rigidity_reports(fixtures, _leaf_records)
+
+
+def _rigidity_reports(fixtures: Optional[Sequence[SurfacePatch]],
+                      leaves: _Leaves) -> List[CheckReport]:
+    """:func:`check_cmc_rigidity`, with the default leaves' records from
+    ``leaves``."""
     if fixtures is None:
-        fixtures = [
-            canonical_leaf("x_const", 0.3),
-            canonical_leaf("y_const", -0.2),
-            canonical_leaf("z_const", 0.15),
-            vertical_cylinder_fixture(),
-            graph_patch_fixture(),
-        ]
+        records = [*leaves(), _grid_record(vertical_cylinder_fixture()),
+                   _grid_record(graph_patch_fixture())]
+    else:
+        records = [_grid_record(patch) for patch in fixtures]
 
     reports = []
-    for patch in fixtures:
-        us, vs = patch.grid(7, 7)
-        geo = LocalGeometry(patch, *_grid_points(us, vs))
+    for geo in records:
+        patch = geo.patch
+        us, vs = patch.grid(*_FIXTURE_GRID)
         maxima = np.max([_gradient_norm(geo), geo.metric_norm(geo.residual),
                          np.abs(geo.h)], axis=1)
         max_grad, max_res, max_f = maxima
@@ -640,7 +671,8 @@ def check_polynomial_obstruction() -> CheckReport:
 # -- ambient suite ---------------------------------------------------------
 
 
-def _ambient_reports(seed: int, family: _Family) -> List[CheckReport]:
+def _ambient_reports(seed: int, family: _Family,
+                     leaves: _Leaves) -> List[CheckReport]:
     rng = default_rng(seed)
     p = Point(*rng.uniform(-5.0, 5.0, size=(100, 3)).T)
     ctx = {"points": len(p.z), "seed": seed}
@@ -678,38 +710,40 @@ def _ambient_reports(seed: int, family: _Family) -> List[CheckReport]:
         "ambient_frame_orthonormality",
         np.max(np.abs(gram - np.eye(3)[..., None])), 1e-12, ctx))
 
-    c = Point(*rng.uniform(-2.0, 2.0, size=(10, 3)).T)
+    # nabla_{E_i} E_j for the 3 x 3 pairs (i, j) at the 10 points as one
+    # 90-point call: the pairs in row-major order, the points in each
+    c = rng.uniform(-2.0, 2.0, size=(10, 3))
     e = np.eye(3)
-    worst = np.max([np.abs(covariant_derivative(
-                        lambda r, j=j: frame_vector(r, j), frame_vector(c, i))
-                        .components
-                        - np.array(frame_connection(e[i - 1], e[j - 1])))
-                    for i in range(1, 4) for j in range(1, 4)])
+    along = np.repeat(e, 3 * len(c), axis=0)
+    field = np.tile(np.repeat(e, len(c), axis=0), (3, 1))
+    nabla = covariant_derivative(lambda r: TangentVector(r, field),
+                                 TangentVector(Point(*np.tile(c, (9, 1)).T),
+                                               along))
+    worst = np.max(np.abs(nabla.components
+                          - np.array(frame_connection(along.T, field.T)).T))
     reports.append(CheckReport(
         "ambient_connection_table", worst, 1e-8,
-        {"points": len(c.z), "seed": seed,
+        {"points": len(c), "seed": seed,
          "statement": "finite-difference covariant derivatives reproduce "
                       "the frame connection table"}))
 
-    reports.extend(_leaf_reports())
+    reports.extend(_leaf_reports(leaves))
     return reports
 
 
-def _leaf_reports() -> List[CheckReport]:
+def _leaf_reports(leaves: _Leaves = _leaf_records) -> List[CheckReport]:
     reports = []
-    for kind, level in (("x_const", 0.3), ("y_const", -0.2)):
-        patch = canonical_leaf(kind, level)
-        us, vs = patch.grid(7, 7)
-        worst = np.max(np.abs(LocalGeometry(patch,
-                                            *_grid_points(us, vs)).second))
+    *vertical, geo = leaves()
+    for (kind, _), record in zip(_LEAVES, vertical):
+        us, vs = record.patch.grid(*_FIXTURE_GRID)
         reports.append(CheckReport(
-            f"leaf_totally_geodesic_{kind}", worst, 1e-9,
-            _grid_context(patch, us, vs,
+            f"leaf_totally_geodesic_{kind}", np.max(np.abs(record.second)),
+            1e-9,
+            _grid_context(record.patch, us, vs,
                           statement="second fundamental form vanishes")))
 
-    patch = canonical_leaf("z_const", 0.15)
-    us, vs = patch.grid(7, 7)
-    geo = LocalGeometry(patch, *_grid_points(us, vs))
+    patch = geo.patch
+    us, vs = patch.grid(*_FIXTURE_GRID)
     worst_h = np.max(np.abs(geo.h))
     worst_k = np.max(np.abs(geo.K))
     worst_eig = np.max(np.abs(np.sort(geo.principal_curvatures, axis=-1)
@@ -738,12 +772,15 @@ def _default_family() -> Tuple[ProfileSolution, SurfacePatch, SurfacePatch]:
             family_surface(profile, "x2"))
 
 
-# What each suite reads besides the seed: _default_family, built on first
-# call and then kept for the rest of one run_suite call.
+# What each suite reads besides the seed: _default_family and
+# _leaf_records, each built on first call and then kept for the rest of one
+# run_suite call, so the ambient leaf checks and the CMC rigidity check
+# share one record per leaf and nothing outlives the call.
 _Family = Callable[[], Tuple[ProfileSolution, SurfacePatch, SurfacePatch]]
 
 
-def _frames_reports(seed: int, family: _Family) -> List[CheckReport]:
+def _frames_reports(seed: int, family: _Family,
+                    leaves: _Leaves) -> List[CheckReport]:
     _, px1, px2 = family()
     # One frame evaluation per grid point serves both checks.
     evals = {"x1": _frame_eval(px1, (9, 5), None),
@@ -753,7 +790,7 @@ def _frames_reports(seed: int, family: _Family) -> List[CheckReport]:
         reports += _frame_identity_reports(e, label)
     for label, e in evals.items():
         reports += _angle_reports(e, label, label)
-    reports += check_cmc_rigidity()
+    reports += _rigidity_reports(None, leaves)
 
     # Negative controls: these fixtures are supposed to violate the
     # properties, and the control passes only if they do so decisively.
@@ -778,7 +815,8 @@ def _frames_reports(seed: int, family: _Family) -> List[CheckReport]:
     return reports
 
 
-def _family_reports(seed: int, family: _Family) -> List[CheckReport]:
+def _family_reports(seed: int, family: _Family,
+                    leaves: _Leaves) -> List[CheckReport]:
     profile, px1, px2 = family()
     reports = []
 
@@ -911,11 +949,13 @@ def _family_reports(seed: int, family: _Family) -> List[CheckReport]:
     return reports
 
 
-def _biharmonic_reports(seed: int, family: _Family) -> List[CheckReport]:
+def _biharmonic_reports(seed: int, family: _Family,
+                        leaves: _Leaves) -> List[CheckReport]:
     return check_biharmonic_obstruction(family()[0])
 
 
-def _polynomial_reports(seed: int, family: _Family) -> List[CheckReport]:
+def _polynomial_reports(seed: int, family: _Family,
+                        leaves: _Leaves) -> List[CheckReport]:
     return [check_polynomial_obstruction()]
 
 
@@ -946,9 +986,9 @@ def run_suite(name: str, seed: int = 0) -> List[CheckReport]:
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed!r}")
     suites = SUITE_NAMES if name == "all" else (name,)
-    family = cache(_default_family)
+    family, leaves = cache(_default_family), cache(_leaf_records)
     return [report for suite in suites
-            for report in _SUITES[suite](seed, family)]
+            for report in _SUITES[suite](seed, family, leaves)]
 
 
 def reports_to_json(reports: Sequence[CheckReport]) -> str:

@@ -888,13 +888,14 @@ def test_each_dense_evaluation_checks_u_once(monkeypatch, implicit_solution,
         assert len(calls) == 1, name
 
 
-def test_explicit_build_checks_each_sample_twice(monkeypatch):
-    # one check for the anchor's c0, one per sample for (theta, f, Psi)
-    # and one for Phi1, and the profile's own two: its grid and its c0
+def test_explicit_build_checks_each_sample_once(monkeypatch):
+    # one check for the anchor's c0, one per sample for (theta, f, Psi),
+    # which Phi1's factors share, and the profile's own two: its grid and
+    # its c0
     calls = _count_calls(monkeypatch, biconservative_family,
                          "_require_domain")
     build_profile(EXPLICIT, u_grid=np.linspace(-3.0, -0.01, 10))
-    assert len(calls) == 23
+    assert len(calls) == 1 + 10 + 2
 
 
 def test_mirrored_variant_swaps_roles(explicit_profile):

@@ -7,7 +7,8 @@ import pytest
 
 import solgeo
 from solgeo.numerics import (_FLOAT_MATH, central_diff, first_false,
-                             hermite_basis, hermite_eval, namespace)
+                             hermite_basis, hermite_eval, namespace,
+                             stencil_points, stencil_rates)
 
 PACKAGE_DIR = Path(solgeo.__file__).parent
 
@@ -19,6 +20,24 @@ def test_central_diff_scalar():
 def test_central_diff_vector_valued():
     out = central_diff(lambda t: np.array([t ** 2, t ** 3]), 2.0, 1e-5)
     assert np.allclose(out, [4.0, 12.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 3)])
+def test_stencil_rates_are_the_split_differences(shape):
+    # the four blocks by slicing give the bits of np.split's blocks
+    step = 1e-5
+    values = np.random.default_rng(3).normal(size=(4 * shape[0],) + shape[1:])
+    east, west, north, south = np.split(values, 4)
+    d_u, d_v = stencil_rates(values, step)
+    assert d_u.shape == d_v.shape == shape
+    assert np.array_equal(d_u, (east - west) / (2.0 * step))
+    assert np.array_equal(d_v, (north - south) / (2.0 * step))
+    # and they difference a field sampled at stencil_points
+    u, v = np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 2.0, 5)
+    s, t = stencil_points(u, v, step)
+    d_u, d_v = stencil_rates(s * s + 3.0 * t, step)
+    assert np.allclose(d_u, 2.0 * u, rtol=0.0, atol=1e-9)
+    assert np.allclose(d_v, 3.0, rtol=0.0, atol=1e-9)
 
 
 def test_hermite_basis_array_matches_scalar():

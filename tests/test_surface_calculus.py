@@ -866,6 +866,34 @@ def test_n_point_derivatives_fill_constant_components(patch_x1, patch_x2):
                 assert np.array_equal(c, broadcast)
 
 
+def test_n_point_record_reads_constant_partials_as_floats():
+    """On the z leaf the handle returns z and every partial as constants.
+    The record shapes z like u and reads the partials as the handle's
+    floats, and each public field still has its leading axis of length N
+    and holds, row by row, what one-point records hold (the tolerances of
+    test_n_point_record_matches_one_point_records)."""
+    leaf = canonical_leaf("z_const", 0.15)
+    u, v = _grid_points(leaf, 7, 5)
+    z_raw, *raw = leaf.partials(u, v)
+    assert not any(isinstance(c, np.ndarray) for c in (z_raw,)
+                   + tuple(c for vector in raw for c in vector))
+    z, partials = leaf.height_and_partials(u, v)
+    assert isinstance(z, np.ndarray) and z.shape == u.shape
+    assert np.array_equal(z, np.full(u.shape, z_raw))
+    assert partials == tuple(raw)
+    batch = LocalGeometry(leaf, u, v)
+    records = [LocalGeometry(leaf, float(s), float(t)) for s, t in zip(u, v)]
+    for name in ("first", "second", "A", "h", "K", "xi_f",
+                 "principal_curvatures"):
+        rows = getattr(batch, name)
+        assert isinstance(rows, np.ndarray), name
+        assert rows.shape[0] == len(u) and rows.dtype == float, name
+        expected = np.array([getattr(g, name) for g in records])
+        assert rows.shape == expected.shape, name
+        np.testing.assert_allclose(rows, expected, rtol=1e-13, atol=1e-15,
+                                   err_msg=name)
+
+
 def test_laplacian_requires_second_partials():
     graph = graph_patch_fixture()
     with pytest.raises(ValueError, match="second_partials"):

@@ -227,6 +227,72 @@ def test_grids_build_one_record_each(monkeypatch, section, records):
     assert min(built) > 1
 
 
+@pytest.mark.parametrize("us,vs", [
+    ((-3.0, -1.5, 0.5), (-0.5, 0.25)),
+    (np.linspace(-1.0, 1.0, 7), np.linspace(0.0, 2.0, 4)),
+    (np.linspace(-4.0, -1e-3, 64)[::8], (-0.5, 0.25))],
+    ids=["tuples", "arrays", "mixed"])
+def test_grid_points_are_the_raveled_meshgrid(us, vs):
+    u, v = verification._grid_points(us, vs)
+    mesh_u, mesh_v = np.meshgrid(us, vs, indexing="ij")
+    assert np.array_equal(u, mesh_u.ravel()) and u.dtype == mesh_u.dtype
+    assert np.array_equal(v, mesh_v.ravel()) and v.dtype == mesh_v.dtype
+
+
+def _counted_run(monkeypatch):
+    """Run ``run_suite("all")`` once and count its records, connection
+    oracle calls and canonical leaves."""
+    counts = {"records": 0, "covariant_derivative": 0, "canonical_leaf": 0}
+    original = LocalGeometry.__init__
+
+    def init(self, patch, u, v):
+        counts["records"] += 1
+        original(self, patch, u, v)
+
+    def counted(name):
+        call = getattr(verification, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patched:
+        patched.setattr(LocalGeometry, "__init__", init)
+        for name in ("covariant_derivative", "canonical_leaf"):
+            patched.setattr(verification, name, counted(name))
+        reports = run_suite("all")
+    return counts, reports
+
+
+def test_run_suite_all_shares_the_leaves_within_one_call(monkeypatch):
+    # the ambient leaf checks and the CMC rigidity check read one record
+    # per leaf (4 canonical leaves: 3 shared and the rotated control), the
+    # connection table is one oracle call, and a second call in the same
+    # process does the same work again, so nothing is kept between calls
+    expected = {"records": 25, "covariant_derivative": 1,
+                "canonical_leaf": 4}
+    first, reports = _counted_run(monkeypatch)
+    second, again = _counted_run(monkeypatch)
+    assert first == expected and second == expected
+    assert reports_to_json(reports) == reports_to_json(again)
+
+
+def test_run_suite_leaves_the_module_state_unchanged():
+    before = {name: (value, repr(value))
+              for name, value in vars(verification).items()
+              if not name.startswith("__")}
+    run_suite("all")
+    after = {name: value for name, value in vars(verification).items()
+             if not name.startswith("__")}
+    assert after.keys() == before.keys()
+    for name, (value, text) in before.items():
+        assert after[name] is value and repr(after[name]) == text, name
+        # no module-level cache holds a result of the run
+        info = getattr(value, "cache_info", None)
+        assert info is None or info().currsize == 0, name
+
+
 def _five_record_frame_eval(patch, u, v, override):
     """The frame ingredients from a centre record and one record at each
     of (u + step, v), (u - step, v), (u, v + step), (u, v - step), with
@@ -317,13 +383,13 @@ def test_ambient_suite_makes_one_n_point_call_per_check(monkeypatch):
         monkeypatch.setattr(verification, name, counted)
     run_suite("ambient")
     # three frame planes, one oracle over 50 triples, and the 3 x 3
-    # connection table at 10 points
+    # connection table at 10 points as one call at 90 points
     assert {name: len(n) for name, n in sizes.items()} == {
         "sectional_curvature": 3, "curvature_tensor_fd": 1,
-        "covariant_derivative": 9}
+        "covariant_derivative": 1}
     assert sizes["sectional_curvature"] == [100] * 3
     assert sizes["curvature_tensor_fd"] == [50]
-    assert sizes["covariant_derivative"] == [10] * 9
+    assert sizes["covariant_derivative"] == [90]
 
 
 @pytest.mark.parametrize("seed", [0, 7])

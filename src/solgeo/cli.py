@@ -187,26 +187,31 @@ _FACE_BLOCK_LABELS = 1 << 14
 _WRITE_BUFFER = 1 << 20
 
 
-def _face_tokens(prefix: str, first: int, stop: int) -> np.ndarray:
-    """Fixed-width tokens as ``np.void`` items: ``prefix`` at index 0, then
-    ``label + " "`` and ``label + "\n"`` for each label from ``first`` to
-    ``stop - 1``, at 1 + 2 (label - first) and the index after it.
+def _face_tokens(first: int, stop: int) -> np.ndarray:
+    """Fixed-width tokens as ``np.void`` items: ``label + " "`` at
+    2 (label - first) and ``label + "\\n"`` at the index after it, for each
+    label from ``first`` to ``stop - 1``.
 
     Decimal digits are written once, right-aligned, with integer
-    arithmetic in the smallest unsigned type that holds the labels; the
-    leading zeros and the unused bytes of the prefix are NUL.
+    arithmetic in the smallest unsigned type that holds the labels.  Where
+    the labels differ in width, the shorter ones are padded on the left
+    with NUL bytes; a table of labels of one width holds no NUL.
     """
     width = len(str(stop - 1)) + 1
+    pad = len(str(first)) + 1 < width
     token = np.dtype((np.void, width))
     label = np.empty((stop - first, width), np.uint8)
     rest = np.arange(first, stop, dtype=np.min_scalar_type(stop - 1))
-    label[:, -2] = rest % 10 + 48
-    for column in range(width - 3, -1, -1):
-        rest //= 10
-        label[:, column] = np.where(rest > 0, rest % 10 + 48, 0)
-    table = np.empty(1 + 2 * (stop - first), token)
-    table[0] = prefix.encode("ascii").ljust(width, b"\0")
-    for index, separator in ((1, b" "), (2, b"\n")):
+    for column in range(width - 2, -1, -1):
+        # numpy vectorises an unsigned // but not an unsigned %
+        quotient = rest // 10
+        digit = rest - quotient * 10 + 48
+        if pad and column < width - 2:
+            digit = np.where(rest > 0, digit, 0)
+        label[:, column] = digit
+        rest = quotient
+    table = np.empty(2 * (stop - first), token)
+    for index, separator in ((0, b" "), (1, b"\n")):
         label[:, -1] = ord(separator)
         table[index::2] = label.view(token).ravel()
     return table
@@ -225,23 +230,27 @@ def _mesh_chunks(fmt: str, name: str, nu: int, rulings: Sequence[float],
     fixed coordinate once per row.
 
     Faces are written a block of vertex rows at a time, about
-    ``_FACE_BLOCK_LABELS`` labels and never fewer than 2 rows: the block's
-    labels become a table of fixed-width tokens (:func:`_face_tokens`),
-    and each face row is one gather of its 8 (nv - 1) tokens with the NUL
-    padding dropped.  Consecutive blocks share one vertex row.
+    ``_FACE_BLOCK_LABELS`` labels and never fewer than 2 rows, and a block
+    also ends where the digit count of a face row's first or last label
+    changes.  The block's labels become a table of ``label + " "`` and
+    ``label + "\\n"`` tokens (:func:`_face_tokens`), and each face row is
+    one gather of its 6 (nv - 1) label tokens into a buffer of lines whose
+    prefix is written once per block.  Only a block whose labels differ in
+    width has NUL padding to drop.  Consecutive blocks share one vertex
+    row.
     """
     nv = len(rulings)
     n_faces = 2 * (nu - 1) * (nv - 1)
     if fmt == "obj":
         header = (f"# {name}", f"# grid {nu} {nv}")
-        vertex_prefix, face_prefix, base = "v ", "f ", 1
+        vertex_prefix, face_prefix, base = "v ", b"f ", 1
     else:
         header = ("ply", "format ascii 1.0", f"comment {name}",
                   f"element vertex {nu * nv}",
                   "property float x", "property float y",
                   "property float z", f"element face {n_faces}",
                   "property list uchar int vertex_indices", "end_header")
-        vertex_prefix, face_prefix, base = "", "3 ", 0
+        vertex_prefix, face_prefix, base = "", b"3 ", 0
     yield "".join(line + "\n" for line in header)
     columns = ["%.12f" % v for v in rulings]
     for row in rows:
@@ -253,21 +262,35 @@ def _mesh_chunks(fmt: str, name: str, nu: int, rulings: Sequence[float],
     # (a_j, b_j, b_j+1) and (a_j, b_j+1, a_j+1).  In a block's first face
     # row, a_j + " " is token a and b_j + " " token b, so b_j+1 + " ",
     # b_j+1 + "\n" and a_j+1 + "\n" are b + 2, b + 3 and a + 3; each later
-    # row moves its label tokens (not the prefix, token 0) on by one
-    # vertex row
+    # row reads the same pattern one vertex row (2 nv tokens) further on
     cell = np.arange(nv - 1)
-    a, b = 1 + 2 * cell, 1 + 2 * (nv + cell)
-    prefix = np.zeros_like(cell)
-    pattern = np.stack([prefix, a, b, b + 3, prefix, a, b + 2, a + 3],
-                       axis=1).ravel()
-    shift = np.where(pattern > 0, 2 * nv, 0)
-    block_rows = max(2, _FACE_BLOCK_LABELS // nv)
-    for start in range(0, nu - 1, block_rows - 1):
-        stop = min(start + block_rows, nu)
-        tokens = _face_tokens(face_prefix, base + start * nv, base + stop * nv)
-        for k in range(stop - start - 1):
-            yield np.take(tokens, pattern + k * shift).tobytes() \
-                .translate(None, b"\0").decode("ascii")
+    a, b = 2 * cell, 2 * (nv + cell)
+    pattern = np.stack([a, b, b + 3, a, b + 2, a + 3], axis=1).reshape(-1, 3)
+
+    def widths(k):
+        # digit counts of the first and the last label of face row k
+        return len(str(base + k * nv)), len(str(base + (k + 2) * nv - 1))
+
+    block_faces = max(1, _FACE_BLOCK_LABELS // nv - 1)
+    start = 0
+    while start < nu - 1:
+        key, stop = widths(start), start + 1
+        while (stop < min(nu - 1, start + block_faces)
+               and widths(stop) == key):
+            stop += 1
+        tokens = _face_tokens(base + start * nv, base + (stop + 1) * nv)
+        lines = np.empty((2 * (nv - 1), 2 + 3 * tokens.itemsize), np.uint8)
+        lines[:, :2] = list(face_prefix)
+        labels = lines[:, 2:].view(tokens.dtype)
+        for k in range(stop - start):
+            # every index is in range; with the default "raise" numpy
+            # gathers into a copy of ``labels`` and copies that back
+            np.take(tokens[2 * nv * k:], pattern, out=labels, mode="clip")
+            text = lines.tobytes()
+            if key[0] != key[1]:
+                text = text.translate(None, b"\0")
+            yield text.decode("ascii")
+        start = stop
 
 
 def cmd_generate(config: RunConfig) -> int:

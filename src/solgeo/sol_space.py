@@ -132,18 +132,42 @@ def _rescaled(z, comps: np.ndarray, basis: str, formula) -> np.ndarray:
         except OverflowError:
             ez = math.inf
         out = np.array(formula(ez, comps.T)).T
-    bad = first_false(np.isfinite(out).all(axis=-1))
-    if bad is not None:
-        raise ValueError(f"{basis} components leave the double range "
-                         f"at z = {np.ravel(z)[bad]:g}")
+    _require_double_range(z, f"{basis} components leave",
+                          np.isfinite(out).all(axis=-1))
     return out
+
+
+def _require_double_range(z, what: str, finite) -> None:
+    """ValueError naming the first z (a float or an (N,) array) where
+    ``finite`` (a bool, or a bool array in point order) is false."""
+    bad = first_false(finite)
+    if bad is not None:
+        raise ValueError(f"{what} the double range at "
+                         f"z = {np.ravel(z)[bad]:g}")
+
+
+def _exp_2z(z):
+    """e^{2z} and e^{-2z}, the second as 1 / e^{2z}, at height z (a float
+    or an (N,) array); ValueError names the first z where either leaves
+    the double range."""
+    xp = namespace(z)
+    with np.errstate(all="ignore"):
+        try:
+            e2z = xp.exp(2.0 * z)
+            inverse = 1.0 / e2z
+        except (OverflowError, ZeroDivisionError):
+            e2z = inverse = math.inf
+    _require_double_range(z, "e^(2z) or e^(-2z) leaves",
+                          xp.isfinite(e2z) & xp.isfinite(inverse))
+    return e2z, inverse
 
 
 def metric_at(p: Point) -> np.ndarray:
     """The metric's diagonal (e^{2z}, e^{-2z}, 1) at p, (3,) at one point
-    and (N, 3) at N points."""
-    e2z = namespace(p.z).exp(2.0 * p.z)
-    return np.array([e2z, 1.0 / e2z, np.ones_like(e2z)]).T
+    and (N, 3) at N points; ValueError names a z where e^{2z} or e^{-2z}
+    leaves the double range."""
+    e2z, inverse = _exp_2z(p.z)
+    return np.array([e2z, inverse, np.ones_like(e2z)]).T
 
 
 def _require_same_base(*vectors: TangentVector) -> Point:
@@ -188,14 +212,15 @@ def christoffel(p: Point) -> np.ndarray:
     The one statement of Sol's connection in coordinates, the closed forms
     of the diagonal metric.  It is an oracle: :func:`covariant_derivative`
     and :func:`curvature_tensor_fd` contract it, and run-time geometry
-    reads :func:`frame_connection`.
+    reads :func:`frame_connection`.  ValueError names a z where e^{2z} or
+    e^{-2z} leaves the double range.
     """
-    e2z = namespace(p.z).exp(2.0 * p.z)
+    e2z, inverse = _exp_2z(p.z)
     gamma = np.zeros(np.shape(p.z) + (3, 3, 3))
     gamma[..., 0, 0, 2] = gamma[..., 0, 2, 0] = 1.0
     gamma[..., 1, 1, 2] = gamma[..., 1, 2, 1] = -1.0
     gamma[..., 2, 0, 0] = -e2z
-    gamma[..., 2, 1, 1] = 1.0 / e2z
+    gamma[..., 2, 1, 1] = inverse
     return gamma
 
 
@@ -316,7 +341,11 @@ def canonical_leaf(kind: str, level: float) -> SurfacePatch:
     ``x_const`` and ``y_const`` leaves are totally geodesic hyperbolic
     planes; ``z_const`` leaves are flat and minimal.  The ``z_const``
     parametrization is orthonormal: (u, v) -> (u e^{-level}, v e^{level}).
+    ValueError refuses a non-finite level, and a ``z_const`` level where
+    e^{level} or e^{-level} leaves the double range.
     """
+    if not math.isfinite(level):
+        raise ValueError(f"leaf level must be finite, got {level!r}")
     if kind == "x_const":
         immersion, d_u, d_v = ((lambda u, v: (level, u, v)),
                                (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -324,7 +353,11 @@ def canonical_leaf(kind: str, level: float) -> SurfacePatch:
         immersion, d_u, d_v = ((lambda u, v: (u, level, v)),
                                (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
     elif kind == "z_const":
-        eminus, eplus = math.exp(-level), math.exp(level)
+        try:
+            eminus, eplus = math.exp(-level), math.exp(level)
+        except OverflowError:
+            raise ValueError(f"e^(level) or e^(-level) leaves the double "
+                             f"range at z = {level:g}") from None
         immersion, d_u, d_v = ((lambda u, v: (u * eminus, v * eplus, level)),
                                (eminus, 0.0, 0.0), (0.0, eplus, 0.0))
     else:

@@ -187,10 +187,12 @@ def reference_faces(fmt, nu, nv):
     return rows
 
 
-# nu * nv crosses 10, 100, 1,000 and 10,000 labels, so the label width
-# changes inside one mesh; nv = 2 and nu = 2 are the thinnest grids
+# nu * nv crosses 10, 100, 1,000, 10,000 and 100,000 labels, so the
+# label width changes inside one mesh; nv = 2 and nu = 2 are the thinnest
+# grids
 @pytest.mark.parametrize("nu,nv", [(3, 4), (11, 10), (9, 120), (101, 100),
-                                   (7, 2), (60, 2), (2, 6), (2, 5001)])
+                                   (7, 2), (60, 2), (2, 6), (2, 5001),
+                                   (2, 50001)])
 @pytest.mark.parametrize("fmt", ["obj", "ply"])
 @pytest.mark.parametrize("block", [None, 7, 1000])
 def test_face_rows_match_a_per_triangle_reference(nu, nv, fmt, block,
@@ -202,6 +204,43 @@ def test_face_rows_match_a_per_triangle_reference(nu, nv, fmt, block,
     chunks = list(cli._mesh_chunks(fmt, "m", nu, [0.0] * nv,
                                    [(0.0, None, 0.0)] * nu))
     assert chunks[1 + nu:] == reference_faces(fmt, nu, nv)
+
+
+# PLY labels start at 0 and OBJ labels at 1; ranges of one label, ranges
+# that cross 10, 100 and 100,000, and ranges of one width
+@pytest.mark.parametrize("first,stop", [
+    (0, 1), (1, 2), (7, 8), (100000, 100001), (0, 10), (1, 10), (0, 11),
+    (1, 11), (5, 200), (1, 101), (99, 101), (10, 100), (100, 1000),
+    (99990, 100010), (0, 100001)])
+def test_face_tokens_are_each_label_and_its_separator(first, stop):
+    table = cli._face_tokens(first, stop)
+    tokens = [token.tobytes() for token in table]
+    assert [token.replace(b"\0", b"").decode("ascii")
+            for token in tokens] == [
+        form % label for label in range(first, stop)
+        for form in ("%d ", "%d\n")]
+    if len(str(first)) == len(str(stop - 1)):
+        assert b"\0" not in table.tobytes()
+
+
+@pytest.mark.parametrize("nu,nv", [(256, 256), (2, 5001)])
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_face_token_tables_stay_within_the_block_bound(nu, nv, fmt,
+                                                       monkeypatch):
+    # the face writer's memory grows with nv but not with nu
+    builder, sizes = cli._face_tokens, []
+
+    def spy(first, stop):
+        table = builder(first, stop)
+        sizes.append(len(table))
+        return table
+
+    monkeypatch.setattr(cli, "_face_tokens", spy)
+    for _ in cli._mesh_chunks(fmt, "m", nu, [0.0] * nv,
+                              [(0.0, None, 0.0)] * nu):
+        pass
+    assert sizes
+    assert max(sizes) <= 2 * max(cli._FACE_BLOCK_LABELS, 2 * nv)
 
 
 def test_profile_stdout(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -542,3 +543,53 @@ def test_conversions_inside_the_double_range_keep_their_bits():
         d_x, d_z = (TangentVector.from_coordinates(p, v)
                     for v in np.eye(3)[[0, 2]])
         assert sectional_curvature(d_x, d_z) == -1.0
+
+
+# e^{2z} overflows, 1 / e^{2z} overflows, and e^{2z} underflows to 0
+@pytest.mark.parametrize("z", [355.0, -355.0, -7.6e18],
+                         ids=["overflow", "inverse-overflow", "underflow"])
+@pytest.mark.parametrize("oracle", [metric_at, christoffel])
+def test_metric_past_the_double_range_names_the_point(oracle, z):
+    # a clean error, not an OverflowError, a ZeroDivisionError, an inf or a
+    # RuntimeWarning, at one point and at N points
+    message = "^" + re.escape(f"e^(2z) or e^(-2z) leaves the double range "
+                              f"at z = {z:g}") + "$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            oracle(Point(0.0, 0.0, z))
+        with pytest.raises(ValueError, match=message):
+            oracle(Point(np.zeros(3), np.zeros(3), np.array([0.0, z, 1.0])))
+
+
+def test_metric_inside_the_double_range_keeps_its_bits():
+    # libm's exp at one point, numpy's at N points, in the same formulas
+    zs = np.array([-354.0, -1.5, 0.25, 354.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        many = Point(np.zeros(4), np.zeros(4), zs)
+        e2z = np.exp(2.0 * zs)
+        assert np.array_equal(metric_at(many),
+                              np.array([e2z, 1.0 / e2z, np.ones(4)]).T)
+        gamma = christoffel(many)
+        assert np.array_equal(gamma[:, 2, 0, 0], -e2z)
+        assert np.array_equal(gamma[:, 2, 1, 1], 1.0 / e2z)
+        for z in zs:
+            e2z = math.exp(2.0 * z)
+            assert np.array_equal(metric_at(Point(0.0, 0.0, float(z))),
+                                  [e2z, 1.0 / e2z, 1.0])
+
+
+@pytest.mark.parametrize("level", [710.0, 800.0, -800.0])
+def test_z_leaf_past_the_double_range_names_the_level(level):
+    message = "^" + re.escape(f"e^(level) or e^(-level) leaves the double "
+                              f"range at z = {level:g}") + "$"
+    with pytest.raises(ValueError, match=message):
+        canonical_leaf("z_const", level)
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["x_const", "y_const", "z_const"])
+def test_leaf_of_a_non_finite_level_is_refused(kind, level):
+    with pytest.raises(ValueError, match="^leaf level must be finite"):
+        canonical_leaf(kind, level)

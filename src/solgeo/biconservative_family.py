@@ -869,8 +869,9 @@ def family_rows(profile: ProfileSolution, variant: str
     samples, with ``None`` in the ruling slot that v fills.
 
     Filling the slot with v gives
-    ``family_surface(profile, variant).position(u, v)`` at a sample u
-    exactly, without evaluating the profile again.
+    ``family_surface(profile, variant).immersion(u, v)`` at a sample u
+    exactly, its constant coordinates filled like u, without evaluating
+    the profile again.
     """
     place = _layout(variant)
     return (place(phi1, psi, None)

@@ -1,27 +1,26 @@
 """Parametrized surface patches and scalar fields on them.
 
-A :class:`SurfacePatch` (an immersion ``(u, v) -> (x, y, z)``) reads its
-height z and its five first and second partials in one call to its
-analytic ``partials`` handle; every surface the package builds has them
-in closed form.  The surface records read that handle alone: in Sol's
-left-invariant frame z and the partials fix every quantity they compute,
-so no package code calls the immersion, which stays as the reference the
-height is held to.  A :class:`ScalarField` (a function of ``(u, v)``)
-reads its two first partials in one call, from its handle or else by
-central differences, and its three second partials in another, from its
-handle alone.
+A :class:`SurfacePatch` is an immersion ``(u, v) -> (x, y, z)`` with its
+analytic ``partials`` handle, which returns the height z and the five
+first and second partials in one call; every surface the package builds
+has them in closed form.  The surface records read that handle alone: in
+Sol's left-invariant frame z and the partials fix every quantity they
+compute, so no package code calls the immersion, which stays as the
+reference the height is held to.  A :class:`ScalarField` (a function of
+``(u, v)``) reads its two first partials in one call, from its handle or
+else by central differences, and its three second partials in another,
+from its handle alone.
 
 Every handle takes ``u`` and ``v`` as floats (one point) or as same-shape
 (N,) arrays (N points).  A vector returns three components and a scalar
-one value; the patch and the field shape what a handle returns like
-``u`` (an array of that shape as it is, a constant filled in), so a
-constant component may stay a float.  A record is the one reader that
-skips the filling: :meth:`SurfacePatch.height_and_partials` shapes z
-alone, and a constant partial stays a float that broadcasts in the
-record's arithmetic, while :meth:`SurfacePatch.height_and_derivatives`
-and :meth:`SurfacePatch.derivatives` still fill it.  Handles written
-against :func:`~solgeo.numerics.namespace` keep one point on ``math`` and
-Python floats.
+one value, and a component that does not vary may be a float constant at
+N points too.  A patch is its handles: a reader calls them and uses what
+they return, so a constant stays a float that broadcasts in the reader's
+arithmetic, and is filled into an array shaped like ``u`` only where a
+reader hands it out (a field's constant value at its difference
+stencil, a record's height and its ``dh``).  Handles written against
+:func:`~solgeo.numerics.namespace` keep one point on ``math`` and Python
+floats.
 """
 
 from __future__ import annotations
@@ -42,29 +41,6 @@ ScalarHandle = Callable[[Param, Param], Param]
 ScalarPartials = Callable[[Param, Param], Tuple[Param, ...]]
 
 
-def _shaped(c, shape: Tuple[int, ...]) -> np.ndarray:
-    """One handle output as an array of ``shape``: an array of that shape
-    as it is, a constant filled in."""
-    if isinstance(c, np.ndarray):
-        return c if c.shape == shape else np.broadcast_to(c, shape)
-    return np.full(shape, c)
-
-
-def _components(value, u: Param) -> Components:
-    """The three components of a vector ``value``, each shaped like
-    ``u``: at N points (N,) arrays, at one point ``value`` as it is."""
-    if isinstance(u, np.ndarray):
-        return tuple(_shaped(c, u.shape) for c in value)
-    return value
-
-
-def _scalar(value, u: Param) -> Param:
-    """A scalar handle's ``value`` shaped like ``u``."""
-    if isinstance(u, np.ndarray):
-        return _shaped(value, u.shape)
-    return float(value)
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar function of the surface parameters with optional analytic
@@ -78,31 +54,30 @@ class ScalarField:
     second_partials: Optional[ScalarPartials] = None
 
     def gradient(self, u: Param, v: Param, step: float) -> Tuple[Param, Param]:
-        """(phi_u, phi_v); without a handle central differences at
-        ``step``.  At one point that is four calls of ``value``; at the N
-        points of arrays one call at the 4N points of
-        :func:`~solgeo.numerics.stencil_points`, differenced by
+        """(phi_u, phi_v) as the ``first_partials`` handle returns them;
+        without a handle central differences at ``step``.  At one point
+        that is four calls of ``value``; at the N points of arrays one
+        call at the 4N points of :func:`~solgeo.numerics.stencil_points`
+        (a constant value filled in), differenced by
         :func:`~solgeo.numerics.stencil_rates`."""
         if self.first_partials is not None:
-            d_u, d_v = self.first_partials(u, v)
-        elif isinstance(u, np.ndarray):
-            s, t = stencil_points(u, v, step)
-            d_u, d_v = stencil_rates(
-                np.asarray(_scalar(self.value(s, t), s), dtype=float), step)
-        else:
-            d_u, d_v = (central_diff(lambda s: self.value(s, v), u, step),
-                        central_diff(lambda t: self.value(u, t), v, step))
+            return self.first_partials(u, v)
         if isinstance(u, np.ndarray):
-            return _shaped(d_u, u.shape), _shaped(d_v, u.shape)
-        return float(d_u), float(d_v)
+            s, t = stencil_points(u, v, step)
+            values = self.value(s, t)
+            if not isinstance(values, np.ndarray):
+                values = np.full(s.shape, values)
+            return stencil_rates(values, step)
+        return (central_diff(lambda s: self.value(s, v), u, step),
+                central_diff(lambda t: self.value(u, t), v, step))
 
     def hessian(self, u: Param, v: Param) -> Tuple[Param, Param, Param]:
-        """(phi_uu, phi_uv, phi_vv) from the ``second_partials`` handle;
-        ``ValueError`` without one."""
+        """(phi_uu, phi_uv, phi_vv) as the ``second_partials`` handle
+        returns them; ``ValueError`` without one."""
         if self.second_partials is None:
             raise ValueError("the field has no second_partials handle, "
                              "so its Hessian is not available")
-        return tuple(_scalar(d, u) for d in self.second_partials(u, v))
+        return self.second_partials(u, v)
 
 
 @dataclass(frozen=True)
@@ -146,36 +121,6 @@ class SurfacePatch:
         (u_lo, u_hi), (v_lo, v_hi) = self.domain
         if not (u_lo < u_hi and v_lo < v_hi):
             raise ValueError("domain rectangle must be nonempty")
-
-    def position(self, u: Param, v: Param) -> Components:
-        return _components(self.immersion(u, v), u)
-
-    def height_and_partials(self, u: Param, v: Param
-                            ) -> Tuple[Param, Tuple[Components, ...]]:
-        """(z, (d_u, d_v, d_uu, d_uv, d_vv)) at ``(u, v)`` from one call of
-        the ``partials`` handle, as a record reads them: at N points z
-        shaped like ``u`` and each partial's components as the handle
-        returns them (a constant stays a float), at one point the handle's
-        values as they are."""
-        values = self.partials(u, v)
-        if isinstance(u, np.ndarray):
-            return _shaped(values[0], u.shape), values[1:]
-        return values[0], values[1:]
-
-    def height_and_derivatives(self, u: Param, v: Param
-                               ) -> Tuple[Param, Tuple[Components, ...]]:
-        """:meth:`height_and_partials` with every partial shaped like
-        ``position``: at N points each component an array shaped like
-        ``u``, a constant filled in."""
-        z, partials = self.height_and_partials(u, v)
-        if isinstance(u, np.ndarray):
-            return z, tuple(_components(d, u) for d in partials)
-        return z, partials
-
-    def derivatives(self, u: Param, v: Param) -> Tuple[Components, ...]:
-        """(d_u, d_v, d_uu, d_uv, d_vv) at ``(u, v)``; see
-        :meth:`height_and_derivatives`."""
-        return self.height_and_derivatives(u, v)[1]
 
     def grid(self, nu: int, nv: int) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform parameter samples over the domain, ``nu`` by ``nv``."""

@@ -285,11 +285,36 @@ def curvature_components(x: np.ndarray, y: np.ndarray,
     return out
 
 
+def _below_one(comps: np.ndarray):
+    """``comps`` scaled by an exact power of two to components below 1,
+    vector by vector, and the exponent of that power."""
+    e = np.frexp(np.max(np.abs(comps), axis=-1))[1]
+    return np.ldexp(comps, -e[..., None]), e
+
+
 def curvature_tensor(x: TangentVector, y: TangentVector,
                      z: TangentVector) -> TangentVector:
-    """Evaluate the closed-form curvature tensor on three vectors."""
+    """Evaluate the closed-form curvature tensor on three vectors.  R is
+    trilinear, so each vector is first scaled by an exact power of two to
+    components below 1, as in :func:`sectional_curvature`, and R scaled
+    back by the sum of the three exponents: nothing overflows on the way,
+    no pairing underflows because another vector is large, and where the
+    unscaled arithmetic stays in the normal range of doubles R keeps its
+    bits.  ValueError names the first point whose finite vectors give an
+    R outside the double range."""
     base = _require_same_base(x, y, z)
-    out = curvature_components(*(v.components for v in (x, y, z)))
+    (xf, xe), (yf, ye), (zf, ze) = (_below_one(v.components)
+                                    for v in (x, y, z))
+    scaled = curvature_components(xf, yf, zf)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(scaled, (xe + ye + ze)[..., None])
+    # a non-finite input gives a non-finite R, as it is
+    bad = first_false(np.isfinite(out).all(axis=-1)
+                      | ~np.isfinite(scaled).all(axis=-1))
+    if bad is not None:
+        at = tuple(base.as_array().reshape(3, -1)[:, bad])
+        raise ValueError("R(X, Y)Z leaves the double range "
+                         "at (x, y, z) = (%g, %g, %g)" % at)
     return TangentVector(base, out)
 
 
@@ -321,9 +346,7 @@ def sectional_curvature(x: TangentVector, y: TangentVector):
     unscaled arithmetic stays in the normal range of doubles it rounds the
     same, so K keeps its bits."""
     base = _require_same_base(x, y)
-    xf, yf = x.components, y.components
-    ex, ey = (np.frexp(np.max(np.abs(c), axis=-1))[1] for c in (xf, yf))
-    xf, yf = np.ldexp(xf, -ex[..., None]), np.ldexp(yf, -ey[..., None])
+    (xf, _), (yf, _) = _below_one(x.components), _below_one(y.components)
     xx, yy, xy = np.vecdot(xf, xf), np.vecdot(yf, yf), np.vecdot(xf, yf)
     gram = xx * yy - xy * xy
     # written so that a NaN Gram determinant is not degenerate

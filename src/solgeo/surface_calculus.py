@@ -175,22 +175,20 @@ class LocalGeometry:
     or at N points when ``u`` and ``v`` are same-shape (N,) arrays.
 
     The constructor reads the height z and all five partials from one call
-    of the patch's ``partials`` handle
-    (:meth:`~solgeo.patch.SurfacePatch.height_and_partials`) and
-    computes the record's core in one pass: the partials' frame
-    components, the first fundamental form, the unit normal, the ambient
-    derivatives of the partials, the second form, the shape operator and
-    the mean curvature ``h``.  What needs more input or may raise is
-    computed on first access and kept: the differential of f and its
-    gradient, in one step that reads the patch's mean-curvature field (or
-    differences each point's own f) once and that ``dh``, ``gradient_h``,
-    ``residual`` and the adapted frame share, ``K`` (which refuses a
-    near-degenerate plane), ``surface_christoffel``,
+    of the patch's ``partials`` handle and computes the record's core in
+    one pass: the partials' frame components, the first fundamental form,
+    the unit normal, the ambient derivatives of the partials, the second
+    form, the shape operator and the mean curvature ``h``.  What needs more
+    input or may raise is computed on first access and kept: the
+    differential of f and its gradient, in one step that reads the patch's
+    mean-curvature field (or differences each point's own f) once and that
+    ``dh``, ``gradient_h``, ``residual`` and the adapted frame share, ``K``
+    (which refuses a near-degenerate plane), ``surface_christoffel``,
     ``principal_curvatures``, the public arrays and the adapted frame.  So
     one record reads the handle once and evaluates each derived quantity
-    exactly once.  In Sol's left-invariant frame the components of a
-    vector and the height fix every quantity here, so no attribute reads x
-    or y and the record never calls the immersion.
+    exactly once.  In Sol's left-invariant frame the components of a vector
+    and the height fix every quantity here, so no attribute reads x or y
+    and the record never calls the immersion.
 
     The arithmetic is closed-form and elementwise, written once: on Python
     floats with ``math`` at one point, on (N,) arrays with numpy at N
@@ -202,12 +200,12 @@ class LocalGeometry:
     closed-form inverse of the first form scaled to unit diagonal; the
     ambient derivatives of the partials take Sol's connection from its
     constant frame table :func:`~solgeo.sol_space.frame_connection`, so no
-    e^{2z} enters.  An N-point record reads a constant partial as the
-    handle's float, not filled in as
-    :meth:`~solgeo.patch.SurfacePatch.derivatives` gives it, and lets it
-    broadcast.  z is shaped like ``u``, and e^{+-z} scales the first two
+    e^{2z} enters.  An N-point record reads a constant partial of the
+    patch or of a field as the handle's float and lets it broadcast.  A
+    constant z is filled in like ``u``, and e^{+-z} scales the first two
     frame components of every partial, so each quantity built from them
-    is an (N,) array.  The public attributes, and the fields of
+    is an (N,) array; ``dh``, which may hold a field handle's constant,
+    is filled in the same way.  The public attributes, and the fields of
     :meth:`adapted_frame`, are numpy arrays built from those values
     (scalars stay scalars); on an N-point record each has a leading axis
     of length N, in the order of ``u``.
@@ -235,7 +233,9 @@ class LocalGeometry:
             if u.ndim != 1:
                 raise ValueError("an N-point record takes (N,) arrays")
         self.patch, self.u, self.v = patch, u, v
-        z, (d_u, d_v, d_uu, d_uv, d_vv) = patch.height_and_partials(u, v)
+        z, d_u, d_v, d_uu, d_uv, d_vv = patch.partials(u, v)
+        if xp is np and not isinstance(z, np.ndarray):
+            z = np.full(u.shape, z)
         ez = xp.exp(z)
         du = ez * d_u[0], d_u[1] / ez, d_u[2]
         dv = ez * d_v[0], d_v[1] / ez, d_v[2]
@@ -379,7 +379,11 @@ class LocalGeometry:
     def dh(self) -> np.ndarray:
         """Differential of the mean curvature: the first partials of the
         patch's mean-curvature field, or of each point's own f."""
-        return self._array(self._dh_grad[0])
+        dh = self._dh_grad[0]
+        if self._xp is np:
+            dh = [d if isinstance(d, np.ndarray) else np.full(self.u.shape, d)
+                  for d in dh]
+        return self._array(dh)
 
     @_computed_once
     def gradient_h(self) -> np.ndarray:

@@ -132,7 +132,7 @@ def test_psi_and_phi_derivatives(explicit_profile, patch_x1):
     for u in (-2.5, -1.0, -0.2):
         th = theta_explicit(u)
         f = f_explicit(u)
-        first, _, second, _, _ = patch_x1.derivatives(u, 0.0)
+        first, _, second, _, _ = patch_x1.partials(u, 0.0)[1:]
         _, phi1_prime, psi_prime = first
         _, phi1_second, psi_second = second
         assert abs(psi_prime - math.cos(th)) < 1e-14
@@ -140,7 +140,7 @@ def test_psi_and_phi_derivatives(explicit_profile, patch_x1):
         psi = explicit_profile.state_at(u)[2]
         assert abs(phi1_prime + math.sin(th) * math.exp(psi)) < 1e-12
         # second derivative against finite differences of the first
-        fd = central_diff(lambda s: patch_x1.derivatives(s, 0.0)[0][1], u,
+        fd = central_diff(lambda s: patch_x1.partials(s, 0.0)[1][1], u,
                           1e-6)
         assert abs(phi1_second - fd) < 1e-8
 
@@ -689,7 +689,7 @@ def test_explicit_domain_is_refused_at_every_layer(u, explicit_profile):
     for variant in ("x1", "x2"):
         patch = family_surface(explicit_profile, variant)
         with pytest.raises(ValueError, match=match):
-            patch.derivatives(u, 0.25)
+            patch.partials(u, 0.25)
         with pytest.raises(ValueError, match=match):
             shape_data(patch, u, 0.25)
         with pytest.raises(ValueError, match=match):
@@ -755,10 +755,10 @@ def test_family_surface_partials_match_finite_differences(
     h = 1e-6
 
     def first(u, v):
-        return np.array(patch.derivatives(u, v)[:2])
+        return np.array(patch.partials(u, v)[1:3])
 
     for u, v in ((-2.0, 0.3), (-0.7, -0.6)):
-        du, dv, duu, duv, dvv = patch.derivatives(u, v)
+        du, dv, duu, duv, dvv = patch.partials(u, v)[1:]
         fd_du = central_diff(lambda s: patch.immersion(s, v), u, h)
         fd_dv = central_diff(lambda t: patch.immersion(u, t), v, h)
         assert np.allclose(du, fd_du, atol=1e-8)
@@ -798,16 +798,16 @@ def test_family_handles_evaluate_the_profile_once(monkeypatch,
     monkeypatch.setattr(ProfileSolution, "state_at",
                         counted("state_at", ProfileSolution.state_at))
     patch = family_surface(explicit_profile, "x1")
-    patch.derivatives(-1.0, 0.2)
+    patch.partials(-1.0, 0.2)
     assert calls == {"state_at": 1, "_require_domain": 1}
     calls.clear()
-    # the counter sees Phi1 where the position reads it, beside Psi
-    patch.position(-1.0, 0.2)
+    # the counter sees Phi1 where the immersion reads it, beside Psi
+    patch.immersion(-1.0, 0.2)
     assert calls == {"state_at": 1, "_phi1_primitive": 1,
                      "_require_domain": 2}
     calls.clear()
     # two one-point records, each reading the partials handle once, f' once
-    # and the position never: no Phi1
+    # and the immersion never: no Phi1
     shape_data(patch, -1.0, 0.2)
     biconservative_residual(patch, -1.0, 0.2)
     assert calls == {"state_at": 2, "_require_domain": 4}
@@ -901,8 +901,8 @@ def test_explicit_build_checks_each_sample_once(monkeypatch):
 def test_mirrored_variant_swaps_roles(explicit_profile):
     p1 = family_surface(explicit_profile, "x1")
     p2 = family_surface(explicit_profile, "x2")
-    a = p1.position(-2.0, 0.3)
-    b = p2.position(-2.0, 0.3)
+    a = p1.immersion(-2.0, 0.3)
+    b = p2.immersion(-2.0, 0.3)
     assert b[0] == pytest.approx(a[1], abs=1e-15)
     assert b[1] == pytest.approx(a[0], abs=1e-15)
     assert b[2] == pytest.approx(-a[2], abs=1e-15)
@@ -925,7 +925,7 @@ def test_family_vertices_are_patch_positions(variant, kind, u0):
         # repr keeps the sign of zero, which the mesh text shows
         return [tuple(repr(float(x)) for x in point) for point in points]
 
-    expected = exact(patch.position(float(u), float(v))
+    expected = exact(patch.immersion(float(u), float(v))
                      for u in profile.u for v in vs)
     rows = list(family_rows(profile, variant))
     assert len(rows) == len(profile.u)
@@ -1010,13 +1010,13 @@ def _closed_forms(profile):
          + np.log1p(np.exp(4.0 * a * u)) / (2.0 * a) + abs(c0)),
         ("Phi1", profile.phi1_at, lambda u, value: np.abs(value)
          + math.exp(c0) / a * abs(profile._g_u0)),
-        ("psi'", lambda u: patch.derivatives(u, 0.0)[0][2],
+        ("psi'", lambda u: patch.partials(u, 0.0)[1][2],
          lambda u, value: np.ones_like(u)),
-        ("psi''", lambda u: patch.derivatives(u, 0.0)[2][2],
+        ("psi''", lambda u: patch.partials(u, 0.0)[3][2],
          lambda u, value: 2.0 * f_explicit(u)),
-        ("Phi1'", lambda u: patch.derivatives(u, 0.0)[0][1],
+        ("Phi1'", lambda u: patch.partials(u, 0.0)[1][1],
          lambda u, value: grows(u)),
-        ("Phi1''", lambda u: patch.derivatives(u, 0.0)[2][1],
+        ("Phi1''", lambda u: patch.partials(u, 0.0)[3][1],
          lambda u, value: grows(u) * (2.0 * f_explicit(u) + 1.0)),
         ("K", gaussian_curvature_closed_form, itself),
     ]
@@ -1069,8 +1069,8 @@ def test_implicit_array_hermite_matches_per_point(implicit_solution):
     evaluators = [(name, getattr(implicit_solution, name)) for name in
                   ("state_at", "f_prime_at", "phi1_at")]
     # (Phi1', Psi') and (Phi1'', Psi''): components 1 and 2 of the x1 patch
-    evaluators += [("d_u", lambda x: patch.derivatives(x, 0.0)[0][1:]),
-                   ("d_uu", lambda x: patch.derivatives(x, 0.0)[2][1:])]
+    evaluators += [("d_u", lambda x: patch.partials(x, 0.0)[1][1:]),
+                   ("d_uu", lambda x: patch.partials(x, 0.0)[3][1:])]
     for name, evaluate in evaluators:
         batch = np.asarray(evaluate(u))
         floats = np.array([evaluate(float(x)) for x in u]).T

@@ -9,7 +9,8 @@ only, the explicit family's domain is stated once, the family's partials
 handle reads the profile state in one call, a profile's state (theta, f,
 Psi) has one evaluator and nothing calls a per-column one, the surface
 calculus never calls the immersion, the family checks read the family
-through its profile, every dataclass field with a default is set by
+through its profile, every public method of a patch or a field has a
+caller outside patch.py, every dataclass field with a default is set by
 some caller, ``import solgeo`` loads the geometry modules alone (the
 report suites and the exact polynomials on first use), and every public
 name of the package is the object its defining module binds."""
@@ -331,6 +332,25 @@ def test_record_constructor_never_calls_the_immersion():
                       for alias in node.names}
     assert from_sol_space == {"frame_connection", "PLANE_GRAM_TOLERANCE",
                               "DegeneratePlaneError"}
+
+
+def test_every_patch_and_field_method_has_a_caller():
+    # a patch is its handles: a reader calls them and uses what they
+    # return, so a method that only the tests call is a second way to read
+    # a handle.  Calls inside patch.py do not count
+    tree = ast.parse((PACKAGE_DIR / "patch.py").read_text(encoding="utf-8"))
+    methods = {stmt.name for node in tree.body
+               if isinstance(node, ast.ClassDef)
+               and node.name in ("SurfacePatch", "ScalarField")
+               for stmt in node.body if isinstance(stmt, ast.FunctionDef)
+               and not stmt.name.startswith("_")}
+    assert {"grid", "gradient", "hessian"} <= methods
+    called = {node.func.attr for path in PACKAGE_DIR.glob("*.py")
+              if path.name != "patch.py"
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)}
+    assert sorted(methods - called) == []
 
 
 def test_verification_reads_the_obstruction_addends_from_exact_poly():

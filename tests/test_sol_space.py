@@ -197,7 +197,7 @@ def test_canonical_leaf_kinds():
 
 def test_canonical_leaf_positions():
     leaf = canonical_leaf("z_const", 0.5)
-    pos = leaf.position(0.2, -0.3)
+    pos = leaf.immersion(0.2, -0.3)
     # orthonormal horizontal coordinates undo the metric stretch
     assert np.allclose(pos, [0.2 * math.exp(-0.5), -0.3 * math.exp(0.5), 0.5])
 
@@ -468,6 +468,38 @@ def test_sectional_of_large_vectors(size):
     assert abs(k + 1.0) <= 1e-15
     # the plane of (1, 1, 0) and (0, 1, 1): unit normal (1, -1, 1) / sqrt 3
     assert abs(k_diagonal - (2.0 / 3.0 - 1.0)) <= 1e-15
+
+
+def test_curvature_of_a_tiny_vector_beside_a_huge_one():
+    # <Y, Y> = 1e-400 underflows a double, but R(X, Y)Y = -1e-100 E1 does
+    # not: <Y, Y> X = 1e-100 E1 and -2 <Y, E3>^2 X = -2e-100 E1
+    p = Point(0.0, 0.0, 0.0)
+    x = TangentVector(p, np.array([1e300, 0.0, 0.0]))
+    y = TangentVector(p, np.array([0.0, 0.0, 1e-200]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = curvature_tensor(x, y, y).components
+    assert abs(r[0] + 1e-100) <= 1e-115
+    assert r[1] == 0.0 and r[2] == 0.0
+
+
+def test_curvature_past_the_double_range_names_the_point():
+    # <X, Z> Y = 1e600 E3: a clean error at the point, not a warning, an
+    # inf or a NaN, at one point and at N points
+    big = [[1e200, 0.0, 0.0], [0.0, 0.0, 1e200], [1e200, 1e200, 0.0]]
+    one = Point(0.0, 0.0, 0.0)
+    many = Point(np.zeros(2), np.zeros(2), np.array([0.5, 1.5]))
+    small = [[1.0, 2.0, 3.0], [0.0, 1.0, 3.0], [1.0, 0.0, 3.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base, comps, at in ((one, big, "0, 0, 0"),
+                                (many, np.stack([small, big], axis=1),
+                                 "0, 0, 1.5")):
+            vectors = (TangentVector(base, np.array(c)) for c in comps)
+            with pytest.raises(ValueError, match=rf"^R\(X, Y\)Z leaves the "
+                                                 rf"double range at "
+                                                 rf"\(x, y, z\) = \({at}\)$"):
+                curvature_tensor(*vectors)
 
 
 @pytest.mark.parametrize("z", [710.0, -710.0, 800.0, -800.0])

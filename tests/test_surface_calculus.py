@@ -306,14 +306,14 @@ def _numpy_record(patch, u, v, dh):
     replaced: np.cross, np.linalg.solve and einsum over the dense
     christoffel array.  ``dh`` is the differential of f, which both routes
     read from the same handles."""
-    pos = patch.position(u, v)
+    pos = patch.immersion(u, v)
     ez = math.exp(pos[2])
 
     def to_frame(c):
         return np.array([ez * c[0], c[1] / ez, c[2]])
 
     point = Point(*pos)
-    du, dv, duu, duv, dvv = patch.derivatives(u, v)
+    du, dv, duu, duv, dvv = patch.partials(u, v)[1:]
     firsts = (du, dv)
     du_f, dv_f = (to_frame(c) for c in firsts)
     cross = np.cross(du_f, dv_f)
@@ -622,16 +622,18 @@ BUILDERS = [
 def test_partials_height_is_the_position_height(build):
     # the height is stated twice, in the immersion and in the partials
     # handle, and must agree bit for bit at floats and at (N,) arrays
+    # (a leaf's constant level is a float, so both are filled like u)
     patch = build()
     u, v = _grid_points(patch, 7, 5)
-    z, _ = patch.height_and_derivatives(u, v)
-    assert z.shape == u.shape
-    assert z.tobytes() == np.asarray(patch.position(u, v)[2],
-                                     dtype=float).tobytes()
+
+    def filled(z):
+        return np.full(u.shape, z) if not isinstance(z, np.ndarray) else z
+
+    assert filled(patch.partials(u, v)[0]).tobytes() \
+        == filled(patch.immersion(u, v)[2]).tobytes()
     for s, t in zip(u.tolist(), v.tolist()):
-        z, _ = patch.height_and_derivatives(s, t)
-        assert np.float64(z).tobytes() \
-            == np.float64(patch.position(s, t)[2]).tobytes(), (s, t)
+        assert np.float64(patch.partials(s, t)[0]).tobytes() \
+            == np.float64(patch.immersion(s, t)[2]).tobytes(), (s, t)
 
 
 @pytest.mark.parametrize("coordinate,value", [(0, math.nan), (1, math.inf)],
@@ -649,7 +651,7 @@ def test_broken_x_or_y_moves_no_bit(coordinate, value):
 
     broken = dataclasses.replace(graph, immersion=immersion)
     for u, v in ((0.5, -0.3), (np.array([0.5, 0.1]), np.array([-0.3, 0.7]))):
-        assert not np.isfinite(broken.position(u, v)[coordinate]).any()
+        assert not np.isfinite(broken.immersion(u, v)[coordinate]).any()
         for view in (shape_data, fundamental_forms, adapted_frame):
             got, intact = view(broken, u, v), view(graph, u, v)
             for field in dataclasses.fields(got):
@@ -841,29 +843,11 @@ def test_gradient_shapes_handle_outputs_like_u():
     for d in (d_u, d_v):
         assert d.shape == u.shape and d.dtype == float
         assert not d.any()
-    # a handle output already shaped like u is passed through
+    # a handle's outputs are passed through as they are
     stored = np.arange(5.0)
     d_u, d_v = ScalarField(lambda s, t: s, first_partials=lambda s, t: (
         stored, 0.0)).gradient(u, v, 1e-5)
-    assert d_u is stored
-    assert np.array_equal(d_v, np.zeros(5)) and d_v.dtype == float
-
-
-def test_n_point_derivatives_fill_constant_components(patch_x1, patch_x2):
-    u, v = np.linspace(-3.5, -0.5, 7), np.linspace(-0.8, 0.8, 7)
-    for patch in (patch_x1, patch_x2):
-        z_raw, *raw = patch.partials(u, v)
-        # the ruling d_v and the zero d_uv and d_vv are float constants
-        assert not any(isinstance(c, np.ndarray)
-                       for vector in raw[1:2] + raw[3:] for c in vector)
-        z, derivatives = patch.height_and_derivatives(u, v)
-        assert z.shape == u.shape and np.array_equal(z, z_raw)
-        for vector, expected in zip(derivatives, raw):
-            for c, c_raw in zip(vector, expected):
-                broadcast = np.broadcast_to(c_raw, u.shape)
-                assert isinstance(c, np.ndarray) and c.shape == u.shape
-                assert c.dtype == broadcast.dtype
-                assert np.array_equal(c, broadcast)
+    assert d_u is stored and d_v == 0.0 and isinstance(d_v, float)
 
 
 def test_n_point_record_reads_constant_partials_as_floats():
@@ -877,10 +861,6 @@ def test_n_point_record_reads_constant_partials_as_floats():
     z_raw, *raw = leaf.partials(u, v)
     assert not any(isinstance(c, np.ndarray) for c in (z_raw,)
                    + tuple(c for vector in raw for c in vector))
-    z, partials = leaf.height_and_partials(u, v)
-    assert isinstance(z, np.ndarray) and z.shape == u.shape
-    assert np.array_equal(z, np.full(u.shape, z_raw))
-    assert partials == tuple(raw)
     batch = LocalGeometry(leaf, u, v)
     records = [LocalGeometry(leaf, float(s), float(t)) for s, t in zip(u, v)]
     for name in ("first", "second", "A", "h", "K", "xi_f",

@@ -417,7 +417,7 @@ def test_ambient_oracle_keeps_the_per_triple_draw_order(seed):
 def test_vertical_cylinder_fixture_is_vertical():
     patch = vertical_cylinder_fixture()
     for u in (0.3, 2.0):
-        assert np.allclose(patch.derivatives(u, 0.0)[1], [0.0, 0.0, 1.0])
+        assert np.allclose(patch.partials(u, 0.0)[2], [0.0, 0.0, 1.0])
 
 
 def test_rotated_leaf_breaks_second_identity():

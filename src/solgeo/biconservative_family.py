@@ -148,12 +148,8 @@ def theta_prime_explicit(u):
     return -4.0 * CONSTANTS.a1 * w / (1.0 + w * w)
 
 
-def _sech(w, xp):
-    return 1.0 / xp.cosh(w)
-
-
 def _mean_curvature(u, xp):
-    return CONSTANTS.a1 * _sech(2.0 * CONSTANTS.a1 * u, xp)
+    return CONSTANTS.a1 * (1.0 / xp.cosh(2.0 * CONSTANTS.a1 * u))
 
 
 def f_explicit(u):
@@ -166,13 +162,13 @@ def f_prime_explicit(u):
     """f'(u) = -2 a1^2 sech(2 a1 u) tanh(2 a1 u); positive on the domain."""
     _require_domain(u)
     xp, w = namespace(u), 2.0 * CONSTANTS.a1 * u
-    return -2.0 * CONSTANTS.a1 ** 2 * _sech(w, xp) * xp.tanh(w)
+    return -2.0 * CONSTANTS.a1 ** 2 * (1.0 / xp.cosh(w)) * xp.tanh(w)
 
 
 def f_second_explicit(u):
     """f''(u) = 4 a1^2 f (1 - 2 sin^2 theta)."""
     _require_domain(u)
-    s = _sech(2.0 * CONSTANTS.a1 * u, namespace(u))
+    s = 1.0 / namespace(u).cosh(2.0 * CONSTANTS.a1 * u)
     return 4.0 * CONSTANTS.a1 ** 3 * s * (1.0 - 2.0 * s * s)
 
 
@@ -263,7 +259,7 @@ def gaussian_curvature_closed_form(u):
     """
     _require_domain(u)
     xp, w = namespace(u), 2.0 * CONSTANTS.a1 * u
-    s = _sech(w, xp)
+    s = 1.0 / xp.cosh(w)
     return -xp.tanh(w) ** 2 - 2.0 * CONSTANTS.a1 * s * s
 
 

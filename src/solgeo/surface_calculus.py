@@ -27,6 +27,8 @@ mean curvature is f = trace(A) / 2.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +57,11 @@ __all__ = [
 # Below this ambient gradient norm a point counts as CMC-degenerate: the
 # adapted frame direction X1 = grad f / |grad f| is no longer trustworthy.
 GRADIENT_THRESHOLD = 1e-8
+
+# The largest height z at which e^z is a double: ln(DBL_MAX), whose exp
+# rounds to DBL_MAX and whose successor's overflows.  At |z| up to it
+# e^z, e^{-z} and 1 / e^z are all finite.
+_Z_MAX = math.log(sys.float_info.max)
 
 
 class DegenerateParametrizationError(ValueError):
@@ -93,6 +100,17 @@ class ShapeData:
     K: float
     gradient_h: np.ndarray
     principal_curvatures: np.ndarray
+
+    def __init__(self, A, h, K, gradient_h, principal_curvatures):
+        # one ShapeData per shape_data call: writing the instance dict
+        # costs about a third of the generated frozen __init__, which sets
+        # each field through object.__setattr__.  Fields, keywords,
+        # dataclasses.replace, equality, repr and the refusal to assign
+        # stay the dataclass's own
+        fields = self.__dict__
+        fields["A"], fields["h"], fields["K"] = A, h, K
+        fields["gradient_h"] = gradient_h
+        fields["principal_curvatures"] = principal_curvatures
 
 
 @dataclass(frozen=True)
@@ -159,15 +177,11 @@ def _f_field(patch: SurfacePatch) -> ScalarField:
         lambda s, t: LocalGeometry(patch, s, t).h)
 
 
-def _nabla(second, a, b):
-    """Frame components of nabla_a b for frame partials a (along) and b
-    (differentiated), and second the frame components of b's partial along
-    a.  The derivative of b's frame components is (e^z (x_ij + z_i x_j),
-    e^{-z} (y_ij - z_i y_j), z_ij) = second + (a3 b1, -a3 b2, 0), plus
-    Sol's constant table applied to a and b."""
-    table = frame_connection(a, b)
-    return (second[0] + a[2] * b[0] + table[0],
-            second[1] - a[2] * b[1] + table[1], second[2] + table[2])
+def _points_first(nested) -> np.ndarray:
+    """Nested lists of an N-point record's (N,) arrays as one array, with
+    the point axis first."""
+    out = np.array(nested)
+    return out.transpose(out.ndim - 1, *range(out.ndim - 1))
 
 
 class LocalGeometry:
@@ -193,7 +207,10 @@ class LocalGeometry:
     The arithmetic is closed-form and elementwise, written once: on Python
     floats with ``math`` at one point, on (N,) arrays with numpy at N
     points (:func:`~solgeo.numerics.namespace`; the type of ``u`` decides).
-    The normal is the cross product of the frame partials written out;
+    The constructor's core is straight-line code on local names, with no
+    helper call between the handle and ``h`` but the namespace's math and
+    the three connection tables.  The normal is the cross product of the
+    frame partials written out;
     every 2x2 system (``A``, ``gradient_h``, the frame's parameter
     coefficients, ``surface_christoffel``, and the two columns of the
     covariant Hessian that ``laplacian`` traces) is solved by the
@@ -218,11 +235,15 @@ class LocalGeometry:
 
     Raises
     ------
+    ValueError
+        If e^z or e^{-z} is not a double at the height z of a point
+        (|z| > ln(DBL_MAX)), naming the first such (u, v) and its z.
     DegenerateParametrizationError
-        If the partials fail to span a plane at the point, or span one at
-        an angle whose sin^2 = 1 - cos^2 rounds to zero, naming the first
-        such point of an N-point record.  :meth:`adapted_frame` raises
-        :class:`CmcDegenerateError` the same way.
+        If the partials fail to span a plane at the point (as at a NaN
+        height), or span one at an angle whose sin^2 = 1 - cos^2 rounds
+        to zero, naming the first such point of an N-point record.
+        :meth:`adapted_frame` raises :class:`CmcDegenerateError` the same
+        way.
     """
 
     def __init__(self, patch: SurfacePatch, u, v):
@@ -232,24 +253,41 @@ class LocalGeometry:
                                        np.asarray(v, dtype=float))
             if u.ndim != 1:
                 raise ValueError("an N-point record takes (N,) arrays")
+            # the builder of the public arrays, point axis first
+            self._array = _points_first
+        else:
+            self._array = np.array
         self.patch, self.u, self.v = patch, u, v
         z, d_u, d_v, d_uu, d_uv, d_vv = patch.partials(u, v)
         if xp is np and not isinstance(z, np.ndarray):
             z = np.full(u.shape, z)
+        # e^{+-z} scale the frame components, so both must be doubles; a
+        # NaN z is not refused here but is degenerate below
+        near = abs(z) <= _Z_MAX
+        if near is not True and first_false(near) is not None:
+            bad = first_false(near | (z != z))
+            if bad is not None:
+                raise ValueError(
+                    f"e^(z) or e^(-z) leaves the double range on "
+                    f"{patch.name!r} at (u, v) = ({np.ravel(u)[bad]:g}, "
+                    f"{np.ravel(v)[bad]:g}), z = {np.ravel(z)[bad]:g}")
         ez = xp.exp(z)
-        du = ez * d_u[0], d_u[1] / ez, d_u[2]
-        dv = ez * d_v[0], d_v[1] / ez, d_v[2]
+        du = du0, du1, du2 = ez * d_u[0], d_u[1] / ez, d_u[2]
+        dv = dv0, dv1, dv2 = ez * d_v[0], d_v[1] / ez, d_v[2]
         duu = ez * d_uu[0], d_uu[1] / ez, d_uu[2]
         duv = ez * d_uv[0], d_uv[1] / ez, d_uv[2]
         dvv = ez * d_vv[0], d_vv[1] / ez, d_vv[2]
         self._du, self._dv = du, dv
-        e, f, g = _dot(du, du), _dot(du, dv), _dot(dv, dv)
+        e = du0 * du0 + du1 * du1 + du2 * du2
+        f = du0 * dv0 + du1 * dv1 + du2 * dv2
+        g = dv0 * dv0 + dv1 * dv1 + dv2 * dv2
         # scaled by a power of two to components below 1, the cross product's
         # length cannot overflow; where it would not anyway no bit moves
-        c0, c1, c2 = _cross(du, dv)
+        c0, c1, c2 = (du1 * dv2 - du2 * dv1, du2 * dv0 - du0 * dv2,
+                      du0 * dv1 - du1 * dv0)
         top = xp.frexp(xp.maximum(xp.maximum(abs(c0), abs(c1)), abs(c2)))[1]
-        cross = xp.ldexp(c0, -top), xp.ldexp(c1, -top), xp.ldexp(c2, -top)
-        scaled_norm = xp.sqrt(_dot(cross, cross))
+        c0, c1, c2 = xp.ldexp(c0, -top), xp.ldexp(c1, -top), xp.ldexp(c2, -top)
+        scaled_norm = xp.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
         norm = xp.ldexp(scaled_norm, top)
         root_e, root_g = xp.sqrt(e), xp.sqrt(g)
         # written so that a NaN partial is degenerate too; a plane that
@@ -260,33 +298,47 @@ class LocalGeometry:
         spans = norm > 1e-10 * xp.maximum(root_e * root_g, 1e-30)
         cos = f / xp.where(spans, root_e, 1.0) / xp.where(spans, root_g, 1.0)
         sin_sq = 1.0 - cos * cos
-        bad = first_false(spans & (sin_sq > 0.0))
-        if bad is not None:
-            raise DegenerateParametrizationError(
-                f"parametrization of {patch.name!r} degenerates at "
-                f"(u, v) = ({np.ravel(u)[bad]:g}, {np.ravel(v)[bad]:g})")
+        plane = spans & (sin_sq > 0.0)
+        if plane is not True:
+            bad = first_false(plane)
+            if bad is not None:
+                raise DegenerateParametrizationError(
+                    f"parametrization of {patch.name!r} degenerates at "
+                    f"(u, v) = ({np.ravel(u)[bad]:g}, {np.ravel(v)[bad]:g})")
         self._E, self._F, self._G = e, f, g
         self._root_e, self._root_g = root_e, root_g
         self._cos, self._sin_sq = cos, sin_sq
-        self._xi = xi = (cross[0] / scaled_norm, cross[1] / scaled_norm,
-                         cross[2] / scaled_norm)
-        # nabla_{d_u} d_u, nabla_{d_u} d_v and nabla_{d_v} d_v: their normal
-        # parts are the second form (l, m, n), and A solves I A = II
-        self._ambient = uu, uv, vv = (_nabla(duu, du, du), _nabla(duv, du, dv),
-                                      _nabla(dvv, dv, dv))
-        self._second = l, m, n = _dot(uu, xi), _dot(uv, xi), _dot(vv, xi)
-        a00, a10 = self._solve(l, m)
-        a01, a11 = self._solve(m, n)
+        self._xi = xi0, xi1, xi2 = (c0 / scaled_norm, c1 / scaled_norm,
+                                    c2 / scaled_norm)
+        # nabla_{d_u} d_u, nabla_{d_u} d_v and nabla_{d_v} d_v.  For frame
+        # partials a (along) and b (differentiated), the derivative of b's
+        # frame components is (e^z (x_ij + z_i x_j), e^{-z} (y_ij - z_i y_j),
+        # z_ij) = second + (a3 b1, -a3 b2, 0), plus Sol's constant table
+        # applied to a and b
+        t0, t1, t2 = frame_connection(du, du)
+        uu = uu0, uu1, uu2 = (duu[0] + du2 * du0 + t0,
+                              duu[1] - du2 * du1 + t1, duu[2] + t2)
+        t0, t1, t2 = frame_connection(du, dv)
+        uv = uv0, uv1, uv2 = (duv[0] + du2 * dv0 + t0,
+                              duv[1] - du2 * dv1 + t1, duv[2] + t2)
+        t0, t1, t2 = frame_connection(dv, dv)
+        vv = vv0, vv1, vv2 = (dvv[0] + dv2 * dv0 + t0,
+                              dvv[1] - dv2 * dv1 + t1, dvv[2] + t2)
+        self._ambient = uu, uv, vv
+        # their normal parts are the second form (l, m, n), and A solves
+        # I A = II column by column, with the arithmetic of _solve
+        l = uu0 * xi0 + uu1 * xi1 + uu2 * xi2
+        m = uv0 * xi0 + uv1 * xi1 + uv2 * xi2
+        n = vv0 * xi0 + vv1 * xi1 + vv2 * xi2
+        self._second = l, m, n
+        s0, s1 = l / root_e, m / root_g
+        a00 = (s0 - cos * s1) / sin_sq / root_e
+        a10 = (s1 - cos * s0) / sin_sq / root_g
+        s0, s1 = m / root_e, n / root_g
+        a01 = (s0 - cos * s1) / sin_sq / root_e
+        a11 = (s1 - cos * s0) / sin_sq / root_g
         self._shape = (a00, a01), (a10, a11)
         self.h = 0.5 * (a00 + a11)
-
-    def _array(self, nested) -> np.ndarray:
-        """Nested lists of this record's values as one array, with the
-        point axis first on an N-point record."""
-        out = np.array(nested)
-        if self._xp is not np:
-            return out
-        return out.transpose(out.ndim - 1, *range(out.ndim - 1))
 
     @_computed_once
     def xi_f(self) -> np.ndarray:
@@ -352,7 +404,8 @@ class LocalGeometry:
         curvature 2 xi_3^2 - 1 (the closed form of
         :func:`~solgeo.sol_space.sectional_curvature`, with its scale-free
         test for a degenerate plane, det I > tol E G, divided by E G)."""
-        if first_false(self._sin_sq > PLANE_GRAM_TOLERANCE) is not None:
+        plane = self._sin_sq > PLANE_GRAM_TOLERANCE
+        if plane is not True and first_false(plane) is not None:
             raise DegeneratePlaneError("spanning vectors are linearly dependent")
         (a00, a01), (a10, a11) = self._shape
         xi3 = self._xi[2]

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import re
+import sys
 import warnings
 from collections import Counter
 
@@ -21,7 +23,7 @@ from solgeo.sol_space import (DegeneratePlaneError, Point, TangentVector,
                               curvature_components, sectional_curvature)
 from solgeo.surface_calculus import (CmcDegenerateError,
                                      DegenerateParametrizationError,
-                                     LocalGeometry, adapted_frame,
+                                     LocalGeometry, ShapeData, adapted_frame,
                                      biconservative_residual,
                                      biharmonic_normal_residual,
                                      fundamental_forms, laplace_beltrami,
@@ -966,3 +968,79 @@ def test_a_tiny_flat_plane_has_zero_gauss_curvature(scale):
     assert np.array_equal(
         LocalGeometry(patch, np.array([0.2, 0.0]), np.array([-0.5, 1.0])).K,
         [0.0, 0.0])
+
+
+@pytest.mark.parametrize("v", [1e300, 720.0, -1e300, -800.0])
+def test_height_past_the_double_range_names_the_point(v):
+    # the x_const leaf's height is v: where e^v or e^{-v} is not a double
+    # the record refuses the point with a ValueError, not an OverflowError,
+    # a ZeroDivisionError or a RuntimeWarning, at one point and at N points
+    leaf = canonical_leaf("x_const", 0.3)
+    message = "^" + re.escape(
+        f"e^(z) or e^(-z) leaves the double range on 'leaf_x=0.3' at "
+        f"(u, v) = (0.1, {v:g}), z = {v:g}") + "$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for points in ((0.1, v), (np.array([0.2, 0.1, 0.1]),
+                                  np.array([0.5, v, -v]))):
+            for read in (shape_data, biconservative_residual):
+                with pytest.raises(ValueError, match=message):
+                    read(leaf, *points)
+
+
+def test_nan_height_is_degenerate():
+    # a NaN height passes the range test and fails the plane test
+    leaf = canonical_leaf("x_const", 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u, v in ((0.1, math.nan), (np.array([0.2, 0.1]),
+                                       np.array([0.5, math.nan]))):
+            with pytest.raises(DegenerateParametrizationError,
+                               match=r"at \(u, v\) = \(0\.1, nan\)$"):
+                LocalGeometry(leaf, u, v)
+
+
+def test_one_point_pair_python_calls(patch_x1):
+    # a one-point shape_data + biconservative_residual pair is straight-line
+    # arithmetic: count the Python-level function calls it makes (the
+    # C-level calls of math, numpy and the builtins are not counted)
+    def pair():
+        shape_data(patch_x1, -2.1, 0.3)
+        biconservative_residual(patch_x1, -2.1, 0.3)
+
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    pair()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        pair()
+    finally:
+        sys.setprofile(previous)
+    assert calls.pop("pair") == 1
+    assert sum(calls.values()) == 79, calls
+
+
+def test_shape_data_is_a_frozen_dataclass():
+    # ShapeData writes its own instance dict; the dataclass API stays
+    names = ("A", "h", "K", "gradient_h", "principal_curvatures")
+    fields = tuple(field.name for field in dataclasses.fields(ShapeData))
+    assert fields == names
+    values = dict(zip(names, range(len(names))))
+    by_keyword = ShapeData(**values)
+    by_position = ShapeData(*values.values())
+    assert by_keyword == by_position
+    assert hash(by_keyword) == hash(by_position)
+    assert repr(by_keyword) == ("ShapeData(A=0, h=1, K=2, gradient_h=3, "
+                                "principal_curvatures=4)")
+    changed = dataclasses.replace(by_keyword, principal_curvatures=-1)
+    assert changed != by_keyword
+    assert [getattr(changed, name) for name in names] == [0, 1, 2, 3, -1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        by_keyword.A = 5
+    with pytest.raises(TypeError):
+        ShapeData(*values.values(), 0)

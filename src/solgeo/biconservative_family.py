@@ -874,14 +874,16 @@ def family_rows(profile: ProfileSolution, variant: str
             for phi1, psi in zip(profile.phi1.tolist(), profile.psi.tolist()))
 
 
-def profile_to_csv(profile: ProfileSolution, path: Optional[str] = None) -> str:
-    """Serialize a profile as CSV with columns u, theta, f, Psi, Phi, K.
+def profile_to_csv(profile: ProfileSolution) -> str:
+    """The CSV text of a profile, with columns u, theta, f, Psi, Phi, K.
 
     Phi is the first-variant quadrature Phi1; K is the closed-form
     Gaussian curvature.  Values are written with 12 fixed decimals, -0.0
-    as 0.0, so identical inputs give byte-identical files.  Implicit
+    as 0.0, so identical inputs give byte-identical text.  Implicit
     profiles append footer comments recording the halt reason and the
     error estimate for theta (see :func:`integrate_implicit_profile`).
+    Lines end in ``\n``; writing the text to a file is the caller's
+    (``solgeo profile --output``).
     """
     # + 0.0 turns -0.0 into 0.0
     rows = np.column_stack((profile.samples,
@@ -894,8 +896,4 @@ def profile_to_csv(profile: ProfileSolution, path: Optional[str] = None) -> str:
         if profile.theta_error_estimate is not None:
             lines.append(f"# theta_error_estimate: "
                          f"{profile.theta_error_estimate:.3e}")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
-    return text
+    return "\n".join(lines) + "\n"

@@ -311,8 +311,10 @@ def cmd_generate(config: RunConfig) -> int:
 
 def cmd_profile(config: RunConfig) -> int:
     profile = _build_family_profile(config)
-    csv_text = profile_to_csv(profile, config.output)
+    csv_text = profile_to_csv(profile)
     if config.output:
+        with open(config.output, "w", encoding="utf-8", newline="\n") as out:
+            out.write(csv_text)
         print(f"wrote {config.output}: {len(profile.u)} rows")
     else:
         sys.stdout.write(csv_text)

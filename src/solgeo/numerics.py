@@ -2,9 +2,10 @@
 evaluation, and the math namespace of one point or N points.
 
 The finite-difference step sizes used package-wide live here so that every
-module differentiates the same way.  The Hermite basis is written once and
-serves both the dense evaluator and the implicit profile's per-step
-quadrature rule.
+module differentiates the same way, and so does :data:`EXP_MAX`, the one
+bound on an exponent x whose e^x, e^{-x} and 1 / e^x must be doubles.  The
+Hermite basis is written once and serves both the dense evaluator and the
+implicit profile's per-step quadrature rule.
 
 A formula written against :func:`namespace` serves one point and N points
 alike: a float input is evaluated with ``math`` on Python floats, an (N,)
@@ -14,6 +15,7 @@ array input with numpy's ufuncs, and nothing else chooses between them.
 from __future__ import annotations
 
 import math
+import sys
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -24,6 +26,12 @@ import numpy as np
 # derivative levels and needs a coarser step.
 DEFAULT_FD_STEP = 1e-5
 CURVATURE_FD_STEP = 1e-4
+
+# The largest x at which e^x is a double: ln(DBL_MAX), whose exp rounds to
+# DBL_MAX and whose successor's overflows.  For |x| <= EXP_MAX, e^x, e^{-x}
+# and 1 / e^x are all finite, so a height z is compared with it as
+# |z| <= EXP_MAX before e^{+-z} and as |2z| <= EXP_MAX before e^{+-2z}.
+EXP_MAX = math.log(sys.float_info.max)
 
 # ``math`` under numpy's names, for the functions the formulas use; maximum
 # and minimum pick as ``max`` and ``min`` do, at half their call cost.

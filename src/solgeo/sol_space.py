@@ -31,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (CURVATURE_FD_STEP, DEFAULT_FD_STEP, central_diff,
-                       first_false, namespace)
+from .numerics import (CURVATURE_FD_STEP, DEFAULT_FD_STEP, EXP_MAX,
+                       central_diff, first_false, namespace)
 from .patch import SurfacePatch
 
 __all__ = [
@@ -137,10 +137,10 @@ def _rescaled(z, comps: np.ndarray, basis: str, formula) -> np.ndarray:
     return out
 
 
-def _require_double_range(z, what: str, finite) -> None:
+def _require_double_range(z, what: str, ok) -> None:
     """ValueError naming the first z (a float or an (N,) array) where
-    ``finite`` (a bool, or a bool array in point order) is false."""
-    bad = first_false(finite)
+    ``ok`` (a bool, or a bool array in point order) is false."""
+    bad = first_false(ok)
     if bad is not None:
         raise ValueError(f"{what} the double range at "
                          f"z = {np.ravel(z)[bad]:g}")
@@ -148,18 +148,13 @@ def _require_double_range(z, what: str, finite) -> None:
 
 def _exp_2z(z):
     """e^{2z} and e^{-2z}, the second as 1 / e^{2z}, at height z (a float
-    or an (N,) array); ValueError names the first z where either leaves
-    the double range."""
-    xp = namespace(z)
-    with np.errstate(all="ignore"):
-        try:
-            e2z = xp.exp(2.0 * z)
-            inverse = 1.0 / e2z
-        except (OverflowError, ZeroDivisionError):
-            e2z = inverse = math.inf
+    or an (N,) array); ValueError names the first z where |2z| exceeds
+    :data:`~solgeo.numerics.EXP_MAX`, that is, where either is not a
+    double."""
     _require_double_range(z, "e^(2z) or e^(-2z) leaves",
-                          xp.isfinite(e2z) & xp.isfinite(inverse))
-    return e2z, inverse
+                          abs(2.0 * z) <= EXP_MAX)
+    e2z = namespace(z).exp(2.0 * z)
+    return e2z, 1.0 / e2z
 
 
 def metric_at(p: Point) -> np.ndarray:
@@ -364,8 +359,9 @@ def canonical_leaf(kind: str, level: float) -> SurfacePatch:
     ``x_const`` and ``y_const`` leaves are totally geodesic hyperbolic
     planes; ``z_const`` leaves are flat and minimal.  The ``z_const``
     parametrization is orthonormal: (u, v) -> (u e^{-level}, v e^{level}).
-    ValueError refuses a non-finite level, and a ``z_const`` level where
-    e^{level} or e^{-level} leaves the double range.
+    ValueError refuses a non-finite level, and a ``z_const`` level past
+    :data:`~solgeo.numerics.EXP_MAX` in size, where e^{level} or
+    e^{-level} is not a double.
     """
     if not math.isfinite(level):
         raise ValueError(f"leaf level must be finite, got {level!r}")
@@ -376,11 +372,9 @@ def canonical_leaf(kind: str, level: float) -> SurfacePatch:
         immersion, d_u, d_v = ((lambda u, v: (u, level, v)),
                                (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
     elif kind == "z_const":
-        try:
-            eminus, eplus = math.exp(-level), math.exp(level)
-        except OverflowError:
-            raise ValueError(f"e^(level) or e^(-level) leaves the double "
-                             f"range at z = {level:g}") from None
+        _require_double_range(level, "e^(level) or e^(-level) leaves",
+                              abs(level) <= EXP_MAX)
+        eminus, eplus = math.exp(-level), math.exp(level)
         immersion, d_u, d_v = ((lambda u, v: (u * eminus, v * eplus, level)),
                                (eminus, 0.0, 0.0), (0.0, eplus, 0.0))
     else:

@@ -27,13 +27,11 @@ mean curvature is f = trace(A) / 2.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import first_false, namespace
+from .numerics import EXP_MAX, first_false, namespace
 from .patch import Param, ScalarField, SurfacePatch
 from .sol_space import (PLANE_GRAM_TOLERANCE, DegeneratePlaneError,
                         frame_connection)
@@ -57,11 +55,6 @@ __all__ = [
 # Below this ambient gradient norm a point counts as CMC-degenerate: the
 # adapted frame direction X1 = grad f / |grad f| is no longer trustworthy.
 GRADIENT_THRESHOLD = 1e-8
-
-# The largest height z at which e^z is a double: ln(DBL_MAX), whose exp
-# rounds to DBL_MAX and whose successor's overflows.  At |z| up to it
-# e^z, e^{-z} and 1 / e^z are all finite.
-_Z_MAX = math.log(sys.float_info.max)
 
 
 class DegenerateParametrizationError(ValueError):
@@ -237,7 +230,8 @@ class LocalGeometry:
     ------
     ValueError
         If e^z or e^{-z} is not a double at the height z of a point
-        (|z| > ln(DBL_MAX)), naming the first such (u, v) and its z.
+        (|z| > :data:`~solgeo.numerics.EXP_MAX` = ln(DBL_MAX)), naming the
+        first such (u, v) and its z.
     DegenerateParametrizationError
         If the partials fail to span a plane at the point (as at a NaN
         height), or span one at an angle whose sin^2 = 1 - cos^2 rounds
@@ -263,7 +257,7 @@ class LocalGeometry:
             z = np.full(u.shape, z)
         # e^{+-z} scale the frame components, so both must be doubles; a
         # NaN z is not refused here but is degenerate below
-        near = abs(z) <= _Z_MAX
+        near = abs(z) <= EXP_MAX
         if near is not True and first_false(near) is not None:
             bad = first_false(near | (z != z))
             if bad is not None:

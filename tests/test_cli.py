@@ -296,6 +296,15 @@ def test_profile_output_file_is_pinned(argv, tmp_path, capsys):
     assert capsys.readouterr() == (f"wrote {path}: {rows} rows\n", "")
 
 
+def test_profile_empty_output_is_stdout(capsys):
+    # an empty --output means stdout, for profile as for verify
+    assert run(["profile", "--nu", "3", "--output", ""]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "u,theta,f,Psi,Phi,K"
+    assert len(out.splitlines()) == 4
+    assert err == ""
+
+
 def test_verify_polynomial_stdout(capsys):
     assert run(["verify", "--suite", "polynomial"]) == 0
     captured = capsys.readouterr()
@@ -485,6 +494,7 @@ def test_config_integer_fields(tmp_path, capsys, values):
     ("generate", {"format": "stl"}, "unknown mesh format 'stl'"),
     ("verify", {"suite": "none"}, "unknown suite 'none'"),
     ("verify", [1, 2], "config file must hold a JSON object"),
+    ("generate", {"variant": "x3"}, "unknown variant 'x3'"),
 ])
 def test_config_string_and_bool_fields(tmp_path, capsys, command, values,
                                        message):

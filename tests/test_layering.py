@@ -12,8 +12,9 @@ calculus never calls the immersion, the family checks read the family
 through its profile, every public method of a patch or a field has a
 caller outside patch.py, every dataclass field with a default is set by
 some caller, ``import solgeo`` loads the geometry modules alone (the
-report suites and the exact polynomials on first use), and every public
-name of the package is the object its defining module binds."""
+report suites and the exact polynomials on first use), every public
+name of the package is the object its defining module binds, only the
+command line opens a file, and only numerics reads the float range."""
 
 import ast
 import importlib
@@ -436,3 +437,30 @@ def test_every_dataclass_option_is_set_by_some_caller():
                           if default and field not in left_out)
     assert unset == []
     assert always_set == []
+
+
+
+def _nodes_outside(owner: str):
+    """(file name, node) of every AST node of the package outside the
+    module file ``owner``."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name != owner:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                yield path.name, node
+
+
+def test_only_the_command_line_opens_files():
+    # a library function returns its text; the command line owns --output
+    offences = [f"{name}:{node.lineno}"
+                for name, node in _nodes_outside("cli.py")
+                if isinstance(node, ast.Call) and _call_name(node) == "open"]
+    assert offences == []
+
+
+def test_only_numerics_reads_the_float_range():
+    # the double-range bound EXP_MAX is stated once, in numerics
+    offences = [f"{name}:{node.lineno}"
+                for name, node in _nodes_outside("numerics.py")
+                if isinstance(node, ast.Attribute)
+                and node.attr == "float_info"]
+    assert offences == []

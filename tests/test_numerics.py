@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import solgeo
-from solgeo.numerics import (_FLOAT_MATH, central_diff, first_false,
-                             hermite_basis, hermite_eval, namespace,
-                             stencil_points, stencil_rates)
+from solgeo.numerics import (_FLOAT_MATH, EXP_MAX, central_diff,
+                             first_false, hermite_basis, hermite_eval,
+                             namespace, stencil_points, stencil_rates)
 
 PACKAGE_DIR = Path(solgeo.__file__).parent
 
@@ -72,6 +72,19 @@ def test_first_false_names_the_first_miss_and_fails_nan():
     assert first_false(np.array([1.0, 2.0]) > 0.0) is None
     assert first_false(np.array([1.0, -1.0, math.nan]) > 0.0) == 1
     assert first_false(np.array([1.0, math.nan, -1.0]) > 0.0) == 1
+
+
+def test_exp_max_is_the_largest_exponent_whose_exp_is_a_double():
+    # e^x, e^{-x} and 1 / e^x are finite at |x| = EXP_MAX, by libm and by
+    # numpy (e^{-x} is subnormal), and e^x overflows one ulp further out
+    with np.errstate(over="raise", divide="raise"):
+        for exp in (math.exp, np.exp):
+            assert math.isfinite(exp(EXP_MAX))
+            assert 0.0 < exp(-EXP_MAX) and math.isfinite(1.0 / exp(-EXP_MAX))
+        with pytest.raises(FloatingPointError):
+            np.exp(math.nextafter(EXP_MAX, math.inf))
+    with pytest.raises(OverflowError):
+        math.exp(math.nextafter(EXP_MAX, math.inf))
 
 
 class _Subclass(np.ndarray):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -618,6 +619,50 @@ def test_z_leaf_past_the_double_range_names_the_level(level):
                               f"range at z = {level:g}") + "$"
     with pytest.raises(ValueError, match=message):
         canonical_leaf("z_const", level)
+
+
+# ln(DBL_MAX), the largest x whose e^x is a double, stated here apart from
+# the package's own bound
+LN_DBL_MAX = math.log(sys.float_info.max)
+
+
+def _one_and_n_points(z):
+    return (Point(0.0, 0.0, z),
+            Point(np.zeros(3), np.zeros(3), np.array([0.0, z, 1.0])))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("oracle", [metric_at, christoffel])
+def test_metric_refusal_starts_one_ulp_past_half_the_bound(oracle, sign):
+    # at |2z| = ln(DBL_MAX) e^{2z} and 1 / e^{2z} are doubles; one ulp
+    # further out one of them is not, and the call refuses
+    edge = sign * LN_DBL_MAX / 2.0
+    past = math.nextafter(edge, sign * math.inf)
+    message = "^" + re.escape(f"e^(2z) or e^(-2z) leaves the double range "
+                              f"at z = {past:g}") + "$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in _one_and_n_points(edge):
+            assert np.all(np.isfinite(oracle(p)))
+        for p in _one_and_n_points(past):
+            with pytest.raises(ValueError, match=message):
+                oracle(p)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_z_leaf_refusal_starts_one_ulp_past_the_bound(sign):
+    edge = sign * LN_DBL_MAX
+    past = math.nextafter(edge, sign * math.inf)
+    message = "^" + re.escape(f"e^(level) or e^(-level) leaves the double "
+                              f"range at z = {past:g}") + "$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        leaf = canonical_leaf("z_const", edge)
+        z, d_u, d_v = leaf.partials(0.1, 0.2)[:3]
+        assert z == edge
+        assert np.all(np.isfinite([*leaf.immersion(0.1, 0.2), *d_u, *d_v]))
+        with pytest.raises(ValueError, match=message):
+            canonical_leaf("z_const", past)
 
 
 @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])

@@ -988,6 +988,30 @@ def test_height_past_the_double_range_names_the_point(v):
                     read(leaf, *points)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_height_refusal_starts_one_ulp_past_the_bound(sign):
+    # at |z| = ln(DBL_MAX) e^z and e^{-z} are doubles: the z_const leaf
+    # there answers with the bits of its level 0.  One ulp further out the
+    # x_const leaf's height v is refused, at one point and at N points
+    edge = sign * math.log(sys.float_info.max)
+    past = math.nextafter(edge, sign * math.inf)
+    message = "^" + re.escape(
+        f"e^(z) or e^(-z) leaves the double range on 'leaf_x=0.3' at "
+        f"(u, v) = (0.1, {past:g}), z = {past:g}") + "$"
+    leaf = canonical_leaf("x_const", 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_edge, at_zero = (shape_data(canonical_leaf("z_const", level),
+                                       0.1, 0.2) for level in (edge, 0.0))
+        for field in dataclasses.fields(ShapeData):
+            assert np.array_equal(getattr(at_edge, field.name),
+                                  getattr(at_zero, field.name))
+        for points in ((0.1, past), (np.array([0.2, 0.1]),
+                                     np.array([0.5, past]))):
+            with pytest.raises(ValueError, match=message):
+                shape_data(leaf, *points)
+
+
 def test_nan_height_is_degenerate():
     # a NaN height passes the range test and fails the plane test
     leaf = canonical_leaf("x_const", 0.3)
